@@ -33,8 +33,8 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use crate::column::{Bitmap, ColumnarAssembler, ColumnarBatch, Selection};
-use crate::tuple::{Tuple, TUPLE_HEADER_BYTES};
-use crate::value::{DataType, Value, VALUE_BASE_BYTES};
+use crate::tuple::Tuple;
+use crate::value::{DataType, Value};
 
 /// Default number of tuples per batch when the engine is not configured
 /// otherwise. Large enough to amortize per-batch overhead, small enough to
@@ -369,10 +369,7 @@ impl TupleBatch {
                 MemSize::Exact(m) => *m,
                 MemSize::Lazy => tuples.iter().map(Tuple::mem_size).sum(),
             },
-            Repr::Columns { cols, .. } => {
-                cols.len() * (TUPLE_HEADER_BYTES + cols.num_cols() * VALUE_BASE_BYTES)
-                    + cols.payload_bytes()
-            }
+            Repr::Columns { cols, .. } => cols.mem_size(),
         }
     }
 

@@ -6,8 +6,9 @@
 //! [`ColumnarBatch`] stores the same block of rows as per-column typed
 //! vectors ([`Column`]): `Int64`/`Float64`/`Str`/`Date` payloads with an
 //! optional validity [`Bitmap`] for NULLs, plus a [`Column::Values`]
-//! fallback for heterogeneous columns. Kernels then run tight loops over
-//! native slices:
+//! fallback for heterogeneous columns. Strings are a shared base plus
+//! per-row indices ([`StrColumn`]), so moving them costs what moving
+//! integers costs. Kernels then run tight loops over native slices:
 //!
 //! * **predicate evaluation** produces a selection [`Bitmap`] without
 //!   materializing rows (`Filter` intersects bitmaps instead of rebuilding
@@ -28,8 +29,8 @@ use std::sync::Arc;
 
 use crate::hash::FxHasher;
 use crate::schema::Schema;
-use crate::tuple::Tuple;
-use crate::value::{DataType, Value};
+use crate::tuple::{Tuple, TUPLE_HEADER_BYTES};
+use crate::value::{DataType, Value, VALUE_BASE_BYTES};
 use std::hash::{Hash, Hasher};
 
 /// A fixed-length bitmap (one bit per row). Used both for column validity
@@ -277,6 +278,156 @@ fn finish_one(f: impl FnOnce(&mut FxHasher)) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
+// StrColumn
+// ---------------------------------------------------------------------------
+
+/// The payload of a [`Column::Str`]: a shared **base** of strings plus one
+/// `u32` index per row into it.
+///
+/// `slice`, `gather`, same-base `append`, `clone` and drop copy integers and
+/// touch **one** refcount (the base's) instead of one per string, so a
+/// string column moves through scans, joins and concatenation at the cost
+/// of an integer column. A derived column *pins* its whole base (the
+/// source table's strings stay alive while any slice of them does) but is
+/// *accounted* logically: [`Column::payload_bytes`] counts only the strings
+/// its rows reference. Row access still hands out the same `Arc<str>` for
+/// one refcount bump ([`Column::value_at`]).
+#[derive(Clone)]
+pub struct StrColumn {
+    base: Arc<Vec<Arc<str>>>,
+    idx: Vec<u32>,
+    /// Foreign bases copied whole into `base` by [`StrColumn::append`],
+    /// with the offset their strings start at: a base that arrives again
+    /// (the next batch gathered from the same table) appends indices only.
+    merged: Vec<(Arc<Vec<Arc<str>>>, u32)>,
+}
+
+impl StrColumn {
+    /// Rows.
+    pub fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// Whether the column holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.idx.is_empty()
+    }
+
+    /// The rows' strings, in row order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Arc<str>> + '_ {
+        let base = self.base.as_slice();
+        self.idx.iter().map(move |&i| &base[i as usize])
+    }
+
+    fn derived(&self, idx: Vec<u32>) -> StrColumn {
+        StrColumn {
+            base: self.base.clone(),
+            idx,
+            merged: Vec::new(),
+        }
+    }
+
+    fn slice(&self, start: usize, end: usize) -> StrColumn {
+        self.derived(self.idx[start..end].to_vec())
+    }
+
+    fn gather(&self, rows: &[u32]) -> StrColumn {
+        self.derived(rows.iter().map(|&r| self.idx[r as usize]).collect())
+    }
+
+    /// Make `base` private to this column so it can grow, at a cost of at
+    /// most one refcount bump per row: copy the base when it is no larger
+    /// than the rows using it, otherwise keep only the referenced strings.
+    fn private_base(&mut self) -> &mut Vec<Arc<str>> {
+        if Arc::get_mut(&mut self.base).is_none() {
+            if self.base.len() <= self.idx.len() {
+                self.base = Arc::new(self.base.as_ref().clone());
+            } else {
+                let own: Vec<Arc<str>> = self.iter().cloned().collect();
+                self.idx = (0..own.len() as u32).collect();
+                self.base = Arc::new(own);
+                self.merged.clear();
+            }
+        }
+        Arc::make_mut(&mut self.base)
+    }
+
+    /// Append `other`'s rows. Same base: indices only. A base seen before:
+    /// indices shifted to where it was copied. Otherwise `other`'s base is
+    /// copied whole when it is no larger than the rows arriving with it
+    /// (and remembered if anyone else still holds it, so it can arrive
+    /// again), else only the referenced strings are copied — never more
+    /// than one refcount bump per appended row.
+    fn append(&mut self, other: &StrColumn) {
+        if Arc::ptr_eq(&self.base, &other.base) {
+            self.idx.extend_from_slice(&other.idx);
+            return;
+        }
+        if self.idx.is_empty() {
+            self.base = other.base.clone();
+            self.merged.clear();
+            self.idx.extend_from_slice(&other.idx);
+            return;
+        }
+        if let Some(&(_, off)) = self
+            .merged
+            .iter()
+            .find(|(b, _)| Arc::ptr_eq(b, &other.base))
+        {
+            self.idx.extend(other.idx.iter().map(|&i| i + off));
+            return;
+        }
+        let whole = other.base.len() <= other.idx.len();
+        let base = self.private_base();
+        let off = base.len() as u32;
+        if whole {
+            base.extend(other.base.iter().cloned());
+            self.idx.extend(other.idx.iter().map(|&i| i + off));
+            if Arc::strong_count(&other.base) > 1 {
+                self.merged.push((other.base.clone(), off));
+            }
+        } else {
+            base.extend(other.iter().cloned());
+            self.idx.extend(off..off + other.idx.len() as u32);
+        }
+    }
+}
+
+impl From<Vec<Arc<str>>> for StrColumn {
+    /// A column over its own base, one base entry per row.
+    fn from(strings: Vec<Arc<str>>) -> StrColumn {
+        StrColumn {
+            idx: (0..strings.len() as u32).collect(),
+            base: Arc::new(strings),
+            merged: Vec::new(),
+        }
+    }
+}
+
+/// The string at row `i`.
+impl std::ops::Index<usize> for StrColumn {
+    type Output = Arc<str>;
+    #[inline]
+    fn index(&self, i: usize) -> &Arc<str> {
+        &self.base[self.idx[i] as usize]
+    }
+}
+
+/// Equality is over the rows' strings; which base holds them is an
+/// execution detail.
+impl PartialEq for StrColumn {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for StrColumn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Column
 // ---------------------------------------------------------------------------
 
@@ -290,8 +441,8 @@ pub enum Column {
     Int64(Vec<i64>, Option<Bitmap>),
     /// 64-bit floats (bit-stable: NaN and -0.0 round-trip exactly).
     Float64(Vec<f64>, Option<Bitmap>),
-    /// Shared strings.
-    Str(Vec<Arc<str>>, Option<Bitmap>),
+    /// Strings: a shared base plus per-row indices ([`StrColumn`]).
+    Str(StrColumn, Option<Bitmap>),
     /// Days since the epoch.
     Date(Vec<i32>, Option<Bitmap>),
     /// Heterogeneous fallback: a plain value vector.
@@ -343,7 +494,7 @@ impl Column {
     }
 
     /// Typed accessor for a `Str` column.
-    pub fn as_str_col(&self) -> Option<(&[Arc<str>], Option<&Bitmap>)> {
+    pub fn as_str_col(&self) -> Option<(&StrColumn, Option<&Bitmap>)> {
         match self {
             Column::Str(v, b) => Some((v, b.as_ref())),
             _ => None,
@@ -438,7 +589,7 @@ impl Column {
             Column::Float64(v, b) => {
                 Column::Float64(v[start..end].to_vec(), slice_validity(b, start, end))
             }
-            Column::Str(v, b) => Column::Str(v[start..end].to_vec(), slice_validity(b, start, end)),
+            Column::Str(v, b) => Column::Str(v.slice(start, end), slice_validity(b, start, end)),
             Column::Date(v, b) => {
                 Column::Date(v[start..end].to_vec(), slice_validity(b, start, end))
             }
@@ -468,10 +619,7 @@ impl Column {
                 idx.iter().map(|&i| v[i as usize]).collect(),
                 gather_validity(b, idx),
             ),
-            Column::Str(v, b) => Column::Str(
-                idx.iter().map(|&i| v[i as usize].clone()).collect(),
-                gather_validity(b, idx),
-            ),
+            Column::Str(v, b) => Column::Str(v.gather(idx), gather_validity(b, idx)),
             Column::Date(v, b) => Column::Date(
                 idx.iter().map(|&i| v[i as usize]).collect(),
                 gather_validity(b, idx),
@@ -488,7 +636,7 @@ impl Column {
         match self {
             Column::Int64(v, _) => v.reserve(additional),
             Column::Float64(v, _) => v.reserve(additional),
-            Column::Str(v, _) => v.reserve(additional),
+            Column::Str(v, _) => v.idx.reserve(additional),
             Column::Date(v, _) => v.reserve(additional),
             Column::Values(v) => v.reserve(additional),
         }
@@ -532,7 +680,7 @@ impl Column {
             }
             (Column::Str(a, ab), Column::Str(b, bb)) => {
                 merge_validity(ab, a.len(), bb, b.len());
-                a.extend_from_slice(b);
+                a.append(b);
                 true
             }
             (Column::Date(a, ab), Column::Date(b, bb)) => {
@@ -545,6 +693,26 @@ impl Column {
                 true
             }
             _ => false,
+        }
+    }
+
+    /// Whether `other` is the same variant, i.e. [`Column::append`] would
+    /// accept it.
+    fn same_kind(&self, other: &Column) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
+    }
+
+    /// Whether row `i` equals row `j` of `other` under `Value` equality
+    /// (doubles by bits, no cross-type numeric equality), for rows that
+    /// are not NULL — join key confirmation after a prehash match, typed
+    /// so no `Value` is built when the variants agree.
+    pub fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
+        match (self, other) {
+            (Column::Int64(a, _), Column::Int64(b, _)) => a[i] == b[j],
+            (Column::Float64(a, _), Column::Float64(b, _)) => a[i].to_bits() == b[j].to_bits(),
+            (Column::Str(a, _), Column::Str(b, _)) => a[i] == b[j],
+            (Column::Date(a, _), Column::Date(b, _)) => a[i] == b[j],
+            _ => self.value_at(i) == other.value_at(j),
         }
     }
 
@@ -866,7 +1034,7 @@ impl ColumnBuilder {
             }
             ColumnBuilder::Str(v, nulls) => {
                 let validity = nulls_to_validity(v.len(), &nulls);
-                Column::Str(v, validity)
+                Column::Str(v.into(), validity)
             }
             ColumnBuilder::Date(v, nulls) => {
                 let validity = nulls_to_validity(v.len(), &nulls);
@@ -884,7 +1052,7 @@ impl ColumnBuilder {
 /// A block of rows stored column-major: `cols[c]` holds row values for
 /// column `c`, every column the same length. Columns are `Arc`-shared so
 /// projection and batch slicing by whole columns are refcount bumps.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ColumnarBatch {
     len: usize,
     cols: Vec<Arc<Column>>,
@@ -977,6 +1145,31 @@ impl ColumnarBatch {
         }
     }
 
+    /// Append `other`'s rows in place, growing this batch's own column
+    /// buffers (an empty batch adopts `other`'s columns, shared). Returns
+    /// `false`, leaving `self` untouched, when the layouts disagree
+    /// (column count or a column's variant).
+    pub fn append(&mut self, other: &ColumnarBatch) -> bool {
+        if self.len == 0 && self.cols.is_empty() {
+            *self = other.clone();
+            return true;
+        }
+        if self.cols.len() != other.cols.len()
+            || !self
+                .cols
+                .iter()
+                .zip(&other.cols)
+                .all(|(a, b)| a.same_kind(b))
+        {
+            return false;
+        }
+        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
+            Arc::make_mut(dst).append(src);
+        }
+        self.len += other.len;
+        true
+    }
+
     /// Concatenate many batches column-wise. Returns `None` when layouts
     /// disagree (column count or a column's type) — the caller falls back
     /// to row concatenation. A single input batch shares its column `Arc`s
@@ -985,35 +1178,15 @@ impl ColumnarBatch {
     pub fn concat<'a>(batches: impl Iterator<Item = &'a ColumnarBatch>) -> Option<ColumnarBatch> {
         let batches: Vec<&ColumnarBatch> = batches.collect();
         let (first, rest) = batches.split_first()?;
+        let mut out = (*first).clone();
         if rest.is_empty() {
-            return Some(ColumnarBatch {
-                len: first.len,
-                cols: first.cols.clone(),
-            });
+            return Some(out);
         }
-        let total: usize = batches.iter().map(|b| b.len).sum();
-        let mut len = first.len;
-        let mut cols: Vec<Column> = first
-            .cols
-            .iter()
-            .map(|c| {
-                let mut col = (**c).clone();
-                col.reserve(total - first.len);
-                col
-            })
-            .collect();
-        for b in rest {
-            if b.cols.len() != cols.len() {
-                return None;
-            }
-            for (dst, src) in cols.iter_mut().zip(&b.cols) {
-                if !dst.append(src) {
-                    return None;
-                }
-            }
-            len += b.len;
+        let more: usize = rest.iter().map(|b| b.len).sum();
+        for c in &mut out.cols {
+            Arc::make_mut(c).reserve(more);
         }
-        Some(ColumnarBatch::new(len, cols))
+        rest.iter().all(|b| out.append(b)).then_some(out)
     }
 
     /// Concatenate two batches **horizontally**: the rows of `left` and
@@ -1033,6 +1206,13 @@ impl ColumnarBatch {
     /// Total payload bytes beyond the per-value base charge (string bytes).
     pub fn payload_bytes(&self) -> usize {
         self.cols.iter().map(|c| c.payload_bytes()).sum()
+    }
+
+    /// What the rows would report as `Tuple::mem_size` in total (tuple
+    /// headers + per-value base + string payloads), computed from the
+    /// columns — the one accounting figure for a block in either form.
+    pub fn mem_size(&self) -> usize {
+        self.len * (TUPLE_HEADER_BYTES + self.cols.len() * VALUE_BASE_BYTES) + self.payload_bytes()
     }
 
     /// Build every row's `Tuple` view in **one** shared block allocation
@@ -1403,6 +1583,147 @@ mod tests {
     fn payload_bytes_counts_strings() {
         let cb = ColumnarBatch::from_rows(&[tuple![1, "abcd"], tuple![2, "ef"]]);
         assert_eq!(cb.payload_bytes(), 6);
+    }
+
+    /// The property the shared base exists for: gathering, slicing and
+    /// dropping a string column touches no string's refcount.
+    #[test]
+    fn shared_base_ops_leave_string_refcounts_untouched() {
+        let strings: Vec<Arc<str>> = ["a", "bb", "ccc"].into_iter().map(Arc::from).collect();
+        let col = Column::Str(strings.clone().into(), None);
+        let counts = |strings: &[Arc<str>]| -> Vec<usize> {
+            strings.iter().map(Arc::strong_count).collect()
+        };
+        let before = counts(&strings);
+        let gathered = col.gather(&[2, 2, 0, 1, 0]);
+        let sliced = gathered.slice(1, 4);
+        let mut grown = col.clone();
+        assert!(grown.append(&gathered) && grown.append(&sliced));
+        assert_eq!(counts(&strings), before, "derived columns share the base");
+        assert_eq!(grown.len(), 11);
+        assert_eq!(grown.value_at(3), Value::str("ccc"));
+        drop((gathered, sliced, grown));
+        assert_eq!(
+            counts(&strings),
+            before,
+            "and dropping them releases only it"
+        );
+    }
+
+    mod str_column_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        type Model = Vec<Option<String>>;
+
+        fn table(rows: &Model) -> Column {
+            let mut b = ColumnBuilder::for_type(DataType::Str);
+            for s in rows {
+                b.push(&s.as_deref().map_or(Value::Null, Value::str));
+            }
+            b.finish()
+        }
+
+        fn arb_table(max: usize) -> impl Strategy<Value = Model> {
+            proptest::collection::vec(
+                prop_oneof![4 => "\\PC{0,6}".prop_map(Some), 1 => Just(None)],
+                1..max,
+            )
+        }
+
+        /// Everything a consumer can observe of `col` equals what a plain
+        /// string-per-row column (`table(model)`) shows.
+        fn check(col: &Column, model: &Model) -> std::result::Result<(), TestCaseError> {
+            let plain = table(model);
+            prop_assert_eq!(col.len(), model.len());
+            let (strs, validity) = col.as_str_col().expect("a string column");
+            prop_assert_eq!(strs.len(), model.len());
+            for (i, want) in model.iter().enumerate() {
+                prop_assert_eq!(col.value_at(i), plain.value_at(i));
+                prop_assert_eq!(validity.is_none_or(|v| v.get(i)), want.is_some());
+                if let Some(s) = want {
+                    prop_assert_eq!(&*strs[i], s.as_str());
+                }
+            }
+            let (plain_strs, _) = plain.as_str_col().expect("a string column");
+            prop_assert!(
+                strs == plain_strs,
+                "equality is over the strings, not the base"
+            );
+            prop_assert_eq!(col.payload_bytes(), plain.payload_bytes());
+            prop_assert_eq!(
+                col.payload_bytes(),
+                model.iter().flatten().map(String::len).sum::<usize>()
+            );
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            col.hash_append(&mut got);
+            plain.hash_append(&mut want);
+            prop_assert_eq!(got, want);
+            let fold = |c: &Column| {
+                let mut acc = vec![Some(FxHasher::new()); c.len()];
+                c.hash_fold(&mut acc);
+                acc.into_iter()
+                    .map(|h| h.map(|h| h.finish()))
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(fold(col), fold(&plain));
+            // write_strided, through the row materialization it serves.
+            let rows = |c: &Column| ColumnarBatch::new(c.len(), vec![c.clone()]).materialize_rows();
+            prop_assert_eq!(rows(col), rows(&plain));
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// A column grown by a random program of appends — slices and
+            /// gathers of three tables (pieces of one table share its base),
+            /// fresh own-base columns, and pieces of itself — then sliced
+            /// and gathered, always agrees with the plain model.
+            #[test]
+            fn prop_str_column_agrees_with_plain_model(
+                tables in proptest::collection::vec(arb_table(12), 3..4),
+                steps in proptest::collection::vec((0usize..5, 0usize..64, 0usize..64, 0usize..64), 1..14),
+            ) {
+                let cols: Vec<Column> = tables.iter().map(table).collect();
+                let (mut acc, mut model) = (table(&Model::new()), Model::new());
+                for (what, a, b, c) in steps {
+                    let (src, src_model) = match what {
+                        0..=2 => (cols[what].clone(), tables[what].clone()),
+                        3 => {
+                            // A fresh column: its own base, nobody else's.
+                            let m: Model = tables[a % 3].iter().rev().cloned().collect();
+                            (table(&m), m)
+                        }
+                        _ => (acc.clone(), model.clone()),
+                    };
+                    if src_model.is_empty() {
+                        continue;
+                    }
+                    let n = src_model.len();
+                    let (piece, piece_model) = if a % 2 == 0 {
+                        let (lo, hi) = ((b % n).min(c % n), (b % n).max(c % n) + 1);
+                        (src.slice(lo, hi), src_model[lo..hi].to_vec())
+                    } else {
+                        // Repeats and reorders: more rows than base entries.
+                        let idx: Vec<u32> = (0..(b % 20)).map(|k| ((a + k * (c + 1)) % n) as u32).collect();
+                        let m = idx.iter().map(|&i| src_model[i as usize].clone()).collect();
+                        (src.gather(&idx), m)
+                    };
+                    check(&piece, &piece_model)?;
+                    prop_assert!(acc.append(&piece));
+                    model.extend(piece_model);
+                    check(&acc, &model)?;
+                }
+                let n = model.len();
+                if n > 0 {
+                    check(&acc.slice(n / 3, n), &model[n / 3..].to_vec())?;
+                    let idx: Vec<u32> = (0..n as u32).rev().step_by(2).collect();
+                    let picked: Model = idx.iter().map(|&i| model[i as usize].clone()).collect();
+                    check(&acc.gather(&idx), &picked)?;
+                }
+            }
+        }
     }
 
     #[test]

@@ -237,8 +237,17 @@ impl<K, V> PrehashMap<K, V> {
     /// probe key can be any borrowed representation.
     #[inline]
     pub fn get_hashed(&self, hash: u64, key_eq: impl Fn(&K) -> bool) -> Option<&V> {
+        self.get_entry_hashed(hash, key_eq).map(|(_, v)| v)
+    }
+
+    /// [`PrehashMap::get_hashed`], also handing back the stored key.
+    #[inline]
+    pub fn get_entry_hashed(&self, hash: u64, key_eq: impl Fn(&K) -> bool) -> Option<(&K, &V)> {
         match self.find(hash, key_eq) {
-            Ok(g) => Some(&self.groups[g as usize].2),
+            Ok(g) => {
+                let (_, k, v) = &self.groups[g as usize];
+                Some((k, v))
+            }
             Err(_) => None,
         }
     }

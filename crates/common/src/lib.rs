@@ -32,7 +32,9 @@ pub mod tuple;
 pub mod value;
 
 pub use batch::{BatchAssembler, BatchBuilder, OutputQueue, TupleBatch, DEFAULT_BATCH_CAPACITY};
-pub use column::{Bitmap, Column, ColumnBuilder, ColumnarAssembler, ColumnarBatch, Selection};
+pub use column::{
+    Bitmap, Column, ColumnBuilder, ColumnarAssembler, ColumnarBatch, Selection, StrColumn,
+};
 
 /// The process-wide default operator batch capacity, read from the
 /// `TUKWILA_BATCH` environment variable (minimum 1; unset or invalid means

@@ -19,8 +19,8 @@ use std::sync::{Arc, OnceLock};
 use crate::column::ColumnarBatch;
 use crate::error::{Result, TukwilaError};
 use crate::schema::Schema;
-use crate::tuple::{Tuple, TUPLE_HEADER_BYTES};
-use crate::value::{Value, VALUE_BASE_BYTES};
+use crate::tuple::Tuple;
+use crate::value::Value;
 use crate::TupleBatch;
 
 /// A schema-carrying bag of tuples with lazily interconvertible row-major
@@ -204,9 +204,7 @@ impl Relation {
         if let Some(rows) = self.rows.get() {
             return rows.iter().map(Tuple::mem_size).sum();
         }
-        let cols = self.cols.get().expect("relation invariant");
-        cols.len() * (TUPLE_HEADER_BYTES + cols.num_cols() * VALUE_BASE_BYTES)
-            + cols.payload_bytes()
+        self.cols.get().expect("relation invariant").mem_size()
     }
 
     /// Sorted copy of the tuples (total order on values) — used by tests to

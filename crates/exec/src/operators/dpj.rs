@@ -14,6 +14,16 @@
 //! threads blocking when their transfer queue fills — that backpressure is
 //! also how Incremental Left Flush "pauses" the left input.
 //!
+//! Each side's in-memory partition is **columnar from arrival**
+//! ([`ResidentSide`]): an arriving batch is prehashed once, appended to its
+//! side's growing typed columns and chained into a row-id index, probed
+//! against the opposite side's index, and emitted as two typed gathers —
+//! no row is ever built. The tuple-at-a-time machinery below
+//! ([`BucketedTable`], marking, flush, cleanup) is entered only when memory
+//! pressure first appears: the stored rows move into the bucketed tables in
+//! arrival order (**thaw**) and everything from then on runs the overflow
+//! path unchanged.
+//!
 //! The transfer queues are **batched**: each channel message carries a
 //! whole [`TupleBatch`] from the child's batched pull, so fast sources pay
 //! one send/receive per block instead of per tuple, while slow sources
@@ -37,6 +47,7 @@
 //! Duplicate avoidance follows the paper's marking rule: cleanup joins
 //! old×new, new×old and new×new — never old×old, which was emitted online.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -44,14 +55,14 @@ use std::time::Instant;
 use crossbeam_channel::{bounded, Receiver, Select};
 
 use tukwila_common::{
-    ColumnarBatch, DataType, KeyVector, KeyedBatch, OutputQueue, Result, Schema, TukwilaError,
-    Tuple, TupleBatch,
+    Column, ColumnarBatch, KeyVector, KeyedBatch, OutputQueue, PrehashMap, Result, Schema,
+    TukwilaError, Tuple, TupleBatch,
 };
 use tukwila_plan::{OverflowMethod, QuantityProvider, SubjectRef};
 use tukwila_trace::{OpMetrics, TraceEvent};
 
 use crate::operator::{Operator, OperatorBox};
-use crate::operators::hash_table::{join_sets, BucketedTable, FrozenSide};
+use crate::operators::hash_table::{join_sets, BucketedTable};
 use crate::runtime::OpHarness;
 
 const LEFT: usize = 0;
@@ -77,6 +88,91 @@ enum ReadMode {
     RightOnly,
 }
 
+/// End of a [`ResidentSide`] key chain.
+const NIL: u32 = u32::MAX;
+
+/// One input's in-memory partition while the join is columnar-resident:
+/// the rows stored so far (non-NULL keys only, arrival order) as growing
+/// typed columns, plus a row-id index over them. Rows of one key form a
+/// chain through `next` in arrival order — `index` maps the key's first
+/// row to its last — so a probe yields matches in the order the bucketed
+/// tables would, and indexing allocates nothing per distinct key.
+#[derive(Default)]
+struct ResidentSide {
+    rows: ColumnarBatch,
+    /// Key prehash of each stored row (reused by the index and by thaw).
+    hashes: Vec<u64>,
+    index: PrehashMap<u32, u32>,
+    next: Vec<u32>,
+    /// Bytes charged to the reservation for `rows`.
+    bytes: usize,
+}
+
+impl ResidentSide {
+    /// Append `part` (rows with non-NULL keys, prehashed as `hashes`) and
+    /// index it. Returns `false`, storing nothing, when `part`'s layout
+    /// differs from the rows already stored (or row ids would run out).
+    fn store(
+        &mut self,
+        part: &ColumnarBatch,
+        hashes: impl Iterator<Item = u64>,
+        key: usize,
+    ) -> bool {
+        // Row ids are `u32` with `NIL` reserved.
+        if self.hashes.len() + part.len() >= NIL as usize || !self.rows.append(part) {
+            return false;
+        }
+        let keys = self.rows.col(key);
+        for h in hashes {
+            let row = self.hashes.len() as u32;
+            self.hashes.push(h);
+            self.next.push(NIL);
+            let mut first_of_key = false;
+            let last = self.index.entry_hashed(
+                h,
+                |&head| keys.eq_at(head as usize, keys, row as usize),
+                || {
+                    first_of_key = true;
+                    row
+                },
+            );
+            if !first_of_key {
+                self.next[*last as usize] = row;
+            }
+            *last = row;
+        }
+        true
+    }
+
+    /// For every row of a prehashed batch (key column `probe_keys`), push
+    /// one `(batch row, stored row)` pair per stored row with an equal key.
+    fn probe(
+        &self,
+        key: usize,
+        probe_keys: &Column,
+        kv: &KeyVector,
+        sel_probe: &mut Vec<u32>,
+        sel_stored: &mut Vec<u32>,
+    ) {
+        if self.hashes.is_empty() {
+            return;
+        }
+        let keys = self.rows.col(key);
+        for (i, h) in kv.iter().enumerate() {
+            let Some(h) = h else { continue }; // NULL keys never join
+            let found = self
+                .index
+                .get_entry_hashed(h, |&head| keys.eq_at(head as usize, probe_keys, i));
+            let mut row = found.map_or(NIL, |(&head, _)| head);
+            while row != NIL {
+                sel_probe.push(i as u32);
+                sel_stored.push(row);
+                row = self.next[row as usize];
+            }
+        }
+    }
+}
+
 /// The double pipelined hash join operator.
 pub struct DoublePipelinedJoin {
     children: Option<(OperatorBox, OperatorBox)>,
@@ -97,11 +193,18 @@ pub struct DoublePipelinedJoin {
     done: [bool; 2],
     mode: ReadMode,
     pending: OutputQueue,
-    /// The transferred batch currently being joined (from `staged_side`),
-    /// prehashed once on arrival and drained in place — no per-tuple copy
-    /// into a side buffer. The output side joins one tuple at a time,
-    /// pausing as soon as a full output block is ready so `pending` stays
-    /// bounded by batch_size plus one tuple's fanout.
+    /// Each input's columnar partition (`[left, right]`); `None` once the
+    /// join has thawed into `tables`, which then hold everything.
+    resident: Option<[ResidentSide; 2]>,
+    /// Paired selection vectors of the columnar probe (one entry per output
+    /// row), kept across batches so tiny batches allocate nothing here.
+    sel_probe: Vec<u32>,
+    sel_stored: Vec<u32>,
+    /// The transferred batch currently being joined tuple-at-a-time (from
+    /// `staged_side`), prehashed once on arrival and drained in place — no
+    /// per-tuple copy into a side buffer. The output side joins one tuple
+    /// at a time, pausing as soon as a full output block is ready so
+    /// `pending` stays bounded by batch_size plus one tuple's fanout.
     staged: Option<KeyedBatch>,
     staged_side: usize,
     cleanup_next: usize,
@@ -115,21 +218,10 @@ pub struct DoublePipelinedJoin {
     reservation: Option<tukwila_storage::MemoryReservation>,
     /// Metrics handle (Some only at `TraceLevel::Metrics`).
     metrics: Option<Arc<OpMetrics>>,
-    /// When the current staged batch started draining (probe timing).
-    staged_at: Option<Instant>,
     /// Tuples this run diverted to spill storage (overflow accounting).
     spilled_tuples: u64,
     /// The overflow-resolved event was emitted (once per run).
     resolved_emitted: bool,
-    /// Per-side columnar freeze of a completed, fully in-memory table
-    /// (`[left, right]`), built lazily the first time the opposite input
-    /// turns probe-only. Valid while the probe-only gate holds: the frozen
-    /// side receives no further inserts, and any later flush flips the gate
-    /// off before the stale view could be consulted.
-    frozen: [Option<FrozenSide>; 2],
-    /// Schema-declared column types of each input (`[left, right]`) —
-    /// freeze/builder hints captured at open.
-    side_types: [Vec<DataType>; 2],
 }
 
 impl DoublePipelinedJoin {
@@ -157,6 +249,9 @@ impl DoublePipelinedJoin {
             done: [false, false],
             mode: ReadMode::Both,
             pending: OutputQueue::new(tukwila_common::DEFAULT_BATCH_CAPACITY),
+            resident: None,
+            sel_probe: Vec::new(),
+            sel_stored: Vec::new(),
             staged: None,
             staged_side: LEFT,
             cleanup_next: 0,
@@ -166,11 +261,8 @@ impl DoublePipelinedJoin {
             engaged_method: None,
             reservation: None,
             metrics: None,
-            staged_at: None,
             spilled_tuples: 0,
             resolved_emitted: false,
-            frozen: [None, None],
-            side_types: [Vec::new(), Vec::new()],
         }
     }
 
@@ -262,76 +354,103 @@ impl DoublePipelinedJoin {
         Ok(())
     }
 
-    /// Whether a batch arriving on `side` can take the vectorized
-    /// probe-only path: the opposite input is complete, so by footnote 3
-    /// nothing from `side` needs storing, and neither table has flushed a
-    /// bucket, so no arrival diverts to spill and no probe needs a marked
-    /// insert — every row is a pure in-memory probe with no table mutation.
-    fn probe_only(&self, side: usize) -> bool {
-        self.done[1 - side]
-            && !self.cleanup_active
-            && !self.tables[side].any_flushed()
-            && !self.tables[1 - side].any_flushed()
-    }
-
-    /// Make sure the completed build side `bs` has a columnar freeze
-    /// (caller guarantees the probe-only gate). Returns `false` when the
-    /// table declines to freeze (marked tuples present) — the caller falls
-    /// back to the tuple-at-a-time staged path.
-    fn ensure_frozen(&mut self, bs: usize) -> bool {
-        if self.frozen[bs].is_none() {
-            self.frozen[bs] = self.tables[bs].freeze(&self.side_types[bs]);
-        }
-        self.frozen[bs].is_some()
-    }
-
-    /// Join one arriving columnar batch entirely by vectorized probe
-    /// (caller guarantees [`Self::probe_only`] and a frozen build side):
-    /// prehash the key column, resolve every probe row to match row ids in
-    /// the frozen table, then assemble each output block from two typed
-    /// column **gathers** — one over the arriving batch, one over the
-    /// frozen build columns. No builder dispatch per value, and neither
-    /// side's row views are ever materialized.
-    fn probe_batch_columnar(&mut self, side: usize, batch: &TupleBatch) -> Result<()> {
-        let (Some(cols), Some(frozen)) = (batch.columns(), self.frozen[1 - side].as_ref()) else {
-            return Err(TukwilaError::Internal(
-                "vectorized DPJ probe without columnar batch and frozen side".into(),
-            ));
+    /// Join one arriving batch on the columnar-resident path: store it on
+    /// its own side (unless the opposite input is complete — footnote 3),
+    /// then probe the opposite side and emit the matches as two typed
+    /// gathers. Hands the batch back when it must go tuple-at-a-time
+    /// instead: the join has thawed, or thaws now because the batch is in
+    /// row form, would not fit in memory, or changes a stored column's
+    /// type.
+    fn join_resident(&mut self, side: usize, batch: TupleBatch) -> Option<TupleBatch> {
+        let opp = 1 - side;
+        let key = self.key_idx[side];
+        let (Some(sides), Some(cols)) = (self.resident.as_mut(), batch.columns()) else {
+            self.thaw();
+            return Some(batch);
         };
-        let kv = KeyVector::compute(batch, self.key_idx[side]);
-        let key_col = cols.col(self.key_idx[side]);
-        // Paired selection vectors: one entry per output row, indexing the
-        // probe batch and the frozen build columns respectively. NULL keys
-        // (hash None) never join.
-        let mut sel_probe: Vec<u32> = Vec::new();
-        let mut sel_build: Vec<u32> = Vec::new();
-        for i in 0..batch.len() {
-            let Some(h) = kv.get(i) else { continue };
-            let key = key_col.value_at(i);
-            let found = frozen.probe_hashed(h, &key);
-            if !found.is_empty() {
-                sel_probe.resize(sel_probe.len() + found.len(), i as u32);
-                sel_build.extend_from_slice(found);
+        let kv = KeyVector::compute(&batch, key);
+        if !self.done[opp] {
+            // NULL-keyed rows never join: not stored, indexed or charged.
+            let part = if kv.iter().all(|h| h.is_some()) {
+                Cow::Borrowed(cols)
+            } else {
+                self.sel_probe.clear();
+                self.sel_probe
+                    .extend((0..cols.len() as u32).filter(|&i| kv.get(i as usize).is_some()));
+                Cow::Owned(cols.gather(&self.sel_probe))
+            };
+            if !part.is_empty() {
+                // Exactly what the bucketed inserts would charge for these
+                // rows, tested before charging: a batch that does not fit
+                // thaws, and the tuple path then trips overflow at the
+                // exact row.
+                let bytes = part.mem_size();
+                let fits = self
+                    .reservation
+                    .as_ref()
+                    .is_none_or(|r| r.has_headroom(bytes));
+                if !fits || !sides[side].store(&part, kv.iter().flatten(), key) {
+                    self.thaw();
+                    return Some(batch);
+                }
+                if let Some(r) = &self.reservation {
+                    r.charge(bytes);
+                    sides[side].bytes += bytes;
+                }
             }
         }
-        if sel_probe.is_empty() {
-            return Ok(());
-        }
+        self.sel_probe.clear();
+        self.sel_stored.clear();
+        let stored = &sides[opp];
+        stored.probe(
+            self.key_idx[opp],
+            cols.col(key),
+            &kv,
+            &mut self.sel_probe,
+            &mut self.sel_stored,
+        );
         let block = self.harness.batch_size().max(1);
-        let mut start = 0usize;
-        while start < sel_probe.len() {
-            let end = (start + block).min(sel_probe.len());
-            let probe_half = cols.gather(&sel_probe[start..end]);
-            let match_half = frozen.columns().gather(&sel_build[start..end]);
+        for (p, s) in self
+            .sel_probe
+            .chunks(block)
+            .zip(self.sel_stored.chunks(block))
+        {
+            let (arrived, matched) = (cols.gather(p), stored.rows.gather(s));
             let out = if side == LEFT {
-                ColumnarBatch::hstack(probe_half, match_half)
+                ColumnarBatch::hstack(arrived, matched)
             } else {
-                ColumnarBatch::hstack(match_half, probe_half)
+                ColumnarBatch::hstack(matched, arrived)
             };
             self.pending.extend_block(TupleBatch::from_columns(out));
-            start = end;
         }
-        Ok(())
+        None
+    }
+
+    /// Leave the columnar-resident path for good: move every stored row
+    /// into the bucketed tables, in arrival order and with its cached
+    /// prehash, so the tables are exactly what tuple-at-a-time inserts
+    /// would have built (per-key match order, bucket contents, charges).
+    /// The inserts re-charge what the columnar sides release.
+    fn thaw(&mut self) {
+        let Some(sides) = self.resident.take() else {
+            return;
+        };
+        let block = self.harness.batch_size().max(1);
+        for (side, stored) in sides.into_iter().enumerate() {
+            if let Some(r) = &self.reservation {
+                r.release(stored.bytes);
+            }
+            // One row block per batch-size slice, as arrivals would have
+            // made: a flushed bucket then frees its blocks, not one giant
+            // block pinned by every other bucket.
+            for start in (0..stored.rows.len()).step_by(block) {
+                let end = (start + block).min(stored.rows.len());
+                let rows = stored.rows.slice(start, end).materialize_rows();
+                for (t, &h) in rows.into_iter().zip(&stored.hashes[start..end]) {
+                    self.tables[side].insert_hashed(h, t);
+                }
+            }
+        }
     }
 
     fn check_overflow(&mut self) -> Result<()> {
@@ -432,24 +551,29 @@ impl DoublePipelinedJoin {
         }
         let want_left = !self.done[LEFT] && self.mode == ReadMode::Both;
         let want_right = !self.done[RIGHT];
+        if want_left && want_right {
+            self.recv_flip = !self.recv_flip;
+        }
+        let flip = self.recv_flip;
+        let rx = |side: usize| {
+            self.rx[side]
+                .as_ref()
+                .ok_or_else(|| TukwilaError::Internal("DPJ receive before open".into()))
+        };
         match (want_left, want_right) {
             (true, true) => {
-                let (l, r) = (
-                    self.rx[LEFT].as_ref().unwrap(),
-                    self.rx[RIGHT].as_ref().unwrap(),
-                );
+                let (l, r) = (rx(LEFT)?, rx(RIGHT)?);
                 // Fast path: data already waiting — skip the select
                 // machinery (two boxed closures + waker registration).
                 // Alternate which side is tried first so neither input is
                 // systematically favored when both are ready.
-                self.recv_flip = !self.recv_flip;
-                let order = if self.recv_flip {
-                    [LEFT, RIGHT]
+                let order = if flip {
+                    [(LEFT, l), (RIGHT, r)]
                 } else {
-                    [RIGHT, LEFT]
+                    [(RIGHT, r), (LEFT, l)]
                 };
-                for side in order {
-                    if let Ok(m) = self.rx[side].as_ref().unwrap().try_recv() {
+                for (side, q) in order {
+                    if let Ok(m) = q.try_recv() {
                         return Ok((side, m));
                     }
                 }
@@ -462,14 +586,8 @@ impl DoublePipelinedJoin {
                     _ => Ok((RIGHT, op.recv(r).unwrap_or(Msg::End))),
                 }
             }
-            (true, false) => {
-                let l = self.rx[LEFT].as_ref().unwrap();
-                Ok((LEFT, l.recv().unwrap_or(Msg::End)))
-            }
-            (false, true) => {
-                let r = self.rx[RIGHT].as_ref().unwrap();
-                Ok((RIGHT, r.recv().unwrap_or(Msg::End)))
-            }
+            (true, false) => Ok((LEFT, rx(LEFT)?.recv().unwrap_or(Msg::End))),
+            (false, true) => Ok((RIGHT, rx(RIGHT)?.recv().unwrap_or(Msg::End))),
             (false, false) => Err(TukwilaError::Internal(
                 "DPJ receive with both sides done".into(),
             )),
@@ -548,6 +666,35 @@ impl DoublePipelinedJoin {
         Ok(true)
     }
 
+    /// Run one piece of join work on transferred data and add its duration
+    /// to `exec.probe_ms`. Only the work is timed: a staged batch drains
+    /// across several `next_batch` calls, and whatever the parent does
+    /// between them is not this operator's time.
+    fn timed_probe<T>(&mut self, work: impl FnOnce(&mut Self) -> T) -> T {
+        let started = self.metrics.as_ref().map(|_| Instant::now());
+        let out = work(self);
+        if let (Some(m), Some(t0)) = (&self.metrics, started) {
+            m.add_probe_ns(t0.elapsed().as_nanos() as u64);
+        }
+        out
+    }
+
+    /// Join staged tuples one at a time until a full output block is
+    /// pending or the staged batch is drained.
+    fn drain_staged(&mut self, max: usize) -> Result<()> {
+        while self.pending.len() < max {
+            match self.staged.as_mut().and_then(KeyedBatch::next) {
+                Some((t, Some(hash))) => self.handle_tuple(self.staged_side, t, hash)?,
+                Some((_, None)) => {} // NULL keys never join and need no storage
+                None => {
+                    self.staged = None;
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn shutdown_threads(&mut self) {
         // Disconnect queues so senders unblock, cancel any descendant
         // streams still sleeping in their link models, then join.
@@ -577,16 +724,7 @@ impl Operator for DoublePipelinedJoin {
             right.schema().index_of(&self.right_key)?,
         ];
         self.schema = left.schema().concat(right.schema());
-        self.side_types = [
-            left.schema().fields().iter().map(|f| f.data_type).collect(),
-            right
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| f.data_type)
-                .collect(),
-        ];
-        self.frozen = [None, None];
+        self.resident = Some(Default::default());
         // Typed queue: join output seals directly into columnar batches, so
         // downstream operators (and the fragment collector) stay vectorized.
         self.pending = OutputQueue::typed(
@@ -650,22 +788,9 @@ impl Operator for DoublePipelinedJoin {
                 return Ok(Some(self.emit_pending()));
             }
             // Free work first: join tuples already transferred.
-            match self.staged.as_mut().map(KeyedBatch::next) {
-                Some(Some((t, hash))) => {
-                    if let Some(hash) = hash {
-                        let side = self.staged_side;
-                        self.handle_tuple(side, t, hash)?;
-                    }
-                    // NULL keys never join and need no storage.
-                    continue;
-                }
-                Some(None) => {
-                    self.staged = None;
-                    if let (Some(m), Some(t0)) = (&self.metrics, self.staged_at.take()) {
-                        m.add_probe_ns(t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                None => {}
+            if self.staged.is_some() {
+                self.timed_probe(|join| join.drain_staged(max))?;
+                continue;
             }
             if self.done[LEFT] && self.done[RIGHT] {
                 if !self.cleanup_active {
@@ -699,21 +824,10 @@ impl Operator for DoublePipelinedJoin {
                 Msg::Batch(b) => {
                     if let Some(m) = &self.metrics {
                         m.add_input(b.len() as u64);
-                        self.staged_at = Some(Instant::now());
                     }
-                    if b.columns().is_some()
-                        && self.probe_only(side)
-                        && self.ensure_frozen(1 - side)
-                    {
-                        // Pure in-memory probe with nothing to store:
-                        // vectorized column gather, no row staging.
-                        self.probe_batch_columnar(side, &b)?;
-                        if let (Some(m), Some(t0)) = (&self.metrics, self.staged_at.take()) {
-                            m.add_probe_ns(t0.elapsed().as_nanos() as u64);
-                        }
-                    } else {
-                        // Prehash the whole arriving batch once and drain it
-                        // in place (NULL-keyed rows skipped at consumption).
+                    if let Some(b) = self.timed_probe(|join| join.join_resident(side, b)) {
+                        // Tuple-at-a-time: prehash the whole arriving batch
+                        // once and drain it in place.
                         self.staged_side = side;
                         self.staged = Some(KeyedBatch::new(b, self.key_idx[side]));
                     }
@@ -740,9 +854,11 @@ impl Operator for DoublePipelinedJoin {
             t.clear();
         }
         self.tables.clear();
+        if let (Some(r), Some(sides)) = (&self.reservation, self.resident.take()) {
+            r.release(sides.iter().map(|s| s.bytes).sum());
+        }
         self.pending.clear();
         self.staged = None;
-        self.frozen = [None, None];
         self.harness.closed();
         Ok(())
     }

@@ -1,0 +1,446 @@
+//! The columnar-resident double pipelined join against the nested-loop
+//! reference, and against its own tuple-at-a-time path.
+//!
+//! Inputs are scripted batches rather than sources, so a test chooses the
+//! key type, the batch size, the representation (typed columnar batches
+//! keep the join columnar-resident; row-form batches thaw it on arrival
+//! and so drive the tuple path from the first row) and roughly who
+//! arrives first. The matrix checks answers and that the governor ends
+//! at zero; one pinned run with a fully ordered arrival checks that
+//! spill I/O and peak memory equal the tuple path's.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::Duration;
+
+use tukwila_common::{
+    ColumnarAssembler, DataType, Relation, Result, Schema, Tuple, TupleBatch, Value,
+};
+use tukwila_plan::{JoinKind, OverflowMethod, SubjectRef};
+use tukwila_source::LinkModel;
+use tukwila_trace::{OpMetrics, TraceLevel};
+
+use crate::operator::{drain, Operator};
+use crate::operators::DoublePipelinedJoin;
+use crate::runtime::{ExecEnv, PlanRuntime};
+use crate::test_support::JoinFixture;
+
+/// When a scripted input hands over its next batch.
+enum Pace {
+    /// Sleep once before the first batch (the other input goes first).
+    After(Duration),
+    /// Hand over batch `i` once the join has received `at[i]` rows in
+    /// total, and end once it has received `at[len]`: with at most one
+    /// message in flight the join sees exactly the scripted order.
+    Ordered(Arc<OpMetrics>, Vec<u64>),
+}
+
+/// An operator that plays back prepared batches.
+struct Scripted {
+    schema: Schema,
+    batches: VecDeque<TupleBatch>,
+    pace: Pace,
+    served: usize,
+}
+
+impl Operator for Scripted {
+    fn open(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
+        match &self.pace {
+            Pace::After(delay) if self.served == 0 => std::thread::sleep(*delay),
+            Pace::After(_) => {}
+            Pace::Ordered(received, at) => {
+                while received.snapshot().rows_in < at[self.served] {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        self.served += 1;
+        Ok(self.batches.pop_front())
+    }
+
+    fn close(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn name(&self) -> &'static str {
+        "scripted"
+    }
+}
+
+/// Cut `rel` into batches of `size` rows: typed columnar (schema-typed
+/// columns, so every batch of one input has the same layout) or row-form.
+fn batches_of(rel: &Relation, size: usize, columnar: bool) -> VecDeque<TupleBatch> {
+    rel.tuples()
+        .chunks(size)
+        .map(|rows| {
+            if !columnar {
+                return TupleBatch::from_tuples(rows.to_vec());
+            }
+            let mut asm = ColumnarAssembler::from_schema(rows.len(), rel.schema());
+            for t in rows {
+                asm.push_tuple(t);
+            }
+            TupleBatch::from_columns(asm.seal().expect("non-empty chunk"))
+        })
+        .collect()
+}
+
+#[derive(Clone, Copy, Debug)]
+enum KeyKind {
+    Int,
+    Str,
+    Double,
+}
+
+/// `n` rows `(key(i % distinct), i, "payload-i")`; with `nulls`, every
+/// fifth key is NULL.
+fn keyed(name: &str, kind: KeyKind, n: i64, distinct: i64, nulls: bool) -> Relation {
+    let key_type = match kind {
+        KeyKind::Int => DataType::Int,
+        KeyKind::Str => DataType::Str,
+        KeyKind::Double => DataType::Double,
+    };
+    let schema = Schema::of(
+        name,
+        &[("k", key_type), ("v", DataType::Int), ("s", DataType::Str)],
+    );
+    let mut r = Relation::empty(schema);
+    for i in 0..n {
+        let k = i % distinct;
+        let key = if nulls && i % 5 == 0 {
+            Value::Null
+        } else {
+            match kind {
+                KeyKind::Int => Value::Int(k),
+                KeyKind::Str => Value::str(format!("key-{k}")),
+                // -0.0 and 0.0 are different keys, as in `Value` equality.
+                KeyKind::Double => Value::Double(if k == 0 { -0.0 } else { k as f64 / 2.0 }),
+            }
+        };
+        r.push(Tuple::new(vec![
+            key,
+            Value::Int(i),
+            Value::str(format!("payload-{i}")),
+        ]));
+    }
+    r
+}
+
+/// A DPJ over two scripted inputs, registered in a one-join plan so the
+/// harness, the reservation and the overflow method are the real ones.
+struct Run {
+    fx: JoinFixture,
+    join: DoublePipelinedJoin,
+}
+
+fn run_of(
+    l: &Relation,
+    r: &Relation,
+    method: OverflowMethod,
+    budget: Option<usize>,
+    batch_size: usize,
+    trace: TraceLevel,
+    inputs: impl FnOnce(&JoinFixture) -> [Scripted; 2],
+) -> Run {
+    let mut fx = JoinFixture::build(
+        l.clone(),
+        r.clone(),
+        LinkModel::instant(),
+        LinkModel::instant(),
+        JoinKind::DoublePipelined,
+        method,
+        budget,
+    );
+    let env = ExecEnv::new(fx.rt.env().sources.clone())
+        .with_batch_size(batch_size)
+        .with_trace_level(trace);
+    fx.rt = PlanRuntime::for_plan(&fx.plan, env);
+    let [left, right] = inputs(&fx);
+    let join = DoublePipelinedJoin::new(
+        Box::new(left),
+        Box::new(right),
+        "k".into(),
+        "k".into(),
+        fx.harness(fx.join_id),
+    )
+    .with_buckets(8)
+    .with_descendants(vec![
+        SubjectRef::Op(fx.left_id),
+        SubjectRef::Op(fx.right_id),
+    ]);
+    Run { fx, join }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Arrival {
+    LeftFirst,
+    RightFirst,
+    Interleaved,
+}
+
+/// {Int, Str, Double keys} × {duplicate keys, NULL keys, one empty side} ×
+/// {batch 1, 7, 256} × {no budget, a budget that forces thaw mid-stream
+/// under every overflow method} × {left-first, right-first, interleaved}:
+/// the answer is the nested-loop reference's and the governor ends at 0.
+#[test]
+fn resident_join_matches_reference_across_the_matrix() {
+    let head_start = Duration::from_millis(5);
+    for kind in [KeyKind::Int, KeyKind::Str, KeyKind::Double] {
+        let shapes = [
+            (
+                "duplicates",
+                keyed("l", kind, 90, 9, false),
+                keyed("r", kind, 60, 12, false),
+            ),
+            (
+                "null keys",
+                keyed("l", kind, 90, 9, true),
+                keyed("r", kind, 60, 12, true),
+            ),
+            (
+                "empty side",
+                keyed("l", kind, 90, 9, false),
+                keyed("r", kind, 0, 1, false),
+            ),
+        ];
+        for (shape, l, r) in &shapes {
+            let tight = (l.mem_size() + r.mem_size()) / 4;
+            let budgets = [
+                (OverflowMethod::IncrementalLeftFlush, None),
+                (OverflowMethod::IncrementalLeftFlush, Some(tight)),
+                (OverflowMethod::IncrementalSymmetricFlush, Some(tight)),
+                (OverflowMethod::FlushAllLeft, Some(tight)),
+                (OverflowMethod::Fail, Some(tight)),
+            ];
+            for batch_size in [1usize, 7, 256] {
+                for (method, budget) in budgets {
+                    for arrival in [
+                        Arrival::LeftFirst,
+                        Arrival::RightFirst,
+                        Arrival::Interleaved,
+                    ] {
+                        let case = format!(
+                            "{kind:?} keys, {shape}, batch {batch_size}, {method:?} budget {budget:?}, {arrival:?}"
+                        );
+                        let (wait_l, wait_r) = match arrival {
+                            Arrival::LeftFirst => (Duration::ZERO, head_start),
+                            Arrival::RightFirst => (head_start, Duration::ZERO),
+                            Arrival::Interleaved => (Duration::ZERO, Duration::ZERO),
+                        };
+                        let mut run =
+                            run_of(l, r, method, budget, batch_size, TraceLevel::Off, |_| {
+                                [(l, wait_l), (r, wait_r)].map(|(rel, wait)| Scripted {
+                                    schema: rel.schema().clone(),
+                                    batches: batches_of(rel, batch_size, true),
+                                    pace: Pace::After(wait),
+                                    served: 0,
+                                })
+                            });
+                        let out = drain(&mut run.join);
+                        if out.is_err() {
+                            run.join.close().expect("close after a failed pull");
+                        }
+                        let memory = &run.fx.rt.env().memory;
+                        assert_eq!(memory.total_used(), 0, "{case}: governor not back at 0");
+                        // With both inputs non-empty the budget is exceeded
+                        // whatever the arrival order; with one side empty it
+                        // depends on whether that side's end came first.
+                        let must_overflow = budget.is_some() && !r.is_empty();
+                        let spilled = run.fx.rt.env().spill.stats().tuples_written();
+                        match out {
+                            Err(e) => {
+                                assert_eq!(method, OverflowMethod::Fail, "{case}: {e}");
+                                assert_eq!(e.kind(), "out_of_memory", "{case}");
+                            }
+                            Ok(rows) => {
+                                run.fx.assert_gold(rows);
+                                if method == OverflowMethod::Fail || budget.is_none() {
+                                    assert!(!must_overflow, "{case}: Fail must fail");
+                                    assert_eq!(spilled, 0, "{case}");
+                                } else if must_overflow {
+                                    assert!(spilled > 0, "{case}: the budget must force a thaw");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A column whose variant changes mid-stream (an all-NULL block infers
+/// `Values` where earlier blocks were `Int64`) thaws; it never panics, and
+/// the answer and the books stay right.
+#[test]
+fn layout_change_mid_stream_thaws() {
+    let schema = |name| Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
+    let row = |k: i64, v: Value| Tuple::new(vec![Value::Int(k), v]);
+    let l_rows: Vec<Tuple> = (0..6)
+        .map(|i| row(i % 3, if i < 3 { Value::Int(i) } else { Value::Null }))
+        .collect();
+    let l = Relation::new(schema("l"), l_rows).unwrap();
+    let r = Relation::new(schema("r"), (0..3).map(|i| row(i, Value::Int(i))).collect()).unwrap();
+    let mut run = run_of(
+        &l,
+        &r,
+        OverflowMethod::IncrementalLeftFlush,
+        Some(1 << 20),
+        3,
+        TraceLevel::Off,
+        |_| {
+            [(&l, Duration::ZERO), (&r, Duration::from_millis(5))].map(|(rel, wait)| Scripted {
+                schema: rel.schema().clone(),
+                // Types inferred per block: l's second block has an
+                // all-NULL `v`, so its column is `Values`, not `Int64`.
+                batches: rel
+                    .tuples()
+                    .chunks(3)
+                    .map(|c| TupleBatch::from_columns(tukwila_common::ColumnarBatch::from_rows(c)))
+                    .collect(),
+                pace: Pace::After(wait),
+                served: 0,
+            })
+        },
+    );
+    let out = drain(&mut run.join).unwrap();
+    run.fx.assert_gold(out);
+    assert_eq!(run.fx.rt.env().memory.total_used(), 0);
+}
+
+/// With the opposite input complete nothing is stored or charged
+/// (footnote 3): the right input ends, empty, before the left starts.
+#[test]
+fn nothing_is_charged_once_the_opposite_input_is_complete() {
+    let l = keyed("l", KeyKind::Str, 200, 7, true);
+    let r = keyed("r", KeyKind::Str, 0, 1, false);
+    let mut run = run_of(
+        &l,
+        &r,
+        OverflowMethod::IncrementalLeftFlush,
+        Some(1 << 20),
+        16,
+        TraceLevel::Off,
+        |_| {
+            [(&l, Duration::from_millis(20)), (&r, Duration::ZERO)].map(|(rel, wait)| Scripted {
+                schema: rel.schema().clone(),
+                batches: batches_of(rel, 16, true),
+                pace: Pace::After(wait),
+                served: 0,
+            })
+        },
+    );
+    assert!(drain(&mut run.join).unwrap().is_empty());
+    assert_eq!(run.fx.rt.env().memory.peak_used(), 0);
+}
+
+/// Pinned data, fully ordered arrival (alternating 7-row batches, both
+/// ends last), Symmetric Flush: the columnar-resident run and the
+/// tuple-at-a-time run (the same batches in row form) spill the same
+/// tuples and peak at the same byte — under a budget that overflows
+/// mid-stream, and under one that never does, where the peak is every
+/// charge made (the data has NULL keys, which must not be charged).
+#[test]
+fn spill_io_and_peak_equal_the_tuple_paths() {
+    // Keys from a fixed LCG (seed 23): skewed enough that buckets differ.
+    let mut state = 23u64;
+    let mut next_key = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % 40
+    };
+    let schema = |name| {
+        Schema::of(
+            name,
+            &[
+                ("k", DataType::Int),
+                ("v", DataType::Int),
+                ("s", DataType::Str),
+            ],
+        )
+    };
+    let mut rows = |n: i64| -> Vec<Tuple> {
+        (0..n)
+            .map(|i| {
+                let k = next_key() as i64;
+                Tuple::new(vec![
+                    if k == 0 { Value::Null } else { Value::Int(k) },
+                    Value::Int(i),
+                    Value::str(format!("row-{i}-of-key-{k}")),
+                ])
+            })
+            .collect()
+    };
+    let l = Relation::new(schema("l"), rows(400)).unwrap();
+    let r = Relation::new(schema("r"), rows(300)).unwrap();
+    let budget = (l.mem_size() + r.mem_size()) / 3;
+    let batch = 7usize;
+
+    // Arrival order: l0 r0 l1 r1 … then whichever input is longer.
+    let ordered = |fx: &JoinFixture, columnar: bool| -> [Scripted; 2] {
+        let received = fx
+            .harness(fx.join_id)
+            .metrics("dpj")
+            .expect("metrics are on");
+        let sizes = |rel: &Relation| -> Vec<u64> {
+            rel.tuples().chunks(batch).map(|c| c.len() as u64).collect()
+        };
+        let (ls, rs) = (sizes(&l), sizes(&r));
+        let (mut at_l, mut at_r, mut sent) = (Vec::new(), Vec::new(), 0u64);
+        for i in 0..ls.len().max(rs.len()) {
+            for (sizes, at) in [(&ls, &mut at_l), (&rs, &mut at_r)] {
+                if let Some(n) = sizes.get(i) {
+                    at.push(sent);
+                    sent += n;
+                }
+            }
+        }
+        at_l.push(sent);
+        at_r.push(sent);
+        [(&l, at_l), (&r, at_r)].map(|(rel, at)| Scripted {
+            schema: rel.schema().clone(),
+            batches: batches_of(rel, batch, columnar),
+            pace: Pace::Ordered(received.clone(), at),
+            served: 0,
+        })
+    };
+    let measure = |columnar: bool, budget: usize| {
+        let mut run = run_of(
+            &l,
+            &r,
+            OverflowMethod::IncrementalSymmetricFlush,
+            Some(budget),
+            batch,
+            TraceLevel::Metrics,
+            |fx| ordered(fx, columnar),
+        );
+        let out = drain(&mut run.join).unwrap();
+        run.fx.assert_gold(out);
+        let env = run.fx.rt.env();
+        assert_eq!(env.memory.total_used(), 0);
+        (
+            env.spill.stats().total_tuple_io(),
+            env.spill.stats().tuples_written(),
+            env.memory.peak_used(),
+        )
+    };
+    let resident = measure(true, budget);
+    assert!(resident.1 > 0, "the budget must overflow mid-stream");
+    assert_eq!(
+        resident,
+        measure(false, budget),
+        "(tuple I/O, tuples written, peak bytes)"
+    );
+    let roomy = measure(true, 1 << 24);
+    assert_eq!(roomy.1, 0);
+    assert_eq!(roomy, measure(false, 1 << 24));
+}

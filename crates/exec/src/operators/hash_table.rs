@@ -13,9 +13,7 @@
 
 use std::sync::Arc;
 
-use tukwila_common::{
-    fold_hash, fx_hash, ColumnBuilder, ColumnarBatch, DataType, PrehashMap, Result, Tuple, Value,
-};
+use tukwila_common::{fold_hash, fx_hash, PrehashMap, Result, Tuple, Value};
 use tukwila_storage::{MemoryReservation, SpillBucket, SpillStore};
 
 /// Hash a key value into one of `n` buckets, with a recursion `salt` so
@@ -115,12 +113,6 @@ impl BucketedTable {
     /// Whether every bucket is flushed.
     pub fn fully_flushed(&self) -> bool {
         self.flushed.iter().all(|&f| f)
-    }
-
-    /// Whether any bucket is flushed (overflow has engaged; arrivals may
-    /// need spill diversion, so batch fast paths must stand down).
-    pub fn any_flushed(&self) -> bool {
-        self.flushed.iter().any(|&f| f)
     }
 
     /// Total tuples ever inserted (memory + disk).
@@ -307,54 +299,6 @@ impl BucketedTable {
         Ok(out)
     }
 
-    /// Freeze this (completed, fully in-memory) side into columnar form:
-    /// every primary tuple laid out once in a typed [`ColumnarBatch`], plus
-    /// a prehash index from join key to row ids. Probe-only consumers then
-    /// assemble the match half of each output block with typed column
-    /// gathers instead of one builder dispatch per value per row.
-    ///
-    /// Returns `None` if any bucket has flushed or marked tuples exist —
-    /// the frozen view would miss spilled/marked rows, so overflow paths
-    /// must stay on the tuple-at-a-time probe.
-    ///
-    /// The columnar copy is a read-optimized duplicate and is deliberately
-    /// **not** charged to the reservation: charging it could trip overflow
-    /// onset (changing join behavior) purely because a fast path engaged,
-    /// and any overflow that does engage invalidates the freeze anyway.
-    pub fn freeze(&self, types: &[DataType]) -> Option<FrozenSide> {
-        if self.any_flushed() {
-            return None;
-        }
-        let mut builders: Vec<ColumnBuilder> = types
-            .iter()
-            .map(|&dt| ColumnBuilder::for_type(dt))
-            .collect();
-        let mut index: PrehashMap<Value, Vec<u32>> = PrehashMap::new();
-        let mut row = 0u32;
-        for b in 0..self.num_buckets {
-            if !self.mem_marked[b].is_empty() {
-                return None;
-            }
-            for (&hash, key, tuples) in self.mem[b].iter() {
-                let ids = index.entry_hashed(hash, |k| k == key, || key.clone());
-                for t in tuples {
-                    for (bd, v) in builders.iter_mut().zip(t.values()) {
-                        bd.push(v);
-                    }
-                    ids.push(row);
-                    row += 1;
-                }
-            }
-        }
-        Some(FrozenSide {
-            cols: ColumnarBatch::new(
-                row as usize,
-                builders.into_iter().map(ColumnBuilder::finish).collect(),
-            ),
-            index,
-        })
-    }
-
     /// Drop all in-memory state, releasing charges (join close).
     pub fn clear(&mut self) {
         let total: usize = self.mem_bytes.iter().sum();
@@ -364,31 +308,6 @@ impl BucketedTable {
             self.mem_bytes[b] = 0;
         }
         self.release(total);
-    }
-}
-
-/// A completed hash-table side in columnar form (see
-/// [`BucketedTable::freeze`]): one typed column set over all stored tuples
-/// and a prehash index from key to row ids, so probes resolve to gather
-/// selection vectors.
-pub struct FrozenSide {
-    cols: ColumnarBatch,
-    index: PrehashMap<Value, Vec<u32>>,
-}
-
-impl FrozenSide {
-    /// Row ids matching `key` (empty if none). Allocation-free borrow.
-    #[inline]
-    pub fn probe_hashed(&self, hash: u64, key: &Value) -> &[u32] {
-        self.index
-            .get_hashed(hash, |k| k == key)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// The frozen columns (gather source for the match half).
-    pub fn columns(&self) -> &ColumnarBatch {
-        &self.cols
     }
 }
 

@@ -12,6 +12,8 @@ pub mod collector;
 mod columnar_equiv_tests;
 pub mod dependent_join;
 pub mod dpj;
+#[cfg(test)]
+mod dpj_resident_tests;
 pub mod exchange;
 pub mod filter;
 pub mod hash_join;

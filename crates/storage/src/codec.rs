@@ -205,7 +205,7 @@ fn encode_column(col: &Column, out: &mut Vec<u8>) {
         Column::Str(v, b) => {
             out.push(COL_STR);
             encode_validity(b.as_ref(), v.len(), out);
-            for s in v {
+            for s in v.iter() {
                 out.extend_from_slice(&(s.len() as u32).to_le_bytes());
                 out.extend_from_slice(s.as_bytes());
             }
@@ -261,7 +261,7 @@ fn decode_column(buf: &[u8], pos: &mut usize, len: usize) -> Result<Column> {
                     .map_err(|e| TukwilaError::Io(format!("spill codec: bad utf8: {e}")))?;
                 v.push(Arc::from(s));
             }
-            Ok(Column::Str(v, validity))
+            Ok(Column::Str(v.into(), validity))
         }
         COL_DATE => {
             let mut v = Vec::with_capacity(len);
@@ -541,6 +541,58 @@ mod tests {
             let back = decode_batch(&buf, &mut pos).unwrap();
             prop_assert_eq!(pos, buf.len());
             prop_assert_eq!(back.tuples(), &rows[..]);
+        }
+    }
+
+    proptest! {
+        /// A string column's frame does not depend on how its base is laid
+        /// out: a gather of one table grown by a slice of another encodes
+        /// to the bytes of the same strings held one per row, and decodes
+        /// back to them.
+        #[test]
+        fn prop_shared_base_strings_encode_like_plain_ones(
+            a in proptest::collection::vec(
+                prop_oneof![3 => "\\PC{0,12}".prop_map(Some), 1 => Just(None)], 1..24),
+            b in proptest::collection::vec(
+                prop_oneof![3 => "\\PC{0,12}".prop_map(Some), 1 => Just(None)], 1..24),
+            picks in proptest::collection::vec(0usize..24, 0..40),
+            cut in 0usize..24,
+        ) {
+            let rows = |strs: &[Option<String>]| -> Vec<Tuple> {
+                strs.iter()
+                    .map(|s| Tuple::new(vec![s.as_deref().map_or(Value::Null, Value::str)]))
+                    .collect()
+            };
+            let idx: Vec<u32> = picks.iter().map(|p| (p % a.len()) as u32).collect();
+            let cut = cut % b.len();
+            let shared = ColumnarBatch::concat(
+                [
+                    &ColumnarBatch::from_rows(&rows(&a)).gather(&idx),
+                    &ColumnarBatch::from_rows(&rows(&b)).slice(cut, b.len()),
+                ]
+                .into_iter(),
+            );
+            let want: Vec<Option<String>> = idx
+                .iter()
+                .map(|&i| a[i as usize].clone())
+                .chain(b[cut..].iter().cloned())
+                .collect();
+            // An all-NULL table infers a `Values` column, which cannot be
+            // appended to a typed one; nothing to compare then.
+            if let Some(shared) = shared {
+                let plain = ColumnarBatch::from_rows(&rows(&want));
+                let (mut got, mut expect) = (Vec::new(), Vec::new());
+                encode_columns(&shared, &mut got);
+                encode_columns(&plain, &mut expect);
+                if plain.col(0).validity().is_some() == shared.col(0).validity().is_some() {
+                    prop_assert_eq!(&got, &expect);
+                }
+                prop_assert_eq!(got.len(), batch_frame_size_hint(&TupleBatch::from_columns(shared)));
+                let mut pos = 0;
+                let back = decode_batch(&got, &mut pos).unwrap();
+                prop_assert_eq!(pos, got.len());
+                prop_assert_eq!(back.tuples(), &rows(&want)[..]);
+            }
         }
     }
 

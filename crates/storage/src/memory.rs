@@ -123,6 +123,22 @@ impl MemoryReservation {
         }
     }
 
+    /// Whether charging `bytes` more would still leave this reservation not
+    /// [`MemoryReservation::under_pressure`] — asked **without charging**,
+    /// against the same levels (own budget, pool, parent chain). An
+    /// operator that stores whole blocks tests this first, so a block that
+    /// does not fit never shows in the peak.
+    pub fn has_headroom(&self, bytes: usize) -> bool {
+        let fits = |used: &AtomicUsize, budget: usize| {
+            used.load(Ordering::Relaxed).saturating_add(bytes) <= budget
+        };
+        let pool = &self.inner.pool;
+        let pool_budget = pool.budget.load(Ordering::Relaxed);
+        fits(&self.inner.used, self.inner.budget.load(Ordering::Relaxed))
+            && (pool_budget == 0 || fits(&pool.used, pool_budget))
+            && pool.parent.as_ref().is_none_or(|p| p.has_headroom(bytes))
+    }
+
     /// Bytes that must be freed to get back under budget (0 if under).
     pub fn overage(&self) -> usize {
         self.inner
@@ -419,6 +435,51 @@ mod tests {
         assert!(op.under_pressure(), "fleet pressure reaches every query");
         hog.release(150);
         assert!(!op.under_pressure());
+    }
+
+    /// `has_headroom(n)` answers what `charge(n); under_pressure()` would,
+    /// at every level `under_pressure` folds in, and charges nothing.
+    #[test]
+    fn headroom_matches_pressure_after_charge_at_every_level() {
+        let agrees = |r: &MemoryReservation, n: usize| {
+            let before = r.usage();
+            let predicted = r.has_headroom(n);
+            assert_eq!(
+                r.usage(),
+                before,
+                "the query must not charge or move the peak"
+            );
+            r.charge(n);
+            let fits = !r.under_pressure();
+            r.release(n);
+            assert_eq!(predicted, fits, "headroom({n})");
+            predicted
+        };
+        // Reservation level, in an unlimited pool (budget 0).
+        let mm = MemoryManager::new();
+        let r = mm.register("r", 100);
+        r.charge(60);
+        assert!(agrees(&r, 40), "exactly at budget is not over it");
+        assert!(!agrees(&r, 41));
+        mm.register("other", 10).charge(1_000_000);
+        assert!(agrees(&r, 40), "pool budget 0 means unlimited");
+        // Pool level: a neighbour's charge uses up the shared budget.
+        let mm = MemoryManager::new().with_budget(100);
+        let a = mm.register("a", 1_000);
+        let b = mm.register("b", 1_000);
+        b.charge(70);
+        assert!(agrees(&a, 30));
+        assert!(!agrees(&a, 31));
+        // Parent level: fleet pool <- query grant <- query pool <- operator.
+        let fleet = MemoryManager::new().with_budget(100);
+        let grant = fleet.register("q1", 50);
+        let op = MemoryManager::with_parent(grant).register("join", 1_000);
+        assert!(agrees(&op, 50));
+        assert!(!agrees(&op, 51), "the query's grant is the limit");
+        let hog = fleet.register("q2", 1_000);
+        hog.charge(80);
+        assert!(agrees(&op, 20));
+        assert!(!agrees(&op, 21), "the fleet pool is the limit");
     }
 
     #[test]
