@@ -6,9 +6,9 @@
 //! [`ColumnarBatch`] stores the same block of rows as per-column typed
 //! vectors ([`Column`]): `Int64`/`Float64`/`Str`/`Date` payloads with an
 //! optional validity [`Bitmap`] for NULLs, plus a [`Column::Values`]
-//! fallback for heterogeneous columns. Strings are a shared base plus
-//! per-row indices ([`StrColumn`]), so moving them costs what moving
-//! integers costs. Kernels then run tight loops over native slices:
+//! fallback for heterogeneous columns. Strings are shared immutable
+//! segments plus per-row references ([`StrColumn`]), so moving them costs
+//! what moving integers costs. Kernels then run tight loops over native slices:
 //!
 //! * **predicate evaluation** produces a selection [`Bitmap`] without
 //!   materializing rows (`Filter` intersects bitmaps instead of rebuilding
@@ -281,125 +281,124 @@ fn finish_one(f: impl FnOnce(&mut FxHasher)) -> u64 {
 // StrColumn
 // ---------------------------------------------------------------------------
 
-/// The payload of a [`Column::Str`]: a shared **base** of strings plus one
-/// `u32` index per row into it.
+/// An immutable run of strings. Columns share segments and never copy or
+/// grow them.
+type Segment = Arc<[Arc<str>]>;
+
+/// The payload of a [`Column::Str`]: shared immutable **segments** of
+/// strings plus one reference per row (segment number in the high half,
+/// offset within the segment in the low half).
 ///
-/// `slice`, `gather`, same-base `append`, `clone` and drop copy integers and
-/// touch **one** refcount (the base's) instead of one per string, so a
-/// string column moves through scans, joins and concatenation at the cost
-/// of an integer column. A derived column *pins* its whole base (the
-/// source table's strings stay alive while any slice of them does) but is
+/// `slice`, `gather`, `append`, `clone` and drop copy integers and touch
+/// one refcount per *segment* instead of one per string, so a string column
+/// moves through scans, joins and concatenation at the cost of an integer
+/// column. A column built from strings (a table, a builder, a decoded
+/// frame) is one segment; appending a column with other segments adds them
+/// to the list, whoever else holds them — nothing already stored is copied
+/// or moved, so a column can keep growing while derived columns are alive.
+/// A derived column *pins* the segments its rows reference (the source
+/// table's strings stay alive while any slice of them does) but is
 /// *accounted* logically: [`Column::payload_bytes`] counts only the strings
 /// its rows reference. Row access still hands out the same `Arc<str>` for
 /// one refcount bump ([`Column::value_at`]).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct StrColumn {
-    base: Arc<Vec<Arc<str>>>,
-    idx: Vec<u32>,
-    /// Foreign bases copied whole into `base` by [`StrColumn::append`],
-    /// with the offset their strings start at: a base that arrives again
-    /// (the next batch gathered from the same table) appends indices only.
-    merged: Vec<(Arc<Vec<Arc<str>>>, u32)>,
+    /// At most one entry per run of rows from one source segment, so no
+    /// more than there are rows (an empty column may still list one); a
+    /// segment may be listed more than once.
+    segs: Vec<Segment>,
+    rows: Vec<u64>,
 }
+
+const OFFSET_BITS: u32 = 32;
+const OFFSET_MASK: u64 = (1 << OFFSET_BITS) - 1;
 
 impl StrColumn {
     /// Rows.
     pub fn len(&self) -> usize {
-        self.idx.len()
+        self.rows.len()
     }
 
     /// Whether the column holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
+        self.rows.is_empty()
+    }
+
+    #[inline]
+    fn get(&self, row_ref: u64) -> &Arc<str> {
+        &self.segs[(row_ref >> OFFSET_BITS) as usize][(row_ref & OFFSET_MASK) as usize]
     }
 
     /// The rows' strings, in row order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &Arc<str>> + '_ {
-        let base = self.base.as_slice();
-        self.idx.iter().map(move |&i| &base[i as usize])
+        self.rows.iter().map(|&r| self.get(r))
     }
 
-    fn derived(&self, idx: Vec<u32>) -> StrColumn {
-        StrColumn {
-            base: self.base.clone(),
-            idx,
-            merged: Vec::new(),
+    /// A column of the given rows of `self`, listing only the segments they
+    /// reference: one entry (one refcount bump) per run of rows from the
+    /// same segment, the run's references renumbered to it.
+    fn pick(&self, mut rows: Vec<u64>) -> StrColumn {
+        if let [only] = self.segs.as_slice() {
+            // One segment (anything derived from one table): every reference
+            // is already numbered to it. Skipping the run scan below is 5 %
+            // of `cpu_join`'s p50.
+            return StrColumn {
+                segs: vec![only.clone()],
+                rows,
+            };
         }
+        let mut segs: Vec<Segment> = Vec::new();
+        for run in rows.chunk_by_mut(|a, b| a >> OFFSET_BITS == b >> OFFSET_BITS) {
+            let to = (segs.len() as u64) << OFFSET_BITS;
+            segs.push(self.segs[(run[0] >> OFFSET_BITS) as usize].clone());
+            for r in run {
+                *r = to | (*r & OFFSET_MASK);
+            }
+        }
+        StrColumn { segs, rows }
     }
 
     fn slice(&self, start: usize, end: usize) -> StrColumn {
-        self.derived(self.idx[start..end].to_vec())
+        self.pick(self.rows[start..end].to_vec())
     }
 
     fn gather(&self, rows: &[u32]) -> StrColumn {
-        self.derived(rows.iter().map(|&r| self.idx[r as usize]).collect())
+        self.pick(rows.iter().map(|&r| self.rows[r as usize]).collect())
     }
 
-    /// Make `base` private to this column so it can grow, at a cost of at
-    /// most one refcount bump per row: copy the base when it is no larger
-    /// than the rows using it, otherwise keep only the referenced strings.
-    fn private_base(&mut self) -> &mut Vec<Arc<str>> {
-        if Arc::get_mut(&mut self.base).is_none() {
-            if self.base.len() <= self.idx.len() {
-                self.base = Arc::new(self.base.as_ref().clone());
-            } else {
-                let own: Vec<Arc<str>> = self.iter().cloned().collect();
-                self.idx = (0..own.len() as u32).collect();
-                self.base = Arc::new(own);
-                self.merged.clear();
-            }
-        }
-        Arc::make_mut(&mut self.base)
-    }
-
-    /// Append `other`'s rows. Same base: indices only. A base seen before:
-    /// indices shifted to where it was copied. Otherwise `other`'s base is
-    /// copied whole when it is no larger than the rows arriving with it
-    /// (and remembered if anyone else still holds it, so it can arrive
-    /// again), else only the referenced strings are copied — never more
-    /// than one refcount bump per appended row.
+    /// Append `other`'s rows: references only when both list the same
+    /// segments, otherwise `other`'s segments join the list (one refcount
+    /// bump each) and its references are renumbered past the existing ones.
     fn append(&mut self, other: &StrColumn) {
-        if Arc::ptr_eq(&self.base, &other.base) {
-            self.idx.extend_from_slice(&other.idx);
+        if other.is_empty() {
             return;
         }
-        if self.idx.is_empty() {
-            self.base = other.base.clone();
-            self.merged.clear();
-            self.idx.extend_from_slice(&other.idx);
-            return;
+        if self.is_empty() {
+            self.segs.clear();
         }
-        if let Some(&(_, off)) = self
-            .merged
-            .iter()
-            .find(|(b, _)| Arc::ptr_eq(b, &other.base))
-        {
-            self.idx.extend(other.idx.iter().map(|&i| i + off));
-            return;
-        }
-        let whole = other.base.len() <= other.idx.len();
-        let base = self.private_base();
-        let off = base.len() as u32;
-        if whole {
-            base.extend(other.base.iter().cloned());
-            self.idx.extend(other.idx.iter().map(|&i| i + off));
-            if Arc::strong_count(&other.base) > 1 {
-                self.merged.push((other.base.clone(), off));
-            }
+        let same = self.segs.len() == other.segs.len()
+            && self
+                .segs
+                .iter()
+                .zip(&other.segs)
+                .all(|(a, b)| Arc::ptr_eq(a, b));
+        if same {
+            self.rows.extend_from_slice(&other.rows);
         } else {
-            base.extend(other.iter().cloned());
-            self.idx.extend(off..off + other.idx.len() as u32);
+            let shift = (self.segs.len() as u64) << OFFSET_BITS;
+            self.segs.extend(other.segs.iter().cloned());
+            self.rows.extend(other.rows.iter().map(|r| r + shift));
         }
     }
 }
 
 impl From<Vec<Arc<str>>> for StrColumn {
-    /// A column over its own base, one base entry per row.
+    /// A column over one new segment, one entry per row.
     fn from(strings: Vec<Arc<str>>) -> StrColumn {
+        debug_assert!(strings.len() as u64 <= OFFSET_MASK);
         StrColumn {
-            idx: (0..strings.len() as u32).collect(),
-            base: Arc::new(strings),
-            merged: Vec::new(),
+            rows: (0..strings.len() as u64).collect(),
+            segs: vec![strings.into()],
         }
     }
 }
@@ -409,11 +408,11 @@ impl std::ops::Index<usize> for StrColumn {
     type Output = Arc<str>;
     #[inline]
     fn index(&self, i: usize) -> &Arc<str> {
-        &self.base[self.idx[i] as usize]
+        self.get(self.rows[i])
     }
 }
 
-/// Equality is over the rows' strings; which base holds them is an
+/// Equality is over the rows' strings; which segments hold them is an
 /// execution detail.
 impl PartialEq for StrColumn {
     fn eq(&self, other: &Self) -> bool {
@@ -441,7 +440,7 @@ pub enum Column {
     Int64(Vec<i64>, Option<Bitmap>),
     /// 64-bit floats (bit-stable: NaN and -0.0 round-trip exactly).
     Float64(Vec<f64>, Option<Bitmap>),
-    /// Strings: a shared base plus per-row indices ([`StrColumn`]).
+    /// Strings: shared segments plus per-row references ([`StrColumn`]).
     Str(StrColumn, Option<Bitmap>),
     /// Days since the epoch.
     Date(Vec<i32>, Option<Bitmap>),
@@ -636,7 +635,7 @@ impl Column {
         match self {
             Column::Int64(v, _) => v.reserve(additional),
             Column::Float64(v, _) => v.reserve(additional),
-            Column::Str(v, _) => v.idx.reserve(additional),
+            Column::Str(v, _) => v.rows.reserve(additional),
             Column::Date(v, _) => v.reserve(additional),
             Column::Values(v) => v.reserve(additional),
         }
@@ -1585,29 +1584,75 @@ mod tests {
         assert_eq!(cb.payload_bytes(), 6);
     }
 
-    /// The property the shared base exists for: gathering, slicing and
-    /// dropping a string column touches no string's refcount.
+    fn refcounts(strings: &[Arc<str>]) -> Vec<usize> {
+        strings.iter().map(Arc::strong_count).collect()
+    }
+
+    /// The property shared segments exist for: gathering, slicing,
+    /// appending and dropping a string column touches no string's refcount.
     #[test]
-    fn shared_base_ops_leave_string_refcounts_untouched() {
+    fn shared_segment_ops_leave_string_refcounts_untouched() {
         let strings: Vec<Arc<str>> = ["a", "bb", "ccc"].into_iter().map(Arc::from).collect();
         let col = Column::Str(strings.clone().into(), None);
-        let counts = |strings: &[Arc<str>]| -> Vec<usize> {
-            strings.iter().map(Arc::strong_count).collect()
-        };
-        let before = counts(&strings);
+        let before = refcounts(&strings);
         let gathered = col.gather(&[2, 2, 0, 1, 0]);
         let sliced = gathered.slice(1, 4);
         let mut grown = col.clone();
         assert!(grown.append(&gathered) && grown.append(&sliced));
-        assert_eq!(counts(&strings), before, "derived columns share the base");
+        assert_eq!(
+            refcounts(&strings),
+            before,
+            "derived columns share the segment"
+        );
         assert_eq!(grown.len(), 11);
         assert_eq!(grown.value_at(3), Value::str("ccc"));
         drop((gathered, sliced, grown));
         assert_eq!(
-            counts(&strings),
+            refcounts(&strings),
             before,
             "and dropping them releases only it"
         );
+    }
+
+    /// A column grows by batches that each bring their own segment while
+    /// every gather taken from it so far is still held (a join's build side
+    /// whose outputs the consumer keeps): growth copies no string — each
+    /// refcount stays where it was however many gathers are alive — and
+    /// what a gather pins is the segments its rows reference, not the
+    /// column's whole list.
+    #[test]
+    fn growing_while_gathers_are_held_copies_nothing() {
+        let (batches, per_batch) = (200usize, 16usize);
+        let strings: Vec<Arc<str>> = (0..batches * per_batch)
+            .map(|i| Arc::from(format!("s{i}")))
+            .collect();
+        let before = refcounts(&strings);
+        let mut grown = ColumnarBatch::default();
+        let mut held = Vec::new();
+        for chunk in strings.chunks(per_batch) {
+            let own = Column::Str(chunk.to_vec().into(), None);
+            assert!(grown.append(&ColumnarBatch::new(per_batch, vec![own])));
+            // The newest row, one from the middle, the oldest.
+            let n = grown.len() as u32;
+            held.push(grown.gather(&[n - 1, n / 2, 0]));
+        }
+        let expected: Vec<usize> = before.iter().map(|c| c + 1).collect();
+        assert_eq!(
+            refcounts(&strings),
+            expected,
+            "one holder per string (its segment) with every gather alive"
+        );
+        for (b, g) in held.iter().enumerate() {
+            let (col, _) = g.col(0).as_str_col().expect("a string column");
+            assert!(col.segs.len() <= 3, "a gather lists what its rows use");
+            let n = (b + 1) * per_batch;
+            let want = [&strings[n - 1], &strings[n / 2], &strings[0]];
+            assert!(col.iter().zip(want).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        let (col, _) = grown.col(0).as_str_col().expect("a string column");
+        assert_eq!(col.segs.len(), batches, "one entry per arriving segment");
+        drop((grown, held));
+        assert_eq!(refcounts(&strings), before);
     }
 
     mod str_column_model {
@@ -1648,7 +1693,7 @@ mod tests {
             let (plain_strs, _) = plain.as_str_col().expect("a string column");
             prop_assert!(
                 strs == plain_strs,
-                "equality is over the strings, not the base"
+                "equality is over the strings, not the segments"
             );
             prop_assert_eq!(col.payload_bytes(), plain.payload_bytes());
             prop_assert_eq!(
@@ -1677,8 +1722,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// A column grown by a random program of appends — slices and
-            /// gathers of three tables (pieces of one table share its base),
-            /// fresh own-base columns, and pieces of itself — then sliced
+            /// gathers of three tables (pieces of one table share its
+            /// segment), fresh columns, and pieces of itself — then sliced
             /// and gathered, always agrees with the plain model.
             #[test]
             fn prop_str_column_agrees_with_plain_model(
@@ -1691,7 +1736,7 @@ mod tests {
                     let (src, src_model) = match what {
                         0..=2 => (cols[what].clone(), tables[what].clone()),
                         3 => {
-                            // A fresh column: its own base, nobody else's.
+                            // A fresh column: its own segment, nobody else's.
                             let m: Model = tables[a % 3].iter().rev().cloned().collect();
                             (table(&m), m)
                         }
@@ -1705,7 +1750,7 @@ mod tests {
                         let (lo, hi) = ((b % n).min(c % n), (b % n).max(c % n) + 1);
                         (src.slice(lo, hi), src_model[lo..hi].to_vec())
                     } else {
-                        // Repeats and reorders: more rows than base entries.
+                        // Repeats and reorders: more rows than strings.
                         let idx: Vec<u32> = (0..(b % 20)).map(|k| ((a + k * (c + 1)) % n) as u32).collect();
                         let m = idx.iter().map(|&i| src_model[i as usize].clone()).collect();
                         (src.gather(&idx), m)

@@ -444,3 +444,60 @@ fn spill_io_and_peak_equal_the_tuple_paths() {
     assert_eq!(roomy.1, 0);
     assert_eq!(roomy, measure(false, 1 << 24));
 }
+
+/// Inputs whose batches each bring their own strings (what another join,
+/// a builder or the wire hands over), a consumer that keeps every output
+/// batch in columnar form: the stored sides grow and the outputs reference
+/// them, yet no string is copied — with everything alive each input string
+/// has the holders it had before the join ran — so the work an arriving
+/// batch causes does not depend on how much is already stored.
+#[test]
+fn held_outputs_of_own_segment_inputs_copy_no_strings() {
+    let n = 4_000i64;
+    let l = keyed("l", KeyKind::Int, n, n, false);
+    let r = keyed("r", KeyKind::Int, n, n, false);
+    let strings = |rel: &Relation| -> Vec<Arc<str>> {
+        rel.tuples()
+            .iter()
+            .map(|t| match t.value(2) {
+                Value::Str(s) => s.clone(),
+                other => panic!("payload column holds strings, got {other:?}"),
+            })
+            .collect()
+    };
+    let inputs = [strings(&l), strings(&r)].concat();
+    let holders = || -> Vec<usize> { inputs.iter().map(Arc::strong_count).collect() };
+    let mut run = run_of(
+        &l,
+        &r,
+        OverflowMethod::IncrementalLeftFlush,
+        None,
+        64,
+        TraceLevel::Off,
+        |_| {
+            [&l, &r].map(|rel| Scripted {
+                schema: rel.schema().clone(),
+                batches: batches_of(rel, 64, true),
+                pace: Pace::After(Duration::ZERO),
+                served: 0,
+            })
+        },
+    );
+    // The scripted batches hold each string once more, in their own segment.
+    let staged: Vec<usize> = holders();
+    run.join.open().unwrap();
+    let mut held = Vec::new();
+    while let Some(batch) = run.join.next_batch().unwrap() {
+        assert!(batch.columns().is_some(), "the resident path emits columns");
+        held.push(batch);
+    }
+    assert_eq!(held.iter().map(TupleBatch::len).sum::<usize>(), n as usize);
+    assert_eq!(
+        holders(),
+        staged,
+        "stored sides and held outputs share the inputs' segments"
+    );
+    run.join.close().unwrap();
+    let rows: Vec<Tuple> = held.iter().flat_map(|b| b.tuples().to_vec()).collect();
+    run.fx.assert_gold(rows);
+}

@@ -545,12 +545,12 @@ mod tests {
     }
 
     proptest! {
-        /// A string column's frame does not depend on how its base is laid
-        /// out: a gather of one table grown by a slice of another encodes
+        /// A string column's frame does not depend on how its segments are
+        /// laid out: a gather of one table grown by a slice of another encodes
         /// to the bytes of the same strings held one per row, and decodes
         /// back to them.
         #[test]
-        fn prop_shared_base_strings_encode_like_plain_ones(
+        fn prop_shared_segment_strings_encode_like_plain_ones(
             a in proptest::collection::vec(
                 prop_oneof![3 => "\\PC{0,12}".prop_map(Some), 1 => Just(None)], 1..24),
             b in proptest::collection::vec(
