@@ -56,7 +56,7 @@ pub fn dist_registry(n: i64, dup: i64, pace: Duration) -> SourceRegistry {
 }
 
 /// `L ⋈ R on k` under an exchange of `partitions` shards. A `budget`
-/// yields a join memory reservation, which the remote exchange slices into
+/// yields a join memory reservation, which the exchange slices into
 /// per-shard leases on the coordinator's governor.
 pub fn dist_plan(partitions: usize, budget: Option<usize>) -> QueryPlan {
     let mut b = PlanBuilder::new();
@@ -72,12 +72,12 @@ pub fn dist_plan(partitions: usize, budget: Option<usize>) -> QueryPlan {
 }
 
 /// Coordinator environment: empty local registry, cluster dialed from
-/// `addrs` installed as the shard executor.
+/// `addrs` installed as the partition transport.
 pub fn coordinator_env(addrs: &[String], batch: usize) -> Result<ExecEnv> {
     let cluster = Cluster::connect(addrs)?;
     Ok(ExecEnv::new(SourceRegistry::new())
         .with_batch_size(batch)
-        .with_shard_executor(Arc::new(cluster)))
+        .with_transport(Arc::new(cluster)))
 }
 
 /// Build and drain the plan's single fragment in `env`.
@@ -87,7 +87,7 @@ pub fn run_plan(env: ExecEnv, plan: &QueryPlan) -> Result<Vec<Tuple>> {
     drain(op.as_mut())
 }
 
-/// Reference run: the same plan against a local registry, no executor.
+/// Reference run: the same plan against a local registry, in process.
 pub fn run_local(n: i64, dup: i64, plan: &QueryPlan, batch: usize) -> Result<Vec<Tuple>> {
     let env = ExecEnv::new(dist_registry(n, dup, Duration::ZERO)).with_batch_size(batch);
     run_plan(env, plan)

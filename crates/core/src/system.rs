@@ -90,15 +90,14 @@ impl TukwilaSystem {
         &self.env
     }
 
-    /// Make this system a distributed coordinator: exchanges over joins in
-    /// every subsequent query (including per-query derived environments)
-    /// scatter their partition pipelines through `executor` instead of
-    /// local threads.
-    pub fn install_shard_executor(
+    /// Make this system a distributed coordinator: exchanges in every
+    /// subsequent query (including per-query derived environments) run
+    /// their partition pipelines on `transport` instead of local threads.
+    pub fn install_transport(
         &mut self,
-        executor: std::sync::Arc<dyn tukwila_exec::ShardExecutor>,
+        transport: std::sync::Arc<dyn tukwila_exec::PartitionTransport>,
     ) {
-        self.env.shard_executor = Some(executor);
+        self.env.transport = transport;
     }
 
     /// The optimizer (for inspecting the catalog after observations).

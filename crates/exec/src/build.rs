@@ -8,9 +8,50 @@ use tukwila_plan::{JoinKind, OperatorNode, OperatorSpec, SubjectRef};
 use crate::operator::OperatorBox;
 use crate::operators::{
     Collector, DependentJoin, DoublePipelinedJoin, Exchange, Filter, HashJoinOp, NestedLoopsJoin,
-    Project, RemoteExchange, SortMergeJoin, TableScan, UnionAll, WrapperScan,
+    Project, SortMergeJoin, TableScan, UnionAll, WrapperScan,
 };
 use crate::runtime::{OpHarness, PlanRuntime};
+
+/// The one `JoinKind → operator` mapping: a plan join built in place, an
+/// in-process partition's instance and a worker's shard root all come
+/// through here. `descendants` are the subjects below the join that a
+/// double pipelined join deactivates on early close.
+pub fn build_join(
+    kind: JoinKind,
+    left: OperatorBox,
+    right: OperatorBox,
+    left_key: String,
+    right_key: String,
+    harness: OpHarness,
+    descendants: Vec<SubjectRef>,
+) -> OperatorBox {
+    match kind {
+        JoinKind::DoublePipelined => Box::new(
+            DoublePipelinedJoin::new(left, right, left_key, right_key, harness)
+                .with_descendants(descendants),
+        ),
+        JoinKind::HybridHash => Box::new(HashJoinOp::hybrid(
+            left, right, left_key, right_key, harness,
+        )),
+        JoinKind::GraceHash => {
+            Box::new(HashJoinOp::grace(left, right, left_key, right_key, harness))
+        }
+        JoinKind::NestedLoops => Box::new(NestedLoopsJoin::new(
+            left, right, left_key, right_key, harness,
+        )),
+        JoinKind::SortMerge => Box::new(SortMergeJoin::new(
+            left, right, left_key, right_key, harness,
+        )),
+    }
+}
+
+/// Every subject below a join's two inputs.
+pub(crate) fn join_descendants(left: &OperatorNode, right: &OperatorNode) -> Vec<SubjectRef> {
+    (left.all_ids().into_iter())
+        .chain(right.all_ids())
+        .map(SubjectRef::Op)
+        .collect()
+}
 
 /// Build the executable operator for a plan node (recursively building its
 /// children). The operator is not yet opened.
@@ -45,29 +86,15 @@ pub fn build_operator(node: &OperatorNode, rt: &Arc<PlanRuntime>) -> Result<Oper
             right_key,
             kind,
             overflow: _,
-        } => {
-            let l = build_operator(left, rt)?;
-            let r = build_operator(right, rt)?;
-            let (lk, rk) = (left_key.clone(), right_key.clone());
-            match kind {
-                JoinKind::DoublePipelined => {
-                    let descendants: Vec<SubjectRef> = left
-                        .all_ids()
-                        .into_iter()
-                        .chain(right.all_ids())
-                        .map(SubjectRef::Op)
-                        .collect();
-                    Box::new(
-                        DoublePipelinedJoin::new(l, r, lk, rk, harness)
-                            .with_descendants(descendants),
-                    )
-                }
-                JoinKind::HybridHash => Box::new(HashJoinOp::hybrid(l, r, lk, rk, harness)),
-                JoinKind::GraceHash => Box::new(HashJoinOp::grace(l, r, lk, rk, harness)),
-                JoinKind::NestedLoops => Box::new(NestedLoopsJoin::new(l, r, lk, rk, harness)),
-                JoinKind::SortMerge => Box::new(SortMergeJoin::new(l, r, lk, rk, harness)),
-            }
-        }
+        } => build_join(
+            *kind,
+            build_operator(left, rt)?,
+            build_operator(right, rt)?,
+            left_key.clone(),
+            right_key.clone(),
+            harness,
+            join_descendants(left, right),
+        ),
         OperatorSpec::DependentJoin {
             left,
             source,
@@ -97,60 +124,22 @@ pub fn build_operator(node: &OperatorNode, rt: &Arc<PlanRuntime>) -> Result<Oper
             *child_timeout_ms,
             harness,
         )),
-        OperatorSpec::Exchange { input, partitions } => {
-            // With a shard executor installed (coordinator role), the
-            // exchange scatters the join's partition pipelines to worker
-            // processes instead of local threads. Sharding by join-key
-            // hash is correct for any equi-join kind, so the remote path
-            // is not limited to the thread-partitionable ones.
-            if rt.env().shard_executor.is_some() {
-                if let OperatorSpec::Join { .. } = &input.spec {
-                    let join_harness = OpHarness::new(rt.clone(), SubjectRef::Op(input.id));
-                    return Ok(Box::new(RemoteExchange::new(
-                        (**input).clone(),
-                        *partitions,
-                        harness,
-                        join_harness,
-                    )));
-                }
+        // The installed transport says whether it runs this exchange as
+        // separate pipelines (in process: a hash-based join at a degree
+        // above one; a worker cluster: any equi-join). Everything else is a
+        // transparent passthrough — the wrapper node stays registered but
+        // idle.
+        OperatorSpec::Exchange { input, partitions } => match &input.spec {
+            OperatorSpec::Join { kind, .. } if rt.env().transport.splits(*kind, *partitions) => {
+                let join_harness = OpHarness::new(rt.clone(), SubjectRef::Op(input.id));
+                Box::new(Exchange::new(
+                    (**input).clone(),
+                    *partitions,
+                    harness,
+                    join_harness,
+                ))
             }
-            // Partition only hash-partitionable joins with an actual
-            // degree; everything else executes as a transparent
-            // passthrough (the wrapper node stays registered but idle).
-            match &input.spec {
-                OperatorSpec::Join {
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                    kind,
-                    overflow: _,
-                } if *partitions > 1 && crate::operators::is_partitionable(*kind) => {
-                    let l = build_operator(left, rt)?;
-                    let r = build_operator(right, rt)?;
-                    let descendants: Vec<SubjectRef> = left
-                        .all_ids()
-                        .into_iter()
-                        .chain(right.all_ids())
-                        .map(SubjectRef::Op)
-                        .collect();
-                    let join_harness = OpHarness::new(rt.clone(), SubjectRef::Op(input.id));
-                    Box::new(
-                        Exchange::new(
-                            l,
-                            r,
-                            left_key.clone(),
-                            right_key.clone(),
-                            *kind,
-                            *partitions,
-                            harness,
-                            join_harness,
-                        )
-                        .with_descendants(descendants),
-                    )
-                }
-                _ => build_operator(input, rt)?,
-            }
-        }
+            _ => build_operator(input, rt)?,
+        },
     })
 }

@@ -39,10 +39,8 @@ pub use build::build_operator;
 pub use control::{CancelKind, QueryControl};
 pub use fragment::{run_fragment, run_fragment_observed, FragmentOutcome, FragmentReport};
 pub use operator::{drain, drain_batches, drain_tuples, Operator, OperatorBox, TupleCursor};
+pub use operators::{PartitionStream, PartitionTransport, Pipelines};
 pub use runtime::{
     CacheCounts, EngineSignal, ExchangeSpill, ExecEnv, OpHarness, ParallelStats, PlanRuntime,
 };
-pub use shard::{
-    build_shard_root, subtree_plan_text, subtree_table_deps, ShardExecutor, ShardFilter, ShardSpec,
-    ShardStats, ShardStream,
-};
+pub use shard::{build_shard_root, ShardFilter, ShardLease, ShardSpec, ShardStats};

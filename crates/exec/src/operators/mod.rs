@@ -22,11 +22,8 @@ pub mod nlj;
 #[cfg(test)]
 mod op_tests;
 #[cfg(test)]
-mod par_tests;
-#[cfg(test)]
 mod prehash_tests;
 pub mod project;
-pub mod remote_exchange;
 pub mod scan;
 pub mod smj;
 pub mod union_op;
@@ -85,12 +82,11 @@ pub(crate) fn open_source_stream(
 pub use collector::Collector;
 pub use dependent_join::DependentJoin;
 pub use dpj::DoublePipelinedJoin;
-pub use exchange::{is_partitionable, Exchange};
+pub use exchange::{Exchange, InProcess, PartitionStream, PartitionTransport, Pipelines};
 pub use filter::Filter;
 pub use hash_join::HashJoinOp;
 pub use nlj::NestedLoopsJoin;
 pub use project::Project;
-pub use remote_exchange::RemoteExchange;
 pub use scan::TableScan;
 pub use smj::SortMergeJoin;
 pub use union_op::UnionAll;

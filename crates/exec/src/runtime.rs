@@ -35,7 +35,7 @@ use tukwila_storage::{
 use tukwila_trace::{CacheOutcome, OpMetrics, QueryTrace, TraceEvent, TraceLevel};
 
 use crate::control::QueryControl;
-use crate::shard::ShardExecutor;
+use crate::operators::{InProcess, PartitionTransport};
 
 /// Engine environment shared across plan runs.
 #[derive(Clone)]
@@ -62,11 +62,10 @@ pub struct ExecEnv {
     /// Trace level installed on query controls this environment creates
     /// (an externally owned control keeps whatever its creator set).
     pub trace_level: TraceLevel,
-    /// Distributed shard executor (coordinator role): when installed, the
-    /// builder lowers `Exchange` nodes over joins into a
-    /// [`crate::operators::RemoteExchange`] that scatters partition
-    /// pipelines to worker processes instead of local threads.
-    pub shard_executor: Option<Arc<dyn ShardExecutor>>,
+    /// Where an [`crate::operators::Exchange`]'s partition pipelines run:
+    /// threads of this process ([`InProcess`], the default) or a worker
+    /// pool (`tukwila_net::Cluster`, the coordinator role).
+    pub transport: Arc<dyn PartitionTransport>,
 }
 
 impl ExecEnv {
@@ -80,7 +79,7 @@ impl ExecEnv {
             batch_size: tukwila_common::env_batch_size(),
             intra_query_threads: tukwila_common::env_parallelism(),
             trace_level: TraceLevel::default(),
-            shard_executor: None,
+            transport: Arc::new(InProcess),
         }
     }
 
@@ -109,11 +108,10 @@ impl ExecEnv {
         self
     }
 
-    /// Install a distributed shard executor (see
-    /// [`crate::shard::ShardExecutor`]): exchanges over joins then run as
-    /// remote shard scatters instead of local thread partitions.
-    pub fn with_shard_executor(mut self, executor: Arc<dyn ShardExecutor>) -> Self {
-        self.shard_executor = Some(executor);
+    /// Replace the partition transport: exchanges then run their
+    /// pipelines wherever `transport` puts them.
+    pub fn with_transport(mut self, transport: Arc<dyn PartitionTransport>) -> Self {
+        self.transport = transport;
         self
     }
 
@@ -140,7 +138,7 @@ impl ExecEnv {
             batch_size: self.batch_size,
             intra_query_threads: self.intra_query_threads,
             trace_level: self.trace_level,
-            shard_executor: self.shard_executor.clone(),
+            transport: self.transport.clone(),
         }
     }
 }

@@ -1,40 +1,40 @@
-//! Distributed shard execution support (DESIGN.md §12).
+//! Remote shard execution support (DESIGN.md §12): what a
+//! [`PartitionTransport`](crate::operators::PartitionTransport) that runs
+//! its pipelines in worker processes needs from the engine. The transport
+//! itself (`tukwila_net::Cluster`) lives in `tukwila-net`; this module is
+//! the part that must agree with the in-process transport on semantics:
 //!
-//! A [`ShardExecutor`] is the coordinator's handle on a pool of worker
-//! processes: [`crate::operators::RemoteExchange`] asks it to scatter the
-//! partition pipelines of an optimizer-lowered `Exchange` and hands back
-//! one [`ShardStream`] per shard, whose union is the exchange's output.
-//! The transport lives in `tukwila-net`; this module only defines the
-//! contract plus the worker-side building blocks that must agree with the
-//! local [`crate::operators::Exchange`] on partitioning semantics:
-//!
-//! * [`ShardFilter`] keeps exactly the rows the local exchange would route
-//!   to one partition — same prehash, same [`fold_hash`] fold, same salt,
-//!   and the same "NULL keys are dropped" rule (a NULL never equi-joins).
+//! * [`ShardSpec::for_join`] — the coordinator's dispatch: the join as plan
+//!   text, the local-store tables it scans, the per-shard budget (the same
+//!   budget/N split as in-process partitions) and the remaining deadline;
+//! * [`ShardLease`] — a shard's slice of the join's memory reservation,
+//!   charged at the coordinator while the shard runs elsewhere;
+//! * [`ShardFilter`] keeps exactly the rows the in-process repartition
+//!   drivers would route to one partition — same prehash, same
+//!   [`fold_hash`] fold, same salt, same "NULL keys are dropped" rule;
 //! * [`build_shard_root`] builds a worker's operator tree for one shard:
 //!   the dispatched join with both inputs wrapped in shard filters.
 //!
 //! Each worker recomputes the join's input subtrees from its own sources
 //! and keeps only its shard (shared-nothing scatter; inputs are never
 //! shipped through the coordinator), so the union over all shards equals
-//! the local join for any equi-join kind — including the kinds the local
-//! exchange cannot thread-partition.
+//! the sequential join for any equi-join kind — including the kinds the
+//! in-process transport does not split.
 
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tukwila_common::{fold_hash, KeyVector, Relation, Result, Schema, TukwilaError, TupleBatch};
 use tukwila_plan::{
-    print_plan, Fragment, FragmentId, JoinKind, OperatorNode, OperatorSpec, QueryPlan, SubjectRef,
+    print_plan, Fragment, FragmentId, OperatorNode, OperatorSpec, QueryPlan, SubjectRef,
 };
-use tukwila_trace::QueryTrace;
+use tukwila_storage::MemoryReservation;
 
-use crate::build::build_operator;
-use crate::control::QueryControl;
+use crate::build::{build_join, build_operator, join_descendants};
 use crate::operator::{Operator, OperatorBox};
-use crate::operators::exchange::EXCHANGE_SALT;
-use crate::operators::{DoublePipelinedJoin, HashJoinOp, NestedLoopsJoin, SortMergeJoin};
+use crate::operators::exchange::{
+    partition_budget, partition_reservation, take_rows, EXCHANGE_SALT,
+};
 use crate::runtime::{OpHarness, PlanRuntime};
 
 /// Everything a worker needs to run one shard of a scattered exchange.
@@ -42,9 +42,8 @@ use crate::runtime::{OpHarness, PlanRuntime};
 /// differs.
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
-    /// The dispatched fragment as parseable plan text
-    /// ([`subtree_plan_text`]): a single fragment whose root is the join
-    /// under the exchange.
+    /// The dispatched fragment as parseable plan text: a single fragment
+    /// whose root is the join under the exchange.
     pub plan_text: String,
     /// Coordinator-local materializations the fragment's `TableScan`s
     /// reference, shipped to the worker's local store.
@@ -60,6 +59,56 @@ pub struct ShardSpec {
     pub deadline: Option<Duration>,
 }
 
+impl ShardSpec {
+    /// The dispatch for `shard_count` shards of `join`, whose harness is
+    /// `harness`: serialized at open so rule-driven annotation changes up
+    /// to that point apply.
+    pub fn for_join(join: &OperatorNode, shard_count: usize, harness: &OpHarness) -> Result<Self> {
+        let rt = harness.runtime();
+        let shard_budget =
+            (harness.reservation()).map_or(0, |p| partition_budget(p.budget(), shard_count));
+        let tables = subtree_table_deps(join)
+            .into_iter()
+            .map(|name| rt.env().local.get(&name).map(|rel| (name, rel)))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(ShardSpec {
+            plan_text: subtree_plan_text(join, shard_budget),
+            tables,
+            shard_count,
+            batch_size: rt.env().batch_size,
+            shard_budget,
+            deadline: (rt.control().deadline())
+                .map(|d| d.saturating_duration_since(Instant::now())),
+        })
+    }
+}
+
+/// One shard's coordinator-side lease on the join's memory reservation: its
+/// partition slice, charged in full while the shard runs where this
+/// process cannot see its memory, released when the lease drops — however
+/// the stream ended, worker death included.
+pub struct ShardLease {
+    slice: MemoryReservation,
+    bytes: usize,
+}
+
+impl ShardLease {
+    /// Lease shard `i` of `n`'s slice; `None` for an unbudgeted join.
+    pub fn take(harness: &OpHarness, i: usize, n: usize) -> Option<ShardLease> {
+        partition_reservation(harness, i, n).map(|slice| {
+            let bytes = slice.budget();
+            slice.charge(bytes);
+            ShardLease { slice, bytes }
+        })
+    }
+}
+
+impl Drop for ShardLease {
+    fn drop(&mut self) {
+        self.slice.release(self.bytes);
+    }
+}
+
 /// Completion statistics one shard reports with its final message.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
@@ -73,52 +122,12 @@ pub struct ShardStats {
     pub spill_tuples: u64,
 }
 
-/// One shard's result stream at the coordinator.
-pub trait ShardStream: Send {
-    /// Worker identity (address) for diagnostics and trace events.
-    fn worker(&self) -> &str;
-
-    /// Block until the shard started executing and report its output
-    /// schema. Must be called exactly once before `next_batch`.
-    fn open(&mut self) -> Result<Schema>;
-
-    /// Next batch of shard output, or `None` once the shard completed.
-    /// Worker death surfaces here as an error, never as a hang.
-    fn next_batch(&mut self) -> Result<Option<TupleBatch>>;
-
-    /// Completion statistics (valid after `next_batch` returned `None`).
-    fn stats(&self) -> ShardStats;
-
-    /// Flag that makes a blocked `open`/`next_batch` bail out promptly
-    /// (registered with the query control for cancellation, and set by the
-    /// exchange on early close).
-    fn abort_handle(&self) -> Arc<AtomicBool>;
-}
-
-/// Coordinator-side handle on a worker pool: scatters shard specs, returns
-/// the per-shard result streams. Implemented by `tukwila_net::Cluster`
-/// over TCP; tests may install in-process fakes.
-pub trait ShardExecutor: Send + Sync {
-    /// Number of distinct workers behind this executor (shards are dealt
-    /// round-robin across them).
-    fn worker_count(&self) -> usize;
-
-    /// Dispatch `spec.shard_count` shards and return their streams, in
-    /// shard order. Streams are not yet opened.
-    fn start(
-        &self,
-        spec: &ShardSpec,
-        control: &Arc<QueryControl>,
-        trace: &Arc<QueryTrace>,
-    ) -> Result<Vec<Box<dyn ShardStream>>>;
-}
-
 /// Render the join subtree under an exchange as a standalone
 /// single-fragment plan, parseable by `tukwila_plan::parse_plan` on the
 /// worker. `shard_budget` (when non-zero) replaces the root join's memory
 /// annotation so each worker plans with its shard's slice, mirroring the
-/// local exchange's budget/N split.
-pub fn subtree_plan_text(node: &OperatorNode, shard_budget: usize) -> String {
+/// in-process budget/N split.
+fn subtree_plan_text(node: &OperatorNode, shard_budget: usize) -> String {
     let mut root = node.clone();
     if shard_budget > 0 && root.memory_budget.is_some() {
         root.memory_budget = Some(shard_budget);
@@ -129,7 +138,7 @@ pub fn subtree_plan_text(node: &OperatorNode, shard_budget: usize) -> String {
 
 /// Names of local-store tables the subtree scans (the coordinator must
 /// ship these to workers alongside the plan).
-pub fn subtree_table_deps(node: &OperatorNode) -> Vec<String> {
+fn subtree_table_deps(node: &OperatorNode) -> Vec<String> {
     fn walk(node: &OperatorNode, out: &mut Vec<String>) {
         match &node.spec {
             OperatorSpec::TableScan { table } => {
@@ -160,7 +169,7 @@ pub fn subtree_table_deps(node: &OperatorNode) -> Vec<String> {
 
 /// Filter a child's output down to one shard: keep rows whose join-key
 /// prehash folds to `shard_index`, drop NULL keys (identical routing to
-/// the local exchange's `drive_side`).
+/// the in-process repartition drivers).
 pub struct ShardFilter {
     child: OperatorBox,
     key: String,
@@ -199,36 +208,23 @@ impl Operator for ShardFilter {
     }
 
     fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
-        loop {
-            let Some(batch) = self.child.next_batch()? else {
-                return Ok(None);
-            };
-            let kv = KeyVector::compute(&batch, self.key_idx);
-            let mut rows: Vec<u32> = Vec::with_capacity(batch.len());
-            for (i, h) in kv.iter().enumerate() {
-                if let Some(h) = h {
-                    if fold_hash(h, self.shard_count, EXCHANGE_SALT) == self.shard_index {
-                        rows.push(i as u32);
-                    }
-                }
-            }
+        while let Some(batch) = self.child.next_batch()? {
+            let rows: Vec<u32> = (KeyVector::compute(&batch, self.key_idx).iter().enumerate())
+                .filter(|(_, h)| {
+                    h.is_some_and(|h| {
+                        fold_hash(h, self.shard_count, EXCHANGE_SALT) == self.shard_index
+                    })
+                })
+                .map(|(i, _)| i as u32)
+                .collect();
             if rows.len() == batch.len() {
                 return Ok(Some(batch));
             }
-            if rows.is_empty() {
-                continue;
+            if !rows.is_empty() {
+                return Ok(Some(take_rows(&batch, &rows)));
             }
-            let out = match batch.columns() {
-                Some(cols) => TupleBatch::from_columns(cols.gather(&rows)),
-                None => {
-                    let tuples = batch.tuples();
-                    TupleBatch::from_tuples(
-                        rows.iter().map(|&i| tuples[i as usize].clone()).collect(),
-                    )
-                }
-            };
-            return Ok(Some(out));
         }
+        Ok(None)
     }
 
     fn close(&mut self) -> Result<()> {
@@ -247,8 +243,8 @@ impl Operator for ShardFilter {
 /// Build a worker's operator tree for one shard of a dispatched fragment:
 /// the root join with both inputs wrapped in [`ShardFilter`]s. With a
 /// single shard there is nothing to filter and the tree builds as-is.
-/// Unlike the local exchange this handles *any* equi-join kind — hash
-/// partitioning by the join key is correct for all of them.
+/// Any equi-join kind: hash partitioning by the join key is correct for
+/// all of them.
 pub fn build_shard_root(
     node: &OperatorNode,
     rt: &Arc<PlanRuntime>,
@@ -271,33 +267,22 @@ pub fn build_shard_root(
             "shard {shard_index}/{shard_count}: dispatched fragment root must be a join"
         )));
     };
-    let l: OperatorBox = Box::new(ShardFilter::new(
-        build_operator(left, rt)?,
+    let shard = |child: &OperatorNode, key: &String| -> Result<OperatorBox> {
+        let child = build_operator(child, rt)?;
+        Ok(Box::new(ShardFilter::new(
+            child,
+            key.clone(),
+            shard_index,
+            shard_count,
+        )))
+    };
+    Ok(build_join(
+        *kind,
+        shard(left, left_key)?,
+        shard(right, right_key)?,
         left_key.clone(),
-        shard_index,
-        shard_count,
-    ));
-    let r: OperatorBox = Box::new(ShardFilter::new(
-        build_operator(right, rt)?,
         right_key.clone(),
-        shard_index,
-        shard_count,
-    ));
-    let harness = OpHarness::new(rt.clone(), SubjectRef::Op(node.id));
-    let (lk, rk) = (left_key.clone(), right_key.clone());
-    Ok(match kind {
-        JoinKind::DoublePipelined => {
-            let descendants: Vec<SubjectRef> = left
-                .all_ids()
-                .into_iter()
-                .chain(right.all_ids())
-                .map(SubjectRef::Op)
-                .collect();
-            Box::new(DoublePipelinedJoin::new(l, r, lk, rk, harness).with_descendants(descendants))
-        }
-        JoinKind::HybridHash => Box::new(HashJoinOp::hybrid(l, r, lk, rk, harness)),
-        JoinKind::GraceHash => Box::new(HashJoinOp::grace(l, r, lk, rk, harness)),
-        JoinKind::NestedLoops => Box::new(NestedLoopsJoin::new(l, r, lk, rk, harness)),
-        JoinKind::SortMerge => Box::new(SortMergeJoin::new(l, r, lk, rk, harness)),
-    })
+        OpHarness::new(rt.clone(), SubjectRef::Op(node.id)),
+        join_descendants(left, right),
+    ))
 }

@@ -1,22 +1,27 @@
 //! The coordinator half of distributed exchange: a [`Cluster`] dials a
-//! pool of worker addresses and implements
-//! [`tukwila_exec::ShardExecutor`] by scattering one shard dispatch per
-//! partition (round-robin across workers) and returning a TCP-backed
-//! [`tukwila_exec::ShardStream`] per shard.
+//! pool of worker addresses and is a
+//! [`tukwila_exec::PartitionTransport`]: one shard dispatch per partition
+//! (round-robin across workers), one TCP-backed
+//! [`tukwila_exec::PartitionStream`] per shard, each obeying the stream
+//! lifecycle written down beside that trait.
 //!
 //! Failure semantics: a worker dying mid-query surfaces on its stream as
 //! an `Io` error (the frame reader sees EOF, never a hang — reads tick
 //! every 50ms to observe cancel flags) and emits a `worker-lost` trace
-//! event; the consuming `RemoteExchange` then fails the query and releases
-//! the shard's memory reservation.
+//! event; the exchange then fails the query, and the stream's lease on
+//! the join's memory reservation is released as it closes.
 
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tukwila_common::{Result, Schema, TukwilaError, TupleBatch};
-use tukwila_exec::{QueryControl, ShardExecutor, ShardSpec, ShardStats, ShardStream};
+use tukwila_exec::{
+    OpHarness, Operator, PartitionStream, PartitionTransport, Pipelines, QueryControl, ShardLease,
+    ShardSpec,
+};
+use tukwila_plan::{JoinKind, OperatorNode};
 use tukwila_trace::{QueryTrace, TraceEvent};
 
 use crate::protocol::{
@@ -30,7 +35,8 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// re-checking abort/cancel flags.
 const STREAM_TICK: Duration = Duration::from_millis(50);
 
-/// A pool of worker addresses acting as the coordinator's shard executor.
+/// A pool of worker addresses acting as the coordinator's partition
+/// transport.
 /// Shards are dealt round-robin: shard `i` runs on worker `i % workers`,
 /// so partition degrees above the worker count multiplex cleanly.
 pub struct Cluster {
@@ -104,27 +110,26 @@ fn dial(addr: &str) -> Result<(FrameReader<TcpStream>, FrameWriter<TcpStream>)> 
     Ok((reader, writer))
 }
 
-impl ShardExecutor for Cluster {
-    fn worker_count(&self) -> usize {
-        self.addrs.len()
+impl PartitionTransport for Cluster {
+    /// Sharding by join-key hash is correct for any equi-join kind, and
+    /// even a single shard runs on a worker: the data is there.
+    fn splits(&self, _kind: JoinKind, _partitions: usize) -> bool {
+        true
     }
 
-    fn start(
-        &self,
-        spec: &ShardSpec,
-        control: &Arc<QueryControl>,
-        trace: &Arc<QueryTrace>,
-    ) -> Result<Vec<Box<dyn ShardStream>>> {
-        let mut streams: Vec<Box<dyn ShardStream>> = Vec::with_capacity(spec.shard_count);
-        for shard in 0..spec.shard_count {
+    fn start(&self, join: &OperatorNode, shards: usize, harness: &OpHarness) -> Result<Pipelines> {
+        let spec = ShardSpec::for_join(join, shards, harness)?;
+        let rt = harness.runtime();
+        let mut streams: Vec<Box<dyn PartitionStream>> = Vec::with_capacity(shards);
+        for shard in 0..shards {
             let addr = &self.addrs[shard % self.addrs.len()];
             let (reader, mut writer) = dial(addr)?;
-            trace.emit(TraceEvent::WorkerConnected {
+            rt.trace().emit(TraceEvent::WorkerConnected {
                 worker: addr.clone(),
             });
             let dispatch = Dispatch {
                 shard_index: shard as u32,
-                shard_count: spec.shard_count as u32,
+                shard_count: shards as u32,
                 batch_size: spec.batch_size as u32,
                 shard_budget: spec.shard_budget as u64,
                 deadline: spec.deadline,
@@ -133,7 +138,7 @@ impl ShardExecutor for Cluster {
                 tables: spec.tables.clone(),
             };
             let bytes = writer.send_dispatch(&dispatch)?;
-            trace.emit(TraceEvent::NetBatchSent {
+            rt.trace().emit(TraceEvent::NetBatchSent {
                 worker: addr.clone(),
                 bytes,
             });
@@ -141,14 +146,19 @@ impl ShardExecutor for Cluster {
                 worker: addr.clone(),
                 reader,
                 writer,
-                control: control.clone(),
-                trace: trace.clone(),
+                control: rt.control().clone(),
+                trace: rt.trace().clone(),
                 abort: Arc::new(AtomicBool::new(false)),
-                stats: ShardStats::default(),
+                lease: ShardLease::take(harness, shard, shards),
+                schema: Schema::empty(),
+                spill_tuples: 0,
                 finished: false,
             }));
         }
-        Ok(streams)
+        Ok(Pipelines {
+            streams,
+            feeders: Vec::new(),
+        })
     }
 }
 
@@ -160,7 +170,10 @@ struct TcpShardStream {
     control: Arc<QueryControl>,
     trace: Arc<QueryTrace>,
     abort: Arc<AtomicBool>,
-    stats: ShardStats,
+    /// Held until `close`, however the stream ended.
+    lease: Option<ShardLease>,
+    schema: Schema,
+    spill_tuples: u64,
     finished: bool,
 }
 
@@ -184,7 +197,8 @@ impl TcpShardStream {
         TukwilaError::Io(format!("net: worker {} died mid-query: {e}", self.worker))
     }
 
-    /// Wait for the next frame, observing abort/cancel on every tick.
+    /// Wait for the next frame, observing abort/cancel on every tick. A
+    /// worker-reported error ends the stream here.
     fn next_msg(&mut self) -> Result<(Msg, u64)> {
         loop {
             if self.abort.load(Ordering::Relaxed) {
@@ -193,27 +207,27 @@ impl TcpShardStream {
             let before = self.reader.bytes_received();
             match self.reader.read_frame() {
                 Ok(None) => continue,
-                Ok(Some((kind, payload))) => {
-                    let msg = decode_msg(kind, payload)?;
-                    return Ok((msg, self.reader.bytes_received() - before));
-                }
+                Ok(Some((kind, payload))) => match decode_msg(kind, payload)? {
+                    Msg::Error { kind, message } => {
+                        self.finished = true;
+                        return Err(error_from_wire(&self.worker, &kind, &message));
+                    }
+                    msg => return Ok((msg, self.reader.bytes_received() - before)),
+                },
                 Err(e) => return Err(self.lost(e)),
             }
         }
     }
 }
 
-impl ShardStream for TcpShardStream {
-    fn worker(&self) -> &str {
-        &self.worker
-    }
-
-    fn open(&mut self) -> Result<Schema> {
+impl Operator for TcpShardStream {
+    /// Block until the worker opened the shard; it streams ahead against
+    /// its initial credits meanwhile.
+    fn open(&mut self) -> Result<()> {
         match self.next_msg()? {
-            (Msg::Started { schema }, _) => Ok(schema),
-            (Msg::Error { kind, message }, _) => {
-                self.finished = true;
-                Err(error_from_wire(&self.worker, &kind, &message))
+            (Msg::Started { schema }, _) => {
+                self.schema = schema;
+                Ok(())
             }
             (other, _) => Err(TukwilaError::Io(format!(
                 "net: worker {}: expected Started, got {other:?}",
@@ -232,16 +246,15 @@ impl ShardStream for TcpShardStream {
                     worker: self.worker.clone(),
                     bytes,
                 });
-                // Credits are advisory flow control: a worker that already
-                // sent Done and hung up may reset this write, which is not
-                // an error — a genuinely dead worker is detected by the
-                // read path, never the credit path.
+                // Credits are advisory flow control: a dead worker is
+                // detected by the read path, never the credit path. None
+                // is issued after `Done` — the worker reads until our EOF.
                 let _ = self.writer.send_credit(1);
                 Ok(Some(batch))
             }
             (Msg::Done(stats), _) => {
                 self.finished = true;
-                self.stats = stats;
+                self.spill_tuples = stats.spill_tuples;
                 if stats.backpressure_stalls > 0 {
                     self.trace.emit(TraceEvent::BackpressureStall {
                         worker: self.worker.clone(),
@@ -250,10 +263,6 @@ impl ShardStream for TcpShardStream {
                 }
                 Ok(None)
             }
-            (Msg::Error { kind, message }, _) => {
-                self.finished = true;
-                Err(error_from_wire(&self.worker, &kind, &message))
-            }
             (other, _) => Err(TukwilaError::Io(format!(
                 "net: worker {}: unexpected frame {other:?}",
                 self.worker
@@ -261,11 +270,30 @@ impl ShardStream for TcpShardStream {
         }
     }
 
-    fn stats(&self) -> ShardStats {
-        self.stats
+    /// The consumer closes first: after `Done` the worker is reading for
+    /// exactly this EOF; before it, the EOF is the worker's cancel.
+    fn close(&mut self) -> Result<()> {
+        self.finished = true;
+        self.lease = None;
+        let _ = self.writer.get_ref().shutdown(Shutdown::Both);
+        Ok(())
     }
 
-    fn abort_handle(&self) -> Arc<AtomicBool> {
-        self.abort.clone()
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn name(&self) -> &'static str {
+        "shard-stream"
+    }
+}
+
+impl PartitionStream for TcpShardStream {
+    fn abort_handle(&self) -> Option<Arc<AtomicBool>> {
+        Some(self.abort.clone())
+    }
+
+    fn spill_tuples(&self) -> u64 {
+        self.spill_tuples
     }
 }

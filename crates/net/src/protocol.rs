@@ -274,6 +274,12 @@ impl<W: Write> FrameWriter<W> {
         }
     }
 
+    /// The wrapped write half (a socket's owner shuts it down through
+    /// this at the end of a stream).
+    pub fn get_ref(&self) -> &W {
+        &self.w
+    }
+
     /// Total bytes written including frame headers.
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent

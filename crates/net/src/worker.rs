@@ -14,7 +14,7 @@
 //! land even while the serving thread is deep inside a join build.
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -181,16 +181,13 @@ fn serve_conn(conn: TcpStream, sources: SourceRegistry) -> Result<()> {
         Some(budget) => QueryControl::with_deadline(budget),
         None => QueryControl::unbounded(),
     };
-    let done = Arc::new(AtomicBool::new(false));
 
+    // Runs until the coordinator closes (EOF) or cancels — past the end of
+    // the shard, so the socket is never dropped with frames unread.
     let reader_thread = {
         let credits = credits.clone();
         let control = control.clone();
-        let done = done.clone();
         thread::spawn(move || loop {
-            if done.load(Ordering::Relaxed) {
-                break;
-            }
             match reader.read_frame() {
                 Ok(None) => {}
                 Ok(Some((kind, payload))) => match decode_msg(kind, payload) {
@@ -209,7 +206,8 @@ fn serve_conn(conn: TcpStream, sources: SourceRegistry) -> Result<()> {
                     }
                 },
                 // EOF or transport error: the coordinator is gone; kill
-                // the shard rather than stream into the void.
+                // the shard (if still running) rather than stream into
+                // the void.
                 Err(_) => {
                     control.cancel(CancelKind::User);
                     break;
@@ -227,7 +225,11 @@ fn serve_conn(conn: TcpStream, sources: SourceRegistry) -> Result<()> {
             let _ = writer.send_error(e);
         }
     }
-    done.store(true, Ordering::Relaxed);
+    // End of stream (see `tukwila_exec::PartitionTransport`): the final
+    // frame is out, so half-close and read until the coordinator's EOF.
+    // Dropping the socket with its late `Credit` frames unread would reset
+    // the connection and discard batches the coordinator has yet to read.
+    let _ = writer.get_ref().shutdown(Shutdown::Write);
     let _ = reader_thread.join();
     outcome.map(|_| ())
 }

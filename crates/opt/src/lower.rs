@@ -95,9 +95,9 @@ impl<'a> Lowerer<'a> {
         if partial {
             plan.complete = false;
         }
-        tukwila_plan::validate_plan(&plan)?;
         // Every lowered plan goes through the full static analyzer before
-        // it can execute. Error findings are optimizer bugs: loud in tests,
+        // it can execute — once: its first two passes are the structure and
+        // rule validation. Error findings are optimizer bugs: loud in tests,
         // a hard failure (instead of a runtime surprise) in release.
         let analysis = tukwila_analyze::Analyzer::new()
             .with_catalog(self.catalog)

@@ -264,9 +264,7 @@ impl QueryService {
             ..config
         };
         if !config.remote_workers.is_empty() {
-            system.install_shard_executor(Arc::new(tukwila_net::Cluster::new(
-                &config.remote_workers,
-            )));
+            system.install_transport(Arc::new(tukwila_net::Cluster::new(&config.remote_workers)));
         }
         let governor = MemoryGovernor::new(config.total_memory);
         let cache = match config.cache_memory {

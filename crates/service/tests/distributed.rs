@@ -94,6 +94,51 @@ fn service_with_remote_workers_matches_reference() {
     w2.shutdown();
 }
 
+/// A remote stream has a specified end: the worker half-closes after `Done`
+/// and reads to the coordinator's EOF. Before that, any result above about
+/// five batches per shard died with "connection closed" — every time at
+/// these sizes (ROADMAP item 1a).
+#[test]
+fn remote_join_past_toy_size_matches_gold() {
+    for sf in [0.003, 0.01] {
+        let tables = [TpchTable::Supplier, TpchTable::Partsupp];
+        let d = TpchDeployment::builder(sf, 23).tables(&tables).build();
+        let system = d.system(parallel_config());
+        let worker = WorkerServer::bind("127.0.0.1:0", system.env().sources.clone())
+            .expect("bind worker")
+            .spawn()
+            .expect("spawn worker");
+        let svc = QueryService::new(
+            system,
+            QueryServiceConfig {
+                workers: 1,
+                remote_workers: vec![worker.addr()],
+                cache_memory: None,
+                ..QueryServiceConfig::default()
+            },
+        );
+        let q = d.query_for("dist", &tables);
+        let gold = d.gold(&q).expect("reference result");
+        let resp = svc.submit(&q).expect("submit").wait();
+        let result = resp
+            .outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("SF {sf}: two-shard remote join failed: {e}"));
+        assert!(
+            result.relation.bag_eq_unordered(&gold),
+            "SF {sf}: got {} tuples, want {}",
+            result.relation.len(),
+            gold.len()
+        );
+        assert!(
+            result.stats.partitions >= 2,
+            "SF {sf}: the join must have run as two shards"
+        );
+        drop(svc);
+        worker.shutdown();
+    }
+}
+
 #[test]
 fn service_without_remote_workers_is_unchanged() {
     let d = deployment();

@@ -12,8 +12,12 @@
 //! 3. **Every `TA` diagnostic code registered in
 //!    `crates/plan/src/diag.rs` is documented in DESIGN.md §9** — the code
 //!    table and the docs cannot drift apart.
+//! 4. **One exchange operator.** The separate remote-exchange operator and
+//!    its `ExecEnv` switch are gone; nothing under `crates/`, `src/`,
+//!    `tests/` or `examples/` (tests included) may name them again — the
+//!    engine-side mirror of `bench/tests/api_surface.rs`.
 //!
-//! All checks are text-based (no extra dependencies) and skip `*_tests.rs`
+//! All checks are text-based (no extra dependencies); 1–3 skip `*_tests.rs`
 //! files, `tests/` directories, and everything at or below the first
 //! `#[cfg(test)]` line of a file (test modules sit at file end by
 //! convention here).
@@ -38,16 +42,17 @@ fn non_test_lines(path: &Path) -> Vec<String> {
     out
 }
 
-/// Every `.rs` file under `dir`, recursively, excluding test files.
-fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+/// Every `.rs` file under `dir`, recursively; `tests/` directories and
+/// `*_tests.rs` files only when `with_tests`.
+fn rust_sources(dir: &Path, with_tests: bool, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();
         let name = path.file_name().unwrap().to_str().unwrap();
         if path.is_dir() {
-            if name != "tests" && name != "target" {
-                rust_sources(&path, out);
+            if (with_tests || name != "tests") && name != "target" {
+                rust_sources(&path, with_tests, out);
             }
-        } else if name.ends_with(".rs") && !name.ends_with("_tests.rs") {
+        } else if name.ends_with(".rs") && (with_tests || !name.ends_with("_tests.rs")) {
             out.push(path);
         }
     }
@@ -94,7 +99,7 @@ fn no_new_unwraps_in_operator_hot_paths() {
     let ops_dir = root.join("crates/exec/src/operators");
     let mut failures = Vec::new();
     let mut files = Vec::new();
-    rust_sources(&ops_dir, &mut files);
+    rust_sources(&ops_dir, false, &mut files);
     for file in files {
         let rel = file
             .strip_prefix(&root)
@@ -131,8 +136,8 @@ fn no_new_unwraps_in_operator_hot_paths() {
 fn no_std_mutex_and_no_guard_across_channel_ops() {
     let root = repo_root();
     let mut files = Vec::new();
-    rust_sources(&root.join("crates"), &mut files);
-    rust_sources(&root.join("src"), &mut files);
+    rust_sources(&root.join("crates"), false, &mut files);
+    rust_sources(&root.join("src"), false, &mut files);
     let mut failures = Vec::new();
     for file in &files {
         let rel = file.strip_prefix(&root).unwrap().display().to_string();
@@ -199,6 +204,37 @@ fn no_std_mutex_and_no_guard_across_channel_ops() {
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+#[test]
+fn one_exchange_operator_and_no_transport_switch() {
+    // Spelled in halves so this file passes its own check.
+    let forbidden = [
+        ["Remote", "Exchange"].concat(),
+        ["with_shard", "_executor"].concat(),
+    ];
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_sources(&root.join(dir), true, &mut files);
+    }
+    let mut hits = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            for needle in &forbidden {
+                if line.contains(needle.as_str()) {
+                    let rel = file.strip_prefix(&root).unwrap().display();
+                    hits.push(format!("{rel}:{}: {needle}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "the exchange is one operator over a transport (DESIGN.md §12):\n{}",
+        hits.join("\n")
+    );
 }
 
 #[test]
