@@ -14,6 +14,8 @@
 //!   registry (the [`tukwila_plan::Quantity`] provider), activation /
 //!   overflow-method control cells, the event bus with the rule engine, and
 //!   engine-level signals (replan / reschedule / abort).
+//! * [`feeder`] — the one loop that runs an operator's child on a thread of
+//!   its own into a bounded queue, used by every operator that has one.
 //! * [`operators`] — scans, wrapper scans, selection, projection, the join
 //!   family (nested loops, sort-merge, hybrid/Grace hash, the **double
 //!   pipelined join** with its overflow strategies), union, the **dynamic
@@ -26,6 +28,7 @@
 
 pub mod build;
 pub mod control;
+pub mod feeder;
 pub mod fragment;
 pub mod operator;
 pub mod operators;
@@ -37,9 +40,10 @@ pub(crate) mod test_support;
 
 pub use build::build_operator;
 pub use control::{CancelKind, QueryControl};
+pub use feeder::Feeders;
 pub use fragment::{run_fragment, run_fragment_observed, FragmentOutcome, FragmentReport};
 pub use operator::{drain, drain_batches, drain_tuples, Operator, OperatorBox, TupleCursor};
-pub use operators::{PartitionStream, PartitionTransport, Pipelines};
+pub use operators::{PartitionStream, PartitionTransport};
 pub use runtime::{
     CacheCounts, EngineSignal, ExchangeSpill, ExecEnv, OpHarness, ParallelStats, PlanRuntime,
 };

@@ -10,36 +10,84 @@
 //! The policy itself is a set of event-condition-action rules in the
 //! enclosing plan (the paper's example: race two mirrors, kill the loser at
 //! a tuple threshold, activate a third source on timeout). The collector's
-//! job here is mechanics: one thread per active child streaming into a
+//! job here is mechanics: one feeder per active child streaming into a
 //! shared queue; `opened`/`closed`/`error`/`timeout`/`threshold` events per
 //! child; children activated by rules are picked up mid-flight, children
 //! deactivated by rules are cancelled and their buffered tuples dropped.
+//! Every rule-visible effect happens on the collector's own thread.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::Sender;
 
 use tukwila_common::{Result, Schema, TukwilaError, TupleBatch};
 use tukwila_plan::{CollectorChildSpec, OpState, QuantityProvider, SubjectRef};
-use tukwila_source::SourceBatchEvent;
+use tukwila_source::{SourceBatchEvent, Wrapper, WrapperStream};
 
+use crate::feeder::{Feed, Feeders, Tagged};
 use crate::operator::Operator;
-use crate::runtime::OpHarness;
-
-enum ChildMsg {
-    Batch(usize, TupleBatch),
-    End(usize),
-    Error(usize, String),
-}
+use crate::runtime::{OpHarness, PlanRuntime};
 
 struct ChildState {
     spec: CollectorChildSpec,
     spawned: bool,
     done: bool,
     failed: bool,
-    delivered: usize,
     last_activity: Instant,
     timeout_raised: bool,
+}
+
+/// One collector child as an operator: its source's stream, fetched through
+/// the shared source-result cache like a plain wrapper scan. It opens on its
+/// feeder, so a coalesced wait never blocks the collector; a handle
+/// registered after a deactivation is flipped at once, so a rule firing
+/// before the stream exists still cancels it.
+struct SourceChild {
+    rt: Arc<PlanRuntime>,
+    subject: SubjectRef,
+    wrapper: Wrapper,
+    stream: Option<WrapperStream>,
+}
+
+impl Operator for SourceChild {
+    fn open(&mut self) -> Result<()> {
+        // A cancelled wait — or query — ends the child quietly like any
+        // other cancelled child (query-level cancellation is reported by
+        // the fragment loop).
+        let (rt, subject) = (&self.rt, self.subject);
+        let opened =
+            crate::operators::open_source_stream(rt, subject, &self.wrapper, Wrapper::fetch);
+        self.stream = opened.ok().flatten();
+        Ok(())
+    }
+
+    fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
+        let Some(stream) = &mut self.stream else {
+            return Ok(None);
+        };
+        match stream.next_batch_event(self.rt.env().batch_size) {
+            SourceBatchEvent::Batch(b) => Ok(Some(b)),
+            SourceBatchEvent::End | SourceBatchEvent::Cancelled => Ok(None),
+            SourceBatchEvent::Error(reason) => Err(TukwilaError::SourceUnavailable {
+                source: self.wrapper.source_name().to_string(),
+                reason,
+            }),
+        }
+    }
+
+    fn close(&mut self) -> Result<()> {
+        self.stream = None;
+        Ok(())
+    }
+
+    fn schema(&self) -> &Schema {
+        self.wrapper.schema()
+    }
+
+    fn name(&self) -> &'static str {
+        "collector_child"
+    }
 }
 
 /// The dynamic collector operator.
@@ -49,9 +97,10 @@ pub struct Collector {
     child_timeout: Option<Duration>,
     harness: OpHarness,
     schema: Schema,
-    tx: Option<Sender<ChildMsg>>,
-    rx: Option<Receiver<ChildMsg>>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    /// One feeder per started child, all into one queue, tagged by child.
+    feeders: Feeders,
+    /// The queue's sender, cloned for each child started.
+    tx: Sender<Tagged>,
     emitted: usize,
     opened: bool,
 }
@@ -64,6 +113,13 @@ impl Collector {
         child_timeout_ms: Option<u64>,
         harness: OpHarness,
     ) -> Self {
+        let mut feeders = Feeders::new(harness.runtime());
+        // Children still streaming at close are cancelled, then reaped.
+        feeders.deactivate = children.iter().map(|c| SubjectRef::Op(c.id)).collect();
+        // Capacity is in *batches* (each message carries a whole arrival
+        // burst), so the in-flight bound scales with the batch size; 16
+        // batches keeps backpressure comparable to the tuple-era queue.
+        let tx = feeders.queue(16);
         Collector {
             children: children
                 .into_iter()
@@ -72,89 +128,44 @@ impl Collector {
                     spawned: false,
                     done: false,
                     failed: false,
-                    delivered: 0,
                     last_activity: Instant::now(),
                     timeout_raised: false,
                 })
                 .collect(),
             quota,
             child_timeout: child_timeout_ms.map(Duration::from_millis),
+            feeders,
             harness,
             schema: Schema::empty(),
-            tx: None,
-            rx: None,
-            threads: Vec::new(),
+            tx,
             emitted: 0,
             opened: false,
         }
     }
 
-    fn spawn_child(&mut self, idx: usize) -> Result<()> {
-        let rt = self.harness.runtime().clone();
-        let spec = self.children[idx].spec.clone();
-        let wrapper = rt.env().sources.wrapper(&spec.source)?;
-        let tx = self.tx.as_ref().unwrap().clone();
-        let subject = SubjectRef::Op(spec.id);
-        let batch_size = rt.env().batch_size;
-        rt.set_state(subject, OpState::Open);
-        self.children[idx].spawned = true;
-        self.children[idx].last_activity = Instant::now();
-        let thread_rt = rt.clone();
-        // Each child hands its arrival bursts over as whole batches — one
-        // queue message per burst rather than per tuple. Children fetch
-        // through the shared source-result cache like plain wrapper scans
-        // (the open happens on the child thread, so a coalesced wait never
-        // blocks the collector; `register_cancel` flips handles registered
-        // after a deactivation, so a rule firing in the spawn window still
-        // cancels the stream).
-        self.threads.push(std::thread::spawn(move || {
-            let mut stream =
-                match crate::operators::open_source_stream(&thread_rt, subject, &wrapper, |w| {
-                    w.fetch()
-                }) {
-                    Ok(Some(s)) => s,
-                    // Wait cancelled, or the whole query was: end quietly like
-                    // any other cancelled child (query-level cancellation is
-                    // reported by the fragment loop, not by this thread).
-                    Ok(None) | Err(_) => {
-                        let _ = tx.send(ChildMsg::End(idx));
-                        return;
-                    }
-                };
-            thread_rt.register_cancel(subject, stream.cancel_handle());
-            loop {
-                match stream.next_batch_event(batch_size) {
-                    SourceBatchEvent::Batch(b) => {
-                        if tx.send(ChildMsg::Batch(idx, b)).is_err() {
-                            return;
-                        }
-                    }
-                    SourceBatchEvent::End => {
-                        let _ = tx.send(ChildMsg::End(idx));
-                        return;
-                    }
-                    SourceBatchEvent::Cancelled => {
-                        let _ = tx.send(ChildMsg::End(idx));
-                        return;
-                    }
-                    SourceBatchEvent::Error(e) => {
-                        let _ = tx.send(ChildMsg::Error(idx, e));
-                        return;
-                    }
-                }
-            }
-        }));
-        Ok(())
-    }
-
     /// Start any children that rules have activated since the last poll.
+    /// Each hands its arrival bursts over as whole batches — one queue
+    /// message per burst rather than per tuple.
     fn spawn_activated(&mut self) -> Result<()> {
         let rt = self.harness.runtime().clone();
-        for idx in 0..self.children.len() {
-            let c = &self.children[idx];
-            if !c.spawned && !c.done && rt.is_active(SubjectRef::Op(c.spec.id)) {
-                self.spawn_child(idx)?;
+        for (idx, c) in self.children.iter_mut().enumerate() {
+            let subject = SubjectRef::Op(c.spec.id);
+            if c.spawned || c.done || !rt.is_active(subject) {
+                continue;
             }
+            let wrapper = rt.env().sources.wrapper(&c.spec.source)?;
+            rt.set_state(subject, OpState::Open);
+            c.spawned = true;
+            c.last_activity = Instant::now();
+            let child = SourceChild {
+                rt: rt.clone(),
+                subject,
+                wrapper,
+                stream: None,
+            };
+            let out = (idx, self.tx.clone());
+            self.feeders
+                .spawn("collector", Box::new(child), out, |_| {})?;
         }
         Ok(())
     }
@@ -223,12 +234,7 @@ impl Operator for Collector {
                 )));
             }
         }
-        // Capacity is in *batches* (each message carries a whole arrival
-        // burst), so the in-flight bound scales with the batch size; 16
-        // batches keeps backpressure comparable to the tuple-era queue.
-        let (tx, rx) = bounded::<ChildMsg>(16);
-        self.tx = Some(tx);
-        self.rx = Some(rx);
+        self.feeders.stall = self.harness.metrics("collector");
         self.emitted = 0;
         self.opened = true;
         self.harness.opened();
@@ -271,18 +277,11 @@ impl Operator for Collector {
                 }
                 return Ok(None);
             }
-            let msg = match self
-                .rx
-                .as_ref()
-                .unwrap()
-                .recv_timeout(Duration::from_millis(2))
-            {
-                Ok(m) => m,
-                Err(RecvTimeoutError::Timeout) => continue, // poll activations
-                Err(RecvTimeoutError::Disconnected) => return Ok(None),
+            let Some((idx, msg)) = self.feeders.recv_timeout(0, Duration::from_millis(2))? else {
+                continue; // poll activations
             };
             match msg {
-                ChildMsg::Batch(idx, mut batch) => {
+                Feed::Batch(mut batch) => {
                     let subject = SubjectRef::Op(self.children[idx].spec.id);
                     if !rt.is_active(subject) {
                         continue; // killed child: drop buffered batches
@@ -294,21 +293,21 @@ impl Operator for Collector {
                         }
                     }
                     let n = batch.len();
-                    self.children[idx].delivered += n;
                     self.children[idx].last_activity = Instant::now();
                     rt.add_produced(subject, n as u64); // drives threshold(child, n)
                     self.emitted += n;
                     self.harness.produced(n as u64);
                     return Ok(Some(batch));
                 }
-                ChildMsg::End(idx) => {
+                Feed::Schema(_) => {}
+                Feed::End => {
                     self.children[idx].done = true;
                     let subject = SubjectRef::Op(self.children[idx].spec.id);
                     if rt.state(subject) == OpState::Open {
                         rt.set_state(subject, OpState::Closed);
                     }
                 }
-                ChildMsg::Error(idx, _reason) => {
+                Feed::Err(_) => {
                     self.children[idx].done = true;
                     self.children[idx].failed = true;
                     let subject = SubjectRef::Op(self.children[idx].spec.id);
@@ -320,19 +319,7 @@ impl Operator for Collector {
     }
 
     fn close(&mut self) -> Result<()> {
-        // Cancel all still-running children and reap threads.
-        let rt = self.harness.runtime().clone();
-        for c in &self.children {
-            let subject = SubjectRef::Op(c.spec.id);
-            if c.spawned && !c.done && rt.state(subject) == OpState::Open {
-                rt.deactivate(subject);
-            }
-        }
-        self.rx = None;
-        self.tx = None;
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
+        self.feeders.shutdown();
         if self.opened {
             self.opened = false;
             self.harness.closed();
@@ -609,5 +596,31 @@ mod tests {
         let mut c = collector_of(&fx);
         let out = drain(&mut c).unwrap();
         assert_eq!(out.len(), 10);
+    }
+
+    #[test]
+    fn close_without_drain_does_not_hang() {
+        let slow = LinkModel {
+            per_tuple: Duration::from_millis(2),
+            ..LinkModel::instant()
+        };
+        let fx = fixture(
+            &[
+                ("staller", rel(1, 100), LinkModel::stalling(5), true),
+                ("slow", rel(2, 10_000), slow, true),
+            ],
+            None,
+            None,
+            vec![],
+        );
+        let mut c = collector_of(&fx);
+        c.open().unwrap();
+        assert!(c.next_batch().unwrap().is_some());
+        let start = Instant::now();
+        c.close().unwrap();
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "close must cancel stalled and streaming children"
+        );
     }
 }

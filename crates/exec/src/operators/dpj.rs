@@ -10,9 +10,10 @@
 //!
 //! This is the paper's "iterator-based adaptation" (§4.2.2): the bottom-up,
 //! data-driven join is wrapped in the top-down iterator model using
-//! "separate threads for output, left child, and right child", with child
-//! threads blocking when their transfer queue fills — that backpressure is
-//! also how Incremental Left Flush "pauses" the left input.
+//! "separate threads for output, left child, and right child" — one
+//! [`crate::feeder`] per child, which also opens it — with child threads
+//! blocking when their transfer queue fills — that backpressure is also how
+//! Incremental Left Flush "pauses" the left input.
 //!
 //! Each side's in-memory partition is **columnar from arrival**
 //! ([`ResidentSide`]): an arriving batch is prehashed once, appended to its
@@ -49,18 +50,16 @@
 
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
-
-use crossbeam_channel::{bounded, Receiver, Select};
 
 use tukwila_common::{
     Column, ColumnarBatch, KeyVector, KeyedBatch, OutputQueue, PrehashMap, Result, Schema,
     TukwilaError, Tuple, TupleBatch,
 };
-use tukwila_plan::{OverflowMethod, QuantityProvider, SubjectRef};
+use tukwila_plan::{OverflowMethod, SubjectRef};
 use tukwila_trace::{OpMetrics, TraceEvent};
 
+use crate::feeder::{Feed, Feeders};
 use crate::operator::{Operator, OperatorBox};
 use crate::operators::hash_table::{join_sets, BucketedTable};
 use crate::runtime::OpHarness;
@@ -73,12 +72,6 @@ const DEFAULT_BUCKETS: usize = 16;
 /// Default transfer queue capacity, in batches ("small tuple transfer
 /// queue", §4.2.2 — one queue slot now holds one arrival burst).
 const DEFAULT_QUEUE_CAP: usize = 16;
-
-enum Msg {
-    Batch(TupleBatch),
-    End,
-    Err(TukwilaError),
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReadMode {
@@ -179,16 +172,12 @@ pub struct DoublePipelinedJoin {
     left_key: String,
     right_key: String,
     num_buckets: usize,
-    queue_cap: usize,
     harness: OpHarness,
-    /// Subjects of descendant operators — deactivated on early close so
-    /// threads blocked inside link-model sleeps wake up.
-    descendants: Vec<SubjectRef>,
+    /// One feeder per input into queue `LEFT` / `RIGHT`, tagged by side.
+    feeders: Feeders,
     // -- runtime state (after open) --
     schema: Schema,
     key_idx: [usize; 2],
-    rx: [Option<Receiver<Msg>>; 2],
-    threads: Vec<JoinHandle<()>>,
     tables: Vec<BucketedTable>,
     done: [bool; 2],
     mode: ReadMode,
@@ -238,13 +227,10 @@ impl DoublePipelinedJoin {
             left_key,
             right_key,
             num_buckets: DEFAULT_BUCKETS,
-            queue_cap: DEFAULT_QUEUE_CAP,
+            feeders: Feeders::new(harness.runtime()),
             harness,
-            descendants: Vec::new(),
             schema: Schema::empty(),
             key_idx: [0, 0],
-            rx: [None, None],
-            threads: Vec::new(),
             tables: Vec::new(),
             done: [false, false],
             mode: ReadMode::Both,
@@ -272,15 +258,10 @@ impl DoublePipelinedJoin {
         self
     }
 
-    /// Override transfer-queue capacity.
-    pub fn with_queue_cap(mut self, n: usize) -> Self {
-        self.queue_cap = n.max(1);
-        self
-    }
-
-    /// Record descendant subjects for cancellation on early close.
+    /// Record descendant subjects, deactivated on early close so children
+    /// blocked inside link-model sleeps wake up.
     pub fn with_descendants(mut self, subjects: Vec<SubjectRef>) -> Self {
-        self.descendants = subjects;
+        self.feeders.deactivate = subjects;
         self
     }
 
@@ -545,53 +526,25 @@ impl DoublePipelinedJoin {
         Ok(())
     }
 
-    fn receive(&mut self) -> Result<(usize, Msg)> {
-        if self.mode == ReadMode::RightOnly && self.done[RIGHT] {
-            self.mode = ReadMode::Both;
-        }
+    fn receive(&mut self) -> Result<(usize, Feed)> {
         let want_left = !self.done[LEFT] && self.mode == ReadMode::Both;
         let want_right = !self.done[RIGHT];
-        if want_left && want_right {
-            self.recv_flip = !self.recv_flip;
-        }
-        let flip = self.recv_flip;
-        let rx = |side: usize| {
-            self.rx[side]
-                .as_ref()
-                .ok_or_else(|| TukwilaError::Internal("DPJ receive before open".into()))
-        };
-        match (want_left, want_right) {
+        let from: &[usize] = match (want_left, want_right) {
             (true, true) => {
-                let (l, r) = (rx(LEFT)?, rx(RIGHT)?);
-                // Fast path: data already waiting — skip the select
-                // machinery (two boxed closures + waker registration).
                 // Alternate which side is tried first so neither input is
                 // systematically favored when both are ready.
-                let order = if flip {
-                    [(LEFT, l), (RIGHT, r)]
+                self.recv_flip = !self.recv_flip;
+                if self.recv_flip {
+                    &[LEFT, RIGHT]
                 } else {
-                    [(RIGHT, r), (LEFT, l)]
-                };
-                for (side, q) in order {
-                    if let Ok(m) = q.try_recv() {
-                        return Ok((side, m));
-                    }
-                }
-                let mut sel = Select::new();
-                sel.recv(l);
-                sel.recv(r);
-                let op = sel.select();
-                match op.index() {
-                    0 => Ok((LEFT, op.recv(l).unwrap_or(Msg::End))),
-                    _ => Ok((RIGHT, op.recv(r).unwrap_or(Msg::End))),
+                    &[RIGHT, LEFT]
                 }
             }
-            (true, false) => Ok((LEFT, rx(LEFT)?.recv().unwrap_or(Msg::End))),
-            (false, true) => Ok((RIGHT, rx(RIGHT)?.recv().unwrap_or(Msg::End))),
-            (false, false) => Err(TukwilaError::Internal(
-                "DPJ receive with both sides done".into(),
-            )),
-        }
+            (true, false) => &[LEFT],
+            // Both done is handled before any receive.
+            (false, _) => &[RIGHT],
+        };
+        self.feeders.recv(from)
     }
 
     /// Produce the deferred matches for flushed buckets, one bucket per
@@ -694,36 +647,33 @@ impl DoublePipelinedJoin {
         }
         Ok(())
     }
-
-    fn shutdown_threads(&mut self) {
-        // Disconnect queues so senders unblock, cancel any descendant
-        // streams still sleeping in their link models, then join.
-        self.rx = [None, None];
-        for d in &self.descendants {
-            let rt = self.harness.runtime();
-            if rt.state(*d) == tukwila_plan::OpState::Open {
-                rt.deactivate(*d);
-            }
-        }
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
-    }
 }
 
 impl Operator for DoublePipelinedJoin {
     fn open(&mut self) -> Result<()> {
-        let (mut left, mut right) = self
+        let (left, right) = self
             .children
             .take()
             .ok_or_else(|| TukwilaError::Internal("DPJ opened twice".into()))?;
-        left.open()?;
-        right.open()?;
+        self.metrics = self.harness.metrics("dpj");
+        self.feeders.stall = self.metrics.clone();
+        for (side, child) in [(LEFT, left), (RIGHT, right)] {
+            let tx = self.feeders.queue(DEFAULT_QUEUE_CAP);
+            self.feeders.spawn("dpj", child, (side, tx), |_| {})?;
+        }
+        // Each child opens on its own feeder, so a slow open does not hold
+        // up the other side; wait for both schemas in whichever order.
+        let mut schemas = [Schema::empty(), Schema::empty()];
+        let (first, msg) = self.feeders.recv(&[LEFT, RIGHT])?;
+        schemas[first] = msg.into_schema()?;
+        let (second, msg) = self.feeders.recv(&[1 - first])?;
+        schemas[second] = msg.into_schema()?;
+        let [left, right] = schemas;
         self.key_idx = [
-            left.schema().index_of(&self.left_key)?,
-            right.schema().index_of(&self.right_key)?,
+            left.index_of(&self.left_key)?,
+            right.index_of(&self.right_key)?,
         ];
-        self.schema = left.schema().concat(right.schema());
+        self.schema = left.concat(&right);
         self.resident = Some(Default::default());
         // Typed queue: join output seals directly into columnar batches, so
         // downstream operators (and the fragment collector) stay vectorized.
@@ -731,7 +681,6 @@ impl Operator for DoublePipelinedJoin {
             self.harness.batch_size(),
             self.schema.fields().iter().map(|f| f.data_type).collect(),
         );
-        self.metrics = self.harness.metrics("dpj");
         self.spilled_tuples = 0;
         self.resolved_emitted = false;
         let reservation = self.harness.reservation();
@@ -753,30 +702,6 @@ impl Operator for DoublePipelinedJoin {
                 spill,
             ),
         ];
-        for (side, mut child) in [(LEFT, left), (RIGHT, right)] {
-            let (tx, rx) = bounded::<Msg>(self.queue_cap);
-            self.rx[side] = Some(rx);
-            self.threads.push(std::thread::spawn(move || {
-                loop {
-                    match child.next_batch() {
-                        Ok(Some(batch)) => {
-                            if tx.send(Msg::Batch(batch)).is_err() {
-                                break;
-                            }
-                        }
-                        Ok(None) => {
-                            let _ = tx.send(Msg::End);
-                            break;
-                        }
-                        Err(e) => {
-                            let _ = tx.send(Msg::Err(e));
-                            break;
-                        }
-                    }
-                }
-                let _ = child.close();
-            }));
-        }
         self.harness.opened();
         Ok(())
     }
@@ -821,7 +746,7 @@ impl Operator for DoublePipelinedJoin {
             }
             let (side, msg) = self.receive()?;
             match msg {
-                Msg::Batch(b) => {
+                Feed::Batch(b) => {
                     if let Some(m) = &self.metrics {
                         m.add_input(b.len() as u64);
                     }
@@ -832,24 +757,25 @@ impl Operator for DoublePipelinedJoin {
                         self.staged = Some(KeyedBatch::new(b, self.key_idx[side]));
                     }
                 }
-                Msg::End => {
+                Feed::End => {
                     self.done[side] = true;
                     if side == RIGHT && self.mode == ReadMode::RightOnly {
                         // Step (5): right exhausted — resume the left input.
                         self.mode = ReadMode::Both;
                     }
                 }
-                Msg::Err(e) => {
+                Feed::Err(e) => {
                     self.harness.failed();
-                    self.shutdown_threads();
+                    self.feeders.shutdown();
                     return Err(e);
                 }
+                Feed::Schema(_) => {} // consumed at open
             }
         }
     }
 
     fn close(&mut self) -> Result<()> {
-        self.shutdown_threads();
+        self.feeders.shutdown();
         for t in &mut self.tables {
             t.clear();
         }
@@ -879,7 +805,9 @@ mod tests {
     use crate::test_support::{keyed_relation, JoinFixture};
     use std::time::{Duration, Instant};
     use tukwila_common::Relation;
-    use tukwila_plan::{Action, Condition, EventKind, EventPattern, JoinKind, Rule};
+    use tukwila_plan::{
+        Action, Condition, EventKind, EventPattern, JoinKind, QuantityProvider, Rule,
+    };
     use tukwila_source::LinkModel;
 
     fn dpj_for(fx: &JoinFixture) -> DoublePipelinedJoin {

@@ -2,18 +2,19 @@
 //! the partition transport that says where its pipelines run.
 //!
 //! One [`Exchange`] runs N **partition pipelines** of the join beneath it,
-//! each pumped by one thread into one bounded channel, and merges their
-//! output in arrival order: an order-insensitive union, multiset-equal to
-//! the sequential join, because tuples with equal keys hash identically —
-//! every matching pair meets in exactly one partition and none meets twice.
-//! Routing is the join key's Fx prehash folded with a dedicated salt (so it
-//! does not correlate with the joins' internal bucket routing); NULL-keyed
-//! rows are dropped at the split, exactly as the joins would drop them.
+//! each pumped by one feeder ([`crate::feeder`]) into one bounded merge
+//! queue, and merges their output in arrival order: an order-insensitive
+//! union, multiset-equal to the sequential join, because tuples with equal
+//! keys hash identically — every matching pair meets in exactly one
+//! partition and none meets twice. Routing is the join key's Fx prehash
+//! folded with a dedicated salt (so it does not correlate with the joins'
+//! internal bucket routing); NULL-keyed rows are dropped at the split,
+//! exactly as the joins would drop them.
 //!
 //! *Where* a pipeline runs is a property of the [`PartitionTransport`]
 //! installed on [`crate::runtime::ExecEnv`], not of the operator:
 //!
-//! * [`InProcess`] (the default): two **repartition drivers** pull the
+//! * [`InProcess`] (the default): two **repartition feeders** pull the
 //!   join's real inputs once and shuffle every batch into per-partition
 //!   bounded channels; each pipeline is a private instance of the join
 //!   over `PartitionSource` leaves, under shared subject statistics and
@@ -25,15 +26,15 @@
 //!
 //! # Stream lifecycle
 //!
-//! Both transports obey one contract, in the order the exchange's pump
-//! drives it:
+//! Both transports obey one contract, in the order the exchange's pumps —
+//! feeders, whose message contract this is — drive it:
 //!
 //! 1. **start** — the transport returns N unopened streams. Nothing a
 //!    stream does from here on may wait for a sibling to be *consumed*.
 //! 2. **open** — each pump opens its stream (a join's blocking build
-//!    happens here, in parallel). The exchange's own `open` returns as
-//!    soon as the first stream is open; it never withholds consumption of
-//!    one stream until another has opened.
+//!    happens here, in parallel) and sends its schema. The exchange's own
+//!    `open` returns as soon as the first stream is open; it never
+//!    withholds consumption of one stream until another has opened.
 //! 3. **batches** — the producer sends only against **credit**: a full
 //!    bounded channel in process; on the wire an initial window the
 //!    consumer refills by one per batch received.
@@ -43,25 +44,25 @@
 //!    consumer's EOF**, so no late credit is left unread. The consumer
 //!    issues no credit after the final message.
 //! 5. **close** — the *consumer* closes first, always: after the final
-//!    message, or early as an **abort** (the exchange sets the stream's
-//!    abort flag and deactivates the join's input subjects so nothing stays
-//!    blocked; a remote consumer's close is the worker's cancel). Whatever
-//!    a stream held on the consumer's side — a remote shard's memory lease
-//!    — is released when it closes, however it ended.
+//!    message, or early as an **abort** (the exchange's feeder shutdown
+//!    sets the stream's abort flag and deactivates the join's input
+//!    subjects so nothing stays blocked; a remote consumer's close is the
+//!    worker's cancel). Whatever a stream held on the consumer's side — a
+//!    remote shard's memory lease — is released when it closes, however it
+//!    ended.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 
 use tukwila_common::{fold_hash, KeyVector, Result, Schema, TukwilaError, TupleBatch};
-use tukwila_plan::{JoinKind, OpState, OperatorNode, OperatorSpec, QuantityProvider};
+use tukwila_plan::{JoinKind, OperatorNode, OperatorSpec};
 use tukwila_storage::{MemoryManager, MemoryReservation, ScopedSpillStore, SpillStore};
 use tukwila_trace::{OpMetrics, TraceEvent};
 
 use crate::build::{build_join, build_operator, join_descendants};
+use crate::feeder::{cut_off, Feed, Feeders, Outlet};
 use crate::operator::{Operator, OperatorBox};
 use crate::runtime::OpHarness;
 
@@ -91,15 +92,6 @@ pub trait PartitionStream: Operator {
     fn spill_tuples(&self) -> u64;
 }
 
-/// What [`PartitionTransport::start`] hands the exchange.
-pub struct Pipelines {
-    /// The N streams, in partition order, not yet opened.
-    pub streams: Vec<Box<dyn PartitionStream>>,
-    /// Threads already feeding the streams (the in-process repartition
-    /// drivers); the exchange joins them at shutdown.
-    pub feeders: Vec<JoinHandle<()>>,
-}
-
 /// Supplies an [`Exchange`] with its partition pipelines. Implementations
 /// obey the stream lifecycle in the module docs.
 pub trait PartitionTransport: Send + Sync {
@@ -109,13 +101,17 @@ pub trait PartitionTransport: Send + Sync {
     fn splits(&self, kind: JoinKind, partitions: usize) -> bool;
 
     /// Start `partitions` pipelines of `join` (an `OperatorSpec::Join`
-    /// node); `harness` is that node's.
+    /// node; `harness` is that node's) and return their streams, in
+    /// partition order, not yet opened. A thread the streams need (the
+    /// in-process repartition feeders) goes into `feeders`, the exchange's
+    /// group, which stops and joins it with the exchange's own pumps.
     fn start(
         &self,
         join: &OperatorNode,
         partitions: usize,
         harness: &OpHarness,
-    ) -> Result<Pipelines>;
+        feeders: &mut Feeders,
+    ) -> Result<Vec<Box<dyn PartitionStream>>>;
 }
 
 /// Partition `i` of `n`'s slice of the join's memory reservation: budget/N,
@@ -146,14 +142,6 @@ pub(crate) fn take_rows(batch: &TupleBatch, rows: &[u32]) -> TupleBatch {
     }
 }
 
-enum Msg {
-    /// A pump's first message: its stream opened, with this schema.
-    Opened(Schema),
-    Batch(TupleBatch),
-    End,
-    Err(TukwilaError),
-}
-
 // ---- the in-process transport ---------------------------------------------
 
 /// The default transport: partitions are threads of this process, fed by
@@ -167,7 +155,13 @@ impl PartitionTransport for InProcess {
         partitions > 1 && kind.is_hash_partitionable()
     }
 
-    fn start(&self, join: &OperatorNode, n: usize, harness: &OpHarness) -> Result<Pipelines> {
+    fn start(
+        &self,
+        join: &OperatorNode,
+        n: usize,
+        harness: &OpHarness,
+        feeders: &mut Feeders,
+    ) -> Result<Vec<Box<dyn PartitionStream>>> {
         let OperatorSpec::Join {
             left,
             right,
@@ -180,48 +174,48 @@ impl PartitionTransport for InProcess {
             return Err(TukwilaError::Plan("exchange input must be a join".into()));
         };
         let rt = harness.runtime();
-        let mut l = build_operator(left, rt)?;
-        let mut r = build_operator(right, rt)?;
-        l.open()?;
-        if let Err(e) = r.open() {
-            let _ = l.close();
-            return Err(e);
-        }
-        let keys = (l.schema().index_of(left_key))
-            .and_then(|lk| Ok((lk, r.schema().index_of(right_key)?)));
-        let (lkey, rkey) = match keys {
-            Ok(k) => k,
-            Err(e) => {
-                let _ = l.close();
-                let _ = r.close();
-                return Err(e);
-            }
+        // Wake repartition feeders blocked inside link-model sleeps. A DPJ
+        // instance does the same when it fails or closes early: its own
+        // feeders may be waiting on a repartition feeder that sleeps.
+        let inputs = join_descendants(left, right);
+        feeders.deactivate.extend(inputs.iter().copied());
+        let mut shuffle = |input: &OperatorNode, key: &String| -> Result<Vec<PartitionSource>> {
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| bounded(PARTITION_QUEUE_CAP)).unzip();
+            let route = Repartition {
+                key: key.clone(),
+                key_idx: 0,
+                txs,
+            };
+            feeders.spawn("shuffle", build_operator(input, rt)?, route, |_| {})?;
+            Ok(rxs
+                .into_iter()
+                .map(|rx| PartitionSource {
+                    rx,
+                    schema: Schema::empty(),
+                })
+                .collect())
         };
-
-        let (mut ltxs, mut rtxs) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        let mut streams: Vec<Box<dyn PartitionStream>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let (ltx, lrx) = bounded::<Msg>(PARTITION_QUEUE_CAP);
-            let (rtx, rrx) = bounded::<Msg>(PARTITION_QUEUE_CAP);
-            ltxs.push(ltx);
-            rtxs.push(rtx);
-            let spill = Arc::new(ScopedSpillStore::new(rt.env().spill.clone()));
-            let instance = build_join(
-                *kind,
-                Box::new(PartitionSource::new(lrx, l.schema().clone())),
-                Box::new(PartitionSource::new(rrx, r.schema().clone())),
-                left_key.clone(),
-                right_key.clone(),
-                harness.for_partition(i, partition_reservation(harness, i, n), spill.clone()),
-                Vec::new(),
-            );
-            streams.push(Box::new(LocalPartition { instance, spill }));
-        }
-        let feeders = vec![
-            std::thread::spawn(move || drive_side(l, lkey, ltxs)),
-            std::thread::spawn(move || drive_side(r, rkey, rtxs)),
-        ];
-        Ok(Pipelines { streams, feeders })
+        let lefts = shuffle(left, left_key)?;
+        let rights = shuffle(right, right_key)?;
+        let streams = lefts
+            .into_iter()
+            .zip(rights)
+            .enumerate()
+            .map(|(i, (l, r))| {
+                let spill = Arc::new(ScopedSpillStore::new(rt.env().spill.clone()));
+                let instance = build_join(
+                    *kind,
+                    Box::new(l),
+                    Box::new(r),
+                    left_key.clone(),
+                    right_key.clone(),
+                    harness.for_partition(i, partition_reservation(harness, i, n), spill.clone()),
+                    inputs.clone(),
+                );
+                Box::new(LocalPartition { instance, spill }) as Box<dyn PartitionStream>
+            })
+            .collect();
+        Ok(streams)
     }
 }
 
@@ -260,49 +254,83 @@ impl PartitionStream for LocalPartition {
     }
 }
 
-/// Consumer end of one repartitioned stream — the leaf each partition
-/// instance's join pulls from.
-struct PartitionSource {
-    rx: Option<Receiver<Msg>>,
-    schema: Schema,
+/// A repartition feeder's outlet: each batch is split across the
+/// partitions by key prehash (NULL keys dropped); the schema, the end or
+/// the error goes to every partition.
+struct Repartition {
+    key: String,
+    /// Resolved from the schema, the feeder's first message.
+    key_idx: usize,
+    txs: Vec<Sender<Feed>>,
 }
 
-impl PartitionSource {
-    fn new(rx: Receiver<Msg>, schema: Schema) -> Self {
-        PartitionSource {
-            rx: Some(rx),
-            schema,
-        }
+impl Repartition {
+    /// Send `msg` to every partition; `false` if any has gone away.
+    fn broadcast(&self, msg: Feed) -> bool {
+        let sent = self.txs.iter().filter(|tx| tx.send(msg.clone()).is_ok());
+        sent.count() == self.txs.len()
     }
+}
+
+impl Outlet for Repartition {
+    fn put(&mut self, msg: Feed) -> bool {
+        let batch = match msg {
+            Feed::Batch(batch) => batch,
+            Feed::Schema(schema) => match schema.index_of(&self.key) {
+                Ok(k) => {
+                    self.key_idx = k;
+                    return self.broadcast(Feed::Schema(schema));
+                }
+                Err(e) => {
+                    self.broadcast(Feed::Err(e));
+                    return false;
+                }
+            },
+            end => return self.broadcast(end),
+        };
+        // One column-kernel hash pass routes the whole batch.
+        let n = self.txs.len();
+        let kv = KeyVector::compute(&batch, self.key_idx);
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (i, h) in kv.iter().enumerate() {
+            if let Some(h) = h {
+                rows[fold_hash(h, n, EXCHANGE_SALT)].push(i as u32);
+            }
+        }
+        // A partition gone away means an early close: stop routing.
+        rows.iter()
+            .zip(&self.txs)
+            .filter(|(rows, _)| !rows.is_empty())
+            .all(|(rows, tx)| tx.send(Feed::Batch(take_rows(&batch, rows))).is_ok())
+    }
+}
+
+/// Consumer end of one repartitioned stream — the leaf each partition
+/// instance's join pulls from. Its schema is the repartition feeder's first
+/// message.
+struct PartitionSource {
+    rx: Receiver<Feed>,
+    schema: Schema,
 }
 
 impl Operator for PartitionSource {
     fn open(&mut self) -> Result<()> {
+        self.schema = self.rx.recv().map_err(|_| cut_off())?.into_schema()?;
         Ok(())
     }
 
     fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
-        let Some(rx) = &self.rx else {
-            return Ok(None);
-        };
-        let msg = rx.recv();
-        if let Ok(Msg::Batch(b)) = msg {
-            return Ok(Some(b));
-        }
-        self.rx = None;
-        match msg {
-            Ok(Msg::End) => Ok(None),
-            Ok(Msg::Err(e)) => Err(e),
-            // A driver never exits without sending End or Err to every
-            // partition; a bare disconnect means it died abnormally.
-            _ => Err(TukwilaError::Internal(
-                "exchange repartition stream disconnected".into(),
+        match self.rx.recv().map_err(|_| cut_off())? {
+            Feed::Batch(b) => Ok(Some(b)),
+            Feed::End => Ok(None),
+            Feed::Err(e) => Err(e),
+            Feed::Schema(_) => Err(TukwilaError::Internal(
+                "repartition stream sent a second schema".into(),
             )),
         }
     }
 
     fn close(&mut self) -> Result<()> {
-        self.rx = None;
         Ok(())
     }
 
@@ -315,76 +343,7 @@ impl Operator for PartitionSource {
     }
 }
 
-/// Repartition driver: drain `child`, split every batch across `txs` by
-/// key prehash, drop NULL keys, propagate end/error to every partition.
-fn drive_side(mut child: OperatorBox, key_idx: usize, txs: Vec<Sender<Msg>>) {
-    let n = txs.len();
-    let last = loop {
-        match child.next_batch() {
-            Ok(Some(batch)) => {
-                // One column-kernel hash pass routes the whole batch.
-                let kv = KeyVector::compute(&batch, key_idx);
-                let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
-                for (i, h) in kv.iter().enumerate() {
-                    if let Some(h) = h {
-                        rows[fold_hash(h, n, EXCHANGE_SALT)].push(i as u32);
-                    }
-                }
-                let sent = rows
-                    .iter()
-                    .zip(&txs)
-                    .filter(|(rows, _)| !rows.is_empty())
-                    .try_for_each(|(rows, tx)| tx.send(Msg::Batch(take_rows(&batch, rows))));
-                if sent.is_err() {
-                    // Consumer went away (early close): stop driving.
-                    let _ = child.close();
-                    return;
-                }
-            }
-            Ok(None) => break Ok(()),
-            Err(e) => break Err(e),
-        }
-    };
-    for tx in &txs {
-        let _ = tx.send(match &last {
-            Ok(()) => Msg::End,
-            Err(e) => Msg::Err(e.clone()),
-        });
-    }
-    let _ = child.close();
-}
-
 // ---- the operator -----------------------------------------------------------
-
-/// Drive one stream through its lifecycle into the exchange's merge
-/// channel — the one place a partition gets a thread. Returns the
-/// partition's output rows and spilled tuples.
-fn pump(mut stream: Box<dyn PartitionStream>, out: Sender<Msg>) -> (u64, u64) {
-    let mut rows = 0u64;
-    let result = (|| -> Result<()> {
-        stream.open()?;
-        if out.send(Msg::Opened(stream.schema().clone())).is_err() {
-            return Ok(()); // consumer gone (early close)
-        }
-        while let Some(batch) = stream.next_batch()? {
-            rows += batch.len() as u64;
-            if out.send(Msg::Batch(batch)).is_err() {
-                break;
-            }
-        }
-        Ok(())
-    })();
-    let _ = stream.close();
-    let spilled = stream.spill_tuples();
-    // Whatever the stream held (a remote shard's lease, its socket) is gone
-    // before the exchange hears how it ended.
-    drop(stream);
-    let _ = out.send(match result {
-        Ok(()) => Msg::End,
-        Err(e) => Msg::Err(e),
-    });
-    (rows, spilled)
-}
 
 /// The exchange operator (see module docs).
 pub struct Exchange {
@@ -400,13 +359,14 @@ pub struct Exchange {
     join_harness: OpHarness,
     // -- runtime state (after open) --
     schema: Schema,
-    rx: Option<Receiver<Msg>>,
-    pumps: Vec<JoinHandle<(u64, u64)>>,
-    feeders: Vec<JoinHandle<()>>,
+    /// The transport's feeders plus one pump per stream, each tagged with
+    /// its partition, into queue 0.
+    feeders: Feeders,
     live: usize,
-    aborts: Vec<Arc<AtomicBool>>,
-    /// Output rows and spilled tuples per partition, once its pump ended.
-    part_stats: Vec<(u64, u64)>,
+    /// Output rows received and tuples spilled (set once its pump closed
+    /// the stream), per partition.
+    part_rows: Vec<u64>,
+    part_spills: Vec<Arc<AtomicU64>>,
     metrics: Option<Arc<OpMetrics>>,
     opened: bool,
 }
@@ -424,40 +384,15 @@ impl Exchange {
         Exchange {
             join,
             partitions: partitions.max(1),
+            feeders: Feeders::new(harness.runtime()),
             harness,
             join_harness,
             schema: Schema::empty(),
-            rx: None,
-            pumps: Vec::new(),
-            feeders: Vec::new(),
             live: 0,
-            aborts: Vec::new(),
-            part_stats: Vec::new(),
+            part_rows: Vec::new(),
+            part_spills: Vec::new(),
             metrics: None,
             opened: false,
-        }
-    }
-
-    /// Abort whatever still runs (lifecycle step 5) and join every thread.
-    fn shutdown(&mut self) {
-        self.rx = None;
-        for flag in &self.aborts {
-            flag.store(true, Ordering::Relaxed);
-        }
-        // Wake repartition drivers blocked inside link-model sleeps.
-        if let OperatorSpec::Join { left, right, .. } = &self.join.spec {
-            let rt = self.harness.runtime();
-            for d in join_descendants(left, right) {
-                if rt.state(d) == OpState::Open {
-                    rt.deactivate(d);
-                }
-            }
-        }
-        for h in self.pumps.drain(..) {
-            self.part_stats.push(h.join().unwrap_or_default());
-        }
-        for h in self.feeders.drain(..) {
-            let _ = h.join();
         }
     }
 }
@@ -467,40 +402,34 @@ impl Operator for Exchange {
         if self.opened {
             return Err(TukwilaError::Internal("Exchange opened twice".into()));
         }
+        self.metrics = self.harness.metrics("exchange");
+        self.feeders.stall = self.metrics.clone();
+        let out = self.feeders.queue(self.partitions.max(2) * 2);
         let transport = &self.harness.runtime().env().transport;
-        let Pipelines { streams, feeders } =
-            transport.start(&self.join, self.partitions, &self.join_harness)?;
-        self.feeders = feeders;
+        let streams = transport.start(
+            &self.join,
+            self.partitions,
+            &self.join_harness,
+            &mut self.feeders,
+        )?;
+        // Lifecycle steps 2–4: one pump per stream.
         self.live = streams.len();
-        let (out_tx, out_rx) = bounded::<Msg>(self.live.max(2) * 2);
-        for stream in streams {
+        self.part_rows = vec![0; self.live];
+        for (i, stream) in streams.into_iter().enumerate() {
             if let Some(flag) = stream.abort_handle() {
                 self.harness.register_cancel(flag.clone());
-                self.aborts.push(flag);
+                self.feeders.aborts.push(flag);
             }
-            let out = out_tx.clone();
-            self.pumps
-                .push(std::thread::spawn(move || pump(stream, out)));
+            let spilled = Arc::new(AtomicU64::new(0));
+            self.part_spills.push(spilled.clone());
+            self.feeders
+                .spawn("pump", stream, (i, out.clone()), move |s| {
+                    spilled.store(s.spill_tuples(), Ordering::Relaxed)
+                })?;
         }
-        drop(out_tx);
-
-        // The first message on the merge channel is some pump's `Opened` or
-        // `Err`: a batch cannot overtake its own stream's `Opened`.
-        match out_rx.recv() {
-            Ok(Msg::Opened(schema)) => self.schema = schema,
-            Ok(Msg::Err(e)) => {
-                self.shutdown();
-                return Err(e);
-            }
-            _ => {
-                self.shutdown();
-                return Err(TukwilaError::Internal(
-                    "exchange pipeline ended before it opened".into(),
-                ));
-            }
-        }
-        self.rx = Some(out_rx);
-        self.metrics = self.harness.metrics("exchange");
+        // The first message on the merge queue is some pump's schema or
+        // open failure: a batch cannot overtake its own stream's schema.
+        self.schema = self.feeders.recv(&[0])?.1.into_schema()?;
         // Lifecycle: the exchange owns the shared join subject's state.
         self.join_harness.opened();
         self.harness.opened();
@@ -509,53 +438,41 @@ impl Operator for Exchange {
     }
 
     fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
-        loop {
-            if self.live == 0 {
-                return Ok(None);
-            }
-            let Some(rx) = &self.rx else {
-                return Ok(None);
-            };
-            let waited = self.metrics.as_ref().map(|_| Instant::now());
-            let msg = rx.recv();
-            if let (Some(m), Some(t0)) = (&self.metrics, waited) {
-                m.add_queue_stall_ns(t0.elapsed().as_nanos() as u64);
-            }
-            match msg {
-                Ok(Msg::Batch(b)) => {
+        while self.live > 0 {
+            match self.feeders.recv(&[0])? {
+                (i, Feed::Batch(b)) => {
+                    self.part_rows[i] += b.len() as u64;
                     if let Some(m) = &self.metrics {
                         m.add_output(b.len() as u64);
                     }
                     self.harness.produced(b.len() as u64);
                     return Ok(Some(b));
                 }
-                Ok(Msg::Opened(_)) => {}
-                Ok(Msg::End) => self.live -= 1,
-                Ok(Msg::Err(e)) => {
+                (_, Feed::Schema(_)) => {}
+                (_, Feed::End) => self.live -= 1,
+                (_, Feed::Err(e)) => {
                     self.harness.failed();
-                    self.shutdown();
+                    self.feeders.shutdown();
                     return Err(e);
-                }
-                Err(_) => {
-                    return Err(TukwilaError::Internal(
-                        "exchange output channel disconnected".into(),
-                    ))
                 }
             }
         }
+        Ok(None)
     }
 
     fn close(&mut self) -> Result<()> {
-        self.shutdown();
+        self.feeders.shutdown();
         if self.opened {
             self.opened = false;
             // Per-partition spill attribution and skew, once per run.
             let rt = self.harness.runtime();
             let op = self.join_harness.op_id().unwrap_or(u32::MAX);
-            let spills: Vec<u64> = self.part_stats.iter().map(|s| s.1).collect();
+            let spills: Vec<u64> = (self.part_spills.iter())
+                .map(|s| s.load(Ordering::Relaxed))
+                .collect();
             rt.note_exchange(op, &spills);
             if rt.trace().events_enabled() {
-                let rows = self.part_stats.iter().map(|s| s.0).collect();
+                let rows = self.part_rows.clone();
                 rt.trace().emit(TraceEvent::PartitionSkew { op, rows });
             }
             self.join_harness.closed();

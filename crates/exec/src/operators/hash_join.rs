@@ -60,8 +60,6 @@ pub struct HashJoinOp {
     reservation: Option<tukwila_storage::MemoryReservation>,
     /// Metrics handle (Some only at `TraceLevel::Metrics`).
     metrics: Option<Arc<OpMetrics>>,
-    /// When the current probe batch started draining (probe timing).
-    probe_at: Option<Instant>,
     /// Tuples this run diverted to spill storage.
     spilled_tuples: u64,
     /// The overflow-resolved event was emitted (once per run).
@@ -119,7 +117,6 @@ impl HashJoinOp {
             raised_oom: false,
             reservation: None,
             metrics: None,
-            probe_at: None,
             spilled_tuples: 0,
             resolved_emitted: false,
         }
@@ -226,6 +223,29 @@ impl HashJoinOp {
         Ok(())
     }
 
+    /// Probe staged tuples one at a time until a full output block is
+    /// pending or the staged batch is drained, adding the time to
+    /// `exec.probe_ms`. Only this work is timed: a probe batch drains
+    /// across several `next_batch` calls, and whatever the parent does
+    /// between them is not this operator's time.
+    fn drain_probe(&mut self, max: usize) -> Result<()> {
+        let started = self.metrics.as_ref().map(|_| Instant::now());
+        while self.pending.len() < max {
+            match self.probe_queue.as_mut().and_then(KeyedBatch::next) {
+                Some((t, Some(hash))) => self.probe_one(t, hash)?,
+                Some((_, None)) => {} // NULL probe keys never join
+                None => {
+                    self.probe_queue = None;
+                    break;
+                }
+            }
+        }
+        if let (Some(m), Some(t0)) = (&self.metrics, started) {
+            m.add_probe_ns(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(())
+    }
+
     fn cleanup_bucket(&mut self, b: usize) -> Result<()> {
         let build = self.build.as_ref().unwrap();
         if !build.is_flushed(b) {
@@ -324,31 +344,17 @@ impl Operator for HashJoinOp {
                         "HashJoin::next_batch before open".into(),
                     ))
                 }
-                Phase::Probe => match self.probe_queue.as_mut().map(KeyedBatch::next) {
-                    Some(Some((t, hash))) => {
-                        if let Some(hash) = hash {
-                            self.probe_one(t, hash)?;
+                Phase::Probe if self.probe_queue.is_some() => self.drain_probe(max)?,
+                Phase::Probe => match self.left.next_batch()? {
+                    Some(batch) => {
+                        if let Some(m) = &self.metrics {
+                            m.add_input(batch.len() as u64);
                         }
-                        // NULL probe keys never join; skip.
+                        // Prehash the probe batch once and drain it in
+                        // place.
+                        self.probe_queue = Some(KeyedBatch::new(batch, self.lkey));
                     }
-                    Some(None) => {
-                        self.probe_queue = None;
-                        if let (Some(m), Some(t0)) = (&self.metrics, self.probe_at.take()) {
-                            m.add_probe_ns(t0.elapsed().as_nanos() as u64);
-                        }
-                    }
-                    None => match self.left.next_batch()? {
-                        Some(batch) => {
-                            if let Some(m) = &self.metrics {
-                                m.add_input(batch.len() as u64);
-                                self.probe_at = Some(Instant::now());
-                            }
-                            // Prehash the probe batch once and drain it in
-                            // place.
-                            self.probe_queue = Some(KeyedBatch::new(batch, self.lkey));
-                        }
-                        None => self.phase = Phase::Cleanup(0),
-                    },
+                    None => self.phase = Phase::Cleanup(0),
                 },
                 Phase::Cleanup(b) => {
                     if b >= self.num_buckets {

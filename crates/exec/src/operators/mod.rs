@@ -42,18 +42,19 @@ use crate::runtime::PlanRuntime;
 /// Open a wrapper stream for `subject`, going through the shared
 /// source-result cache when one is installed (cache hit → replay; cold key
 /// → teeing single-flight leader; in-flight key → coalesced wait keyed by
-/// the query's flight id). The coalesced wait is interruptible: its cancel
-/// flag is registered like any other blocking pull, so rule-driven
-/// deactivation and query-level cancellation both end it. Returns
-/// `Ok(None)` when the wait was cancelled by a rule (quiet end); a
-/// query-level cancellation surfaces as the control's error.
+/// the query's flight id), and register its cancel handle for `subject`.
+/// The coalesced wait is interruptible: its cancel flag is registered like
+/// any other blocking pull, so rule-driven deactivation and query-level
+/// cancellation both end it. Returns `Ok(None)` when the wait was cancelled
+/// by a rule (quiet end); a query-level cancellation surfaces as the
+/// control's error.
 pub(crate) fn open_source_stream(
     rt: &Arc<PlanRuntime>,
     subject: SubjectRef,
     wrapper: &Wrapper,
     base: impl FnOnce(&Wrapper) -> WrapperStream,
 ) -> Result<Option<WrapperStream>> {
-    match rt.env().sources.cache() {
+    let stream = match rt.env().sources.cache() {
         Some(cache) => {
             let wait_cancel = Arc::new(AtomicBool::new(false));
             rt.register_cancel(subject, wait_cancel.clone());
@@ -67,22 +68,24 @@ pub(crate) fn open_source_stream(
                         FetchVia::Bypass => CacheOutcome::Bypass,
                     };
                     rt.note_cache_outcome(wrapper.source_name(), outcome);
-                    Ok(Some(stream))
+                    stream
                 }
                 None => {
                     rt.control().check()?;
-                    Ok(None)
+                    return Ok(None);
                 }
             }
         }
-        None => Ok(Some(base(wrapper))),
-    }
+        None => base(wrapper),
+    };
+    rt.register_cancel(subject, stream.cancel_handle());
+    Ok(Some(stream))
 }
 
 pub use collector::Collector;
 pub use dependent_join::DependentJoin;
 pub use dpj::DoublePipelinedJoin;
-pub use exchange::{Exchange, InProcess, PartitionStream, PartitionTransport, Pipelines};
+pub use exchange::{Exchange, InProcess, PartitionStream, PartitionTransport};
 pub use filter::Filter;
 pub use hash_join::HashJoinOp;
 pub use nlj::NestedLoopsJoin;

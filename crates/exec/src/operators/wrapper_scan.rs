@@ -92,7 +92,6 @@ impl Operator for WrapperScan {
                 return Ok(());
             }
         };
-        self.harness.register_cancel(stream.cancel_handle());
         self.stream = Some(stream);
         self.finished = false;
         self.opened_at = Some(Instant::now());

@@ -10,7 +10,7 @@
 //! * [`ShardLease`] — a shard's slice of the join's memory reservation,
 //!   charged at the coordinator while the shard runs elsewhere;
 //! * [`ShardFilter`] keeps exactly the rows the in-process repartition
-//!   drivers would route to one partition — same prehash, same
+//!   feeders would route to one partition — same prehash, same
 //!   [`fold_hash`] fold, same salt, same "NULL keys are dropped" rule;
 //! * [`build_shard_root`] builds a worker's operator tree for one shard:
 //!   the dispatched join with both inputs wrapped in shard filters.
@@ -169,7 +169,7 @@ fn subtree_table_deps(node: &OperatorNode) -> Vec<String> {
 
 /// Filter a child's output down to one shard: keep rows whose join-key
 /// prehash folds to `shard_index`, drop NULL keys (identical routing to
-/// the in-process repartition drivers).
+/// the in-process repartition feeders).
 pub struct ShardFilter {
     child: OperatorBox,
     key: String,

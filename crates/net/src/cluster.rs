@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use tukwila_common::{Result, Schema, TukwilaError, TupleBatch};
 use tukwila_exec::{
-    OpHarness, Operator, PartitionStream, PartitionTransport, Pipelines, QueryControl, ShardLease,
+    Feeders, OpHarness, Operator, PartitionStream, PartitionTransport, QueryControl, ShardLease,
     ShardSpec,
 };
 use tukwila_plan::{JoinKind, OperatorNode};
@@ -117,7 +117,13 @@ impl PartitionTransport for Cluster {
         true
     }
 
-    fn start(&self, join: &OperatorNode, shards: usize, harness: &OpHarness) -> Result<Pipelines> {
+    fn start(
+        &self,
+        join: &OperatorNode,
+        shards: usize,
+        harness: &OpHarness,
+        _feeders: &mut Feeders,
+    ) -> Result<Vec<Box<dyn PartitionStream>>> {
         let spec = ShardSpec::for_join(join, shards, harness)?;
         let rt = harness.runtime();
         let mut streams: Vec<Box<dyn PartitionStream>> = Vec::with_capacity(shards);
@@ -155,10 +161,7 @@ impl PartitionTransport for Cluster {
                 finished: false,
             }));
         }
-        Ok(Pipelines {
-            streams,
-            feeders: Vec::new(),
-        })
+        Ok(streams)
     }
 }
 

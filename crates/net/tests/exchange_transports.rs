@@ -37,7 +37,7 @@ const ALL_KINDS: [JoinKind; 5] = [
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Transport {
-    /// The default: partitions are threads fed by repartition drivers.
+    /// The default: partitions are threads fed by repartition feeders.
     InProcess,
     /// A `Cluster` over this many loopback `WorkerServer`s.
     Loopback(usize),

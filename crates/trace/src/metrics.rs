@@ -98,7 +98,7 @@ impl OpMetrics {
         self.probe_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Add time this operator spent blocked on a full output queue.
+    /// Add time this operator spent waiting on its feeders' queues.
     pub fn add_queue_stall_ns(&self, ns: u64) {
         self.queue_stall_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -138,7 +138,7 @@ pub struct OpMetricsSnapshot {
     pub build_ns: u64,
     /// Nanoseconds spent probing.
     pub probe_ns: u64,
-    /// Nanoseconds blocked on a full output queue.
+    /// Nanoseconds spent waiting on feeder queues (the consumer's wait).
     pub queue_stall_ns: u64,
 }
 

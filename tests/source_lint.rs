@@ -5,10 +5,11 @@
 //!    `crates/exec/src/operators/*.rs` outside test code. Existing sites
 //!    are grandfathered with per-file budgets in
 //!    `tests/source_lint_allow.txt`; the count may only go down (ratchet).
-//! 2. **No `std::sync::Mutex` in non-test code**, and no lock guard held
-//!    across a channel `send`/`recv` — the workspace standardizes on the
-//!    `parking_lot` shim, and a guard held across a blocking channel op is
-//!    the classic shape of the pipeline deadlock.
+//! 2. **No std `Mutex` or `Condvar` in non-test code** — named by path or
+//!    in a `use std::sync::{…}` list — outside two named exceptions, and no
+//!    lock guard held across a channel `send`/`recv`: the workspace
+//!    standardizes on the `parking_lot` shim, and a guard held across a
+//!    blocking channel op is the classic shape of the pipeline deadlock.
 //! 3. **Every `TA` diagnostic code registered in
 //!    `crates/plan/src/diag.rs` is documented in DESIGN.md §9** — the code
 //!    table and the docs cannot drift apart.
@@ -16,8 +17,12 @@
 //!    its `ExecEnv` switch are gone; nothing under `crates/`, `src/`,
 //!    `tests/` or `examples/` (tests included) may name them again — the
 //!    engine-side mirror of `bench/tests/api_surface.rs`.
+//! 5. **Only the feeder starts an operator's threads.** No non-test file
+//!    under `crates/exec/src/operators/` calls `thread::spawn` or
+//!    `thread::Builder`; an operator runs a child on a thread through
+//!    `crates/exec/src/feeder.rs`.
 //!
-//! All checks are text-based (no extra dependencies); 1–3 skip `*_tests.rs`
+//! All checks are text-based (no extra dependencies); 1–3 and 5 skip `*_tests.rs`
 //! files, `tests/` directories, and everything at or below the first
 //! `#[cfg(test)]` line of a file (test modules sit at file end by
 //! convention here).
@@ -132,6 +137,65 @@ fn no_new_unwraps_in_operator_hot_paths() {
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
 
+/// Files still allowed std `Mutex`/`Condvar` — the source-result cache's
+/// single-flight wait and the deadline enforcer — until ROADMAP item 14a
+/// moves them onto the shims.
+const STD_SYNC_EXCEPTIONS: [&str; 2] = ["crates/source/src/cache.rs", "crates/exec/src/control.rs"];
+
+/// The leading identifier of `s`.
+fn ident(s: &str) -> String {
+    (s.trim_start().chars())
+        .take_while(|c| c.is_alphanumeric() || *c == '_')
+        .collect()
+}
+
+/// The names `code` (comment- and string-free, lines joined by `\n`) takes
+/// from `std::sync`, each with its 1-based line: `std::sync::Mutex` by
+/// path, and every top-level name of a `use std::sync::{…}` list, however
+/// many lines it spans.
+fn std_sync_names(code: &str) -> Vec<(usize, String)> {
+    let mut out = Vec::new();
+    for (at, prefix) in code.match_indices("std::sync::") {
+        let line = code[..at].matches('\n').count() + 1;
+        let rest = &code[at + prefix.len()..];
+        let Some(list) = rest.strip_prefix('{') else {
+            out.push((line, ident(rest)));
+            continue;
+        };
+        let mut depth = 1;
+        let mut items = vec![String::new()];
+        for c in list.chars() {
+            match c {
+                '{' => depth += 1,
+                '}' if depth == 1 => break,
+                '}' => depth -= 1,
+                ',' if depth == 1 => {
+                    items.push(String::new());
+                    continue;
+                }
+                _ => {}
+            }
+            items.last_mut().unwrap().push(c);
+        }
+        out.extend(items.iter().map(|item| (line, ident(item))));
+    }
+    out
+}
+
+#[test]
+fn std_sync_names_sees_paths_and_brace_lists() {
+    let code = "use std::sync::{Arc, Condvar,\n    Mutex as M, atomic::{AtomicBool, Ordering}};\nlet m = std::sync::Mutex::new(0);";
+    let names: Vec<(usize, String)> = std_sync_names(code);
+    let want = [
+        (1, "Arc"),
+        (1, "Condvar"),
+        (1, "Mutex"),
+        (1, "atomic"),
+        (3, "Mutex"),
+    ];
+    assert_eq!(names, want.map(|(l, n)| (l, n.to_string())));
+}
+
 #[test]
 fn no_std_mutex_and_no_guard_across_channel_ops() {
     let root = repo_root();
@@ -146,14 +210,26 @@ fn no_std_mutex_and_no_guard_across_channel_ops() {
             continue;
         }
         let lines = non_test_lines(file);
-        for (i, raw) in lines.iter().enumerate() {
-            let line = code_only(raw);
-            if line.contains("std::sync::Mutex") {
+        let code: Vec<String> = lines.iter().map(|l| code_only(l)).collect();
+        let std_locks: Vec<(usize, String)> = std_sync_names(&code.join("\n"))
+            .into_iter()
+            .filter(|(_, name)| name == "Mutex" || name == "Condvar")
+            .collect();
+        if STD_SYNC_EXCEPTIONS.contains(&rel.as_str()) {
+            if std_locks.is_empty() {
                 failures.push(format!(
-                    "{rel}:{}: std::sync::Mutex — use the parking_lot shim",
-                    i + 1
+                    "{rel}: no std Mutex/Condvar left — remove it from STD_SYNC_EXCEPTIONS"
                 ));
             }
+        } else {
+            for (line, name) in std_locks {
+                failures.push(format!(
+                    "{rel}:{line}: std::sync::{name} — use the parking_lot shim"
+                ));
+            }
+        }
+        for (i, raw) in lines.iter().enumerate() {
+            let line = &code[i];
             // `let guard = <expr>.lock();` … guard must not live across a
             // channel send/recv. Scan until the binding's indentation level
             // closes or the guard is dropped.
@@ -204,6 +280,28 @@ fn no_std_mutex_and_no_guard_across_channel_ops() {
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+#[test]
+fn only_the_feeder_starts_operator_threads() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates/exec/src/operators"), false, &mut files);
+    let mut hits = Vec::new();
+    for file in &files {
+        for (i, line) in non_test_lines(file).iter().enumerate() {
+            let code = code_only(line);
+            if code.contains("thread::spawn") || code.contains("thread::Builder") {
+                let rel = file.strip_prefix(&root).unwrap().display();
+                hits.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "operators run children on threads through crates/exec/src/feeder.rs:\n{}",
+        hits.join("\n")
+    );
 }
 
 #[test]
