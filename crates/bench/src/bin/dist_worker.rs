@@ -1,10 +1,10 @@
-//! Standalone shard worker for the distributed bench/test harness.
+//! Standalone shard worker for the distributed test harness.
 //!
 //! Rebuilds the deterministic `dist` workload from its arguments, binds a
 //! [`WorkerServer`] on an OS-assigned port, reports `PORT <n>` on stdout,
-//! and serves plan fragments until killed. Spawned by `perf_smoke`'s
-//! `dist_speedup` scenarios and by `tests/distributed.rs` (which also
-//! kills one mid-query to test coordinator-side fault handling).
+//! and serves plan fragments until killed. Spawned by
+//! `tests/distributed.rs` (which also kills one mid-query to test
+//! coordinator-side fault handling).
 //!
 //! ```text
 //! dist_worker [--addr 127.0.0.1:0] [--rows N] [--dup D] [--pace-us P]

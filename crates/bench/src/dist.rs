@@ -1,9 +1,8 @@
-//! Shared harness for the distributed-exchange benchmark and e2e tests.
+//! Shared harness for the process-level distributed tests.
 //!
-//! Both the `perf_smoke` `dist_speedup` scenario and the process-level
-//! tests in `tests/distributed.rs` need the same deterministic workload on
-//! both sides of the wire: the coordinator builds the exchange plan, and
-//! each `dist_worker` process rebuilds the *identical* source registry
+//! The tests in `tests/distributed.rs` need the same deterministic
+//! workload on both sides of the wire: the coordinator builds the exchange
+//! plan, and each `dist_worker` process rebuilds the *identical* source registry
 //! from its command line (`--rows/--dup/--pace-us`), so the cluster
 //! agrees on the data without shipping it out of band.
 //!
@@ -13,7 +12,7 @@
 //! registry.
 
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
@@ -149,13 +148,4 @@ pub fn spawn_worker_process(exe: &Path, n: i64, dup: i64, pace: Duration) -> Res
         child,
         addr: format!("127.0.0.1:{port}"),
     })
-}
-
-/// Path of the `dist_worker` binary next to the currently running one
-/// (cargo puts all of a profile's binaries in the same directory), if it
-/// has been built.
-pub fn sibling_worker_exe() -> Option<PathBuf> {
-    let mut p = std::env::current_exe().ok()?;
-    p.set_file_name(format!("dist_worker{}", std::env::consts::EXE_SUFFIX));
-    p.exists().then_some(p)
 }

@@ -1,16 +1,17 @@
 //! # tukwila-bench
 //!
-//! The benchmark harness that regenerates **every table and figure** in the
-//! Tukwila paper's evaluation (§6). Each scenario in [`scenarios`] is used
-//! twice:
+//! The scenarios that regenerate **every table and figure** in the Tukwila
+//! paper's evaluation (§6). Each module of [`scenarios`] has one runner
+//! (`run`) and one function that turns its measurements into the paper's
+//! claims (`claims`). Two callers share them:
 //!
-//! * by a `--bin` harness that prints the same rows/series the paper
-//!   reports (plus shape-check verdicts), recorded in EXPERIMENTS.md;
-//! * by the Criterion benches under `benches/`, which time the same
-//!   workloads at reduced scale.
+//! * `tests/paper_claims.rs` at the workspace root asserts every claim, so
+//!   plain `cargo test` fails when a claim does;
+//! * the `paper <scenario> [scale]` bin prints the rows/series the paper
+//!   reports plus each claim's margin, and exits non-zero on a failed one.
 //!
-//! | experiment | paper artifact | bin |
-//! |------------|----------------|-----|
+//! | experiment | paper artifact | scenario |
+//! |------------|----------------|----------|
 //! | F3A  | Figure 3a — DPJ vs hybrid, 3-way LAN join      | `fig3a` |
 //! | F3B  | Figure 3b — DPJ vs hybrid over a WAN           | `fig3b` |
 //! | T62  | §6.2 — all 2/3-way joins, DPJ vs hybrid        | `table62` |
@@ -23,4 +24,4 @@ pub mod dist;
 pub mod runner;
 pub mod scenarios;
 
-pub use runner::{print_series_csv, run_single_fragment, JoinRunResult};
+pub use runner::{print_series_csv, run_single_fragment, Claim, JoinRunResult};

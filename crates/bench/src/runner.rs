@@ -1,6 +1,8 @@
 //! Shared measurement machinery: run one plan fragment, record the
-//! tuples-vs-time series the paper's figures plot.
+//! tuples-vs-time series the paper's figures plot, and the [`Claim`] every
+//! scenario checks its measurements against.
 
+use std::fmt;
 use std::time::Duration;
 
 use tukwila_exec::{run_fragment_observed, ExecEnv, FragmentOutcome, PlanRuntime};
@@ -49,17 +51,7 @@ pub fn run_single_fragment(
     plan: &QueryPlan,
     frag: FragmentId,
 ) -> JoinRunResult {
-    run_single_fragment_in_env(label, ExecEnv::new(registry.clone()), plan, frag)
-}
-
-/// Execute one single-fragment plan in a caller-provided environment (e.g.
-/// with an overridden operator batch size or spill store).
-pub fn run_single_fragment_in_env(
-    label: &str,
-    env: ExecEnv,
-    plan: &QueryPlan,
-    frag: FragmentId,
-) -> JoinRunResult {
+    let env = ExecEnv::new(registry.clone());
     let rt = PlanRuntime::for_plan(plan, env.clone());
     let mut series = Vec::new();
     let report = run_fragment_observed(plan, frag, &rt, &mut |n, d| series.push((n, d)))
@@ -102,12 +94,65 @@ pub fn print_series_csv(results: &[JoinRunResult], points: usize) {
     }
 }
 
-/// Render a PASS/FAIL shape verdict line.
-pub fn verdict(name: &str, ok: bool, detail: String) {
-    println!(
-        "shape-check [{}] {}: {}",
-        if ok { "PASS" } else { "FAIL" },
-        name,
-        detail
-    );
+/// One of the paper's claims, checked against a scenario's measurements
+/// by that scenario's `claims` function.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    /// Stable name, e.g. `dpj-first-tuple`.
+    pub name: &'static str,
+    /// Whether the measurement satisfies the claim.
+    pub holds: bool,
+    /// The measured ratio or count against its threshold.
+    pub margin: String,
+    /// What the paper reports.
+    pub paper: &'static str,
+}
+
+impl Claim {
+    /// A checked claim.
+    pub fn new(name: &'static str, holds: bool, margin: String, paper: &'static str) -> Claim {
+        Claim {
+            name,
+            holds,
+            margin,
+            paper,
+        }
+    }
+
+    /// The claim that `ratio`, described by `what`, stays below `bound`.
+    pub fn below(
+        name: &'static str,
+        what: &str,
+        ratio: f64,
+        bound: f64,
+        paper: &'static str,
+    ) -> Claim {
+        let margin = format!("{what} = {ratio:.3}x (needs < {bound}x)");
+        Claim::new(name, ratio < bound, margin, paper)
+    }
+
+    /// The claim that `ratio`, described by `what`, stays above `bound`.
+    pub fn above(
+        name: &'static str,
+        what: &str,
+        ratio: f64,
+        bound: f64,
+        paper: &'static str,
+    ) -> Claim {
+        let margin = format!("{what} = {ratio:.3}x (needs > {bound}x)");
+        Claim::new(name, ratio > bound, margin, paper)
+    }
+}
+
+impl fmt::Display for Claim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "claim [{}] {}: {} (paper: {})",
+            if self.holds { "PASS" } else { "FAIL" },
+            self.name,
+            self.margin,
+            self.paper
+        )
+    }
 }

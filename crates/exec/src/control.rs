@@ -224,9 +224,10 @@ impl QueryControl {
 /// no-ops because the first cancellation won).
 mod enforcer {
     use super::{CancelKind, QueryControl};
+    use parking_lot::{Condvar, Mutex};
     use std::cmp::Ordering as CmpOrdering;
     use std::collections::BinaryHeap;
-    use std::sync::{Condvar, Mutex, OnceLock, Weak};
+    use std::sync::{OnceLock, Weak};
     use std::time::Instant;
 
     struct Entry {
@@ -272,7 +273,7 @@ mod enforcer {
     /// Register `control` for cancellation at `at`.
     pub(super) fn watch(at: Instant, control: Weak<QueryControl>) {
         let e = instance();
-        let mut guard = e.heap.lock().unwrap();
+        let mut guard = e.heap.lock();
         let seq = guard.1;
         guard.1 += 1;
         guard.0.push(Entry { at, seq, control });
@@ -282,24 +283,22 @@ mod enforcer {
 
     fn run() {
         let e = instance();
-        let mut guard = e.heap.lock().unwrap();
+        let mut guard = e.heap.lock();
         loop {
             let now = Instant::now();
             match guard.0.peek() {
-                None => {
-                    guard = e.cv.wait(guard).unwrap();
-                }
+                None => e.cv.wait(&mut guard),
                 Some(entry) if entry.at <= now => {
                     let entry = guard.0.pop().unwrap();
                     drop(guard); // cancel outside the heap lock
                     if let Some(control) = entry.control.upgrade() {
                         control.cancel(CancelKind::Deadline);
                     }
-                    guard = e.heap.lock().unwrap();
+                    guard = e.heap.lock();
                 }
                 Some(entry) => {
                     let wait = entry.at - now;
-                    guard = e.cv.wait_timeout(guard, wait).unwrap().0;
+                    e.cv.wait_for(&mut guard, wait);
                 }
             }
         }

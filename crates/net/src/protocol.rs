@@ -210,6 +210,8 @@ fn decode_schema(buf: &[u8], pos: &mut usize) -> Result<Schema> {
             "net codec: implausible arity {n}"
         )));
     }
+    // A field is at least two string lengths and a type tag.
+    codec::ensure_room(buf, *pos, n, 9, "schema fields")?;
     let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         let qualifier = get_str(buf, pos)?;
@@ -245,6 +247,7 @@ fn decode_relation(buf: &[u8], pos: &mut usize) -> Result<Relation> {
             "net codec: implausible chunk count {chunks}"
         )));
     }
+    codec::ensure_room(buf, *pos, chunks, 4, "batch frames")?;
     let mut batches = Vec::with_capacity(chunks);
     for _ in 0..chunks {
         batches.push(codec::decode_batch(buf, pos)?);
@@ -507,6 +510,8 @@ pub fn decode_msg(kind: u8, payload: &[u8]) -> Result<Msg> {
                     "net codec: implausible table count {ntables}"
                 )));
             }
+            // A table is at least a name length, an arity and a chunk count.
+            codec::ensure_room(buf, pos, ntables, 12, "tables")?;
             let mut tables = Vec::with_capacity(ntables);
             for _ in 0..ntables {
                 let name = get_str(buf, &mut pos)?;
@@ -791,6 +796,74 @@ mod tests {
                 version: NET_VERSION
             }
         ));
+    }
+
+    /// The payload of the one frame `write` sends.
+    fn payload_of(write: impl FnOnce(&mut FrameWriter<&mut Vec<u8>>)) -> (u8, Vec<u8>) {
+        let mut wire = Vec::new();
+        write(&mut FrameWriter::new(&mut wire));
+        (wire[0], wire[5..].to_vec())
+    }
+
+    /// Every truncation and every byte flip of valid row, columnar and
+    /// shared-segment string frames decodes to `Ok` or `Err`: no panic, and
+    /// no allocation sized from a corrupted header.
+    #[test]
+    fn truncated_and_flipped_frames_never_panic() {
+        use tukwila_common::ColumnarBatch;
+        let rows: Vec<Tuple> = (0..5)
+            .map(|i| {
+                Tuple::new(vec![
+                    if i == 2 { Value::Null } else { Value::Int(i) },
+                    Value::Str(format!("s{i}").into()),
+                    Value::Double(i as f64 / 2.0),
+                    Value::Date(i as i32),
+                ])
+            })
+            .collect();
+        let columnar = ColumnarBatch::from_rows(&rows);
+        let shared = ColumnarBatch::concat(
+            [&columnar.gather(&[4, 0, 4]), &columnar.slice(1, 3)].into_iter(),
+        )
+        .expect("same layout");
+        let frames = [
+            TupleBatch::from_tuples(rows.clone()),
+            TupleBatch::from_columns(columnar),
+            TupleBatch::from_columns(shared),
+        ]
+        .map(|b| payload_of(|w| drop(w.send_batch(&b))));
+        let dispatch = payload_of(|w| {
+            let rel = Relation::new(sample_schema(), rows).expect("relation");
+            drop(w.send_dispatch(&Dispatch {
+                shard_index: 0,
+                shard_count: 2,
+                batch_size: 2,
+                shard_budget: 0,
+                deadline: None,
+                initial_credits: 1,
+                plan_text: "p".into(),
+                tables: vec![("t".into(), Arc::new(rel))],
+            }))
+        });
+        let started = payload_of(|w| drop(w.send_started(&sample_schema())));
+        let check = |kind: u8, bytes: &[u8]| {
+            if let Ok(b) = codec::decode_batch(bytes, &mut 0) {
+                assert_eq!(b.tuples().len(), b.len());
+            }
+            let _ = decode_msg(kind, bytes);
+        };
+        for (kind, payload) in frames.iter().chain([&dispatch, &started]) {
+            for cut in 0..payload.len() {
+                check(*kind, &payload[..cut]);
+            }
+            for i in 0..payload.len() {
+                for mask in [0x01, 0x80, 0xFF] {
+                    let mut flipped = payload.clone();
+                    flipped[i] ^= mask;
+                    check(*kind, &flipped);
+                }
+            }
+        }
     }
 
     #[test]

@@ -298,7 +298,6 @@ impl<'a> Lowerer<'a> {
                 }
             }
         };
-        let mut swapped = false;
         if kind == JoinKind::HybridHash {
             // smaller estimated side becomes the inner (right) build side
             let l_bytes = l_est.map(|e| e.bytes()).unwrap_or(f64::MAX);
@@ -307,7 +306,6 @@ impl<'a> Lowerer<'a> {
                 std::mem::swap(&mut l_node, &mut r_node);
                 std::mem::swap(&mut lk, &mut rk);
                 std::mem::swap(&mut l_deps, &mut r_deps);
-                swapped = true;
             }
         }
         let node = match kind {
@@ -337,7 +335,6 @@ impl<'a> Lowerer<'a> {
         };
         let node = node.with_memory(budget).with_est_cardinality(out_card);
         let join_id = node.id;
-        let _ = swapped;
 
         // Intra-query parallelism: wrap hash-partitionable joins whose
         // estimated input volume justifies the fan-out in an exchange. The
@@ -427,20 +424,12 @@ impl<'a> Lowerer<'a> {
         } else {
             root
         };
-        let root_id = root.id;
         let name = if is_output && !self.partial {
             "result".to_string()
         } else {
             materialization_name(mask)
         };
         let frag = self.builder.fragment(root, &name);
-        if is_output && matches!(self.config.policy, PipelinePolicy::MaterializeAndReplan) {
-            // replan opportunities also exist at the final materialization
-            // (harmless: nothing remains to replan, core ignores it there),
-            // but the paper attaches the rule per fragment — skip the
-            // output fragment to avoid a pointless optimizer round-trip.
-            let _ = root_id;
-        }
         for scan in std::mem::take(&mut self.scans) {
             if self.config.reschedule_on_timeout {
                 self.builder

@@ -11,8 +11,9 @@
 //! 1. Optimizer chain queries (6/8/10 relations, exact stats): full
 //!    `Optimizer::plan` time (which *includes* the in-lowering analysis)
 //!    vs. standalone `Analyzer::analyze` time on the lowered plan.
-//! 2. The three `perf_smoke` plan shapes, rebuilt verbatim: standalone
-//!    analysis time per plan — the cost `plan-lint` pays per fixture.
+//! 2. Three hand-built plan shapes (a 3-way DPJ pipeline, a spilling DPJ,
+//!    and a fragment DAG under an exchange): standalone analysis time per
+//!    plan — the cost `plan-lint` pays per fixture.
 
 use std::time::Instant;
 use tukwila_analyze::Analyzer;
@@ -43,7 +44,7 @@ fn chain(n: usize) -> (Catalog, tukwila_query::ReformulatedQuery) {
     (cat, rq)
 }
 
-/// `perf_smoke`'s `dpj3_join` scenario plan.
+/// A 3-way double-pipelined join pipeline.
 fn dpj3_plan() -> QueryPlan {
     let mut pb = PlanBuilder::new();
     let a = pb.wrapper_scan("A");
@@ -55,7 +56,7 @@ fn dpj3_plan() -> QueryPlan {
     pb.build(f)
 }
 
-/// `perf_smoke`'s `dpj_spill` scenario plan.
+/// A double-pipelined join under a budget that forces overflow.
 fn spill_plan() -> QueryPlan {
     let mut pb = PlanBuilder::new();
     let l = pb.wrapper_scan("L");
@@ -67,8 +68,8 @@ fn spill_plan() -> QueryPlan {
     pb.build(f)
 }
 
-/// `perf_smoke`'s `par_speedup` scenario plan at 4 threads: two leaf join
-/// fragments feeding an exchange-partitioned top join.
+/// A fragment DAG at 4 threads: two leaf join fragments feeding an
+/// exchange-partitioned top join.
 fn par_plan() -> QueryPlan {
     let mut pb = PlanBuilder::new();
     let a = pb.wrapper_scan("A");
@@ -142,6 +143,6 @@ fn measure() {
         for _ in 0..m {
             let _ = analyzer.analyze(&plan);
         }
-        println!("perf_smoke {name}: analyze {:?}/iter", t.elapsed() / m);
+        println!("{name}: analyze {:?}/iter", t.elapsed() / m);
     }
 }

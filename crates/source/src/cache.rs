@@ -23,9 +23,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::{Condvar, Mutex};
 use tukwila_common::Relation;
 use tukwila_storage::MemoryReservation;
 
@@ -247,7 +248,7 @@ impl SourceResultCache {
         cancel: Option<&AtomicBool>,
     ) -> (CacheLookup, bool) {
         let s = &self.shared;
-        let mut inner = s.inner.lock().unwrap();
+        let mut inner = s.inner.lock();
         let mut waited = false;
         loop {
             if inner.ready.contains_key(key) {
@@ -271,21 +272,19 @@ impl SourceResultCache {
                     return (CacheLookup::Bypass, waited);
                 }
                 waited = true;
-                inner = match cancel {
+                match cancel {
                     // Timed slices so a flipped cancel flag is noticed
                     // even if the leader streams for a long time.
                     Some(c) => {
                         if c.load(Ordering::Relaxed) {
                             return (CacheLookup::Cancelled, waited);
                         }
-                        s.cv.wait_timeout(inner, Duration::from_millis(5))
-                            .unwrap()
-                            .0
+                        s.cv.wait_for(&mut inner, Duration::from_millis(5));
                     }
                     // No cancel flag to poll: sleep until the leader
                     // fulfils or abandons (both notify_all).
-                    None => s.cv.wait(inner).unwrap(),
-                };
+                    None => s.cv.wait(&mut inner),
+                }
                 continue;
             }
             inner.pending.insert(key.clone(), flight);
@@ -311,13 +310,13 @@ impl SourceResultCache {
 
     /// Complete result already cached? (Non-blocking peek; counts nothing.)
     pub fn peek(&self, key: &SourceQueryKey) -> Option<Arc<Relation>> {
-        let inner = self.shared.inner.lock().unwrap();
+        let inner = self.shared.inner.lock();
         inner.ready.get(key).map(|e| e.rel.clone())
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.shared.inner.lock().unwrap();
+        let inner = self.shared.inner.lock();
         CacheStats {
             hits: self.shared.hits.load(Ordering::Relaxed),
             misses: self.shared.misses.load(Ordering::Relaxed),
@@ -330,7 +329,7 @@ impl SourceResultCache {
 
     /// Drop every completed entry (in-flight leaders are unaffected).
     pub fn clear(&self) {
-        let mut inner = self.shared.inner.lock().unwrap();
+        let mut inner = self.shared.inner.lock();
         let bytes = inner.cached_bytes;
         inner.ready.clear();
         inner.cached_bytes = 0;
@@ -388,7 +387,7 @@ impl FetchLease {
         self.done = true;
         let bytes = rel.mem_size();
         let s = self.shared.clone();
-        let mut inner = s.inner.lock().unwrap();
+        let mut inner = s.inner.lock();
         inner.pending.remove(&self.key);
         Self::release_hold(&mut inner, self.flight);
         inner.clock += 1;
@@ -415,7 +414,7 @@ impl Drop for FetchLease {
             return;
         }
         // Abandon: wake the waiters so one of them is promoted to leader.
-        let mut inner = self.shared.inner.lock().unwrap();
+        let mut inner = self.shared.inner.lock();
         inner.pending.remove(&self.key);
         Self::release_hold(&mut inner, self.flight);
         drop(inner);

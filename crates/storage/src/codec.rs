@@ -65,6 +65,26 @@ fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
     Ok(slice)
 }
 
+/// Fail unless `count` items of at least `min_width` encoded bytes each fit
+/// in what is left of `buf` after `pos`. Every decoder checks this before
+/// sizing an allocation from a header field, so a short hostile frame
+/// cannot ask for a vector larger than itself.
+pub fn ensure_room(
+    buf: &[u8],
+    pos: usize,
+    count: usize,
+    min_width: usize,
+    what: &str,
+) -> Result<()> {
+    let left = buf.len().saturating_sub(pos);
+    if count.saturating_mul(min_width) > left {
+        return Err(TukwilaError::Io(format!(
+            "codec: {count} {what} of at least {min_width} byte(s) each cannot fit in the {left} bytes left"
+        )));
+    }
+    Ok(())
+}
+
 /// Decode one value starting at `pos`, advancing `pos`.
 pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
     let tag = take(buf, pos, 1)?[0];
@@ -108,6 +128,7 @@ pub fn decode_tuple(buf: &[u8], pos: &mut usize) -> Result<Tuple> {
             "spill codec: implausible arity {arity}"
         )));
     }
+    ensure_room(buf, *pos, arity, 1, "values")?;
     let mut values = Vec::with_capacity(arity);
     for _ in 0..arity {
         values.push(decode_value(buf, pos)?);
@@ -229,6 +250,7 @@ fn encode_column(col: &Column, out: &mut Vec<u8>) {
 fn decode_column(buf: &[u8], pos: &mut usize, len: usize) -> Result<Column> {
     let kind = take(buf, pos, 1)?[0];
     if kind == COL_VALUES {
+        ensure_room(buf, *pos, len, 1, "values")?;
         let mut v = Vec::with_capacity(len);
         for _ in 0..len {
             v.push(decode_value(buf, pos)?);
@@ -236,6 +258,12 @@ fn decode_column(buf: &[u8], pos: &mut usize, len: usize) -> Result<Column> {
         return Ok(Column::Values(v));
     }
     let validity = decode_validity(buf, pos, len)?;
+    let width = match kind {
+        COL_INT64 | COL_FLOAT64 => 8,
+        COL_STR | COL_DATE => 4,
+        _ => 0,
+    };
+    ensure_room(buf, *pos, len, width, "column values")?;
     match kind {
         COL_INT64 => {
             let mut v = Vec::with_capacity(len);
@@ -345,12 +373,14 @@ pub fn decode_batch(buf: &[u8], pos: &mut usize) -> Result<TupleBatch> {
                 "spill codec: implausible column count {ncols}"
             )));
         }
+        ensure_room(buf, *pos, ncols, 1, "columns")?;
         let mut cols = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             cols.push(decode_column(buf, pos, count)?);
         }
         return Ok(TupleBatch::from_columns(ColumnarBatch::new(count, cols)));
     }
+    ensure_room(buf, *pos, count, 4, "tuples")?;
     let mut batch = TupleBatch::with_capacity(count.max(1));
     for _ in 0..count {
         batch.push(decode_tuple(buf, pos)?);
@@ -448,6 +478,18 @@ mod tests {
     fn batch_decode_rejects_implausible_count() {
         let buf = (1u32 << 27).to_le_bytes().to_vec();
         assert!(decode_all_batches(&buf).is_err());
+    }
+
+    #[test]
+    fn short_frame_cannot_demand_a_huge_column() {
+        // 13 bytes claiming 2^26 rows of one Int64 column with no validity:
+        // sized from the header alone this would reserve 512 MiB.
+        let mut buf = ((1u32 << 26) | COLS_FLAG).to_le_bytes().to_vec();
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&[COL_INT64, 0, 0, 0, 0]);
+        assert_eq!(buf.len(), 13);
+        let err = decode_batch(&buf, &mut 0).unwrap_err();
+        assert!(matches!(err, TukwilaError::Io(_)), "{err:?}");
     }
 
     #[test]

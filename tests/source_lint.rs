@@ -6,8 +6,8 @@
 //!    are grandfathered with per-file budgets in
 //!    `tests/source_lint_allow.txt`; the count may only go down (ratchet).
 //! 2. **No std `Mutex` or `Condvar` in non-test code** — named by path or
-//!    in a `use std::sync::{…}` list — outside two named exceptions, and no
-//!    lock guard held across a channel `send`/`recv`: the workspace
+//!    in a `use std::sync::{…}` list — and no lock guard held across a
+//!    channel `send`/`recv`: the workspace
 //!    standardizes on the `parking_lot` shim, and a guard held across a
 //!    blocking channel op is the classic shape of the pipeline deadlock.
 //! 3. **Every `TA` diagnostic code registered in
@@ -137,11 +137,6 @@ fn no_new_unwraps_in_operator_hot_paths() {
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
 
-/// Files still allowed std `Mutex`/`Condvar` — the source-result cache's
-/// single-flight wait and the deadline enforcer — until ROADMAP item 14a
-/// moves them onto the shims.
-const STD_SYNC_EXCEPTIONS: [&str; 2] = ["crates/source/src/cache.rs", "crates/exec/src/control.rs"];
-
 /// The leading identifier of `s`.
 fn ident(s: &str) -> String {
     (s.trim_start().chars())
@@ -211,18 +206,8 @@ fn no_std_mutex_and_no_guard_across_channel_ops() {
         }
         let lines = non_test_lines(file);
         let code: Vec<String> = lines.iter().map(|l| code_only(l)).collect();
-        let std_locks: Vec<(usize, String)> = std_sync_names(&code.join("\n"))
-            .into_iter()
-            .filter(|(_, name)| name == "Mutex" || name == "Condvar")
-            .collect();
-        if STD_SYNC_EXCEPTIONS.contains(&rel.as_str()) {
-            if std_locks.is_empty() {
-                failures.push(format!(
-                    "{rel}: no std Mutex/Condvar left — remove it from STD_SYNC_EXCEPTIONS"
-                ));
-            }
-        } else {
-            for (line, name) in std_locks {
+        for (line, name) in std_sync_names(&code.join("\n")) {
+            if name == "Mutex" || name == "Condvar" {
                 failures.push(format!(
                     "{rel}:{line}: std::sync::{name} — use the parking_lot shim"
                 ));
