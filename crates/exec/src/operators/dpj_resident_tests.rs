@@ -21,7 +21,7 @@ use tukwila_source::LinkModel;
 use tukwila_trace::{OpMetrics, TraceLevel};
 
 use crate::operator::{drain, Operator};
-use crate::operators::DoublePipelinedJoin;
+use crate::operators::{DoublePipelinedJoin, HashJoinOp};
 use crate::runtime::{ExecEnv, PlanRuntime};
 use crate::test_support::JoinFixture;
 
@@ -342,15 +342,40 @@ fn nothing_is_charged_once_the_opposite_input_is_complete() {
     assert_eq!(run.fx.rt.env().memory.peak_used(), 0);
 }
 
-/// Pinned data, fully ordered arrival (alternating 7-row batches, both
-/// ends last), Symmetric Flush: the columnar-resident run and the
-/// tuple-at-a-time run (the same batches in row form) spill the same
-/// tuples and peak at the same byte — under a budget that overflows
-/// mid-stream, and under one that never does, where the peak is every
-/// charge made (the data has NULL keys, which must not be charged).
+/// The joins the pinned-counter run covers.
+#[derive(Clone, Copy, Debug)]
+enum Pinned {
+    Dpj(OverflowMethod),
+    Hybrid,
+    Grace,
+}
+
+/// Everything the paper's overflow analysis counts for one run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Counters {
+    tuple_io: usize,
+    written: usize,
+    read: usize,
+    bytes_written: usize,
+    bytes_read: usize,
+    flushes: usize,
+    peak: usize,
+}
+
+/// Pinned data (keys from a seed-23 LCG, every 40th NULL), 7-row batches
+/// in a fully ordered arrival, run under every overflow strategy and both
+/// hash joins, through the in-memory and the file spill store, with the
+/// inputs as typed columnar batches and again in row form: every spill
+/// counter and the governor's peak are the absolute constants below. The
+/// DPJ sees l0 r0 l1 r1 … with both ends last; under Left Flush, whose
+/// pause would stall an interleaved script, half the left comes first,
+/// then the whole right input (overflowing, so the left is paused before
+/// the right ends), then the rest of the left. The last row is a budget
+/// that never overflows, where the peak is every charge made (NULL keys
+/// are never charged).
 #[test]
-fn spill_io_and_peak_equal_the_tuple_paths() {
-    // Keys from a fixed LCG (seed 23): skewed enough that buckets differ.
+fn spill_counters_are_pinned() {
+    use tukwila_storage::{FileSpillStore, InMemorySpillStore, SpillStore};
     let mut state = 23u64;
     let mut next_key = move || {
         state = state
@@ -382,67 +407,182 @@ fn spill_io_and_peak_equal_the_tuple_paths() {
     };
     let l = Relation::new(schema("l"), rows(400)).unwrap();
     let r = Relation::new(schema("r"), rows(300)).unwrap();
-    let budget = (l.mem_size() + r.mem_size()) / 3;
+    let tight = (l.mem_size() + r.mem_size()) / 3;
+    // Room for the whole right input but not for it beside half the left.
+    let right_fits = (l.mem_size() + r.mem_size()) * 2 / 3;
     let batch = 7usize;
+    let sizes = |rel: &Relation| -> Vec<u64> {
+        rel.tuples().chunks(batch).map(|c| c.len() as u64).collect()
+    };
+    let (ls, rs) = (sizes(&l), sizes(&r));
 
-    // Arrival order: l0 r0 l1 r1 … then whichever input is longer.
-    let ordered = |fx: &JoinFixture, columnar: bool| -> [Scripted; 2] {
-        let received = fx
-            .harness(fx.join_id)
-            .metrics("dpj")
-            .expect("metrics are on");
-        let sizes = |rel: &Relation| -> Vec<u64> {
-            rel.tuples().chunks(batch).map(|c| c.len() as u64).collect()
+    // `at` vectors of the ordered arrival (see `Pace::Ordered`): batches
+    // alternate and both inputs end last, or (`lead`) that many left
+    // batches come first, then the whole right input and its end, then
+    // the rest of the left.
+    let schedule = |lead: Option<usize>| -> [Vec<u64>; 2] {
+        let order: Vec<usize> = match lead {
+            Some(n) => std::iter::repeat_n(0, n)
+                .chain(std::iter::repeat_n(1, rs.len()))
+                .chain(std::iter::repeat_n(0, ls.len() - n))
+                .collect(),
+            None => (0..ls.len().max(rs.len()))
+                .flat_map(|i| [(i < ls.len()).then_some(0), (i < rs.len()).then_some(1)])
+                .flatten()
+                .collect(),
         };
-        let (ls, rs) = (sizes(&l), sizes(&r));
-        let (mut at_l, mut at_r, mut sent) = (Vec::new(), Vec::new(), 0u64);
-        for i in 0..ls.len().max(rs.len()) {
-            for (sizes, at) in [(&ls, &mut at_l), (&rs, &mut at_r)] {
-                if let Some(n) = sizes.get(i) {
-                    at.push(sent);
-                    sent += n;
+        let (mut at, mut next, mut sent) = ([Vec::new(), Vec::new()], [0, 0], 0u64);
+        for side in order {
+            at[side].push(sent);
+            sent += [&ls, &rs][side][next[side]];
+            next[side] += 1;
+            if lead.is_some() && side == 1 && next[1] == rs.len() {
+                at[1].push(sent);
+            }
+        }
+        at[0].push(sent);
+        if lead.is_none() {
+            at[1].push(sent);
+        }
+        at
+    };
+    let measure = |join: Pinned, budget: usize, columnar: bool, file: bool| -> Counters {
+        let (kind, method) = match join {
+            Pinned::Dpj(m) => (JoinKind::DoublePipelined, m),
+            Pinned::Hybrid => (JoinKind::HybridHash, OverflowMethod::IncrementalLeftFlush),
+            Pinned::Grace => (JoinKind::GraceHash, OverflowMethod::IncrementalLeftFlush),
+        };
+        let mut fx = JoinFixture::build(
+            l.clone(),
+            r.clone(),
+            LinkModel::instant(),
+            LinkModel::instant(),
+            kind,
+            method,
+            Some(budget),
+        );
+        let spill: Arc<dyn SpillStore> = if file {
+            Arc::new(FileSpillStore::new().unwrap())
+        } else {
+            Arc::new(InMemorySpillStore::new())
+        };
+        let env = ExecEnv::new(fx.rt.env().sources.clone())
+            .with_batch_size(batch)
+            .with_trace_level(TraceLevel::Metrics)
+            .with_spill(spill);
+        fx.rt = PlanRuntime::for_plan(&fx.plan, env);
+        let script = |rel: &Relation, pace| Scripted {
+            schema: rel.schema().clone(),
+            batches: batches_of(rel, batch, columnar),
+            pace,
+            served: 0,
+        };
+        let mut op: Box<dyn Operator> = match join {
+            Pinned::Dpj(method) => {
+                let received = fx
+                    .harness(fx.join_id)
+                    .metrics("dpj")
+                    .expect("metrics are on");
+                let left_flush = method == OverflowMethod::IncrementalLeftFlush;
+                let [at_l, at_r] = schedule(left_flush.then_some(ls.len() / 2));
+                Box::new(
+                    DoublePipelinedJoin::new(
+                        Box::new(script(&l, Pace::Ordered(received.clone(), at_l))),
+                        Box::new(script(&r, Pace::Ordered(received, at_r))),
+                        "k".into(),
+                        "k".into(),
+                        fx.harness(fx.join_id),
+                    )
+                    .with_buckets(8),
+                )
+            }
+            Pinned::Hybrid | Pinned::Grace => {
+                let (left, right) = (
+                    Box::new(script(&l, Pace::After(Duration::ZERO))),
+                    Box::new(script(&r, Pace::After(Duration::ZERO))),
+                );
+                let harness = fx.harness(fx.join_id);
+                let hj = match join {
+                    Pinned::Grace => {
+                        HashJoinOp::grace(left, right, "k".into(), "k".into(), harness)
+                    }
+                    _ => HashJoinOp::hybrid(left, right, "k".into(), "k".into(), harness),
+                };
+                Box::new(hj.with_buckets(8))
+            }
+        };
+        let out = drain(op.as_mut()).unwrap();
+        fx.assert_gold(out);
+        let env = fx.rt.env();
+        assert_eq!(env.memory.total_used(), 0);
+        let io = env.spill.stats();
+        Counters {
+            tuple_io: io.total_tuple_io(),
+            written: io.tuples_written(),
+            read: io.tuples_read(),
+            bytes_written: io.bytes_written(),
+            bytes_read: io.bytes_read(),
+            flushes: io.flush_events(),
+            peak: env.memory.peak_used(),
+        }
+    };
+    let pinned = |tuple_io, written, read, bytes_written, bytes_read, flushes, peak| Counters {
+        tuple_io,
+        written,
+        read,
+        bytes_written,
+        bytes_read,
+        flushes,
+        peak,
+    };
+    let cases = [
+        (
+            Pinned::Dpj(OverflowMethod::IncrementalLeftFlush),
+            right_fits,
+            pinned(144, 72, 72, 9_241, 9_241, 1, 60_040),
+        ),
+        (
+            Pinned::Dpj(OverflowMethod::IncrementalSymmetricFlush),
+            tight,
+            pinned(902, 451, 451, 57_891, 57_891, 8, 30_084),
+        ),
+        (
+            Pinned::Dpj(OverflowMethod::FlushAllLeft),
+            tight,
+            pinned(886, 443, 443, 56_915, 56_915, 9, 30_042),
+        ),
+        (
+            Pinned::Hybrid,
+            tight,
+            pinned(258, 129, 129, 16_560, 16_560, 1, 30_022),
+        ),
+        // Grace partitions before the first row: nothing is ever charged.
+        (
+            Pinned::Grace,
+            tight,
+            pinned(1_350, 675, 675, 86_695, 86_695, 8, 0),
+        ),
+        (
+            Pinned::Dpj(OverflowMethod::IncrementalSymmetricFlush),
+            1 << 24,
+            pinned(0, 0, 0, 0, 0, 0, 86_695),
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (join, budget, want) in cases {
+        for file in [false, true] {
+            for columnar in [true, false] {
+                let got = measure(join, budget, columnar, file);
+                if got != want {
+                    wrong.push(format!(
+                        "{join:?}, budget {budget}, file store {file}, columnar inputs \
+                         {columnar}:\n  got  {got:?}\n  want {want:?}"
+                    ));
                 }
             }
         }
-        at_l.push(sent);
-        at_r.push(sent);
-        [(&l, at_l), (&r, at_r)].map(|(rel, at)| Scripted {
-            schema: rel.schema().clone(),
-            batches: batches_of(rel, batch, columnar),
-            pace: Pace::Ordered(received.clone(), at),
-            served: 0,
-        })
-    };
-    let measure = |columnar: bool, budget: usize| {
-        let mut run = run_of(
-            &l,
-            &r,
-            OverflowMethod::IncrementalSymmetricFlush,
-            Some(budget),
-            batch,
-            TraceLevel::Metrics,
-            |fx| ordered(fx, columnar),
-        );
-        let out = drain(&mut run.join).unwrap();
-        run.fx.assert_gold(out);
-        let env = run.fx.rt.env();
-        assert_eq!(env.memory.total_used(), 0);
-        (
-            env.spill.stats().total_tuple_io(),
-            env.spill.stats().tuples_written(),
-            env.memory.peak_used(),
-        )
-    };
-    let resident = measure(true, budget);
-    assert!(resident.1 > 0, "the budget must overflow mid-stream");
-    assert_eq!(
-        resident,
-        measure(false, budget),
-        "(tuple I/O, tuples written, peak bytes)"
-    );
-    let roomy = measure(true, 1 << 24);
-    assert_eq!(roomy.1, 0);
-    assert_eq!(roomy, measure(false, 1 << 24));
+    }
+    assert!(wrong.is_empty(), "\n{}", wrong.join("\n"));
 }
 
 /// Inputs whose batches each bring their own strings (what another join,

@@ -90,6 +90,36 @@ fn tight_memory_still_correct_with_both_overflow_strategies() {
     }
 }
 
+/// The benchmark's `spill_join` query (Supplier ⋈ Partsupp ⋈ Part at
+/// SF 0.01, seed 23, 256 KiB per join, sequential plan) moves exactly
+/// these tuples and bytes through spill storage: overflow resolution is
+/// deterministic, and a change to how it stores rows must not move them.
+#[test]
+fn spill_join_overflow_io_is_pinned() {
+    let tables = [TpchTable::Supplier, TpchTable::Partsupp, TpchTable::Part];
+    let deployment = TpchDeployment::builder(0.01, 23).tables(&tables).build();
+    let query = deployment.query_for("sup_ps_part", &tables);
+    let system = deployment.system(OptimizerConfig {
+        join_memory_budget: 256 << 10,
+        max_parallelism: 1,
+        ..OptimizerConfig::default()
+    });
+    let result = system.execute(&query).expect("spill_join query");
+    let gold = deployment.gold(&query).unwrap();
+    assert!(result.relation.bag_eq_unordered(&gold));
+    let s = &result.stats;
+    assert_eq!(
+        (
+            s.spill_tuples_written,
+            s.spill_tuples_read,
+            s.spill_bytes_written,
+            s.spill_bytes_read
+        ),
+        (8_548, 8_548, 2_597_067, 2_597_067),
+        "(tuples written, tuples read, bytes written, bytes read)"
+    );
+}
+
 #[test]
 fn lineitem_query_at_scale_matches_gold() {
     // the paper's Figure 3a join: lineitem ⋈ supplier ⋈ orders
