@@ -654,8 +654,8 @@ impl QueueAsm {
 /// A FIFO of produced-but-unemitted join output, assembled block-at-a-time:
 /// replaces the seed's `VecDeque<Tuple>` pending buffers. Rows pushed via
 /// [`OutputQueue::push_concat`] land in an assembler (zero per-row
-/// allocations); already-materialized tuples (spill-cleanup results) are
-/// chunked into ready blocks. `pop_block` hands back batches of at most the
+/// allocations); already-gathered blocks ([`OutputQueue::extend_block`])
+/// queue behind them. `pop_block` hands back batches of at most the
 /// configured block size, oldest first.
 ///
 /// [`OutputQueue::typed`] builds the queue over a [`ColumnarAssembler`]:
@@ -714,27 +714,6 @@ impl OutputQueue {
     pub fn push_concat(&mut self, a: &Tuple, b: &Tuple) {
         self.asm.push_concat(a, b);
         self.roll();
-    }
-
-    /// Append already-materialized tuples (overflow-cleanup output),
-    /// preserving FIFO order with assembled rows.
-    pub fn extend_tuples(&mut self, tuples: Vec<Tuple>) {
-        if tuples.is_empty() {
-            return;
-        }
-        // Seal buffered assembled rows first so order is preserved; the
-        // invariant is that assembler rows are always the newest pending.
-        if let Some(b) = self.asm.seal() {
-            self.ready_rows += b.len();
-            self.ready.push_back(b);
-        }
-        let mut it = tuples.into_iter().peekable();
-        while it.peek().is_some() {
-            let chunk: Vec<Tuple> = it.by_ref().take(self.block).collect();
-            let b = TupleBatch::from_tuples(chunk);
-            self.ready_rows += b.len();
-            self.ready.push_back(b);
-        }
     }
 
     /// Append an already-assembled block (a vectorized probe's gathered
@@ -1035,8 +1014,11 @@ mod tests {
             q.push_concat(&tuple![i], &tuple![i * 10]);
         }
         assert_eq!(q.len(), 5);
-        // interleave already-materialized tuples: order must hold
-        q.extend_tuples(vec![tuple![100, 1000], tuple![101, 1010]]);
+        // interleave an already-gathered block: order must hold
+        q.extend_block(TupleBatch::from_tuples(vec![
+            tuple![100, 1000],
+            tuple![101, 1010],
+        ]));
         assert_eq!(q.len(), 7);
         let mut all = Vec::new();
         while let Some(b) = q.pop_block() {
@@ -1061,8 +1043,8 @@ mod tests {
             tq.push_concat(&tuple![i], &tuple![i * 10]);
             rq.push_concat(&tuple![i], &tuple![i * 10]);
         }
-        tq.extend_tuples(vec![tuple![100, 1000]]);
-        rq.extend_tuples(vec![tuple![100, 1000]]);
+        tq.extend_block(TupleBatch::singleton(tuple![100, 1000]));
+        rq.extend_block(TupleBatch::singleton(tuple![100, 1000]));
         let drain = |q: &mut OutputQueue| {
             let mut all = Vec::new();
             while let Some(b) = q.pop_block() {
@@ -1091,7 +1073,7 @@ mod tests {
     fn output_queue_clear() {
         let mut q = OutputQueue::new(2);
         q.push_concat(&tuple![1], &tuple![2]);
-        q.extend_tuples(vec![tuple![3]]);
+        q.extend_block(TupleBatch::singleton(tuple![3]));
         q.clear();
         assert!(q.is_empty());
         assert!(q.pop_block().is_none());

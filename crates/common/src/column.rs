@@ -701,6 +701,22 @@ impl Column {
         std::mem::discriminant(self) == std::mem::discriminant(other)
     }
 
+    /// [`Column::append`] that never refuses: when the variants differ,
+    /// `self` is widened in place to [`Column::Values`] (once — a column
+    /// already widened stays so) and `other`'s rows join it as values.
+    fn append_widening(&mut self, other: &Column) {
+        if self.append(other) {
+            return;
+        }
+        let values = |c: &Column| (0..c.len()).map(|i| c.value_at(i)).collect::<Vec<_>>();
+        if !matches!(self, Column::Values(_)) {
+            *self = Column::Values(values(self));
+        }
+        if let Column::Values(v) = self {
+            v.extend(values(other));
+        }
+    }
+
     /// Whether row `i` equals row `j` of `other` under `Value` equality
     /// (doubles by bits, no cross-type numeric equality), for rows that
     /// are not NULL — join key confirmation after a prehash match, typed
@@ -1169,6 +1185,21 @@ impl ColumnarBatch {
         true
     }
 
+    /// Append `other`'s rows in place whatever the column variants: a
+    /// column whose variant differs from `other`'s is widened to
+    /// [`Column::Values`] (see [`ColumnarBatch::append`] for the strict
+    /// form). The column counts must agree.
+    pub fn append_widening(&mut self, other: &ColumnarBatch) {
+        if self.append(other) {
+            return;
+        }
+        debug_assert_eq!(self.cols.len(), other.cols.len(), "batch widths differ");
+        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
+            Arc::make_mut(dst).append_widening(src);
+        }
+        self.len += other.len;
+    }
+
     /// Concatenate many batches column-wise. Returns `None` when layouts
     /// disagree (column count or a column's type) — the caller falls back
     /// to row concatenation. A single input batch shares its column `Arc`s
@@ -1212,6 +1243,17 @@ impl ColumnarBatch {
     /// columns — the one accounting figure for a block in either form.
     pub fn mem_size(&self) -> usize {
         self.len * (TUPLE_HEADER_BYTES + self.cols.len() * VALUE_BASE_BYTES) + self.payload_bytes()
+    }
+
+    /// Row `i`'s share of [`ColumnarBatch::mem_size`]: what that row alone
+    /// would report as `Tuple::mem_size`.
+    pub fn row_mem_size(&self, i: usize) -> usize {
+        let value = |col: &Column| match col {
+            Column::Str(v, b) if Column::valid(b, i) => VALUE_BASE_BYTES + v[i].len(),
+            Column::Values(v) => v[i].mem_size(),
+            _ => VALUE_BASE_BYTES,
+        };
+        TUPLE_HEADER_BYTES + self.cols.iter().map(|c| value(c)).sum::<usize>()
     }
 
     /// Build every row's `Tuple` view in **one** shared block allocation

@@ -236,7 +236,9 @@ fn run_parallel(
     let mut pending_error: Option<TukwilaError> = None;
     let mut replan_pending = false;
 
-    let (tx, rx) = std::sync::mpsc::channel::<WorkerResult>();
+    // At most `threads` fragments are in flight and each sends one result,
+    // so no send ever waits for room.
+    let (tx, rx) = crossbeam_channel::bounded::<WorkerResult>(threads.max(1));
 
     std::thread::scope(|scope| -> Result<SchedOutcome> {
         loop {

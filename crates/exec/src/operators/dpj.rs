@@ -2,9 +2,9 @@
 //! adaptive operator.
 //!
 //! Symmetric and incremental: each input streams through its own thread
-//! into a small **tuple transfer queue**; the output side takes a tuple from
-//! whichever queue has data, probes the *opposite* hash table, and inserts
-//! into its own. At any point in time all data seen so far has been joined
+//! into a small **tuple transfer queue**; the output side takes a batch from
+//! whichever queue has data, probes the *opposite* side's table, and stores
+//! it in its own. At any point in time all data seen so far has been joined
 //! and emitted — which is what minimizes time-to-first-tuple and masks slow
 //! sources.
 //!
@@ -15,15 +15,15 @@
 //! blocking when their transfer queue fills — that backpressure is also how
 //! Incremental Left Flush "pauses" the left input.
 //!
-//! Each side's in-memory partition is **columnar from arrival**
-//! ([`ResidentSide`]): an arriving batch is prehashed once, appended to its
-//! side's growing typed columns and chained into a row-id index, probed
-//! against the opposite side's index, and emitted as two typed gathers —
-//! no row is ever built. The tuple-at-a-time machinery below
-//! ([`BucketedTable`], marking, flush, cleanup) is entered only when memory
-//! pressure first appears: the stored rows move into the bucketed tables in
-//! arrival order (**thaw**) and everything from then on runs the overflow
-//! path unchanged.
+//! Each side's in-memory partition is **columnar from arrival through
+//! overflow** ([`JoinSide`]): an arriving batch (converted to columns once
+//! if it comes in row form) is prehashed once, appended to its side's
+//! growing typed columns and chained into a row-id index, probed against
+//! the opposite side's index, and emitted as two typed gathers — no row is
+//! ever built. Memory pressure changes where rows go, not what they are:
+//! from the first flush on, each row is routed by its cached prehash to a
+//! bucket, flushed buckets spill as columnar batches, and the cleanup is the
+//! same resident join run on one bucket pair at a time.
 //!
 //! The transfer queues are **batched**: each channel message carries a
 //! whole [`TupleBatch`] from the child's batched pull, so fast sources pay
@@ -45,27 +45,34 @@
 //! * **FlushAllLeft** — the rejected "convert to hybrid hash" design, as an
 //!   ablation baseline.
 //!
-//! Duplicate avoidance follows the paper's marking rule: cleanup joins
-//! old×new, new×old and new×new — never old×old, which was emitted online.
+//! Overflow onset is exact to the row: the batch whose charge first puts
+//! the join under memory pressure is split just past that row, and the
+//! resolution runs before the rest of the batch is routed. Duplicate
+//! avoidance follows the paper's marking rule: cleanup joins old×new,
+//! new×old and new×new — never old×old, which was emitted online.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use tukwila_common::{
-    Column, ColumnarBatch, KeyVector, KeyedBatch, OutputQueue, PrehashMap, Result, Schema,
-    TukwilaError, Tuple, TupleBatch,
-};
+use tukwila_common::{OutputQueue, Result, Schema, TukwilaError, TupleBatch};
 use tukwila_plan::{OverflowMethod, SubjectRef};
 use tukwila_trace::{OpMetrics, TraceEvent};
 
 use crate::feeder::{Feed, Feeders};
 use crate::operator::{Operator, OperatorBox};
-use crate::operators::hash_table::{join_sets, BucketedTable};
+use crate::operators::join_side::{BucketJoin, JoinSide, Keyed, Matches};
 use crate::runtime::OpHarness;
 
 const LEFT: usize = 0;
 const RIGHT: usize = 1;
+
+/// Both sides, `(left, right)`, or an error before open.
+fn pair(sides: &mut [JoinSide]) -> Result<(&mut JoinSide, &mut JoinSide)> {
+    match sides {
+        [left, right] => Ok((left, right)),
+        _ => Err(TukwilaError::Internal("DPJ used before open".into())),
+    }
+}
 
 /// Default number of hash buckets per side.
 const DEFAULT_BUCKETS: usize = 16;
@@ -81,92 +88,7 @@ enum ReadMode {
     RightOnly,
 }
 
-/// End of a [`ResidentSide`] key chain.
-const NIL: u32 = u32::MAX;
-
-/// One input's in-memory partition while the join is columnar-resident:
-/// the rows stored so far (non-NULL keys only, arrival order) as growing
-/// typed columns, plus a row-id index over them. Rows of one key form a
-/// chain through `next` in arrival order — `index` maps the key's first
-/// row to its last — so a probe yields matches in the order the bucketed
-/// tables would, and indexing allocates nothing per distinct key.
-#[derive(Default)]
-struct ResidentSide {
-    rows: ColumnarBatch,
-    /// Key prehash of each stored row (reused by the index and by thaw).
-    hashes: Vec<u64>,
-    index: PrehashMap<u32, u32>,
-    next: Vec<u32>,
-    /// Bytes charged to the reservation for `rows`.
-    bytes: usize,
-}
-
-impl ResidentSide {
-    /// Append `part` (rows with non-NULL keys, prehashed as `hashes`) and
-    /// index it. Returns `false`, storing nothing, when `part`'s layout
-    /// differs from the rows already stored (or row ids would run out).
-    fn store(
-        &mut self,
-        part: &ColumnarBatch,
-        hashes: impl Iterator<Item = u64>,
-        key: usize,
-    ) -> bool {
-        // Row ids are `u32` with `NIL` reserved.
-        if self.hashes.len() + part.len() >= NIL as usize || !self.rows.append(part) {
-            return false;
-        }
-        let keys = self.rows.col(key);
-        for h in hashes {
-            let row = self.hashes.len() as u32;
-            self.hashes.push(h);
-            self.next.push(NIL);
-            let mut first_of_key = false;
-            let last = self.index.entry_hashed(
-                h,
-                |&head| keys.eq_at(head as usize, keys, row as usize),
-                || {
-                    first_of_key = true;
-                    row
-                },
-            );
-            if !first_of_key {
-                self.next[*last as usize] = row;
-            }
-            *last = row;
-        }
-        true
-    }
-
-    /// For every row of a prehashed batch (key column `probe_keys`), push
-    /// one `(batch row, stored row)` pair per stored row with an equal key.
-    fn probe(
-        &self,
-        key: usize,
-        probe_keys: &Column,
-        kv: &KeyVector,
-        sel_probe: &mut Vec<u32>,
-        sel_stored: &mut Vec<u32>,
-    ) {
-        if self.hashes.is_empty() {
-            return;
-        }
-        let keys = self.rows.col(key);
-        for (i, h) in kv.iter().enumerate() {
-            let Some(h) = h else { continue }; // NULL keys never join
-            let found = self
-                .index
-                .get_entry_hashed(h, |&head| keys.eq_at(head as usize, probe_keys, i));
-            let mut row = found.map_or(NIL, |(&head, _)| head);
-            while row != NIL {
-                sel_probe.push(i as u32);
-                sel_stored.push(row);
-                row = self.next[row as usize];
-            }
-        }
-    }
-}
-
-/// The double pipelined hash join operator.
+/// The double pipelined join operator.
 pub struct DoublePipelinedJoin {
     children: Option<(OperatorBox, OperatorBox)>,
     left_key: String,
@@ -178,24 +100,12 @@ pub struct DoublePipelinedJoin {
     // -- runtime state (after open) --
     schema: Schema,
     key_idx: [usize; 2],
-    tables: Vec<BucketedTable>,
+    /// Each input's partition, `[left, right]` (built at open).
+    sides: Vec<JoinSide>,
     done: [bool; 2],
     mode: ReadMode,
     pending: OutputQueue,
-    /// Each input's columnar partition (`[left, right]`); `None` once the
-    /// join has thawed into `tables`, which then hold everything.
-    resident: Option<[ResidentSide; 2]>,
-    /// Paired selection vectors of the columnar probe (one entry per output
-    /// row), kept across batches so tiny batches allocate nothing here.
-    sel_probe: Vec<u32>,
-    sel_stored: Vec<u32>,
-    /// The transferred batch currently being joined tuple-at-a-time (from
-    /// `staged_side`), prehashed once on arrival and drained in place — no
-    /// per-tuple copy into a side buffer. The output side joins one tuple
-    /// at a time, pausing as soon as a full output block is ready so
-    /// `pending` stays bounded by batch_size plus one tuple's fanout.
-    staged: Option<KeyedBatch>,
-    staged_side: usize,
+    matches: Matches,
     cleanup_next: usize,
     cleanup_active: bool,
     raised_oom: bool,
@@ -203,7 +113,7 @@ pub struct DoublePipelinedJoin {
     recv_flip: bool,
     engaged_method: Option<OverflowMethod>,
     /// Cached at open: `OpHarness::reservation` is a subject-map lookup +
-    /// `Arc` clone, far too expensive for the per-insert overflow check.
+    /// `Arc` clone, far too expensive for the per-batch overflow check.
     reservation: Option<tukwila_storage::MemoryReservation>,
     /// Metrics handle (Some only at `TraceLevel::Metrics`).
     metrics: Option<Arc<OpMetrics>>,
@@ -231,15 +141,11 @@ impl DoublePipelinedJoin {
             harness,
             schema: Schema::empty(),
             key_idx: [0, 0],
-            tables: Vec::new(),
+            sides: Vec::new(),
             done: [false, false],
             mode: ReadMode::Both,
             pending: OutputQueue::new(tukwila_common::DEFAULT_BATCH_CAPACITY),
-            resident: None,
-            sel_probe: Vec::new(),
-            sel_stored: Vec::new(),
-            staged: None,
-            staged_side: LEFT,
+            matches: Matches::default(),
             cleanup_next: 0,
             cleanup_active: false,
             raised_oom: false,
@@ -277,7 +183,7 @@ impl DoublePipelinedJoin {
 
     /// Flush bucket `b` of `side` to spill storage, tracing the write.
     fn flush_traced(&mut self, side: usize, b: usize) -> Result<()> {
-        let n = self.tables[side].flush_bucket(b)? as u64;
+        let n = self.sides[side].flush(b)? as u64;
         self.spilled_tuples += n;
         let trace = self.harness.trace();
         if n > 0 && trace.events_enabled() {
@@ -289,149 +195,41 @@ impl DoublePipelinedJoin {
         Ok(())
     }
 
-    /// Join one transferred tuple using its cached key prehash (NULL keys
-    /// were dropped at staging). The in-memory path hashes nothing, clones
-    /// no `Value`, and allocates nothing per probe: matches are borrowed
-    /// from the opposite table and outputs are assembled into the pending
-    /// queue's shared block.
-    fn handle_tuple(&mut self, side: usize, t: Tuple, hash: u64) -> Result<()> {
+    /// Join one arriving batch, run by run: route its rows (store them
+    /// unless the opposite input is complete — footnote 3 —, mark or spill
+    /// them), probe the opposite side and emit the matches as two typed
+    /// gathers. A run ends just past a row whose charge puts the join under
+    /// memory pressure; overflow resolution then runs before the next.
+    fn join_batch(&mut self, side: usize, batch: TupleBatch) -> Result<()> {
         let opp = 1 - side;
-        let b = self.tables[side].bucket_for_hash(hash);
-        if self.tables[side].is_flushed(b) {
-            // Arrivals for a flushed bucket divert to disk, marked new,
-            // WITHOUT probing (paper step: "write the tuples to disk;
-            // otherwise probe" — the cleanup joins new×old and new×new, so
-            // probing here would double-count against the opposite side's
-            // resident old partition).
-            self.tables[side].spill_new(b, &t)?;
-            self.spilled_tuples += 1;
-            return Ok(());
-        }
-        // Probe the opposite table's in-memory primary partition. If the
-        // opposite bucket is flushed its memory is empty, so this is
-        // correct (the missed pairs are produced by the cleanup phase).
-        let key = t.value(self.key_idx[side]);
-        for m in self.tables[opp].probe_hashed(hash, key) {
-            if side == LEFT {
-                self.pending.push_concat(&t, m);
+        let arrived = Keyed::arrived(&batch, self.key_idx[side]);
+        let (keep, block) = (!self.done[opp], self.harness.batch_size().max(1));
+        let mut start = 0;
+        while start < arrived.len() {
+            let (left, right) = pair(&mut self.sides)?;
+            let (own, other) = if side == LEFT {
+                (left, right)
             } else {
-                self.pending.push_concat(m, &t);
+                (right, left)
+            };
+            let mut routed = own.route(Some(other), keep, &arrived, start);
+            self.spilled_tuples += own.settle(&arrived, &mut routed)?;
+            let probe = routed.probe.iter().copied();
+            self.matches
+                .find(other.resident(), &arrived, self.key_idx[side], probe);
+            self.matches.emit(
+                &arrived.rows,
+                other.resident(),
+                side == LEFT,
+                block,
+                &mut self.pending,
+            );
+            if routed.tripped {
+                self.check_overflow()?;
             }
-        }
-        if self.tables[opp].is_flushed(b) {
-            // Opposite bucket flushed (Left Flush): keep in memory, marked,
-            // so the cleanup can join it against the opposite spill without
-            // writing this side to disk.
-            self.tables[side].insert_marked_hashed(hash, t);
-            self.check_overflow()?;
-        } else if self.done[opp] {
-            // Footnote 3: the opposite relation is complete and this bucket
-            // fully in memory — the probe above produced every match, no
-            // need to store the tuple.
-        } else {
-            self.tables[side].insert_hashed(hash, t);
-            self.check_overflow()?;
+            start = routed.end;
         }
         Ok(())
-    }
-
-    /// Join one arriving batch on the columnar-resident path: store it on
-    /// its own side (unless the opposite input is complete — footnote 3),
-    /// then probe the opposite side and emit the matches as two typed
-    /// gathers. Hands the batch back when it must go tuple-at-a-time
-    /// instead: the join has thawed, or thaws now because the batch is in
-    /// row form, would not fit in memory, or changes a stored column's
-    /// type.
-    fn join_resident(&mut self, side: usize, batch: TupleBatch) -> Option<TupleBatch> {
-        let opp = 1 - side;
-        let key = self.key_idx[side];
-        let (Some(sides), Some(cols)) = (self.resident.as_mut(), batch.columns()) else {
-            self.thaw();
-            return Some(batch);
-        };
-        let kv = KeyVector::compute(&batch, key);
-        if !self.done[opp] {
-            // NULL-keyed rows never join: not stored, indexed or charged.
-            let part = if kv.iter().all(|h| h.is_some()) {
-                Cow::Borrowed(cols)
-            } else {
-                self.sel_probe.clear();
-                self.sel_probe
-                    .extend((0..cols.len() as u32).filter(|&i| kv.get(i as usize).is_some()));
-                Cow::Owned(cols.gather(&self.sel_probe))
-            };
-            if !part.is_empty() {
-                // Exactly what the bucketed inserts would charge for these
-                // rows, tested before charging: a batch that does not fit
-                // thaws, and the tuple path then trips overflow at the
-                // exact row.
-                let bytes = part.mem_size();
-                let fits = self
-                    .reservation
-                    .as_ref()
-                    .is_none_or(|r| r.has_headroom(bytes));
-                if !fits || !sides[side].store(&part, kv.iter().flatten(), key) {
-                    self.thaw();
-                    return Some(batch);
-                }
-                if let Some(r) = &self.reservation {
-                    r.charge(bytes);
-                    sides[side].bytes += bytes;
-                }
-            }
-        }
-        self.sel_probe.clear();
-        self.sel_stored.clear();
-        let stored = &sides[opp];
-        stored.probe(
-            self.key_idx[opp],
-            cols.col(key),
-            &kv,
-            &mut self.sel_probe,
-            &mut self.sel_stored,
-        );
-        let block = self.harness.batch_size().max(1);
-        for (p, s) in self
-            .sel_probe
-            .chunks(block)
-            .zip(self.sel_stored.chunks(block))
-        {
-            let (arrived, matched) = (cols.gather(p), stored.rows.gather(s));
-            let out = if side == LEFT {
-                ColumnarBatch::hstack(arrived, matched)
-            } else {
-                ColumnarBatch::hstack(matched, arrived)
-            };
-            self.pending.extend_block(TupleBatch::from_columns(out));
-        }
-        None
-    }
-
-    /// Leave the columnar-resident path for good: move every stored row
-    /// into the bucketed tables, in arrival order and with its cached
-    /// prehash, so the tables are exactly what tuple-at-a-time inserts
-    /// would have built (per-key match order, bucket contents, charges).
-    /// The inserts re-charge what the columnar sides release.
-    fn thaw(&mut self) {
-        let Some(sides) = self.resident.take() else {
-            return;
-        };
-        let block = self.harness.batch_size().max(1);
-        for (side, stored) in sides.into_iter().enumerate() {
-            if let Some(r) = &self.reservation {
-                r.release(stored.bytes);
-            }
-            // One row block per batch-size slice, as arrivals would have
-            // made: a flushed bucket then frees its blocks, not one giant
-            // block pinned by every other bucket.
-            for start in (0..stored.rows.len()).step_by(block) {
-                let end = (start + block).min(stored.rows.len());
-                let rows = stored.rows.slice(start, end).materialize_rows();
-                for (t, &h) in rows.into_iter().zip(&stored.hashes[start..end]) {
-                    self.tables[side].insert_hashed(h, t);
-                }
-            }
-        }
     }
 
     fn check_overflow(&mut self) -> Result<()> {
@@ -476,7 +274,7 @@ impl DoublePipelinedJoin {
         };
         if flush_all {
             for b in 0..self.num_buckets {
-                if !self.tables[LEFT].is_flushed(b) {
+                if !pair(&mut self.sides)?.0.is_flushed(b) {
                     self.flush_traced(LEFT, b)?;
                 }
             }
@@ -488,11 +286,12 @@ impl DoublePipelinedJoin {
             self.mode = ReadMode::RightOnly;
         }
         while res.under_pressure() {
-            if let Some(b) = self.tables[LEFT].largest_unflushed() {
+            let (left, right) = pair(&mut self.sides)?;
+            if let Some(b) = left.largest_unflushed() {
                 self.flush_traced(LEFT, b)?;
-            } else if let Some(b) = self.tables[RIGHT].largest_unflushed() {
+            } else if let Some(b) = right.largest_unflushed() {
                 // Step (4): only once A's table has been flushed completely.
-                debug_assert!(self.tables[LEFT].fully_flushed());
+                debug_assert!(left.fully_flushed());
                 self.flush_traced(RIGHT, b)?;
             } else {
                 break; // nothing left to free
@@ -507,19 +306,23 @@ impl DoublePipelinedJoin {
         };
         while res.under_pressure() {
             // Fattest bucket by combined residency across both tables.
+            let (left, right) = pair(&mut self.sides)?;
+            let bytes: Vec<usize> = (left.bucket_bytes().iter())
+                .zip(right.bucket_bytes())
+                .map(|(l, r)| l + r)
+                .collect();
             let candidate = (0..self.num_buckets)
-                .filter(|&b| !self.tables[LEFT].is_flushed(b) || !self.tables[RIGHT].is_flushed(b))
-                .max_by_key(|&b| {
-                    self.tables[LEFT].bucket_bytes(b) + self.tables[RIGHT].bucket_bytes(b)
-                });
+                .filter(|&b| !left.is_flushed(b) || !right.is_flushed(b))
+                .max_by_key(|&b| bytes[b]);
             let Some(b) = candidate else { break };
-            if self.tables[LEFT].bucket_bytes(b) + self.tables[RIGHT].bucket_bytes(b) == 0 {
+            if bytes[b] == 0 {
                 break; // only empty buckets remain; flushing frees nothing
             }
-            if !self.tables[LEFT].is_flushed(b) {
+            let (left_flushed, right_flushed) = (left.is_flushed(b), right.is_flushed(b));
+            if !left_flushed {
                 self.flush_traced(LEFT, b)?;
             }
-            if !self.tables[RIGHT].is_flushed(b) {
+            if !right_flushed {
                 self.flush_traced(RIGHT, b)?;
             }
         }
@@ -555,19 +358,17 @@ impl DoublePipelinedJoin {
         }
         let b = self.cleanup_next;
         self.cleanup_next += 1;
-        let lf = self.tables[LEFT].is_flushed(b);
-        let rf = self.tables[RIGHT].is_flushed(b);
+        let (left, right) = pair(&mut self.sides)?;
+        let (lf, rf) = (left.is_flushed(b), right.is_flushed(b));
         if !lf && !rf {
             return Ok(true); // fully in-memory bucket: everything was online
         }
-        let a_old = self.tables[LEFT].old_tuples(b)?;
-        let a_new = self.tables[LEFT].new_tuples(b)?;
-        let b_old = self.tables[RIGHT].old_tuples(b)?;
-        let b_new = self.tables[RIGHT].new_tuples(b)?;
+        let (a_old, a_new) = (left.old_rows(b)?, left.new_rows(b)?);
+        let (b_old, b_new) = (right.old_rows(b)?, right.new_rows(b)?);
         let trace = self.harness.trace();
         if trace.events_enabled() {
-            // Tuples materialized back from the flushed side(s) of this
-            // bucket for the cleanup join.
+            // Tuples read back from the flushed side(s) of this bucket for
+            // the cleanup join.
             let read_back = (if lf { a_old.len() + a_new.len() } else { 0 }
                 + if rf { b_old.len() + b_new.len() } else { 0 })
                 as u64;
@@ -578,51 +379,24 @@ impl DoublePipelinedJoin {
                 });
             }
         }
-        let budget = self.harness.reservation().map(|r| r.budget());
         let spill = self.harness.spill();
-        let mut out = Vec::new();
+        let join = BucketJoin {
+            build_key: self.key_idx[RIGHT],
+            probe_key: self.key_idx[LEFT],
+            budget: self.reservation.as_ref().map(|r| r.budget()),
+            spill: &*spill,
+            block: self.harness.batch_size().max(1),
+        };
         // old×old was emitted online; produce the three remaining quadrants.
-        join_sets(
-            b_new.clone(),
-            a_old,
-            self.key_idx[RIGHT],
-            self.key_idx[LEFT],
-            budget,
-            0,
-            &spill,
-            true,
-            &mut out,
-        )?;
-        join_sets(
-            b_old,
-            a_new.clone(),
-            self.key_idx[RIGHT],
-            self.key_idx[LEFT],
-            budget,
-            0,
-            &spill,
-            true,
-            &mut out,
-        )?;
-        join_sets(
-            b_new,
-            a_new,
-            self.key_idx[RIGHT],
-            self.key_idx[LEFT],
-            budget,
-            0,
-            &spill,
-            true,
-            &mut out,
-        )?;
-        self.pending.extend_tuples(out);
+        join.run(b_new.clone(), &a_old, 0, &mut self.pending)?;
+        join.run(b_old, &a_new, 0, &mut self.pending)?;
+        join.run(b_new, &a_new, 0, &mut self.pending)?;
         Ok(true)
     }
 
     /// Run one piece of join work on transferred data and add its duration
-    /// to `exec.probe_ms`. Only the work is timed: a staged batch drains
-    /// across several `next_batch` calls, and whatever the parent does
-    /// between them is not this operator's time.
+    /// to `exec.probe_ms`. Only the work is timed, not whatever the parent
+    /// does between `next_batch` calls.
     fn timed_probe<T>(&mut self, work: impl FnOnce(&mut Self) -> T) -> T {
         let started = self.metrics.as_ref().map(|_| Instant::now());
         let out = work(self);
@@ -630,22 +404,6 @@ impl DoublePipelinedJoin {
             m.add_probe_ns(t0.elapsed().as_nanos() as u64);
         }
         out
-    }
-
-    /// Join staged tuples one at a time until a full output block is
-    /// pending or the staged batch is drained.
-    fn drain_staged(&mut self, max: usize) -> Result<()> {
-        while self.pending.len() < max {
-            match self.staged.as_mut().and_then(KeyedBatch::next) {
-                Some((t, Some(hash))) => self.handle_tuple(self.staged_side, t, hash)?,
-                Some((_, None)) => {} // NULL keys never join and need no storage
-                None => {
-                    self.staged = None;
-                    break;
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -674,34 +432,22 @@ impl Operator for DoublePipelinedJoin {
             right.index_of(&self.right_key)?,
         ];
         self.schema = left.concat(&right);
-        self.resident = Some(Default::default());
-        // Typed queue: join output seals directly into columnar batches, so
-        // downstream operators (and the fragment collector) stay vectorized.
-        self.pending = OutputQueue::typed(
-            self.harness.batch_size(),
-            self.schema.fields().iter().map(|f| f.data_type).collect(),
-        );
+        self.pending = OutputQueue::new(self.harness.batch_size());
         self.spilled_tuples = 0;
         self.resolved_emitted = false;
-        let reservation = self.harness.reservation();
-        self.reservation = reservation.clone();
+        self.reservation = self.harness.reservation();
         let spill = self.harness.spill();
-        self.tables = vec![
-            BucketedTable::new(
-                format!("dpj-{}-L", self.harness.subject()),
-                self.num_buckets,
-                self.key_idx[LEFT],
-                reservation.clone(),
-                spill.clone(),
-            ),
-            BucketedTable::new(
-                format!("dpj-{}-R", self.harness.subject()),
-                self.num_buckets,
-                self.key_idx[RIGHT],
-                reservation,
-                spill,
-            ),
-        ];
+        self.sides = [(LEFT, "L"), (RIGHT, "R")]
+            .map(|(side, tag)| {
+                JoinSide::new(
+                    format!("dpj-{}-{tag}", self.harness.subject()),
+                    self.num_buckets,
+                    self.key_idx[side],
+                    self.reservation.clone(),
+                    spill.clone(),
+                )
+            })
+            .into();
         self.harness.opened();
         Ok(())
     }
@@ -711,11 +457,6 @@ impl Operator for DoublePipelinedJoin {
         loop {
             if self.pending.len() >= max {
                 return Ok(Some(self.emit_pending()));
-            }
-            // Free work first: join tuples already transferred.
-            if self.staged.is_some() {
-                self.timed_probe(|join| join.drain_staged(max))?;
-                continue;
             }
             if self.done[LEFT] && self.done[RIGHT] {
                 if !self.cleanup_active {
@@ -750,12 +491,7 @@ impl Operator for DoublePipelinedJoin {
                     if let Some(m) = &self.metrics {
                         m.add_input(b.len() as u64);
                     }
-                    if let Some(b) = self.timed_probe(|join| join.join_resident(side, b)) {
-                        // Tuple-at-a-time: prehash the whole arriving batch
-                        // once and drain it in place.
-                        self.staged_side = side;
-                        self.staged = Some(KeyedBatch::new(b, self.key_idx[side]));
-                    }
+                    self.timed_probe(|join| join.join_batch(side, b))?;
                 }
                 Feed::End => {
                     self.done[side] = true;
@@ -776,15 +512,11 @@ impl Operator for DoublePipelinedJoin {
 
     fn close(&mut self) -> Result<()> {
         self.feeders.shutdown();
-        for t in &mut self.tables {
-            t.clear();
+        for side in &mut self.sides {
+            side.clear();
         }
-        self.tables.clear();
-        if let (Some(r), Some(sides)) = (&self.reservation, self.resident.take()) {
-            r.release(sides.iter().map(|s| s.bytes).sum());
-        }
+        self.sides.clear();
         self.pending.clear();
-        self.staged = None;
         self.harness.closed();
         Ok(())
     }

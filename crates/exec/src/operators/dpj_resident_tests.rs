@@ -1,13 +1,12 @@
 //! The columnar-resident double pipelined join against the nested-loop
-//! reference, and against its own tuple-at-a-time path.
+//! reference, in memory and through overflow.
 //!
 //! Inputs are scripted batches rather than sources, so a test chooses the
-//! key type, the batch size, the representation (typed columnar batches
-//! keep the join columnar-resident; row-form batches thaw it on arrival
-//! and so drive the tuple path from the first row) and roughly who
-//! arrives first. The matrix checks answers and that the governor ends
-//! at zero; one pinned run with a fully ordered arrival checks that
-//! spill I/O and peak memory equal the tuple path's.
+//! key type, the batch size, the representation (typed columnar batches,
+//! or row-form ones the join converts to columns on arrival) and roughly
+//! who arrives first. The matrix checks answers and that the governor ends
+//! at zero; one pinned run with a fully ordered arrival checks every spill
+//! counter and the peak against fixed numbers.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -187,7 +186,7 @@ enum Arrival {
 }
 
 /// {Int, Str, Double keys} × {duplicate keys, NULL keys, one empty side} ×
-/// {batch 1, 7, 256} × {no budget, a budget that forces thaw mid-stream
+/// {batch 1, 7, 256} × {no budget, a budget that overflows mid-stream
 /// under every overflow method} × {left-first, right-first, interleaved}:
 /// the answer is the nested-loop reference's and the governor ends at 0.
 #[test]
@@ -266,7 +265,7 @@ fn resident_join_matches_reference_across_the_matrix() {
                                     assert!(!must_overflow, "{case}: Fail must fail");
                                     assert_eq!(spilled, 0, "{case}");
                                 } else if must_overflow {
-                                    assert!(spilled > 0, "{case}: the budget must force a thaw");
+                                    assert!(spilled > 0, "{case}: the budget must overflow");
                                 }
                             }
                         }
@@ -278,10 +277,10 @@ fn resident_join_matches_reference_across_the_matrix() {
 }
 
 /// A column whose variant changes mid-stream (an all-NULL block infers
-/// `Values` where earlier blocks were `Int64`) thaws; it never panics, and
-/// the answer and the books stay right.
+/// `Values` where earlier blocks were `Int64`) is widened in place: the
+/// join stays columnar, the answer is exact and the books balance.
 #[test]
-fn layout_change_mid_stream_thaws() {
+fn layout_change_mid_stream_widens_the_column() {
     let schema = |name| Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
     let row = |k: i64, v: Value| Tuple::new(vec![Value::Int(k), v]);
     let l_rows: Vec<Tuple> = (0..6)
@@ -311,9 +310,62 @@ fn layout_change_mid_stream_thaws() {
             })
         },
     );
-    let out = drain(&mut run.join).unwrap();
+    run.join.open().unwrap();
+    let mut out = Vec::new();
+    while let Some(batch) = run.join.next_batch().unwrap() {
+        assert!(batch.columns().is_some(), "the join stays columnar");
+        out.extend(batch);
+    }
+    run.join.close().unwrap();
+    assert_eq!(out.len(), 6);
     run.fx.assert_gold(out);
     assert_eq!(run.fx.rt.env().memory.total_used(), 0);
+}
+
+/// A spill store that cannot create a bucket (its directory was removed
+/// under it) fails the overflowing query with a typed `Io` error — no
+/// panic, no hang — and closing the join returns every charged byte.
+#[test]
+fn spill_bucket_creation_failure_is_a_typed_error() {
+    use tukwila_storage::FileSpillStore;
+    let l = keyed("l", KeyKind::Str, 200, 20, false);
+    let r = keyed("r", KeyKind::Str, 200, 20, false);
+    let mut fx = JoinFixture::build(
+        l.clone(),
+        r.clone(),
+        LinkModel::instant(),
+        LinkModel::instant(),
+        JoinKind::DoublePipelined,
+        OverflowMethod::IncrementalSymmetricFlush,
+        Some((l.mem_size() + r.mem_size()) / 4),
+    );
+    let spill = FileSpillStore::new().unwrap();
+    std::fs::remove_dir_all(spill.dir()).unwrap();
+    let env = ExecEnv::new(fx.rt.env().sources.clone())
+        .with_batch_size(16)
+        .with_spill(Arc::new(spill));
+    fx.rt = PlanRuntime::for_plan(&fx.plan, env);
+    let mut join = DoublePipelinedJoin::new(
+        Box::new(Scripted {
+            schema: l.schema().clone(),
+            batches: batches_of(&l, 16, true),
+            pace: Pace::After(Duration::ZERO),
+            served: 0,
+        }),
+        Box::new(Scripted {
+            schema: r.schema().clone(),
+            batches: batches_of(&r, 16, true),
+            pace: Pace::After(Duration::ZERO),
+            served: 0,
+        }),
+        "k".into(),
+        "k".into(),
+        fx.harness(fx.join_id),
+    );
+    let err = drain(&mut join).expect_err("the overflow cannot spill");
+    assert_eq!(err.kind(), "io", "{err}");
+    join.close().unwrap();
+    assert_eq!(fx.rt.env().memory.total_used(), 0);
 }
 
 /// With the opposite input complete nothing is stored or charged

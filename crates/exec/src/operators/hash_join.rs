@@ -2,23 +2,22 @@
 //! baselines the double pipelined join is measured against.
 //!
 //! The **right child is the inner (build) relation**: it is drained into a
-//! bucketed hash table at `open` (the non-pipelined phase whose cost the
-//! paper's Figure 3 exposes). Hybrid hashing is lazy: buckets spill only
-//! when memory runs out; whatever remains in memory streams matches
-//! immediately during the probe phase. Grace hashing partitions everything
-//! to disk up front.
+//! [`JoinSide`] at `open` (the non-pipelined phase whose cost the paper's
+//! Figure 3 exposes) — the same columnar side the double pipelined join
+//! stores, flushes and cleans up. Hybrid hashing is lazy: buckets spill
+//! only when memory runs out; whatever remains in memory streams matches
+//! immediately during the probe phase, one columnar probe per left batch.
+//! Grace hashing partitions everything to disk up front.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use tukwila_common::{
-    KeyVector, KeyedBatch, OutputQueue, Result, Schema, TukwilaError, Tuple, TupleBatch,
-};
+use tukwila_common::{OutputQueue, Result, Schema, TukwilaError, TupleBatch};
 use tukwila_storage::SpillBucket;
 use tukwila_trace::{OpMetrics, TraceEvent};
 
 use crate::operator::{Operator, OperatorBox};
-use crate::operators::hash_table::{join_sets, BucketedTable};
+use crate::operators::join_side::{spill_by_bucket, BucketJoin, JoinSide, Keyed, Matches};
 use crate::runtime::OpHarness;
 
 /// Number of hash buckets ("can be set by an optimizer"; fixed default
@@ -45,18 +44,15 @@ pub struct HashJoinOp {
     schema: Schema,
     lkey: usize,
     rkey: usize,
-    build: Option<BucketedTable>,
+    build: Option<JoinSide>,
+    /// Probe rows of flushed build buckets, one spill bucket per bucket.
     probe_spill: Vec<Option<SpillBucket>>,
     pending: OutputQueue,
-    /// The probe batch currently being drained, prehashed once on arrival
-    /// (NULL-keyed rows are skipped at consumption — they never join).
-    /// Probing pauses once a full output block is ready, bounding
-    /// `pending` to batch_size plus a single probe tuple's fanout.
-    probe_queue: Option<KeyedBatch>,
+    matches: Matches,
     phase: Phase,
     raised_oom: bool,
     /// Cached at open: `OpHarness::reservation` is a subject-map lookup +
-    /// `Arc` clone, far too expensive for the per-insert overflow check.
+    /// `Arc` clone, far too expensive for the per-batch overflow check.
     reservation: Option<tukwila_storage::MemoryReservation>,
     /// Metrics handle (Some only at `TraceLevel::Metrics`).
     metrics: Option<Arc<OpMetrics>>,
@@ -64,6 +60,10 @@ pub struct HashJoinOp {
     spilled_tuples: u64,
     /// The overflow-resolved event was emitted (once per run).
     resolved_emitted: bool,
+}
+
+fn before_open() -> TukwilaError {
+    TukwilaError::Internal("hash join used before open".into())
 }
 
 impl HashJoinOp {
@@ -112,7 +112,7 @@ impl HashJoinOp {
             build: None,
             probe_spill: Vec::new(),
             pending: OutputQueue::new(tukwila_common::DEFAULT_BATCH_CAPACITY),
-            probe_queue: None,
+            matches: Matches::default(),
             phase: Phase::Build,
             raised_oom: false,
             reservation: None,
@@ -150,25 +150,21 @@ impl HashJoinOp {
                     });
                 }
             }
-            let build = self.build.as_mut().unwrap();
-            match build.largest_unflushed() {
-                Some(b) => {
-                    let n = build.flush_bucket(b)? as u64;
-                    self.spilled_tuples += n;
-                    let trace = self.harness.trace();
-                    if n > 0 && trace.events_enabled() {
-                        trace.emit(TraceEvent::SpillWrite {
-                            op: self.harness.op_id().unwrap_or(u32::MAX),
-                            tuples: n,
-                        });
-                    }
-                }
-                None => {
-                    // Everything flushed and still over budget: the budget is
-                    // smaller than the bucket bookkeeping itself; nothing
-                    // more to free.
-                    break;
-                }
+            let build = self.build.as_mut().ok_or_else(before_open)?;
+            // Everything flushed and still over budget: the budget is
+            // smaller than the bucket bookkeeping itself; nothing more to
+            // free.
+            let Some(b) = build.largest_unflushed() else {
+                break;
+            };
+            let n = build.flush(b)? as u64;
+            self.spilled_tuples += n;
+            let trace = self.harness.trace();
+            if n > 0 && trace.events_enabled() {
+                trace.emit(TraceEvent::SpillWrite {
+                    op: self.harness.op_id().unwrap_or(u32::MAX),
+                    tuples: n,
+                });
             }
         }
         Ok(())
@@ -177,69 +173,54 @@ impl HashJoinOp {
     fn build_phase(&mut self) -> Result<()> {
         if self.grace {
             // Grace: partition everything to disk from the start.
-            let build = self.build.as_mut().unwrap();
-            for b in 0..build.num_buckets() {
-                build.flush_bucket(b)?;
+            let build = self.build.as_mut().ok_or_else(before_open)?;
+            for b in 0..self.num_buckets {
+                build.flush(b)?;
             }
         }
         while let Some(batch) = self.right.next_batch()? {
-            // One key-prehash pass per batch; inserts reuse the hash for
-            // bucket routing and group lookup (no rehash, no key clone).
-            let kv = KeyVector::compute(&batch, self.rkey);
-            for (i, t) in batch.into_iter().enumerate() {
-                let Some(hash) = kv.get(i) else {
-                    continue; // NULL key never joins
-                };
-                let build = self.build.as_mut().unwrap();
-                let b = build.bucket_for_hash(hash);
-                if build.is_flushed(b) {
-                    build.spill_new(b, &t)?;
-                    self.spilled_tuples += 1;
-                } else {
-                    build.insert_hashed(hash, t);
+            let arrived = Keyed::arrived(&batch, self.rkey);
+            let mut start = 0;
+            while start < arrived.len() {
+                let build = self.build.as_mut().ok_or_else(before_open)?;
+                let mut routed = build.route(None, true, &arrived, start);
+                self.spilled_tuples += build.settle(&arrived, &mut routed)?;
+                if routed.tripped {
                     self.resolve_overflow()?;
                 }
+                start = routed.end;
             }
         }
         Ok(())
     }
 
-    fn probe_one(&mut self, t: Tuple, hash: u64) -> Result<()> {
-        let build = self.build.as_ref().unwrap();
-        let b = build.bucket_for_hash(hash);
-        if build.is_flushed(b) {
-            let spill = self.harness.spill();
-            if self.probe_spill[b].is_none() {
-                self.probe_spill[b] = Some(spill.create_bucket(&format!("hj-probe-{b}")));
-            }
-            spill.write(self.probe_spill[b].unwrap(), std::slice::from_ref(&t))?;
-            self.spilled_tuples += 1;
-        } else {
-            let key = t.value(self.lkey);
-            for m in build.probe_hashed(hash, key) {
-                self.pending.push_concat(&t, m);
-            }
-        }
-        Ok(())
-    }
-
-    /// Probe staged tuples one at a time until a full output block is
-    /// pending or the staged batch is drained, adding the time to
-    /// `exec.probe_ms`. Only this work is timed: a probe batch drains
-    /// across several `next_batch` calls, and whatever the parent does
-    /// between them is not this operator's time.
-    fn drain_probe(&mut self, max: usize) -> Result<()> {
+    /// Probe one left batch: rows of flushed build buckets go to their
+    /// probe spill, the rest probe the build side's index, and the matches
+    /// are emitted as typed gathers. The time counts as `exec.probe_ms`.
+    fn probe_batch(&mut self, batch: TupleBatch) -> Result<()> {
         let started = self.metrics.as_ref().map(|_| Instant::now());
-        while self.pending.len() < max {
-            match self.probe_queue.as_mut().and_then(KeyedBatch::next) {
-                Some((t, Some(hash))) => self.probe_one(t, hash)?,
-                Some((_, None)) => {} // NULL probe keys never join
-                None => {
-                    self.probe_queue = None;
-                    break;
-                }
-            }
-        }
+        let arrived = Keyed::arrived(&batch, self.lkey);
+        let build = self.build.as_ref().ok_or_else(before_open)?;
+        let mut routed = build.route(None, false, &arrived, 0);
+        let spill = self.harness.spill();
+        spill_by_bucket(
+            &*spill,
+            "hj-probe",
+            &mut self.probe_spill,
+            &arrived,
+            &mut routed.spill,
+        )?;
+        self.spilled_tuples += routed.spill.len() as u64;
+        self.matches
+            .find(build.resident(), &arrived, self.lkey, routed.probe);
+        let block = self.harness.batch_size().max(1);
+        self.matches.emit(
+            &arrived.rows,
+            build.resident(),
+            true,
+            block,
+            &mut self.pending,
+        );
         if let (Some(m), Some(t0)) = (&self.metrics, started) {
             m.add_probe_ns(t0.elapsed().as_nanos() as u64);
         }
@@ -247,17 +228,14 @@ impl HashJoinOp {
     }
 
     fn cleanup_bucket(&mut self, b: usize) -> Result<()> {
-        let build = self.build.as_ref().unwrap();
+        let build = self.build.as_ref().ok_or_else(before_open)?;
         if !build.is_flushed(b) {
             return Ok(());
         }
-        let mut build_set = build.old_tuples(b)?;
-        build_set.extend(build.new_tuples(b)?);
+        let mut build_set = build.old_rows(b)?;
+        build_set.append(&build.new_rows(b)?);
         let spill = self.harness.spill();
-        let probe_set = match self.probe_spill[b] {
-            Some(sb) => spill.read_all(sb)?,
-            None => Vec::new(),
-        };
+        let probe_set = Keyed::read(&*spill, self.probe_spill[b], self.lkey)?;
         let read_back = (build_set.len() + probe_set.len()) as u64;
         let trace = self.harness.trace();
         if read_back > 0 && trace.events_enabled() {
@@ -269,13 +247,14 @@ impl HashJoinOp {
         if build_set.is_empty() || probe_set.is_empty() {
             return Ok(());
         }
-        let budget = self.harness.reservation().map(|r| r.budget());
-        let mut out = Vec::new();
-        join_sets(
-            build_set, probe_set, self.rkey, self.lkey, budget, 0, &spill, true, &mut out,
-        )?;
-        self.pending.extend_tuples(out);
-        Ok(())
+        let join = BucketJoin {
+            build_key: self.rkey,
+            probe_key: self.lkey,
+            budget: self.reservation.as_ref().map(|r| r.budget()),
+            spill: &*spill,
+            block: self.harness.batch_size().max(1),
+        };
+        join.run(build_set, &probe_set, 0, &mut self.pending)
     }
 }
 
@@ -287,7 +266,7 @@ impl Operator for HashJoinOp {
         self.rkey = self.right.schema().index_of(&self.right_key)?;
         self.schema = self.left.schema().concat(self.right.schema());
         self.reservation = self.harness.reservation();
-        self.build = Some(BucketedTable::new(
+        self.build = Some(JoinSide::new(
             format!("hj-build-{}", self.harness.subject()),
             self.num_buckets,
             self.rkey,
@@ -295,11 +274,7 @@ impl Operator for HashJoinOp {
             self.harness.spill(),
         ));
         self.probe_spill = vec![None; self.num_buckets];
-        // Typed queue: join output seals directly into columnar batches.
-        self.pending = OutputQueue::typed(
-            self.harness.batch_size(),
-            self.schema.fields().iter().map(|f| f.data_type).collect(),
-        );
+        self.pending = OutputQueue::new(self.harness.batch_size());
         self.metrics = self.harness.metrics(self.name());
         self.spilled_tuples = 0;
         self.resolved_emitted = false;
@@ -322,14 +297,7 @@ impl Operator for HashJoinOp {
             // Emit once a full block exists, or when output is pending and
             // the next step would pull (possibly blocking) probe input.
             let block_ready = self.pending.len() >= max
-                || (!self.pending.is_empty()
-                    && match self.phase {
-                        Phase::Probe => {
-                            self.probe_queue.as_ref().is_none_or(|q| q.remaining() == 0)
-                        }
-                        Phase::Done => true,
-                        _ => false, // cleanup steps are local; keep filling
-                    });
+                || (!self.pending.is_empty() && matches!(self.phase, Phase::Probe | Phase::Done));
             if block_ready {
                 let out = self.pending.pop_block().unwrap_or_default();
                 if let Some(m) = &self.metrics {
@@ -344,15 +312,12 @@ impl Operator for HashJoinOp {
                         "HashJoin::next_batch before open".into(),
                     ))
                 }
-                Phase::Probe if self.probe_queue.is_some() => self.drain_probe(max)?,
                 Phase::Probe => match self.left.next_batch()? {
                     Some(batch) => {
                         if let Some(m) = &self.metrics {
                             m.add_input(batch.len() as u64);
                         }
-                        // Prehash the probe batch once and drain it in
-                        // place.
-                        self.probe_queue = Some(KeyedBatch::new(batch, self.lkey));
+                        self.probe_batch(batch)?;
                     }
                     None => self.phase = Phase::Cleanup(0),
                 },
@@ -385,7 +350,6 @@ impl Operator for HashJoinOp {
         if let Some(mut b) = self.build.take() {
             b.clear();
             self.pending.clear();
-            self.probe_queue = None;
             self.harness.closed();
         }
         Ok(())
@@ -410,7 +374,7 @@ mod tests {
     use crate::operator::drain;
     use crate::runtime::{ExecEnv, OpHarness, PlanRuntime};
     use std::sync::Arc;
-    use tukwila_common::{tuple, DataType, Relation};
+    use tukwila_common::{tuple, DataType, Relation, Tuple};
     use tukwila_plan::{JoinKind, PlanBuilder, SubjectRef};
     use tukwila_source::{LinkModel, SimulatedSource, SourceRegistry};
 

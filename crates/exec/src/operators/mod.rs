@@ -17,7 +17,7 @@ mod dpj_resident_tests;
 pub mod exchange;
 pub mod filter;
 pub mod hash_join;
-pub mod hash_table;
+mod join_side;
 pub mod nlj;
 #[cfg(test)]
 mod op_tests;

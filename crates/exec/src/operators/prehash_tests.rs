@@ -5,7 +5,7 @@
 //! nested-loop reference (`Relation::nested_join`, SQL equality semantics)
 //! — including NULL keys, duplicate-heavy key distributions, and memory
 //! budgets small enough to force overflow flushing and the salted
-//! recursive re-partitioning inside `join_sets`.
+//! recursive re-partitioning of the cleanup's bucket join.
 //!
 //! Composite keys have no operator surface (all in-tree joins key on one
 //! column), so they are pinned at the machinery level: `PrehashMap` keyed
@@ -16,14 +16,15 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use tukwila_common::{
-    fx_hash, DataType, JoinKey, KeyVector, PrehashMap, Relation, Schema, Tuple, Value,
+    ColumnarBatch, DataType, JoinKey, KeyVector, OutputQueue, PrehashMap, Relation, Schema, Tuple,
+    Value,
 };
 use tukwila_plan::{JoinKind, OperatorNode, OverflowMethod, PlanBuilder, QueryPlan};
 use tukwila_source::{LinkModel, SimulatedSource, SourceRegistry};
 
 use crate::build::build_operator;
 use crate::operator::drain;
-use crate::operators::hash_table::{bucket_of, bucket_of_hash, join_sets};
+use crate::operators::join_side::{BucketJoin, Keyed};
 use crate::runtime::{ExecEnv, PlanRuntime};
 
 fn multiset(tuples: &[Tuple]) -> HashMap<Tuple, usize> {
@@ -140,25 +141,33 @@ proptest! {
         prop_assert_eq!(multiset(&out), gold);
     }
 
-    /// `join_sets` under a budget that forces salted recursive
-    /// re-partitioning produces exactly the in-memory result.
+    /// The cleanup's bucket join under a budget that forces salted
+    /// recursive re-partitioning produces exactly the in-memory result,
+    /// and every re-partitioned row is read back.
     #[test]
-    fn prop_join_sets_repartition_equivalence(
+    fn prop_bucket_join_repartition_equivalence(
         build_rows in arb_rows(48),
         probe_rows in arb_rows(48),
     ) {
-        use std::sync::Arc;
         use tukwila_storage::{InMemorySpillStore, SpillStore};
-        let build: Vec<Tuple> = rel_of("b", &build_rows).tuples().to_vec();
-        let probe: Vec<Tuple> = rel_of("p", &probe_rows).tuples().to_vec();
-        let spill: Arc<dyn SpillStore> = Arc::new(InMemorySpillStore::new());
-        let mut in_mem = Vec::new();
-        join_sets(build.clone(), probe.clone(), 0, 0, None, 0, &spill, true, &mut in_mem).unwrap();
-        let mut repartitioned = Vec::new();
+        let keyed = |name, rows: &[(Option<i64>, i64)]| {
+            Keyed::of(ColumnarBatch::from_rows(rel_of(name, rows).tuples()), 0)
+        };
+        let (build, probe) = (keyed("b", &build_rows), keyed("p", &probe_rows));
+        let spill = InMemorySpillStore::new();
+        let run = |budget| {
+            let join = BucketJoin { build_key: 0, probe_key: 0, budget, spill: &spill, block: 7 };
+            let mut out = OutputQueue::new(7);
+            join.run(build.clone(), &probe, 0, &mut out).unwrap();
+            std::iter::from_fn(|| out.pop_block()).flatten().collect::<Vec<Tuple>>()
+        };
+        let in_mem = run(None);
+        prop_assert_eq!(spill.stats().total_tuple_io(), 0);
         // 64-byte budget: any non-trivial build side recurses with fresh
-        // salts down to MAX_DEPTH_SALT.
-        join_sets(build, probe, 0, 0, Some(64), 0, &spill, true, &mut repartitioned).unwrap();
+        // salts down to the maximum depth.
+        let repartitioned = run(Some(64));
         prop_assert_eq!(multiset(&in_mem), multiset(&repartitioned));
+        prop_assert_eq!(spill.stats().tuples_written(), spill.stats().tuples_read());
     }
 
     /// Composite keys: grouping rows by a two-column [`JoinKey`] through
@@ -215,16 +224,6 @@ proptest! {
         }
     }
 
-    /// The cached-prehash bucket routing equals hashing the value directly,
-    /// for every salt.
-    #[test]
-    fn prop_bucket_of_hash_consistent(v in -1000i64..1000, salt in 0u64..8, n in 1usize..64) {
-        let value = Value::Int(v);
-        prop_assert_eq!(
-            bucket_of(&value, n, salt),
-            bucket_of_hash(fx_hash(&value), n, salt)
-        );
-    }
 }
 
 /// Fixed-scenario regression: all four joins over a dataset with NULL keys

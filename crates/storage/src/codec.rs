@@ -1,14 +1,15 @@
-//! Compact binary tuple codec for the file-backed spill store.
+//! Compact binary batch codec for the file-backed spill store and the wire.
 //!
-//! Length-prefixed, little-endian, self-describing per value. Only needs to
-//! round-trip within one process lifetime (spill files never outlive a
-//! query), so there is no versioning; there *is* strict validation because a
-//! decode error means engine corruption and must not pass silently.
+//! Length-prefixed, little-endian. Only needs to round-trip within one
+//! process lifetime (spill files never outlive a query), so there is no
+//! versioning; there *is* strict validation because a decode error means
+//! engine corruption or a hostile peer and must not pass silently.
 //!
-//! Spill files are written and read at **batch** granularity: each write
-//! appends one [`encode_batch`] frame (a tuple-count header followed by the
-//! tuples), so a bucket read-back decodes whole batches instead of paying
-//! per-tuple framing on the hot overflow path.
+//! Spill files are written and read at **batch** granularity: each append
+//! writes one column-major frame ([`encode_columns`]: a row-count header,
+//! then each column's kind tag, validity bits and typed payload), and a
+//! bucket read-back decodes whole batches ([`decode_all_columns`]). Row
+//! frames ([`encode_batch`]) remain for the wire's row-form batches.
 
 use std::sync::Arc;
 
@@ -65,6 +66,14 @@ fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
     Ok(slice)
 }
 
+/// Read a fixed-width field of `N` bytes starting at `pos`, advancing
+/// `pos` — the one way every integer and float field is decoded.
+fn take_array<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]> {
+    let mut out = [0u8; N];
+    out.copy_from_slice(take(buf, pos, N)?);
+    Ok(out)
+}
+
 /// Fail unless `count` items of at least `min_width` encoded bytes each fit
 /// in what is left of `buf` after `pos`. Every decoder checks this before
 /// sizing an allocation from a header field, so a short hostile frame
@@ -89,22 +98,16 @@ pub fn ensure_room(
 pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
     let tag = take(buf, pos, 1)?[0];
     match tag {
-        TAG_INT => Ok(Value::Int(i64::from_le_bytes(
-            take(buf, pos, 8)?.try_into().unwrap(),
-        ))),
-        TAG_DOUBLE => Ok(Value::Double(f64::from_le_bytes(
-            take(buf, pos, 8)?.try_into().unwrap(),
-        ))),
+        TAG_INT => Ok(Value::Int(i64::from_le_bytes(take_array(buf, pos)?))),
+        TAG_DOUBLE => Ok(Value::Double(f64::from_le_bytes(take_array(buf, pos)?))),
         TAG_STR => {
-            let len = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
+            let len = u32::from_le_bytes(take_array(buf, pos)?) as usize;
             let bytes = take(buf, pos, len)?;
             let s = std::str::from_utf8(bytes)
                 .map_err(|e| TukwilaError::Io(format!("spill codec: bad utf8: {e}")))?;
             Ok(Value::str(s))
         }
-        TAG_DATE => Ok(Value::Date(i32::from_le_bytes(
-            take(buf, pos, 4)?.try_into().unwrap(),
-        ))),
+        TAG_DATE => Ok(Value::Date(i32::from_le_bytes(take_array(buf, pos)?))),
         TAG_NULL => Ok(Value::Null),
         other => Err(TukwilaError::Io(format!(
             "spill codec: unknown value tag {other}"
@@ -122,7 +125,7 @@ pub fn encode_tuple(t: &Tuple, out: &mut Vec<u8>) {
 
 /// Decode one tuple starting at `pos`, advancing `pos`.
 pub fn decode_tuple(buf: &[u8], pos: &mut usize) -> Result<Tuple> {
-    let arity = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
+    let arity = u32::from_le_bytes(take_array(buf, pos)?) as usize;
     if arity > 1 << 20 {
         return Err(TukwilaError::Io(format!(
             "spill codec: implausible arity {arity}"
@@ -268,23 +271,21 @@ fn decode_column(buf: &[u8], pos: &mut usize, len: usize) -> Result<Column> {
         COL_INT64 => {
             let mut v = Vec::with_capacity(len);
             for _ in 0..len {
-                v.push(i64::from_le_bytes(take(buf, pos, 8)?.try_into().unwrap()));
+                v.push(i64::from_le_bytes(take_array(buf, pos)?));
             }
             Ok(Column::Int64(v, validity))
         }
         COL_FLOAT64 => {
             let mut v = Vec::with_capacity(len);
             for _ in 0..len {
-                v.push(f64::from_bits(u64::from_le_bytes(
-                    take(buf, pos, 8)?.try_into().unwrap(),
-                )));
+                v.push(f64::from_bits(u64::from_le_bytes(take_array(buf, pos)?)));
             }
             Ok(Column::Float64(v, validity))
         }
         COL_STR => {
             let mut v: Vec<Arc<str>> = Vec::with_capacity(len);
             for _ in 0..len {
-                let n = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
+                let n = u32::from_le_bytes(take_array(buf, pos)?) as usize;
                 let s = std::str::from_utf8(take(buf, pos, n)?)
                     .map_err(|e| TukwilaError::Io(format!("spill codec: bad utf8: {e}")))?;
                 v.push(Arc::from(s));
@@ -294,7 +295,7 @@ fn decode_column(buf: &[u8], pos: &mut usize, len: usize) -> Result<Column> {
         COL_DATE => {
             let mut v = Vec::with_capacity(len);
             for _ in 0..len {
-                v.push(i32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()));
+                v.push(i32::from_le_bytes(take_array(buf, pos)?));
             }
             Ok(Column::Date(v, validity))
         }
@@ -359,7 +360,7 @@ pub fn encode_columns(cols: &ColumnarBatch, out: &mut Vec<u8>) {
 /// the count word's high bit: columnar frames decode straight into a
 /// columnar [`TupleBatch`] (no row materialization), row frames as before.
 pub fn decode_batch(buf: &[u8], pos: &mut usize) -> Result<TupleBatch> {
-    let word = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap());
+    let word = u32::from_le_bytes(take_array(buf, pos)?);
     let count = (word & !COLS_FLAG) as usize;
     if count > 1 << 26 {
         return Err(TukwilaError::Io(format!(
@@ -367,7 +368,7 @@ pub fn decode_batch(buf: &[u8], pos: &mut usize) -> Result<TupleBatch> {
         )));
     }
     if word & COLS_FLAG != 0 {
-        let ncols = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
+        let ncols = u32::from_le_bytes(take_array(buf, pos)?) as usize;
         if ncols > 1 << 20 {
             return Err(TukwilaError::Io(format!(
                 "spill codec: implausible column count {ncols}"
@@ -388,12 +389,16 @@ pub fn decode_batch(buf: &[u8], pos: &mut usize) -> Result<TupleBatch> {
     Ok(batch)
 }
 
-/// Decode a whole buffer of concatenated batch frames.
-pub fn decode_all_batches(buf: &[u8]) -> Result<Vec<TupleBatch>> {
+/// Decode a whole buffer of concatenated column-major frames — a spill
+/// file, which holds nothing else, so a row frame is an error.
+pub fn decode_all_columns(buf: &[u8]) -> Result<Vec<ColumnarBatch>> {
     let mut pos = 0;
     let mut out = Vec::new();
     while pos < buf.len() {
-        out.push(decode_batch(buf, &mut pos)?);
+        let batch = decode_batch(buf, &mut pos)?;
+        out.push(batch.columns().cloned().ok_or_else(|| {
+            TukwilaError::Io("spill codec: row frame in a column-frame file".into())
+        })?);
     }
     Ok(out)
 }
@@ -403,6 +408,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use tukwila_common::tuple;
+
+    /// Every frame of `buf`, row or column.
+    fn decode_all_batches(buf: &[u8]) -> Result<Vec<TupleBatch>> {
+        let mut pos = 0;
+        let mut out = Vec::new();
+        while pos < buf.len() {
+            out.push(decode_batch(buf, &mut pos)?);
+        }
+        Ok(out)
+    }
 
     fn round_trip(t: &Tuple) -> Tuple {
         let mut buf = Vec::new();

@@ -123,20 +123,24 @@ impl MemoryReservation {
         }
     }
 
-    /// Whether charging `bytes` more would still leave this reservation not
+    /// How many more bytes can be charged before this reservation is
     /// [`MemoryReservation::under_pressure`] — asked **without charging**,
-    /// against the same levels (own budget, pool, parent chain). An
-    /// operator that stores whole blocks tests this first, so a block that
-    /// does not fit never shows in the peak.
-    pub fn has_headroom(&self, bytes: usize) -> bool {
-        let fits = |used: &AtomicUsize, budget: usize| {
-            used.load(Ordering::Relaxed).saturating_add(bytes) <= budget
-        };
+    /// against the same levels (own budget, pool, parent chain); `None`
+    /// when it already is. An operator that stores rows tests its charges
+    /// against this first, so it can split a block where it stops fitting.
+    pub fn headroom(&self) -> Option<usize> {
+        let left =
+            |used: &AtomicUsize, budget: usize| budget.checked_sub(used.load(Ordering::Relaxed));
         let pool = &self.inner.pool;
         let pool_budget = pool.budget.load(Ordering::Relaxed);
-        fits(&self.inner.used, self.inner.budget.load(Ordering::Relaxed))
-            && (pool_budget == 0 || fits(&pool.used, pool_budget))
-            && pool.parent.as_ref().is_none_or(|p| p.has_headroom(bytes))
+        let mut room = left(&self.inner.used, self.inner.budget.load(Ordering::Relaxed))?;
+        if pool_budget != 0 {
+            room = room.min(left(&pool.used, pool_budget)?);
+        }
+        if let Some(parent) = &pool.parent {
+            room = room.min(parent.headroom()?);
+        }
+        Some(room)
     }
 
     /// Bytes that must be freed to get back under budget (0 if under).
@@ -437,13 +441,13 @@ mod tests {
         assert!(!op.under_pressure());
     }
 
-    /// `has_headroom(n)` answers what `charge(n); under_pressure()` would,
+    /// `n <= headroom()` answers what `charge(n); under_pressure()` would,
     /// at every level `under_pressure` folds in, and charges nothing.
     #[test]
     fn headroom_matches_pressure_after_charge_at_every_level() {
         let agrees = |r: &MemoryReservation, n: usize| {
             let before = r.usage();
-            let predicted = r.has_headroom(n);
+            let predicted = r.headroom().is_some_and(|room| n <= room);
             assert_eq!(
                 r.usage(),
                 before,
@@ -461,6 +465,10 @@ mod tests {
         r.charge(60);
         assert!(agrees(&r, 40), "exactly at budget is not over it");
         assert!(!agrees(&r, 41));
+        r.charge(50);
+        assert_eq!(r.headroom(), None, "already over: no room at all");
+        assert!(!agrees(&r, 0));
+        r.release(50);
         mm.register("other", 10).charge(1_000_000);
         assert!(agrees(&r, 40), "pool budget 0 means unlimited");
         // Pool level: a neighbour's charge uses up the shared budget.

@@ -5,11 +5,14 @@
 //! model, so tests can check the implemented strategies against the derived
 //! cost formulas, and the `overflow_io` bench regenerates the analysis.
 //!
-//! Two implementations:
+//! The store holds **columnar batches**: a flush appends a bucket's rows as
+//! one [`ColumnarBatch`], and cleanup reads the bucket's batches back. Two
+//! implementations:
 //! * [`InMemorySpillStore`] — deterministic, allocation-only; the default in
-//!   tests and benches (I/O *accounting* is identical to the file store).
-//! * [`FileSpillStore`] — real temp files via the [`crate::codec`] binary
-//!   codec; proves the overflow path works against an actual filesystem.
+//!   tests, benches and the engine (I/O *accounting* is identical to the
+//!   file store). It keeps the batches themselves.
+//! * [`FileSpillStore`] — real temp files of [`crate::codec`] column
+//!   frames; proves the overflow path works against an actual filesystem.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -20,11 +23,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use tukwila_common::{Result, TukwilaError, Tuple, TupleBatch};
+use tukwila_common::{ColumnarBatch, Result, TukwilaError};
 
 use crate::codec;
 
-/// Tuple-level spill I/O counters (shared, thread-safe).
+/// Row-level spill I/O counters, one tuple I/O per row (shared,
+/// thread-safe).
 #[derive(Debug, Default)]
 pub struct IoStats {
     tuples_written: AtomicUsize,
@@ -124,38 +128,32 @@ impl IoSnapshot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpillBucket(u64);
 
-/// Abstract spill storage: create buckets, append tuples, read them back.
+/// Rows and bytes (the tuple memory model) of a bucket's batches.
+fn rows_and_bytes(batches: &[ColumnarBatch]) -> (usize, usize) {
+    batches
+        .iter()
+        .fold((0, 0), |(n, b), c| (n + c.len(), b + c.mem_size()))
+}
+
+/// Abstract spill storage: create a bucket, append columnar batches to it,
+/// read its batches back, remove it. Every row written or read counts as
+/// one tuple I/O, and its bytes as its [`ColumnarBatch::mem_size`] share.
 ///
 /// All methods take `&self`; implementations are internally synchronized
 /// because the double pipelined join's threads spill concurrently.
 pub trait SpillStore: Send + Sync {
-    /// Create a new, empty bucket. `label` is diagnostic only.
-    fn create_bucket(&self, label: &str) -> SpillBucket;
+    /// Create a new, empty bucket. `label` is diagnostic only. Fails with
+    /// [`TukwilaError::Io`] when the backing storage cannot hold one.
+    fn create_bucket(&self, label: &str) -> Result<SpillBucket>;
 
-    /// Append tuples to a bucket, counting writes.
-    fn write(&self, bucket: SpillBucket, tuples: &[Tuple]) -> Result<()>;
+    /// Append one batch to a bucket, counting its rows as written.
+    fn append(&self, bucket: SpillBucket, batch: &ColumnarBatch) -> Result<()>;
 
-    /// Append a whole batch to a bucket in one operation — the batched
-    /// encode path; the batch's cached `mem_size` spares a per-tuple sum.
-    fn write_batch(&self, bucket: SpillBucket, batch: &TupleBatch) -> Result<()> {
-        self.write(bucket, batch.tuples())
-    }
+    /// The bucket's batches in append order, counting their rows as read.
+    fn read(&self, bucket: SpillBucket) -> Result<Vec<ColumnarBatch>>;
 
-    /// Read the entire bucket back, counting reads.
-    fn read_all(&self, bucket: SpillBucket) -> Result<Vec<Tuple>>;
-
-    /// Read the entire bucket back as one batch.
-    fn read_all_batch(&self, bucket: SpillBucket) -> Result<TupleBatch> {
-        Ok(TupleBatch::from_tuples(self.read_all(bucket)?))
-    }
-
-    /// Number of tuples currently in the bucket.
+    /// Number of rows currently in the bucket.
     fn len(&self, bucket: SpillBucket) -> usize;
-
-    /// Whether the bucket holds no tuples.
-    fn is_empty(&self, bucket: SpillBucket) -> bool {
-        self.len(bucket) == 0
-    }
 
     /// Reclaim a bucket's storage. Reading a removed bucket errors;
     /// removing an unknown bucket is a no-op. Long-lived stores shared by
@@ -168,51 +166,51 @@ pub trait SpillStore: Send + Sync {
     fn stats(&self) -> &Arc<IoStats>;
 }
 
+fn unknown(bucket: SpillBucket) -> TukwilaError {
+    TukwilaError::Internal(format!("unknown spill bucket {bucket:?}"))
+}
+
 /// Deterministic in-memory spill store (accounting identical to the file
-/// store; storage is a vector).
+/// store). A bucket holds the appended batches themselves, so a write or a
+/// read moves column handles, never rows.
 #[derive(Debug, Default)]
 pub struct InMemorySpillStore {
     next_id: AtomicU64,
-    buckets: Mutex<HashMap<u64, Vec<Tuple>>>,
+    buckets: Mutex<HashMap<u64, Vec<ColumnarBatch>>>,
     stats: Arc<IoStats>,
 }
 
 impl InMemorySpillStore {
     /// Fresh store.
     pub fn new() -> Self {
-        Self {
-            stats: Arc::new(IoStats::default()),
-            ..Default::default()
-        }
+        Self::default()
     }
 }
 
 impl SpillStore for InMemorySpillStore {
-    fn create_bucket(&self, _label: &str) -> SpillBucket {
+    fn create_bucket(&self, _label: &str) -> Result<SpillBucket> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.buckets.lock().insert(id, Vec::new());
-        SpillBucket(id)
+        Ok(SpillBucket(id))
     }
 
-    fn write(&self, bucket: SpillBucket, tuples: &[Tuple]) -> Result<()> {
-        let bytes: usize = tuples.iter().map(Tuple::mem_size).sum();
+    fn append(&self, bucket: SpillBucket, batch: &ColumnarBatch) -> Result<()> {
         let mut guard = self.buckets.lock();
-        let b = guard
-            .get_mut(&bucket.0)
-            .ok_or_else(|| TukwilaError::Internal(format!("unknown spill bucket {bucket:?}")))?;
-        b.extend_from_slice(tuples);
-        self.stats.record_write(tuples.len(), bytes);
+        let b = guard.get_mut(&bucket.0).ok_or_else(|| unknown(bucket))?;
+        b.push(batch.clone());
+        self.stats.record_write(batch.len(), batch.mem_size());
         Ok(())
     }
 
-    fn read_all(&self, bucket: SpillBucket) -> Result<Vec<Tuple>> {
-        let guard = self.buckets.lock();
-        let b = guard
+    fn read(&self, bucket: SpillBucket) -> Result<Vec<ColumnarBatch>> {
+        let out = self
+            .buckets
+            .lock()
             .get(&bucket.0)
-            .ok_or_else(|| TukwilaError::Internal(format!("unknown spill bucket {bucket:?}")))?;
-        let out = b.clone();
-        let bytes: usize = out.iter().map(Tuple::mem_size).sum();
-        self.stats.record_read(out.len(), bytes);
+            .ok_or_else(|| unknown(bucket))?
+            .clone();
+        let (rows, bytes) = rows_and_bytes(&out);
+        self.stats.record_read(rows, bytes);
         Ok(out)
     }
 
@@ -220,8 +218,7 @@ impl SpillStore for InMemorySpillStore {
         self.buckets
             .lock()
             .get(&bucket.0)
-            .map(Vec::len)
-            .unwrap_or(0)
+            .map_or(0, |b| rows_and_bytes(b).0)
     }
 
     fn remove_bucket(&self, bucket: SpillBucket) {
@@ -233,8 +230,9 @@ impl SpillStore for InMemorySpillStore {
     }
 }
 
-/// File-backed spill store writing length-prefixed binary tuples into a
-/// private temp directory (removed on drop).
+/// File-backed spill store: one file per bucket in a private temp
+/// directory (removed on drop), each append one column-major
+/// [`crate::codec`] frame.
 #[derive(Debug)]
 pub struct FileSpillStore {
     dir: PathBuf,
@@ -265,23 +263,6 @@ impl FileSpillStore {
     pub fn dir(&self) -> &PathBuf {
         &self.dir
     }
-
-    fn append_frame(
-        &self,
-        bucket: SpillBucket,
-        buf: &[u8],
-        tuples: usize,
-        bytes: usize,
-    ) -> Result<()> {
-        let mut guard = self.files.lock();
-        let (_, file, count) = guard
-            .get_mut(&bucket.0)
-            .ok_or_else(|| TukwilaError::Internal(format!("unknown spill bucket {bucket:?}")))?;
-        file.write_all(buf)?;
-        *count += tuples;
-        self.stats.record_write(tuples, bytes);
-        Ok(())
-    }
 }
 
 static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
@@ -293,7 +274,7 @@ impl Drop for FileSpillStore {
 }
 
 impl SpillStore for FileSpillStore {
-    fn create_bucket(&self, label: &str) -> SpillBucket {
+    fn create_bucket(&self, label: &str) -> Result<SpillBucket> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let sanitized: String = label
             .chars()
@@ -304,55 +285,40 @@ impl SpillStore for FileSpillStore {
             .create(true)
             .append(true)
             .read(true)
-            .open(&path)
-            .expect("spill file create");
+            .open(&path)?;
         self.files.lock().insert(id, (path, file, 0));
-        SpillBucket(id)
+        Ok(SpillBucket(id))
     }
 
-    fn write(&self, bucket: SpillBucket, tuples: &[Tuple]) -> Result<()> {
-        // One batch frame per write call: the whole block is encoded and
-        // appended in a single I/O, and read back frame-by-frame.
+    fn append(&self, bucket: SpillBucket, batch: &ColumnarBatch) -> Result<()> {
+        // One frame per append: the whole batch is encoded and written in
+        // a single I/O, and read back frame by frame.
         let mut buf = Vec::new();
-        codec::encode_batch(tuples, &mut buf);
-        let bytes: usize = tuples.iter().map(Tuple::mem_size).sum();
-        self.append_frame(bucket, &buf, tuples.len(), bytes)
+        codec::encode_columns(batch, &mut buf);
+        let mut guard = self.files.lock();
+        let (_, file, rows) = guard.get_mut(&bucket.0).ok_or_else(|| unknown(bucket))?;
+        file.write_all(&buf)?;
+        *rows += batch.len();
+        self.stats.record_write(batch.len(), batch.mem_size());
+        Ok(())
     }
 
-    fn write_batch(&self, bucket: SpillBucket, batch: &TupleBatch) -> Result<()> {
-        // Columnar batches spill as column-major frames (typed payload
-        // vectors, no per-value tags); row batches take the row frame.
-        let mut buf = Vec::new();
-        codec::encode_batch_frame(batch, &mut buf);
-        self.append_frame(bucket, &buf, batch.len(), batch.mem_size())
-    }
-
-    fn read_all(&self, bucket: SpillBucket) -> Result<Vec<Tuple>> {
+    fn read(&self, bucket: SpillBucket) -> Result<Vec<ColumnarBatch>> {
         let path = {
             let guard = self.files.lock();
-            let (path, _, _) = guard.get(&bucket.0).ok_or_else(|| {
-                TukwilaError::Internal(format!("unknown spill bucket {bucket:?}"))
-            })?;
+            let (path, _, _) = guard.get(&bucket.0).ok_or_else(|| unknown(bucket))?;
             path.clone()
         };
         let mut bytes = Vec::new();
         File::open(&path)?.read_to_end(&mut bytes)?;
-        let mut tuples = Vec::new();
-        let mut mem = 0usize;
-        for batch in codec::decode_all_batches(&bytes)? {
-            mem += batch.mem_size();
-            tuples.extend(batch);
-        }
-        self.stats.record_read(tuples.len(), mem);
-        Ok(tuples)
+        let out = codec::decode_all_columns(&bytes)?;
+        let (rows, mem) = rows_and_bytes(&out);
+        self.stats.record_read(rows, mem);
+        Ok(out)
     }
 
     fn len(&self, bucket: SpillBucket) -> usize {
-        self.files
-            .lock()
-            .get(&bucket.0)
-            .map(|(_, _, n)| *n)
-            .unwrap_or(0)
+        self.files.lock().get(&bucket.0).map_or(0, |(_, _, n)| *n)
     }
 
     fn remove_bucket(&self, bucket: SpillBucket) {
@@ -400,29 +366,22 @@ impl Drop for ScopedSpillStore {
 }
 
 impl SpillStore for ScopedSpillStore {
-    fn create_bucket(&self, label: &str) -> SpillBucket {
-        let bucket = self.inner.create_bucket(label);
+    fn create_bucket(&self, label: &str) -> Result<SpillBucket> {
+        let bucket = self.inner.create_bucket(label)?;
         self.created.lock().push(bucket);
-        bucket
+        Ok(bucket)
     }
 
-    fn write(&self, bucket: SpillBucket, tuples: &[Tuple]) -> Result<()> {
-        self.inner.write(bucket, tuples)?;
-        let bytes: usize = tuples.iter().map(Tuple::mem_size).sum();
-        self.stats.record_write(tuples.len(), bytes);
-        Ok(())
-    }
-
-    fn write_batch(&self, bucket: SpillBucket, batch: &TupleBatch) -> Result<()> {
-        self.inner.write_batch(bucket, batch)?;
+    fn append(&self, bucket: SpillBucket, batch: &ColumnarBatch) -> Result<()> {
+        self.inner.append(bucket, batch)?;
         self.stats.record_write(batch.len(), batch.mem_size());
         Ok(())
     }
 
-    fn read_all(&self, bucket: SpillBucket) -> Result<Vec<Tuple>> {
-        let out = self.inner.read_all(bucket)?;
-        let bytes: usize = out.iter().map(Tuple::mem_size).sum();
-        self.stats.record_read(out.len(), bytes);
+    fn read(&self, bucket: SpillBucket) -> Result<Vec<ColumnarBatch>> {
+        let out = self.inner.read(bucket)?;
+        let (rows, bytes) = rows_and_bytes(&out);
+        self.stats.record_read(rows, bytes);
         Ok(out)
     }
 
@@ -464,23 +423,26 @@ impl ThrottledSpillStore {
     }
 }
 
+/// Sleep `per_row` once for each of `rows` rows.
+fn service_time(per_row: std::time::Duration, rows: usize) {
+    if !per_row.is_zero() && rows > 0 {
+        std::thread::sleep(per_row * rows as u32);
+    }
+}
+
 impl SpillStore for ThrottledSpillStore {
-    fn create_bucket(&self, label: &str) -> SpillBucket {
+    fn create_bucket(&self, label: &str) -> Result<SpillBucket> {
         self.inner.create_bucket(label)
     }
 
-    fn write(&self, bucket: SpillBucket, tuples: &[Tuple]) -> Result<()> {
-        if !self.write_per_tuple.is_zero() && !tuples.is_empty() {
-            std::thread::sleep(self.write_per_tuple * tuples.len() as u32);
-        }
-        self.inner.write(bucket, tuples)
+    fn append(&self, bucket: SpillBucket, batch: &ColumnarBatch) -> Result<()> {
+        service_time(self.write_per_tuple, batch.len());
+        self.inner.append(bucket, batch)
     }
 
-    fn read_all(&self, bucket: SpillBucket) -> Result<Vec<Tuple>> {
-        let out = self.inner.read_all(bucket)?;
-        if !self.read_per_tuple.is_zero() && !out.is_empty() {
-            std::thread::sleep(self.read_per_tuple * out.len() as u32);
-        }
+    fn read(&self, bucket: SpillBucket) -> Result<Vec<ColumnarBatch>> {
+        let out = self.inner.read(bucket)?;
+        service_time(self.read_per_tuple, rows_and_bytes(&out).0);
         Ok(out)
     }
 
@@ -500,18 +462,29 @@ impl SpillStore for ThrottledSpillStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tukwila_common::tuple;
+    use tukwila_common::{tuple, Tuple};
+
+    fn batch(rows: &[Tuple]) -> ColumnarBatch {
+        ColumnarBatch::from_rows(rows)
+    }
+
+    fn rows_of(batches: &[ColumnarBatch]) -> Vec<Tuple> {
+        batches
+            .iter()
+            .flat_map(ColumnarBatch::materialize_rows)
+            .collect()
+    }
 
     #[test]
     fn scoped_store_attributes_io_per_handle() {
         let shared: Arc<dyn SpillStore> = Arc::new(InMemorySpillStore::new());
         let a = ScopedSpillStore::new(shared.clone());
         let b = ScopedSpillStore::new(shared.clone());
-        let ba = a.create_bucket("a");
-        let bb = b.create_bucket("b");
-        a.write(ba, &[tuple![1], tuple![2]]).unwrap();
-        b.write(bb, &[tuple![3]]).unwrap();
-        let _ = a.read_all(ba).unwrap();
+        let ba = a.create_bucket("a").unwrap();
+        let bb = b.create_bucket("b").unwrap();
+        a.append(ba, &batch(&[tuple![1], tuple![2]])).unwrap();
+        b.append(bb, &batch(&[tuple![3]])).unwrap();
+        let _ = a.read(ba).unwrap();
         // Each scope sees only its own traffic...
         assert_eq!(a.stats().tuples_written(), 2);
         assert_eq!(a.stats().tuples_read(), 2);
@@ -520,42 +493,48 @@ mod tests {
         // ...while the shared store aggregates everything.
         assert_eq!(shared.stats().tuples_written(), 3);
         // Buckets live in the shared store: b can read a's bucket.
-        assert_eq!(b.read_all(ba).unwrap().len(), 2);
+        assert_eq!(rows_of(&b.read(ba).unwrap()).len(), 2);
     }
 
     #[test]
     fn scoped_store_reclaims_its_buckets_on_drop() {
         let shared: Arc<dyn SpillStore> = Arc::new(InMemorySpillStore::new());
-        let survivor = shared.create_bucket("keep");
-        shared.write(survivor, &[tuple![0]]).unwrap();
+        let survivor = shared.create_bucket("keep").unwrap();
+        shared.append(survivor, &batch(&[tuple![0]])).unwrap();
         let scoped_bucket = {
             let scoped = ScopedSpillStore::new(shared.clone());
-            let b = scoped.create_bucket("q1");
-            scoped.write(b, &[tuple![1], tuple![2]]).unwrap();
+            let b = scoped.create_bucket("q1").unwrap();
+            scoped.append(b, &batch(&[tuple![1], tuple![2]])).unwrap();
             assert_eq!(shared.len(b), 2);
             b
         }; // query done → its overflow data is reclaimed
            // The scope's bucket is gone; unrelated buckets survive.
         assert_eq!(shared.len(scoped_bucket), 0);
-        assert!(shared.read_all(scoped_bucket).is_err());
+        assert!(shared.read(scoped_bucket).is_err());
         assert_eq!(shared.len(survivor), 1);
     }
 
     fn exercise(store: &dyn SpillStore) {
-        let b1 = store.create_bucket("left-3");
-        let b2 = store.create_bucket("right-3");
-        assert!(store.is_empty(b1));
+        let b1 = store.create_bucket("left-3").unwrap();
+        let b2 = store.create_bucket("right-3").unwrap();
+        assert_eq!(store.len(b1), 0);
 
-        store.write(b1, &[tuple![1, "a"], tuple![2, "b"]]).unwrap();
-        store.write(b2, &[tuple![9]]).unwrap();
-        store.write(b1, &[tuple![3, "c"]]).unwrap();
+        store
+            .append(b1, &batch(&[tuple![1, "a"], tuple![2, "b"]]))
+            .unwrap();
+        store.append(b2, &batch(&[tuple![9]])).unwrap();
+        store.append(b1, &batch(&[tuple![3, "c"]])).unwrap();
 
         assert_eq!(store.len(b1), 3);
         assert_eq!(store.len(b2), 1);
         assert_eq!(store.stats().tuples_written(), 4);
 
-        let back = store.read_all(b1).unwrap();
-        assert_eq!(back, vec![tuple![1, "a"], tuple![2, "b"], tuple![3, "c"]]);
+        let back = store.read(b1).unwrap();
+        assert_eq!(back.len(), 2, "one batch per append");
+        assert_eq!(
+            rows_of(&back),
+            vec![tuple![1, "a"], tuple![2, "b"], tuple![3, "c"]]
+        );
         assert_eq!(store.stats().tuples_read(), 3);
         assert_eq!(store.stats().total_tuple_io(), 7);
         assert!(store.stats().bytes_written() > 0);
@@ -577,52 +556,48 @@ mod tests {
         {
             let store = FileSpillStore::new().unwrap();
             dir = store.dir().clone();
-            store.create_bucket("x");
+            store.create_bucket("x").unwrap();
             assert!(dir.exists());
         }
         assert!(!dir.exists(), "temp dir should be removed on drop");
     }
 
     #[test]
-    fn both_stores_account_identically() {
-        let mem = InMemorySpillStore::new();
-        let file = FileSpillStore::new().unwrap();
-        for store in [&mem as &dyn SpillStore, &file as &dyn SpillStore] {
-            let b = store.create_bucket("acct");
-            store
-                .write(b, &[tuple![1, "payload"], tuple![2, "x"]])
-                .unwrap();
-            store.read_all(b).unwrap();
-        }
-        assert_eq!(mem.stats().tuples_written(), file.stats().tuples_written());
-        assert_eq!(mem.stats().bytes_written(), file.stats().bytes_written());
-        assert_eq!(mem.stats().tuples_read(), file.stats().tuples_read());
+    fn file_store_without_its_directory_fails_typed() {
+        let store = FileSpillStore::new().unwrap();
+        std::fs::remove_dir_all(store.dir()).unwrap();
+        let err = store.create_bucket("gone").unwrap_err();
+        assert_eq!(err.kind(), "io", "{err}");
     }
 
     #[test]
-    fn batch_write_and_read_round_trip() {
-        for store in [
-            &InMemorySpillStore::new() as &dyn SpillStore,
-            &FileSpillStore::new().unwrap() as &dyn SpillStore,
-        ] {
-            let b = store.create_bucket("batch");
-            let batch = TupleBatch::from_tuples(vec![tuple![1, "a"], tuple![2, "b"]]);
-            store.write_batch(b, &batch).unwrap();
-            store
-                .write_batch(b, &TupleBatch::singleton(tuple![3]))
-                .unwrap();
-            assert_eq!(store.len(b), 3);
-            let back = store.read_all_batch(b).unwrap();
-            assert_eq!(back.tuples(), &[tuple![1, "a"], tuple![2, "b"], tuple![3]]);
-            assert_eq!(store.stats().tuples_written(), 3);
-            assert_eq!(store.stats().tuples_read(), 3);
+    fn both_stores_account_identically() {
+        let mem = InMemorySpillStore::new();
+        let file = FileSpillStore::new().unwrap();
+        // A gathered batch (shared string segment) and a fresh one.
+        let rows = [tuple![1, "payload"], tuple![2, "x"], tuple![3, "skipped"]];
+        for store in [&mem as &dyn SpillStore, &file as &dyn SpillStore] {
+            let b = store.create_bucket("acct").unwrap();
+            store.append(b, &batch(&rows).gather(&[1, 0])).unwrap();
+            store.append(b, &batch(&[tuple![4, "y"]])).unwrap();
+            assert_eq!(rows_of(&store.read(b).unwrap()).len(), 3);
+        }
+        let per_row: usize =
+            rows[..2].iter().map(Tuple::mem_size).sum::<usize>() + tuple![4, "y"].mem_size();
+        for stats in [mem.stats(), file.stats()] {
+            assert_eq!(stats.tuples_written(), 3);
+            assert_eq!(stats.tuples_read(), 3);
+            assert_eq!(stats.bytes_written(), per_row, "the tuple memory model");
+            assert_eq!(stats.bytes_read(), per_row);
         }
     }
 
     #[test]
     fn unknown_bucket_is_internal_error() {
         let store = InMemorySpillStore::new();
-        let err = store.write(SpillBucket(99), &[tuple![1]]).unwrap_err();
+        let err = store
+            .append(SpillBucket(99), &batch(&[tuple![1]]))
+            .unwrap_err();
         assert_eq!(err.kind(), "internal");
     }
 
@@ -635,12 +610,12 @@ mod tests {
             Duration::from_micros(500),
             Duration::from_micros(500),
         );
-        let b = store.create_bucket("t");
+        let b = store.create_bucket("t").unwrap();
         let tuples: Vec<_> = (0..20i64).map(|i| tuple![i]).collect();
         let start = Instant::now();
-        store.write(b, &tuples).unwrap();
-        let back = store.read_all(b).unwrap();
-        assert_eq!(back.len(), 20);
+        store.append(b, &batch(&tuples)).unwrap();
+        let back = store.read(b).unwrap();
+        assert_eq!(rows_of(&back).len(), 20);
         assert!(
             start.elapsed() >= Duration::from_millis(18),
             "throttle must charge per-tuple time: {:?}",

@@ -1,15 +1,16 @@
 //! Repo-invariant source lints, enforced as a test so they run in the
 //! normal `cargo test` matrix with no extra tooling:
 //!
-//! 1. **No new `.unwrap()` / `.expect(` in operator hot paths** —
-//!    `crates/exec/src/operators/*.rs` outside test code. Existing sites
-//!    are grandfathered with per-file budgets in
-//!    `tests/source_lint_allow.txt`; the count may only go down (ratchet).
-//! 2. **No std `Mutex` or `Condvar` in non-test code** — named by path or
-//!    in a `use std::sync::{…}` list — and no lock guard held across a
-//!    channel `send`/`recv`: the workspace
-//!    standardizes on the `parking_lot` shim, and a guard held across a
-//!    blocking channel op is the classic shape of the pipeline deadlock.
+//! 1. **No new `.unwrap()` / `.expect(` in operator hot paths or the
+//!    storage layer** — `crates/exec/src/operators/*.rs` and
+//!    `crates/storage/src/*.rs` outside test code. Existing sites are
+//!    grandfathered with per-file budgets in `tests/source_lint_allow.txt`;
+//!    the count may only go down (ratchet).
+//! 2. **No std `Mutex`, `Condvar` or `mpsc` in non-test code** — named by
+//!    path or in a `use std::sync::{…}` list — and no lock guard held
+//!    across a channel `send`/`recv`: the workspace standardizes on the
+//!    `parking_lot` and `crossbeam-channel` shims, and a guard held across
+//!    a blocking channel op is the classic shape of the pipeline deadlock.
 //! 3. **Every `TA` diagnostic code registered in
 //!    `crates/plan/src/diag.rs` is documented in DESIGN.md §9** — the code
 //!    table and the docs cannot drift apart.
@@ -21,8 +22,12 @@
 //!    under `crates/exec/src/operators/` calls `thread::spawn` or
 //!    `thread::Builder`; an operator runs a child on a thread through
 //!    `crates/exec/src/feeder.rs`.
+//! 6. **One join-side representation, through overflow.** The hash joins,
+//!    the double pipelined join, their shared join side and the spill
+//!    store never name the row type `Tuple`; no `SpillStore` method takes
+//!    or returns rows; nothing is called `thaw`.
 //!
-//! All checks are text-based (no extra dependencies); 1–3 and 5 skip `*_tests.rs`
+//! All checks are text-based (no extra dependencies); 1–3, 5 and 6 skip `*_tests.rs`
 //! files, `tests/` directories, and everything at or below the first
 //! `#[cfg(test)]` line of a file (test modules sit at file end by
 //! convention here).
@@ -101,10 +106,11 @@ fn no_new_unwraps_in_operator_hot_paths() {
         budgets.insert(path.to_string(), n.trim().parse().unwrap());
     }
 
-    let ops_dir = root.join("crates/exec/src/operators");
     let mut failures = Vec::new();
     let mut files = Vec::new();
-    rust_sources(&ops_dir, false, &mut files);
+    for dir in ["crates/exec/src/operators", "crates/storage/src"] {
+        rust_sources(&root.join(dir), false, &mut files);
+    }
     for file in files {
         let rel = file
             .strip_prefix(&root)
@@ -179,7 +185,7 @@ fn std_sync_names(code: &str) -> Vec<(usize, String)> {
 
 #[test]
 fn std_sync_names_sees_paths_and_brace_lists() {
-    let code = "use std::sync::{Arc, Condvar,\n    Mutex as M, atomic::{AtomicBool, Ordering}};\nlet m = std::sync::Mutex::new(0);";
+    let code = "use std::sync::{Arc, Condvar,\n    Mutex as M, atomic::{AtomicBool, Ordering}};\nlet m = std::sync::Mutex::new(0);\nuse std::sync::{mpsc::Sender, Arc};\nlet (tx, rx) = std::sync::mpsc::channel();";
     let names: Vec<(usize, String)> = std_sync_names(code);
     let want = [
         (1, "Arc"),
@@ -187,6 +193,9 @@ fn std_sync_names_sees_paths_and_brace_lists() {
         (1, "Mutex"),
         (1, "atomic"),
         (3, "Mutex"),
+        (4, "mpsc"),
+        (4, "Arc"),
+        (5, "mpsc"),
     ];
     assert_eq!(names, want.map(|(l, n)| (l, n.to_string())));
 }
@@ -210,6 +219,11 @@ fn no_std_mutex_and_no_guard_across_channel_ops() {
             if name == "Mutex" || name == "Condvar" {
                 failures.push(format!(
                     "{rel}:{line}: std::sync::{name} — use the parking_lot shim"
+                ));
+            }
+            if name == "mpsc" {
+                failures.push(format!(
+                    "{rel}:{line}: std::sync::mpsc — use the crossbeam-channel shim"
                 ));
             }
         }
@@ -348,5 +362,83 @@ fn every_ta_code_is_documented_in_design_md() {
         missing.is_empty(),
         "TA codes registered in crates/plan/src/diag.rs but undocumented in DESIGN.md §9: \
          {missing:?}"
+    );
+}
+
+/// Whether `text` holds `word` as a whole identifier.
+fn has_word(text: &str, word: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(word).any(|(at, _)| {
+        let before = text[..at].chars().next_back();
+        let after = text[at + word.len()..].chars().next();
+        !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+    })
+}
+
+#[test]
+fn has_word_matches_whole_identifiers_only() {
+    assert!(has_word("fn f(t: &Tuple) {}", "Tuple"));
+    assert!(has_word("Vec<Tuple>", "Tuple"));
+    assert!(!has_word("TupleBatch::new()", "Tuple"));
+    assert!(!has_word("batch.tuples()", "Tuple"));
+    assert!(has_word("self.thaw();", "thaw"));
+    assert!(!has_word("thawed", "thaw"));
+}
+
+#[test]
+fn overflow_stays_columnar() {
+    let root = repo_root();
+    let files = [
+        "crates/exec/src/operators/dpj.rs",
+        "crates/exec/src/operators/hash_join.rs",
+        "crates/exec/src/operators/join_side.rs",
+        "crates/storage/src/spill.rs",
+    ];
+    let mut hits = Vec::new();
+    for rel in files {
+        for (i, line) in non_test_lines(&root.join(rel)).iter().enumerate() {
+            for word in ["Tuple", "thaw"] {
+                if has_word(line, word) {
+                    hits.push(format!("{rel}:{}: names `{word}`: {}", i + 1, line.trim()));
+                }
+            }
+        }
+    }
+    // The store's trait speaks batches only: no method takes or returns
+    // rows (`Tuple`, a row-form `TupleBatch`, or a slice of either).
+    let spill = non_test_lines(&root.join("crates/storage/src/spill.rs"));
+    let start = spill
+        .iter()
+        .position(|l| l.starts_with("pub trait SpillStore"))
+        .expect("the SpillStore trait");
+    let len = spill[start..]
+        .iter()
+        .position(|l| l.starts_with('}'))
+        .expect("the trait's end");
+    for (i, line) in spill[start..start + len].iter().enumerate() {
+        if code_only(line).contains("Tuple") {
+            hits.push(format!(
+                "spill.rs:{}: a row type in SpillStore: {}",
+                start + i + 1,
+                line.trim()
+            ));
+        }
+    }
+    // No code anywhere in the engine is called `thaw` again.
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), false, &mut sources);
+    for file in &sources {
+        for (i, line) in non_test_lines(file).iter().enumerate() {
+            if has_word(&code_only(line), "thaw") {
+                let rel = file.strip_prefix(&root).unwrap().display();
+                hits.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "the join side is columnar from arrival through flush and cleanup \
+         (DESIGN.md §11):\n{}",
+        hits.join("\n")
     );
 }
