@@ -552,6 +552,22 @@ mod tests {
     }
 
     #[test]
+    fn spill_files_decode_column_frames_only() {
+        let cols = ColumnarBatch::from_rows(&[tuple![1, "a"], tuple![2, "b"]]);
+        let mut buf = Vec::new();
+        encode_columns(&cols, &mut buf);
+        encode_columns(&cols.slice(1, 2), &mut buf);
+        let back = decode_all_columns(&buf).unwrap();
+        assert_eq!(
+            back.iter().map(ColumnarBatch::len).collect::<Vec<_>>(),
+            [2, 1]
+        );
+        encode_batch(&[tuple![3, "c"]], &mut buf);
+        let err = decode_all_columns(&buf).unwrap_err();
+        assert!(matches!(err, TukwilaError::Io(_)), "{err:?}");
+    }
+
+    #[test]
     fn columnar_frame_rejects_truncation() {
         let mut buf = Vec::new();
         encode_columns(&ColumnarBatch::from_rows(&[tuple![1, "hello"]]), &mut buf);

@@ -563,14 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn file_store_without_its_directory_fails_typed() {
-        let store = FileSpillStore::new().unwrap();
-        std::fs::remove_dir_all(store.dir()).unwrap();
-        let err = store.create_bucket("gone").unwrap_err();
-        assert_eq!(err.kind(), "io", "{err}");
-    }
-
-    #[test]
     fn both_stores_account_identically() {
         let mem = InMemorySpillStore::new();
         let file = FileSpillStore::new().unwrap();
