@@ -424,12 +424,6 @@ impl JoinSide {
         start: usize,
     ) -> Routed {
         let bucketed = self.is_bucketed() || other.is_some_and(JoinSide::is_bucketed);
-        // Bytes left to charge before the reservation is under pressure
-        // (`None`: it already is).
-        let mut room = self
-            .reservation
-            .as_ref()
-            .map_or(Some(usize::MAX), MemoryReservation::headroom);
         let all = (start as u32)..(arrived.len() as u32);
         if !bucketed && !keep {
             return Routed {
@@ -438,6 +432,12 @@ impl JoinSide {
                 ..Routed::default()
             };
         }
+        // Bytes left to charge before the reservation is under pressure
+        // (`None`: it already is).
+        let mut room = self
+            .reservation
+            .as_ref()
+            .map_or(Some(usize::MAX), MemoryReservation::headroom);
         if !bucketed && start == 0 {
             // No overflow yet, and none now if the whole batch fits: one
             // run, no per-row work.
