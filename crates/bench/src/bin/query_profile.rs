@@ -12,7 +12,7 @@
 //! query-profile [--plan FILE] [--json | --csv] [--level off|events|metrics]
 //! ```
 //!
-//! * `--json` — print the [`TraceSnapshot::to_json`] document (and nothing
+//! * `--json` — print the [`tukwila_trace::TraceSnapshot::to_json`] document (and nothing
 //!   else) to stdout, for machine consumption / CI validation;
 //! * `--csv`  — print the events CSV, a blank line, then the operator CSV;
 //! * `--level` — trace level to run at (default `metrics`).

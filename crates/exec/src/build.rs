@@ -7,15 +7,16 @@ use tukwila_plan::{JoinKind, OperatorNode, OperatorSpec, SubjectRef};
 
 use crate::operator::OperatorBox;
 use crate::operators::{
-    Collector, DependentJoin, DoublePipelinedJoin, Exchange, Filter, HashJoinOp, NestedLoopsJoin,
-    Project, SortMergeJoin, TableScan, UnionAll, WrapperScan,
+    Collector, DependentJoin, Exchange, Filter, HashJoin, NestedLoopsJoin, Project, SortMergeJoin,
+    TableScan, UnionAll, WrapperScan,
 };
 use crate::runtime::{OpHarness, PlanRuntime};
 
 /// The one `JoinKind → operator` mapping: a plan join built in place, an
 /// in-process partition's instance and a worker's shard root all come
-/// through here. `descendants` are the subjects below the join that a
-/// double pipelined join deactivates on early close.
+/// through here. The three hash kinds are one operator, differing in
+/// schedule and flush policy. `descendants` are the subjects below the
+/// join that a double pipelined join deactivates on early close.
 pub fn build_join(
     kind: JoinKind,
     left: OperatorBox,
@@ -26,16 +27,10 @@ pub fn build_join(
     descendants: Vec<SubjectRef>,
 ) -> OperatorBox {
     match kind {
-        JoinKind::DoublePipelined => Box::new(
-            DoublePipelinedJoin::new(left, right, left_key, right_key, harness)
+        JoinKind::DoublePipelined | JoinKind::HybridHash | JoinKind::GraceHash => Box::new(
+            HashJoin::new(kind, left, right, left_key, right_key, harness)
                 .with_descendants(descendants),
         ),
-        JoinKind::HybridHash => Box::new(HashJoinOp::hybrid(
-            left, right, left_key, right_key, harness,
-        )),
-        JoinKind::GraceHash => {
-            Box::new(HashJoinOp::grace(left, right, left_key, right_key, harness))
-        }
         JoinKind::NestedLoops => Box::new(NestedLoopsJoin::new(
             left, right, left_key, right_key, harness,
         )),

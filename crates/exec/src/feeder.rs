@@ -3,9 +3,9 @@
 //! exchange's partition pipelines and repartitioned inputs.
 //!
 //! **Message contract.** A feeder runs one child on a named thread
-//! ([`THREAD_PREFIX`]): it opens the child and sends [`Feed::Schema`], then
-//! one [`Feed::Batch`] per batch, then closes and drops the child and sends
-//! exactly one final [`Feed::End`] or [`Feed::Err`] (a child that fails to
+//! ([`THREAD_PREFIX`]): it opens the child and sends `Feed::Schema`, then
+//! one `Feed::Batch` per batch, then closes and drops the child and sends
+//! exactly one final `Feed::End` or `Feed::Err` (a child that fails to
 //! open sends only the `Err`). Whatever the child held is released before
 //! the consumer hears how it ended. Once the consumer stops listening, the
 //! feeder closes the child and sends nothing more.

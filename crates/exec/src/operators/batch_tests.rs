@@ -273,7 +273,8 @@ proptest! {
             .with_batch_size(batch)
         };
         let run = |fx: &JoinFixture| {
-            let mut op = crate::operators::DoublePipelinedJoin::new(
+            let mut op = crate::operators::HashJoin::new(
+                JoinKind::DoublePipelined,
                 fx.left_scan(),
                 fx.right_scan(),
                 "k".into(),

@@ -1,5 +1,5 @@
-//! The columnar-resident double pipelined join against the nested-loop
-//! reference, in memory and through overflow.
+//! The columnar-resident hash join against the nested-loop reference, in
+//! memory and through overflow.
 //!
 //! Inputs are scripted batches rather than sources, so a test chooses the
 //! key type, the batch size, the representation (typed columnar batches,
@@ -20,7 +20,7 @@ use tukwila_source::LinkModel;
 use tukwila_trace::{OpMetrics, TraceLevel};
 
 use crate::operator::{drain, Operator};
-use crate::operators::{DoublePipelinedJoin, HashJoinOp};
+use crate::operators::HashJoin;
 use crate::runtime::{ExecEnv, PlanRuntime};
 use crate::test_support::JoinFixture;
 
@@ -137,7 +137,7 @@ fn keyed(name: &str, kind: KeyKind, n: i64, distinct: i64, nulls: bool) -> Relat
 /// harness, the reservation and the overflow method are the real ones.
 struct Run {
     fx: JoinFixture,
-    join: DoublePipelinedJoin,
+    join: HashJoin,
 }
 
 fn run_of(
@@ -163,7 +163,8 @@ fn run_of(
         .with_trace_level(trace);
     fx.rt = PlanRuntime::for_plan(&fx.plan, env);
     let [left, right] = inputs(&fx);
-    let join = DoublePipelinedJoin::new(
+    let join = HashJoin::new(
+        JoinKind::DoublePipelined,
         Box::new(left),
         Box::new(right),
         "k".into(),
@@ -345,7 +346,8 @@ fn spill_bucket_creation_failure_is_a_typed_error() {
         .with_batch_size(16)
         .with_spill(Arc::new(spill));
     fx.rt = PlanRuntime::for_plan(&fx.plan, env);
-    let mut join = DoublePipelinedJoin::new(
+    let mut join = HashJoin::new(
+        JoinKind::DoublePipelined,
         Box::new(Scripted {
             schema: l.schema().clone(),
             batches: batches_of(&l, 16, true),
@@ -529,7 +531,9 @@ fn spill_counters_are_pinned() {
             pace,
             served: 0,
         };
-        let mut op: Box<dyn Operator> = match join {
+        // The double pipelined join sees the ordered arrival; the build-first
+        // joins drain the right input, then the left.
+        let [pace_l, pace_r] = match join {
             Pinned::Dpj(method) => {
                 let received = fx
                     .harness(fx.join_id)
@@ -537,33 +541,25 @@ fn spill_counters_are_pinned() {
                     .expect("metrics are on");
                 let left_flush = method == OverflowMethod::IncrementalLeftFlush;
                 let [at_l, at_r] = schedule(left_flush.then_some(ls.len() / 2));
-                Box::new(
-                    DoublePipelinedJoin::new(
-                        Box::new(script(&l, Pace::Ordered(received.clone(), at_l))),
-                        Box::new(script(&r, Pace::Ordered(received, at_r))),
-                        "k".into(),
-                        "k".into(),
-                        fx.harness(fx.join_id),
-                    )
-                    .with_buckets(8),
-                )
+                [
+                    Pace::Ordered(received.clone(), at_l),
+                    Pace::Ordered(received, at_r),
+                ]
             }
             Pinned::Hybrid | Pinned::Grace => {
-                let (left, right) = (
-                    Box::new(script(&l, Pace::After(Duration::ZERO))),
-                    Box::new(script(&r, Pace::After(Duration::ZERO))),
-                );
-                let harness = fx.harness(fx.join_id);
-                let hj = match join {
-                    Pinned::Grace => {
-                        HashJoinOp::grace(left, right, "k".into(), "k".into(), harness)
-                    }
-                    _ => HashJoinOp::hybrid(left, right, "k".into(), "k".into(), harness),
-                };
-                Box::new(hj.with_buckets(8))
+                [Pace::After(Duration::ZERO), Pace::After(Duration::ZERO)]
             }
         };
-        let out = drain(op.as_mut()).unwrap();
+        let mut op = HashJoin::new(
+            kind,
+            Box::new(script(&l, pace_l)),
+            Box::new(script(&r, pace_r)),
+            "k".into(),
+            "k".into(),
+            fx.harness(fx.join_id),
+        )
+        .with_buckets(8);
+        let out = drain(&mut op).unwrap();
         fx.assert_gold(out);
         let env = fx.rt.env();
         assert_eq!(env.memory.total_used(), 0);

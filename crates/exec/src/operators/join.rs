@@ -1,61 +1,50 @@
-//! The double pipelined hash join (§4.2.2–§4.2.3) — Tukwila's flagship
-//! adaptive operator.
+//! The hash join (§4.2): one operator for the double pipelined join
+//! (§4.2.2–§4.2.3) and the hybrid and Grace hash joins it generalises
+//! (§4.2.1), set by a [`Schedule`] and a [`FlushPolicy`] over two columnar
+//! join sides. An arriving batch is routed (stored only while the opposite
+//! input is still arriving, footnote 3), probed against the opposite side
+//! and emitted as two typed gathers.
 //!
-//! Symmetric and incremental: each input streams through its own thread
-//! into a small **tuple transfer queue**; the output side takes a batch from
-//! whichever queue has data, probes the *opposite* side's table, and stores
-//! it in its own. At any point in time all data seen so far has been joined
-//! and emitted — which is what minimizes time-to-first-tuple and masks slow
-//! sources.
+//! **Schedules.** The symmetric schedule is the paper's "iterator-based
+//! adaptation" (§4.2.2): each child runs on its own [`crate::feeder`] into
+//! a small **tuple transfer queue** of whole batches, and the output side
+//! joins a batch from whichever queue has data — so at any point all data
+//! seen so far has been joined and emitted, which minimizes time to first
+//! tuple and masks slow sources. A feeder blocks when its queue fills; that
+//! backpressure is also how Incremental Left Flush "pauses" the left input.
+//! The build-first schedule starts no thread: it drains the right input
+//! inline at `open` — the non-pipelined phase Figure 3 exposes — and then
+//! pulls the left inline, probing a complete right side.
 //!
-//! This is the paper's "iterator-based adaptation" (§4.2.2): the bottom-up,
-//! data-driven join is wrapped in the top-down iterator model using
-//! "separate threads for output, left child, and right child" — one
-//! [`crate::feeder`] per child, which also opens it — with child threads
-//! blocking when their transfer queue fills — that backpressure is also how
-//! Incremental Left Flush "pauses" the left input.
+//! **Flush policies.** Overflow onset is exact to the row: the batch whose
+//! charge first puts the join under memory pressure is split just past
+//! that row, and the policy runs before the rest of the batch is routed.
 //!
-//! Each side's in-memory partition is **columnar from arrival through
-//! overflow** ([`JoinSide`]): an arriving batch (converted to columns once
-//! if it comes in row form) is prehashed once, appended to its side's
-//! growing typed columns and chained into a row-id index, probed against
-//! the opposite side's index, and emitted as two typed gathers — no row is
-//! ever built. Memory pressure changes where rows go, not what they are:
-//! from the first flush on, each row is routed by its cached prehash to a
-//! bucket, flushed buckets spill as columnar batches, and the cleanup is the
-//! same resident join run on one bucket pair at a time.
-//!
-//! The transfer queues are **batched**: each channel message carries a
-//! whole [`TupleBatch`] from the child's batched pull, so fast sources pay
-//! one send/receive per block instead of per tuple, while slow sources
-//! still deliver singleton batches with unchanged latency (the queue
-//! capacity bounds in-flight *batches*).
-//!
-//! Memory overflow resolution (§4.2.3) implements both published
-//! strategies plus the naive baseline:
-//!
-//! * **Incremental Left Flush** — pause the left input; flush left-side
-//!   buckets as needed while draining the right input; flush right buckets
-//!   only once the left table is fully flushed; resume the left when the
-//!   right is exhausted (tuples in flushed buckets divert to disk, others
-//!   probe the now-complete right table and need no storage at all).
-//! * **Incremental Symmetric Flush** — pick the fattest bucket and flush it
-//!   from *both* tables; both inputs keep streaming, with arrivals for
-//!   flushed buckets marked `new` and diverted to disk.
+//! * **Incremental Left Flush** — pause the left input; flush left buckets
+//!   as needed while draining the right input; flush right buckets only
+//!   once the left table is fully flushed; resume the left when the right
+//!   is exhausted.
+//! * **Incremental Symmetric Flush** — flush the fattest bucket from *both*
+//!   tables; both inputs keep streaming.
 //! * **FlushAllLeft** — the rejected "convert to hybrid hash" design, as an
-//!   ablation baseline.
+//!   ablation baseline: flush the whole left table, then as Left Flush
+//!   without the pause.
+//! * **Fail** — raise `out_of_memory` and fail the query.
+//! * **Hybrid** — flush the build side's largest bucket, lazily.
+//! * **Grace** — flush every build bucket at `open`, before any row.
 //!
-//! Overflow onset is exact to the row: the batch whose charge first puts
-//! the join under memory pressure is split just past that row, and the
-//! resolution runs before the rest of the batch is routed. Duplicate
-//! avoidance follows the paper's marking rule: cleanup joins old×new,
-//! new×old and new×new — never old×old, which was emitted online.
+//! The symmetric schedule reads its policy from the harness at first onset,
+//! so a rule reacting to `out_of_memory` can install it (§3.1.2). Its
+//! cleanup joins old×new, new×old and new×new per flushed bucket — never
+//! old×old, which was emitted online. Under the build-first schedule the
+//! left is never stored: its rows of a flushed build bucket spill, and the
+//! cleanup joins the build bucket's rows against them in one run.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use tukwila_common::{OutputQueue, Result, Schema, TukwilaError, TupleBatch};
-use tukwila_plan::{OverflowMethod, SubjectRef};
+use tukwila_plan::{JoinKind, OverflowMethod, SubjectRef};
 use tukwila_trace::{OpMetrics, TraceEvent};
 
 use crate::feeder::{Feed, Feeders};
@@ -70,7 +59,7 @@ const RIGHT: usize = 1;
 fn pair(sides: &mut [JoinSide]) -> Result<(&mut JoinSide, &mut JoinSide)> {
     match sides {
         [left, right] => Ok((left, right)),
-        _ => Err(TukwilaError::Internal("DPJ used before open".into())),
+        _ => Err(TukwilaError::Internal("hash join used before open".into())),
     }
 }
 
@@ -80,16 +69,33 @@ const DEFAULT_BUCKETS: usize = 16;
 /// queue", §4.2.2 — one queue slot now holds one arrival burst).
 const DEFAULT_QUEUE_CAP: usize = 16;
 
+/// When each input is read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReadMode {
-    /// Pull from whichever side has data (normal data-driven operation).
-    Both,
-    /// Left input paused (Incremental Left Flush in progress).
-    RightOnly,
+pub enum Schedule {
+    /// The double pipelined join: both inputs on feeders, each batch
+    /// joined as it arrives from either side.
+    Symmetric,
+    /// Hybrid and Grace hashing: the right input drained inline at open,
+    /// then the left pulled inline.
+    BuildFirst,
 }
 
-/// The double pipelined join operator.
-pub struct DoublePipelinedJoin {
+/// How the join frees memory under pressure (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushPolicy {
+    /// A double pipelined join's overflow method (§4.2.3).
+    Dpj(OverflowMethod),
+    Hybrid,
+    Grace,
+}
+
+/// The hash join operator.
+pub struct HashJoin {
+    /// Fixed by the join kind for hybrid and Grace, which run build-first;
+    /// read from the harness at first onset under the symmetric schedule.
+    policy: Option<FlushPolicy>,
+    /// The inputs: moved onto feeders at a symmetric open, pulled inline
+    /// under the build-first schedule.
     children: Option<(OperatorBox, OperatorBox)>,
     left_key: String,
     right_key: String,
@@ -103,15 +109,15 @@ pub struct DoublePipelinedJoin {
     /// Each input's partition, `[left, right]` (built at open).
     sides: Vec<JoinSide>,
     done: [bool; 2],
-    mode: ReadMode,
+    /// The left input is paused (Incremental Left Flush in progress).
+    paused: bool,
     pending: OutputQueue,
     matches: Matches,
     cleanup_next: usize,
-    cleanup_active: bool,
+    /// Overflow onset was raised, and its resolution not yet reported.
     raised_oom: bool,
     /// Alternates the try_recv probe order in `receive` (fairness).
     recv_flip: bool,
-    engaged_method: Option<OverflowMethod>,
     /// Cached at open: `OpHarness::reservation` is a subject-map lookup +
     /// `Arc` clone, far too expensive for the per-batch overflow check.
     reservation: Option<tukwila_storage::MemoryReservation>,
@@ -119,42 +125,46 @@ pub struct DoublePipelinedJoin {
     metrics: Option<Arc<OpMetrics>>,
     /// Tuples this run diverted to spill storage (overflow accounting).
     spilled_tuples: u64,
-    /// The overflow-resolved event was emitted (once per run).
-    resolved_emitted: bool,
 }
 
-impl DoublePipelinedJoin {
-    /// Build a double pipelined join.
+impl HashJoin {
+    /// The hash join of plan kind `kind`: `HybridHash` and `GraceHash` run
+    /// build-first with their own policy, any other kind is the double
+    /// pipelined join.
     pub fn new(
+        kind: JoinKind,
         left: OperatorBox,
         right: OperatorBox,
         left_key: String,
         right_key: String,
         harness: OpHarness,
     ) -> Self {
-        DoublePipelinedJoin {
+        let policy = match kind {
+            JoinKind::HybridHash => Some(FlushPolicy::Hybrid),
+            JoinKind::GraceHash => Some(FlushPolicy::Grace),
+            _ => None,
+        };
+        HashJoin {
+            policy,
             children: Some((left, right)),
             left_key,
             right_key,
             num_buckets: DEFAULT_BUCKETS,
+            pending: OutputQueue::new(harness.batch_size()),
             feeders: Feeders::new(harness.runtime()),
             harness,
             schema: Schema::empty(),
             key_idx: [0, 0],
             sides: Vec::new(),
             done: [false, false],
-            mode: ReadMode::Both,
-            pending: OutputQueue::new(tukwila_common::DEFAULT_BATCH_CAPACITY),
+            paused: false,
             matches: Matches::default(),
             cleanup_next: 0,
-            cleanup_active: false,
             raised_oom: false,
             recv_flip: false,
-            engaged_method: None,
             reservation: None,
             metrics: None,
             spilled_tuples: 0,
-            resolved_emitted: false,
         }
     }
 
@@ -164,10 +174,21 @@ impl DoublePipelinedJoin {
         self
     }
 
+    /// When each input is read: build-first exactly for hybrid and Grace.
+    pub fn schedule(&self) -> Schedule {
+        match self.policy {
+            Some(FlushPolicy::Hybrid | FlushPolicy::Grace) => Schedule::BuildFirst,
+            _ => Schedule::Symmetric,
+        }
+    }
+
     /// Record descendant subjects, deactivated on early close so children
-    /// blocked inside link-model sleeps wake up.
+    /// blocked inside link-model sleeps on a feeder wake up. A build-first
+    /// join has no feeder, so it deactivates nothing.
     pub fn with_descendants(mut self, subjects: Vec<SubjectRef>) -> Self {
-        self.feeders.deactivate = subjects;
+        if self.schedule() == Schedule::Symmetric {
+            self.feeders.deactivate = subjects;
+        }
         self
     }
 
@@ -181,16 +202,21 @@ impl DoublePipelinedJoin {
         out
     }
 
+    /// Emit the event `event` makes of this operator's id, if the trace
+    /// records events.
+    fn trace(&self, event: impl FnOnce(u32) -> TraceEvent) {
+        let trace = self.harness.trace();
+        if trace.events_enabled() {
+            trace.emit(event(self.harness.op_id().unwrap_or(u32::MAX)));
+        }
+    }
+
     /// Flush bucket `b` of `side` to spill storage, tracing the write.
     fn flush_traced(&mut self, side: usize, b: usize) -> Result<()> {
-        let n = self.sides[side].flush(b)? as u64;
-        self.spilled_tuples += n;
-        let trace = self.harness.trace();
-        if n > 0 && trace.events_enabled() {
-            trace.emit(TraceEvent::SpillWrite {
-                op: self.harness.op_id().unwrap_or(u32::MAX),
-                tuples: n,
-            });
+        let tuples = self.sides[side].flush(b)? as u64;
+        self.spilled_tuples += tuples;
+        if tuples > 0 {
+            self.trace(|op| TraceEvent::SpillWrite { op, tuples });
         }
         Ok(())
     }
@@ -212,7 +238,7 @@ impl DoublePipelinedJoin {
             } else {
                 (right, left)
             };
-            let mut routed = own.route(Some(other), keep, &arrived, start);
+            let mut routed = own.route(other, keep, &arrived, start);
             self.spilled_tuples += own.settle(&arrived, &mut routed)?;
             let probe = routed.probe.iter().copied();
             self.matches
@@ -233,7 +259,7 @@ impl DoublePipelinedJoin {
     }
 
     fn check_overflow(&mut self) -> Result<()> {
-        let Some(res) = self.reservation.as_ref() else {
+        let Some(res) = self.reservation.clone() else {
             return Ok(());
         };
         // `under_pressure` folds in query- and fleet-level budgets from the
@@ -248,89 +274,93 @@ impl DoublePipelinedJoin {
             // method before we read it (processed synchronously).
             self.harness.out_of_memory();
         }
-        let method = *self
-            .engaged_method
-            .get_or_insert_with(|| self.harness.overflow_method());
-        if first_onset && self.harness.trace().events_enabled() {
-            self.harness.trace().emit(TraceEvent::OverflowOnset {
-                op: self.harness.op_id().unwrap_or(u32::MAX),
-                method: format!("{method:?}"),
-            });
+        let policy = *self
+            .policy
+            .get_or_insert_with(|| FlushPolicy::Dpj(self.harness.overflow_method()));
+        if first_onset {
+            let method = match policy {
+                FlushPolicy::Dpj(method) => format!("{method:?}"),
+                FlushPolicy::Hybrid => "HybridLazyFlush".into(),
+                FlushPolicy::Grace => "GracePartition".into(),
+            };
+            self.trace(|op| TraceEvent::OverflowOnset { op, method });
         }
-        match method {
-            OverflowMethod::Fail => Err(TukwilaError::OutOfMemory {
-                operator: format!("{}", self.harness.subject()),
-                budget: res.budget(),
-            }),
-            OverflowMethod::IncrementalLeftFlush => self.resolve_left_flush(false),
-            OverflowMethod::FlushAllLeft => self.resolve_left_flush(true),
-            OverflowMethod::IncrementalSymmetricFlush => self.resolve_symmetric(),
-        }
-    }
-
-    fn resolve_left_flush(&mut self, flush_all: bool) -> Result<()> {
-        let Some(res) = self.reservation.clone() else {
-            return Ok(());
-        };
-        if flush_all {
-            for b in 0..self.num_buckets {
-                if !pair(&mut self.sides)?.0.is_flushed(b) {
-                    self.flush_traced(LEFT, b)?;
-                }
+        match policy {
+            FlushPolicy::Dpj(OverflowMethod::Fail) => {
+                return Err(TukwilaError::OutOfMemory {
+                    operator: format!("{}", self.harness.subject()),
+                    budget: res.budget(),
+                })
             }
-        }
-        // Pause the left input while the right drains (backpressure does
-        // the actual pausing: we stop receiving from the left queue).
-        // Pointless once the right side is already exhausted.
-        if !self.done[LEFT] && !self.done[RIGHT] && !flush_all {
-            self.mode = ReadMode::RightOnly;
+            // Pause the left input while the right drains (backpressure
+            // does the actual pausing: we stop receiving from the left
+            // queue). Pointless once either input is exhausted.
+            FlushPolicy::Dpj(OverflowMethod::IncrementalLeftFlush) => {
+                self.paused = !self.done[LEFT] && !self.done[RIGHT]
+            }
+            _ => {}
         }
         while res.under_pressure() {
-            let (left, right) = pair(&mut self.sides)?;
-            if let Some(b) = left.largest_unflushed() {
-                self.flush_traced(LEFT, b)?;
-            } else if let Some(b) = right.largest_unflushed() {
-                // Step (4): only once A's table has been flushed completely.
-                debug_assert!(left.fully_flushed());
-                self.flush_traced(RIGHT, b)?;
-            } else {
-                break; // nothing left to free
+            let victims = self.victims(policy)?;
+            if victims.is_empty() {
+                break; // flushing frees nothing more
+            }
+            for (side, b) in victims {
+                self.flush_traced(side, b)?;
             }
         }
         Ok(())
     }
 
-    fn resolve_symmetric(&mut self) -> Result<()> {
-        let Some(res) = self.reservation.clone() else {
-            return Ok(());
+    /// The buckets `policy` flushes next, as `(side, bucket)`.
+    fn victims(&mut self, policy: FlushPolicy) -> Result<Vec<(usize, usize)>> {
+        let (left, right) = pair(&mut self.sides)?;
+        let largest = |side: &mut JoinSide, s| side.largest_unflushed().map(|b| vec![(s, b)]);
+        let unflushed_left: Vec<_> = (0..self.num_buckets)
+            .filter(|&b| !left.is_flushed(b))
+            .map(|b| (LEFT, b))
+            .collect();
+        let victims = match policy {
+            FlushPolicy::Hybrid | FlushPolicy::Grace => largest(right, RIGHT),
+            FlushPolicy::Dpj(OverflowMethod::FlushAllLeft) if !unflushed_left.is_empty() => {
+                Some(unflushed_left)
+            }
+            FlushPolicy::Dpj(OverflowMethod::IncrementalSymmetricFlush) => {
+                // Fattest bucket by combined residency across both tables;
+                // none once only empty buckets remain.
+                let bytes: Vec<usize> = (left.bucket_bytes().iter())
+                    .zip(right.bucket_bytes())
+                    .map(|(l, r)| l + r)
+                    .collect();
+                (0..self.num_buckets)
+                    .filter(|&b| !left.is_flushed(b) || !right.is_flushed(b))
+                    .max_by_key(|&b| bytes[b])
+                    .filter(|&b| bytes[b] > 0)
+                    .map(|b| {
+                        let flushed = [left.is_flushed(b), right.is_flushed(b)];
+                        let unflushed = [LEFT, RIGHT].into_iter().filter(|&s| !flushed[s]);
+                        unflushed.map(|s| (s, b)).collect()
+                    })
+            }
+            // Step (4) of Left Flush: right buckets only once the left
+            // table has been flushed completely.
+            _ => largest(left, LEFT).or_else(|| largest(right, RIGHT)),
         };
-        while res.under_pressure() {
-            // Fattest bucket by combined residency across both tables.
-            let (left, right) = pair(&mut self.sides)?;
-            let bytes: Vec<usize> = (left.bucket_bytes().iter())
-                .zip(right.bucket_bytes())
-                .map(|(l, r)| l + r)
-                .collect();
-            let candidate = (0..self.num_buckets)
-                .filter(|&b| !left.is_flushed(b) || !right.is_flushed(b))
-                .max_by_key(|&b| bytes[b]);
-            let Some(b) = candidate else { break };
-            if bytes[b] == 0 {
-                break; // only empty buckets remain; flushing frees nothing
-            }
-            let (left_flushed, right_flushed) = (left.is_flushed(b), right.is_flushed(b));
-            if !left_flushed {
-                self.flush_traced(LEFT, b)?;
-            }
-            if !right_flushed {
-                self.flush_traced(RIGHT, b)?;
-            }
-        }
-        Ok(())
+        Ok(victims.unwrap_or_default())
     }
 
+    /// The next message from an input: the left pulled inline under the
+    /// build-first schedule, else whichever feeder delivers.
     fn receive(&mut self) -> Result<(usize, Feed)> {
-        let want_left = !self.done[LEFT] && self.mode == ReadMode::Both;
+        if self.schedule() == Schedule::BuildFirst {
+            let feed = match self.pull(LEFT) {
+                Ok(Some(batch)) => Feed::Batch(batch),
+                Ok(None) => Feed::End,
+                Err(e) => Feed::Err(e),
+            };
+            return Ok((LEFT, feed));
+        }
+        let want_left = !self.done[LEFT] && !self.paused;
         let want_right = !self.done[RIGHT];
         let from: &[usize] = match (want_left, want_right) {
             (true, true) => {
@@ -350,6 +380,40 @@ impl DoublePipelinedJoin {
         self.feeders.recv(from)
     }
 
+    /// The next batch of input `side`, pulled inline.
+    fn pull(&mut self, side: usize) -> Result<Option<TupleBatch>> {
+        let (left, right) = (self.children.as_mut())
+            .ok_or_else(|| TukwilaError::Internal("hash join input already taken".into()))?;
+        match side {
+            LEFT => left.next_batch(),
+            _ => right.next_batch(),
+        }
+    }
+
+    /// The build-first schedule's blocking build phase: drain the right
+    /// input into its side (under Grace, with every bucket flushed first),
+    /// the "time to first tuple is extended by the hash join's
+    /// non-pipelined behavior when it is reading the inner relation" of
+    /// §4.2.1. Only the store and flush work counts as `exec.build_ms`, not
+    /// the wait for the right input. The left side then mirrors the build
+    /// side's flushed buckets, so its rows for them spill.
+    fn build(&mut self) -> Result<()> {
+        if self.policy == Some(FlushPolicy::Grace) {
+            self.timed(OpMetrics::add_build_ns, |join| {
+                (0..join.num_buckets).try_for_each(|b| join.flush_traced(RIGHT, b))
+            })?;
+        }
+        while let Some(batch) = self.pull(RIGHT)? {
+            self.timed(OpMetrics::add_build_ns, |join| {
+                join.join_batch(RIGHT, batch)
+            })?;
+        }
+        self.done[RIGHT] = true;
+        let (left, right) = pair(&mut self.sides)?;
+        left.mirror(right);
+        Ok(())
+    }
+
     /// Produce the deferred matches for flushed buckets, one bucket per
     /// call, into `pending`. Returns false once all buckets are processed.
     fn cleanup_step(&mut self) -> Result<bool> {
@@ -364,20 +428,13 @@ impl DoublePipelinedJoin {
             return Ok(true); // fully in-memory bucket: everything was online
         }
         let (a_old, a_new) = (left.old_rows(b)?, left.new_rows(b)?);
-        let (b_old, b_new) = (right.old_rows(b)?, right.new_rows(b)?);
-        let trace = self.harness.trace();
-        if trace.events_enabled() {
-            // Tuples read back from the flushed side(s) of this bucket for
-            // the cleanup join.
-            let read_back = (if lf { a_old.len() + a_new.len() } else { 0 }
-                + if rf { b_old.len() + b_new.len() } else { 0 })
-                as u64;
-            if read_back > 0 {
-                trace.emit(TraceEvent::SpillRead {
-                    op: self.harness.op_id().unwrap_or(u32::MAX),
-                    tuples: read_back,
-                });
-            }
+        let (mut b_old, b_new) = (right.old_rows(b)?, right.new_rows(b)?);
+        // Tuples read back from the flushed side(s) of this bucket for the
+        // cleanup join.
+        let tuples = (if lf { a_old.len() + a_new.len() } else { 0 }
+            + if rf { b_old.len() + b_new.len() } else { 0 }) as u64;
+        if tuples > 0 {
+            self.trace(|op| TraceEvent::SpillRead { op, tuples });
         }
         let spill = self.harness.spill();
         let join = BucketJoin {
@@ -387,6 +444,15 @@ impl DoublePipelinedJoin {
             spill: &*spill,
             block: self.harness.batch_size().max(1),
         };
+        if self.schedule() == Schedule::BuildFirst {
+            // The left was never stored, so it has no old rows: the build
+            // bucket's rows meet the spilled probe rows in one run.
+            b_old.append(&b_new);
+            if b_old.is_empty() || a_new.is_empty() {
+                return Ok(true);
+            }
+            return join.run(b_old, &a_new, 0, &mut self.pending).map(|()| true);
+        }
         // old×old was emitted online; produce the three remaining quadrants.
         join.run(b_new.clone(), &a_old, 0, &mut self.pending)?;
         join.run(b_old, &a_new, 0, &mut self.pending)?;
@@ -394,26 +460,22 @@ impl DoublePipelinedJoin {
         Ok(true)
     }
 
-    /// Run one piece of join work on transferred data and add its duration
-    /// to `exec.probe_ms`. Only the work is timed, not whatever the parent
-    /// does between `next_batch` calls.
-    fn timed_probe<T>(&mut self, work: impl FnOnce(&mut Self) -> T) -> T {
+    /// Run one piece of join work and add its duration to the metric `add`
+    /// records. Only the work is timed, never the wait for an input or
+    /// whatever the parent does between `next_batch` calls.
+    fn timed<T>(&mut self, add: fn(&OpMetrics, u64), work: impl FnOnce(&mut Self) -> T) -> T {
         let started = self.metrics.as_ref().map(|_| Instant::now());
         let out = work(self);
         if let (Some(m), Some(t0)) = (&self.metrics, started) {
-            m.add_probe_ns(t0.elapsed().as_nanos() as u64);
+            add(m, t0.elapsed().as_nanos() as u64);
         }
         out
     }
-}
 
-impl Operator for DoublePipelinedJoin {
-    fn open(&mut self) -> Result<()> {
-        let (left, right) = self
-            .children
-            .take()
-            .ok_or_else(|| TukwilaError::Internal("DPJ opened twice".into()))?;
-        self.metrics = self.harness.metrics("dpj");
+    /// Start one feeder per input and wait for both schemas.
+    fn start_feeders(&mut self) -> Result<[Schema; 2]> {
+        let (left, right) = (self.children.take())
+            .ok_or_else(|| TukwilaError::Internal("hash join opened twice".into()))?;
         self.feeders.stall = self.metrics.clone();
         for (side, child) in [(LEFT, left), (RIGHT, right)] {
             let tx = self.feeders.queue(DEFAULT_QUEUE_CAP);
@@ -426,21 +488,38 @@ impl Operator for DoublePipelinedJoin {
         schemas[first] = msg.into_schema()?;
         let (second, msg) = self.feeders.recv(&[1 - first])?;
         schemas[second] = msg.into_schema()?;
-        let [left, right] = schemas;
+        Ok(schemas)
+    }
+}
+
+impl Operator for HashJoin {
+    fn open(&mut self) -> Result<()> {
+        let name = match self.schedule() {
+            Schedule::Symmetric => "dpj",
+            Schedule::BuildFirst => self.name(),
+        };
+        self.metrics = self.harness.metrics(name);
+        let [left, right] = match self.schedule() {
+            Schedule::Symmetric => self.start_feeders()?,
+            Schedule::BuildFirst => {
+                let (left, right) = (self.children.as_mut())
+                    .ok_or_else(|| TukwilaError::Internal("hash join has no inputs".into()))?;
+                left.open()?;
+                right.open()?;
+                [left.schema().clone(), right.schema().clone()]
+            }
+        };
         self.key_idx = [
             left.index_of(&self.left_key)?,
             right.index_of(&self.right_key)?,
         ];
         self.schema = left.concat(&right);
-        self.pending = OutputQueue::new(self.harness.batch_size());
-        self.spilled_tuples = 0;
-        self.resolved_emitted = false;
         self.reservation = self.harness.reservation();
         let spill = self.harness.spill();
         self.sides = [(LEFT, "L"), (RIGHT, "R")]
             .map(|(side, tag)| {
                 JoinSide::new(
-                    format!("dpj-{}-{tag}", self.harness.subject()),
+                    format!("join-{}-{tag}", self.harness.subject()),
                     self.num_buckets,
                     self.key_idx[side],
                     self.reservation.clone(),
@@ -449,7 +528,10 @@ impl Operator for DoublePipelinedJoin {
             })
             .into();
         self.harness.opened();
-        Ok(())
+        match self.schedule() {
+            Schedule::Symmetric => Ok(()),
+            Schedule::BuildFirst => self.build(),
+        }
     }
 
     fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
@@ -459,27 +541,15 @@ impl Operator for DoublePipelinedJoin {
                 return Ok(Some(self.emit_pending()));
             }
             if self.done[LEFT] && self.done[RIGHT] {
-                if !self.cleanup_active {
-                    self.cleanup_active = true;
-                    self.cleanup_next = 0;
-                }
                 if self.cleanup_step()? {
                     continue; // may have filled `pending`
                 }
-                if self.raised_oom
-                    && !self.resolved_emitted
-                    && self.harness.trace().events_enabled()
-                {
-                    self.resolved_emitted = true;
-                    self.harness.trace().emit(TraceEvent::OverflowResolved {
-                        op: self.harness.op_id().unwrap_or(u32::MAX),
-                        tuples_spilled: self.spilled_tuples,
-                    });
+                if self.raised_oom {
+                    self.raised_oom = false; // resolved, reported once
+                    let tuples_spilled = self.spilled_tuples;
+                    self.trace(|op| TraceEvent::OverflowResolved { op, tuples_spilled });
                 }
-                if self.pending.is_empty() {
-                    return Ok(None);
-                }
-                return Ok(Some(self.emit_pending()));
+                return Ok((!self.pending.is_empty()).then(|| self.emit_pending()));
             }
             // The next step blocks in receive — never hold output for it.
             if !self.pending.is_empty() {
@@ -491,13 +561,13 @@ impl Operator for DoublePipelinedJoin {
                     if let Some(m) = &self.metrics {
                         m.add_input(b.len() as u64);
                     }
-                    self.timed_probe(|join| join.join_batch(side, b))?;
+                    self.timed(OpMetrics::add_probe_ns, |join| join.join_batch(side, b))?;
                 }
                 Feed::End => {
                     self.done[side] = true;
-                    if side == RIGHT && self.mode == ReadMode::RightOnly {
+                    if side == RIGHT {
                         // Step (5): right exhausted — resume the left input.
-                        self.mode = ReadMode::Both;
+                        self.paused = false;
                     }
                 }
                 Feed::Err(e) => {
@@ -512,13 +582,17 @@ impl Operator for DoublePipelinedJoin {
 
     fn close(&mut self) -> Result<()> {
         self.feeders.shutdown();
+        let closed = match (self.schedule(), &mut self.children) {
+            (Schedule::BuildFirst, Some((left, right))) => left.close().and(right.close()),
+            _ => Ok(()),
+        };
         for side in &mut self.sides {
             side.clear();
         }
         self.sides.clear();
         self.pending.clear();
         self.harness.closed();
-        Ok(())
+        closed
     }
 
     fn schema(&self) -> &Schema {
@@ -526,7 +600,11 @@ impl Operator for DoublePipelinedJoin {
     }
 
     fn name(&self) -> &'static str {
-        "double_pipelined_join"
+        match self.policy {
+            Some(FlushPolicy::Hybrid) => "hybrid_hash_join",
+            Some(FlushPolicy::Grace) => "grace_hash_join",
+            _ => "double_pipelined_join",
+        }
     }
 }
 
@@ -536,14 +614,15 @@ mod tests {
     use crate::operator::drain;
     use crate::test_support::{keyed_relation, JoinFixture};
     use std::time::{Duration, Instant};
-    use tukwila_common::Relation;
-    use tukwila_plan::{
-        Action, Condition, EventKind, EventPattern, JoinKind, QuantityProvider, Rule,
-    };
+    use tukwila_common::{tuple, DataType, Relation, Tuple, Value};
+    use tukwila_plan::{Action, Condition, EventKind, EventPattern, QuantityProvider, Rule};
     use tukwila_source::LinkModel;
+    use tukwila_trace::TraceLevel;
 
-    fn dpj_for(fx: &JoinFixture) -> DoublePipelinedJoin {
-        DoublePipelinedJoin::new(
+    /// A `kind` join of 8 buckets over `fx`'s two scans.
+    fn join_for(fx: &JoinFixture, kind: JoinKind) -> HashJoin {
+        HashJoin::new(
+            kind,
             fx.left_scan(),
             fx.right_scan(),
             "k".into(),
@@ -555,6 +634,10 @@ mod tests {
             SubjectRef::Op(fx.left_id),
             SubjectRef::Op(fx.right_id),
         ])
+    }
+
+    fn dpj_for(fx: &JoinFixture) -> HashJoin {
+        join_for(fx, JoinKind::DoublePipelined)
     }
 
     fn fixture(
@@ -703,9 +786,10 @@ mod tests {
     }
 
     #[test]
-    fn first_tuple_beats_hybrid_hash_on_slow_sources() {
-        // Figure 3's headline: the DPJ produces output while data is still
-        // arriving; hybrid hash waits for the whole inner relation first.
+    fn symmetric_first_tuple_beats_build_first_on_slow_sources() {
+        // Figure 3's headline: the symmetric schedule produces output while
+        // data is still arriving; build-first waits for the whole inner
+        // relation first.
         let slow = LinkModel {
             per_tuple: Duration::from_micros(400),
             initial_delay: Duration::from_millis(5),
@@ -738,13 +822,7 @@ mod tests {
         let dpj_first = time_to_first(&mut dpj);
 
         let fx2 = build_fx(JoinKind::HybridHash);
-        let mut hybrid = crate::operators::HashJoinOp::hybrid(
-            fx2.left_scan(),
-            fx2.right_scan(),
-            "k".into(),
-            "k".into(),
-            fx2.harness(fx2.join_id),
-        );
+        let mut hybrid = join_for(&fx2, JoinKind::HybridHash);
         let hybrid_first = time_to_first(&mut hybrid);
 
         assert!(
@@ -890,5 +968,158 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The build-first schedule under both of its policies: the answer is
+    /// the nested-loop reference's in memory, through overflow (with the
+    /// `out_of_memory` event), with Grace's up-front partitioning, with an
+    /// empty input, with NULL keys, and with one skewed key under a tiny
+    /// budget (recursion in the cleanup).
+    #[test]
+    fn build_first_matches_gold_under_both_policies() {
+        let nulls = |name: &str| {
+            let schema =
+                tukwila_common::Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
+            let rows = vec![Tuple::new(vec![Value::Null, 1i64.into()]), tuple![1, 2]];
+            Relation::new(schema, rows).unwrap()
+        };
+        let rel = keyed_relation;
+        let cases = [
+            (
+                "in memory",
+                JoinKind::HybridHash,
+                rel("l", 100, 10),
+                rel("r", 50, 10),
+                None,
+            ),
+            (
+                "overflow",
+                JoinKind::HybridHash,
+                rel("l", 200, 20),
+                rel("r", 200, 20),
+                Some(2_000),
+            ),
+            (
+                "grace",
+                JoinKind::GraceHash,
+                rel("l", 120, 12),
+                rel("r", 60, 12),
+                None,
+            ),
+            (
+                "empty input",
+                JoinKind::HybridHash,
+                rel("l", 0, 1),
+                rel("r", 10, 2),
+                None,
+            ),
+            (
+                "null keys",
+                JoinKind::HybridHash,
+                nulls("l"),
+                nulls("r"),
+                None,
+            ),
+            (
+                "skewed",
+                JoinKind::HybridHash,
+                rel("l", 40, 1),
+                rel("r", 40, 1),
+                Some(500),
+            ),
+        ];
+        for (case, kind, l, r, budget) in cases {
+            let (n_l, n_r) = (l.len(), r.len());
+            let fx = JoinFixture::build(
+                l,
+                r,
+                LinkModel::instant(),
+                LinkModel::instant(),
+                kind,
+                OverflowMethod::IncrementalLeftFlush,
+                budget,
+            );
+            let mut op = join_for(&fx, kind);
+            assert_eq!(op.schedule(), Schedule::BuildFirst, "{case}");
+            let out = drain(&mut op).unwrap();
+            let want = match case {
+                "empty input" => 0,
+                "null keys" => 1,
+                "skewed" => 1_600,
+                _ => fx.gold.len(),
+            };
+            assert_eq!(out.len(), want, "{case}");
+            fx.assert_gold(out);
+            let written = fx.rt.env().spill.stats().tuples_written();
+            let oom = (fx.rt.event_log().iter()).any(|e| e.kind == EventKind::OutOfMemory);
+            match case {
+                "overflow" | "skewed" => assert!(written > 0 && oom, "{case}: must overflow"),
+                // Grace partitions the full build side to disk.
+                "grace" => assert!(written >= n_r && n_l > 0, "{case}: {written} written"),
+                _ => assert_eq!(written, 0, "{case}"),
+            }
+        }
+    }
+
+    /// Closing a build-first join early deactivates none of its inputs:
+    /// it has no feeder to wake.
+    #[test]
+    fn build_first_close_deactivates_no_input() {
+        for kind in [JoinKind::HybridHash, JoinKind::GraceHash] {
+            let fx = JoinFixture::build(
+                keyed_relation("l", 100, 10),
+                keyed_relation("r", 100, 10),
+                LinkModel::instant(),
+                LinkModel::instant(),
+                kind,
+                OverflowMethod::IncrementalLeftFlush,
+                None,
+            );
+            let mut op = join_for(&fx, kind);
+            op.open().unwrap();
+            assert!(op.next_batch().unwrap().is_some());
+            op.close().unwrap();
+            for input in [fx.left_id, fx.right_id].map(SubjectRef::Op) {
+                assert!(fx.rt.is_active(input), "{kind:?}: {input} deactivated");
+            }
+        }
+    }
+
+    /// `exec.build_ms` is the build-first join's own store and flush work:
+    /// a slow build input's link wait does not count as build time.
+    #[test]
+    fn build_time_excludes_the_build_inputs_wait() {
+        let slow = LinkModel::lan(1.0).slowed(10.0);
+        let wait = slow.estimated_transfer(400);
+        assert!(wait >= Duration::from_millis(100), "{wait:?}");
+        let mut fx = JoinFixture::build(
+            keyed_relation("l", 400, 40),
+            keyed_relation("r", 400, 40),
+            LinkModel::instant(),
+            slow,
+            JoinKind::HybridHash,
+            OverflowMethod::IncrementalLeftFlush,
+            None,
+        );
+        let env = crate::runtime::ExecEnv::new(fx.rt.env().sources.clone())
+            .with_trace_level(TraceLevel::Metrics);
+        fx.rt = crate::runtime::PlanRuntime::for_plan(&fx.plan, env);
+        let mut op = join_for(&fx, JoinKind::HybridHash);
+        let started = Instant::now();
+        op.open().unwrap();
+        let opened = started.elapsed();
+        let mut out = Vec::new();
+        while let Some(batch) = op.next_batch().unwrap() {
+            out.extend(batch);
+        }
+        op.close().unwrap();
+        fx.assert_gold(out);
+        let metrics = fx.harness(fx.join_id).metrics("hybrid_hash_join").unwrap();
+        let build = Duration::from_nanos(metrics.snapshot().build_ns);
+        assert!(opened >= wait, "open drains the build input: {opened:?}");
+        assert!(
+            build > Duration::ZERO && build < wait / 10,
+            "build time {build:?} against a link wait of {wait:?}"
+        );
     }
 }

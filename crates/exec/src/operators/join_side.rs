@@ -1,7 +1,6 @@
 //! One join input's in-memory partition, columnar from arrival through
-//! overflow: the one side representation the double pipelined join
-//! (§4.2.2–§4.2.3) and the hybrid and Grace hash joins (§4.2.1) store,
-//! probe, flush and clean up.
+//! overflow: the one side representation the hash join (§4.2) stores,
+//! probes, flushes and cleans up under every schedule and flush policy.
 //!
 //! A side's rows (non-NULL keys only, arrival order) live as growing typed
 //! columns with a row-id index over them ([`ResidentSide`]). Until memory
@@ -74,11 +73,7 @@ impl Keyed {
     }
 
     /// Every row spilled to `bucket` (none without one), read back.
-    pub(crate) fn read(
-        spill: &dyn SpillStore,
-        bucket: Option<SpillBucket>,
-        key: usize,
-    ) -> Result<Keyed> {
+    fn read(spill: &dyn SpillStore, bucket: Option<SpillBucket>, key: usize) -> Result<Keyed> {
         let mut out = Keyed::default();
         if let Some(bucket) = bucket {
             for batch in spill.read(bucket)? {
@@ -258,7 +253,7 @@ pub(crate) struct Routed {
     /// Rows to probe against the opposite side.
     pub(crate) probe: Vec<u32>,
     /// `(bucket, row)` of the rows to spill, in arrival order.
-    pub(crate) spill: Vec<(usize, u32)>,
+    spill: Vec<(usize, u32)>,
     store: Vec<u32>,
     mark: Vec<u32>,
 }
@@ -313,26 +308,6 @@ fn handle(
     }
 }
 
-/// Append the `(bucket, row)` rows of `arrived` to their buckets' spills in
-/// `handles` (labelled `{label}-{bucket}`), one batch per bucket in arrival
-/// order.
-pub(crate) fn spill_by_bucket(
-    spill: &dyn SpillStore,
-    label: &str,
-    handles: &mut [Option<SpillBucket>],
-    arrived: &Keyed,
-    rows: &mut [(usize, u32)],
-) -> Result<()> {
-    rows.sort_by_key(|&(b, _)| b); // stable: arrival order within a bucket
-    for run in rows.chunk_by(|x, y| x.0 == y.0) {
-        let b = run[0].0;
-        let idx: Vec<u32> = run.iter().map(|&(_, row)| row).collect();
-        let bucket = handle(spill, &mut handles[b], &format!("{label}-{b}"))?;
-        spill.append(bucket, &arrived.rows.gather(&idx))?;
-    }
-    Ok(())
-}
-
 /// One join input: its [`ResidentSide`], its charge on the join's memory
 /// reservation and, once memory pressure has been met, its buckets.
 pub(crate) struct JoinSide {
@@ -373,21 +348,9 @@ impl JoinSide {
         &self.resident
     }
 
-    /// Whether the side has met memory pressure (has per-bucket state).
-    pub(crate) fn is_bucketed(&self) -> bool {
-        self.buckets.is_some()
-    }
-
     /// Whether bucket `b` has been flushed.
     pub(crate) fn is_flushed(&self, b: usize) -> bool {
         self.buckets.as_ref().is_some_and(|bk| bk.flushed[b])
-    }
-
-    /// Whether every bucket is flushed.
-    pub(crate) fn fully_flushed(&self) -> bool {
-        self.buckets
-            .as_ref()
-            .is_some_and(|bk| bk.flushed.iter().all(|&f| f))
     }
 
     /// In-memory bytes of every bucket.
@@ -404,26 +367,35 @@ impl JoinSide {
             .max_by_key(|&b| (bk.bytes[b], usize::MAX - b))
     }
 
+    /// Take `other`'s flushed buckets as flushed here, recording no flush:
+    /// a side that is only probed (its opposite input complete) spills its
+    /// rows of those buckets for the cleanup instead of marking them.
+    pub(crate) fn mirror(&mut self, other: &JoinSide) {
+        if let Some(theirs) = &other.buckets {
+            let bk = buckets_of(&mut self.buckets, &self.resident, self.num_buckets);
+            bk.flushed.clone_from(&theirs.flushed);
+        }
+    }
+
     /// Route rows `start..` of `arrived`, rows of this side: a row whose
     /// bucket is flushed here spills, unprobed (the cleanup joins it); any
     /// other probes `other` and is stored — unless `keep` is false
     /// (footnote 3: the opposite input is complete, so the probe found
     /// every match) — or, when `other`'s bucket is flushed, stored marked
     /// and left unprobed (the opposite rows of the bucket are on disk for
-    /// the cleanup). With no `other` and `keep` false the rows are a probe
-    /// input against this side (the hash joins' probe phase). Buckets are
-    /// computed only once either side has met memory pressure. The run ends
-    /// just past the first stored row whose charge, with the run's earlier
-    /// ones, leaves the reservation under pressure — the row at which an
-    /// engine charging row by row would resolve overflow.
+    /// the cleanup). Buckets are computed only once either side has met
+    /// memory pressure. The run ends just past the first stored row whose
+    /// charge, with the run's earlier ones, leaves the reservation under
+    /// pressure — the row at which an engine charging row by row would
+    /// resolve overflow.
     pub(crate) fn route(
         &self,
-        other: Option<&JoinSide>,
+        other: &JoinSide,
         keep: bool,
         arrived: &Keyed,
         start: usize,
     ) -> Routed {
-        let bucketed = self.is_bucketed() || other.is_some_and(JoinSide::is_bucketed);
+        let bucketed = self.buckets.is_some() || other.buckets.is_some();
         let all = (start as u32)..(arrived.len() as u32);
         if !bucketed && !keep {
             return Routed {
@@ -459,7 +431,7 @@ impl JoinSide {
                 routed.spill.push((b, row));
                 continue;
             }
-            if bucketed && other.is_some_and(|o| o.is_flushed(b)) {
+            if bucketed && other.is_flushed(b) {
                 routed.mark.push(row);
             } else if keep {
                 routed.probe.push(row);
@@ -515,14 +487,15 @@ impl JoinSide {
         }
         self.charged += routed.bytes;
         if let (Some(bk), false) = (&mut self.buckets, routed.spill.is_empty()) {
-            let label = format!("{}-new", self.label);
-            spill_by_bucket(
-                &*self.spill,
-                &label,
-                &mut bk.new,
-                arrived,
-                &mut routed.spill,
-            )?;
+            // One batch per bucket, in arrival order within each.
+            routed.spill.sort_by_key(|&(b, _)| b);
+            for run in routed.spill.chunk_by(|x, y| x.0 == y.0) {
+                let b = run[0].0;
+                let idx: Vec<u32> = run.iter().map(|&(_, row)| row).collect();
+                let label = format!("{}-new-{b}", self.label);
+                let bucket = handle(&*self.spill, &mut bk.new[b], &label)?;
+                self.spill.append(bucket, &arrived.rows.gather(&idx))?;
+            }
         }
         Ok(routed.spill.len() as u64)
     }
@@ -555,26 +528,16 @@ impl JoinSide {
         bk.dead += old.len();
         self.spill.stats().record_flush_event();
         if 2 * bk.dead > stored.len() {
-            self.compact()?;
+            // Compact: drop the rows of flushed buckets, re-indexing the rest.
+            let live: Vec<u32> = (0..stored.len() as u32)
+                .filter(|&i| !bk.flushed[fold_hash(stored.hashes[i as usize], n, 0)])
+                .collect();
+            let mut fresh = ResidentSide::new(self.resident.key);
+            fresh.store(&stored.gather(&live))?;
+            self.resident = fresh;
+            bk.dead = 0;
         }
         Ok(old.len() + new.len())
-    }
-
-    /// Drop the rows of flushed buckets from the store, re-indexing the
-    /// rest.
-    fn compact(&mut self) -> Result<()> {
-        let Some(bk) = &mut self.buckets else {
-            return Ok(());
-        };
-        let stored = &self.resident.stored;
-        let live: Vec<u32> = (0..stored.len() as u32)
-            .filter(|&i| !bk.flushed[fold_hash(stored.hashes[i as usize], self.num_buckets, 0)])
-            .collect();
-        let mut fresh = ResidentSide::new(self.resident.key);
-        fresh.store(&stored.gather(&live))?;
-        self.resident = fresh;
-        bk.dead = 0;
-        Ok(())
     }
 
     /// Bucket `b`'s old rows: its old-spill read back once flushed, its
@@ -689,9 +652,12 @@ mod tests {
         (side, r, spill)
     }
 
-    /// Route and settle every row of `arrived` on `side`, resolving no
-    /// overflow; returns the runs' ends.
+    /// Route and settle every row of `arrived` on `side` against `other`
+    /// (an empty side without one), resolving no overflow; returns the
+    /// runs' ends.
     fn arrive(side: &mut JoinSide, other: Option<&JoinSide>, arrived: &Keyed) -> Vec<usize> {
+        let empty = JoinSide::new("e".into(), 4, 0, None, Arc::new(InMemorySpillStore::new()));
+        let other = other.unwrap_or(&empty);
         let (mut start, mut ends) = (0, Vec::new());
         while start < arrived.len() {
             let mut routed = side.route(other, true, arrived, start);

@@ -2,8 +2,8 @@
 //!
 //! Standard relational operators (§4: "join (including dependent join),
 //! selection, projection, union and table scan") plus Tukwila's adaptive
-//! operators: the double pipelined join ([`dpj`]) and the dynamic collector
-//! ([`collector`]).
+//! operators: the hash join ([`join`]), whose symmetric schedule is the
+//! double pipelined join, and the dynamic collector ([`collector`]).
 
 #[cfg(test)]
 mod batch_tests;
@@ -11,12 +11,11 @@ pub mod collector;
 #[cfg(test)]
 mod columnar_equiv_tests;
 pub mod dependent_join;
-pub mod dpj;
 #[cfg(test)]
 mod dpj_resident_tests;
 pub mod exchange;
 pub mod filter;
-pub mod hash_join;
+pub mod join;
 mod join_side;
 pub mod nlj;
 #[cfg(test)]
@@ -84,10 +83,9 @@ pub(crate) fn open_source_stream(
 
 pub use collector::Collector;
 pub use dependent_join::DependentJoin;
-pub use dpj::DoublePipelinedJoin;
 pub use exchange::{Exchange, InProcess, PartitionStream, PartitionTransport};
 pub use filter::Filter;
-pub use hash_join::HashJoinOp;
+pub use join::HashJoin;
 pub use nlj::NestedLoopsJoin;
 pub use project::Project;
 pub use scan::TableScan;

@@ -60,7 +60,7 @@ impl NestedLoopsJoin {
     /// cursor-buffered outer tuples is always free.
     fn step(&mut self, may_pull: bool) -> Result<Step> {
         loop {
-            if self.current_left.is_none() {
+            let Some(l) = &self.current_left else {
                 if !may_pull && !self.left_cursor.has_buffered() {
                     return Ok(Step::WouldBlock);
                 }
@@ -69,8 +69,8 @@ impl NestedLoopsJoin {
                 if self.current_left.is_none() {
                     return Ok(Step::End);
                 }
-            }
-            let l = self.current_left.as_ref().unwrap();
+                continue;
+            };
             let lk = l.value(self.left_key_idx);
             while self.inner_pos < self.inner.len() {
                 let r = &self.inner[self.inner_pos];
@@ -125,7 +125,11 @@ impl Operator for NestedLoopsJoin {
             // extend it; a blocking pull ends the batch instead.
             match self.step(asm.is_empty())? {
                 Step::Match(idx) => {
-                    let l = self.current_left.as_ref().expect("match has outer row");
+                    let Some(l) = &self.current_left else {
+                        return Err(TukwilaError::Internal(
+                            "NLJ match without an outer row".into(),
+                        ));
+                    };
                     asm.push_concat(l, &self.inner[idx]);
                 }
                 Step::WouldBlock | Step::End => break,

@@ -3,7 +3,9 @@
 //! One test in its own binary, so no other test's threads are alive in the
 //! process: after each case, `/proc/self/task/*/comm` must list no thread
 //! whose name carries the feeder prefix. Every case runs for the double
-//! pipelined join, the dynamic collector and the in-process exchange.
+//! pipelined join, the dynamic collector and the in-process exchange. A
+//! build-first (hybrid) join, which pulls its inputs inline, starts no
+//! thread at all.
 #![cfg(target_os = "linux")]
 
 use std::time::{Duration, Instant};
@@ -12,7 +14,7 @@ use tukwila_common::{DataType, Relation, Result, Schema, Tuple, Value};
 use tukwila_exec::feeder::THREAD_PREFIX;
 use tukwila_exec::runtime::{ExecEnv, PlanRuntime};
 use tukwila_exec::{build_operator, Operator};
-use tukwila_plan::{OverflowMethod, PlanBuilder, QueryPlan};
+use tukwila_plan::{JoinKind, OverflowMethod, PlanBuilder, QueryPlan};
 use tukwila_source::{LinkModel, SimulatedSource, SourceRegistry};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -20,6 +22,7 @@ enum Shape {
     Dpj,
     Collector,
     Exchange,
+    Hybrid,
 }
 
 /// Names of this process's live feeder threads.
@@ -69,6 +72,10 @@ fn plan(shape: Shape, left: &str, right: &str) -> QueryPlan {
     let mut b = PlanBuilder::new();
     let root = match shape {
         Shape::Collector => (b.collector(&[(left, true), (right, true)], None)).0,
+        Shape::Hybrid => {
+            let (l, r) = (b.wrapper_scan(left), b.wrapper_scan(right));
+            b.join(JoinKind::HybridHash, l, r, "k", "k")
+        }
         Shape::Dpj | Shape::Exchange => {
             let (l, r) = (b.wrapper_scan(left), b.wrapper_scan(right));
             let join = b.dpj(l, r, "k", "k", OverflowMethod::IncrementalSymmetricFlush);
@@ -137,6 +144,29 @@ fn case(shape: Shape, what: &str, left: &str, right: &str, reg: &SourceRegistry)
     );
 }
 
+/// The number of this process's threads.
+fn thread_count() -> usize {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("list /proc/self/task");
+    tasks.count()
+}
+
+/// A build-first join, opened, drained and closed, never raises the
+/// process's thread count.
+fn build_first_starts_no_thread(reg: &SourceRegistry) {
+    let plan = plan(Shape::Hybrid, "fast", "fast");
+    let rt = PlanRuntime::for_plan(&plan, ExecEnv::new(reg.clone()));
+    let mut op = build_operator(&plan.fragments[0].root, &rt).expect("build");
+    let before = thread_count();
+    let mut most = before;
+    op.open().expect("open");
+    while op.next_batch().expect("next batch").is_some() {
+        most = most.max(thread_count());
+    }
+    op.close().expect("close");
+    most = most.max(thread_count());
+    assert_eq!(most, before, "a build-first join started a thread");
+}
+
 #[test]
 fn no_feeder_thread_outlives_its_operator() {
     // Fail rather than hang if a close cannot stop a stalled feeder.
@@ -155,6 +185,7 @@ fn no_feeder_thread_outlives_its_operator() {
             let what = "one side fails at open, the other stalls";
             case(shape, what, failing_open, "stalled", &reg);
         }
+        build_first_starts_no_thread(&reg);
     });
     let deadline = Instant::now() + Duration::from_secs(60);
     while !body.is_finished() {

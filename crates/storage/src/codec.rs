@@ -342,7 +342,7 @@ pub fn batch_frame_size_hint(batch: &TupleBatch) -> usize {
     }
 }
 
-/// Append a column-major batch frame: count word with [`COLS_FLAG`] set,
+/// Append a column-major batch frame: count word with `COLS_FLAG` set,
 /// column count, then each column (kind tag, validity bits, typed payload).
 pub fn encode_columns(cols: &ColumnarBatch, out: &mut Vec<u8>) {
     let payload: usize = (0..cols.num_cols())
