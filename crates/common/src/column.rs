@@ -155,6 +155,20 @@ impl Bitmap {
     }
 }
 
+/// Appends one bit per item in place, so a column grown batch by batch
+/// pays for each bit once.
+impl Extend<bool> for Bitmap {
+    fn extend<I: IntoIterator<Item = bool>>(&mut self, bits: I) {
+        for bit in bits {
+            if self.len.is_multiple_of(64) {
+                self.words.push(0);
+            }
+            self.words[self.len / 64] |= (bit as u64) << (self.len % 64);
+            self.len += 1;
+        }
+    }
+}
+
 /// A selection over a batch: the rows a predicate kept. Wraps a [`Bitmap`]
 /// with a cached population count so the all-pass / none-pass fast paths
 /// are O(1) checks at every consumer.
@@ -390,6 +404,28 @@ impl StrColumn {
             self.rows.extend(other.rows.iter().map(|r| r + shift));
         }
     }
+
+    /// Append rows `idx` of `other`: each run of them from one of
+    /// `other`'s segments is numbered to this column's last segment when
+    /// that is the same one, else joins the list as a new entry.
+    fn extend_gather(&mut self, other: &StrColumn, idx: &[u32]) {
+        if self.is_empty() {
+            self.segs.clear();
+        }
+        let seg_of = |i: u32| (other.rows[i as usize] >> OFFSET_BITS) as usize;
+        let one = other.segs.len() == 1;
+        for run in idx.chunk_by(|&a, &b| one || seg_of(a) == seg_of(b)) {
+            let seg = &other.segs[seg_of(run[0])];
+            if !self.segs.last().is_some_and(|last| Arc::ptr_eq(last, seg)) {
+                self.segs.push(seg.clone());
+            }
+            let to = ((self.segs.len() - 1) as u64) << OFFSET_BITS;
+            let refs = run
+                .iter()
+                .map(|&i| to | (other.rows[i as usize] & OFFSET_MASK));
+            self.rows.extend(refs);
+        }
+    }
 }
 
 impl From<Vec<Arc<str>>> for StrColumn {
@@ -429,6 +465,26 @@ impl std::fmt::Debug for StrColumn {
 // ---------------------------------------------------------------------------
 // Column
 // ---------------------------------------------------------------------------
+
+/// Extend the validity `dst` of a column of `dst_len` rows by the validity
+/// of rows `rows` of a column whose validity is `src`, in place. A column
+/// with no NULLs on either side stays without a bitmap; one gains it,
+/// all set, the first time a bitmap meets it.
+fn extend_validity(
+    dst: &mut Option<Bitmap>,
+    dst_len: usize,
+    src: &Option<Bitmap>,
+    rows: impl Iterator<Item = u32>,
+) {
+    if dst.is_none() && src.is_none() {
+        return;
+    }
+    let bits = dst.get_or_insert_with(|| Bitmap::all_set(dst_len));
+    match src {
+        Some(s) => bits.extend(rows.map(|i| s.get(i as usize))),
+        None => bits.extend(rows.map(|_| true)),
+    }
+}
 
 /// One column of a [`ColumnarBatch`]: a typed vector plus an optional
 /// validity bitmap (`None` = no NULLs; a clear bit marks SQL NULL, with the
@@ -629,6 +685,20 @@ impl Column {
         }
     }
 
+    /// An empty column of the same variant with room for `capacity` rows.
+    fn empty_like(&self, capacity: usize) -> Column {
+        match self {
+            Column::Int64(..) => Column::Int64(Vec::with_capacity(capacity), None),
+            Column::Float64(..) => Column::Float64(Vec::with_capacity(capacity), None),
+            Column::Str(..) => {
+                let rows = Vec::with_capacity(capacity);
+                Column::Str(StrColumn { segs: vec![], rows }, None)
+            }
+            Column::Date(..) => Column::Date(Vec::with_capacity(capacity), None),
+            Column::Values(_) => Column::Values(Vec::with_capacity(capacity)),
+        }
+    }
+
     /// Reserve capacity for at least `additional` more rows in the value
     /// buffer (bulk append paths size their destination once up front).
     pub fn reserve(&mut self, additional: usize) {
@@ -644,46 +714,25 @@ impl Column {
     /// Append `other`'s rows onto `self`. Returns `false` (leaving `self`
     /// untouched) when the variants differ — the caller falls back to rows.
     pub fn append(&mut self, other: &Column) -> bool {
-        fn merge_validity(
-            dst: &mut Option<Bitmap>,
-            dst_len: usize,
-            src: &Option<Bitmap>,
-            src_len: usize,
-        ) {
-            if dst.is_none() && src.is_none() {
-                return;
-            }
-            let mut out = Bitmap::all_clear(dst_len + src_len);
-            for i in 0..dst_len {
-                if dst.as_ref().is_none_or(|b| b.get(i)) {
-                    out.set(i);
-                }
-            }
-            for i in 0..src_len {
-                if src.as_ref().is_none_or(|b| b.get(i)) {
-                    out.set(dst_len + i);
-                }
-            }
-            *dst = Some(out);
-        }
+        let rows = 0..other.len() as u32;
         match (self, other) {
             (Column::Int64(a, ab), Column::Int64(b, bb)) => {
-                merge_validity(ab, a.len(), bb, b.len());
+                extend_validity(ab, a.len(), bb, rows);
                 a.extend_from_slice(b);
                 true
             }
             (Column::Float64(a, ab), Column::Float64(b, bb)) => {
-                merge_validity(ab, a.len(), bb, b.len());
+                extend_validity(ab, a.len(), bb, rows);
                 a.extend_from_slice(b);
                 true
             }
             (Column::Str(a, ab), Column::Str(b, bb)) => {
-                merge_validity(ab, a.len(), bb, b.len());
+                extend_validity(ab, a.len(), bb, rows);
                 a.append(b);
                 true
             }
             (Column::Date(a, ab), Column::Date(b, bb)) => {
-                merge_validity(ab, a.len(), bb, b.len());
+                extend_validity(ab, a.len(), bb, rows);
                 a.extend_from_slice(b);
                 true
             }
@@ -695,10 +744,55 @@ impl Column {
         }
     }
 
+    /// Append rows `idx` of `src` in place: what appending (widening)
+    /// `src.gather(idx)` gives, without building the gathered column. A
+    /// variant that differs from `src`'s widens `self` to
+    /// [`Column::Values`], as there.
+    fn extend_gather(&mut self, src: &Column, idx: &[u32]) {
+        fn pick<T: Copy>(dst: &mut Vec<T>, src: &[T], idx: &[u32]) {
+            dst.extend(idx.iter().map(|&i| src[i as usize]));
+        }
+        let rows = idx.iter().copied();
+        match (&mut *self, src) {
+            (Column::Int64(a, ab), Column::Int64(b, bb)) => {
+                extend_validity(ab, a.len(), bb, rows);
+                pick(a, b, idx);
+            }
+            (Column::Float64(a, ab), Column::Float64(b, bb)) => {
+                extend_validity(ab, a.len(), bb, rows);
+                pick(a, b, idx);
+            }
+            (Column::Str(a, ab), Column::Str(b, bb)) => {
+                extend_validity(ab, a.len(), bb, rows);
+                a.extend_gather(b, idx);
+            }
+            (Column::Date(a, ab), Column::Date(b, bb)) => {
+                extend_validity(ab, a.len(), bb, rows);
+                pick(a, b, idx);
+            }
+            (Column::Values(a), Column::Values(b)) => {
+                a.extend(idx.iter().map(|&i| b[i as usize].clone()));
+            }
+            _ => {
+                self.widen();
+                if let Column::Values(a) = self {
+                    a.extend(idx.iter().map(|&i| src.value_at(i as usize)));
+                }
+            }
+        }
+    }
+
     /// Whether `other` is the same variant, i.e. [`Column::append`] would
     /// accept it.
     fn same_kind(&self, other: &Column) -> bool {
         std::mem::discriminant(self) == std::mem::discriminant(other)
+    }
+
+    /// Turn a typed column into [`Column::Values`] (a no-op on one).
+    fn widen(&mut self) {
+        if !matches!(self, Column::Values(_)) {
+            *self = Column::Values((0..self.len()).map(|i| self.value_at(i)).collect());
+        }
     }
 
     /// [`Column::append`] that never refuses: when the variants differ,
@@ -708,12 +802,9 @@ impl Column {
         if self.append(other) {
             return;
         }
-        let values = |c: &Column| (0..c.len()).map(|i| c.value_at(i)).collect::<Vec<_>>();
-        if !matches!(self, Column::Values(_)) {
-            *self = Column::Values(values(self));
-        }
+        self.widen();
         if let Column::Values(v) = self {
-            v.extend(values(other));
+            v.extend((0..other.len()).map(|i| other.value_at(i)));
         }
     }
 
@@ -1198,6 +1289,32 @@ impl ColumnarBatch {
             Arc::make_mut(dst).append_widening(src);
         }
         self.len += other.len;
+    }
+
+    /// Append rows `idx` of `src` in place, growing this batch's own column
+    /// buffers: [`ColumnarBatch::append_widening`] of `src.gather(idx)`
+    /// without building the gathered batch (an empty batch becomes it).
+    pub fn extend_gather(&mut self, src: &ColumnarBatch, idx: &[u32]) {
+        if self.len == 0 && self.cols.is_empty() {
+            *self = src.gather(idx);
+            return;
+        }
+        debug_assert_eq!(self.cols.len(), src.cols.len(), "batch widths differ");
+        for (dst, col) in self.cols.iter_mut().zip(&src.cols) {
+            Arc::make_mut(dst).extend_gather(col, idx);
+        }
+        self.len += idx.len();
+    }
+
+    /// An empty batch of this one's column variants with room for `rows`
+    /// rows: a buffer to [`ColumnarBatch::extend_gather`] into.
+    pub fn empty_like(&self, rows: usize) -> ColumnarBatch {
+        ColumnarBatch {
+            len: 0,
+            cols: (self.cols.iter())
+                .map(|c| Arc::new(c.empty_like(rows)))
+                .collect(),
+        }
     }
 
     /// Concatenate many batches column-wise. Returns `None` when layouts
@@ -1808,6 +1925,126 @@ mod tests {
                     let idx: Vec<u32> = (0..n as u32).rev().step_by(2).collect();
                     let picked: Model = idx.iter().map(|&i| model[i as usize].clone()).collect();
                     check(&acc.gather(&idx), &picked)?;
+                }
+            }
+        }
+    }
+
+    /// Appends alternate sources with and without a validity bitmap, across
+    /// word boundaries; every bit of the grown bitmap is checked against
+    /// the rows' own NULLs.
+    #[test]
+    fn appends_mixing_bitmaps_keep_every_bit() {
+        let column = |n: usize, nulls: bool| {
+            let mut b = ColumnBuilder::for_type(DataType::Int);
+            for i in 0..n {
+                let null = nulls && i % 3 == 0;
+                b.push(&if null {
+                    Value::Null
+                } else {
+                    Value::Int(i as i64)
+                });
+            }
+            b.finish()
+        };
+        let mut grown = column(5, false);
+        let mut want = vec![true; 5];
+        for (n, nulls) in [(3, true), (70, false), (1, true), (130, true), (64, false)] {
+            let src = column(n, nulls);
+            assert_eq!(src.validity().is_some(), nulls);
+            assert!(grown.append(&src));
+            want.extend((0..n).map(|i| !(nulls && i % 3 == 0)));
+            let bits = grown.validity().expect("a bitmap once one is appended");
+            assert_eq!(bits.len(), want.len());
+            for (i, &valid) in want.iter().enumerate() {
+                assert_eq!(bits.get(i), valid, "bit {i} after appending {n} rows");
+            }
+            assert_eq!(bits.count_ones(), want.iter().filter(|&&v| v).count());
+        }
+        let mut bits = Bitmap::all_clear(0);
+        bits.extend([true, false, true]);
+        assert_eq!(bits.set_indices(), vec![0, 2]);
+    }
+
+    mod extend_gather_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(value seed, NULL roll)` per row.
+        type Rows = Vec<(i64, u8)>;
+
+        /// A one-column batch of `kind`: Int64, Float64, Date, Str over one
+        /// segment, Str over several, or Values. With `nulls`, about a
+        /// quarter of the rows are NULL (a validity bitmap).
+        fn batch(kind: usize, rows: &Rows, nulls: bool) -> ColumnarBatch {
+            let value = |&(v, roll): &(i64, u8)| match kind {
+                _ if nulls && roll == 0 => Value::Null,
+                0 => Value::Int(v),
+                1 => Value::Double(v as f64 / 8.0),
+                2 => Value::Date(v as i32),
+                3 | 4 => Value::str(format!("s{}", v % 32)),
+                _ if v % 2 == 0 => Value::Int(v),
+                _ => Value::str(format!("v{v}")),
+            };
+            let build = |rows: &[(i64, u8)]| {
+                let mut b = match kind {
+                    0 => ColumnBuilder::for_type(DataType::Int),
+                    1 => ColumnBuilder::for_type(DataType::Double),
+                    2 => ColumnBuilder::for_type(DataType::Date),
+                    3 | 4 => ColumnBuilder::for_type(DataType::Str),
+                    _ => ColumnBuilder::for_type(DataType::Null),
+                };
+                rows.iter().for_each(|r| b.push(&value(r)));
+                b.finish()
+            };
+            let col = if kind == 4 {
+                // One segment per third of the rows.
+                let mut col = build(&[]);
+                for part in rows.chunks(rows.len().div_ceil(3).max(1)) {
+                    col.append(&build(part));
+                }
+                col
+            } else {
+                build(rows)
+            };
+            ColumnarBatch::new(rows.len(), vec![col])
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// `extend_gather` is `append_widening` of the gather, row for
+            /// row and bit for bit: same or different variants (widening),
+            /// with and without validity on either side, into an empty
+            /// batch with or without columns, with repeated and reordered
+            /// indices.
+            #[test]
+            fn prop_extend_gather_is_append_of_the_gather(
+                kinds in (0usize..6, 0usize..6, 0usize..4),
+                dst in proptest::collection::vec((-40i64..40, 0u8..4), 0..12),
+                src in proptest::collection::vec((-40i64..40, 0u8..4), 1..40),
+                picks in proptest::collection::vec(0usize..64, 0..24),
+                nulls in (any::<bool>(), any::<bool>()),
+            ) {
+                let (dst_kind, src_kind, same) = kinds;
+                // Half the cases keep one variant: the typed, in-place path.
+                let dst_kind = if same < 2 { src_kind } else { dst_kind };
+                let src = batch(src_kind, &src, nulls.1);
+                let idx: Vec<u32> = picks.iter().map(|&p| (p % src.len()) as u32).collect();
+                let targets = [
+                    batch(dst_kind, &dst, nulls.0),
+                    ColumnarBatch::default(),
+                    src.empty_like(4),
+                ];
+                for target in targets {
+                    let mut want = target.clone();
+                    want.append_widening(&src.gather(&idx));
+                    let mut got = target;
+                    got.extend_gather(&src, &idx);
+                    prop_assert_eq!(got.len(), want.len());
+                    prop_assert_eq!(got.col(0), want.col(0));
+                    prop_assert_eq!(got.materialize_rows(), want.materialize_rows());
+                    prop_assert_eq!(got.mem_size(), want.mem_size());
                 }
             }
         }

@@ -238,8 +238,8 @@ impl HashJoin {
             } else {
                 (right, left)
             };
-            let mut routed = own.route(other, keep, &arrived, start);
-            self.spilled_tuples += own.settle(&arrived, &mut routed)?;
+            let routed = own.route(other, keep, &arrived, start);
+            self.spilled_tuples += own.settle(&arrived, &routed)?;
             let probe = routed.probe.iter().copied();
             self.matches
                 .find(other.resident(), &arrived, self.key_idx[side], probe);
@@ -428,7 +428,13 @@ impl HashJoin {
             return Ok(true); // fully in-memory bucket: everything was online
         }
         let (a_old, a_new) = (left.old_rows(b)?, left.new_rows(b)?);
-        let (mut b_old, b_new) = (right.old_rows(b)?, right.new_rows(b)?);
+        let b_new = right.new_rows(b)?;
+        // An unflushed right bucket is probed where it is (below).
+        let mut b_old = if rf {
+            right.old_rows(b)?
+        } else {
+            Keyed::default()
+        };
         // Tuples read back from the flushed side(s) of this bucket for the
         // cleanup join.
         let tuples = (if lf { a_old.len() + a_new.len() } else { 0 }
@@ -437,12 +443,13 @@ impl HashJoin {
             self.trace(|op| TraceEvent::SpillRead { op, tuples });
         }
         let spill = self.harness.spill();
+        let block = self.harness.batch_size().max(1);
         let join = BucketJoin {
             build_key: self.key_idx[RIGHT],
             probe_key: self.key_idx[LEFT],
             budget: self.reservation.as_ref().map(|r| r.budget()),
             spill: &*spill,
-            block: self.harness.batch_size().max(1),
+            block,
         };
         if self.schedule() == Schedule::BuildFirst {
             // The left was never stored, so it has no old rows: the build
@@ -455,7 +462,18 @@ impl HashJoin {
         }
         // old×old was emitted online; produce the three remaining quadrants.
         join.run(b_new.clone(), &a_old, 0, &mut self.pending)?;
-        join.run(b_old, &a_new, 0, &mut self.pending)?;
+        if rf {
+            join.run(b_old, &a_new, 0, &mut self.pending)?;
+        } else {
+            // old×new against the right's resident index, in place: the
+            // bucket is within the budget (pressure resolution keeps it so),
+            // and every new left row's key folds to it, so no row of
+            // another bucket — a flushed one not yet compacted away
+            // included — matches.
+            let (resident, all) = (self.sides[RIGHT].resident(), 0..a_new.len() as u32);
+            (self.matches).find(resident, &a_new, self.key_idx[LEFT], all);
+            (self.matches).emit(&a_new.rows, resident, true, block, &mut self.pending);
+        }
         join.run(b_new, &a_new, 0, &mut self.pending)?;
         Ok(true)
     }
@@ -521,6 +539,7 @@ impl Operator for HashJoin {
                 JoinSide::new(
                     format!("join-{}-{tag}", self.harness.subject()),
                     self.num_buckets,
+                    self.harness.batch_size(),
                     self.key_idx[side],
                     self.reservation.clone(),
                     spill.clone(),
@@ -968,6 +987,91 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A Left Flush join whose right input all arrived first, over a
+    /// budget of `eighths` eighths of it: every left bucket is flushed
+    /// (empty) and then right buckets until the pressure is gone. Then
+    /// every left row arrives and spills into its bucket's page (of 256
+    /// rows, whatever the engine's batch size). Returns the join with both
+    /// inputs marked done, its cleanup not yet run, and the answer's
+    /// reference.
+    fn right_first_then_spilled_left(eighths: usize) -> (HashJoin, JoinFixture, Relation) {
+        let (l, r) = (keyed_relation("l", 120, 24), keyed_relation("r", 240, 24));
+        let gold = l.nested_join(&r, 0, 0);
+        let fx = JoinFixture::build(
+            keyed_relation("l", 0, 1),
+            keyed_relation("r", 0, 1),
+            LinkModel::instant(),
+            LinkModel::instant(),
+            JoinKind::DoublePipelined,
+            OverflowMethod::IncrementalLeftFlush,
+            Some(r.mem_size() * eighths / 8),
+        )
+        .with_batch_size(256);
+        let mut op = dpj_for(&fx);
+        op.open().unwrap();
+        for (side, rel) in [(RIGHT, &r), (LEFT, &l)] {
+            for rows in rel.tuples().chunks(16) {
+                op.join_batch(side, TupleBatch::from(rows.to_vec()))
+                    .unwrap();
+            }
+        }
+        op.done = [true, true];
+        (op, fx, gold)
+    }
+
+    /// The cleanup probes an unflushed right bucket's resident index with
+    /// the bucket's new left rows in place, and reads a flushed one back:
+    /// with the right's store still holding rows of its flushed buckets
+    /// (none of which may match an in-place probe) and after it compacted
+    /// them away (so only the read-back has them), the answer is the
+    /// reference's.
+    #[test]
+    fn cleanup_probes_unflushed_right_buckets_in_place() {
+        for (eighths, compacted) in [(7, false), (3, true)] {
+            let (mut op, fx, gold) = right_first_then_spilled_left(eighths);
+            let (left, right) = (&op.sides[LEFT], &op.sides[RIGHT]);
+            assert!((0..8).all(|b| left.is_flushed(b)));
+            let in_place = (0..8).filter(|&b| !right.is_flushed(b)).count();
+            assert!(
+                (1..8).contains(&in_place),
+                "{in_place} right buckets resident"
+            );
+            // Only the right's flushes have written rows so far.
+            let flushed = fx.rt.env().spill.stats().tuples_written();
+            assert!(flushed > 0 && right.dead_rows() <= flushed);
+            assert_eq!(right.dead_rows() < flushed, compacted, "{eighths}/8");
+            assert!(left.paged_rows() > 0);
+            let mut out = Vec::new();
+            while let Some(batch) = op.next_batch().unwrap() {
+                out.extend(batch);
+            }
+            op.close().unwrap();
+            let got = Relation::new(gold.schema().clone(), out).unwrap();
+            assert!(got.bag_eq(&gold), "got {}, want {}", got.len(), gold.len());
+            let stats = fx.rt.env().spill.stats();
+            assert_eq!(stats.tuples_written(), stats.tuples_read());
+        }
+    }
+
+    /// A join closed before its cleanup drops its pages unwritten and
+    /// leaves the memory governor at 0.
+    #[test]
+    fn close_before_cleanup_drops_the_pages() {
+        let (mut op, fx, _) = right_first_then_spilled_left(7);
+        assert!(op.sides[LEFT].paged_rows() > 0);
+        let env = fx.rt.env();
+        let written = env.spill.stats().tuples_written();
+        assert!(env.memory.total_used() > 0);
+        op.close().unwrap();
+        assert!(op.sides.is_empty());
+        assert_eq!(
+            env.spill.stats().tuples_written(),
+            written,
+            "no page written"
+        );
+        assert_eq!(env.memory.total_used(), 0, "governor not back at 0");
     }
 
     /// The build-first schedule under both of its policies: the answer is

@@ -11,8 +11,11 @@
 //! rows to spill storage as one [`ColumnarBatch`] and releases their
 //! charge; the rows stay in the store, unreachable (no probe enters a
 //! flushed bucket), until they outnumber the live ones and the store
-//! compacts. Rows arriving for a flushed bucket are appended to its
-//! new-spill instead of stored.
+//! compacts. Rows arriving for a flushed bucket are gathered into its
+//! *page* instead of stored, and the page goes to the bucket's new-spill
+//! as one batch when it holds a page of rows (the engine's batch size) or
+//! when the cleanup reads the bucket. A bucket's spilled batches are read
+//! back as one batch.
 //!
 //! Marking (the paper's duplicate-avoidance device): rows that were in
 //! memory when their bucket flushed are *old* (they have already joined
@@ -72,15 +75,20 @@ impl Keyed {
         Keyed::of(rows, key)
     }
 
-    /// Every row spilled to `bucket` (none without one), read back.
+    /// Every row spilled to `bucket` (none without one), read back: the
+    /// bucket's batches concatenated once, the key column hashed once.
     fn read(spill: &dyn SpillStore, bucket: Option<SpillBucket>, key: usize) -> Result<Keyed> {
-        let mut out = Keyed::default();
-        if let Some(bucket) = bucket {
-            for batch in spill.read(bucket)? {
-                out.append(&Keyed::of(batch, key));
-            }
-        }
-        Ok(out)
+        let Some(bucket) = bucket else {
+            return Ok(Keyed::default());
+        };
+        let batches = spill.read(bucket)?;
+        let rows = ColumnarBatch::concat(batches.iter()).unwrap_or_else(|| {
+            // Batches whose column variants differ: widen as they meet.
+            let mut rows = ColumnarBatch::default();
+            batches.iter().for_each(|b| rows.append_widening(b));
+            rows
+        });
+        Ok(Keyed::of(rows, key))
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -268,8 +276,24 @@ struct Buckets {
     marked: Keyed,
     old: Vec<Option<SpillBucket>>,
     new: Vec<Option<SpillBucket>>,
+    /// Rows arrived for each flushed bucket and not yet appended to its
+    /// new-spill: uncharged, fewer than a page between arrivals.
+    pages: Vec<ColumnarBatch>,
     /// Resident rows of flushed buckets still in the store.
     dead: usize,
+}
+
+impl Buckets {
+    /// Append bucket `b`'s page, if it holds rows, to the bucket's
+    /// new-spill as one batch (labelled after `label`) and start a new one.
+    fn write_page(&mut self, b: usize, spill: &dyn SpillStore, label: &str) -> Result<()> {
+        let page = std::mem::take(&mut self.pages[b]);
+        if page.is_empty() {
+            return Ok(());
+        }
+        let bucket = handle(spill, &mut self.new[b], || format!("{label}-new-{b}"))?;
+        spill.append(bucket, &page)
+    }
 }
 
 /// The bucket state of a side, built on first use from the stored rows'
@@ -291,20 +315,21 @@ fn buckets_of<'a>(
             marked: Keyed::default(),
             old: vec![None; n],
             new: vec![None; n],
+            pages: vec![ColumnarBatch::default(); n],
             dead: 0,
         }
     })
 }
 
-/// The spill bucket in `slot`, created on first use.
+/// The spill bucket in `slot`, created (and labelled) on first use.
 fn handle(
     spill: &dyn SpillStore,
     slot: &mut Option<SpillBucket>,
-    label: &str,
+    label: impl FnOnce() -> String,
 ) -> Result<SpillBucket> {
     match *slot {
         Some(bucket) => Ok(bucket),
-        None => Ok(*slot.insert(spill.create_bucket(label)?)),
+        None => Ok(*slot.insert(spill.create_bucket(&label())?)),
     }
 }
 
@@ -313,6 +338,8 @@ fn handle(
 pub(crate) struct JoinSide {
     label: String,
     num_buckets: usize,
+    /// Rows a flushed bucket's page gathers before it is spilled.
+    page_rows: usize,
     resident: ResidentSide,
     /// Bytes charged for the resident and marked rows.
     charged: usize,
@@ -324,10 +351,11 @@ pub(crate) struct JoinSide {
 impl JoinSide {
     /// An empty side of `num_buckets` buckets keyed on column `key`,
     /// charging `reservation` and spilling to `spill` (buckets labelled
-    /// after `label`).
+    /// after `label`) in pages of `page_rows` rows.
     pub(crate) fn new(
         label: String,
         num_buckets: usize,
+        page_rows: usize,
         key: usize,
         reservation: Option<MemoryReservation>,
         spill: Arc<dyn SpillStore>,
@@ -335,6 +363,7 @@ impl JoinSide {
         JoinSide {
             label,
             num_buckets: num_buckets.max(1),
+            page_rows: page_rows.max(1),
             resident: ResidentSide::new(key),
             charged: 0,
             buckets: None,
@@ -455,7 +484,7 @@ impl JoinSide {
 
     /// Carry out a [`JoinSide::route`]: spill, store and mark its rows,
     /// charging them. Returns the rows spilled.
-    pub(crate) fn settle(&mut self, arrived: &Keyed, routed: &mut Routed) -> Result<u64> {
+    pub(crate) fn settle(&mut self, arrived: &Keyed, routed: &Routed) -> Result<u64> {
         let n = self.num_buckets;
         if !routed.mark.is_empty() {
             buckets_of(&mut self.buckets, &self.resident, n);
@@ -487,14 +516,35 @@ impl JoinSide {
         }
         self.charged += routed.bytes;
         if let (Some(bk), false) = (&mut self.buckets, routed.spill.is_empty()) {
-            // One batch per bucket, in arrival order within each.
-            routed.spill.sort_by_key(|&(b, _)| b);
-            for run in routed.spill.chunk_by(|x, y| x.0 == y.0) {
-                let b = run[0].0;
-                let idx: Vec<u32> = run.iter().map(|&(_, row)| row).collect();
-                let label = format!("{}-new-{b}", self.label);
-                let bucket = handle(&*self.spill, &mut bk.new[b], &label)?;
-                self.spill.append(bucket, &arrived.rows.gather(&idx))?;
+            // Each bucket's rows join its page in place, in arrival order
+            // (a counting sort by bucket); a page that reaches its size is
+            // spilled as one batch.
+            let mut ends = vec![0; n];
+            for &(b, _) in &routed.spill {
+                ends[b] += 1;
+            }
+            for b in 1..n {
+                ends[b] += ends[b - 1];
+            }
+            // Filled back to front, so `starts` ends at each run's start.
+            let (mut starts, mut idx) = (ends.clone(), vec![0; routed.spill.len()]);
+            for &(b, row) in routed.spill.iter().rev() {
+                starts[b] -= 1;
+                idx[starts[b]] = row;
+            }
+            for b in 0..n {
+                let run = &idx[starts[b]..ends[b]];
+                if run.is_empty() {
+                    continue;
+                }
+                let page = &mut bk.pages[b];
+                if page.is_empty() {
+                    *page = arrived.rows.empty_like(self.page_rows);
+                }
+                page.extend_gather(&arrived.rows, run);
+                if page.len() >= self.page_rows {
+                    bk.write_page(b, &*self.spill, &self.label)?;
+                }
             }
         }
         Ok(routed.spill.len() as u64)
@@ -513,9 +563,8 @@ impl JoinSide {
         let new = bk.marked.gather(&new);
         for (rows, slot, kind) in [(&old, &mut bk.old[b], "old"), (&new, &mut bk.new[b], "new")] {
             if !rows.is_empty() {
-                let label = format!("{}-{kind}-{b}", self.label);
-                self.spill
-                    .append(handle(&*self.spill, slot, &label)?, &rows.rows)?;
+                let bucket = handle(&*self.spill, slot, || format!("{}-{kind}-{b}", self.label))?;
+                self.spill.append(bucket, &rows.rows)?;
             }
         }
         bk.marked = bk.marked.gather(&kept);
@@ -552,12 +601,13 @@ impl JoinSide {
         }
     }
 
-    /// Bucket `b`'s new (marked) rows: its new-spill read back, and those
-    /// still in memory.
-    pub(crate) fn new_rows(&self, b: usize) -> Result<Keyed> {
-        let Some(bk) = &self.buckets else {
+    /// Bucket `b`'s new (marked) rows: its new-spill read back, its page
+    /// written there first, and those still in memory.
+    pub(crate) fn new_rows(&mut self, b: usize) -> Result<Keyed> {
+        let Some(bk) = &mut self.buckets else {
             return Ok(Keyed::default());
         };
+        bk.write_page(b, &*self.spill, &self.label)?;
         let mut out = Keyed::read(&*self.spill, bk.new[b], self.resident.key)?;
         out.append(
             &bk.marked
@@ -566,7 +616,22 @@ impl JoinSide {
         Ok(out)
     }
 
-    /// Drop every row held in memory, releasing its charge (join close).
+    /// Rows of flushed buckets still in the store, awaiting compaction.
+    #[cfg(test)]
+    pub(crate) fn dead_rows(&self) -> usize {
+        self.buckets.as_ref().map_or(0, |bk| bk.dead)
+    }
+
+    /// Rows waiting in pages.
+    #[cfg(test)]
+    pub(crate) fn paged_rows(&self) -> usize {
+        self.buckets
+            .as_ref()
+            .map_or(0, |bk| bk.pages.iter().map(ColumnarBatch::len).sum())
+    }
+
+    /// Drop every row held in memory, pages included, releasing its charge
+    /// (join close).
     pub(crate) fn clear(&mut self) {
         if let Some(r) = &self.reservation {
             r.release(self.charged);
@@ -648,7 +713,7 @@ mod tests {
     fn side(budget: usize) -> (JoinSide, MemoryReservation, Arc<InMemorySpillStore>) {
         let r = MemoryManager::new().register("t", budget);
         let spill = Arc::new(InMemorySpillStore::new());
-        let side = JoinSide::new("t".into(), 4, 0, Some(r.clone()), spill.clone());
+        let side = JoinSide::new("t".into(), 4, 8, 0, Some(r.clone()), spill.clone());
         (side, r, spill)
     }
 
@@ -656,12 +721,13 @@ mod tests {
     /// (an empty side without one), resolving no overflow; returns the
     /// runs' ends.
     fn arrive(side: &mut JoinSide, other: Option<&JoinSide>, arrived: &Keyed) -> Vec<usize> {
-        let empty = JoinSide::new("e".into(), 4, 0, None, Arc::new(InMemorySpillStore::new()));
+        let spill = Arc::new(InMemorySpillStore::new());
+        let empty = JoinSide::new("e".into(), 4, 8, 0, None, spill);
         let other = other.unwrap_or(&empty);
         let (mut start, mut ends) = (0, Vec::new());
         while start < arrived.len() {
-            let mut routed = side.route(other, true, arrived, start);
-            side.settle(arrived, &mut routed).unwrap();
+            let routed = side.route(other, true, arrived, start);
+            side.settle(arrived, &routed).unwrap();
             start = routed.end;
             ends.push(start);
         }
@@ -722,6 +788,38 @@ mod tests {
         assert_eq!(side.new_rows(b).unwrap().len(), again.len());
         side.clear();
         assert_eq!(r.usage().used, 0);
+    }
+
+    /// Arrivals for a flushed bucket gather into its page, which reaches
+    /// the store as one batch per 8 rows (the page size here); reading the
+    /// bucket writes the partial page first, so every row written is read.
+    #[test]
+    fn a_flushed_buckets_arrivals_spill_a_page_at_a_time() {
+        let (mut side, r, spill) = side(1_000_000);
+        let b = fold_hash(tukwila_common::fx_hash(&Value::Int(0)), 4, 0);
+        side.flush(b).unwrap();
+        let stats = spill.stats();
+        for i in 0..40i64 {
+            arrive(&mut side, None, &keyed(&[tuple![0, i]]));
+        }
+        assert_eq!(stats.tuples_written(), 40, "five full pages");
+        assert_eq!(side.paged_rows(), 0);
+        for i in 40..43i64 {
+            arrive(&mut side, None, &keyed(&[tuple![0, i]]));
+        }
+        assert_eq!((stats.tuples_written(), side.paged_rows()), (40, 3));
+        assert_eq!(r.usage().used, 0, "pages are not charged");
+        let new = side.new_rows(b).unwrap();
+        let arrived = (0..43).map(|i| new.rows.row_values(i)[1].clone());
+        assert!(arrived.eq((0..43i64).map(Value::Int)), "in arrival order");
+        assert_eq!(stats.tuples_written(), 43);
+        assert_eq!(stats.tuples_read(), 43);
+        let bucket = side.buckets.as_ref().and_then(|bk| bk.new[b]).unwrap();
+        assert_eq!(
+            spill.read(bucket).unwrap().len(),
+            6,
+            "5 pages + the partial one"
+        );
     }
 
     #[test]
