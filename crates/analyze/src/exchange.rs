@@ -1,13 +1,12 @@
 //! Pass 4: exchange / parallelism discipline (`TA03x`).
 //!
-//! The partitioned exchange of PR 5 only parallelizes hash-partitionable
-//! joins, and the engine silently degrades everything else to a
-//! passthrough. This pass makes those silent behaviors visible and rejects
-//! the one shape the runtime cannot express at all (an exchange nested
-//! inside another exchange — partition instances are fragment-local and do
-//! not re-partition):
+//! The partitioned exchange parallelizes joins only, and the engine
+//! silently degrades any other input to a passthrough. This pass makes
+//! those silent behaviors visible and rejects the one shape the runtime
+//! cannot express at all (an exchange nested inside another exchange —
+//! partition instances are fragment-local and do not re-partition):
 //!
-//! * TA030: exchange over a join kind that is not hash-partitionable;
+//! * TA030: exchange over an input that is not a join;
 //! * TA031: partition count above the configured `max_parallelism`;
 //! * TA032: an exchange *directly* wrapping another exchange (Error) —
 //!   partition instances cannot re-partition their own output. An exchange
@@ -71,49 +70,37 @@ fn walk(
         }
         match &input.spec {
             OperatorSpec::Join {
-                kind,
                 left,
                 right,
                 left_key,
                 right_key,
                 ..
             } => {
-                if !kind.is_hash_partitionable() {
+                if *partitions == 1 {
                     diags.push(Diagnostic::new(
-                        codes::EXCHANGE_NOT_PARTITIONABLE,
+                        codes::EXCHANGE_PASSTHROUGH,
                         span(),
-                        format!(
-                            "exchange wraps a {kind:?} join, which is not hash-partitionable; \
-                             it will run as a passthrough"
-                        ),
+                        "single-partition exchange is a passthrough",
                     ));
-                } else {
-                    if *partitions == 1 {
-                        diags.push(Diagnostic::new(
-                            codes::EXCHANGE_PASSTHROUGH,
-                            span(),
-                            "single-partition exchange is a passthrough",
-                        ));
-                    }
-                    for (child, key) in [(left, left_key), (right, right_key)] {
-                        if let Some(cols @ Cols::Known(v)) = schemas.get(&child.id.0) {
-                            if let Resolution::Found(i) = cols.resolve(key) {
-                                if v[i].nullable {
-                                    diags.push(
-                                        Diagnostic::new(
-                                            codes::NULLABLE_EXCHANGE_KEY,
-                                            span(),
-                                            format!(
-                                                "partitioned join key `{key}` may be NULL; \
-                                                 NULL-keyed rows are dropped by hash partitioning"
-                                            ),
-                                        )
-                                        .with_note(
-                                            "filter the key non-NULL below the exchange, or \
-                                             run the join unpartitioned",
+                }
+                for (child, key) in [(left, left_key), (right, right_key)] {
+                    if let Some(cols @ Cols::Known(v)) = schemas.get(&child.id.0) {
+                        if let Resolution::Found(i) = cols.resolve(key) {
+                            if v[i].nullable {
+                                diags.push(
+                                    Diagnostic::new(
+                                        codes::NULLABLE_EXCHANGE_KEY,
+                                        span(),
+                                        format!(
+                                            "partitioned join key `{key}` may be NULL; \
+                                             NULL-keyed rows are dropped by hash partitioning"
                                         ),
-                                    );
-                                }
+                                    )
+                                    .with_note(
+                                        "filter the key non-NULL below the exchange, or \
+                                         run the join unpartitioned",
+                                    ),
+                                );
                             }
                         }
                     }
@@ -121,7 +108,7 @@ fn walk(
             }
             _ => {
                 diags.push(Diagnostic::new(
-                    codes::EXCHANGE_NOT_PARTITIONABLE,
+                    codes::EXCHANGE_OVER_NON_JOIN,
                     span(),
                     format!(
                         "exchange wraps `{}`, which is not a join; it will run as a passthrough",
@@ -160,15 +147,6 @@ mod tests {
             Some(8),
         );
         assert!(codes.is_empty(), "{codes:?}");
-    }
-
-    #[test]
-    fn non_partitionable_join_warned() {
-        let codes = run(
-            "(fragment f (exchange 4 (join nlj k = k (wrapper A) (wrapper B)))) (output f)",
-            None,
-        );
-        assert_eq!(codes, vec!["TA030"]);
     }
 
     #[test]

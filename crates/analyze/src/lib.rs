@@ -35,10 +35,10 @@
 //! use tukwila_plan::parse_plan_unchecked;
 //!
 //! let plan = parse_plan_unchecked(
-//!     "(fragment f (exchange 2 (join nlj k = k (wrapper A) (wrapper B)))) (output f)",
+//!     "(fragment f (exchange 2 (wrapper A))) (output f)",
 //! ).unwrap();
 //! let report = Analyzer::new().analyze(&plan);
-//! assert!(report.has("TA030")); // nlj is not hash-partitionable
+//! assert!(report.has("TA030")); // only a join partitions
 //! assert!(report.is_executable()); // …but that is a Warn, not an Error
 //! ```
 
@@ -273,7 +273,7 @@ mod tests {
         // One plan tripping at least one code from each pass family.
         let plan = parse_plan_unchecked(
             r#"
-            (fragment f (exchange 4 (exchange 2 (join nlj ghost = ckey
+            (fragment f (exchange 4 (exchange 2 (join hybrid ghost = ckey
                 (wrapper orders)
                 (wrapper customer)))))
             (fragment dead (wrapper orders))

@@ -357,40 +357,6 @@ impl Ctx<'_> {
                     _ => Cols::Opaque,
                 }
             }
-            OperatorSpec::DependentJoin {
-                left,
-                source,
-                bind_col,
-                probe_col,
-            } => {
-                let l = self.infer(left);
-                let s = self.source_cols(source);
-                let bt = self
-                    .resolve(&l, bind_col, node, "binding column")
-                    .and_then(|c| c.dtype);
-                let pt = self
-                    .resolve(&s, probe_col, node, "probe column")
-                    .and_then(|c| c.dtype);
-                if let (Some(bt), Some(pt)) = (bt, pt) {
-                    if !comparable(bt, pt) {
-                        self.diags.push(Diagnostic::new(
-                            codes::JOIN_KEY_TYPE_MISMATCH,
-                            self.span(node),
-                            format!(
-                                "dependent-join columns `{bind_col}` ({bt}) and \
-                                 `{probe_col}` ({pt}) have incomparable types"
-                            ),
-                        ));
-                    }
-                }
-                match (l, s) {
-                    (Cols::Known(mut lv), Cols::Known(sv)) => {
-                        lv.extend(sv);
-                        Cols::Known(lv)
-                    }
-                    _ => Cols::Opaque,
-                }
-            }
             OperatorSpec::Union { inputs } => {
                 let all: Vec<Cols> = inputs.iter().map(|i| self.infer(i)).collect();
                 self.check_branch_compat(&all, node, "union input");

@@ -25,7 +25,7 @@ use std::time::Duration;
 use tukwila_common::{tuple, DataType, Relation, Schema};
 use tukwila_core::execute_plan_traced;
 use tukwila_exec::ExecEnv;
-use tukwila_plan::{parse_plan, JoinKind, OperatorSpec, PlanBuilder, QueryPlan};
+use tukwila_plan::{parse_plan, JoinKind, PlanBuilder, QueryPlan};
 use tukwila_source::{LinkModel, SimulatedSource, SourceRegistry};
 use tukwila_trace::TraceLevel;
 
@@ -70,26 +70,14 @@ fn builtin() -> (QueryPlan, SourceRegistry) {
     (pb.build(f), reg)
 }
 
-/// Every source name a plan fetches from (wrapper scans, dependent joins,
-/// collector children).
+/// Every source name a plan fetches from (wrapper scans and collector
+/// children), once each, in first-seen order.
 fn plan_sources(plan: &QueryPlan) -> Vec<String> {
     let mut names: Vec<String> = Vec::new();
-    let seen = |names: &mut Vec<String>, s: &str| {
-        if !names.iter().any(|n| n == s) {
-            names.push(s.to_string());
+    for source in plan.fragments.iter().flat_map(|f| f.root.sources()) {
+        if !names.contains(&source) {
+            names.push(source);
         }
-    };
-    for frag in &plan.fragments {
-        frag.root.walk(&mut |node| match &node.spec {
-            OperatorSpec::WrapperScan { source, .. } => seen(&mut names, source),
-            OperatorSpec::DependentJoin { source, .. } => seen(&mut names, source),
-            OperatorSpec::Collector { children, .. } => {
-                for c in children {
-                    seen(&mut names, &c.source);
-                }
-            }
-            _ => {}
-        });
     }
     names
 }

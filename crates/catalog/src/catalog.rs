@@ -128,11 +128,6 @@ impl Catalog {
         v
     }
 
-    /// All registered sources, sorted by name.
-    pub fn all_sources(&self) -> Vec<&SourceDesc> {
-        self.sources.values().collect()
-    }
-
     /// Record pairwise overlap information.
     pub fn set_overlap(&mut self, a: &str, b: &str, info: OverlapInfo) {
         self.overlap.insert((a.to_string(), b.to_string()), info);

@@ -32,9 +32,9 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::column::{Bitmap, ColumnarAssembler, ColumnarBatch, Selection};
+use crate::column::{Bitmap, ColumnarBatch, Selection};
 use crate::tuple::Tuple;
-use crate::value::{DataType, Value};
+use crate::value::Value;
 
 /// Default number of tuples per batch when the engine is not configured
 /// otherwise. Large enough to amortize per-batch overhead, small enough to
@@ -518,11 +518,10 @@ impl BatchBuilder {
     }
 }
 
-/// Allocation-free row assembly: accumulates output rows (concatenations,
-/// projections, copies) into **one** shared value buffer and seals them
-/// into a [`TupleBatch`] whose tuples are views of that block. The emit
-/// loops of the joins and `Project` pay one buffer + one `Arc` allocation
-/// per batch instead of one `Vec` + one `Arc` per row.
+/// Allocation-free row assembly: accumulates projected output rows into
+/// **one** shared value buffer and seals them into a [`TupleBatch`] whose
+/// tuples are views of that block. `Project`'s row path pays one buffer +
+/// one `Arc` allocation per batch instead of one `Vec` + one `Arc` per row.
 pub struct BatchAssembler {
     capacity: usize,
     values: Vec<Value>,
@@ -540,21 +539,6 @@ impl BatchAssembler {
         }
     }
 
-    /// Rows currently buffered (unsealed).
-    pub fn row_count(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Whether the assembler holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Whether a sealed batch is due.
-    pub fn is_full(&self) -> bool {
-        self.ends.len() >= self.capacity
-    }
-
     #[inline]
     fn end_row(&mut self) {
         self.ends.push(self.values.len() as u32);
@@ -567,14 +551,6 @@ impl BatchAssembler {
         }
     }
 
-    /// Append the concatenation `a ++ b` as one row (join emit).
-    #[inline]
-    pub fn push_concat(&mut self, a: &Tuple, b: &Tuple) {
-        self.values.extend_from_slice(a.values());
-        self.values.extend_from_slice(b.values());
-        self.end_row();
-    }
-
     /// Append `t` projected onto `indices` as one row.
     #[inline]
     pub fn push_project(&mut self, t: &Tuple, indices: &[usize]) {
@@ -582,13 +558,6 @@ impl BatchAssembler {
         for &i in indices {
             self.values.push(vals[i].clone());
         }
-        self.end_row();
-    }
-
-    /// Append a copy of `t` as one row.
-    #[inline]
-    pub fn push_tuple(&mut self, t: &Tuple) {
-        self.values.extend_from_slice(t.values());
         self.end_row();
     }
 
@@ -612,143 +581,51 @@ impl BatchAssembler {
     }
 }
 
-/// The assembly strategy behind an [`OutputQueue`]: row-major value-block
-/// assembly, or typed columnar assembly when the producer knows its output
-/// schema (the joins' vectorized emit path).
-enum QueueAsm {
-    Rows(BatchAssembler),
-    Cols(ColumnarAssembler),
-}
-
-impl QueueAsm {
-    fn row_count(&self) -> usize {
-        match self {
-            QueueAsm::Rows(a) => a.row_count(),
-            QueueAsm::Cols(a) => a.row_count(),
-        }
-    }
-
-    fn is_full(&self) -> bool {
-        match self {
-            QueueAsm::Rows(a) => a.is_full(),
-            QueueAsm::Cols(a) => a.is_full(),
-        }
-    }
-
-    #[inline]
-    fn push_concat(&mut self, a: &Tuple, b: &Tuple) {
-        match self {
-            QueueAsm::Rows(asm) => asm.push_concat(a, b),
-            QueueAsm::Cols(asm) => asm.push_concat(a, b),
-        }
-    }
-
-    fn seal(&mut self) -> Option<TupleBatch> {
-        match self {
-            QueueAsm::Rows(a) => a.seal(),
-            QueueAsm::Cols(a) => a.seal().map(TupleBatch::from_columns),
-        }
-    }
-}
-
-/// A FIFO of produced-but-unemitted join output, assembled block-at-a-time:
-/// replaces the seed's `VecDeque<Tuple>` pending buffers. Rows pushed via
-/// [`OutputQueue::push_concat`] land in an assembler (zero per-row
-/// allocations); already-gathered blocks ([`OutputQueue::extend_block`])
-/// queue behind them. `pop_block` hands back batches of at most the
-/// configured block size, oldest first.
-///
-/// [`OutputQueue::typed`] builds the queue over a [`ColumnarAssembler`]:
-/// emitted blocks are then columnar (typed vectors straight from the output
-/// schema), so downstream kernels skip row conversion entirely.
+/// A FIFO of produced-but-unemitted join output: whole gathered blocks,
+/// each at most the producer's batch size, handed back oldest first.
+#[derive(Default)]
 pub struct OutputQueue {
-    block: usize,
     ready: VecDeque<TupleBatch>,
-    ready_rows: usize,
-    asm: QueueAsm,
+    rows: usize,
 }
 
 impl OutputQueue {
-    /// A queue emitting row-assembled blocks of up to `block` rows.
-    pub fn new(block: usize) -> Self {
-        OutputQueue {
-            block: block.max(1),
-            ready: VecDeque::new(),
-            ready_rows: 0,
-            asm: QueueAsm::Rows(BatchAssembler::new(block)),
-        }
+    /// An empty queue.
+    pub fn new() -> Self {
+        OutputQueue::default()
     }
 
-    /// A queue emitting **columnar** blocks typed by the output column
-    /// kinds (the operator's output schema).
-    pub fn typed(block: usize, kinds: Vec<DataType>) -> Self {
-        OutputQueue {
-            block: block.max(1),
-            ready: VecDeque::new(),
-            ready_rows: 0,
-            asm: QueueAsm::Cols(ColumnarAssembler::new(block, kinds)),
-        }
-    }
-
-    /// Total rows pending (ready blocks + unsealed assembler rows).
+    /// Total rows pending.
     pub fn len(&self) -> usize {
-        self.ready_rows + self.asm.row_count()
+        self.rows
     }
 
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rows == 0
     }
 
-    #[inline]
-    fn roll(&mut self) {
-        if self.asm.is_full() {
-            let b = self.asm.seal().expect("full assembler seals non-empty");
-            self.ready_rows += b.len();
-            self.ready.push_back(b);
-        }
-    }
-
-    /// Append the join result `a ++ b`.
-    #[inline]
-    pub fn push_concat(&mut self, a: &Tuple, b: &Tuple) {
-        self.asm.push_concat(a, b);
-        self.roll();
-    }
-
-    /// Append an already-assembled block (a vectorized probe's gathered
-    /// output), preserving FIFO order with assembled rows. Callers keep
-    /// blocks at or under the queue's block size.
+    /// Append an already-gathered block (a vectorized probe's output).
+    /// Callers keep blocks at or under their batch size.
     pub fn extend_block(&mut self, b: TupleBatch) {
         if b.is_empty() {
             return;
         }
-        if let Some(s) = self.asm.seal() {
-            self.ready_rows += s.len();
-            self.ready.push_back(s);
-        }
-        self.ready_rows += b.len();
+        self.rows += b.len();
         self.ready.push_back(b);
     }
 
-    /// Pop the oldest pending block (≤ block size), sealing a partial
-    /// assembler batch when no full block is ready. `None` when empty.
+    /// Pop the oldest pending block. `None` when empty.
     pub fn pop_block(&mut self) -> Option<TupleBatch> {
-        if let Some(b) = self.ready.pop_front() {
-            self.ready_rows -= b.len();
-            return Some(b);
-        }
-        self.asm.seal()
+        let b = self.ready.pop_front()?;
+        self.rows -= b.len();
+        Some(b)
     }
 
     /// Drop everything pending.
     pub fn clear(&mut self) {
         self.ready.clear();
-        self.ready_rows = 0;
-        self.asm = match &self.asm {
-            QueueAsm::Rows(_) => QueueAsm::Rows(BatchAssembler::new(self.block)),
-            QueueAsm::Cols(a) => QueueAsm::Cols(a.fresh()),
-        };
+        self.rows = 0;
     }
 }
 
@@ -979,18 +856,14 @@ mod tests {
     }
 
     #[test]
-    fn assembler_concat_matches_tuple_concat() {
+    fn assembler_rows_share_one_block() {
         let mut asm = BatchAssembler::new(4);
-        let a = tuple![1, "x"];
-        let b = tuple![2.5];
-        asm.push_concat(&a, &b);
+        asm.push_project(&tuple![1, "x", 2.5], &[0, 1, 2]);
         asm.push_project(&tuple![10, 20, 30], &[2, 0]);
-        asm.push_tuple(&tuple![7]);
-        assert_eq!(asm.row_count(), 3);
-        assert!(!asm.is_full());
+        asm.push_project(&tuple![7, 8], &[0]);
         let batch = asm.seal().unwrap();
         assert_eq!(batch.len(), 3);
-        assert_eq!(batch.get(0), Some(&a.concat(&b)));
+        assert_eq!(batch.get(0), Some(&tuple![1, "x", 2.5]));
         assert_eq!(batch.get(1), Some(&tuple![30, 10]));
         assert_eq!(batch.get(2), Some(&tuple![7]));
         // mem accounting matches a fresh sum (from_parts debug-asserts too)
@@ -1002,85 +875,40 @@ mod tests {
         assert!(std::ptr::eq(r0.wrapping_add(3), r1));
         // assembler reusable after seal
         assert!(asm.seal().is_none());
-        asm.push_tuple(&tuple![9]);
+        asm.push_project(&tuple![9], &[0]);
         assert_eq!(asm.seal().unwrap().len(), 1);
     }
 
     #[test]
     fn output_queue_blocks_and_order() {
-        let mut q = OutputQueue::new(3);
+        let mut q = OutputQueue::new();
         assert!(q.is_empty());
         for i in 0..5i64 {
-            q.push_concat(&tuple![i], &tuple![i * 10]);
+            q.extend_block(TupleBatch::from_tuples(vec![
+                tuple![i, i * 10],
+                tuple![i, i * 10 + 1],
+            ]));
         }
-        assert_eq!(q.len(), 5);
-        // interleave an already-gathered block: order must hold
-        q.extend_block(TupleBatch::from_tuples(vec![
-            tuple![100, 1000],
-            tuple![101, 1010],
-        ]));
-        assert_eq!(q.len(), 7);
+        q.extend_block(TupleBatch::new());
+        assert_eq!(q.len(), 10);
         let mut all = Vec::new();
         while let Some(b) = q.pop_block() {
-            assert!(b.len() <= 3);
+            assert_eq!(b.len(), 2, "blocks come back whole");
             all.extend(b);
         }
         assert!(q.is_empty());
         let want: Vec<Tuple> = (0..5i64)
-            .map(|i| tuple![i, i * 10])
-            .chain([tuple![100, 1000], tuple![101, 1010]])
+            .flat_map(|i| [tuple![i, i * 10], tuple![i, i * 10 + 1]])
             .collect();
         assert_eq!(all, want);
     }
 
     #[test]
-    fn typed_output_queue_matches_row_queue() {
-        use crate::value::DataType;
-        let kinds = vec![DataType::Int, DataType::Int];
-        let mut tq = OutputQueue::typed(3, kinds);
-        let mut rq = OutputQueue::new(3);
-        for i in 0..5i64 {
-            tq.push_concat(&tuple![i], &tuple![i * 10]);
-            rq.push_concat(&tuple![i], &tuple![i * 10]);
-        }
-        tq.extend_block(TupleBatch::singleton(tuple![100, 1000]));
-        rq.extend_block(TupleBatch::singleton(tuple![100, 1000]));
-        let drain = |q: &mut OutputQueue| {
-            let mut all = Vec::new();
-            while let Some(b) = q.pop_block() {
-                assert!(b.len() <= 3);
-                all.extend(b);
-            }
-            all
-        };
-        let t = drain(&mut tq);
-        assert_eq!(t, drain(&mut rq));
-        assert_eq!(t.len(), 6);
-    }
-
-    #[test]
-    fn typed_output_queue_emits_columnar_blocks() {
-        use crate::value::DataType;
-        let mut q = OutputQueue::typed(2, vec![DataType::Int, DataType::Str]);
-        q.push_concat(&tuple![1], &tuple!["a"]);
-        q.push_concat(&tuple![2], &tuple!["b"]);
-        let b = q.pop_block().unwrap();
-        assert!(b.columns().is_some(), "typed queue seals columnar batches");
-        assert_eq!(b.tuples(), &[tuple![1, "a"], tuple![2, "b"]]);
-    }
-
-    #[test]
     fn output_queue_clear() {
-        let mut q = OutputQueue::new(2);
-        q.push_concat(&tuple![1], &tuple![2]);
+        let mut q = OutputQueue::new();
         q.extend_block(TupleBatch::singleton(tuple![3]));
         q.clear();
         assert!(q.is_empty());
         assert!(q.pop_block().is_none());
-        let mut tq = OutputQueue::typed(2, vec![crate::value::DataType::Int; 2]);
-        tq.push_concat(&tuple![1], &tuple![2]);
-        tq.clear();
-        assert!(tq.is_empty());
-        assert!(tq.pop_block().is_none());
     }
 }

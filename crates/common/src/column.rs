@@ -28,7 +28,6 @@
 use std::sync::Arc;
 
 use crate::hash::FxHasher;
-use crate::schema::Schema;
 use crate::tuple::{Tuple, TUPLE_HEADER_BYTES};
 use crate::value::{DataType, Value, VALUE_BASE_BYTES};
 use std::hash::{Hash, Hasher};
@@ -1174,12 +1173,6 @@ impl ColumnarBatch {
         }
     }
 
-    /// Assemble from already-shared columns.
-    pub fn from_shared(len: usize, cols: Vec<Arc<Column>>) -> ColumnarBatch {
-        debug_assert!(cols.iter().all(|c| c.len() == len));
-        ColumnarBatch { len, cols }
-    }
-
     /// Convert a slice of rows (type inferred per column from the data).
     pub fn from_rows(rows: &[Tuple]) -> ColumnarBatch {
         let ncols = rows.first().map_or(0, Tuple::arity);
@@ -1393,122 +1386,6 @@ impl ColumnarBatch {
     }
 }
 
-// ---------------------------------------------------------------------------
-// ColumnarAssembler
-// ---------------------------------------------------------------------------
-
-/// Typed columnar row assembly: the join emit path's replacement for
-/// value-vector concatenation. Output columns are typed straight from the
-/// operator's output schema; each appended row pushes native payloads (one
-/// branch per value) instead of cloning `Value`s into a row block, and the
-/// sealed batch is already columnar for every downstream consumer.
-pub struct ColumnarAssembler {
-    capacity: usize,
-    kinds: Vec<DataType>,
-    builders: Vec<ColumnBuilder>,
-    rows: usize,
-}
-
-impl ColumnarAssembler {
-    /// An assembler sealing batches of `capacity` rows with the given
-    /// column types.
-    pub fn new(capacity: usize, kinds: Vec<DataType>) -> ColumnarAssembler {
-        let builders = kinds
-            .iter()
-            .map(|&dt| ColumnBuilder::for_type(dt))
-            .collect();
-        ColumnarAssembler {
-            capacity: capacity.max(1),
-            kinds,
-            builders,
-            rows: 0,
-        }
-    }
-
-    /// An assembler typed by an output schema.
-    pub fn from_schema(capacity: usize, schema: &Schema) -> ColumnarAssembler {
-        ColumnarAssembler::new(
-            capacity,
-            schema.fields().iter().map(|f| f.data_type).collect(),
-        )
-    }
-
-    /// An empty assembler with the same capacity and column types.
-    pub fn fresh(&self) -> ColumnarAssembler {
-        ColumnarAssembler::new(self.capacity, self.kinds.clone())
-    }
-
-    /// Rows currently buffered (unsealed).
-    pub fn row_count(&self) -> usize {
-        self.rows
-    }
-
-    /// Whether the assembler holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Whether a sealed batch is due.
-    pub fn is_full(&self) -> bool {
-        self.rows >= self.capacity
-    }
-
-    /// Append the concatenation `a ++ b` as one row (join emit).
-    #[inline]
-    pub fn push_concat(&mut self, a: &Tuple, b: &Tuple) {
-        debug_assert_eq!(a.arity() + b.arity(), self.builders.len());
-        for (builder, v) in self
-            .builders
-            .iter_mut()
-            .zip(a.values().iter().chain(b.values()))
-        {
-            builder.push(v);
-        }
-        self.rows += 1;
-    }
-
-    /// Append a copy of `t` as one row.
-    #[inline]
-    pub fn push_tuple(&mut self, t: &Tuple) {
-        debug_assert_eq!(t.arity(), self.builders.len());
-        for (builder, v) in self.builders.iter_mut().zip(t.values()) {
-            builder.push(v);
-        }
-        self.rows += 1;
-    }
-
-    /// Append `t` projected onto `indices` as one row.
-    #[inline]
-    pub fn push_project(&mut self, t: &Tuple, indices: &[usize]) {
-        debug_assert_eq!(indices.len(), self.builders.len());
-        let vals = t.values();
-        for (builder, &i) in self.builders.iter_mut().zip(indices) {
-            builder.push(&vals[i]);
-        }
-        self.rows += 1;
-    }
-
-    /// Seal everything buffered into one columnar batch; `None` when empty.
-    /// The assembler is reusable afterwards.
-    pub fn seal(&mut self) -> Option<ColumnarBatch> {
-        if self.rows == 0 {
-            return None;
-        }
-        let fresh: Vec<ColumnBuilder> = self
-            .kinds
-            .iter()
-            .map(|&dt| ColumnBuilder::for_type(dt))
-            .collect();
-        let built = std::mem::replace(&mut self.builders, fresh);
-        let rows = self.rows;
-        self.rows = 0;
-        Some(ColumnarBatch::new(
-            rows,
-            built.into_iter().map(ColumnBuilder::finish).collect(),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1680,43 +1557,13 @@ mod tests {
     }
 
     #[test]
-    fn assembler_typed_emit() {
-        let kinds = vec![
-            DataType::Int,
-            DataType::Str,
-            DataType::Int,
-            DataType::Double,
-        ];
-        let mut asm = ColumnarAssembler::new(4, kinds);
-        asm.push_concat(&tuple![1, "x"], &tuple![2, 2.5]);
-        asm.push_concat(
-            &Tuple::new(vec![Value::Int(3), Value::Null]),
-            &tuple![4, 4.5],
-        );
-        assert_eq!(asm.row_count(), 2);
-        let cb = asm.seal().unwrap();
-        assert!(asm.seal().is_none(), "assembler drained");
-        let rows = cb.materialize_rows();
-        assert_eq!(rows[0], tuple![1, "x", 2, 2.5]);
-        assert_eq!(
-            rows[1],
-            Tuple::new(vec![
-                Value::Int(3),
-                Value::Null,
-                Value::Int(4),
-                Value::Double(4.5)
-            ])
-        );
-    }
-
-    #[test]
-    fn assembler_degrades_on_schema_lie() {
+    fn typed_builder_degrades_on_schema_lie() {
         // schema says Int but a string shows up: correctness over speed
-        let mut asm = ColumnarAssembler::new(4, vec![DataType::Int]);
-        asm.push_tuple(&tuple![1]);
-        asm.push_tuple(&tuple!["surprise"]);
-        let rows = asm.seal().unwrap().materialize_rows();
-        assert_eq!(rows, vec![tuple![1], tuple!["surprise"]]);
+        let mut b = ColumnBuilder::for_type(DataType::Int);
+        b.push(&Value::Int(1));
+        b.push(&Value::str("surprise"));
+        let cb = ColumnarBatch::new(2, vec![b.finish()]);
+        assert_eq!(cb.materialize_rows(), vec![tuple![1], tuple!["surprise"]]);
     }
 
     #[test]

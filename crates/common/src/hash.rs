@@ -232,15 +232,9 @@ impl<K, V> PrehashMap<K, V> {
         }
     }
 
-    /// Allocation-free lookup: borrow the value for `(hash, key)` if
-    /// present. `key_eq` confirms equality against the stored key, so the
-    /// probe key can be any borrowed representation.
-    #[inline]
-    pub fn get_hashed(&self, hash: u64, key_eq: impl Fn(&K) -> bool) -> Option<&V> {
-        self.get_entry_hashed(hash, key_eq).map(|(_, v)| v)
-    }
-
-    /// [`PrehashMap::get_hashed`], also handing back the stored key.
+    /// Allocation-free lookup: borrow the stored key and value for
+    /// `(hash, key)` if present. `key_eq` confirms equality against the
+    /// stored key, so the probe key can be any borrowed representation.
     #[inline]
     pub fn get_entry_hashed(&self, hash: u64, key_eq: impl Fn(&K) -> bool) -> Option<(&K, &V)> {
         match self.find(hash, key_eq) {
@@ -407,11 +401,13 @@ mod tests {
         assert_eq!(m.len(), 10);
         let key = Value::Int(3);
         let h = fx_hash(&key);
-        let rows = m.get_hashed(h, |k| *k == key).unwrap();
+        let (_, rows) = m.get_entry_hashed(h, |k| *k == key).unwrap();
         assert_eq!(rows.len(), 10);
         assert!(rows.iter().all(|r| r % 10 == 3));
         let missing = Value::Int(11);
-        assert!(m.get_hashed(fx_hash(&missing), |k| *k == missing).is_none());
+        assert!(m
+            .get_entry_hashed(fx_hash(&missing), |k| *k == missing)
+            .is_none());
     }
 
     #[test]
@@ -442,7 +438,7 @@ mod tests {
         m.entry_hashed(7, |k| *k == a, || a.clone()).push(10);
         m.entry_hashed(7, |k| *k == b, || b.clone()).push(20);
         assert_eq!(m.len(), 2);
-        assert_eq!(m.get_hashed(7, |k| *k == a), Some(&vec![10]));
-        assert_eq!(m.get_hashed(7, |k| *k == b), Some(&vec![20]));
+        assert_eq!(m.get_entry_hashed(7, |k| *k == a), Some((&a, &vec![10])));
+        assert_eq!(m.get_entry_hashed(7, |k| *k == b), Some((&b, &vec![20])));
     }
 }

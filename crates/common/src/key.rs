@@ -212,43 +212,6 @@ impl KeyVector {
     }
 }
 
-/// A consumed [`TupleBatch`] paired with its [`KeyVector`]: the staging
-/// form the join operators drain one tuple at a time. Tuples move out of
-/// the batch's own buffer (no copy into a side deque, no refcount
-/// traffic), each paired with its cached prehash.
-pub struct KeyedBatch {
-    iter: std::vec::IntoIter<Tuple>,
-    kv: KeyVector,
-    pos: usize,
-}
-
-impl KeyedBatch {
-    /// Prehash `batch` on `col` and take ownership for draining.
-    pub fn new(batch: TupleBatch, col: usize) -> Self {
-        let kv = KeyVector::compute(&batch, col);
-        KeyedBatch {
-            iter: batch.into_tuples().into_iter(),
-            kv,
-            pos: 0,
-        }
-    }
-
-    /// Next tuple with its prehash (`None` hash = NULL key: the row never
-    /// joins).
-    #[allow(clippy::should_implement_trait)] // yields pairs, not an Iterator item type we export
-    pub fn next(&mut self) -> Option<(Tuple, Option<u64>)> {
-        let t = self.iter.next()?;
-        let h = self.kv.get(self.pos);
-        self.pos += 1;
-        Some((t, h))
-    }
-
-    /// Tuples not yet drained.
-    pub fn remaining(&self) -> usize {
-        self.iter.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,9 +32,7 @@ pub mod tuple;
 pub mod value;
 
 pub use batch::{BatchAssembler, BatchBuilder, OutputQueue, TupleBatch, DEFAULT_BATCH_CAPACITY};
-pub use column::{
-    Bitmap, Column, ColumnBuilder, ColumnarAssembler, ColumnarBatch, Selection, StrColumn,
-};
+pub use column::{Bitmap, Column, ColumnBuilder, ColumnarBatch, Selection, StrColumn};
 
 /// The process-wide default operator batch capacity, read from the
 /// `TUKWILA_BATCH` environment variable (minimum 1; unset or invalid means
@@ -65,7 +63,7 @@ pub use error::{Result, TukwilaError};
 pub use hash::{
     fold_hash, fx_hash, mix, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, PrehashMap,
 };
-pub use key::{JoinKey, KeyVector, KeyedBatch};
+pub use key::{JoinKey, KeyVector};
 pub use relation::Relation;
 pub use schema::{Field, Schema};
 pub use tuple::Tuple;

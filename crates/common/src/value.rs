@@ -3,8 +3,8 @@
 //! Tukwila integrates data from heterogeneous sources, so the value model is
 //! deliberately small and self-describing: 64-bit integers, doubles, UTF-8
 //! strings, dates (days since the common epoch, as TPC-D stores them), and
-//! SQL `NULL`. Values hash and compare so they can key hash tables in the
-//! (double pipelined) hash joins and be sorted by the sort-merge baseline.
+//! SQL `NULL`. Values hash and compare so they can key the hash join's
+//! tables and be sorted.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -204,8 +204,8 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order used by the sort-merge baseline and for deterministic
-    /// test assertions: NULLs sort first, then by type tag, then payload.
+    /// Total order for sorting and deterministic test assertions: NULLs
+    /// sort first, then by type tag, then payload.
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
         fn tag(v: &Value) -> u8 {

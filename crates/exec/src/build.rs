@@ -7,16 +7,15 @@ use tukwila_plan::{JoinKind, OperatorNode, OperatorSpec, SubjectRef};
 
 use crate::operator::OperatorBox;
 use crate::operators::{
-    Collector, DependentJoin, Exchange, Filter, HashJoin, NestedLoopsJoin, Project, SortMergeJoin,
-    TableScan, UnionAll, WrapperScan,
+    Collector, Exchange, Filter, HashJoin, Project, TableScan, UnionAll, WrapperScan,
 };
 use crate::runtime::{OpHarness, PlanRuntime};
 
 /// The one `JoinKind → operator` mapping: a plan join built in place, an
 /// in-process partition's instance and a worker's shard root all come
-/// through here. The three hash kinds are one operator, differing in
-/// schedule and flush policy. `descendants` are the subjects below the
-/// join that a double pipelined join deactivates on early close.
+/// through here. Every kind is the one hash join, differing in schedule
+/// and flush policy. `descendants` are the subjects below the join that a
+/// double pipelined join deactivates on early close.
 pub fn build_join(
     kind: JoinKind,
     left: OperatorBox,
@@ -26,18 +25,10 @@ pub fn build_join(
     harness: OpHarness,
     descendants: Vec<SubjectRef>,
 ) -> OperatorBox {
-    match kind {
-        JoinKind::DoublePipelined | JoinKind::HybridHash | JoinKind::GraceHash => Box::new(
-            HashJoin::new(kind, left, right, left_key, right_key, harness)
-                .with_descendants(descendants),
-        ),
-        JoinKind::NestedLoops => Box::new(NestedLoopsJoin::new(
-            left, right, left_key, right_key, harness,
-        )),
-        JoinKind::SortMerge => Box::new(SortMergeJoin::new(
-            left, right, left_key, right_key, harness,
-        )),
-    }
+    Box::new(
+        HashJoin::new(kind, left, right, left_key, right_key, harness)
+            .with_descendants(descendants),
+    )
 }
 
 /// Every subject below a join's two inputs.
@@ -90,18 +81,6 @@ pub fn build_operator(node: &OperatorNode, rt: &Arc<PlanRuntime>) -> Result<Oper
             harness,
             join_descendants(left, right),
         ),
-        OperatorSpec::DependentJoin {
-            left,
-            source,
-            bind_col,
-            probe_col,
-        } => Box::new(DependentJoin::new(
-            build_operator(left, rt)?,
-            source.clone(),
-            bind_col.clone(),
-            probe_col.clone(),
-            harness,
-        )),
         OperatorSpec::Union { inputs } => {
             let children = inputs
                 .iter()
@@ -120,12 +99,12 @@ pub fn build_operator(node: &OperatorNode, rt: &Arc<PlanRuntime>) -> Result<Oper
             harness,
         )),
         // The installed transport says whether it runs this exchange as
-        // separate pipelines (in process: a hash-based join at a degree
-        // above one; a worker cluster: any equi-join). Everything else is a
-        // transparent passthrough — the wrapper node stays registered but
-        // idle.
+        // separate pipelines (in process: at a degree above one; a worker
+        // cluster: always). A non-join input, or a join the transport does
+        // not split, is a transparent passthrough — the wrapper node stays
+        // registered but idle.
         OperatorSpec::Exchange { input, partitions } => match &input.spec {
-            OperatorSpec::Join { kind, .. } if rt.env().transport.splits(*kind, *partitions) => {
+            OperatorSpec::Join { .. } if rt.env().transport.splits(*partitions) => {
                 let join_harness = OpHarness::new(rt.clone(), SubjectRef::Op(input.id));
                 Box::new(Exchange::new(
                     (**input).clone(),

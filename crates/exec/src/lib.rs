@@ -16,12 +16,12 @@
 //!   engine-level signals (replan / reschedule / abort).
 //! * [`feeder`] — the one loop that runs an operator's child on a thread of
 //!   its own into a bounded queue, used by every operator that has one.
-//! * [`operators`] — scans, wrapper scans, selection, projection, the join
-//!   family (nested loops, sort-merge, hybrid/Grace hash, the **double
-//!   pipelined join** with its overflow strategies), union, the **dynamic
-//!   collector**, dependent join, and the **partitioned exchange** that
-//!   runs N parallel instances of a hash join over key-partitioned inputs
-//!   (DESIGN.md §8).
+//! * [`operators`] — scans, wrapper scans, selection, projection, the one
+//!   hash join (the **double pipelined join** with its overflow strategies,
+//!   and the build-first hybrid/Grace schedule that also runs the
+//!   dependent join), union, the **dynamic collector**, and the
+//!   **partitioned exchange** that runs N parallel instances of the join
+//!   over key-partitioned inputs (DESIGN.md §8).
 //! * [`fragment`] — executes one pipelined fragment to completion,
 //!   materializing its result and reporting statistics; interleaved
 //!   planning/execution (crate `tukwila-core`) loops over this.

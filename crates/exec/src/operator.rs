@@ -12,8 +12,8 @@
 //! statistics updates over whole blocks while keeping the paper's
 //! adaptivity — a batch is handed downstream as soon as it exists, never
 //! held back to fill, so time-to-first-output matches the tuple-at-a-time
-//! engine. Consumers that genuinely need single tuples (e.g. the nested
-//! loops join's outer side) pull through a [`TupleCursor`].
+//! engine. Consumers that genuinely need single tuples (tests comparing
+//! the per-tuple view with the batched one) pull through a [`TupleCursor`].
 //!
 //! Contract:
 //! * `next_batch` returns `Ok(Some(batch))` with a **non-empty** batch, or
@@ -80,19 +80,6 @@ impl TupleCursor {
                 None => return Ok(None),
             }
         }
-    }
-
-    /// Whether a tuple is available without pulling a new batch — i.e. the
-    /// next `next` call cannot block on the underlying operator. Lets
-    /// consumers fill an output batch only as long as doing so is free.
-    pub fn has_buffered(&self) -> bool {
-        self.buf.as_ref().is_some_and(|b| self.pos < b.len())
-    }
-
-    /// Drop any buffered tuples (e.g. before a retry).
-    pub fn clear(&mut self) {
-        self.buf = None;
-        self.pos = 0;
     }
 }
 

@@ -91,22 +91,6 @@ fn all_operators_batched_equals_single_tuple() {
             }),
         ),
         (
-            "nlj",
-            plan_of(|b| {
-                let ls = b.wrapper_scan("L");
-                let rs = b.wrapper_scan("R");
-                b.join(JoinKind::NestedLoops, ls, rs, "k", "k")
-            }),
-        ),
-        (
-            "smj",
-            plan_of(|b| {
-                let ls = b.wrapper_scan("L");
-                let rs = b.wrapper_scan("R");
-                b.join(JoinKind::SortMerge, ls, rs, "k", "k")
-            }),
-        ),
-        (
             "hybrid_hash",
             plan_of(|b| {
                 let ls = b.wrapper_scan("L");
@@ -202,11 +186,12 @@ fn batch_size_shapes_scan_output() {
     assert_eq!(sizes, vec![32, 32, 32, 4]);
 }
 
-/// A batch is never held back to fill: with a slow outer source, the NLJ
-/// must emit its first (short) batch as soon as the first match exists
-/// instead of blocking until `batch_size` results accumulate.
+/// A batch is never held back to fill: with a slow probe (left) source —
+/// the driving side of a dependent join — the build-first join must emit
+/// its first (short) batch as soon as the first match exists instead of
+/// blocking until `batch_size` results accumulate.
 #[test]
-fn nlj_does_not_hold_output_to_fill_batch() {
+fn build_first_join_does_not_hold_output_to_fill_batch() {
     let paced = LinkModel {
         per_tuple: Duration::from_millis(4),
         ..LinkModel::instant()
@@ -216,11 +201,12 @@ fn nlj_does_not_hold_output_to_fill_batch() {
         keyed_relation("r", 20, 10),
         paced,
         LinkModel::instant(),
-        JoinKind::NestedLoops,
+        JoinKind::HybridHash,
         OverflowMethod::Fail,
         None,
     );
-    let mut op = crate::operators::NestedLoopsJoin::new(
+    let mut op = crate::operators::HashJoin::new(
+        JoinKind::HybridHash,
         fx.left_scan(),
         fx.right_scan(),
         "k".into(),
@@ -235,7 +221,7 @@ fn nlj_does_not_hold_output_to_fill_batch() {
     // 256-tuple batch before emitting would need nearly all of it.
     assert!(
         elapsed < Duration::from_millis(150),
-        "first NLJ batch held back {elapsed:?} to fill ({} tuples)",
+        "first join batch held back {elapsed:?} to fill ({} tuples)",
         first.len()
     );
     let mut total = first.len();

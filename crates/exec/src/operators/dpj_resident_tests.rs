@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tukwila_common::{
-    ColumnarAssembler, DataType, Relation, Result, Schema, Tuple, TupleBatch, Value,
+    ColumnBuilder, ColumnarBatch, DataType, Relation, Result, Schema, Tuple, TupleBatch, Value,
 };
 use tukwila_plan::{JoinKind, OverflowMethod, SubjectRef};
 use tukwila_source::LinkModel;
@@ -83,11 +83,14 @@ fn batches_of(rel: &Relation, size: usize, columnar: bool) -> VecDeque<TupleBatc
             if !columnar {
                 return TupleBatch::from_tuples(rows.to_vec());
             }
-            let mut asm = ColumnarAssembler::from_schema(rows.len(), rel.schema());
-            for t in rows {
-                asm.push_tuple(t);
-            }
-            TupleBatch::from_columns(asm.seal().expect("non-empty chunk"))
+            let cols = (rel.schema().fields().iter().enumerate())
+                .map(|(c, f)| {
+                    let mut col = ColumnBuilder::for_type(f.data_type);
+                    rows.iter().for_each(|t| col.push(t.value(c)));
+                    col.finish()
+                })
+                .collect();
+            TupleBatch::from_columns(ColumnarBatch::new(rows.len(), cols))
         })
         .collect()
 }

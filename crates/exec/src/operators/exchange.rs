@@ -57,7 +57,7 @@ use std::sync::Arc;
 use crossbeam_channel::{bounded, Receiver, Sender};
 
 use tukwila_common::{fold_hash, KeyVector, Result, Schema, TukwilaError, TupleBatch};
-use tukwila_plan::{JoinKind, OperatorNode, OperatorSpec};
+use tukwila_plan::{OperatorNode, OperatorSpec};
 use tukwila_storage::{MemoryManager, MemoryReservation, ScopedSpillStore, SpillStore};
 use tukwila_trace::{OpMetrics, TraceEvent};
 
@@ -95,10 +95,10 @@ pub trait PartitionStream: Operator {
 /// Supplies an [`Exchange`] with its partition pipelines. Implementations
 /// obey the stream lifecycle in the module docs.
 pub trait PartitionTransport: Send + Sync {
-    /// Whether an exchange of `partitions` over a `kind` join runs as
-    /// separate pipelines on this transport. Otherwise the exchange node
-    /// is a transparent passthrough and the join runs in place.
-    fn splits(&self, kind: JoinKind, partitions: usize) -> bool;
+    /// Whether an exchange of `partitions` over a join runs as separate
+    /// pipelines on this transport. Otherwise the exchange node is a
+    /// transparent passthrough and the join runs in place.
+    fn splits(&self, partitions: usize) -> bool;
 
     /// Start `partitions` pipelines of `join` (an `OperatorSpec::Join`
     /// node; `harness` is that node's) and return their streams, in
@@ -145,14 +145,13 @@ pub(crate) fn take_rows(batch: &TupleBatch, rows: &[u32]) -> TupleBatch {
 // ---- the in-process transport ---------------------------------------------
 
 /// The default transport: partitions are threads of this process, fed by
-/// shuffling the join's inputs (see module docs). Splits only the
-/// hash-based join kinds, at a degree above one — the policy the
-/// optimizer's lowering and plan analysis (TA030/TA034) share.
+/// shuffling the join's inputs (see module docs). Splits at a degree
+/// above one — plan analysis reports a single partition as TA034.
 pub struct InProcess;
 
 impl PartitionTransport for InProcess {
-    fn splits(&self, kind: JoinKind, partitions: usize) -> bool {
-        partitions > 1 && kind.is_hash_partitionable()
+    fn splits(&self, partitions: usize) -> bool {
+        partitions > 1
     }
 
     fn start(
@@ -209,7 +208,7 @@ impl PartitionTransport for InProcess {
                     Box::new(r),
                     left_key.clone(),
                     right_key.clone(),
-                    harness.for_partition(i, partition_reservation(harness, i, n), spill.clone()),
+                    harness.for_partition(partition_reservation(harness, i, n), spill.clone()),
                     inputs.clone(),
                 );
                 Box::new(LocalPartition { instance, spill }) as Box<dyn PartitionStream>

@@ -129,8 +129,7 @@ pub struct HashJoin {
 
 impl HashJoin {
     /// The hash join of plan kind `kind`: `HybridHash` and `GraceHash` run
-    /// build-first with their own policy, any other kind is the double
-    /// pipelined join.
+    /// build-first with their own policy, `DoublePipelined` symmetrically.
     pub fn new(
         kind: JoinKind,
         left: OperatorBox,
@@ -142,7 +141,7 @@ impl HashJoin {
         let policy = match kind {
             JoinKind::HybridHash => Some(FlushPolicy::Hybrid),
             JoinKind::GraceHash => Some(FlushPolicy::Grace),
-            _ => None,
+            JoinKind::DoublePipelined => None,
         };
         HashJoin {
             policy,
@@ -150,7 +149,7 @@ impl HashJoin {
             left_key,
             right_key,
             num_buckets: DEFAULT_BUCKETS,
-            pending: OutputQueue::new(harness.batch_size()),
+            pending: OutputQueue::new(),
             feeders: Feeders::new(harness.runtime()),
             harness,
             schema: Schema::empty(),

@@ -875,7 +875,7 @@ mod tests {
                 spill: &spill,
                 block: 16,
             };
-            let mut out = OutputQueue::new(16);
+            let mut out = OutputQueue::new();
             join.run(build.clone(), &probe, 0, &mut out).unwrap();
             let rows: Vec<Tuple> = std::iter::from_fn(|| out.pop_block()).flatten().collect();
             rows

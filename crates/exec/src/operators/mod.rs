@@ -3,28 +3,27 @@
 //! Standard relational operators (§4: "join (including dependent join),
 //! selection, projection, union and table scan") plus Tukwila's adaptive
 //! operators: the hash join ([`join`]), whose symmetric schedule is the
-//! double pipelined join, and the dynamic collector ([`collector`]).
+//! double pipelined join, and the dynamic collector ([`collector`]). Every
+//! equi-join is the one hash join; a dependent join is a build-first one
+//! over the probed source's wrapper scan, built as such by the plan.
 
 #[cfg(test)]
 mod batch_tests;
 pub mod collector;
 #[cfg(test)]
 mod columnar_equiv_tests;
-pub mod dependent_join;
 #[cfg(test)]
 mod dpj_resident_tests;
 pub mod exchange;
 pub mod filter;
 pub mod join;
 mod join_side;
-pub mod nlj;
 #[cfg(test)]
 mod op_tests;
 #[cfg(test)]
 mod prehash_tests;
 pub mod project;
 pub mod scan;
-pub mod smj;
 pub mod union_op;
 pub mod wrapper_scan;
 
@@ -82,13 +81,10 @@ pub(crate) fn open_source_stream(
 }
 
 pub use collector::Collector;
-pub use dependent_join::DependentJoin;
 pub use exchange::{Exchange, InProcess, PartitionStream, PartitionTransport};
 pub use filter::Filter;
 pub use join::HashJoin;
-pub use nlj::NestedLoopsJoin;
 pub use project::Project;
 pub use scan::TableScan;
-pub use smj::SortMergeJoin;
 pub use union_op::UnionAll;
 pub use wrapper_scan::WrapperScan;

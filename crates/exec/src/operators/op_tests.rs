@@ -1,6 +1,6 @@
 //! Tests for the standard relational operators (selection, projection,
-//! union, nested loops, sort-merge, dependent join) — each against gold
-//! semantics and the lifecycle/statistics contract.
+//! union, the Grace and dependent joins) — each against gold semantics and
+//! the lifecycle/statistics contract.
 
 use crate::build::build_operator;
 use crate::operator::drain;
@@ -125,54 +125,6 @@ fn union_arity_mismatch_rejected() {
     });
     let mut op = build_operator(&plan.fragments[0].root, &rt).unwrap();
     assert_eq!(op.open().unwrap_err().kind(), "schema");
-}
-
-#[test]
-fn nested_loops_matches_gold() {
-    let l = keyed_relation("l", 60, 6);
-    let r = keyed_relation("r", 30, 6);
-    let gold = l.nested_join(&r, 0, 0);
-    let reg = registry_with(&[("L", l), ("R", r)]);
-    let (plan, rt) = plan_runtime(reg, |b| {
-        let ls = b.wrapper_scan("L");
-        let rs = b.wrapper_scan("R");
-        b.join(JoinKind::NestedLoops, ls, rs, "k", "k")
-    });
-    let out = run_root(&plan, &rt);
-    let got = Relation::new(gold.schema().clone(), out).unwrap();
-    assert!(got.bag_eq(&gold));
-}
-
-#[test]
-fn sort_merge_matches_gold_with_duplicates() {
-    let l = keyed_relation("l", 50, 5); // 10 copies per key
-    let r = keyed_relation("r", 25, 5);
-    let gold = l.nested_join(&r, 0, 0);
-    let reg = registry_with(&[("L", l), ("R", r)]);
-    let (plan, rt) = plan_runtime(reg, |b| {
-        let ls = b.wrapper_scan("L");
-        let rs = b.wrapper_scan("R");
-        b.join(JoinKind::SortMerge, ls, rs, "k", "k")
-    });
-    let out = run_root(&plan, &rt);
-    assert_eq!(out.len(), gold.len());
-    let got = Relation::new(gold.schema().clone(), out).unwrap();
-    assert!(got.bag_eq(&gold));
-}
-
-#[test]
-fn sort_merge_skips_null_keys() {
-    let schema = Schema::of("n", &[("k", DataType::Int)]);
-    let mut rel = Relation::empty(schema);
-    rel.push(Tuple::new(vec![Value::Null]));
-    rel.push(tuple![1]);
-    let reg = registry_with(&[("L", rel.clone()), ("R", rel)]);
-    let (plan, rt) = plan_runtime(reg, |b| {
-        let ls = b.wrapper_scan("L");
-        let rs = b.wrapper_scan("R");
-        b.join(JoinKind::SortMerge, ls, rs, "k", "k")
-    });
-    assert_eq!(run_root(&plan, &rt).len(), 1);
 }
 
 #[test]

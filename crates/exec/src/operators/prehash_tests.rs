@@ -157,7 +157,7 @@ proptest! {
         let spill = InMemorySpillStore::new();
         let run = |budget| {
             let join = BucketJoin { build_key: 0, probe_key: 0, budget, spill: &spill, block: 7 };
-            let mut out = OutputQueue::new(7);
+            let mut out = OutputQueue::new();
             join.run(build.clone(), &probe, 0, &mut out).unwrap();
             std::iter::from_fn(|| out.pop_block()).flatten().collect::<Vec<Tuple>>()
         };

@@ -517,15 +517,6 @@ impl PlanRuntime {
         }
     }
 
-    /// Reset a subject's counters (fragment re-run after rescheduling).
-    pub fn reset_subject(&self, subject: SubjectRef) {
-        if let Ok(rec) = self.record(subject) {
-            rec.produced.store(0, Ordering::Relaxed);
-            rec.state
-                .store(encode_state(OpState::NotStarted), Ordering::Relaxed);
-        }
-    }
-
     /// Prepare a fragment for a retry (rescheduling): reset counters and
     /// lifecycle state of the fragment and every operator in it, restore
     /// plan-default activation (undoing engine-internal cancellations from
@@ -859,7 +850,6 @@ impl QuantityProvider for PlanRuntime {
 /// operator's own reservation, and a scoped spill store for per-partition
 /// I/O attribution.
 struct PartitionCtx {
-    index: usize,
     reservation: Option<MemoryReservation>,
     spill: Arc<dyn SpillStore>,
 }
@@ -893,24 +883,14 @@ impl OpHarness {
     /// overridden with the partition's split.
     pub fn for_partition(
         &self,
-        index: usize,
         reservation: Option<MemoryReservation>,
         spill: Arc<dyn SpillStore>,
     ) -> OpHarness {
         OpHarness {
             rt: self.rt.clone(),
             subject: self.subject,
-            partition: Some(Arc::new(PartitionCtx {
-                index,
-                reservation,
-                spill,
-            })),
+            partition: Some(Arc::new(PartitionCtx { reservation, spill })),
         }
-    }
-
-    /// Partition index when this is a partition-instance harness.
-    pub fn partition_index(&self) -> Option<usize> {
-        self.partition.as_ref().map(|p| p.index)
     }
 
     /// The spill store this operator instance should overflow into: the

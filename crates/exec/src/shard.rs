@@ -154,7 +154,6 @@ fn subtree_table_deps(node: &OperatorNode) -> Vec<String> {
                 walk(left, out);
                 walk(right, out);
             }
-            OperatorSpec::DependentJoin { left, .. } => walk(left, out),
             OperatorSpec::Union { inputs } => {
                 for i in inputs {
                     walk(i, out);

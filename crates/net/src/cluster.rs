@@ -21,7 +21,7 @@ use tukwila_exec::{
     Feeders, OpHarness, Operator, PartitionStream, PartitionTransport, QueryControl, ShardLease,
     ShardSpec,
 };
-use tukwila_plan::{JoinKind, OperatorNode};
+use tukwila_plan::OperatorNode;
 use tukwila_trace::{QueryTrace, TraceEvent};
 
 use crate::protocol::{
@@ -111,9 +111,8 @@ fn dial(addr: &str) -> Result<(FrameReader<TcpStream>, FrameWriter<TcpStream>)> 
 }
 
 impl PartitionTransport for Cluster {
-    /// Sharding by join-key hash is correct for any equi-join kind, and
-    /// even a single shard runs on a worker: the data is there.
-    fn splits(&self, _kind: JoinKind, _partitions: usize) -> bool {
+    /// Even a single shard runs on a worker: the data is there.
+    fn splits(&self, _partitions: usize) -> bool {
         true
     }
 

@@ -5,8 +5,9 @@
 //! over both — threads of this process, and loopback TCP workers that
 //! share the coordinator's `SourceRegistry` (so the whole cluster runs
 //! deterministically inside one test process while exercising the real
-//! wire protocol) — and is compared with the *sequential* join, holding
-//! every output batch until the comparison.
+//! wire protocol) — and is compared with the reference join
+//! (`Relation::nested_join`), holding every output batch until the
+//! comparison.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,17 +23,10 @@ use tukwila_plan::{JoinKind, OpId, OverflowMethod, PlanBuilder, QueryPlan, Subje
 use tukwila_source::{LinkModel, SimulatedSource, SourceRegistry, SourceResultCache};
 use tukwila_trace::{TraceEvent, TraceLevel};
 
-const HASH_KINDS: [JoinKind; 3] = [
+const KINDS: [JoinKind; 3] = [
     JoinKind::DoublePipelined,
     JoinKind::HybridHash,
     JoinKind::GraceHash,
-];
-const ALL_KINDS: [JoinKind; 5] = [
-    JoinKind::DoublePipelined,
-    JoinKind::HybridHash,
-    JoinKind::GraceHash,
-    JoinKind::NestedLoops,
-    JoinKind::SortMerge,
 ];
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -44,16 +38,6 @@ enum Transport {
 }
 
 const BOTH: [Transport; 2] = [Transport::InProcess, Transport::Loopback(2)];
-
-impl Transport {
-    /// The join kinds this transport runs as separate pipelines.
-    fn kinds(self) -> &'static [JoinKind] {
-        match self {
-            Transport::InProcess => &HASH_KINDS,
-            Transport::Loopback(_) => &ALL_KINDS,
-        }
-    }
-}
 
 /// An environment over `reg` with the transport installed; keeps the
 /// loopback workers alive (they stop when the bed drops).
@@ -155,14 +139,9 @@ fn registry(l: &[(Option<i64>, i64)], r: &[(Option<i64>, i64)]) -> SourceRegistr
     registry_with(l, r, LinkModel::instant())
 }
 
-/// `L ⋈ R on k`, budgeted or not, under an exchange of `partitions` or
-/// (with `None`) bare — the sequential reference. Returns the plan and the
-/// ids of the two scans and the join.
-fn join_plan(
-    kind: JoinKind,
-    budget: Option<usize>,
-    partitions: Option<usize>,
-) -> (QueryPlan, [OpId; 3]) {
+/// `L ⋈ R on k`, budgeted or not, under an exchange of `partitions`.
+/// Returns the plan and the ids of the two scans and the join.
+fn join_plan(kind: JoinKind, budget: Option<usize>, partitions: usize) -> (QueryPlan, [OpId; 3]) {
     let mut b = PlanBuilder::new();
     let ls = b.wrapper_scan("L");
     let rs = b.wrapper_scan("R");
@@ -177,27 +156,18 @@ fn join_plan(
         j = j.with_memory(bytes);
     }
     let join = j.id;
-    let root = match partitions {
-        Some(n) => b.exchange(j, n),
-        None => j,
-    };
+    let root = b.exchange(j, partitions);
     let f = b.fragment(root, "out");
     (b.build(f), [scans[0], scans[1], join])
 }
 
-/// The sequential join's output for the same inputs and settings.
-fn sequential(
-    reg: &SourceRegistry,
-    kind: JoinKind,
-    budget: Option<usize>,
-    batch_size: usize,
-) -> HashMap<Tuple, usize> {
-    let (plan, _) = join_plan(kind, budget, None);
-    let bed = Bed::new(Transport::InProcess, reg);
-    bed.run(&plan, batch_size)
-        .expect("sequential run")
-        .0
-        .multiset()
+/// The reference answer `L ⋈ R on k` over the same rows, as a multiset.
+fn reference(l: &[(Option<i64>, i64)], r: &[(Option<i64>, i64)]) -> HashMap<Tuple, usize> {
+    let mut m = HashMap::new();
+    for t in rel_of("l", l).nested_join(&rel_of("r", r), 0, 0).tuples() {
+        *m.entry(t.clone()).or_insert(0) += 1;
+    }
+    m
 }
 
 /// Fail instead of hanging: run `f` on a thread and give it `secs`.
@@ -216,26 +186,26 @@ fn within<T: Send + 'static>(secs: u64, what: &str, f: impl FnOnce() -> T + Send
 
 // ---- equivalence ------------------------------------------------------------
 
-/// {transport} × {every kind the transport splits} × {no budget, spilling
-/// budget} × batch {1, 64, 256}: multiset-equal to the sequential join,
-/// NULL keys included, three partitions (more shards than workers on the
-/// loopback side).
+/// {transport} × {every join kind} × {no budget, spilling budget} × batch
+/// {1, 64, 256}: multiset-equal to the reference join, NULL keys included,
+/// three partitions (more shards than workers on the loopback side).
 #[test]
-fn every_transport_kind_budget_and_batch_size_equals_the_sequential_join() {
+fn every_transport_kind_budget_and_batch_size_equals_the_reference_join() {
     let (l, r) = (keyed_rows(300, 20, Some(13)), keyed_rows(200, 20, Some(7)));
     let reg = registry(&l, &r);
+    let gold = reference(&l, &r);
     for transport in BOTH {
         let bed = Bed::new(transport, &reg);
-        for &kind in transport.kinds() {
+        for kind in KINDS {
             for budget in [None, Some(3_000)] {
                 for batch_size in [1usize, 64, 256] {
-                    let (plan, _) = join_plan(kind, budget, Some(3));
+                    let (plan, _) = join_plan(kind, budget, 3);
                     let (out, rt) = bed.run(&plan, batch_size).unwrap_or_else(|e| {
                         panic!("{transport:?} {kind:?} {budget:?} batch {batch_size}: {e}")
                     });
                     assert_eq!(
                         out.multiset(),
-                        sequential(&reg, kind, budget, batch_size),
+                        gold,
                         "{transport:?} {kind:?} budget {budget:?} batch {batch_size}: {} rows",
                         out.rows()
                     );
@@ -251,7 +221,7 @@ fn every_transport_kind_budget_and_batch_size_equals_the_sequential_join() {
 fn empty_input_produces_nothing() {
     let reg = registry(&[], &keyed_rows(20, 2, None));
     for transport in BOTH {
-        let (plan, _) = join_plan(JoinKind::HybridHash, None, Some(3));
+        let (plan, _) = join_plan(JoinKind::HybridHash, None, 3);
         let (out, _) = Bed::new(transport, &reg).run(&plan, 64).expect("run");
         assert_eq!(out.rows(), 0, "{transport:?}");
     }
@@ -272,29 +242,29 @@ proptest! {
 
     /// Random inputs with NULL keys, any join kind, degree {1, 2, 4} (as
     /// many loopback workers), overflow-forcing budgets, varying batch
-    /// sizes: both transports equal the sequential join. A kind or degree
-    /// a transport does not split runs as its passthrough.
+    /// sizes: both transports equal the reference join. A degree a
+    /// transport does not split runs as its passthrough.
     #[test]
-    fn prop_exchange_equals_sequential_on_both_transports(
+    fn prop_exchange_equals_the_reference_on_both_transports(
         l in arb_rows(80),
         r in arb_rows(80),
-        kind_ix in 0usize..ALL_KINDS.len(),
+        kind_ix in 0usize..KINDS.len(),
         degree_ix in 0usize..3,
         budget in prop_oneof![Just(None), Just(Some(2_000usize)), Just(Some(512usize))],
         batch_size in prop_oneof![Just(1usize), Just(7), Just(64)],
     ) {
-        let kind = ALL_KINDS[kind_ix];
+        let kind = KINDS[kind_ix];
         let degree = [1usize, 2, 4][degree_ix];
         let reg = registry(&l, &r);
-        let gold = sequential(&reg, kind, budget, batch_size);
-        let (plan, _) = join_plan(kind, budget, Some(degree));
+        let gold = reference(&l, &r);
+        let (plan, _) = join_plan(kind, budget, degree);
         for transport in [Transport::InProcess, Transport::Loopback(degree)] {
             let (out, _) = Bed::new(transport, &reg)
                 .run(&plan, batch_size)
                 .map_err(|e| TestCaseError(format!("{transport:?} run failed: {e}")))?;
             prop_assert!(
                 out.multiset() == gold,
-                "{transport:?}: {} rows, sequential {}",
+                "{transport:?}: {} rows, reference {}",
                 out.rows(),
                 gold.values().sum::<usize>()
             );
@@ -304,19 +274,26 @@ proptest! {
 
 // ---- what each transport splits ----------------------------------------------
 
-/// In process, a join kind that is not hash-partitionable, or a degree of
-/// one, runs in place: no exchange, no partitions (TA030 / TA034).
+/// In process, a degree of one runs the join in place, and an exchange
+/// over anything but a join runs its input in place: no exchange, no
+/// partitions (TA034 / TA030).
 #[test]
-fn in_process_nlj_and_single_partition_are_passthroughs() {
+fn in_process_single_partition_and_non_join_input_are_passthroughs() {
     let (l, r) = (keyed_rows(50, 5, Some(9)), keyed_rows(40, 5, None));
     let reg = registry(&l, &r);
     let bed = Bed::new(Transport::InProcess, &reg);
-    for (kind, partitions) in [(JoinKind::NestedLoops, 4), (JoinKind::DoublePipelined, 1)] {
-        let (plan, _) = join_plan(kind, None, Some(partitions));
-        let (out, rt) = bed.run(&plan, 32).expect("run");
-        assert_eq!(out.multiset(), sequential(&reg, kind, None, 32));
-        assert_eq!(rt.parallel_stats().max_partitions, 0, "no exchange ran");
-    }
+    let (plan, _) = join_plan(JoinKind::DoublePipelined, None, 1);
+    let (out, rt) = bed.run(&plan, 32).expect("run");
+    assert_eq!(out.multiset(), reference(&l, &r));
+    assert_eq!(rt.parallel_stats().max_partitions, 0, "no exchange ran");
+
+    let mut b = PlanBuilder::new();
+    let scan = b.wrapper_scan("L");
+    let root = b.exchange(scan, 4);
+    let f = b.fragment(root, "out");
+    let (out, rt) = bed.run(&b.build(f), 32).expect("run");
+    assert_eq!(out.rows(), l.len());
+    assert_eq!(rt.parallel_stats().max_partitions, 0, "no exchange ran");
 }
 
 /// In process the join's inputs are shuffled, not re-read: each source is
@@ -327,7 +304,7 @@ fn in_process_shuffles_its_inputs_and_remote_inputs_stay_remote() {
     let (l, r) = (keyed_rows(300, 20, None), keyed_rows(200, 20, None));
     let reg = registry(&l, &r);
     for (transport, scanned) in [(BOTH[0], [300, 200]), (BOTH[1], [0, 0])] {
-        let (plan, [ls, rs, _]) = join_plan(JoinKind::DoublePipelined, None, Some(4));
+        let (plan, [ls, rs, _]) = join_plan(JoinKind::DoublePipelined, None, 4);
         let (out, rt) = Bed::new(transport, &reg).run(&plan, 64).expect("run");
         assert_eq!(out.rows(), 300 * 10);
         let seen = [ls, rs].map(|id| rt.produced(SubjectRef::Op(id)));
@@ -338,21 +315,17 @@ fn in_process_shuffles_its_inputs_and_remote_inputs_stay_remote() {
     }
 }
 
-/// A worker pool shards any equi-join kind, and runs even a single shard
-/// on a worker (that is where the data is).
+/// A worker pool runs even a single shard on a worker (that is where the
+/// data is).
 #[test]
-fn remote_shards_nlj_and_smj_and_a_single_shard() {
+fn remote_shards_and_a_single_shard() {
     let (l, r) = (keyed_rows(120, 12, Some(11)), keyed_rows(90, 12, None));
     let reg = registry(&l, &r);
     let bed = Bed::new(Transport::Loopback(2), &reg);
-    for (kind, shards) in [
-        (JoinKind::NestedLoops, 2),
-        (JoinKind::SortMerge, 2),
-        (JoinKind::HybridHash, 1),
-    ] {
-        let (plan, [ls, ..]) = join_plan(kind, None, Some(shards));
+    for (kind, shards) in [(JoinKind::GraceHash, 2), (JoinKind::HybridHash, 1)] {
+        let (plan, [ls, ..]) = join_plan(kind, None, shards);
         let (out, rt) = bed.run(&plan, 64).expect("run");
-        assert_eq!(out.multiset(), sequential(&reg, kind, None, 64), "{kind:?}");
+        assert_eq!(out.multiset(), reference(&l, &r), "{kind:?}");
         assert_eq!(rt.parallel_stats().max_partitions, shards, "{kind:?}");
         assert_eq!(rt.produced(SubjectRef::Op(ls)), 0, "{kind:?} ran remotely");
     }
@@ -363,14 +336,11 @@ fn more_shards_than_workers_multiplexes() {
     let (l, r) = (keyed_rows(200, 10, None), keyed_rows(200, 10, None));
     let reg = registry(&l, &r);
     // 4 shards dealt round-robin over 2 workers.
-    let (plan, _) = join_plan(JoinKind::HybridHash, None, Some(4));
+    let (plan, _) = join_plan(JoinKind::HybridHash, None, 4);
     let (out, rt) = Bed::new(Transport::Loopback(2), &reg)
         .run(&plan, 64)
         .expect("run");
-    assert_eq!(
-        out.multiset(),
-        sequential(&reg, JoinKind::HybridHash, None, 64)
-    );
+    assert_eq!(out.multiset(), reference(&l, &r));
     assert_eq!(rt.parallel_stats().max_partitions, 4);
 }
 
@@ -390,13 +360,9 @@ fn spill_skew_and_budget_are_attributed_per_partition() {
         for kind in [JoinKind::DoublePipelined, JoinKind::HybridHash] {
             let what = format!("{transport:?} {kind:?}");
             let bed = Bed::new(transport, &reg);
-            let (plan, [_, _, join]) = join_plan(kind, Some(3_000), Some(4));
+            let (plan, [_, _, join]) = join_plan(kind, Some(3_000), 4);
             let (out, rt) = bed.run(&plan, 64).expect("run");
-            assert_eq!(
-                out.multiset(),
-                sequential(&reg, kind, Some(3_000), 64),
-                "{what}"
-            );
+            assert_eq!(out.multiset(), reference(&rows, &rows), "{what}");
 
             let ps = rt.parallel_stats();
             assert_eq!(ps.max_partitions, 4, "{what}");
@@ -439,7 +405,7 @@ fn source_failure_propagates_as_a_typed_error() {
     let rows = keyed_rows(100, 10, None);
     let reg = registry_with(&rows, &rows, LinkModel::failing(5));
     for transport in BOTH {
-        let (plan, _) = join_plan(JoinKind::DoublePipelined, None, Some(4));
+        let (plan, _) = join_plan(JoinKind::DoublePipelined, None, 4);
         let err = match Bed::new(transport, &reg).run(&plan, 64) {
             Ok(_) => panic!("{transport:?}: expected the source failure to surface"),
             Err(e) => e,
@@ -465,7 +431,7 @@ fn close_without_drain_does_not_hang() {
         let reg = registry_with(&rows, &rows, slow.clone());
         within(30, &format!("{transport:?} early close"), move || {
             let bed = Bed::new(transport, &reg);
-            let (plan, _) = join_plan(JoinKind::DoublePipelined, None, Some(4));
+            let (plan, _) = join_plan(JoinKind::DoublePipelined, None, 4);
             let rt = PlanRuntime::for_plan(&plan, bed.env.clone());
             let mut op = build_operator(&plan.fragments[0].root, &rt).expect("build");
             op.open().expect("open");
@@ -489,10 +455,10 @@ fn close_without_drain_does_not_hang() {
 fn a_shard_that_opens_late_does_not_stall_the_ones_already_streaming() {
     let rows = keyed_rows(4_000, 4_000, None);
     let reg = registry(&rows, &rows);
-    let gold = sequential(&reg, JoinKind::DoublePipelined, None, 16);
-    reg.set_cache(SourceResultCache::new(64 << 20)); // cold: after the reference run
+    let gold = reference(&rows, &rows);
+    reg.set_cache(SourceResultCache::new(64 << 20)); // cold
     let out = within(30, "shards behind one source cache", move || {
-        let (plan, _) = join_plan(JoinKind::DoublePipelined, None, Some(2));
+        let (plan, _) = join_plan(JoinKind::DoublePipelined, None, 2);
         let bed = Bed::new(Transport::Loopback(1), &reg);
         bed.run(&plan, 16).expect("run").0
     });
@@ -511,7 +477,7 @@ fn connect_to_dead_address_fails_fast() {
 }
 
 /// The input that made the old loopback property test flake (2 runs in
-/// 150): nested loops, four shards, batch size 1 — a handful of one-row
+/// 150): a blocking join, four shards, batch size 1 — a handful of one-row
 /// batches per shard, so the worker finished while the coordinator's
 /// credits were still in flight, dropped the socket with them unread, and
 /// the reset discarded batches the coordinator had not read yet. With the
@@ -597,8 +563,8 @@ fn stream_end_race_input_passes_500_times() {
         (Some(18), 52),
     ];
     let reg = registry(&L, &R);
-    let gold = sequential(&reg, JoinKind::NestedLoops, None, 1);
-    let (plan, _) = join_plan(JoinKind::NestedLoops, None, Some(4));
+    let gold = reference(&L, &R);
+    let (plan, _) = join_plan(JoinKind::HybridHash, None, 4);
     let bed = Bed::new(Transport::Loopback(4), &reg);
     for round in 0..500 {
         let (out, _) = bed

@@ -336,8 +336,8 @@ impl<'a> Lowerer<'a> {
         let node = node.with_memory(budget).with_est_cardinality(out_card);
         let join_id = node.id;
 
-        // Intra-query parallelism: wrap hash-partitionable joins whose
-        // estimated input volume justifies the fan-out in an exchange. The
+        // Intra-query parallelism: wrap joins whose estimated input
+        // volume justifies the fan-out in an exchange. The
         // degree scales with the input cardinality (one partition per
         // `parallel_min_rows` input rows) and is capped by the configured
         // parallelism, so small joins stay sequential and big ones use the
@@ -345,7 +345,6 @@ impl<'a> Lowerer<'a> {
         let input_rows =
             l_est.map(|e| e.card).unwrap_or(0.0) + r_est.map(|e| e.card).unwrap_or(0.0);
         let node = if self.config.max_parallelism > 1
-            && kind.is_hash_partitionable()
             && input_rows >= self.config.parallel_min_rows as f64
         {
             let by_rows = (input_rows / self.config.parallel_min_rows as f64) as usize;

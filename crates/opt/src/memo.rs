@@ -177,11 +177,6 @@ impl Memo {
         &self.atomics
     }
 
-    /// Number of relations.
-    pub fn relation_count(&self) -> usize {
-        self.n
-    }
-
     /// The full-query mask.
     pub fn full_mask(&self) -> RelMask {
         ((1u64 << self.n) - 1) as RelMask
@@ -190,11 +185,6 @@ impl Memo {
     /// Estimate for a subquery, if planned.
     pub fn estimate(&self, mask: RelMask) -> Option<Estimate> {
         self.entries.get(&mask).map(|e| e.est)
-    }
-
-    /// Number of memo entries.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
     }
 
     fn crossing_selectivity(&self, a: RelMask, b: RelMask) -> Option<f64> {

@@ -132,7 +132,11 @@ impl PlanBuilder {
         node
     }
 
-    /// Dependent join against a source.
+    /// Dependent join against a source (§4): `left.bind_col =
+    /// source.probe_col`. Wrappers answer only atomic fetches (§3.2,
+    /// footnote 2), so the source is fetched once, indexed on `probe_col`
+    /// and probed per driving tuple — a build-first hybrid hash join with
+    /// the source's wrapper scan as its build (right) side.
     pub fn dependent_join(
         &mut self,
         left: OperatorNode,
@@ -140,16 +144,8 @@ impl PlanBuilder {
         bind_col: &str,
         probe_col: &str,
     ) -> OperatorNode {
-        let id = self.op_id();
-        OperatorNode::new(
-            id,
-            OperatorSpec::DependentJoin {
-                left: Box::new(left),
-                source: source.to_string(),
-                bind_col: bind_col.to_string(),
-                probe_col: probe_col.to_string(),
-            },
-        )
+        let scan = self.wrapper_scan(source);
+        self.join(JoinKind::HybridHash, left, scan, bind_col, probe_col)
     }
 
     /// Standard union.

@@ -163,8 +163,8 @@ pub mod codes {
         DUPLICATE_OUTPUT_COLUMN = ("TA026", Warn, Schema,
             "operator output schema repeats a qualified column name");
         // -- exchange -----------------------------------------------------
-        EXCHANGE_NOT_PARTITIONABLE = ("TA030", Warn, Exchange,
-            "exchange input is not hash-partitionable (runs as a passthrough)");
+        EXCHANGE_OVER_NON_JOIN = ("TA030", Warn, Exchange,
+            "exchange input is not a join (runs as a passthrough)");
         EXCHANGE_OVER_PARALLELISM = ("TA031", Warn, Exchange,
             "exchange partition count exceeds the configured max parallelism");
         NESTED_EXCHANGE = ("TA032", Error, Exchange,

@@ -20,33 +20,10 @@ pub enum JoinKind {
     /// Grace/recursive hash join (§4.2.1): partitions both inputs to spill
     /// buckets up front when the inner overflows, then joins pairwise.
     GraceHash,
-    /// Tuple nested loops (baseline; inner fully buffered).
-    NestedLoops,
-    /// Sort-merge (baseline; blocks on sorting both inputs — cannot
-    /// pipeline, per §4.2).
-    SortMerge,
     /// The double pipelined hash join (§4.2.2): symmetric, multithreaded,
     /// produces tuples immediately; holds both inputs in memory and uses an
     /// [`OverflowMethod`] when it cannot.
     DoublePipelined,
-}
-
-impl JoinKind {
-    /// Whether the algorithm is symmetric (no inner/outer distinction).
-    pub fn is_symmetric(&self) -> bool {
-        matches!(self, JoinKind::DoublePipelined)
-    }
-
-    /// Whether the algorithm can be parallelized by hash-partitioning
-    /// both inputs on the join keys (the `Exchange` operator's
-    /// eligibility check — shared by the optimizer's lowering and the
-    /// engine's builder so the two can never drift).
-    pub fn is_hash_partitionable(&self) -> bool {
-        matches!(
-            self,
-            JoinKind::DoublePipelined | JoinKind::HybridHash | JoinKind::GraceHash
-        )
-    }
 }
 
 /// Memory-overflow resolution strategy for the double pipelined join
@@ -116,7 +93,9 @@ pub enum OperatorSpec {
         columns: Vec<String>,
     },
     /// Equi-join. For asymmetric kinds the **right child is the inner
-    /// (build) relation** — the one loaded into the hash table.
+    /// (build) relation** — the one loaded into the hash table. A dependent
+    /// join (§4) is this node too: a hybrid hash join whose build side is
+    /// the probed source's wrapper scan ([`crate::PlanBuilder::dependent_join`]).
     Join {
         /// Outer / left child (probe side for hybrid hash).
         left: Box<OperatorNode>,
@@ -131,19 +110,6 @@ pub enum OperatorSpec {
         /// Overflow strategy (meaningful for `DoublePipelined`).
         overflow: OverflowMethod,
     },
-    /// Dependent join (§4): for each left tuple, probe a source that
-    /// semantically requires a binding. The engine fetches the source once,
-    /// builds an index on `probe_col`, and probes with `bind_col`.
-    DependentJoin {
-        /// Driving input.
-        left: Box<OperatorNode>,
-        /// Source probed per binding.
-        source: String,
-        /// Binding column in the left schema.
-        bind_col: String,
-        /// Column of the source matched against the binding.
-        probe_col: String,
-    },
     /// Standard union (baseline for the collector). Schemas must be
     /// arity-compatible.
     Union {
@@ -153,8 +119,8 @@ pub enum OperatorSpec {
     /// Partitioned exchange: hash-partition the input join's two sides by
     /// their join-key prehash and run `partitions` parallel instances of
     /// the join, merging output batches through an order-insensitive
-    /// union. The input must be a hash-partitionable `Join`
-    /// (double-pipelined, hybrid or Grace hash); other inputs execute as a
+    /// union. The input must be a `Join` (every join kind partitions); any
+    /// other input, or a single partition in process, executes as a
     /// transparent passthrough. The optimizer chooses `partitions` from
     /// catalog cardinalities, capped by the configured parallelism.
     Exchange {
@@ -224,7 +190,6 @@ impl OperatorNode {
                 vec![input]
             }
             OperatorSpec::Join { left, right, .. } => vec![left, right],
-            OperatorSpec::DependentJoin { left, .. } => vec![left],
             OperatorSpec::Union { inputs } => inputs.iter().collect(),
             OperatorSpec::TableScan { .. }
             | OperatorSpec::WrapperScan { .. }
@@ -271,7 +236,6 @@ impl OperatorNode {
         let mut out = Vec::new();
         self.walk(&mut |n| match &n.spec {
             OperatorSpec::WrapperScan { source, .. } => out.push(source.clone()),
-            OperatorSpec::DependentJoin { source, .. } => out.push(source.clone()),
             OperatorSpec::Collector { children, .. } => {
                 out.extend(children.iter().map(|c| c.source.clone()))
             }
@@ -293,12 +257,6 @@ impl OperatorNode {
                 right_key,
                 ..
             } => format!("join[{kind:?}]({left_key}={right_key})"),
-            OperatorSpec::DependentJoin {
-                source,
-                bind_col,
-                probe_col,
-                ..
-            } => format!("depjoin({source}: {bind_col}={probe_col})"),
             OperatorSpec::Union { inputs } => format!("union({})", inputs.len()),
             OperatorSpec::Collector { children, .. } => format!(
                 "collector({})",
@@ -390,11 +348,5 @@ mod tests {
         let n = scan(0, "A").with_memory(1024).with_est_cardinality(50.0);
         assert_eq!(n.memory_budget, Some(1024));
         assert_eq!(n.est_cardinality, Some(50.0));
-    }
-
-    #[test]
-    fn symmetry_flag() {
-        assert!(JoinKind::DoublePipelined.is_symmetric());
-        assert!(!JoinKind::HybridHash.is_symmetric());
     }
 }

@@ -21,9 +21,11 @@
 //! timeout   := ":timeout" INT                          ; milliseconds
 //! join      := "(join" KIND key "=" key [":mem" INT] [":overflow" METHOD]
 //!              node node ")"
-//! KIND      := "dpj" | "hybrid" | "grace" | "nlj" | "smj"
+//! KIND      := "dpj" | "hybrid" | "grace"
 //! METHOD    := "left" | "symmetric" | "flushall" | "fail"
 //! depjoin   := "(depjoin" IDENT column "=" column node ")"
+//!              ; sugar for a build-first join over `(wrapper IDENT)`:
+//!              ; (join hybrid column = column node (wrapper IDENT))
 //! select    := "(select" (column OP literal | pred) node ")"
 //! pred      := "true" | "(lit" column OP literal ")" | "(cols" column OP column ")"
 //!            | "(and" pred+ ")" | "(or" pred+ ")" | "(not" pred ")"
@@ -407,9 +409,11 @@ impl<'a> Parser<'a> {
                     "dpj" => JoinKind::DoublePipelined,
                     "hybrid" => JoinKind::HybridHash,
                     "grace" => JoinKind::GraceHash,
-                    "nlj" => JoinKind::NestedLoops,
-                    "smj" => JoinKind::SortMerge,
-                    other => return Err(err(format!("unknown join kind `{other}`"))),
+                    other => {
+                        return Err(err(format!(
+                            "unknown join kind `{other}` (expected dpj, hybrid or grace)"
+                        )))
+                    }
                 };
                 let lk = self.word()?;
                 self.expect(Token::Eq)?;
@@ -1009,17 +1013,21 @@ mod tests {
         )
         .unwrap();
         match &plan.fragments[0].root.spec {
-            OperatorSpec::DependentJoin {
-                source,
-                bind_col,
-                probe_col,
+            OperatorSpec::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                kind,
                 ..
             } => {
-                assert_eq!(source, "books");
-                assert_eq!(bind_col, "isbn");
-                assert_eq!(probe_col, "isbn");
+                assert_eq!(*kind, JoinKind::HybridHash);
+                assert_eq!(left.label(), "wrapper(orders)");
+                assert_eq!(right.label(), "wrapper(books)");
+                assert_eq!(left_key, "isbn");
+                assert_eq!(right_key, "isbn");
             }
-            other => panic!("expected depjoin, got {other:?}"),
+            other => panic!("expected a join, got {other:?}"),
         }
     }
 
@@ -1139,6 +1147,15 @@ mod tests {
                 "(fragment f (join bad k = k (wrapper A) (wrapper B))) (output f)",
                 "join kind",
             ),
+            // The blocking baselines are not in the plan language.
+            (
+                "(fragment f (join nlj k = k (wrapper A) (wrapper B))) (output f)",
+                "unknown join kind `nlj` (expected dpj, hybrid or grace)",
+            ),
+            (
+                "(fragment f (join smj k = k (wrapper A) (wrapper B))) (output f)",
+                "unknown join kind `smj` (expected dpj, hybrid or grace)",
+            ),
             ("(output ghost)", "unknown fragment"),
             (
                 "(fragment f (union (wrapper A))) (output f)",
@@ -1153,7 +1170,9 @@ mod tests {
                 "unknown rule subject",
             ),
         ] {
-            let e = parse_plan(input).unwrap_err().to_string();
+            let e = parse_plan(input).unwrap_err();
+            assert_eq!(e.kind(), "plan", "input `{input}`: {e}");
+            let e = e.to_string();
             assert!(e.contains(needle), "input `{input}`: {e}");
         }
     }

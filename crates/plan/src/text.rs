@@ -227,8 +227,6 @@ fn print_node(node: &OperatorNode, depth: usize, out: &mut String) {
                 JoinKind::DoublePipelined => "dpj",
                 JoinKind::HybridHash => "hybrid",
                 JoinKind::GraceHash => "grace",
-                JoinKind::NestedLoops => "nlj",
-                JoinKind::SortMerge => "smj",
             };
             let _ = write!(out, "{indent}(join {kw} {left_key} = {right_key}");
             if let Some(m) = node.memory_budget {
@@ -241,16 +239,6 @@ fn print_node(node: &OperatorNode, depth: usize, out: &mut String) {
             print_node(left, depth + 1, out);
             out.push('\n');
             print_node(right, depth + 1, out);
-            out.push(')');
-        }
-        OperatorSpec::DependentJoin {
-            left,
-            source,
-            bind_col,
-            probe_col,
-        } => {
-            let _ = writeln!(out, "{indent}(depjoin {source} {bind_col} = {probe_col}");
-            print_node(left, depth + 1, out);
             out.push(')');
         }
         OperatorSpec::Union { inputs } => {

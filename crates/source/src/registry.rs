@@ -72,11 +72,6 @@ impl SourceRegistry {
         *self.cache.write() = Some(cache);
     }
 
-    /// Remove the cache (scans go back to fetching every time).
-    pub fn clear_cache(&self) {
-        *self.cache.write() = None;
-    }
-
     /// Remove the cache only if it is `cache` itself — owners (e.g. a
     /// dropping `QueryService`) use this so they cannot clobber a cache a
     /// different owner installed on this shared registry afterwards.

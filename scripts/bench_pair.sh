@@ -15,7 +15,9 @@
 # Prints, per workload and metric, a markdown table row: both sides'
 # medians, the median change, "new better in k of n" pairs, and the base's
 # range and quartiles. Appends one entry per workload x metric to
-# BENCH_e2e.json at the repository root (unless `--no-ledger`). Raw run
+# BENCH_e2e.json at the repository root (unless `--no-ledger`); each entry
+# records the new revision's commit and its tree (`git rev-parse
+# <rev>^{tree}`), which survives the revision being re-committed. Raw run
 # output stays in DIR. A revision may be any commit, e.g. `HEAD`, or the
 # output of `git stash create` for uncommitted work.
 set -euo pipefail
@@ -29,6 +31,7 @@ usage() {
 root="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
 base="$(git -C "$root" rev-parse --verify "$1^{commit}")"
 new="$(git -C "$root" rev-parse --verify "$2^{commit}")"
+tree="$(git -C "$root" rev-parse --verify "$new^{tree}")"
 shift 2
 workloads="" pairs=10 seeds="23,7" seconds=6 trace=0 workdir="" ledger=1
 while [ $# -gt 0 ]; do
@@ -79,11 +82,11 @@ for w in $workloads; do
     done
 done
 
-python3 - "$workdir" "$root" "$base" "$new" "$pairs" "$seeds" "$seconds" "$trace" "$ledger" \
-    "$workloads" <<'EOF'
+python3 - "$workdir" "$root" "$base" "$new" "$tree" "$pairs" "$seeds" "$seconds" "$trace" \
+    "$ledger" "$workloads" <<'EOF'
 import json, os, statistics, sys
 
-workdir, root, base, new, pairs, seeds, seconds, trace, ledger, workloads = sys.argv[1:]
+workdir, root, base, new, tree, pairs, seeds, seconds, trace, ledger, workloads = sys.argv[1:]
 pairs, trace, ledger = int(pairs), trace == "1", ledger == "1"
 spec = json.load(open(os.path.join(root, "BENCHMARK.json")))
 better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
@@ -136,7 +139,7 @@ for w in workloads.split():
         entries.append({
             "workload": w, "metric": m, "unit": unit,
             "better": "lower" if lower else "higher",
-            "commit": new, "parent": base,
+            "commit": new, "tree": tree, "parent": base,
             "seeds": [int(s) for s in seeds.split(",")], "pairs": pairs,
             "seconds": float(seconds), "traced": trace,
             "parent_median": bm, "parent_quartiles": [q1, q3],
