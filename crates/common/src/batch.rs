@@ -92,7 +92,7 @@ impl TupleBatch {
         Self::with_capacity(DEFAULT_BATCH_CAPACITY)
     }
 
-    /// An empty batch that [`TupleBatch::is_full`] at `capacity` tuples.
+    /// An empty batch with a target capacity of `capacity` tuples.
     pub fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.max(1);
         TupleBatch {
@@ -280,18 +280,6 @@ impl TupleBatch {
         }
     }
 
-    /// A batch holding exactly one tuple.
-    pub fn singleton(t: Tuple) -> Self {
-        let mem = MemSize::Exact(t.mem_size());
-        TupleBatch {
-            repr: Repr::Rows {
-                tuples: vec![t],
-                mem,
-            },
-            capacity: 1,
-        }
-    }
-
     /// Append a tuple, updating the cached memory size (when exact).
     /// Converts a columnar batch to rows first — producers that grow
     /// batches incrementally build row-major.
@@ -351,11 +339,6 @@ impl TupleBatch {
     /// Target capacity (producers stop filling at this size).
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Whether the batch has reached its target capacity.
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity
     }
 
     /// Approximate resident memory of all tuples in the batch: maintained
@@ -457,64 +440,6 @@ impl<'a> IntoIterator for &'a TupleBatch {
 impl FromIterator<Tuple> for TupleBatch {
     fn from_iter<I: IntoIterator<Item = Tuple>>(iter: I) -> Self {
         TupleBatch::from_tuples(iter.into_iter().collect())
-    }
-}
-
-/// Accumulates tuples and emits full batches — the producer-side API for
-/// sources and operators that generate tuples one at a time but hand them
-/// downstream in blocks.
-pub struct BatchBuilder {
-    capacity: usize,
-    batch: TupleBatch,
-}
-
-impl BatchBuilder {
-    /// Builder emitting batches of `capacity` tuples.
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        BatchBuilder {
-            capacity: cap,
-            batch: TupleBatch::with_capacity(cap),
-        }
-    }
-
-    /// Add a tuple; returns the finished batch once it reaches capacity.
-    pub fn push(&mut self, t: Tuple) -> Option<TupleBatch> {
-        self.batch.push(t);
-        if self.batch.is_full() {
-            Some(std::mem::replace(
-                &mut self.batch,
-                TupleBatch::with_capacity(self.capacity),
-            ))
-        } else {
-            None
-        }
-    }
-
-    /// Tuples currently buffered.
-    pub fn buffered(&self) -> usize {
-        self.batch.len()
-    }
-
-    /// Emit whatever is buffered (possibly short), or `None` if empty.
-    pub fn finish(self) -> Option<TupleBatch> {
-        if self.batch.is_empty() {
-            None
-        } else {
-            Some(self.batch)
-        }
-    }
-
-    /// Emit the buffered partial batch without consuming the builder.
-    pub fn take_partial(&mut self) -> Option<TupleBatch> {
-        if self.batch.is_empty() {
-            None
-        } else {
-            Some(std::mem::replace(
-                &mut self.batch,
-                TupleBatch::with_capacity(self.capacity),
-            ))
-        }
     }
 }
 
@@ -641,7 +566,6 @@ mod tests {
         b.push(tuple![1, "a"]);
         b.push(tuple![2, "b"]);
         assert_eq!(b.len(), 2);
-        assert!(!b.is_full());
         assert_eq!(b.get(0), Some(&tuple![1, "a"]));
         assert_eq!(b.get(2), None);
         assert_eq!(b.tuples().len(), 2);
@@ -674,21 +598,9 @@ mod tests {
     }
 
     #[test]
-    fn capacity_and_fullness() {
-        let mut b = TupleBatch::with_capacity(2);
-        assert_eq!(b.capacity(), 2);
-        b.push(tuple![1]);
-        assert!(!b.is_full());
-        b.push(tuple![2]);
-        assert!(b.is_full());
-    }
-
-    #[test]
     fn zero_capacity_clamped() {
         let b = TupleBatch::with_capacity(0);
         assert_eq!(b.capacity(), 1);
-        let builder = BatchBuilder::new(0);
-        assert_eq!(builder.capacity, 1);
     }
 
     #[test]
@@ -708,29 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_emits_at_capacity() {
-        let mut builder = BatchBuilder::new(3);
-        assert!(builder.push(tuple![1]).is_none());
-        assert!(builder.push(tuple![2]).is_none());
-        let full = builder.push(tuple![3]).expect("full at capacity");
-        assert_eq!(full.len(), 3);
-        assert_eq!(builder.buffered(), 0);
-        assert!(builder.push(tuple![4]).is_none());
-        let rest = builder.finish().expect("partial batch");
-        assert_eq!(rest.len(), 1);
-    }
-
-    #[test]
-    fn builder_finish_empty_is_none() {
-        assert!(BatchBuilder::new(8).finish().is_none());
-        let mut b = BatchBuilder::new(8);
-        assert!(b.take_partial().is_none());
-        b.push(tuple![1]);
-        assert_eq!(b.take_partial().map(|x| x.len()), Some(1));
-        assert!(b.take_partial().is_none());
-    }
-
-    #[test]
     fn equality_ignores_capacity_and_provenance() {
         let a = TupleBatch::from_tuples(vec![tuple![1], tuple![2]]);
         let mut b = TupleBatch::with_capacity(64);
@@ -742,14 +631,6 @@ mod tests {
         // columnar vs row-major with equal content compare equal
         let c = TupleBatch::from_columns(ColumnarBatch::from_rows(&[tuple![1], tuple![2]]));
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn singleton_batch() {
-        let b = TupleBatch::singleton(tuple![7]);
-        assert_eq!(b.len(), 1);
-        assert!(b.is_full());
-        assert_eq!(b.mem_size(), tuple![7].mem_size());
     }
 
     #[test]
@@ -906,7 +787,7 @@ mod tests {
     #[test]
     fn output_queue_clear() {
         let mut q = OutputQueue::new();
-        q.extend_block(TupleBatch::singleton(tuple![3]));
+        q.extend_block(TupleBatch::from_tuples(vec![tuple![3]]));
         q.clear();
         assert!(q.is_empty());
         assert!(q.pop_block().is_none());

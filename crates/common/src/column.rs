@@ -1223,9 +1223,13 @@ impl ColumnarBatch {
         }
     }
 
-    /// Copy rows `start..end` into a new batch.
+    /// Rows `start..end` as a new batch: copied, or the columns shared
+    /// when the range is the whole batch.
     pub fn slice(&self, start: usize, end: usize) -> ColumnarBatch {
         debug_assert!(start <= end && end <= self.len);
+        if start == 0 && end == self.len {
+            return self.clone();
+        }
         ColumnarBatch {
             len: end - start,
             cols: self
@@ -1530,6 +1534,10 @@ mod tests {
         let cat = ColumnarBatch::concat([&s, &g].into_iter()).unwrap();
         assert_eq!(cat.len(), 6);
         assert_eq!(cat.materialize_rows()[3], rows[0]);
+        // The whole batch as a slice shares its columns.
+        let all = cb.slice(0, 10);
+        assert_eq!(all.materialize_rows(), rows);
+        assert!(Arc::ptr_eq(all.col_shared(1), cb.col_shared(1)));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use batch::{BatchAssembler, BatchBuilder, OutputQueue, TupleBatch, DEFAULT_BATCH_CAPACITY};
+pub use batch::{BatchAssembler, OutputQueue, TupleBatch, DEFAULT_BATCH_CAPACITY};
 pub use column::{Bitmap, Column, ColumnBuilder, ColumnarBatch, Selection, StrColumn};
 
 /// The process-wide default operator batch capacity, read from the

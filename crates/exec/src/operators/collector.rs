@@ -16,18 +16,17 @@
 //! deactivated by rules are cancelled and their buffered tuples dropped.
 //! Every rule-visible effect happens on the collector's own thread.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::Sender;
 
 use tukwila_common::{Result, Schema, TukwilaError, TupleBatch};
 use tukwila_plan::{CollectorChildSpec, OpState, QuantityProvider, SubjectRef};
-use tukwila_source::{SourceBatchEvent, Wrapper, WrapperStream};
 
 use crate::feeder::{Feed, Feeders, Tagged};
 use crate::operator::Operator;
-use crate::runtime::{OpHarness, PlanRuntime};
+use crate::operators::SourceChild;
+use crate::runtime::OpHarness;
 
 struct ChildState {
     spec: CollectorChildSpec,
@@ -36,58 +35,6 @@ struct ChildState {
     failed: bool,
     last_activity: Instant,
     timeout_raised: bool,
-}
-
-/// One collector child as an operator: its source's stream, fetched through
-/// the shared source-result cache like a plain wrapper scan. It opens on its
-/// feeder, so a coalesced wait never blocks the collector; a handle
-/// registered after a deactivation is flipped at once, so a rule firing
-/// before the stream exists still cancels it.
-struct SourceChild {
-    rt: Arc<PlanRuntime>,
-    subject: SubjectRef,
-    wrapper: Wrapper,
-    stream: Option<WrapperStream>,
-}
-
-impl Operator for SourceChild {
-    fn open(&mut self) -> Result<()> {
-        // A cancelled wait — or query — ends the child quietly like any
-        // other cancelled child (query-level cancellation is reported by
-        // the fragment loop).
-        let (rt, subject) = (&self.rt, self.subject);
-        let opened =
-            crate::operators::open_source_stream(rt, subject, &self.wrapper, Wrapper::fetch);
-        self.stream = opened.ok().flatten();
-        Ok(())
-    }
-
-    fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
-        let Some(stream) = &mut self.stream else {
-            return Ok(None);
-        };
-        match stream.next_batch_event(self.rt.env().batch_size) {
-            SourceBatchEvent::Batch(b) => Ok(Some(b)),
-            SourceBatchEvent::End | SourceBatchEvent::Cancelled => Ok(None),
-            SourceBatchEvent::Error(reason) => Err(TukwilaError::SourceUnavailable {
-                source: self.wrapper.source_name().to_string(),
-                reason,
-            }),
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.stream = None;
-        Ok(())
-    }
-
-    fn schema(&self) -> &Schema {
-        self.wrapper.schema()
-    }
-
-    fn name(&self) -> &'static str {
-        "collector_child"
-    }
 }
 
 /// The dynamic collector operator.

@@ -30,11 +30,12 @@ pub mod wrapper_scan;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use tukwila_common::Result;
+use tukwila_common::{Result, Schema, TukwilaError, TupleBatch};
 use tukwila_plan::SubjectRef;
-use tukwila_source::{FetchVia, Wrapper, WrapperStream};
+use tukwila_source::{FetchVia, SourceBatchEvent, Wrapper, WrapperStream};
 use tukwila_trace::CacheOutcome;
 
+use crate::operator::Operator;
 use crate::runtime::PlanRuntime;
 
 /// Open a wrapper stream for `subject`, going through the shared
@@ -50,14 +51,13 @@ pub(crate) fn open_source_stream(
     rt: &Arc<PlanRuntime>,
     subject: SubjectRef,
     wrapper: &Wrapper,
-    base: impl FnOnce(&Wrapper) -> WrapperStream,
 ) -> Result<Option<WrapperStream>> {
     let stream = match rt.env().sources.cache() {
         Some(cache) => {
             let wait_cancel = Arc::new(AtomicBool::new(false));
             rt.register_cancel(subject, wait_cancel.clone());
             let flight = rt.control().flight_id();
-            match wrapper.fetch_through_cache_observed(&cache, flight, Some(&wait_cancel), base) {
+            match wrapper.fetch_through_cache(&cache, flight, Some(&wait_cancel)) {
                 Some((stream, via)) => {
                     let outcome = match via {
                         FetchVia::Hit => CacheOutcome::Hit,
@@ -74,10 +74,64 @@ pub(crate) fn open_source_stream(
                 }
             }
         }
-        None => base(wrapper),
+        None => wrapper.fetch(),
     };
     rt.register_cancel(subject, stream.cancel_handle());
     Ok(Some(stream))
+}
+
+/// A source's stream as an operator, for a feeder to run: a collector
+/// child, or a wrapper scan that reads with a timeout or ahead. A child
+/// built without a stream opens one through [`open_source_stream`] on its
+/// feeder, so a coalesced wait never blocks the consumer; a handle
+/// registered after a deactivation is flipped at once, so a rule firing
+/// before the stream exists still cancels it. A cancelled stream ends like
+/// a drained one; a failed one fails with `SourceUnavailable`.
+pub(crate) struct SourceChild {
+    pub(crate) rt: Arc<PlanRuntime>,
+    pub(crate) subject: SubjectRef,
+    pub(crate) wrapper: Wrapper,
+    pub(crate) stream: Option<WrapperStream>,
+}
+
+impl Operator for SourceChild {
+    fn open(&mut self) -> Result<()> {
+        // A cancelled wait — or query — ends the child quietly like any
+        // other cancelled child (query-level cancellation is reported by
+        // the consumer).
+        if self.stream.is_none() {
+            let opened = open_source_stream(&self.rt, self.subject, &self.wrapper);
+            self.stream = opened.ok().flatten();
+        }
+        Ok(())
+    }
+
+    fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
+        let Some(stream) = &mut self.stream else {
+            return Ok(None);
+        };
+        match stream.next_batch_event(self.rt.env().batch_size) {
+            SourceBatchEvent::Batch(b) => Ok(Some(b)),
+            SourceBatchEvent::End | SourceBatchEvent::Cancelled => Ok(None),
+            SourceBatchEvent::Error(reason) => Err(TukwilaError::SourceUnavailable {
+                source: self.wrapper.source_name().to_string(),
+                reason,
+            }),
+        }
+    }
+
+    fn close(&mut self) -> Result<()> {
+        self.stream = None;
+        Ok(())
+    }
+
+    fn schema(&self) -> &Schema {
+        self.wrapper.schema()
+    }
+
+    fn name(&self) -> &'static str {
+        "source_child"
+    }
 }
 
 pub use collector::Collector;

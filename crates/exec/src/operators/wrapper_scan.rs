@@ -10,17 +10,64 @@
 //! Delivery is batched: the wrapper hands over each arrival *burst* as one
 //! [`TupleBatch`] (blocking only for the first tuple of a burst), so a fast
 //! source costs one handoff per block while a slow source still delivers
-//! its first tuple as early as the tuple-at-a-time engine did.
+//! its first tuple as early as the tuple-at-a-time engine did. A scan with
+//! neither a timeout nor a prefetch pulls its stream inline. A scan with
+//! either runs the stream on a `feed-source` feeder and reads the feeder's
+//! queue — with the timeout as the read's deadline (the paper's
+//! `timeout(n)` detector, §3.1.2), and with `:prefetch N` reading about
+//! `N` tuples ahead.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tukwila_common::{Result, Schema, TukwilaError, TupleBatch};
-use tukwila_source::{SourceBatchEvent, WrapperStream};
+use tukwila_source::{SourceBatchEvent, Wrapper, WrapperStream};
 use tukwila_trace::{OpMetrics, TraceEvent};
 
+use crate::feeder::{Feed, Feeders};
 use crate::operator::Operator;
+use crate::operators::{open_source_stream, SourceChild};
 use crate::runtime::OpHarness;
+
+/// Where an open scan's batches come from.
+enum Input {
+    /// Pulled on the scan's own thread.
+    Inline(WrapperStream),
+    /// Read off a `feed-source` feeder's queue. The flag is the stream's
+    /// cancel handle: it tells a cancelled end from a drained one.
+    Fed(Feeders, Arc<AtomicBool>),
+}
+
+impl Input {
+    /// The stream's next event, or `None` when a read with a deadline of
+    /// `timeout_ms` saw nothing. An error is the feeder child's
+    /// `SourceUnavailable`, or a feeder that died.
+    fn next(&mut self, max: usize, timeout_ms: Option<u64>) -> Result<Option<SourceBatchEvent>> {
+        let (feeders, cancel) = match self {
+            Input::Inline(stream) => return Ok(Some(stream.next_batch_event(max))),
+            Input::Fed(feeders, cancel) => (feeders, cancel),
+        };
+        loop {
+            let (_, feed) = match timeout_ms {
+                None => feeders.recv(&[0])?,
+                Some(ms) => match feeders.recv_timeout(0, Duration::from_millis(ms))? {
+                    Some(msg) => msg,
+                    None => return Ok(None),
+                },
+            };
+            let event = match feed {
+                Feed::Schema(_) => continue,
+                Feed::Batch(batch) => SourceBatchEvent::Batch(batch),
+                // A cancelled stream ends its feeder like a drained one.
+                Feed::End if cancel.load(Ordering::Relaxed) => SourceBatchEvent::Cancelled,
+                Feed::End => SourceBatchEvent::End,
+                Feed::Err(e) => return Err(e),
+            };
+            return Ok(Some(event));
+        }
+    }
+}
 
 /// Streams a source's relation, with optional timeout detection and
 /// prefetch buffering.
@@ -29,7 +76,8 @@ pub struct WrapperScan {
     timeout_ms: Option<u64>,
     prefetch: Option<usize>,
     harness: OpHarness,
-    stream: Option<WrapperStream>,
+    /// `None` until open, and again once closed.
+    input: Option<Input>,
     schema: Schema,
     finished: bool,
     opened_at: Option<Instant>,
@@ -54,7 +102,7 @@ impl WrapperScan {
             timeout_ms,
             prefetch,
             harness,
-            stream: None,
+            input: None,
             schema: Schema::empty(),
             finished: false,
             opened_at: None,
@@ -63,6 +111,50 @@ impl WrapperScan {
             metrics: None,
         }
     }
+
+    /// Run `stream` on a feeder whose queue holds `:prefetch` tuples'
+    /// worth of batches, rounded up, and at least one batch.
+    fn feed(&self, wrapper: Wrapper, stream: WrapperStream) -> Result<Input> {
+        let rt = self.harness.runtime();
+        let batch = self.harness.batch_size().max(1);
+        let cap = self.prefetch.map_or(1, |n| n.div_ceil(batch)).max(1);
+        let mut feeders = Feeders::new(rt);
+        feeders.stall = self.metrics.clone();
+        let cancel = stream.cancel_handle();
+        // Closing the scan early wakes a source asleep in its link model.
+        feeders.aborts.push(cancel.clone());
+        let child = SourceChild {
+            rt: rt.clone(),
+            subject: self.harness.subject(),
+            wrapper,
+            stream: Some(stream),
+        };
+        let out = (0, feeders.queue(cap));
+        feeders.spawn("source", Box::new(child), out, |_| {})?;
+        Ok(Input::Fed(feeders, cancel))
+    }
+
+    /// The source has not responded in `ms` msec: raise the event; rules
+    /// run synchronously inside emit. If a rule requested an engine-level
+    /// response, surface a recoverable error so the fragment loop can act.
+    fn timed_out(&mut self, ms: u64) -> Result<()> {
+        let trace = self.harness.trace();
+        if trace.events_enabled() {
+            trace.emit(TraceEvent::SourceStall {
+                source: self.source.clone(),
+                waited_ms: ms,
+            });
+        }
+        self.stalled = true;
+        self.harness.timeout(ms);
+        if self.harness.signal_pending() {
+            return Err(TukwilaError::SourceTimeout {
+                source: self.source.clone(),
+                timeout_ms: ms,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Operator for WrapperScan {
@@ -70,34 +162,22 @@ impl Operator for WrapperScan {
         let rt = self.harness.runtime().clone();
         let wrapper = rt.env().sources.wrapper(&self.source)?;
         self.schema = wrapper.schema().clone();
-        // Timeout detection requires the buffered fetch (a direct pull
-        // blocks inside the link model and cannot observe a deadline).
-        let base = |w: &tukwila_source::Wrapper| match (self.timeout_ms, self.prefetch) {
-            (None, None) => w.fetch(),
-            (_, Some(buf)) => w.fetch_prefetching(buf),
-            (Some(_), None) => w.fetch_prefetching(1),
+        let Some(stream) = open_source_stream(&rt, self.harness.subject(), &wrapper)? else {
+            // Wait cancelled by a rule: end quietly (the rule that
+            // cancelled us decides what happens next).
+            self.finished = true;
+            self.harness.opened();
+            return Ok(());
         };
-        let stream = match crate::operators::open_source_stream(
-            &rt,
-            self.harness.subject(),
-            &wrapper,
-            base,
-        )? {
-            Some(s) => s,
-            None => {
-                // Wait cancelled by a rule: end quietly (the rule that
-                // cancelled us decides what happens next).
-                self.finished = true;
-                self.harness.opened();
-                return Ok(());
-            }
-        };
-        self.stream = Some(stream);
+        self.metrics = self.harness.metrics("wrapper_scan");
+        self.input = Some(match (self.timeout_ms, self.prefetch) {
+            (None, None) => Input::Inline(stream),
+            _ => self.feed(wrapper, stream)?,
+        });
         self.finished = false;
         self.opened_at = Some(Instant::now());
         self.saw_first = false;
         self.stalled = false;
-        self.metrics = self.harness.metrics("wrapper_scan");
         self.harness.opened();
         Ok(())
     }
@@ -107,44 +187,30 @@ impl Operator for WrapperScan {
             return Ok(None);
         }
         let max = self.harness.batch_size();
-        let stream = self
-            .stream
-            .as_mut()
-            .ok_or_else(|| TukwilaError::Internal("WrapperScan::next_batch before open".into()))?;
         loop {
             if !self.harness.is_active() {
                 self.finished = true;
                 return Ok(None);
             }
-            let event = match self.timeout_ms {
-                Some(ms) => {
-                    match stream.next_batch_event_timeout(max, Duration::from_millis(ms)) {
-                        Some(ev) => ev,
-                        None => {
-                            // Source has not responded in `ms` msec: raise the
-                            // event; rules run synchronously inside emit. If a
-                            // rule requested an engine-level response, surface
-                            // a recoverable error so the fragment loop can act.
-                            let trace = self.harness.trace();
-                            if trace.events_enabled() {
-                                trace.emit(TraceEvent::SourceStall {
-                                    source: self.source.clone(),
-                                    waited_ms: ms,
-                                });
-                            }
-                            self.stalled = true;
-                            self.harness.timeout(ms);
-                            if self.harness.signal_pending() {
-                                return Err(TukwilaError::SourceTimeout {
-                                    source: self.source.clone(),
-                                    timeout_ms: ms,
-                                });
-                            }
-                            continue; // deactivated? checked at loop head
-                        }
+            let Some(input) = &mut self.input else {
+                return Err(TukwilaError::Internal(
+                    "WrapperScan::next_batch before open".into(),
+                ));
+            };
+            let event = match input.next(max, self.timeout_ms) {
+                Ok(Some(event)) => event,
+                Ok(None) => {
+                    // Only a read with a deadline comes back empty.
+                    if let Some(ms) = self.timeout_ms {
+                        self.timed_out(ms)?;
                     }
+                    continue; // deactivated? checked at loop head
                 }
-                None => stream.next_batch_event(max),
+                Err(e) => {
+                    self.finished = true;
+                    self.harness.failed();
+                    return Err(e);
+                }
             };
             match event {
                 SourceBatchEvent::Batch(batch) => {
@@ -202,7 +268,8 @@ impl Operator for WrapperScan {
     }
 
     fn close(&mut self) -> Result<()> {
-        self.stream = None; // drops prefetch thread if any
+        // A dropped feeder group wakes its source and joins its thread.
+        self.input = None;
         Ok(())
     }
 
@@ -239,8 +306,19 @@ mod tests {
         timeout_ms: Option<u64>,
         extra_rule: Option<Rule>,
     ) -> (WrapperScan, Arc<PlanRuntime>, tukwila_plan::OpId) {
+        setup_opts(20, link, timeout_ms, None, extra_rule)
+    }
+
+    /// A scan of `rows` rows with every option of `(wrapper src …)`.
+    fn setup_opts(
+        rows: i64,
+        link: LinkModel,
+        timeout_ms: Option<u64>,
+        prefetch: Option<usize>,
+        extra_rule: Option<Rule>,
+    ) -> (WrapperScan, Arc<PlanRuntime>, tukwila_plan::OpId) {
         let mut b = PlanBuilder::new();
-        let scan = b.wrapper_scan_opts("src", timeout_ms, None);
+        let scan = b.wrapper_scan_opts("src", timeout_ms, prefetch);
         let id = scan.id;
         let f = b.fragment(scan, "out");
         let mut plan = b.build(f);
@@ -248,10 +326,19 @@ mod tests {
             plan.global_rules.push(r);
         }
         let registry = SourceRegistry::new();
-        registry.register(SimulatedSource::new("src", rel(20), link));
+        registry.register(SimulatedSource::new("src", rel(rows), link));
         let rt = PlanRuntime::for_plan(&plan, ExecEnv::new(registry));
         let h = OpHarness::new(rt.clone(), SubjectRef::Op(id));
-        (WrapperScan::new("src".into(), timeout_ms, None, h), rt, id)
+        (
+            WrapperScan::new("src".into(), timeout_ms, prefetch, h),
+            rt,
+            id,
+        )
+    }
+
+    /// A scan of `rows` rows over `link` reading `prefetch` tuples ahead.
+    fn prefetching(rows: i64, link: LinkModel, prefetch: Option<usize>) -> WrapperScan {
+        setup_opts(rows, link, None, prefetch, None).0
     }
 
     #[test]
@@ -333,5 +420,78 @@ mod tests {
         let h = OpHarness::new(rt, SubjectRef::Op(id));
         let mut op = WrapperScan::new("ghost".into(), None, None, h);
         assert_eq!(op.open().unwrap_err().kind(), "source_unavailable");
+    }
+
+    #[test]
+    fn prefetching_overlaps_waiting() {
+        // Source delivers a tuple every 2ms; consumer takes 2ms per tuple.
+        // Inline: ~4ms/tuple. Prefetching: ~2ms/tuple once warmed up.
+        let link = LinkModel {
+            per_tuple: Duration::from_millis(2),
+            ..LinkModel::instant()
+        };
+        let n = 25;
+        let consume = |mut op: WrapperScan| {
+            op.open().unwrap();
+            let start = Instant::now();
+            while let Some(batch) = op.next_batch().unwrap() {
+                std::thread::sleep(Duration::from_millis(2) * batch.len() as u32);
+            }
+            let took = start.elapsed();
+            op.close().unwrap();
+            took
+        };
+        let direct = consume(prefetching(n, link.clone(), None));
+        let prefetched = consume(prefetching(n, link, Some(64)));
+        assert!(
+            prefetched < direct,
+            "prefetching ({prefetched:?}) should beat direct ({direct:?})"
+        );
+    }
+
+    #[test]
+    fn error_propagates_through_prefetch() {
+        let mut op = prefetching(10, LinkModel::failing(3), Some(4));
+        op.open().unwrap();
+        let mut n = 0;
+        let err = loop {
+            match op.next_batch() {
+                Ok(Some(batch)) => n += batch.len(),
+                Ok(None) => panic!("expected error"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(n, 3, "all pre-failure tuples delivered before the error");
+        assert_eq!(err.kind(), "source_unavailable");
+        assert!(err.to_string().contains("src"), "{err}");
+    }
+
+    #[test]
+    fn stream_end_is_sticky_when_prefetching() {
+        let mut op = prefetching(1, LinkModel::instant(), Some(2));
+        op.open().unwrap();
+        assert_eq!(op.next_batch().unwrap().map(|b| b.len()), Some(1));
+        assert!(op.next_batch().unwrap().is_none());
+        assert!(op.next_batch().unwrap().is_none());
+        op.close().unwrap();
+    }
+
+    #[test]
+    fn prefetched_batches_are_whole_bursts() {
+        let (mut op, rt, _) = setup_opts(100, LinkModel::instant(), None, Some(64), None);
+        let max = rt.env().batch_size;
+        op.open().unwrap();
+        let (mut total, mut batches) = (0, 0);
+        while let Some(batch) = op.next_batch().unwrap() {
+            assert!(batch.len() <= max);
+            total += batch.len();
+            batches += 1;
+        }
+        assert_eq!(total, 100);
+        assert!(
+            max == 1 || batches < 100,
+            "buffered tuples must coalesce into bursts"
+        );
+        op.close().unwrap();
     }
 }

@@ -3,9 +3,10 @@
 //! One test in its own binary, so no other test's threads are alive in the
 //! process: after each case, `/proc/self/task/*/comm` must list no thread
 //! whose name carries the feeder prefix. Every case runs for the double
-//! pipelined join, the dynamic collector and the in-process exchange. A
-//! build-first (hybrid) join, which pulls its inputs inline, starts no
-//! thread at all.
+//! pipelined join, the dynamic collector and the in-process exchange; a
+//! wrapper scan with a timeout, whose source runs on a feeder, also times
+//! out under a deactivate rule and under a reschedule rule. A build-first
+//! (hybrid) join, which pulls its inputs inline, starts no thread at all.
 #![cfg(target_os = "linux")]
 
 use std::time::{Duration, Instant};
@@ -14,7 +15,10 @@ use tukwila_common::{DataType, Relation, Result, Schema, Tuple, Value};
 use tukwila_exec::feeder::THREAD_PREFIX;
 use tukwila_exec::runtime::{ExecEnv, PlanRuntime};
 use tukwila_exec::{build_operator, Operator};
-use tukwila_plan::{JoinKind, OverflowMethod, PlanBuilder, QueryPlan};
+use tukwila_plan::{
+    Action, Condition, EventKind, EventPattern, FragmentId, JoinKind, OverflowMethod, PlanBuilder,
+    QueryPlan, Rule, SubjectRef,
+};
 use tukwila_source::{LinkModel, SimulatedSource, SourceRegistry};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -23,6 +27,8 @@ enum Shape {
     Collector,
     Exchange,
     Hybrid,
+    /// `(wrapper left :timeout 20)`.
+    TimedScan,
 }
 
 /// Names of this process's live feeder threads.
@@ -72,6 +78,7 @@ fn plan(shape: Shape, left: &str, right: &str) -> QueryPlan {
     let mut b = PlanBuilder::new();
     let root = match shape {
         Shape::Collector => (b.collector(&[(left, true), (right, true)], None)).0,
+        Shape::TimedScan => b.wrapper_scan_opts(left, Some(20), None),
         Shape::Hybrid => {
             let (l, r) = (b.wrapper_scan(left), b.wrapper_scan(right));
             b.join(JoinKind::HybridHash, l, r, "k", "k")
@@ -111,7 +118,21 @@ fn close_early(op: &mut dyn Operator) {
 }
 
 fn case(shape: Shape, what: &str, left: &str, right: &str, reg: &SourceRegistry) {
-    let plan = plan(shape, left, right);
+    let mut plan = plan(shape, left, right);
+    let root = plan.fragments[0].root.id;
+    match what {
+        "times out, deactivated" => plan.global_rules.push(Rule::new(
+            "kill-on-timeout",
+            SubjectRef::Fragment(FragmentId(0)),
+            EventPattern::new(EventKind::Timeout, SubjectRef::Op(root)),
+            Condition::True,
+            vec![Action::Deactivate(SubjectRef::Op(root))],
+        )),
+        "times out, rescheduled" => {
+            (plan.global_rules).push(Rule::reschedule_on_timeout(FragmentId(0), root))
+        }
+        _ => {}
+    }
     let rt = PlanRuntime::for_plan(&plan, ExecEnv::new(reg.clone()));
     let mut op = build_operator(&plan.fragments[0].root, &rt).expect("build");
     match what {
@@ -134,6 +155,12 @@ fn case(shape: Shape, what: &str, left: &str, right: &str, reg: &SourceRegistry)
                 assert_eq!(err.kind(), "source_unavailable");
             }
         },
+        // The stalled source's feeder sleeps on; the scan ends quietly.
+        "times out, deactivated" => run_to_end(op.as_mut()).expect("quiet end"),
+        "times out, rescheduled" => {
+            let err = run_to_end(op.as_mut()).expect_err("timeout");
+            assert_eq!(err.kind(), "source_timeout");
+        }
         other => unreachable!("{other}"),
     }
     drop(op);
@@ -185,6 +212,12 @@ fn no_feeder_thread_outlives_its_operator() {
             let what = "one side fails at open, the other stalls";
             case(shape, what, failing_open, "stalled", &reg);
         }
+        let timed = Shape::TimedScan;
+        case(timed, "full drain", "fast", "fast", &reg);
+        case(timed, "close without drain", "stalled", "stalled", &reg);
+        case(timed, "child error mid-stream", "failing", "failing", &reg);
+        case(timed, "times out, deactivated", "stalled", "stalled", &reg);
+        case(timed, "times out, rescheduled", "stalled", "stalled", &reg);
         build_first_starts_no_thread(&reg);
     });
     let deadline = Instant::now() + Duration::from_secs(60);

@@ -227,21 +227,11 @@ impl SourceResultCache {
     /// the caller's own flight, return [`CacheLookup::Bypass`] instead of
     /// waiting — the leader's stream is drained by the caller's own
     /// thread, so waiting would self-deadlock (self-joins). `cancel`
-    /// aborts the wait when flipped from another thread.
+    /// aborts the wait when flipped from another thread. The flag beside
+    /// the outcome says whether the caller waited on another flight's
+    /// fetch: the bit that tells a *coalesced* hit from a plain one in
+    /// per-query attribution.
     pub fn lookup_or_lead(
-        &self,
-        key: &SourceQueryKey,
-        flight: u64,
-        cancel: Option<&AtomicBool>,
-    ) -> CacheLookup {
-        self.lookup_or_lead_observed(key, flight, cancel).0
-    }
-
-    /// [`SourceResultCache::lookup_or_lead`] additionally reporting whether
-    /// the caller waited on another flight's in-progress fetch — the bit
-    /// that distinguishes a *coalesced* hit from a plain one in per-query
-    /// attribution.
-    pub fn lookup_or_lead_observed(
         &self,
         key: &SourceQueryKey,
         flight: u64,
@@ -439,7 +429,7 @@ mod tests {
     }
 
     fn fulfill(cache: &SourceResultCache, key: &SourceQueryKey, r: Arc<Relation>) {
-        match cache.lookup_or_lead(key, 1, None) {
+        match cache.lookup_or_lead(key, 1, None).0 {
             CacheLookup::Lead(lease) => lease.fulfill(r),
             _ => panic!("expected to lead"),
         }
@@ -450,7 +440,7 @@ mod tests {
         let cache = SourceResultCache::new(1 << 20);
         let key = SourceQueryKey::full_scan("supplier");
         fulfill(&cache, &key, rel(10));
-        match cache.lookup_or_lead(&key, 2, None) {
+        match cache.lookup_or_lead(&key, 2, None).0 {
             CacheLookup::Hit(r) => assert_eq!(r.len(), 10),
             _ => panic!("expected hit"),
         }
@@ -464,7 +454,10 @@ mod tests {
         let cache = SourceResultCache::new(1 << 20);
         fulfill(&cache, &SourceQueryKey::full_scan("a"), rel(3));
         fulfill(&cache, &SourceQueryKey::full_scan("b"), rel(7));
-        match cache.lookup_or_lead(&SourceQueryKey::full_scan("a"), 1, None) {
+        match cache
+            .lookup_or_lead(&SourceQueryKey::full_scan("a"), 1, None)
+            .0
+        {
             CacheLookup::Hit(r) => assert_eq!(r.len(), 3),
             _ => panic!("expected hit"),
         }
@@ -497,7 +490,9 @@ mod tests {
         fulfill(&cache, &SourceQueryKey::full_scan("b"), rel(50));
         // touch "a" so "b" becomes the LRU victim
         assert!(matches!(
-            cache.lookup_or_lead(&SourceQueryKey::full_scan("a"), 1, None),
+            cache
+                .lookup_or_lead(&SourceQueryKey::full_scan("a"), 1, None)
+                .0,
             CacheLookup::Hit(_)
         ));
         fulfill(&cache, &SourceQueryKey::full_scan("c"), rel(50));
@@ -520,7 +515,7 @@ mod tests {
         let cache = SourceResultCache::new(1 << 20);
         let key = SourceQueryKey::full_scan("slow");
         // Leader takes the lease, then fulfils after a delay.
-        let lease = match cache.lookup_or_lead(&key, 1, None) {
+        let lease = match cache.lookup_or_lead(&key, 1, None).0 {
             CacheLookup::Lead(l) => l,
             _ => panic!("expected lead"),
         };
@@ -529,7 +524,7 @@ mod tests {
             let cache = cache.clone();
             let key = key.clone();
             handles.push(thread::spawn(move || {
-                match cache.lookup_or_lead(&key, 100 + i, None) {
+                match cache.lookup_or_lead(&key, 100 + i, None).0 {
                     CacheLookup::Hit(r) => r.len(),
                     _ => panic!("waiter must be served by the leader"),
                 }
@@ -553,18 +548,18 @@ mod tests {
         // deadlock. It bypasses and fetches directly instead.
         let cache = SourceResultCache::new(1 << 20);
         let key = SourceQueryKey::full_scan("s");
-        let lease = match cache.lookup_or_lead(&key, 7, None) {
+        let lease = match cache.lookup_or_lead(&key, 7, None).0 {
             CacheLookup::Lead(l) => l,
             _ => panic!("expected lead"),
         };
         assert!(
-            matches!(cache.lookup_or_lead(&key, 7, None), CacheLookup::Bypass),
+            matches!(cache.lookup_or_lead(&key, 7, None).0, CacheLookup::Bypass),
             "same flight must bypass, not wait"
         );
         lease.fulfill(rel(3));
         // Once the entry is ready the same flight hits like anyone else.
         assert!(matches!(
-            cache.lookup_or_lead(&key, 7, None),
+            cache.lookup_or_lead(&key, 7, None).0,
             CacheLookup::Hit(_)
         ));
     }
@@ -578,27 +573,27 @@ mod tests {
         let cache = SourceResultCache::new(1 << 20);
         let x = SourceQueryKey::full_scan("x");
         let y = SourceQueryKey::full_scan("y");
-        let lease_x = match cache.lookup_or_lead(&x, 1, None) {
+        let lease_x = match cache.lookup_or_lead(&x, 1, None).0 {
             CacheLookup::Lead(l) => l,
             _ => panic!("expected lead"),
         };
-        let lease_y = match cache.lookup_or_lead(&y, 2, None) {
+        let lease_y = match cache.lookup_or_lead(&y, 2, None).0 {
             CacheLookup::Lead(l) => l,
             _ => panic!("expected lead"),
         };
         assert!(
-            matches!(cache.lookup_or_lead(&y, 1, None), CacheLookup::Bypass),
+            matches!(cache.lookup_or_lead(&y, 1, None).0, CacheLookup::Bypass),
             "flight 1 holds X's lease; it must not wait on Y"
         );
         assert!(
-            matches!(cache.lookup_or_lead(&x, 2, None), CacheLookup::Bypass),
+            matches!(cache.lookup_or_lead(&x, 2, None).0, CacheLookup::Bypass),
             "flight 2 holds Y's lease; it must not wait on X"
         );
         // Once a flight's leases resolve, it waits/coalesces normally again.
         lease_x.fulfill(rel(1));
         lease_y.fulfill(rel(2));
         assert!(matches!(
-            cache.lookup_or_lead(&y, 1, None),
+            cache.lookup_or_lead(&y, 1, None).0,
             CacheLookup::Hit(_)
         ));
     }
@@ -607,14 +602,14 @@ mod tests {
     fn abandoned_lease_promotes_a_waiter() {
         let cache = SourceResultCache::new(1 << 20);
         let key = SourceQueryKey::full_scan("flaky");
-        let lease = match cache.lookup_or_lead(&key, 1, None) {
+        let lease = match cache.lookup_or_lead(&key, 1, None).0 {
             CacheLookup::Lead(l) => l,
             _ => panic!("expected lead"),
         };
         let waiter = {
             let cache = cache.clone();
             let key = key.clone();
-            thread::spawn(move || match cache.lookup_or_lead(&key, 2, None) {
+            thread::spawn(move || match cache.lookup_or_lead(&key, 2, None).0 {
                 CacheLookup::Lead(l) => {
                     l.fulfill(rel(7));
                     "promoted"
@@ -634,7 +629,7 @@ mod tests {
     fn cancelled_waiter_returns_promptly() {
         let cache = SourceResultCache::new(1 << 20);
         let key = SourceQueryKey::full_scan("stuck");
-        let _lease = match cache.lookup_or_lead(&key, 1, None) {
+        let _lease = match cache.lookup_or_lead(&key, 1, None).0 {
             CacheLookup::Lead(l) => l,
             _ => panic!("expected lead"),
         };
@@ -645,7 +640,7 @@ mod tests {
             let cancel = cancel.clone();
             thread::spawn(move || {
                 matches!(
-                    cache.lookup_or_lead(&key, 2, Some(&cancel)),
+                    cache.lookup_or_lead(&key, 2, Some(&cancel)).0,
                     CacheLookup::Cancelled
                 )
             })

@@ -16,8 +16,13 @@
 //!
 //! A [`SimulatedSource`] pairs a relation with a link model; a
 //! [`Wrapper`] exposes it through the paper's wrapper interface (atomic
-//! fetch queries, optional prefetch buffering — "Wrappers w/ buffering" in
-//! Figure 2). Delays are real wall-clock sleeps scaled to milliseconds:
+//! fetch queries, optionally through the shared [`SourceResultCache`]).
+//! Everything a connection or wrapper stream yields is a
+//! [`SourceBatchEvent`]: an arrival burst as one batch, or how the stream
+//! ended. This crate starts no thread: the buffering of Figure 2's
+//! "wrappers w/ buffering" and the `timeout(n)` deadline belong to the
+//! engine, whose wrapper scan runs a stream on a feeder when it needs
+//! either. Delays are real wall-clock sleeps scaled to milliseconds:
 //! adaptive behaviour is preserved, absolute times shrink (DESIGN.md §3).
 
 pub mod cache;
@@ -29,7 +34,7 @@ pub mod wrapper;
 pub use cache::{CacheLookup, CacheStats, FetchLease, SourceQueryKey, SourceResultCache};
 pub use link::LinkModel;
 pub use registry::SourceRegistry;
-pub use source::{SimulatedSource, SourceBatchEvent, SourceConnection, SourceEvent};
+pub use source::{SimulatedSource, SourceBatchEvent, SourceConnection};
 pub use wrapper::{FetchVia, Wrapper, WrapperStream};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,6 +62,23 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::time::Instant;
+    use tukwila_common::Tuple;
+
+    /// Pull batches of up to 64 rows through `next` until the stream ends:
+    /// every row, or why it stopped.
+    pub(crate) fn drain(
+        mut next: impl FnMut(usize) -> SourceBatchEvent,
+    ) -> Result<Vec<Tuple>, String> {
+        let mut out = Vec::new();
+        loop {
+            match next(64) {
+                SourceBatchEvent::Batch(b) => out.extend(b.into_tuples()),
+                SourceBatchEvent::End => return Ok(out),
+                SourceBatchEvent::Error(e) => return Err(e),
+                SourceBatchEvent::Cancelled => return Err("cancelled".into()),
+            }
+        }
+    }
 
     #[test]
     fn interruptible_sleep_completes() {

@@ -92,6 +92,7 @@ impl SourceRegistry {
 mod tests {
     use super::*;
     use crate::link::LinkModel;
+    use crate::tests::drain;
     use tukwila_common::{tuple, DataType, Relation, Schema};
 
     fn rel() -> Relation {
@@ -106,7 +107,8 @@ mod tests {
         let reg = SourceRegistry::new();
         reg.register(SimulatedSource::new("bib1", rel(), LinkModel::instant()));
         let w = reg.wrapper("bib1").unwrap();
-        assert_eq!(w.fetch().drain().unwrap().len(), 1);
+        let mut s = w.fetch();
+        assert_eq!(drain(|max| s.next_batch_event(max)).unwrap().len(), 1);
         assert!(reg.contains("bib1"));
         assert_eq!(reg.names(), vec!["bib1".to_string()]);
     }

@@ -12,16 +12,16 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tukwila_common::{Relation, Schema, Tuple, TupleBatch};
+use tukwila_common::{Relation, Schema, TupleBatch};
 
 use crate::interruptible_sleep;
 use crate::link::LinkModel;
 
-/// What a connection yields next.
+/// What a connection yields next: an arrival burst or how the stream ended.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SourceEvent {
-    /// A data tuple arrived.
-    Tuple(Tuple),
+pub enum SourceBatchEvent {
+    /// One or more tuples arrived together (never empty).
+    Batch(TupleBatch),
     /// The stream finished normally.
     End,
     /// The connection failed permanently (after `fail_after` tuples, or the
@@ -29,33 +29,6 @@ pub enum SourceEvent {
     Error(String),
     /// The pull was cancelled via the cancel flag before data arrived.
     Cancelled,
-}
-
-/// Batch-granularity variant of [`SourceEvent`]: the wrapper delivery path
-/// hands over arrival *bursts* as [`TupleBatch`]es instead of per-tuple
-/// events.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SourceBatchEvent {
-    /// One or more tuples arrived together (never empty).
-    Batch(TupleBatch),
-    /// The stream finished normally.
-    End,
-    /// The connection failed permanently.
-    Error(String),
-    /// The pull was cancelled before data arrived.
-    Cancelled,
-}
-
-impl SourceBatchEvent {
-    /// Lift a per-tuple event into the batch domain.
-    pub fn from_event(ev: SourceEvent) -> Self {
-        match ev {
-            SourceEvent::Tuple(t) => SourceBatchEvent::Batch(TupleBatch::singleton(t)),
-            SourceEvent::End => SourceBatchEvent::End,
-            SourceEvent::Error(e) => SourceBatchEvent::Error(e),
-            SourceEvent::Cancelled => SourceBatchEvent::Cancelled,
-        }
-    }
 }
 
 /// A simulated remote data source.
@@ -72,13 +45,11 @@ impl SimulatedSource {
     ///
     /// The relation's columnar representation is forced **here** — at
     /// registry-setup time, outside any timed query window — so every
-    /// connection serves typed columnar slices instead of cloning row
-    /// views, and downstream kernels never pay a conversion. Only the
-    /// columnar form is retained: a relation built row-by-row would
-    /// otherwise pin one allocation per tuple, and freeing those when the
-    /// registry drops lands inside the query's timed window. Per-tuple
-    /// consumers ([`SourceConnection::next_event`]) rematerialize row
-    /// views lazily.
+    /// connection serves typed columnar slices and downstream kernels never
+    /// pay a conversion. Only the columnar form is retained: a relation
+    /// built row-by-row would otherwise pin one allocation per tuple, and
+    /// freeing those when the registry drops lands inside the query's timed
+    /// window.
     pub fn new(name: impl Into<String>, relation: Relation, link: LinkModel) -> Self {
         SimulatedSource {
             name: name.into(),
@@ -121,12 +92,6 @@ impl SimulatedSource {
         &self.link
     }
 
-    /// Replace the link model (workload setup convenience).
-    pub fn with_link(mut self, link: LinkModel) -> Self {
-        self.link = link;
-        self
-    }
-
     /// Open a connection. `conn_ordinal` distinguishes parallel connections
     /// for jitter seeding.
     pub fn connect(&self, conn_ordinal: u64) -> SourceConnection {
@@ -167,11 +132,6 @@ impl SourceConnection {
         &self.source_name
     }
 
-    /// Tuples delivered so far.
-    pub fn delivered(&self) -> usize {
-        self.pos
-    }
-
     fn jittered(&mut self, d: Duration) -> Duration {
         if self.link.jitter_frac <= 0.0 || d.is_zero() {
             return d;
@@ -183,175 +143,93 @@ impl SourceConnection {
         d.mul_f64(f.max(0.0))
     }
 
-    /// Block until the next tuple arrives (per the link model) and return
-    /// it. Returns [`SourceEvent::End`] at stream end, `Error` on injected
-    /// failure, `Cancelled` if the cancel flag was raised mid-wait.
-    pub fn next_event(&mut self) -> SourceEvent {
-        match self.pace_one() {
-            // `pace_one` advanced past the arrived row; clone its view.
-            None => SourceEvent::Tuple(self.relation.tuples()[self.pos - 1].clone()),
-            Some(terminal) => terminal,
+    /// Sleep `d` unless cancelled first.
+    fn wait(&self, d: Duration) -> Result<(), SourceBatchEvent> {
+        if interruptible_sleep(d, &self.cancel) {
+            Ok(())
+        } else {
+            Err(SourceBatchEvent::Cancelled)
         }
     }
 
-    /// Wait out the link model for exactly one row. Returns `None` when a
-    /// row arrived (`self.pos` advanced past it) and `Some(event)` on a
-    /// terminal condition. Touches **only** positions — never the
-    /// relation's row or column data — so the batch path can slice the
-    /// columnar form without ever materializing row views.
-    ///
-    /// KEEP IN LOCKSTEP with [`SourceConnection::zero_wait_run`]: any new
-    /// delay or terminal condition added here must be mirrored there.
-    fn pace_one(&mut self) -> Option<SourceEvent> {
+    /// Wait out the link model for the next arrival run of at most `max`
+    /// rows and advance past it, returning where the run starts. The first
+    /// row pays every wait due before it (initial delay, stall, burst gap,
+    /// per-tuple time); the run then takes each following row that arrives
+    /// with no wait at all and stops before the first that would wait, fail
+    /// or end the stream. Those conditions surface on the next call, so
+    /// `End`/`Error`/`Cancelled` each come on a pull of their own and stay
+    /// there. Touches only positions, never the relation's data.
+    fn pace(&mut self, max: usize) -> Result<usize, SourceBatchEvent> {
         if self.cancel.load(Ordering::Relaxed) {
-            return Some(SourceEvent::Cancelled);
+            return Err(SourceBatchEvent::Cancelled);
         }
         if !self.started {
             self.started = true;
             if self.link.unavailable {
-                return Some(SourceEvent::Error(format!(
+                return Err(SourceBatchEvent::Error(format!(
                     "source `{}` refused connection",
                     self.source_name
                 )));
             }
             let d = self.jittered(self.link.initial_delay);
-            if !interruptible_sleep(d, &self.cancel) {
-                return Some(SourceEvent::Cancelled);
-            }
+            self.wait(d)?;
         }
+        let start = self.pos;
+        // The first row this connection cannot deliver.
+        let mut limit = self.relation.len();
         if let Some(f) = self.link.fail_after {
-            if self.pos >= f {
-                return Some(SourceEvent::Error(format!(
+            if start >= f {
+                return Err(SourceBatchEvent::Error(format!(
                     "source `{}` connection dropped after {f} tuples",
                     self.source_name
                 )));
             }
+            limit = limit.min(f);
         }
-        if self.pos >= self.relation.len() {
-            return Some(SourceEvent::End);
+        if start >= limit {
+            return Err(SourceBatchEvent::End);
         }
-        if let Some(s) = self.link.stall_after {
-            if self.pos == s {
-                let d = self.link.stall_duration;
-                if !interruptible_sleep(d, &self.cancel) {
-                    return Some(SourceEvent::Cancelled);
-                }
+        match self.link.stall_after {
+            Some(s) if s == start => self.wait(self.link.stall_duration)?,
+            Some(s) if s > start => limit = limit.min(s),
+            _ => {}
+        }
+        let burst = self.link.burst_size;
+        if burst != usize::MAX && burst > 0 {
+            // A gap is due before every `burst`-th row (not the first).
+            if start > 0 && start.is_multiple_of(burst) {
+                let d = self.jittered(self.link.burst_gap);
+                self.wait(d)?;
             }
-        }
-        // burst gap every `burst_size` tuples (not before the first)
-        if self.pos > 0
-            && self.link.burst_size != usize::MAX
-            && self.link.burst_size > 0
-            && self.pos.is_multiple_of(self.link.burst_size)
-        {
-            let d = self.jittered(self.link.burst_gap);
-            if !interruptible_sleep(d, &self.cancel) {
-                return Some(SourceEvent::Cancelled);
+            if !self.link.burst_gap.is_zero() {
+                limit = limit.min((start / burst + 1) * burst);
             }
         }
         let d = self.jittered(self.link.per_tuple);
-        if !d.is_zero() && !interruptible_sleep(d, &self.cancel) {
-            return Some(SourceEvent::Cancelled);
+        if !d.is_zero() {
+            self.wait(d)?;
         }
-        self.pos += 1;
-        None
-    }
-
-    /// Length of the run of tuples starting at `pos` that would arrive
-    /// with **zero** waiting (capped at `want`): the bulk-delivery window a
-    /// burst can hand over without re-checking the link model per tuple.
-    /// This is what makes a burst a burst — tuples that have effectively
-    /// "already arrived on the wire" are handed over together, while any
-    /// tuple that requires waiting ends the batch.
-    ///
-    /// KEEP IN LOCKSTEP with [`SourceConnection::next_event`]: every sleep
-    /// or terminal condition there must bound the run here, or
-    /// `next_batch_event` silently sleeps mid-burst (the behavioral tests
-    /// `paced_link_delivers_singletons` / `burst_gap_ends_batches` /
-    /// `batch_stops_at_stall` pin each knob).
-    fn zero_wait_run(&self, want: usize) -> usize {
-        if self.cancel.load(Ordering::Relaxed)
-            || !self.started
-            || !self.link.per_tuple.is_zero()
-            || self.pos >= self.relation.len()
-        {
-            return 0;
-        }
-        let mut end = self.relation.len();
-        if let Some(f) = self.link.fail_after {
-            if self.pos >= f {
-                return 0;
-            }
-            end = end.min(f);
-        }
-        if let Some(s) = self.link.stall_after {
-            if self.pos == s {
-                return 0;
-            }
-            if s > self.pos {
-                end = end.min(s);
-            }
-        }
-        let burst_bounded = self.link.burst_size != usize::MAX
-            && self.link.burst_size > 0
-            && !self.link.burst_gap.is_zero();
-        if burst_bounded {
-            if self.pos > 0 && self.pos.is_multiple_of(self.link.burst_size) {
-                return 0; // a burst gap is due right now
-            }
-            let next_gap = (self.pos / self.link.burst_size + 1) * self.link.burst_size;
-            end = end.min(next_gap);
-        }
-        end.saturating_sub(self.pos).min(want)
+        // A paced link owes a wait before every row: the run is one row.
+        self.pos = if self.link.per_tuple.is_zero() {
+            limit.min(start.saturating_add(max.max(1)))
+        } else {
+            start + 1
+        };
+        Ok(start)
     }
 
     /// Block until data arrives, then hand over the whole arrival burst (up
-    /// to `max` tuples): the first tuple is pulled with the full link-model
-    /// wait; subsequent tuples join the batch only while they are available
-    /// without *any* further waiting. Terminal conditions encountered
-    /// mid-burst are left for the next call, so `End`/`Error`/`Cancelled`
-    /// surface on their own (sticky) pull exactly as in the per-tuple API.
-    ///
-    /// Fast sources take the bulk path: the zero-wait run is computed once
-    /// and the batch is handed over as a **columnar slice** of the
-    /// relation's cached columnar form ([`Relation::columnar_cached`]) —
-    /// no per-tuple clone, no row views built — falling back to a row
-    /// slice clone only when the relation was never converted.
+    /// to `max` tuples) as a columnar slice of the source's relation: the
+    /// first tuple under the full link-model wait, the rest only while they
+    /// need no further waiting. Returns `End` at stream end, `Error` on
+    /// injected failure, `Cancelled` if the cancel flag was raised.
     pub fn next_batch_event(&mut self, max: usize) -> SourceBatchEvent {
-        let start = self.pos;
-        if let Some(terminal) = self.pace_one() {
-            return SourceBatchEvent::from_event(terminal);
-        }
-        debug_assert_eq!(self.pos, start + 1, "pace_one advances one row");
-        // Extend the batch with zero-wait runs: everything delivered by one
-        // call is a contiguous span of relation rows [start, self.pos).
-        let mut taken = 1usize;
-        while taken < max {
-            let run = self.zero_wait_run(max - taken);
-            if run == 0 {
-                break;
-            }
-            self.pos += run;
-            taken += run;
-        }
-        let batch = match self.relation.columnar_cached() {
-            Some(cols) => TupleBatch::from_columns(cols.slice(start, self.pos)),
-            None => TupleBatch::from_tuples(self.relation.tuples()[start..self.pos].to_vec()),
-        };
-        SourceBatchEvent::Batch(batch)
-    }
-
-    /// Drain the remaining stream into a vector (tests; ignores delays'
-    /// effects beyond waiting them out).
-    pub fn drain(&mut self) -> Result<Vec<Tuple>, String> {
-        let mut out = Vec::new();
-        loop {
-            match self.next_event() {
-                SourceEvent::Tuple(t) => out.push(t),
-                SourceEvent::End => return Ok(out),
-                SourceEvent::Error(e) => return Err(e),
-                SourceEvent::Cancelled => return Err("cancelled".into()),
-            }
+        match self.pace(max) {
+            Ok(start) => SourceBatchEvent::Batch(TupleBatch::from_columns(
+                self.relation.columnar().slice(start, self.pos),
+            )),
+            Err(terminal) => terminal,
         }
     }
 }
@@ -359,8 +237,9 @@ impl SourceConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::drain;
     use std::time::Instant;
-    use tukwila_common::{tuple, DataType, Schema};
+    use tukwila_common::{tuple, DataType, Schema, Tuple};
 
     fn rel(n: i64) -> Relation {
         let schema = Schema::of("s", &[("a", DataType::Int)]);
@@ -374,7 +253,8 @@ mod tests {
     #[test]
     fn streams_all_tuples_in_order() {
         let src = SimulatedSource::new("s1", rel(100), LinkModel::instant());
-        let got = src.connect(0).drain().unwrap();
+        let mut conn = src.connect(0);
+        let got = drain(|max| conn.next_batch_event(max)).unwrap();
         assert_eq!(got.len(), 100);
         assert_eq!(got[7], tuple![7]);
     }
@@ -388,20 +268,20 @@ mod tests {
         let src = SimulatedSource::new("s1", rel(5), link);
         let start = Instant::now();
         let mut conn = src.connect(0);
-        let first = conn.next_event();
-        assert!(matches!(first, SourceEvent::Tuple(_)));
+        let first = conn.next_batch_event(1);
+        assert!(matches!(first, SourceBatchEvent::Batch(_)));
         assert!(start.elapsed() >= Duration::from_millis(25));
         // subsequent tuples come instantly
         let t2 = Instant::now();
-        conn.next_event();
+        conn.next_batch_event(1);
         assert!(t2.elapsed() < Duration::from_millis(10));
     }
 
     #[test]
     fn unavailable_source_errors_at_connect() {
         let src = SimulatedSource::new("down", rel(5), LinkModel::down());
-        match src.connect(0).next_event() {
-            SourceEvent::Error(e) => assert!(e.contains("down")),
+        match src.connect(0).next_batch_event(64) {
+            SourceBatchEvent::Error(e) => assert!(e.contains("down")),
             other => panic!("expected error, got {other:?}"),
         }
     }
@@ -412,9 +292,9 @@ mod tests {
         let mut conn = src.connect(0);
         let mut n = 0;
         loop {
-            match conn.next_event() {
-                SourceEvent::Tuple(_) => n += 1,
-                SourceEvent::Error(_) => break,
+            match conn.next_batch_event(1) {
+                SourceBatchEvent::Batch(b) => n += b.len(),
+                SourceBatchEvent::Error(_) => break,
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -426,17 +306,23 @@ mod tests {
         let src = SimulatedSource::new("stall", rel(10), LinkModel::stalling(2));
         let mut conn = src.connect(0);
         let cancel = conn.cancel_handle();
-        assert!(matches!(conn.next_event(), SourceEvent::Tuple(_)));
-        assert!(matches!(conn.next_event(), SourceEvent::Tuple(_)));
+        assert!(matches!(
+            conn.next_batch_event(1),
+            SourceBatchEvent::Batch(_)
+        ));
+        assert!(matches!(
+            conn.next_batch_event(1),
+            SourceBatchEvent::Batch(_)
+        ));
         // Third pull would stall for an hour; cancel from another thread.
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             cancel.store(true, Ordering::Relaxed);
         });
         let start = Instant::now();
-        let ev = conn.next_event();
+        let ev = conn.next_batch_event(1);
         h.join().unwrap();
-        assert_eq!(ev, SourceEvent::Cancelled);
+        assert_eq!(ev, SourceBatchEvent::Cancelled);
         assert!(start.elapsed() < Duration::from_secs(5));
     }
 
@@ -444,10 +330,12 @@ mod tests {
     fn end_is_sticky() {
         let src = SimulatedSource::new("s", rel(1), LinkModel::instant());
         let mut conn = src.connect(0);
-        assert!(matches!(conn.next_event(), SourceEvent::Tuple(_)));
-        assert_eq!(conn.next_event(), SourceEvent::End);
-        assert_eq!(conn.next_event(), SourceEvent::End);
-        assert_eq!(conn.delivered(), 1);
+        match conn.next_batch_event(64) {
+            SourceBatchEvent::Batch(b) => assert_eq!(b.len(), 1),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(conn.next_batch_event(64), SourceBatchEvent::End);
+        assert_eq!(conn.next_batch_event(64), SourceBatchEvent::End);
     }
 
     #[test]
@@ -543,7 +431,8 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        let gold = src.connect(1).drain().unwrap();
+        let mut conn = src.connect(1);
+        let gold = drain(|max| conn.next_batch_event(max)).unwrap();
         assert_eq!(all, gold);
     }
 
@@ -555,8 +444,9 @@ mod tests {
             ..LinkModel::instant()
         };
         let src = SimulatedSource::new("s", rel(20), link).with_seed(9);
-        let a: Vec<Tuple> = src.connect(3).drain().unwrap();
-        let b: Vec<Tuple> = src.connect(3).drain().unwrap();
+        let (mut ca, mut cb) = (src.connect(3), src.connect(3));
+        let a: Vec<Tuple> = drain(|max| ca.next_batch_event(max)).unwrap();
+        let b: Vec<Tuple> = drain(|max| cb.next_batch_event(max)).unwrap();
         assert_eq!(a, b); // data identical; timing paths share the rng seed
     }
 }

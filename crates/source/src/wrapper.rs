@@ -3,23 +3,20 @@
 //! Tukwila's execution engine "communicates with the data sources through a
 //! set of wrapper programs" (§2) that accept *atomic fetch queries*
 //! (footnote 2: relational operators are applied inside the engine, not at
-//! the wrapper). Figure 2 shows the wrappers with buffering; §8 mentions
-//! optimistic prefetching as the natural extension. [`Wrapper::fetch`]
-//! returns a pull stream straight off the connection;
-//! [`Wrapper::fetch_prefetching`] interposes a buffering thread that reads
-//! ahead into a bounded queue — the configuration used by the prefetching
-//! ablation (DESIGN.md §6).
+//! the wrapper). [`Wrapper::fetch`] returns a stream straight off a
+//! connection; [`Wrapper::fetch_through_cache`] serves it through the
+//! shared source-result cache. Every stream yields arrival bursts as
+//! batches. Figure 2's "wrappers w/ buffering" are the engine's side of
+//! this: a wrapper scan with a timeout or a prefetch reads its stream off a
+//! feeder queue (DESIGN.md §6), so the wrapper layer starts no thread.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam_channel::{bounded, Receiver};
-
-use tukwila_common::{BatchBuilder, Relation, Schema, Tuple, TupleBatch};
+use tukwila_common::{Relation, Schema, TupleBatch};
 
 use crate::cache::{CacheLookup, FetchLease, SourceQueryKey, SourceResultCache};
-use crate::source::{SimulatedSource, SourceBatchEvent, SourceConnection, SourceEvent};
+use crate::source::{SimulatedSource, SourceBatchEvent, SourceConnection};
 
 /// How a cache-mediated fetch was served — the per-query attribution
 /// companion to the cache's global hit/miss/coalesced counters.
@@ -79,110 +76,53 @@ impl Wrapper {
 
     /// Issue an atomic fetch query: stream the source's relation.
     pub fn fetch(&self) -> WrapperStream {
-        let ordinal = self.conn_counter.fetch_add(1, Ordering::Relaxed);
-        WrapperStream::Direct(self.source.connect(ordinal))
+        WrapperStream::Direct(self.connect())
     }
 
-    /// Fetch through the shared source-result cache: a cached result
-    /// replays from memory (no network), a cold key makes this caller the
-    /// single-flight leader (its stream tees every tuple and installs the
-    /// complete result on clean end-of-stream), and a fetch already in
-    /// flight blocks until that leader completes — unless the leader is
-    /// this caller's own `flight` (a self-join on one thread), in which
-    /// case the fetch bypasses the cache to avoid self-deadlock. `base`
-    /// builds the underlying stream when a real fetch is needed (so the
-    /// caller keeps control of prefetching/timeout configuration);
-    /// `cancel` aborts a coalesced wait. Returns `None` if cancelled
-    /// while waiting.
+    fn connect(&self) -> SourceConnection {
+        let ordinal = self.conn_counter.fetch_add(1, Ordering::Relaxed);
+        self.source.connect(ordinal)
+    }
+
+    /// Fetch through the shared source-result cache, reporting *how* the
+    /// fetch was served (per-query cache attribution). A cached result
+    /// replays from memory (no network); a cold key makes this caller the
+    /// single-flight leader, whose stream tees every batch and installs the
+    /// complete result on clean end-of-stream; a fetch already in flight
+    /// blocks until that leader completes — unless the leader is this
+    /// caller's own `flight` (a self-join on one thread), in which case the
+    /// fetch bypasses the cache to avoid self-deadlock. `cancel` aborts a
+    /// coalesced wait. Returns `None` if cancelled while waiting.
     pub fn fetch_through_cache(
         &self,
         cache: &SourceResultCache,
         flight: u64,
         cancel: Option<&AtomicBool>,
-        base: impl FnOnce(&Wrapper) -> WrapperStream,
-    ) -> Option<WrapperStream> {
-        self.fetch_through_cache_observed(cache, flight, cancel, base)
-            .map(|(stream, _)| stream)
-    }
-
-    /// [`Wrapper::fetch_through_cache`] additionally reporting *how* the
-    /// fetch was served, for per-query cache attribution.
-    pub fn fetch_through_cache_observed(
-        &self,
-        cache: &SourceResultCache,
-        flight: u64,
-        cancel: Option<&AtomicBool>,
-        base: impl FnOnce(&Wrapper) -> WrapperStream,
     ) -> Option<(WrapperStream, FetchVia)> {
         let key = SourceQueryKey::full_scan(self.source_name());
-        let (lookup, waited) = cache.lookup_or_lead_observed(&key, flight, cancel);
-        match lookup {
-            CacheLookup::Hit(rel) => {
-                let via = if waited {
-                    FetchVia::Coalesced
-                } else {
-                    FetchVia::Hit
-                };
-                Some((WrapperStream::replay(rel), via))
+        match cache.lookup_or_lead(&key, flight, cancel) {
+            (CacheLookup::Hit(rel), true) => {
+                Some((WrapperStream::replay(rel), FetchVia::Coalesced))
             }
-            CacheLookup::Lead(lease) => Some((
+            (CacheLookup::Hit(rel), false) => Some((WrapperStream::replay(rel), FetchVia::Hit)),
+            (CacheLookup::Lead(lease), _) => Some((
                 WrapperStream::Tee {
-                    inner: Box::new(base(self)),
-                    schema: self.schema().clone(),
-                    tee: TeeState::new(lease),
+                    inner: self.connect(),
+                    tee: TeeState::new(self.schema().clone(), lease),
                 },
                 FetchVia::Lead,
             )),
-            CacheLookup::Bypass => Some((base(self), FetchVia::Bypass)),
-            CacheLookup::Cancelled => None,
-        }
-    }
-
-    /// Fetch with a prefetching buffer thread of capacity `buffer` tuples.
-    /// The thread keeps pulling from the source while the consumer is busy,
-    /// overlapping network wait with computation.
-    pub fn fetch_prefetching(&self, buffer: usize) -> WrapperStream {
-        let ordinal = self.conn_counter.fetch_add(1, Ordering::Relaxed);
-        let mut conn = self.source.connect(ordinal);
-        let cancel = conn.cancel_handle();
-        let (tx, rx) = bounded::<SourceEvent>(buffer.max(1));
-        let handle = std::thread::spawn(move || loop {
-            let ev = conn.next_event();
-            let done = !matches!(ev, SourceEvent::Tuple(_));
-            if tx.send(ev).is_err() || done {
-                return;
-            }
-        });
-        WrapperStream::Prefetched {
-            rx,
-            cancel,
-            handle: Some(handle),
-            finished: false,
-            pending_terminal: None,
+            (CacheLookup::Bypass, _) => Some((self.fetch(), FetchVia::Bypass)),
+            (CacheLookup::Cancelled, _) => None,
         }
     }
 }
 
-/// A stream of tuples from a wrapper fetch.
-#[allow(clippy::large_enum_variant)] // Direct is the hot default; boxing would cost an indirection per pull
+/// A stream of arrival bursts from a wrapper fetch.
 pub enum WrapperStream {
-    /// Pull directly from the connection (each `next` may block on the
+    /// Pull directly from the connection (each pull may block on the
     /// network).
     Direct(SourceConnection),
-    /// Pull from a prefetch buffer fed by a background thread.
-    Prefetched {
-        /// Buffered events.
-        rx: Receiver<SourceEvent>,
-        /// Cancels the producer thread.
-        cancel: Arc<AtomicBool>,
-        /// Producer thread handle (joined on drop).
-        handle: Option<JoinHandle<()>>,
-        /// Whether a terminal event was observed.
-        finished: bool,
-        /// A terminal event observed mid-batch, deferred so the preceding
-        /// tuples could be delivered first.
-        pending_terminal: Option<SourceEvent>,
-    },
     /// Replay a cached complete result from memory (cache hit).
     Replay {
         /// The cached relation.
@@ -192,7 +132,7 @@ pub enum WrapperStream {
         /// Cancels the replay (rule-driven deactivation).
         cancel: Arc<AtomicBool>,
     },
-    /// Stream through the inner fetch while collecting every tuple; on a
+    /// Stream through the connection while collecting every batch; on a
     /// clean end-of-stream the complete result is installed in the cache
     /// via the lease (cache-miss leader). Errors, cancellation, or being
     /// dropped early abandon the lease so a waiter takes over — as does
@@ -200,36 +140,38 @@ pub enum WrapperStream {
     /// never be retained is not worth buffering).
     Tee {
         /// The real fetch.
-        inner: Box<WrapperStream>,
-        /// Schema of the fetched relation (for building the cached copy).
-        schema: Schema,
-        /// The teed state: buffered tuples plus the single-flight lease.
+        inner: SourceConnection,
+        /// The collected batches plus the single-flight lease.
         tee: TeeState,
     },
 }
 
 /// Buffered-copy state of a cache-miss leader's stream.
 pub struct TeeState {
-    collected: Vec<Tuple>,
+    /// Schema of the fetched relation (for building the cached copy).
+    schema: Schema,
+    collected: Vec<TupleBatch>,
     collected_bytes: usize,
     /// `None` once fulfilled or abandoned.
     lease: Option<FetchLease>,
 }
 
 impl TeeState {
-    fn new(lease: FetchLease) -> Self {
+    fn new(schema: Schema, lease: FetchLease) -> Self {
         TeeState {
+            schema,
             collected: Vec::new(),
             collected_bytes: 0,
             lease: Some(lease),
         }
     }
 
-    /// Fulfil the lease with the collected tuples (clean end-of-stream); a
+    /// Fulfil the lease with the collected batches (clean end-of-stream); a
     /// second call is a no-op because the lease is taken.
-    fn finish(&mut self, schema: &Schema) {
+    fn finish(&mut self) {
         if let Some(lease) = self.lease.take() {
-            match Relation::new(schema.clone(), std::mem::take(&mut self.collected)) {
+            let batches = std::mem::take(&mut self.collected);
+            match Relation::from_batches(self.schema.clone(), batches) {
                 Ok(rel) => lease.fulfill(Arc::new(rel)),
                 Err(_) => drop(lease), // schema mismatch: abandon, don't poison
             }
@@ -244,42 +186,23 @@ impl TeeState {
         self.collected_bytes = 0;
     }
 
-    fn collect(&mut self, t: &Tuple) {
-        if self.lease.is_none() {
-            return; // already abandoned: stream through without buffering
-        }
-        self.collected_bytes += t.mem_size();
-        self.collected.push(t.clone());
-        // A result bigger than the whole cache budget would be evicted the
-        // moment it was inserted — abandon instead of buffering it all.
-        if self
-            .lease
-            .as_ref()
-            .is_some_and(|l| self.collected_bytes > l.budget_bytes())
-        {
-            self.abandon();
-        }
-    }
-
-    /// Record one observed event: collect tuples, fulfil on end, abandon
+    /// Record one observed event: collect batches, fulfil on end, abandon
     /// on error/cancel.
-    fn observe(&mut self, ev: &SourceEvent, schema: &Schema) {
+    fn observe(&mut self, ev: &SourceBatchEvent) {
         match ev {
-            SourceEvent::Tuple(t) => self.collect(t),
-            SourceEvent::End => self.finish(schema),
-            SourceEvent::Error(_) | SourceEvent::Cancelled => self.abandon(),
-        }
-    }
-
-    /// Batch-level variant of [`TeeState::observe`].
-    fn observe_batch(&mut self, ev: &SourceBatchEvent, schema: &Schema) {
-        match ev {
-            SourceBatchEvent::Batch(b) => {
-                for t in b.iter() {
-                    self.collect(t);
+            // Once abandoned, stream through without buffering.
+            SourceBatchEvent::Batch(b) if self.lease.is_some() => {
+                self.collected_bytes += b.mem_size();
+                self.collected.push(b.clone());
+                // A result bigger than the whole cache budget would be
+                // evicted the moment it was inserted — abandon instead of
+                // buffering it all.
+                if (self.lease.as_ref()).is_some_and(|l| self.collected_bytes > l.budget_bytes()) {
+                    self.abandon();
                 }
             }
-            SourceBatchEvent::End => self.finish(schema),
+            SourceBatchEvent::Batch(_) => {}
+            SourceBatchEvent::End => self.finish(),
             SourceBatchEvent::Error(_) | SourceBatchEvent::Cancelled => self.abandon(),
         }
     }
@@ -295,110 +218,10 @@ impl WrapperStream {
         }
     }
 
-    /// Next event, blocking per the link model (direct) or until the
-    /// prefetcher delivers (prefetched).
-    pub fn next_event(&mut self) -> SourceEvent {
-        match self {
-            WrapperStream::Direct(conn) => conn.next_event(),
-            WrapperStream::Replay {
-                relation,
-                pos,
-                cancel,
-            } => {
-                if cancel.load(Ordering::Relaxed) {
-                    return SourceEvent::Cancelled;
-                }
-                match relation.tuples().get(*pos) {
-                    Some(t) => {
-                        *pos += 1;
-                        SourceEvent::Tuple(t.clone())
-                    }
-                    None => SourceEvent::End,
-                }
-            }
-            WrapperStream::Tee { inner, schema, tee } => {
-                let ev = inner.next_event();
-                tee.observe(&ev, schema);
-                ev
-            }
-            WrapperStream::Prefetched {
-                rx,
-                finished,
-                pending_terminal,
-                ..
-            } => {
-                if let Some(ev) = pending_terminal.take() {
-                    *finished = true;
-                    return ev;
-                }
-                if *finished {
-                    return SourceEvent::End;
-                }
-                match rx.recv() {
-                    Ok(ev) => {
-                        if !matches!(ev, SourceEvent::Tuple(_)) {
-                            *finished = true;
-                        }
-                        ev
-                    }
-                    Err(_) => {
-                        *finished = true;
-                        SourceEvent::End
-                    }
-                }
-            }
-        }
-    }
-
-    /// Next event with a deadline: returns `None` if nothing arrived within
-    /// `timeout` (the engine's `timeout(n)` detector, §3.1.2). Only
-    /// meaningful for prefetched streams; a direct stream blocks in the
-    /// link model and cannot observe a deadline, so callers needing
-    /// timeouts must fetch with prefetching.
-    pub fn next_event_timeout(&mut self, timeout: std::time::Duration) -> Option<SourceEvent> {
-        match self {
-            WrapperStream::Direct(_) | WrapperStream::Replay { .. } => Some(self.next_event()),
-            WrapperStream::Tee { inner, schema, tee } => {
-                let ev = inner.next_event_timeout(timeout)?;
-                tee.observe(&ev, schema);
-                Some(ev)
-            }
-            WrapperStream::Prefetched {
-                rx,
-                finished,
-                pending_terminal,
-                ..
-            } => {
-                if let Some(ev) = pending_terminal.take() {
-                    *finished = true;
-                    return Some(ev);
-                }
-                if *finished {
-                    return Some(SourceEvent::End);
-                }
-                match rx.recv_timeout(timeout) {
-                    Ok(ev) => {
-                        if !matches!(ev, SourceEvent::Tuple(_)) {
-                            *finished = true;
-                        }
-                        Some(ev)
-                    }
-                    Err(crossbeam_channel::RecvTimeoutError::Timeout) => None,
-                    Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                        *finished = true;
-                        Some(SourceEvent::End)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Next arrival burst, blocking for the first tuple per the link model
-    /// (direct) or until the prefetcher delivers (prefetched), then handing
-    /// over — without further waiting — whatever else has already arrived,
-    /// up to `max` tuples. This is the batched wrapper delivery path: the
-    /// engine pays one handoff per burst instead of one per tuple, while a
-    /// slow source still delivers its first tuple as early as ever.
+    /// Next arrival burst of up to `max` tuples: off the connection under
+    /// its link model (direct, tee), or the next columnar slice of the
+    /// cached result (replay). The engine pays one handoff per burst, while
+    /// a slow source still delivers its first tuple as early as it arrives.
     pub fn next_batch_event(&mut self, max: usize) -> SourceBatchEvent {
         match self {
             WrapperStream::Direct(conn) => conn.next_batch_event(max),
@@ -414,135 +237,25 @@ impl WrapperStream {
                     return SourceBatchEvent::End;
                 }
                 let end = (*pos + max.max(1)).min(relation.len());
-                // Serve the cached result as a columnar slice when the
-                // relation has one (fragment results assembled column-wise
-                // do); otherwise clone the row span.
-                let batch = match relation.columnar_cached() {
-                    Some(cols) => TupleBatch::from_columns(cols.slice(*pos, end)),
-                    None => TupleBatch::from_tuples(relation.tuples()[*pos..end].to_vec()),
-                };
+                let batch = TupleBatch::from_columns(relation.columnar().slice(*pos, end));
                 *pos = end;
                 SourceBatchEvent::Batch(batch)
             }
-            WrapperStream::Tee { inner, schema, tee } => {
+            WrapperStream::Tee { inner, tee } => {
                 let ev = inner.next_batch_event(max);
-                tee.observe_batch(&ev, schema);
+                tee.observe(&ev);
                 ev
             }
-            WrapperStream::Prefetched { .. } => {
-                let first = self.next_event();
-                self.drain_buffered(first, max)
-            }
-        }
-    }
-
-    /// Like [`WrapperStream::next_batch_event`] but with a deadline on the
-    /// *first* tuple: returns `None` if nothing arrived within `timeout`
-    /// (the engine's `timeout(n)` detector). Buffered follow-up tuples are
-    /// drained without waiting, exactly as in the untimed variant.
-    pub fn next_batch_event_timeout(
-        &mut self,
-        max: usize,
-        timeout: std::time::Duration,
-    ) -> Option<SourceBatchEvent> {
-        match self {
-            WrapperStream::Direct(_) | WrapperStream::Replay { .. } => {
-                Some(self.next_batch_event(max))
-            }
-            WrapperStream::Tee { inner, schema, tee } => {
-                let ev = inner.next_batch_event_timeout(max, timeout)?;
-                tee.observe_batch(&ev, schema);
-                Some(ev)
-            }
-            WrapperStream::Prefetched { .. } => {
-                let first = self.next_event_timeout(timeout)?;
-                Some(self.drain_buffered(first, max))
-            }
-        }
-    }
-
-    /// Turn a first event plus whatever the prefetch buffer already holds
-    /// into one batch event. A terminal event seen after at least one tuple
-    /// is stashed so it surfaces on the following pull.
-    fn drain_buffered(&mut self, first: SourceEvent, max: usize) -> SourceBatchEvent {
-        let first = match first {
-            SourceEvent::Tuple(t) => t,
-            other => return SourceBatchEvent::from_event(other),
-        };
-        let mut builder = BatchBuilder::new(max);
-        if let Some(full) = builder.push(first) {
-            return SourceBatchEvent::Batch(full);
-        }
-        if let WrapperStream::Prefetched {
-            rx,
-            pending_terminal,
-            ..
-        } = self
-        {
-            loop {
-                match rx.try_recv() {
-                    Ok(SourceEvent::Tuple(t)) => {
-                        if let Some(full) = builder.push(t) {
-                            return SourceBatchEvent::Batch(full);
-                        }
-                    }
-                    Ok(terminal) => {
-                        *pending_terminal = Some(terminal);
-                        break;
-                    }
-                    Err(_) => break, // empty or disconnected: burst is over
-                }
-            }
-        }
-        match builder.finish() {
-            Some(batch) => SourceBatchEvent::Batch(batch),
-            None => SourceBatchEvent::End, // unreachable: `first` was pushed
         }
     }
 
     /// A cancel handle that aborts the stream from another thread.
     pub fn cancel_handle(&self) -> Arc<AtomicBool> {
         match self {
-            WrapperStream::Direct(conn) => conn.cancel_handle(),
-            WrapperStream::Prefetched { cancel, .. } => cancel.clone(),
+            WrapperStream::Direct(conn) | WrapperStream::Tee { inner: conn, .. } => {
+                conn.cancel_handle()
+            }
             WrapperStream::Replay { cancel, .. } => cancel.clone(),
-            WrapperStream::Tee { inner, .. } => inner.cancel_handle(),
-        }
-    }
-
-    /// Drain remaining tuples (tests).
-    pub fn drain(&mut self) -> Result<Vec<Tuple>, String> {
-        let mut out = Vec::new();
-        loop {
-            match self.next_event() {
-                SourceEvent::Tuple(t) => out.push(t),
-                SourceEvent::End => return Ok(out),
-                SourceEvent::Error(e) => return Err(e),
-                SourceEvent::Cancelled => return Err("cancelled".into()),
-            }
-        }
-    }
-}
-
-impl Drop for WrapperStream {
-    fn drop(&mut self) {
-        if let WrapperStream::Prefetched {
-            cancel, handle, rx, ..
-        } = self
-        {
-            cancel.store(true, Ordering::Relaxed);
-            if let Some(h) = handle.take() {
-                // The producer may be blocked sending into the bounded
-                // buffer, and it can refill it between a single drain and
-                // the join — so keep draining until the thread has actually
-                // exited (the cancel flag makes its next pull return
-                // `Cancelled`, ending the loop).
-                while !h.is_finished() {
-                    while rx.try_recv().is_ok() {}
-                    std::thread::yield_now();
-                }
-                let _ = h.join();
-            }
         }
     }
 }
@@ -551,6 +264,7 @@ impl Drop for WrapperStream {
 mod tests {
     use super::*;
     use crate::link::LinkModel;
+    use crate::tests::drain;
     use std::time::{Duration, Instant};
     use tukwila_common::{tuple, DataType, Relation, Schema};
 
@@ -563,146 +277,23 @@ mod tests {
         r
     }
 
+    /// Fetch through `cache` as flight 1.
+    fn cached(w: &Wrapper, cache: &SourceResultCache) -> (WrapperStream, FetchVia) {
+        w.fetch_through_cache(cache, 1, None).unwrap()
+    }
+
     #[test]
     fn direct_fetch_streams_everything() {
         let w = Wrapper::new(SimulatedSource::new("s", rel(50), LinkModel::instant()));
-        let got = w.fetch().drain().unwrap();
+        let mut s = w.fetch();
+        let got = drain(|max| s.next_batch_event(max)).unwrap();
         assert_eq!(got.len(), 50);
         assert_eq!(w.cardinality(), 50);
         assert_eq!(w.source_name(), "s");
     }
 
     #[test]
-    fn prefetching_fetch_streams_everything() {
-        let w = Wrapper::new(SimulatedSource::new("s", rel(50), LinkModel::instant()));
-        let got = w.fetch_prefetching(8).drain().unwrap();
-        assert_eq!(got.len(), 50);
-    }
-
-    #[test]
-    fn prefetching_overlaps_waiting() {
-        // Source delivers a tuple every 2ms; consumer takes 2ms per tuple.
-        // Direct: ~4ms/tuple. Prefetched: ~2ms/tuple once warmed up.
-        let link = LinkModel {
-            per_tuple: Duration::from_millis(2),
-            ..LinkModel::instant()
-        };
-        let n = 25;
-        let w = Wrapper::new(SimulatedSource::new("s", rel(n), link));
-
-        let consume = |mut s: WrapperStream| {
-            let start = Instant::now();
-            loop {
-                match s.next_event() {
-                    SourceEvent::Tuple(_) => std::thread::sleep(Duration::from_millis(2)),
-                    SourceEvent::End => break,
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            start.elapsed()
-        };
-
-        let direct = consume(w.fetch());
-        let prefetched = consume(w.fetch_prefetching(64));
-        assert!(
-            prefetched < direct,
-            "prefetching ({prefetched:?}) should beat direct ({direct:?})"
-        );
-    }
-
-    #[test]
-    fn error_propagates_through_prefetch() {
-        let w = Wrapper::new(SimulatedSource::new("f", rel(10), LinkModel::failing(3)));
-        let err = w.fetch_prefetching(4).drain().unwrap_err();
-        assert!(err.contains("f"), "{err}");
-    }
-
-    #[test]
-    fn dropping_prefetched_stream_stops_producer() {
-        let link = LinkModel {
-            per_tuple: Duration::from_millis(5),
-            ..LinkModel::instant()
-        };
-        let w = Wrapper::new(SimulatedSource::new("s", rel(10_000), link));
-        let start = Instant::now();
-        {
-            let mut s = w.fetch_prefetching(4);
-            let _ = s.next_event();
-            // drop without draining
-        }
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "drop must not wait for the whole stream"
-        );
-    }
-
-    #[test]
-    fn prefetched_batches_drain_buffer_without_waiting() {
-        let w = Wrapper::new(SimulatedSource::new("s", rel(100), LinkModel::instant()));
-        let mut s = w.fetch_prefetching(64);
-        // Give the prefetcher a moment to fill its buffer.
-        std::thread::sleep(Duration::from_millis(20));
-        let mut total = 0;
-        let mut batches = 0;
-        loop {
-            match s.next_batch_event(32) {
-                SourceBatchEvent::Batch(b) => {
-                    assert!(!b.is_empty());
-                    assert!(b.len() <= 32);
-                    total += b.len();
-                    batches += 1;
-                }
-                SourceBatchEvent::End => break,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(total, 100);
-        assert!(batches < 100, "buffered tuples must coalesce into bursts");
-        // End stays sticky afterwards.
-        assert_eq!(s.next_batch_event(32), SourceBatchEvent::End);
-    }
-
-    #[test]
-    fn prefetched_batch_defers_error_until_tuples_delivered() {
-        let w = Wrapper::new(SimulatedSource::new("f", rel(10), LinkModel::failing(3)));
-        let mut s = w.fetch_prefetching(16);
-        std::thread::sleep(Duration::from_millis(20));
-        let mut got = 0;
-        loop {
-            match s.next_batch_event(16) {
-                SourceBatchEvent::Batch(b) => got += b.len(),
-                SourceBatchEvent::Error(e) => {
-                    assert!(e.contains('f'), "{e}");
-                    break;
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(got, 3, "all pre-failure tuples delivered before the error");
-    }
-
-    #[test]
-    fn timeout_batch_variant_observes_deadline() {
-        let w = Wrapper::new(SimulatedSource::new(
-            "stall",
-            rel(10),
-            LinkModel::stalling(2),
-        ));
-        let mut s = w.fetch_prefetching(4);
-        let mut got = 0;
-        loop {
-            match s.next_batch_event_timeout(8, Duration::from_millis(30)) {
-                Some(SourceBatchEvent::Batch(b)) => got += b.len(),
-                None => break, // deadline hit while the source stalls
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(got, 2);
-    }
-
-    #[test]
     fn cached_fetch_tees_then_replays() {
-        use crate::cache::SourceResultCache;
         let link = LinkModel {
             per_tuple: Duration::from_micros(300),
             ..LinkModel::instant()
@@ -710,23 +301,17 @@ mod tests {
         let w = Wrapper::new(SimulatedSource::new("s", rel(30), link));
         let cache = SourceResultCache::new(1 << 20);
         // Cold: this fetch leads and tees into the cache.
-        let got = w
-            .fetch_through_cache(&cache, 1, None, |w| w.fetch())
-            .unwrap()
-            .drain()
-            .unwrap();
+        let (mut s, via) = cached(&w, &cache);
+        assert_eq!(via, FetchVia::Lead);
+        let got = drain(|max| s.next_batch_event(max)).unwrap();
         assert_eq!(got.len(), 30);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().entries, 1);
-        // Warm: replays from memory — the base fetch must not be built.
+        // Warm: replays from memory, never touching the paced source.
         let start = Instant::now();
-        let replayed = w
-            .fetch_through_cache(&cache, 1, None, |_| {
-                panic!("warm fetch must not hit the source")
-            })
-            .unwrap()
-            .drain()
-            .unwrap();
+        let (mut s, via) = cached(&w, &cache);
+        assert_eq!(via, FetchVia::Hit);
+        let replayed = drain(|max| s.next_batch_event(max)).unwrap();
         assert_eq!(replayed, got);
         assert!(
             start.elapsed() < Duration::from_millis(5),
@@ -737,16 +322,11 @@ mod tests {
 
     #[test]
     fn cached_replay_delivers_batches() {
-        use crate::cache::SourceResultCache;
         let w = Wrapper::new(SimulatedSource::new("s", rel(100), LinkModel::instant()));
         let cache = SourceResultCache::new(1 << 20);
-        w.fetch_through_cache(&cache, 1, None, |w| w.fetch())
-            .unwrap()
-            .drain()
-            .unwrap();
-        let mut s = w
-            .fetch_through_cache(&cache, 1, None, |_| unreachable!())
-            .unwrap();
+        let (mut s, _) = cached(&w, &cache);
+        drain(|max| s.next_batch_event(max)).unwrap();
+        let (mut s, _) = cached(&w, &cache);
         let mut total = 0;
         loop {
             match s.next_batch_event(32) {
@@ -763,39 +343,44 @@ mod tests {
     }
 
     #[test]
+    fn cache_hit_replays_columnar_batches() {
+        let w = Wrapper::new(SimulatedSource::new("s", rel(100), LinkModel::instant()));
+        let cache = SourceResultCache::new(1 << 20);
+        let (mut s, _) = cached(&w, &cache);
+        drain(|max| s.next_batch_event(max)).unwrap();
+        let (mut s, via) = cached(&w, &cache);
+        assert_eq!(via, FetchVia::Hit);
+        let mut total = 0;
+        while let SourceBatchEvent::Batch(b) = s.next_batch_event(32) {
+            assert!(b.columns().is_some(), "a cache hit serves row batches");
+            total += b.len();
+        }
+        assert_eq!(total, 100);
+    }
+
+    #[test]
     fn failed_tee_caches_nothing() {
-        use crate::cache::SourceResultCache;
         let w = Wrapper::new(SimulatedSource::new("f", rel(10), LinkModel::failing(3)));
         let cache = SourceResultCache::new(1 << 20);
-        let err = w
-            .fetch_through_cache(&cache, 1, None, |w| w.fetch())
-            .unwrap()
-            .drain()
-            .unwrap_err();
+        let (mut s, _) = cached(&w, &cache);
+        let err = drain(|max| s.next_batch_event(max)).unwrap_err();
         assert!(err.contains('f'), "{err}");
         assert_eq!(cache.stats().entries, 0, "partial streams are not cached");
         // The abandoned lease lets the next fetch lead again.
         assert_eq!(cache.stats().misses, 1);
-        let err2 = w
-            .fetch_through_cache(&cache, 1, None, |w| w.fetch())
-            .unwrap()
-            .drain()
-            .unwrap_err();
+        let (mut s, _) = cached(&w, &cache);
+        let err2 = drain(|max| s.next_batch_event(max)).unwrap_err();
         assert!(err2.contains('f'));
         assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
     fn tee_abandons_results_larger_than_the_cache_budget() {
-        use crate::cache::SourceResultCache;
         let w = Wrapper::new(SimulatedSource::new("big", rel(200), LinkModel::instant()));
         let budget = rel(200).mem_size() / 4; // result can never fit
         let cache = SourceResultCache::new(budget);
-        let got = w
-            .fetch_through_cache(&cache, 1, None, |w| w.fetch())
-            .unwrap()
-            .drain()
-            .unwrap();
+        let (mut s, _) = cached(&w, &cache);
+        let got = drain(|max| s.next_batch_event(max)).unwrap();
         assert_eq!(got.len(), 200, "the stream itself is unaffected");
         let s = cache.stats();
         assert_eq!(s.entries, 0);
@@ -809,30 +394,16 @@ mod tests {
 
     #[test]
     fn dropped_tee_mid_stream_abandons_lease() {
-        use crate::cache::SourceResultCache;
         let w = Wrapper::new(SimulatedSource::new("s", rel(50), LinkModel::instant()));
         let cache = SourceResultCache::new(1 << 20);
         {
-            let mut s = w
-                .fetch_through_cache(&cache, 1, None, |w| w.fetch())
-                .unwrap();
-            let _ = s.next_event(); // partial read, then drop
+            let (mut s, _) = cached(&w, &cache);
+            let _ = s.next_batch_event(8); // partial read, then drop
         }
         assert_eq!(cache.stats().entries, 0);
         // Next fetch becomes the new leader and completes the entry.
-        w.fetch_through_cache(&cache, 1, None, |w| w.fetch())
-            .unwrap()
-            .drain()
-            .unwrap();
+        let (mut s, _) = cached(&w, &cache);
+        drain(|max| s.next_batch_event(max)).unwrap();
         assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn stream_end_is_sticky_for_prefetched() {
-        let w = Wrapper::new(SimulatedSource::new("s", rel(1), LinkModel::instant()));
-        let mut s = w.fetch_prefetching(2);
-        assert!(matches!(s.next_event(), SourceEvent::Tuple(_)));
-        assert_eq!(s.next_event(), SourceEvent::End);
-        assert_eq!(s.next_event(), SourceEvent::End);
     }
 }

@@ -28,11 +28,15 @@
 //!    joins are one operator, a schedule and a flush policy over one join
 //!    side: nothing under `crates/`, `src/`, `tests/` or `examples/` names
 //!    the two operators it replaced, and `build_join` builds it in one arm.
+//! 8. **Sources start no threads.** No non-test file under
+//!    `crates/source/src` calls `thread::spawn` or `thread::Builder`: a
+//!    scan that reads a source ahead or with a deadline runs it on a
+//!    feeder (rule 5).
 //!
-//! All checks are text-based (no extra dependencies); 1–3, 5 and 6 skip `*_tests.rs`
-//! files, `tests/` directories, and everything at or below the first
-//! `#[cfg(test)]` line of a file (test modules sit at file end by
-//! convention here).
+//! All checks are text-based (no extra dependencies); 1–3, 5, 6 and 8
+//! skip `*_tests.rs` files, `tests/` directories, and everything at or
+//! below the first `#[cfg(test)]` line of a file (test modules sit at
+//! file end by convention here).
 
 use std::path::{Path, PathBuf};
 
@@ -280,6 +284,29 @@ fn only_the_feeder_starts_operator_threads() {
     assert!(
         hits.is_empty(),
         "operators run children on threads through crates/exec/src/feeder.rs:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn sources_start_no_threads() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates/source/src"), false, &mut files);
+    assert!(files.len() > 3, "source crate files not found");
+    let mut hits = Vec::new();
+    for file in &files {
+        for (i, line) in non_test_lines(file).iter().enumerate() {
+            let code = code_only(line);
+            if code.contains("thread::spawn") || code.contains("thread::Builder") {
+                let rel = file.strip_prefix(&root).unwrap().display();
+                hits.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "a source is read ahead on a feeder, not a thread of its own:\n{}",
         hits.join("\n")
     );
 }
