@@ -20,7 +20,6 @@
 //! | F5   | Figure 5 — interleaved planning strategies     | `fig5` |
 //! | E65  | §6.5 — optimizer state saving / usage pointers | `exp65` |
 
-pub mod dist;
 pub mod runner;
 pub mod scenarios;
 

@@ -39,17 +39,21 @@
 //!    bounded channel in process; on the wire an initial window the
 //!    consumer refills by one per batch received.
 //! 4. **end** — the *producer* speaks last: end-of-stream (`Done`) or an
-//!    error is its final message, after which it sends nothing (a remote
-//!    worker half-closes its socket) but keeps **reading until the
-//!    consumer's EOF**, so no late credit is left unread. The consumer
-//!    issues no credit after the final message.
+//!    error is its final message, after which it sends nothing more for
+//!    this stream. The consumer issues no credit after the final message.
+//!    On the wire the **stream has ended but the connection stays**: the
+//!    worker keeps reading it, so a late credit is read rather than left
+//!    to reset the socket, and TCP delivers it ahead of the connection's
+//!    next dispatch.
 //! 5. **close** — the *consumer* closes first, always: after the final
 //!    message, or early as an **abort** (the exchange's feeder shutdown
 //!    sets the stream's abort flag and deactivates the join's input
-//!    subjects so nothing stays blocked; a remote consumer's close is the
-//!    worker's cancel). Whatever a stream held on the consumer's side — a
-//!    remote shard's memory lease — is released when it closes, however it
-//!    ended.
+//!    subjects so nothing stays blocked). A remote stream that read `Done`
+//!    hands its connection back to the transport's idle pool for a later
+//!    dispatch; one that ended any other way shuts its connection down,
+//!    which is the worker's cancel. Whatever a stream held on the
+//!    consumer's side — a remote shard's memory lease — is released when
+//!    it closes, however it ended.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -16,9 +16,15 @@
 //!             budget, deadline, credits}
 //! <- Started{schema}                  fragment opened
 //! <- Batch* / -> Credit*              credit-windowed batch stream
-//! <- Done{stats} | Error{kind, msg}   terminal
+//! <- Done{stats} | Error{kind, ..}   terminal
 //! -> Cancel                           (any time) stop the shard
+//! -> Dispatch ...                     the next shard, same connection
 //! ```
+//!
+//! A connection serves dispatches one after another: after `Done` the
+//! coordinator may send the next `Dispatch` on it. TCP ordering puts any
+//! late `Credit` for a finished stream ahead of the next `Dispatch`, so no
+//! end-of-stream frame is needed.
 //!
 //! Backpressure: the worker may have at most `initial_credits` batches in
 //! flight; each `Credit` from the coordinator (sent as it consumes a
@@ -43,7 +49,7 @@ use tukwila_storage::codec;
 /// worker port fails the handshake instead of confusing the framer.
 pub const NET_MAGIC: u32 = 0x54_4B_57_4C; // "TKWL"
 /// Protocol version; bumped on any frame-layout change.
-pub const NET_VERSION: u32 = 1;
+pub const NET_VERSION: u32 = 2;
 /// Upper bound on a single frame's payload, mirroring the spill codec's
 /// implausible-count guards.
 pub const MAX_FRAME_LEN: usize = 1 << 30;
@@ -103,8 +109,8 @@ pub enum Msg {
     Credit { n: u32 },
     /// Shard completed with statistics.
     Done(ShardStats),
-    /// Shard failed; `kind` is the stable `TukwilaError::kind` tag.
-    Error { kind: String, message: String },
+    /// Shard failed, with the worker's error variant and its fields.
+    Error(TukwilaError),
     /// Stop executing the shard.
     Cancel,
 }
@@ -379,11 +385,37 @@ impl<W: Write> FrameWriter<W> {
         self.send_frame(K_DONE)
     }
 
-    /// Shard failure.
+    /// Shard failure: the variant's [`TukwilaError::kind`] tag, then its
+    /// fields, so the coordinator rebuilds the same variant.
     pub fn send_error(&mut self, e: &TukwilaError) -> Result<u64> {
         self.buf.clear();
         put_str(e.kind(), &mut self.buf);
-        put_str(&e.to_string(), &mut self.buf);
+        match e {
+            TukwilaError::SourceUnavailable { source, reason } => {
+                put_str(source, &mut self.buf);
+                put_str(reason, &mut self.buf);
+            }
+            TukwilaError::SourceTimeout { source, timeout_ms } => {
+                put_str(source, &mut self.buf);
+                self.buf.extend_from_slice(&timeout_ms.to_le_bytes());
+            }
+            TukwilaError::OutOfMemory { operator, budget } => {
+                put_str(operator, &mut self.buf);
+                self.buf.extend_from_slice(&(*budget as u64).to_le_bytes());
+            }
+            TukwilaError::DeadlineExceeded { elapsed_ms } => {
+                self.buf.extend_from_slice(&elapsed_ms.to_le_bytes());
+            }
+            TukwilaError::Schema(m)
+            | TukwilaError::Plan(m)
+            | TukwilaError::Optimizer(m)
+            | TukwilaError::Reformulation(m)
+            | TukwilaError::Rule(m)
+            | TukwilaError::Cancelled(m)
+            | TukwilaError::Admission(m)
+            | TukwilaError::Io(m)
+            | TukwilaError::Internal(m) => put_str(m, &mut self.buf),
+        }
         self.send_frame(K_ERROR)
     }
 
@@ -542,25 +574,73 @@ pub fn decode_msg(kind: u8, payload: &[u8]) -> Result<Msg> {
             backpressure_stalls: get_u64(buf, &mut pos)?,
             spill_tuples: get_u64(buf, &mut pos)?,
         }),
-        K_ERROR => Msg::Error {
-            kind: get_str(buf, &mut pos)?,
-            message: get_str(buf, &mut pos)?,
-        },
+        K_ERROR => Msg::Error(decode_error(buf, &mut pos)?),
         K_CANCEL => Msg::Cancel,
         other => return Err(TukwilaError::Io(format!("net: unknown frame kind {other}"))),
     };
     Ok(msg)
 }
 
-/// Rebuild a worker-reported error at the coordinator: cancellation and
-/// deadline keep their variant (so service-level outcome classification
-/// still works); everything else arrives as `Internal` tagged with the
-/// worker's identity and the original kind.
-pub fn error_from_wire(worker: &str, kind: &str, message: &str) -> TukwilaError {
-    match kind {
-        "cancelled" => TukwilaError::Cancelled(format!("worker {worker}: {message}")),
-        "deadline_exceeded" => TukwilaError::DeadlineExceeded { elapsed_ms: 0 },
-        _ => TukwilaError::Internal(format!("worker {worker} [{kind}]: {message}")),
+/// The fields [`FrameWriter::send_error`] wrote after the kind tag.
+fn decode_error(buf: &[u8], pos: &mut usize) -> Result<TukwilaError> {
+    let kind = get_str(buf, pos)?;
+    Ok(match kind.as_str() {
+        "source_unavailable" => TukwilaError::SourceUnavailable {
+            source: get_str(buf, pos)?,
+            reason: get_str(buf, pos)?,
+        },
+        "source_timeout" => TukwilaError::SourceTimeout {
+            source: get_str(buf, pos)?,
+            timeout_ms: get_u64(buf, pos)?,
+        },
+        "out_of_memory" => TukwilaError::OutOfMemory {
+            operator: get_str(buf, pos)?,
+            budget: get_u64(buf, pos)? as usize,
+        },
+        "deadline_exceeded" => TukwilaError::DeadlineExceeded {
+            elapsed_ms: get_u64(buf, pos)?,
+        },
+        "schema" => TukwilaError::Schema(get_str(buf, pos)?),
+        "plan" => TukwilaError::Plan(get_str(buf, pos)?),
+        "optimizer" => TukwilaError::Optimizer(get_str(buf, pos)?),
+        "reformulation" => TukwilaError::Reformulation(get_str(buf, pos)?),
+        "rule" => TukwilaError::Rule(get_str(buf, pos)?),
+        "cancelled" => TukwilaError::Cancelled(get_str(buf, pos)?),
+        "admission" => TukwilaError::Admission(get_str(buf, pos)?),
+        "io" => TukwilaError::Io(get_str(buf, pos)?),
+        "internal" => TukwilaError::Internal(get_str(buf, pos)?),
+        other => {
+            return Err(TukwilaError::Io(format!(
+                "net codec: unknown error kind {other:?}"
+            )))
+        }
+    })
+}
+
+/// Rebuild a worker-reported error at the coordinator: the same variant,
+/// with `worker`'s address added to its free text (a message, or a failed
+/// source's reason). Names and numbers (a timed-out source, an operator, a
+/// budget, a deadline's elapsed time) arrive as the worker sent them, so
+/// rules that match a source by name still do.
+pub fn error_from_wire(worker: &str, e: TukwilaError) -> TukwilaError {
+    let at = |m: String| format!("worker {worker}: {m}");
+    match e {
+        TukwilaError::SourceUnavailable { source, reason } => TukwilaError::SourceUnavailable {
+            source,
+            reason: at(reason),
+        },
+        TukwilaError::Schema(m) => TukwilaError::Schema(at(m)),
+        TukwilaError::Plan(m) => TukwilaError::Plan(at(m)),
+        TukwilaError::Optimizer(m) => TukwilaError::Optimizer(at(m)),
+        TukwilaError::Reformulation(m) => TukwilaError::Reformulation(at(m)),
+        TukwilaError::Rule(m) => TukwilaError::Rule(at(m)),
+        TukwilaError::Cancelled(m) => TukwilaError::Cancelled(at(m)),
+        TukwilaError::Admission(m) => TukwilaError::Admission(at(m)),
+        TukwilaError::Io(m) => TukwilaError::Io(at(m)),
+        TukwilaError::Internal(m) => TukwilaError::Internal(at(m)),
+        named @ (TukwilaError::SourceTimeout { .. }
+        | TukwilaError::OutOfMemory { .. }
+        | TukwilaError::DeadlineExceeded { .. }) => named,
     }
 }
 
@@ -639,13 +719,62 @@ mod tests {
             other => panic!("expected Done, got {other:?}"),
         }
         match &msgs[4] {
-            Msg::Error { kind, message } => {
-                assert_eq!(kind, "cancelled");
-                assert!(message.contains("stop"));
-            }
+            Msg::Error(TukwilaError::Cancelled(m)) => assert_eq!(m, "stop"),
             other => panic!("expected Error, got {other:?}"),
         }
         assert!(matches!(msgs[5], Msg::Cancel));
+    }
+
+    /// Every error variant crosses the wire as itself, fields intact; the
+    /// coordinator adds the worker's address to free text only.
+    #[test]
+    fn every_error_variant_round_trips_typed() {
+        let errors = [
+            TukwilaError::Schema("s".into()),
+            TukwilaError::Plan("p".into()),
+            TukwilaError::SourceUnavailable {
+                source: "L".into(),
+                reason: "link down".into(),
+            },
+            TukwilaError::SourceTimeout {
+                source: "R".into(),
+                timeout_ms: 20,
+            },
+            TukwilaError::OutOfMemory {
+                operator: "j1".into(),
+                budget: 4096,
+            },
+            TukwilaError::Optimizer("o".into()),
+            TukwilaError::Reformulation("r".into()),
+            TukwilaError::Rule("u".into()),
+            TukwilaError::Cancelled("c".into()),
+            TukwilaError::DeadlineExceeded { elapsed_ms: 7 },
+            TukwilaError::Admission("a".into()),
+            TukwilaError::Io("i".into()),
+            TukwilaError::Internal("b".into()),
+        ];
+        let msgs = roundtrip(|w| {
+            for e in &errors {
+                w.send_error(e).expect("error");
+            }
+        });
+        for (sent, got) in errors.iter().zip(msgs) {
+            let Msg::Error(got) = got else {
+                panic!("expected Error, got {got:?}")
+            };
+            assert_eq!(got.to_string(), sent.to_string());
+            let rebuilt = error_from_wire("10.0.0.1:7", got);
+            assert_eq!(rebuilt.kind(), sent.kind());
+            assert_eq!(rebuilt.is_recoverable(), sent.is_recoverable());
+            let text = rebuilt.to_string();
+            match sent {
+                TukwilaError::SourceTimeout { .. }
+                | TukwilaError::OutOfMemory { .. }
+                | TukwilaError::DeadlineExceeded { .. } => assert_eq!(text, sent.to_string()),
+                _ => assert!(text.contains("worker 10.0.0.1:7: "), "{text}"),
+            }
+        }
+        assert!(decode_msg(K_ERROR, &payload_of(|w| drop(w.send_hello())).1).is_err());
     }
 
     #[test]
@@ -806,7 +935,7 @@ mod tests {
     }
 
     /// Every truncation and every byte flip of valid row, columnar and
-    /// shared-segment string frames decodes to `Ok` or `Err`: no panic, and
+    /// shared-segment string frames, and of control frames, decodes to `Ok` or `Err`: no panic, and
     /// no allocation sized from a corrupted header.
     #[test]
     fn truncated_and_flipped_frames_never_panic() {
@@ -846,13 +975,19 @@ mod tests {
             }))
         });
         let started = payload_of(|w| drop(w.send_started(&sample_schema())));
+        let error = payload_of(|w| {
+            drop(w.send_error(&TukwilaError::SourceUnavailable {
+                source: "L".into(),
+                reason: "gone".into(),
+            }))
+        });
         let check = |kind: u8, bytes: &[u8]| {
             if let Ok(b) = codec::decode_batch(bytes, &mut 0) {
                 assert_eq!(b.tuples().len(), b.len());
             }
             let _ = decode_msg(kind, bytes);
         };
-        for (kind, payload) in frames.iter().chain([&dispatch, &started]) {
+        for (kind, payload) in frames.iter().chain([&dispatch, &started, &error]) {
             for cut in 0..payload.len() {
                 check(*kind, &payload[..cut]);
             }

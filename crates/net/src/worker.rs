@@ -1,6 +1,7 @@
-//! The worker half of distributed exchange: a TCP server that accepts one
-//! shard dispatch per connection, executes it against its own sources, and
-//! streams the shard's output back under credit-based backpressure.
+//! The worker half of distributed exchange: a TCP server whose connections
+//! each serve shard dispatches one after another, executing each against
+//! the worker's own sources and streaming the shard's output back under
+//! credit-based backpressure.
 //!
 //! Shared-nothing: a worker rebuilds the dispatched fragment's input
 //! subtrees from its own [`SourceRegistry`] (plus any coordinator-shipped
@@ -8,17 +9,24 @@
 //! [`tukwila_exec::ShardFilter`] — input tuples never transit the
 //! coordinator.
 //!
-//! Concurrency per connection: the serving thread executes the fragment
-//! and writes `Batch` frames; a companion reader thread drains inbound
-//! `Credit` and `Cancel` frames so backpressure refills and cancellation
-//! land even while the serving thread is deep inside a join build.
+//! Concurrency per connection: after the handshake, a serving thread runs
+//! one dispatch at a time and writes its frames; a reader thread, alive as
+//! long as the connection, hands each `Dispatch` to the serving thread,
+//! applies `Credit` frames to the running dispatch, and turns `Cancel` or
+//! the coordinator's EOF into a cancel — so backpressure refills and
+//! cancellation land even while the serving thread is deep inside a join
+//! build. Both threads block: in `accept`, in a socket read, or on the
+//! running dispatch's credit condvar. Nothing polls on a timer.
 
 use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use crossbeam_channel::{bounded, Sender};
+use parking_lot::{Condvar, Mutex};
 
 use tukwila_common::{Result, TukwilaError};
 use tukwila_exec::runtime::{ExecEnv, PlanRuntime};
@@ -29,17 +37,18 @@ use tukwila_storage::MemoryManager;
 
 use crate::protocol::{decode_msg, Dispatch, FrameReader, FrameWriter, Msg, NET_VERSION};
 
-/// How long a blocked socket read waits before re-checking stop/cancel
-/// flags.
-const READ_TICK: Duration = Duration::from_millis(100);
-/// Accept-loop poll interval while idle.
-const ACCEPT_TICK: Duration = Duration::from_millis(5);
-/// Sleep while blocked on send credit.
-const CREDIT_TICK: Duration = Duration::from_micros(200);
+/// Name prefix of every thread a worker server starts: `net-accept` (a
+/// spawned server's accept loop), `net-serve` and `net-read` (one pair per
+/// open connection).
+pub const THREAD_PREFIX: &str = "net-";
+
+/// How often a bare [`WorkerServer::run`] looks at its caller's stop flag,
+/// off the accept path: no query waits on it.
+const STOP_TICK: Duration = Duration::from_millis(50);
 
 /// A worker process's server: binds a listener and serves shard dispatches
-/// until stopped. Each accepted connection runs one handshake + one
-/// dispatch on its own thread.
+/// until stopped. Each accepted connection handshakes once and then serves
+/// dispatches until the coordinator hangs up.
 pub struct WorkerServer {
     listener: TcpListener,
     sources: SourceRegistry,
@@ -49,9 +58,10 @@ impl WorkerServer {
     /// Bind to `addr` (use port 0 for an ephemeral port) serving shards
     /// against `sources`.
     pub fn bind(addr: &str, sources: SourceRegistry) -> Result<WorkerServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(WorkerServer { listener, sources })
+        Ok(WorkerServer {
+            listener: TcpListener::bind(addr)?,
+            sources,
+        })
     }
 
     /// The bound address (reports the ephemeral port after a `:0` bind).
@@ -59,26 +69,58 @@ impl WorkerServer {
         Ok(self.listener.local_addr()?)
     }
 
-    /// Serve until `stop` is set. Connection threads are detached; they
-    /// exit on their own when their coordinator hangs up.
+    /// Serve until `stop` is set, then close every connection and return.
+    /// A watcher thread looks at `stop` every `STOP_TICK` (50 ms) and,
+    /// once it is set, unblocks the accept with a connection of its own.
     pub fn run(&self, stop: &AtomicBool) {
-        while !stop.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((conn, _peer)) => {
-                    let sources = self.sources.clone();
-                    thread::spawn(move || {
-                        // A failed connection is the coordinator's problem
-                        // to report (probe connections also land here when
-                        // they hang up after the handshake); the worker
-                        // just serves the next one.
-                        let _ = serve_conn(conn, sources);
-                    });
+        let Ok(addr) = self.local_addr() else {
+            return;
+        };
+        thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    thread::park_timeout(STOP_TICK);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(ACCEPT_TICK);
-                }
-                Err(_) => thread::sleep(ACCEPT_TICK),
+                wake(addr);
+            });
+            self.serve(stop);
+        });
+    }
+
+    /// The accept loop: blocks in `accept`, and leaves it at the first
+    /// connection after `stop` is set (the wake-up). Then it shuts every
+    /// connection down — an idle one closes at once, a running shard sees
+    /// its coordinator's EOF and cancels — and joins their threads.
+    fn serve(&self, stop: &AtomicBool) {
+        let mut conns: Vec<(TcpStream, thread::JoinHandle<()>)> = Vec::new();
+        loop {
+            let accepted = self.listener.accept();
+            if stop.load(Ordering::Acquire) {
+                break;
             }
+            let Ok((conn, _peer)) = accepted else {
+                continue;
+            };
+            conns.retain(|(_, serving)| !serving.is_finished());
+            let Ok(handle) = conn.try_clone() else {
+                continue;
+            };
+            let sources = self.sources.clone();
+            // A failed connection is the coordinator's problem to report
+            // (probe connections also end here when they hang up); the
+            // worker just serves the next one.
+            let serving = thread::Builder::new()
+                .name(format!("{THREAD_PREFIX}serve"))
+                .spawn(move || drop(serve_conn(conn, sources)));
+            if let Ok(serving) = serving {
+                conns.push((handle, serving));
+            }
+        }
+        for (conn, _) in &conns {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        for (_, serving) in conns {
+            let _ = serving.join();
         }
     }
 
@@ -89,13 +131,27 @@ impl WorkerServer {
         let addr = self.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let thread = thread::spawn(move || self.run(&stop2));
+        let thread = thread::Builder::new()
+            .name(format!("{THREAD_PREFIX}accept"))
+            .spawn(move || self.serve(&stop2))?;
         Ok(WorkerHandle {
             addr,
             stop,
             thread: Some(thread),
         })
     }
+}
+
+/// Unblock a listener's `accept` with a connection to its own address (a
+/// wildcard bind is reached through loopback).
+fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let _ = TcpStream::connect(addr);
 }
 
 /// Handle on a background [`WorkerServer`]; stops the server when shut
@@ -112,14 +168,16 @@ impl WorkerHandle {
         self.addr.to_string()
     }
 
-    /// Stop the accept loop and join the server thread.
+    /// Stop the server: close every connection it holds (a shard in
+    /// flight ends in an error at its coordinator) and join its threads.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
+            self.stop.store(true, Ordering::Release);
+            wake(self.addr);
             let _ = t.join();
         }
     }
@@ -131,7 +189,7 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// Wait for one complete frame, ticking through read timeouts.
+/// Wait for one complete frame.
 fn read_msg<R: std::io::Read>(reader: &mut FrameReader<R>) -> Result<Msg> {
     loop {
         if let Some((kind, payload)) = reader.read_frame()? {
@@ -140,10 +198,70 @@ fn read_msg<R: std::io::Read>(reader: &mut FrameReader<R>) -> Result<Msg> {
     }
 }
 
-/// Serve one connection: handshake, one dispatch, stream the shard.
+/// One dispatch as its serving thread and the connection's reader share
+/// it: the shard's query control and its send credits. Whatever a credit
+/// waiter waits for — a `Credit`, a cancel, the coordinator's EOF —
+/// notifies `changed`.
+struct Flight {
+    control: Arc<QueryControl>,
+    credits: Mutex<u64>,
+    changed: Condvar,
+    /// Set before the terminal frame goes out, so the reader can tell the
+    /// coordinator's next `Dispatch` from one sent out of turn.
+    finished: AtomicBool,
+}
+
+impl Flight {
+    fn new(d: &Dispatch) -> Arc<Flight> {
+        Arc::new(Flight {
+            control: match d.deadline {
+                Some(budget) => QueryControl::with_deadline(budget),
+                None => QueryControl::unbounded(),
+            },
+            credits: Mutex::new(u64::from(d.initial_credits.max(1))),
+            changed: Condvar::new(),
+            finished: AtomicBool::new(false),
+        })
+    }
+
+    fn grant(&self, n: u32) {
+        *self.credits.lock() += u64::from(n);
+        self.changed.notify_one();
+    }
+
+    /// Cancel the shard and wake it if it waits for credit. Taking the
+    /// lock orders the notify after the waiter's own check of the control.
+    fn cancel(&self) {
+        self.control.cancel(CancelKind::User);
+        let _credits = self.credits.lock();
+        self.changed.notify_one();
+    }
+
+    /// Take one send credit, blocking until one arrives. Counts one stall
+    /// per dry spell; a cancel ends the wait, and so does the dispatch's
+    /// deadline, which trips the control.
+    fn acquire(&self, stalls: &mut u64) -> Result<()> {
+        let mut credits = self.credits.lock();
+        if *credits == 0 {
+            *stalls += 1;
+        }
+        while *credits == 0 {
+            self.control.check()?;
+            match self.control.deadline() {
+                Some(at) => (self.changed)
+                    .wait_for(&mut credits, at.saturating_duration_since(Instant::now())),
+                None => self.changed.wait(&mut credits),
+            }
+        }
+        *credits -= 1;
+        Ok(())
+    }
+}
+
+/// Serve one connection: handshake, then dispatches one after another
+/// until the coordinator hangs up.
 fn serve_conn(conn: TcpStream, sources: SourceRegistry) -> Result<()> {
     conn.set_nodelay(true)?;
-    conn.set_read_timeout(Some(READ_TICK))?;
     let mut reader = FrameReader::new(conn.try_clone()?);
     let mut writer = FrameWriter::new(conn);
 
@@ -165,94 +283,69 @@ fn serve_conn(conn: TcpStream, sources: SourceRegistry) -> Result<()> {
         }
     }
 
-    let dispatch = match read_msg(&mut reader)? {
-        Msg::Dispatch(d) => *d,
-        other => {
-            return Err(TukwilaError::Io(format!(
-                "net: expected Dispatch, got {other:?}"
-            )))
+    let (dispatches, next) = bounded(1);
+    let reader_thread = thread::Builder::new()
+        .name(format!("{THREAD_PREFIX}read"))
+        .spawn(move || read_conn(reader, dispatches))?;
+
+    let mut outcome = Ok(());
+    while let Ok((dispatch, flight)) = next.recv() {
+        let result = run_dispatch(&dispatch, sources.clone(), &mut writer, &flight);
+        flight.finished.store(true, Ordering::Release);
+        let sent = match &result {
+            Ok(stats) => writer.send_done(stats),
+            Err(e) => writer.send_error(e),
+        };
+        if let Err(e) = sent {
+            outcome = Err(e);
+            break;
         }
-    };
+    }
+    // The reader saw the coordinator's EOF, so nothing it sent is left
+    // unread — or the coordinator can no longer be written to. Either way
+    // the connection is over; shutting it down also ends the reader.
+    let _ = writer.get_ref().shutdown(Shutdown::Both);
+    let _ = reader_thread.join();
+    outcome
+}
 
-    // Send-credit pool, refilled by the reader thread as Credit frames
-    // arrive. i64 so the transient fetch_sub below-zero undo is benign.
-    let credits = Arc::new(AtomicI64::new(dispatch.initial_credits.max(1) as i64));
-    let control = match dispatch.deadline {
-        Some(budget) => QueryControl::with_deadline(budget),
-        None => QueryControl::unbounded(),
-    };
-
-    // Runs until the coordinator closes (EOF) or cancels — past the end of
-    // the shard, so the socket is never dropped with frames unread.
-    let reader_thread = {
-        let credits = credits.clone();
-        let control = control.clone();
-        thread::spawn(move || loop {
-            match reader.read_frame() {
-                Ok(None) => {}
-                Ok(Some((kind, payload))) => match decode_msg(kind, payload) {
-                    Ok(Msg::Credit { n }) => {
-                        credits.fetch_add(n as i64, Ordering::AcqRel);
-                    }
-                    // Cancel — or anything else out of protocol — stops
-                    // the shard.
-                    Ok(_) => {
-                        control.cancel(CancelKind::User);
-                        break;
-                    }
-                    Err(_) => {
-                        control.cancel(CancelKind::User);
-                        break;
-                    }
-                },
-                // EOF or transport error: the coordinator is gone; kill
-                // the shard (if still running) rather than stream into
-                // the void.
-                Err(_) => {
-                    control.cancel(CancelKind::User);
+/// The connection's reader: hands each `Dispatch` to the serving thread
+/// and applies `Credit` and `Cancel` to the dispatch it started last. A
+/// finished dispatch's late credits arrive before the next `Dispatch`
+/// (TCP keeps their order), so they never reach the wrong one.
+fn read_conn(mut reader: FrameReader<TcpStream>, dispatches: Sender<(Box<Dispatch>, Arc<Flight>)>) {
+    let mut current: Option<Arc<Flight>> = None;
+    loop {
+        match read_msg(&mut reader) {
+            Ok(Msg::Credit { n }) => {
+                if let Some(flight) = &current {
+                    flight.grant(n);
+                }
+            }
+            Ok(Msg::Cancel) => {
+                if let Some(flight) = &current {
+                    flight.cancel();
+                }
+            }
+            Ok(Msg::Dispatch(d))
+                if (current.as_ref()).is_none_or(|f| f.finished.load(Ordering::Acquire)) =>
+            {
+                let flight = Flight::new(&d);
+                current = Some(flight.clone());
+                if dispatches.send((d, flight)).is_err() {
                     break;
                 }
             }
-        })
-    };
-
-    let outcome = run_dispatch(&dispatch, sources, &mut writer, &credits, &control);
-    match &outcome {
-        Ok(stats) => {
-            let _ = writer.send_done(stats);
+            // EOF or a transport error — the coordinator is gone — or a
+            // frame out of protocol: stop the running shard rather than
+            // stream into the void, and end the connection.
+            _ => {
+                if let Some(flight) = &current {
+                    flight.cancel();
+                }
+                break;
+            }
         }
-        Err(e) => {
-            let _ = writer.send_error(e);
-        }
-    }
-    // End of stream (see `tukwila_exec::PartitionTransport`): the final
-    // frame is out, so half-close and read until the coordinator's EOF.
-    // Dropping the socket with its late `Credit` frames unread would reset
-    // the connection and discard batches the coordinator has yet to read.
-    let _ = writer.get_ref().shutdown(Shutdown::Write);
-    let _ = reader_thread.join();
-    outcome.map(|_| ())
-}
-
-/// Block until a send credit is available; counts one stall episode per
-/// dry spell and aborts promptly on cancellation.
-fn acquire_credit(
-    credits: &AtomicI64,
-    control: &Arc<QueryControl>,
-    stalls: &mut u64,
-) -> Result<()> {
-    if credits.fetch_sub(1, Ordering::AcqRel) > 0 {
-        return Ok(());
-    }
-    credits.fetch_add(1, Ordering::AcqRel);
-    *stalls += 1;
-    loop {
-        control.check()?;
-        thread::sleep(CREDIT_TICK);
-        if credits.fetch_sub(1, Ordering::AcqRel) > 0 {
-            return Ok(());
-        }
-        credits.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -261,9 +354,9 @@ fn run_dispatch<W: Write>(
     d: &Dispatch,
     sources: SourceRegistry,
     writer: &mut FrameWriter<W>,
-    credits: &AtomicI64,
-    control: &Arc<QueryControl>,
+    flight: &Flight,
 ) -> Result<ShardStats> {
+    let control = &flight.control;
     let mut env = ExecEnv::new(sources).with_batch_size(d.batch_size.max(1) as usize);
     if d.shard_budget > 0 {
         env.memory = MemoryManager::new().with_budget(d.shard_budget as usize);
@@ -300,7 +393,7 @@ fn run_dispatch<W: Write>(
         if batch.is_empty() {
             continue;
         }
-        if let Err(e) = acquire_credit(credits, control, &mut stats.backpressure_stalls) {
+        if let Err(e) = flight.acquire(&mut stats.backpressure_stalls) {
             break Err(e);
         }
         stats.rows += batch.len() as u64;

@@ -32,8 +32,15 @@
 //!    `crates/source/src` calls `thread::spawn` or `thread::Builder`: a
 //!    scan that reads a source ahead or with a deadline runs it on a
 //!    feeder (rule 5).
+//! 9. **No timer on the wire.** No non-test file under `crates/net/src`
+//!    calls `thread::sleep` or `set_nonblocking(true)`, or names the
+//!    deleted `ACCEPT_TICK`, `CREDIT_TICK` or `READ_TICK`: the worker
+//!    blocks in `accept`, in a socket read or on a condvar, and is woken
+//!    by a connection, a frame or a notify. (Left: the coordinator's
+//!    `STREAM_TICK` read timeout, and a bare `WorkerServer::run`'s stop
+//!    watcher, which no query waits on.)
 //!
-//! All checks are text-based (no extra dependencies); 1–3, 5, 6 and 8
+//! All checks are text-based (no extra dependencies); 1–3, 5, 6, 8 and 9
 //! skip `*_tests.rs` files, `tests/` directories, and everything at or
 //! below the first `#[cfg(test)]` line of a file (test modules sit at
 //! file end by convention here).
@@ -307,6 +314,35 @@ fn sources_start_no_threads() {
     assert!(
         hits.is_empty(),
         "a source is read ahead on a feeder, not a thread of its own:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn no_timer_on_the_wire() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    rust_sources(&root.join("crates/net/src"), false, &mut files);
+    assert!(files.len() > 3, "net crate files not found");
+    let mut hits = Vec::new();
+    for file in &files {
+        for (i, line) in non_test_lines(file).iter().enumerate() {
+            let code = code_only(line);
+            let timed = ["thread::sleep", "set_nonblocking(true)"]
+                .iter()
+                .any(|call| code.contains(call))
+                || ["ACCEPT_TICK", "CREDIT_TICK", "READ_TICK"]
+                    .iter()
+                    .any(|tick| has_word(&code, tick));
+            if timed {
+                let rel = file.strip_prefix(&root).unwrap().display();
+                hits.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "the wire waits on connections, frames and condvars, not timers:\n{}",
         hits.join("\n")
     );
 }
