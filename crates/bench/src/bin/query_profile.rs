@@ -32,11 +32,8 @@ use tukwila_trace::TraceLevel;
 /// `n` tuples `(i % dup, i)` under schema `name(k, v)`.
 fn keyed(name: &str, n: i64, dup: i64) -> Relation {
     let schema = Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
-    let mut r = Relation::empty(schema);
-    for i in 0..n {
-        r.push(tuple![i % dup.max(1), i]);
-    }
-    r
+    let rows = (0..n).map(|i| tuple![i % dup.max(1), i]).collect();
+    Relation::new(schema, rows).expect("integer rows fit the schema")
 }
 
 /// The built-in scenario: two delayed/bursty sources joined pipelined,

@@ -520,16 +520,13 @@ pub mod overflow_io {
 
     fn relation(name: &str, n: usize) -> Relation {
         let schema = Schema::of(name, &[("k", DataType::Int), ("pay", DataType::Int)]);
-        let mut r = Relation::empty(schema);
-        for i in 0..n as i64 {
-            r.push(tuple![i, i * 3]);
-        }
-        r
+        let rows = (0..n as i64).map(|i| tuple![i, i * 3]).collect();
+        Relation::new(schema, rows).expect("integer rows fit the schema")
     }
 
     fn io_of(n: usize, method: OverflowMethod) -> usize {
         let (a, b) = (relation("a", n), relation("b", n));
-        let budget = M * a.tuples()[0].mem_size();
+        let budget = M * a.columnar().row_mem_size(0);
         let paced = LinkModel {
             per_tuple: Duration::from_micros(60),
             ..LinkModel::instant()

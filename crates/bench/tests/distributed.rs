@@ -25,11 +25,11 @@ use tukwila_source::{LinkModel, SimulatedSource, SourceRegistry};
 /// `n` tuples `(i % dup, i)` under schema `name(k, v)`.
 fn relation(name: &str, n: i64, dup: i64) -> Relation {
     let schema = Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
-    let mut r = Relation::empty(schema);
+    let mut r = Vec::new();
     for i in 0..n {
         r.push(tuple![i % dup.max(1), i]);
     }
-    r
+    Relation::new(schema, r).unwrap()
 }
 
 /// The workload's two sources, `L` and `R`, each `n` rows over `dup`

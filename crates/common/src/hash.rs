@@ -246,15 +246,6 @@ impl<K, V> PrehashMap<K, V> {
         }
     }
 
-    /// Mutable lookup (allocation-free when present).
-    #[inline]
-    pub fn get_hashed_mut(&mut self, hash: u64, key_eq: impl Fn(&K) -> bool) -> Option<&mut V> {
-        match self.find(hash, key_eq) {
-            Ok(g) => Some(&mut self.groups[g as usize].2),
-            Err(_) => None,
-        }
-    }
-
     /// Entry-style upsert: return the value for `(hash, key)`, materializing
     /// the owned key (via `make_key`) and a default value only when the key
     /// is new. This is the insert path's "clone the key once per group".

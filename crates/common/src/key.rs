@@ -9,7 +9,7 @@
 //! probes compare the key **by reference** into the batch's tuples and
 //! never clone a `Value`.
 
-use crate::hash::{fx_hash, FxHasher};
+use crate::hash::FxHasher;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::TupleBatch;
@@ -128,51 +128,27 @@ pub struct KeyVector {
 }
 
 impl KeyVector {
-    /// Prehash every row of `batch` on the single key column `col`.
-    /// Columnar batches take the typed column kernel
-    /// ([`crate::Column::hash_append`]) — one tight loop over the native
-    /// payload, no row materialization; row batches fall back to the
-    /// per-tuple walk. Both produce byte-identical hashes.
+    /// Prehash every row of `batch` on the single key column `col`: the
+    /// typed column kernel ([`crate::Column::hash_append`]), one tight loop
+    /// over the native payload.
     pub fn compute(batch: &TupleBatch, col: usize) -> KeyVector {
-        if let Some(cols) = batch.columns() {
-            let mut hashes = Vec::with_capacity(cols.len());
-            cols.col(col).hash_append(&mut hashes);
-            return KeyVector { hashes };
-        }
-        KeyVector {
-            hashes: batch
-                .iter()
-                .map(|t| {
-                    let v = t.value(col);
-                    if v.is_null() {
-                        None
-                    } else {
-                        Some(fx_hash(v))
-                    }
-                })
-                .collect(),
-        }
+        let cols = batch.columns();
+        let mut hashes = Vec::with_capacity(cols.len());
+        cols.col(col).hash_append(&mut hashes);
+        KeyVector { hashes }
     }
 
-    /// Prehash every row of `batch` on a (possibly composite) column set.
-    /// Columnar batches fold each key column through per-row hasher states
-    /// ([`crate::Column::hash_fold`]) — column-at-a-time, same result as
-    /// the per-tuple walk.
+    /// Prehash every row of `batch` on a (possibly composite) column set:
+    /// each key column folded through per-row hasher states
+    /// ([`crate::Column::hash_fold`]), column at a time.
     pub fn compute_composite(batch: &TupleBatch, cols: &[usize]) -> KeyVector {
-        if let Some(cb) = batch.columns() {
-            let mut acc: Vec<Option<FxHasher>> = vec![Some(FxHasher::new()); cb.len()];
-            for &c in cols {
-                cb.col(c).hash_fold(&mut acc);
-            }
-            return KeyVector {
-                hashes: acc.into_iter().map(|h| h.map(|h| h.finish())).collect(),
-            };
+        let cb = batch.columns();
+        let mut acc: Vec<Option<FxHasher>> = vec![Some(FxHasher::new()); cb.len()];
+        for &c in cols {
+            cb.col(c).hash_fold(&mut acc);
         }
         KeyVector {
-            hashes: batch
-                .iter()
-                .map(|t| Self::hash_tuple_key(t, cols))
-                .collect(),
+            hashes: acc.into_iter().map(|h| h.map(|h| h.finish())).collect(),
         }
     }
 
@@ -215,6 +191,7 @@ impl KeyVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::fx_hash;
     use crate::tuple;
 
     #[test]
@@ -255,7 +232,7 @@ mod tests {
 
     #[test]
     fn key_vector_matches_per_row_hashing() {
-        let batch = TupleBatch::from_tuples(vec![
+        let batch = crate::testing::batch(&[
             tuple![1, 10],
             crate::Tuple::new(vec![Value::Null, Value::Int(11)]),
             tuple![3, 30],
@@ -271,15 +248,18 @@ mod tests {
         }
     }
 
-    /// Satellite: hash(column kernel) ≡ hash(per-tuple `JoinKey`) for every
-    /// type — including NULL (no hash at all), -0.0 vs 0.0 (distinct bits),
-    /// and NaN (bit-stable) — so bucket/partition routing is byte-stable
-    /// across the row/columnar refactor.
+    /// hash(column kernel) ≡ hash(per-tuple `JoinKey`) for every type —
+    /// including NULL (no hash at all), -0.0 vs 0.0 (distinct bits), and
+    /// NaN (bit-stable) — so an owned key routes where its row does.
     #[test]
-    fn columnar_key_vector_matches_row_path() {
-        use crate::column::ColumnarBatch;
+    fn columnar_key_vector_matches_join_key() {
         let rows = vec![
-            tuple![1, 2.5, "a", 3],
+            crate::Tuple::new(vec![
+                Value::Int(1),
+                Value::Double(2.5),
+                Value::str("a"),
+                Value::Date(3),
+            ]),
             crate::Tuple::new(vec![
                 Value::Int(i64::MIN),
                 Value::Double(-0.0),
@@ -299,14 +279,10 @@ mod tests {
                 Value::Null,
             ]),
         ];
-        let row_batch = TupleBatch::from_tuples(rows.clone());
-        let col_batch = TupleBatch::from_columns(ColumnarBatch::from_rows(&rows));
-        assert!(col_batch.columns().is_some());
+        let col_batch = crate::testing::batch(&rows);
         for c in 0..4 {
-            let rv = KeyVector::compute(&row_batch, c);
             let cv = KeyVector::compute(&col_batch, c);
             for (i, row) in rows.iter().enumerate() {
-                assert_eq!(rv.get(i), cv.get(i), "col {c} row {i}");
                 let jk = JoinKey::from_tuple(row, &[c]);
                 let want = if jk.has_null() {
                     None
@@ -322,10 +298,8 @@ mod tests {
             &[0, 1, 2, 3][..],
             &[3, 0][..],
         ] {
-            let rv = KeyVector::compute_composite(&row_batch, cols);
             let cv = KeyVector::compute_composite(&col_batch, cols);
             for (i, row) in rows.iter().enumerate() {
-                assert_eq!(rv.get(i), cv.get(i), "cols {cols:?} row {i}");
                 let jk = JoinKey::from_tuple(row, cols);
                 let want = if jk.has_null() {
                     None

@@ -9,13 +9,13 @@
 //! wrappers, operators, the optimizer — traffics in the types defined here.
 //!
 //! Design notes (see DESIGN.md §2):
-//! * [`Tuple`] is a cheaply cloneable, immutable row (`Arc<[Value]>`); join
-//!   operators concatenate tuples without copying their inputs' buffers
-//!   more than once.
 //! * [`TupleBatch`] is the unit of data flow between operators and across
-//!   the wrapper boundary: a shared-schema block of tuples with cached
-//!   batch-level `mem_size`, amortizing per-tuple dispatch and channel
-//!   overhead on every hot path.
+//!   the wrapper boundary: a shared-schema block of tuples held as typed
+//!   columns ([`ColumnarBatch`]), amortizing per-tuple dispatch and channel
+//!   overhead on every hot path. It is the one form data moves and rests in.
+//! * [`Tuple`] is a cheaply cloneable, immutable row (`Arc<[Value]>`): the
+//!   reference oracle's and the tests' form, made on request by
+//!   [`Relation::to_rows`].
 //! * Every value and tuple knows its approximate in-memory size
 //!   ([`Value::mem_size`], [`Tuple::mem_size`]) so the memory manager can
 //!   enforce the per-operator budgets the paper's overflow experiments
@@ -28,10 +28,11 @@ pub mod hash;
 pub mod key;
 pub mod relation;
 pub mod schema;
+pub mod testing;
 pub mod tuple;
 pub mod value;
 
-pub use batch::{BatchAssembler, OutputQueue, TupleBatch, DEFAULT_BATCH_CAPACITY};
+pub use batch::{OutputQueue, TupleBatch, DEFAULT_BATCH_CAPACITY};
 pub use column::{Bitmap, Column, ColumnBuilder, ColumnarBatch, Selection, StrColumn};
 
 /// The process-wide default operator batch capacity, read from the

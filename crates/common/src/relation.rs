@@ -6,109 +6,80 @@
 //! collector discussion (§4.1, where overlap between sources produces
 //! duplicates the collector policy may or may not bother removing).
 //!
-//! A relation holds its data in either (or both) of two physical forms —
-//! a row vector and a columnar batch — each materialized lazily from the
-//! other and cached (`OnceLock`). Sources serve columnar slices without
-//! ever paying a conversion inside the timed query window, while reference
-//! code keeps using `tuples()` unchanged.
+//! A relation holds one shared [`ColumnarBatch`], typed by its schema:
+//! sources serve slices of it, and cloning a relation bumps one refcount.
+//! Rows come only from the allocating [`Relation::to_rows`], which the
+//! reference oracle ([`Relation::nested_join`], [`Relation::bag_eq`]) and
+//! tests call.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::column::ColumnarBatch;
 use crate::error::{Result, TukwilaError};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use crate::TupleBatch;
 
-/// A schema-carrying bag of tuples with lazily interconvertible row-major
-/// and columnar representations (at least one is always present).
+/// A schema-carrying bag of tuples, held as typed columns.
 #[derive(Clone)]
 pub struct Relation {
     schema: Schema,
-    len: usize,
-    rows: OnceLock<Vec<Tuple>>,
-    cols: OnceLock<Arc<ColumnarBatch>>,
+    cols: Arc<ColumnarBatch>,
 }
 
 impl Relation {
-    /// Build a relation, validating that every tuple matches the schema
-    /// arity (type checking is left to the planner; arity mismatches are
-    /// hard corruption and rejected here).
+    /// Build a relation from rows, typing each column by its schema field.
+    /// A tuple of another arity, or a value of another type than its
+    /// field's, is a `Schema` error.
     pub fn new(schema: Schema, tuples: Vec<Tuple>) -> Result<Self> {
-        for (i, t) in tuples.iter().enumerate() {
-            if t.arity() != schema.arity() {
-                return Err(TukwilaError::Schema(format!(
-                    "tuple {i} has arity {} but schema {} has arity {}",
-                    t.arity(),
-                    schema,
-                    schema.arity()
-                )));
-            }
-        }
-        Ok(Relation::from_rows_unchecked(schema, tuples))
-    }
-
-    /// Build from validated rows (internal constructor).
-    fn from_rows_unchecked(schema: Schema, tuples: Vec<Tuple>) -> Self {
-        let len = tuples.len();
-        let rows = OnceLock::new();
-        let _ = rows.set(tuples);
-        Relation {
-            schema,
-            len,
-            rows,
-            cols: OnceLock::new(),
-        }
-    }
-
-    /// Build directly from a columnar batch (no row materialization).
-    pub fn from_columnar(schema: Schema, cols: ColumnarBatch) -> Result<Self> {
-        if cols.num_cols() != schema.arity() && !cols.is_empty() {
-            return Err(TukwilaError::Schema(format!(
-                "columnar batch has {} columns but schema {} has arity {}",
-                cols.num_cols(),
-                schema,
-                schema.arity()
-            )));
-        }
-        let len = cols.len();
-        let cell = OnceLock::new();
-        let _ = cell.set(Arc::new(cols));
+        let cols = ColumnarBatch::from_rows(&schema, &tuples)?;
         Ok(Relation {
             schema,
-            len,
-            rows: OnceLock::new(),
-            cols: cell,
+            cols: Arc::new(cols),
+        })
+    }
+
+    /// Build from a columnar batch. A batch whose columns do not match the
+    /// schema's fields in number and type is a `Schema` error.
+    pub fn from_columnar(schema: Schema, cols: ColumnarBatch) -> Result<Self> {
+        let fits = cols.num_cols() == schema.arity()
+            && (0..cols.num_cols()).all(|c| {
+                let want = match schema.field(c).data_type {
+                    DataType::Null => DataType::Int,
+                    dt => dt,
+                };
+                cols.col(c).data_type() == want
+            });
+        if !fits {
+            let types: Vec<DataType> = (0..cols.num_cols())
+                .map(|c| cols.col(c).data_type())
+                .collect();
+            return Err(TukwilaError::Schema(format!(
+                "columns {types:?} do not match schema {schema}"
+            )));
+        }
+        Ok(Relation {
+            schema,
+            cols: Arc::new(cols),
         })
     }
 
     /// Materialize a stream of batches into a relation — the fragment
-    /// materialization sink. When every batch is columnar and the layouts
-    /// agree, the result is assembled **column-wise** (typed buffer
-    /// appends, no row views ever built); otherwise it falls back to row
-    /// concatenation with the same arity validation as [`Relation::new`].
+    /// materialization sink: the batches' columns appended once.
     pub fn from_batches(schema: Schema, batches: Vec<TupleBatch>) -> Result<Self> {
-        if !batches.is_empty() && batches.iter().all(|b| b.columns().is_some()) {
-            let all = batches.iter().filter_map(|b| b.columns());
-            if let Some(cat) = ColumnarBatch::concat(all) {
-                if cat.num_cols() == schema.arity() {
-                    return Relation::from_columnar(schema, cat);
-                }
-            }
+        match ColumnarBatch::concat(batches.iter().map(TupleBatch::columns))? {
+            Some(cols) => Relation::from_columnar(schema, cols),
+            None => Ok(Relation::empty(schema)),
         }
-        let mut tuples = Vec::with_capacity(batches.iter().map(TupleBatch::len).sum());
-        for b in batches {
-            tuples.extend(b.into_tuples());
-        }
-        Relation::new(schema, tuples)
     }
 
     /// Build an empty relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
-        Relation::from_rows_unchecked(schema, Vec::new())
+        let cols = Arc::new(ColumnarBatch::empty(&schema));
+        Relation { schema, cols }
     }
 
     /// The relation's schema.
@@ -116,102 +87,37 @@ impl Relation {
         &self.schema
     }
 
-    /// Tuples in insertion order (materialized lazily — at most once —
-    /// when the relation was built columnar).
-    pub fn tuples(&self) -> &[Tuple] {
-        self.rows.get_or_init(|| {
-            self.cols
-                .get()
-                .expect("relation invariant: rows or cols present")
-                .materialize_rows()
-        })
-    }
-
-    /// The columnar representation, converting from rows on first call and
-    /// caching. Sources call this **once, outside the timed window**, so
-    /// scans serve columnar slices for free thereafter.
+    /// The relation's columns, shared: sources serve slices of them.
     pub fn columnar(&self) -> &Arc<ColumnarBatch> {
-        self.cols.get_or_init(|| {
-            Arc::new(ColumnarBatch::from_rows(
-                self.rows
-                    .get()
-                    .expect("relation invariant: rows or cols present"),
-            ))
-        })
+        &self.cols
     }
 
-    /// The columnar representation only if already materialized — the
-    /// non-forcing probe hot paths use to decide between the columnar
-    /// slice path and the row clone path.
-    pub fn columnar_cached(&self) -> Option<&Arc<ColumnarBatch>> {
-        self.cols.get()
+    /// The tuples in insertion order, newly allocated.
+    pub fn to_rows(&self) -> Vec<Tuple> {
+        self.cols.to_rows()
     }
 
-    /// A copy of this relation holding **only** the columnar form (forced
-    /// if absent; the column `Arc`s are shared, not copied). Long-lived
-    /// holders — simulated sources, caches — use this so a relation built
-    /// row-by-row does not pin hundreds of thousands of per-tuple
-    /// allocations whose eventual drop lands inside someone's timed query
-    /// window; row views rematerialize lazily if a per-tuple consumer asks.
-    pub fn columnar_only(&self) -> Relation {
-        let cols = self.columnar().clone();
-        let cell = OnceLock::new();
-        let _ = cell.set(cols);
-        Relation {
-            schema: self.schema.clone(),
-            len: self.len,
-            rows: OnceLock::new(),
-            cols: cell,
-        }
-    }
-
-    /// Number of tuples (cardinality) — no materialization.
+    /// Number of tuples (cardinality).
     pub fn len(&self) -> usize {
-        self.len
+        self.cols.len()
     }
 
     /// Whether the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Append a tuple (materializes rows; drops a stale columnar cache).
-    /// Panics on arity mismatch in debug builds; callers on hot paths
-    /// (materialization) have already validated the schema.
-    pub fn push(&mut self, tuple: Tuple) {
-        debug_assert_eq!(tuple.arity(), self.schema.arity());
-        self.tuples();
-        self.cols = OnceLock::new();
-        self.rows.get_mut().expect("rows forced above").push(tuple);
-        self.len += 1;
-    }
-
-    /// Consume into the tuple vector.
-    pub fn into_tuples(self) -> Vec<Tuple> {
-        match self.rows.into_inner() {
-            Some(t) => t,
-            None => self
-                .cols
-                .into_inner()
-                .expect("relation invariant: rows or cols present")
-                .materialize_rows(),
-        }
-    }
-
-    /// Total approximate memory footprint in bytes. Computed from whichever
-    /// representation is materialized (both report the identical figure).
+    /// Total approximate memory footprint in bytes (what the rows would
+    /// report as `Tuple::mem_size` in total).
     pub fn mem_size(&self) -> usize {
-        if let Some(rows) = self.rows.get() {
-            return rows.iter().map(Tuple::mem_size).sum();
-        }
-        self.cols.get().expect("relation invariant").mem_size()
+        self.cols.mem_size()
     }
 
     /// Sorted copy of the tuples (total order on values) — used by tests to
     /// compare results irrespective of arrival order, which adaptive
     /// operators deliberately scramble.
     pub fn sorted_tuples(&self) -> Vec<Tuple> {
-        let mut out = self.tuples().to_vec();
+        let mut out = self.to_rows();
         out.sort_by(|a, b| a.values().cmp(b.values()));
         out
     }
@@ -232,10 +138,10 @@ impl Relation {
     pub fn canonicalized(&self) -> Relation {
         let mut order: Vec<usize> = (0..self.schema.arity()).collect();
         order.sort_by_key(|&i| self.schema.field(i).qualified_name());
-        Relation::from_rows_unchecked(
-            self.schema.project(&order),
-            self.tuples().iter().map(|t| t.project(&order)).collect(),
-        )
+        Relation {
+            schema: self.schema.project(&order),
+            cols: Arc::new(self.cols.project(&order)),
+        }
     }
 
     /// Column-order-insensitive bag equality: canonicalize both sides, then
@@ -248,51 +154,63 @@ impl Relation {
     /// in the engine: joins `self` and `other` on equality of the given key
     /// columns, concatenating matching tuples (left then right).
     pub fn nested_join(&self, other: &Relation, left_key: usize, right_key: usize) -> Relation {
-        let mut index: HashMap<&Value, Vec<&Tuple>> = HashMap::new();
-        for t in other.tuples() {
-            index.entry(t.value(right_key)).or_default().push(t);
+        let rows = join_rows(&self.to_rows(), &other.to_rows(), left_key, right_key);
+        let schema = self.schema.concat(&other.schema);
+        let cols = ColumnarBatch::from_rows(&schema, &rows)
+            .expect("a join of typed relations fits their concatenated schema");
+        Relation {
+            schema,
+            cols: Arc::new(cols),
         }
-        let mut out = Vec::new();
-        for l in self.tuples() {
-            if l.value(left_key).is_null() {
-                continue; // NULL keys never join
-            }
-            if let Some(matches) = index.get(l.value(left_key)) {
-                for r in matches {
-                    out.push(l.concat(r));
-                }
-            }
-        }
-        Relation::from_rows_unchecked(self.schema.concat(&other.schema), out)
     }
 
     /// Reference selection: keep tuples where column `col` equals `v`.
     pub fn select_eq(&self, col: usize, v: &Value) -> Relation {
-        Relation::from_rows_unchecked(
-            self.schema.clone(),
-            self.tuples()
-                .iter()
-                .filter(|t| t.value(col).sql_eq(v) == Some(true))
-                .cloned()
-                .collect(),
-        )
+        let keep: Vec<u32> = (0..self.len() as u32)
+            .filter(|&i| self.cols.col(col).value_at(i as usize).sql_eq(v) == Some(true))
+            .collect();
+        Relation {
+            schema: self.schema.clone(),
+            cols: Arc::new(self.cols.gather(&keep)),
+        }
     }
 
     /// Distinct values in a column (for stats / tests).
     pub fn distinct_count(&self, col: usize) -> usize {
-        let mut seen: std::collections::HashSet<&Value> = std::collections::HashSet::new();
-        for t in self.tuples() {
-            seen.insert(t.value(col));
-        }
+        let column = self.cols.col(col);
+        let seen: std::collections::HashSet<Value> =
+            (0..self.len()).map(|i| column.value_at(i)).collect();
         seen.len()
     }
 }
 
-/// Equality is over schema and tuple content; the physical representation
-/// (rows vs columns, what is cached) is an execution detail.
+/// The reference equi-join over rows: every `left` tuple concatenated with
+/// every `right` tuple whose `right_key` value equals its `left_key` value
+/// (NULL keys never join), left rows in order.
+pub fn join_rows(left: &[Tuple], right: &[Tuple], left_key: usize, right_key: usize) -> Vec<Tuple> {
+    let mut index: HashMap<&Value, Vec<&Tuple>> = HashMap::new();
+    for t in right {
+        index.entry(t.value(right_key)).or_default().push(t);
+    }
+    let mut out = Vec::new();
+    for l in left {
+        if l.value(left_key).is_null() {
+            continue; // NULL keys never join
+        }
+        if let Some(matches) = index.get(l.value(left_key)) {
+            for r in matches {
+                out.push(l.concat(r));
+            }
+        }
+    }
+    out
+}
+
+/// Equality is over schema and tuple content; which column buffers hold
+/// them is an execution detail.
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.tuples() == other.tuples()
+        self.schema == other.schema && self.to_rows() == other.to_rows()
     }
 }
 
@@ -300,8 +218,7 @@ impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Relation")
             .field("schema", &self.schema)
-            .field("len", &self.len)
-            .field("columnar", &self.cols.get().is_some())
+            .field("len", &self.len())
             .finish()
     }
 }
@@ -309,7 +226,7 @@ impl fmt::Debug for Relation {
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{} ({} tuples)", self.schema, self.len())?;
-        for t in self.tuples().iter().take(20) {
+        for t in self.cols.slice(0, self.len().min(20)).to_rows() {
             writeln!(f, "  {t}")?;
         }
         if self.len() > 20 {
@@ -390,58 +307,55 @@ mod tests {
     #[test]
     fn mem_size_sums_tuples() {
         let r = rel("r", vec![tuple![1, 10], tuple![2, 20]]);
-        assert_eq!(
-            r.mem_size(),
-            r.tuples()[0].mem_size() + r.tuples()[1].mem_size()
-        );
+        let rows = r.to_rows();
+        assert_eq!(r.mem_size(), rows[0].mem_size() + rows[1].mem_size());
     }
 
     #[test]
-    fn columnar_round_trip_and_cache() {
+    fn columnar_round_trip_shares_columns() {
         let r = rel("r", vec![tuple![1, 10], tuple![2, 20]]);
-        assert!(r.columnar_cached().is_none());
-        let mem = r.mem_size();
         let cols = r.columnar().clone();
         assert_eq!(cols.len(), 2);
-        assert!(r.columnar_cached().is_some());
-        // cached: same Arc back
-        assert!(Arc::ptr_eq(&cols, r.columnar()));
-        // columnar-built relation materializes identical rows and mem
+        assert!(
+            Arc::ptr_eq(&cols, r.clone().columnar()),
+            "a clone shares them"
+        );
         let c = Relation::from_columnar(r.schema().clone(), (*cols).clone()).unwrap();
-        assert_eq!(c.mem_size(), mem);
+        assert_eq!(c.mem_size(), r.mem_size());
         assert_eq!(c, r);
-        assert_eq!(c.len(), 2);
     }
 
+    /// Columns that do not match the schema in number or type are a
+    /// `Schema` error; so is a row value of another type than its field's.
     #[test]
-    fn from_batches_concatenates_columnar() {
-        use crate::column::ColumnarBatch;
+    fn relations_take_types_from_the_schema() {
         let schema = Schema::of("r", &[("k", DataType::Int), ("v", DataType::Int)]);
-        let b1 = TupleBatch::from_columns(ColumnarBatch::from_rows(&[tuple![1, 10]]));
-        let b2 =
-            TupleBatch::from_columns(ColumnarBatch::from_rows(&[tuple![2, 20], tuple![3, 30]]));
-        let r = Relation::from_batches(schema.clone(), vec![b1, b2]).unwrap();
-        assert_eq!(r.len(), 3);
-        assert!(r.columnar_cached().is_some(), "assembled column-wise");
-        assert_eq!(r.tuples(), &[tuple![1, 10], tuple![2, 20], tuple![3, 30]]);
-        // mixed representations fall back to rows (and still validate arity)
-        let b3 = TupleBatch::from_tuples(vec![tuple![4, 40]]);
-        let b4 = TupleBatch::from_columns(ColumnarBatch::from_rows(&[tuple![5, 50]]));
-        let m = Relation::from_batches(schema.clone(), vec![b3, b4]).unwrap();
-        assert_eq!(m.len(), 2);
-        assert!(m.columnar_cached().is_none());
-        // arity mismatch is rejected on the row path
-        let bad = TupleBatch::from_tuples(vec![tuple![1]]);
-        assert!(Relation::from_batches(schema, vec![bad]).is_err());
+        let strs = crate::testing::columns(&[tuple![1, "x"]]);
+        let err = Relation::from_columnar(schema.clone(), strs);
+        assert!(matches!(err, Err(TukwilaError::Schema(_))), "{err:?}");
+        let narrow = crate::testing::columns(&[tuple![1]]);
+        assert!(Relation::from_columnar(schema.clone(), narrow).is_err());
+        let err = Relation::new(schema.clone(), vec![tuple![1, 2.5]]);
+        assert!(matches!(err, Err(TukwilaError::Schema(_))), "{err:?}");
+        let empty = Relation::empty(schema);
+        assert!(empty.is_empty());
+        assert_eq!(empty.columnar().num_cols(), 2);
     }
 
     #[test]
-    fn push_invalidates_columnar_cache() {
-        let mut r = rel("r", vec![tuple![1, 10]]);
-        r.columnar();
-        r.push(tuple![2, 20]);
-        assert!(r.columnar_cached().is_none(), "stale cache dropped");
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.columnar().len(), 2);
+    fn from_batches_concatenates_columns() {
+        use crate::testing::batch;
+        let schema = Schema::of("r", &[("k", DataType::Int), ("v", DataType::Int)]);
+        let b1 = batch(&[tuple![1, 10]]);
+        let b2 = batch(&[tuple![2, 20], tuple![3, 30]]);
+        let r = Relation::from_batches(schema.clone(), vec![b1, b2]).unwrap();
+        assert_eq!(r.to_rows(), &[tuple![1, 10], tuple![2, 20], tuple![3, 30]]);
+        assert!(Relation::from_batches(schema.clone(), vec![])
+            .unwrap()
+            .is_empty());
+        // arity and type mismatches are rejected
+        assert!(Relation::from_batches(schema.clone(), vec![batch(&[tuple![1]])]).is_err());
+        let mixed = vec![batch(&[tuple![1, 10]]), batch(&[tuple![1, "x"]])];
+        assert!(Relation::from_batches(schema, mixed).is_err());
     }
 }

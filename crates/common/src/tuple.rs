@@ -2,13 +2,12 @@
 //!
 //! Joins in Tukwila are hash-based and produce concatenations of their input
 //! tuples. A [`Tuple`] is a view into a shared `Arc<[Value]>` **block**: an
-//! independently built tuple owns its whole block, while rows assembled by
-//! [`crate::BatchAssembler`] are slices of one block shared by the whole
-//! output batch — so hot emit loops pay one buffer allocation per *batch*
-//! instead of one `Vec` plus one `Arc` per row. Cloning either form costs
-//! one refcount bump. The double pipelined join holds *both* inputs in
-//! memory (§4.2.2), so this representation is what makes the memory
-//! accounting meaningful.
+//! independently built tuple owns its whole block, while the rows of
+//! [`crate::ColumnarBatch::to_rows`] are slices of one block shared by the
+//! whole batch. Cloning either form costs one refcount bump. Operators
+//! move columns, not tuples: rows are the reference oracle's and the
+//! tests' form, and [`Tuple::mem_size`] is the accounting figure a batch's
+//! columns reproduce.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -31,8 +30,8 @@ pub struct Tuple {
 }
 
 /// Per-row bookkeeping bytes charged by [`Tuple::mem_size`] on top of the
-/// values (tuple struct + `Arc` header) — shared with the batch assembler
-/// so incrementally tracked batch sizes match a fresh per-tuple sum.
+/// values (tuple struct + `Arc` header) — shared with the columnar
+/// `mem_size`, so a batch reports what its rows would.
 pub(crate) const TUPLE_HEADER_BYTES: usize =
     std::mem::size_of::<Tuple>() + 2 * std::mem::size_of::<usize>();
 
@@ -53,9 +52,8 @@ impl Tuple {
         Tuple::new(Vec::new())
     }
 
-    /// A view of `len` values of `block` starting at `start` — the
-    /// batch-assembly constructor ([`crate::BatchAssembler`] owns the only
-    /// call sites; rows of one output batch share one block).
+    /// A view of `len` values of `block` starting at `start` — the rows of
+    /// one [`crate::ColumnarBatch::to_rows`] share one block.
     pub(crate) fn view(block: Arc<[Value]>, start: usize, len: usize) -> Self {
         debug_assert!(start + len <= block.len());
         Tuple {

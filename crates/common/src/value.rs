@@ -105,14 +105,6 @@ impl Value {
         }
     }
 
-    /// Float payload, if this is a [`Value::Double`].
-    pub fn as_double(&self) -> Option<f64> {
-        match self {
-            Value::Double(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// String payload, if this is a [`Value::Str`].
     pub fn as_str(&self) -> Option<&str> {
         match self {

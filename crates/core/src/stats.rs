@@ -75,11 +75,6 @@ impl ExecutionStats {
     pub fn spill_tuple_io(&self) -> usize {
         self.spill_tuples_written + self.spill_tuples_read
     }
-
-    /// Total spill I/O in bytes.
-    pub fn spill_byte_io(&self) -> usize {
-        self.spill_bytes_written + self.spill_bytes_read
-    }
 }
 
 /// The answer to a query plus how it was computed.

@@ -16,6 +16,7 @@
 use std::collections::HashMap;
 
 use tukwila_catalog::{AccessCost, Catalog, OverlapInfo, SourceDesc, TableStats};
+use tukwila_common::relation::join_rows;
 use tukwila_common::{Relation, Result, TukwilaError};
 use tukwila_exec::ExecEnv;
 use tukwila_opt::{Optimizer, OptimizerConfig};
@@ -264,12 +265,14 @@ impl TpchDeployment {
 
     /// Trusted reference evaluation of a conjunctive query against the
     /// generated data (nested-loop semantics; no projection/filters beyond
-    /// the join predicates).
+    /// the join predicates). Works on rows: each table is materialized
+    /// once, and the answer is typed into columns once, at the end.
     pub fn gold(&self, query: &ConjunctiveQuery) -> Result<Relation> {
         let first = TpchTable::from_name(&query.relations[0]).ok_or_else(|| {
             TukwilaError::Internal(format!("unknown table {}", query.relations[0]))
         })?;
-        let mut cur = self.db.table(first).clone();
+        let table = self.db.table(first);
+        let (mut schema, mut rows) = (table.schema().clone(), table.to_rows());
         let mut included = vec![query.relations[0].clone()];
         let mut applied = vec![false; query.joins.len()];
 
@@ -292,9 +295,10 @@ impl TpchDeployment {
                 let table = TpchTable::from_name(out_rel)
                     .ok_or_else(|| TukwilaError::Internal(format!("unknown table {out_rel}")))?;
                 let right = self.db.table(table);
-                let li = cur.schema().index_of(in_col)?;
+                let li = schema.index_of(in_col)?;
                 let ri = right.schema().index_of(out_col)?;
-                cur = cur.nested_join(right, li, ri);
+                rows = join_rows(&rows, &right.to_rows(), li, ri);
+                schema = schema.concat(right.schema());
                 included.push(out_rel.to_string());
                 applied[i] = true;
                 progressed = true;
@@ -310,17 +314,11 @@ impl TpchDeployment {
             if applied[i] {
                 continue;
             }
-            let li = cur.schema().index_of(&j.left)?;
-            let ri = cur.schema().index_of(&j.right)?;
-            let schema = cur.schema().clone();
-            let tuples = cur
-                .into_tuples()
-                .into_iter()
-                .filter(|t| t.value(li).sql_eq(t.value(ri)) == Some(true))
-                .collect();
-            cur = Relation::new(schema, tuples)?;
+            let li = schema.index_of(&j.left)?;
+            let ri = schema.index_of(&j.right)?;
+            rows.retain(|t| t.value(li).sql_eq(t.value(ri)) == Some(true));
         }
-        Ok(cur)
+        Relation::new(schema, rows)
     }
 }
 

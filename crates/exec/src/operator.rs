@@ -45,38 +45,28 @@ pub trait Operator: Send {
 /// Boxed operator (the tree edge type).
 pub type OperatorBox = Box<dyn Operator>;
 
-/// Single-tuple adapter over a batched operator: buffers the current batch
-/// and yields one tuple per call. This is the migration/consumption shim
-/// for call sites that need tuple granularity; the operators themselves are
-/// all natively batched.
+/// Single-tuple adapter over a batched operator: holds the current batch's
+/// rows and yields one tuple per call, for tests that need tuple
+/// granularity; the operators themselves are all natively batched.
 #[derive(Default)]
 pub struct TupleCursor {
-    buf: Option<TupleBatch>,
-    pos: usize,
+    rows: std::vec::IntoIter<Tuple>,
 }
 
 impl TupleCursor {
     /// Fresh cursor with no buffered batch.
     pub fn new() -> Self {
-        TupleCursor { buf: None, pos: 0 }
+        TupleCursor::default()
     }
 
     /// Next tuple from `op`, pulling a new batch when the buffer runs dry.
     pub fn next(&mut self, op: &mut dyn Operator) -> Result<Option<Tuple>> {
         loop {
-            if let Some(batch) = &self.buf {
-                if let Some(t) = batch.get(self.pos) {
-                    let t = t.clone();
-                    self.pos += 1;
-                    return Ok(Some(t));
-                }
-                self.buf = None;
+            if let Some(t) = self.rows.next() {
+                return Ok(Some(t));
             }
             match op.next_batch()? {
-                Some(batch) => {
-                    self.buf = Some(batch);
-                    self.pos = 0;
-                }
+                Some(batch) => self.rows = batch.to_rows().into_iter(),
                 None => return Ok(None),
             }
         }
@@ -91,7 +81,7 @@ pub fn drain(op: &mut dyn Operator) -> Result<Vec<Tuple>> {
     let mut out = Vec::new();
     while let Some(batch) = op.next_batch()? {
         debug_assert!(!batch.is_empty(), "operators must not emit empty batches");
-        out.extend(batch);
+        out.extend(batch.to_rows());
     }
     op.close()?;
     Ok(out)

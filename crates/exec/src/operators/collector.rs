@@ -297,11 +297,11 @@ mod tests {
 
     fn rel(tag: i64, n: i64) -> Relation {
         let schema = Schema::of("bib", &[("id", DataType::Int), ("src", DataType::Int)]);
-        let mut r = Relation::empty(schema);
+        let mut r = Vec::new();
         for i in 0..n {
             r.push(tuple![i, tag]);
         }
-        r
+        Relation::new(schema, r).unwrap()
     }
 
     struct Fixture {

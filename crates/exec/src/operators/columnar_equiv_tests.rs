@@ -1,14 +1,13 @@
-//! Columnar ≡ row-major pipeline equivalence: the columnar batch layout and
-//! its vectorized kernels (typed prehash, selection bitmaps, gather-based
-//! routing, column-sharing projection) must be pure optimizations.
+//! Scan equivalence: the typed kernels (prehash, selection bitmaps,
+//! gather-based routing, column-sharing projection) answer what the
+//! row-at-a-time reference does, whichever scan feeds them.
 //!
-//! Wrapper sources deliver **columnar** batches (the registry forces the
-//! relation's columnar form at setup), while table scans over freshly
-//! pushed local relations deliver **row-major** batches — so running the
-//! same join once over each source kind drives the two representations
-//! through the full operator pipeline. Both runs are compared, as
-//! multisets, against each other and against the naive nested-loop
-//! reference (`Relation::nested_join`), across all four join kinds, batch
+//! Wrapper sources deliver batches paced by their link model, table scans
+//! over local relations deliver fixed-size slices — so running the same
+//! join once over each scan kind drives two arrival patterns through the
+//! full operator pipeline. Both runs are compared, as multisets, against
+//! each other and against the naive nested-loop reference
+//! (`Relation::nested_join`, over rows), across all three join kinds, batch
 //! sizes {1, 7, 64, 1024}, and memory budgets small enough to force
 //! overflow resolution — mixed Int/Str/Double/Date payload columns with
 //! NULLs exercise every column kind's slice/gather/materialize path.
@@ -48,7 +47,7 @@ fn rel_of(name: &str, rows: &[Row]) -> Relation {
             ("t", DataType::Date),
         ],
     );
-    let mut r = Relation::empty(schema);
+    let mut r = Vec::new();
     for (k, v, s, d, t) in rows {
         r.push(Tuple::new(vec![
             k.map_or(Value::Null, Value::Int),
@@ -58,7 +57,7 @@ fn rel_of(name: &str, rows: &[Row]) -> Relation {
             t.map_or(Value::Null, Value::Date),
         ]));
     }
-    r
+    Relation::new(schema, r).unwrap()
 }
 
 fn plan_of(build: impl FnOnce(&mut PlanBuilder) -> OperatorNode) -> QueryPlan {
@@ -68,8 +67,7 @@ fn plan_of(build: impl FnOnce(&mut PlanBuilder) -> OperatorNode) -> QueryPlan {
     b.build(f)
 }
 
-/// Environment with `L`/`R` as both wrapper sources (columnar delivery)
-/// and local tables (row-major delivery).
+/// Environment with `L`/`R` as both wrapper sources and local tables.
 fn env_of(l: &Relation, r: &Relation, batch_size: usize) -> ExecEnv {
     let reg = SourceRegistry::new();
     reg.register(SimulatedSource::new("L", l.clone(), LinkModel::instant()));
@@ -86,12 +84,11 @@ fn run_plan(env: ExecEnv, plan: &QueryPlan) -> Vec<Tuple> {
     drain(op.as_mut()).unwrap()
 }
 
-/// One join plan per source kind: `columnar` scans the wrapper sources,
-/// otherwise the local tables (whose freshly pushed relations have no
-/// cached columnar form, so scans emit row batches).
-fn join_plan(kind: JoinKind, budget: Option<usize>, columnar: bool) -> QueryPlan {
+/// One join plan per scan kind: `wrapper` scans the wrapper sources,
+/// otherwise the local tables.
+fn join_plan(kind: JoinKind, budget: Option<usize>, wrapper: bool) -> QueryPlan {
     plan_of(|b| {
-        let (ls, rs) = if columnar {
+        let (ls, rs) = if wrapper {
             (b.wrapper_scan("L"), b.wrapper_scan("R"))
         } else {
             (b.table_scan("L"), b.table_scan("R"))
@@ -126,11 +123,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Hybrid hash, Grace hash, and the double pipelined join produce the
-    /// same multiset whether their inputs arrive as columnar or row-major
-    /// batches, and both match the nested-loop reference — across batch
+    /// same multiset whether their inputs arrive through wrapper or table
+    /// scans, and both match the nested-loop reference — across batch
     /// sizes 1/7/64/1024 and budgets forcing overflow flushes.
     #[test]
-    fn prop_columnar_joins_match_row_major(
+    fn prop_joins_match_reference_over_both_scans(
         l_rows in arb_rows(40),
         r_rows in arb_rows(40),
         budget in prop_oneof![Just(None), Just(Some(1_500usize)), Just(Some(6_000usize))],
@@ -138,45 +135,45 @@ proptest! {
     ) {
         let l = rel_of("l", &l_rows);
         let r = rel_of("r", &r_rows);
-        let gold = multiset(l.nested_join(&r, 0, 0).tuples());
+        let gold = multiset(&l.nested_join(&r, 0, 0).to_rows());
 
         for kind in [JoinKind::HybridHash, JoinKind::GraceHash, JoinKind::DoublePipelined] {
-            let cols = multiset(&run_plan(
+            let wrapped = multiset(&run_plan(
                 env_of(&l, &r, batch_size),
                 &join_plan(kind, budget, true),
             ));
-            let rows = multiset(&run_plan(
+            let tables = multiset(&run_plan(
                 env_of(&l, &r, batch_size),
                 &join_plan(kind, budget, false),
             ));
             prop_assert!(
-                cols == gold,
-                "{kind:?} columnar diverged from reference (budget {budget:?}, batch {batch_size}): got {} rows, want {}",
-                cols.values().sum::<usize>(),
+                wrapped == gold,
+                "{kind:?} over wrappers diverged from reference (budget {budget:?}, batch {batch_size}): got {} rows, want {}",
+                wrapped.values().sum::<usize>(),
                 gold.values().sum::<usize>()
             );
             prop_assert!(
-                rows == gold,
-                "{kind:?} row-major diverged from reference (budget {budget:?}, batch {batch_size})"
+                tables == gold,
+                "{kind:?} over tables diverged from reference (budget {budget:?}, batch {batch_size})"
             );
         }
     }
 
-    /// The dependent join's driving side behaves identically columnar
-    /// (wrapper scan) and row-major (table scan); the probe index is built
-    /// from the source's columnar batches in both runs.
+    /// The dependent join's driving side behaves identically over a
+    /// wrapper scan and a table scan; the probe index is built from the
+    /// source's batches in both runs.
     #[test]
-    fn prop_columnar_dependent_join_matches_row_major(
+    fn prop_dependent_join_matches_reference_over_both_scans(
         l_rows in arb_rows(30),
         r_rows in arb_rows(30),
         batch_size in prop_oneof![Just(1usize), Just(7), Just(64), Just(1024)],
     ) {
         let l = rel_of("l", &l_rows);
         let r = rel_of("r", &r_rows);
-        let gold = multiset(l.nested_join(&r, 0, 0).tuples());
-        let dep_plan = |columnar: bool| {
+        let gold = multiset(&l.nested_join(&r, 0, 0).to_rows());
+        let dep_plan = |wrapper: bool| {
             plan_of(|b| {
-                let ls = if columnar {
+                let ls = if wrapper {
                     b.wrapper_scan("L")
                 } else {
                     b.table_scan("L")
@@ -184,19 +181,19 @@ proptest! {
                 b.dependent_join(ls, "R", "k", "k")
             })
         };
-        let cols = multiset(&run_plan(env_of(&l, &r, batch_size), &dep_plan(true)));
-        let rows = multiset(&run_plan(env_of(&l, &r, batch_size), &dep_plan(false)));
-        prop_assert_eq!(&cols, &gold);
-        prop_assert_eq!(&rows, &gold);
+        let wrapped = multiset(&run_plan(env_of(&l, &r, batch_size), &dep_plan(true)));
+        let tables = multiset(&run_plan(env_of(&l, &r, batch_size), &dep_plan(false)));
+        prop_assert_eq!(&wrapped, &gold);
+        prop_assert_eq!(&tables, &gold);
     }
 }
 
-/// Fixed regression: a filter + projection stack over a columnar source
-/// equals the same plan over a row-major table at every batch size —
-/// pinning the vectorized predicate (selection bitmap + gather) and the
-/// column-sharing projection against their row-path equivalents.
+/// Fixed regression: a filter + projection stack over a wrapper source
+/// equals the same plan over a local table at every batch size — pinning
+/// the vectorized predicate (selection bitmap + gather) and the
+/// column-sharing projection across scan kinds.
 #[test]
-fn filter_project_columnar_matches_row_major() {
+fn filter_project_matches_over_both_scans() {
     use tukwila_plan::{CmpOp, Predicate};
     let rows: Vec<Row> = (0..200)
         .map(|i| {
@@ -218,9 +215,9 @@ fn filter_project_columnar_matches_row_major() {
         })
         .collect();
     let l = rel_of("l", &rows);
-    let plan = |columnar: bool| {
+    let plan = |wrapper: bool| {
         plan_of(|b| {
-            let scan = if columnar {
+            let scan = if wrapper {
                 b.wrapper_scan("L")
             } else {
                 b.table_scan("L")

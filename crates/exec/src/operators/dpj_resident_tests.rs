@@ -2,9 +2,7 @@
 //! memory and through overflow.
 //!
 //! Inputs are scripted batches rather than sources, so a test chooses the
-//! key type, the batch size, the representation (typed columnar batches,
-//! or row-form ones the join converts to columns on arrival) and roughly
-//! who arrives first. The matrix checks answers and that the governor ends
+//! key type, the batch size and roughly who arrives first. The matrix checks answers and that the governor ends
 //! at zero; one pinned run with a fully ordered arrival checks every spill
 //! counter and the peak against fixed numbers.
 
@@ -12,9 +10,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use tukwila_common::{
-    ColumnBuilder, ColumnarBatch, DataType, Relation, Result, Schema, Tuple, TupleBatch, Value,
-};
+use tukwila_common::{ColumnarBatch, DataType, Relation, Result, Schema, Tuple, TupleBatch, Value};
 use tukwila_plan::{JoinKind, OverflowMethod, SubjectRef};
 use tukwila_source::LinkModel;
 use tukwila_trace::{OpMetrics, TraceLevel};
@@ -74,24 +70,13 @@ impl Operator for Scripted {
     }
 }
 
-/// Cut `rel` into batches of `size` rows: typed columnar (schema-typed
-/// columns, so every batch of one input has the same layout) or row-form.
-fn batches_of(rel: &Relation, size: usize, columnar: bool) -> VecDeque<TupleBatch> {
-    rel.tuples()
+/// Cut `rel` into batches of `size` rows, each built from rows with its
+/// own string segment (what another join, a builder or the wire hands
+/// over).
+fn batches_of(rel: &Relation, size: usize) -> VecDeque<TupleBatch> {
+    rel.to_rows()
         .chunks(size)
-        .map(|rows| {
-            if !columnar {
-                return TupleBatch::from_tuples(rows.to_vec());
-            }
-            let cols = (rel.schema().fields().iter().enumerate())
-                .map(|(c, f)| {
-                    let mut col = ColumnBuilder::for_type(f.data_type);
-                    rows.iter().for_each(|t| col.push(t.value(c)));
-                    col.finish()
-                })
-                .collect();
-            TupleBatch::from_columns(ColumnarBatch::new(rows.len(), cols))
-        })
+        .map(|rows| TupleBatch::from_columns(ColumnarBatch::from_rows(rel.schema(), rows).unwrap()))
         .collect()
 }
 
@@ -114,7 +99,7 @@ fn keyed(name: &str, kind: KeyKind, n: i64, distinct: i64, nulls: bool) -> Relat
         name,
         &[("k", key_type), ("v", DataType::Int), ("s", DataType::Str)],
     );
-    let mut r = Relation::empty(schema);
+    let mut r = Vec::new();
     for i in 0..n {
         let k = i % distinct;
         let key = if nulls && i % 5 == 0 {
@@ -133,7 +118,7 @@ fn keyed(name: &str, kind: KeyKind, n: i64, distinct: i64, nulls: bool) -> Relat
             Value::str(format!("payload-{i}")),
         ]));
     }
-    r
+    Relation::new(schema, r).unwrap()
 }
 
 /// A DPJ over two scripted inputs, registered in a one-join plan so the
@@ -242,7 +227,7 @@ fn resident_join_matches_reference_across_the_matrix() {
                             run_of(l, r, method, budget, batch_size, TraceLevel::Off, |_| {
                                 [(l, wait_l), (r, wait_r)].map(|(rel, wait)| Scripted {
                                     schema: rel.schema().clone(),
-                                    batches: batches_of(rel, batch_size, true),
+                                    batches: batches_of(rel, batch_size),
                                     pace: Pace::After(wait),
                                     served: 0,
                                 })
@@ -280,11 +265,12 @@ fn resident_join_matches_reference_across_the_matrix() {
     }
 }
 
-/// A column whose variant changes mid-stream (an all-NULL block infers
-/// `Values` where earlier blocks were `Int64`) is widened in place: the
-/// join stays columnar, the answer is exact and the books balance.
+/// A block of NULLs only is a typed column with a clear validity bitmap,
+/// so it joins like any other block; a block whose column holds another
+/// type than the earlier blocks' is a typed `Schema` error, and closing
+/// the join returns every charged byte.
 #[test]
-fn layout_change_mid_stream_widens_the_column() {
+fn a_block_of_another_column_type_is_a_typed_error() {
     let schema = |name| Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
     let row = |k: i64, v: Value| Tuple::new(vec![Value::Int(k), v]);
     let l_rows: Vec<Tuple> = (0..6)
@@ -292,38 +278,42 @@ fn layout_change_mid_stream_widens_the_column() {
         .collect();
     let l = Relation::new(schema("l"), l_rows).unwrap();
     let r = Relation::new(schema("r"), (0..3).map(|i| row(i, Value::Int(i))).collect()).unwrap();
-    let mut run = run_of(
-        &l,
-        &r,
-        OverflowMethod::IncrementalLeftFlush,
-        Some(1 << 20),
-        3,
-        TraceLevel::Off,
-        |_| {
-            [(&l, Duration::ZERO), (&r, Duration::from_millis(5))].map(|(rel, wait)| Scripted {
-                schema: rel.schema().clone(),
-                // Types inferred per block: l's second block has an
-                // all-NULL `v`, so its column is `Values`, not `Int64`.
-                batches: rel
-                    .tuples()
-                    .chunks(3)
-                    .map(|c| TupleBatch::from_columns(tukwila_common::ColumnarBatch::from_rows(c)))
-                    .collect(),
-                pace: Pace::After(wait),
-                served: 0,
-            })
-        },
-    );
-    run.join.open().unwrap();
-    let mut out = Vec::new();
-    while let Some(batch) = run.join.next_batch().unwrap() {
-        assert!(batch.columns().is_some(), "the join stays columnar");
-        out.extend(batch);
+    for strings in [false, true] {
+        let mut run = run_of(
+            &l,
+            &r,
+            OverflowMethod::IncrementalLeftFlush,
+            Some(1 << 20),
+            3,
+            TraceLevel::Off,
+            |_| {
+                [(&l, Duration::ZERO), (&r, Duration::from_millis(5))].map(|(rel, wait)| {
+                    let mut batches = batches_of(rel, 3);
+                    if strings && rel.schema() == l.schema() {
+                        let rows = [row(0, Value::str("x")), row(1, Value::Null)];
+                        batches[1] = tukwila_common::testing::batch(&rows);
+                    }
+                    Scripted {
+                        schema: rel.schema().clone(),
+                        batches,
+                        pace: Pace::After(wait),
+                        served: 0,
+                    }
+                })
+            },
+        );
+        let out = drain(&mut run.join);
+        if strings {
+            let err = out.unwrap_err();
+            assert_eq!(err.kind(), "schema", "{err}");
+            run.join.close().expect("close after a failed pull");
+        } else {
+            let out = out.unwrap();
+            assert_eq!(out.len(), 6);
+            run.fx.assert_gold(out);
+        }
+        assert_eq!(run.fx.rt.env().memory.total_used(), 0);
     }
-    run.join.close().unwrap();
-    assert_eq!(out.len(), 6);
-    run.fx.assert_gold(out);
-    assert_eq!(run.fx.rt.env().memory.total_used(), 0);
 }
 
 /// A spill store that cannot create a bucket (its directory was removed
@@ -353,13 +343,13 @@ fn spill_bucket_creation_failure_is_a_typed_error() {
         JoinKind::DoublePipelined,
         Box::new(Scripted {
             schema: l.schema().clone(),
-            batches: batches_of(&l, 16, true),
+            batches: batches_of(&l, 16),
             pace: Pace::After(Duration::ZERO),
             served: 0,
         }),
         Box::new(Scripted {
             schema: r.schema().clone(),
-            batches: batches_of(&r, 16, true),
+            batches: batches_of(&r, 16),
             pace: Pace::After(Duration::ZERO),
             served: 0,
         }),
@@ -389,7 +379,7 @@ fn nothing_is_charged_once_the_opposite_input_is_complete() {
         |_| {
             [(&l, Duration::from_millis(20)), (&r, Duration::ZERO)].map(|(rel, wait)| Scripted {
                 schema: rel.schema().clone(),
-                batches: batches_of(rel, 16, true),
+                batches: batches_of(rel, 16),
                 pace: Pace::After(wait),
                 served: 0,
             })
@@ -421,8 +411,7 @@ struct Counters {
 
 /// Pinned data (keys from a seed-23 LCG, every 40th NULL), 7-row batches
 /// in a fully ordered arrival, run under every overflow strategy and both
-/// hash joins, through the in-memory and the file spill store, with the
-/// inputs as typed columnar batches and again in row form: every spill
+/// hash joins, through the in-memory and the file spill store: every spill
 /// counter and the governor's peak are the absolute constants below. The
 /// DPJ sees l0 r0 l1 r1 … with both ends last; under Left Flush, whose
 /// pause would stall an interleaved script, half the left comes first,
@@ -469,7 +458,10 @@ fn spill_counters_are_pinned() {
     let right_fits = (l.mem_size() + r.mem_size()) * 2 / 3;
     let batch = 7usize;
     let sizes = |rel: &Relation| -> Vec<u64> {
-        rel.tuples().chunks(batch).map(|c| c.len() as u64).collect()
+        rel.to_rows()
+            .chunks(batch)
+            .map(|c| c.len() as u64)
+            .collect()
     };
     let (ls, rs) = (sizes(&l), sizes(&r));
 
@@ -503,7 +495,7 @@ fn spill_counters_are_pinned() {
         }
         at
     };
-    let measure = |join: Pinned, budget: usize, columnar: bool, file: bool| -> Counters {
+    let measure = |join: Pinned, budget: usize, file: bool| -> Counters {
         let (kind, method) = match join {
             Pinned::Dpj(m) => (JoinKind::DoublePipelined, m),
             Pinned::Hybrid => (JoinKind::HybridHash, OverflowMethod::IncrementalLeftFlush),
@@ -530,7 +522,7 @@ fn spill_counters_are_pinned() {
         fx.rt = PlanRuntime::for_plan(&fx.plan, env);
         let script = |rel: &Relation, pace| Scripted {
             schema: rel.schema().clone(),
-            batches: batches_of(rel, batch, columnar),
+            batches: batches_of(rel, batch),
             pace,
             served: 0,
         };
@@ -622,14 +614,11 @@ fn spill_counters_are_pinned() {
     let mut wrong = Vec::new();
     for (join, budget, want) in cases {
         for file in [false, true] {
-            for columnar in [true, false] {
-                let got = measure(join, budget, columnar, file);
-                if got != want {
-                    wrong.push(format!(
-                        "{join:?}, budget {budget}, file store {file}, columnar inputs \
-                         {columnar}:\n  got  {got:?}\n  want {want:?}"
-                    ));
-                }
+            let got = measure(join, budget, file);
+            if got != want {
+                wrong.push(format!(
+                    "{join:?}, budget {budget}, file store {file}:\n  got  {got:?}\n  want {want:?}"
+                ));
             }
         }
     }
@@ -648,7 +637,7 @@ fn held_outputs_of_own_segment_inputs_copy_no_strings() {
     let l = keyed("l", KeyKind::Int, n, n, false);
     let r = keyed("r", KeyKind::Int, n, n, false);
     let strings = |rel: &Relation| -> Vec<Arc<str>> {
-        rel.tuples()
+        rel.to_rows()
             .iter()
             .map(|t| match t.value(2) {
                 Value::Str(s) => s.clone(),
@@ -668,7 +657,7 @@ fn held_outputs_of_own_segment_inputs_copy_no_strings() {
         |_| {
             [&l, &r].map(|rel| Scripted {
                 schema: rel.schema().clone(),
-                batches: batches_of(rel, 64, true),
+                batches: batches_of(rel, 64),
                 pace: Pace::After(Duration::ZERO),
                 served: 0,
             })
@@ -679,7 +668,6 @@ fn held_outputs_of_own_segment_inputs_copy_no_strings() {
     run.join.open().unwrap();
     let mut held = Vec::new();
     while let Some(batch) = run.join.next_batch().unwrap() {
-        assert!(batch.columns().is_some(), "the resident path emits columns");
         held.push(batch);
     }
     assert_eq!(held.iter().map(TupleBatch::len).sum::<usize>(), n as usize);
@@ -689,6 +677,6 @@ fn held_outputs_of_own_segment_inputs_copy_no_strings() {
         "stored sides and held outputs share the inputs' segments"
     );
     run.join.close().unwrap();
-    let rows: Vec<Tuple> = held.iter().flat_map(|b| b.tuples().to_vec()).collect();
+    let rows: Vec<Tuple> = held.iter().flat_map(|b| b.to_rows().to_vec()).collect();
     run.fx.assert_gold(rows);
 }

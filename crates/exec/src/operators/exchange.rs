@@ -134,16 +134,9 @@ pub(crate) fn partition_budget(total: usize, n: usize) -> usize {
     (total / n.max(1)).max(1)
 }
 
-/// The rows of `batch` at `rows`, in the batch's own representation, so
-/// partition streams stay typed end to end.
+/// The rows of `batch` at `rows`, gathered column by column.
 pub(crate) fn take_rows(batch: &TupleBatch, rows: &[u32]) -> TupleBatch {
-    match batch.columns() {
-        Some(cols) => TupleBatch::from_columns(cols.gather(rows)),
-        None => {
-            let tuples = batch.tuples();
-            TupleBatch::from_tuples(rows.iter().map(|&i| tuples[i as usize].clone()).collect())
-        }
-    }
+    TupleBatch::from_columns(batch.columns().gather(rows))
 }
 
 // ---- the in-process transport ---------------------------------------------

@@ -42,28 +42,15 @@ impl Operator for Filter {
             .compiled
             .as_ref()
             .ok_or_else(|| tukwila_common::TukwilaError::Internal("Filter before open".into()))?;
-        // Columnar batches take the vectorized path: one typed comparison
-        // loop per predicate leaf producing a selection bitmap, applied by
-        // gather — no row views are ever built, all-pass batches flow
-        // through untouched, and none-pass batches vanish without
-        // materializing anything. Row batches (and predicates touching a
-        // dynamic `Values` column) fall back to in-place `retain`, whose
-        // all-/none-pass short circuits keep it cheap. Empty results are
-        // skipped either way (the contract forbids emitting empty batches).
-        while let Some(mut batch) = self.input.next_batch()? {
-            if let Some(sel) = batch.columns().and_then(|cols| compiled.eval_batch(cols)) {
-                match batch.select(&sel) {
-                    Some(kept) => {
-                        self.harness.produced(kept.len() as u64);
-                        return Ok(Some(kept));
-                    }
-                    None => continue,
-                }
-            }
-            batch.retain(|t| compiled.matches(t));
-            if !batch.is_empty() {
-                self.harness.produced(batch.len() as u64);
-                return Ok(Some(batch));
+        // One typed comparison loop per predicate leaf produces a selection
+        // bitmap, applied by gather: all-pass batches flow through
+        // untouched, and none-pass batches are skipped (the contract
+        // forbids emitting empty batches).
+        while let Some(batch) = self.input.next_batch()? {
+            let sel = compiled.eval_batch(batch.columns());
+            if let Some(kept) = batch.select(&sel) {
+                self.harness.produced(kept.len() as u64);
+                return Ok(Some(kept));
             }
         }
         Ok(None)

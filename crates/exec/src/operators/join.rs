@@ -453,7 +453,7 @@ impl HashJoin {
         if self.schedule() == Schedule::BuildFirst {
             // The left was never stored, so it has no old rows: the build
             // bucket's rows meet the spilled probe rows in one run.
-            b_old.append(&b_new);
+            b_old.append(&b_new)?;
             if b_old.is_empty() || a_new.is_empty() {
                 return Ok(true);
             }
@@ -1011,9 +1011,10 @@ mod tests {
         let mut op = dpj_for(&fx);
         op.open().unwrap();
         for (side, rel) in [(RIGHT, &r), (LEFT, &l)] {
-            for rows in rel.tuples().chunks(16) {
-                op.join_batch(side, TupleBatch::from(rows.to_vec()))
-                    .unwrap();
+            let cols = rel.columnar();
+            for start in (0..cols.len()).step_by(16) {
+                let rows = cols.slice(start, (start + 16).min(cols.len()));
+                op.join_batch(side, TupleBatch::from_columns(rows)).unwrap();
             }
         }
         op.done = [true, true];
@@ -1044,7 +1045,7 @@ mod tests {
             assert!(left.paged_rows() > 0);
             let mut out = Vec::new();
             while let Some(batch) = op.next_batch().unwrap() {
-                out.extend(batch);
+                out.extend(batch.to_rows());
             }
             op.close().unwrap();
             let got = Relation::new(gold.schema().clone(), out).unwrap();
@@ -1213,7 +1214,7 @@ mod tests {
         let opened = started.elapsed();
         let mut out = Vec::new();
         while let Some(batch) = op.next_batch().unwrap() {
-            out.extend(batch);
+            out.extend(batch.to_rows());
         }
         op.close().unwrap();
         fx.assert_gold(out);

@@ -63,16 +63,12 @@ impl Keyed {
         Keyed { rows, hashes }
     }
 
-    /// An arriving batch, converted to columns once if it is in row form.
+    /// An arriving batch.
     pub(crate) fn arrived(batch: &TupleBatch, key: usize) -> Keyed {
         if batch.is_empty() {
             return Keyed::default();
         }
-        let rows = match batch.columns() {
-            Some(cols) => cols.clone(),
-            None => ColumnarBatch::from_rows(batch.tuples()),
-        };
-        Keyed::of(rows, key)
+        Keyed::of(batch.columns().clone(), key)
     }
 
     /// Every row spilled to `bucket` (none without one), read back: the
@@ -81,14 +77,10 @@ impl Keyed {
         let Some(bucket) = bucket else {
             return Ok(Keyed::default());
         };
-        let batches = spill.read(bucket)?;
-        let rows = ColumnarBatch::concat(batches.iter()).unwrap_or_else(|| {
-            // Batches whose column variants differ: widen as they meet.
-            let mut rows = ColumnarBatch::default();
-            batches.iter().for_each(|b| rows.append_widening(b));
-            rows
-        });
-        Ok(Keyed::of(rows, key))
+        match ColumnarBatch::concat(spill.read(bucket)?.iter())? {
+            Some(rows) => Ok(Keyed::of(rows, key)),
+            None => Ok(Keyed::default()),
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -99,12 +91,14 @@ impl Keyed {
         self.hashes.is_empty()
     }
 
-    /// Append `other`'s rows; a column that changes variant is widened.
-    pub(crate) fn append(&mut self, other: &Keyed) {
+    /// Append `other`'s rows: a `Schema` error when their column types
+    /// differ from these.
+    pub(crate) fn append(&mut self, other: &Keyed) -> Result<()> {
         if !other.is_empty() {
-            self.rows.append_widening(&other.rows);
+            self.rows.append(&other.rows)?;
             self.hashes.extend_from_slice(&other.hashes);
         }
+        Ok(())
     }
 
     /// The rows at `idx`, which must be increasing (so taking all of them
@@ -162,7 +156,7 @@ impl ResidentSide {
             ));
         }
         let first = self.stored.len() as u32;
-        self.stored.append(part);
+        self.stored.append(part)?;
         let keys = self.stored.rows.col(self.key);
         for (row, &h) in (first..).zip(&part.hashes) {
             self.next.push(NIL);
@@ -504,7 +498,7 @@ impl JoinSide {
                     bk.bytes[fold_hash(h, n, 0)] += part.rows.row_mem_size(i);
                 }
                 if marked {
-                    bk.marked.append(&part);
+                    bk.marked.append(&part)?;
                 }
             }
             if !marked {
@@ -541,7 +535,7 @@ impl JoinSide {
                 if page.is_empty() {
                     *page = arrived.rows.empty_like(self.page_rows);
                 }
-                page.extend_gather(&arrived.rows, run);
+                page.extend_gather(&arrived.rows, run)?;
                 if page.len() >= self.page_rows {
                     bk.write_page(b, &*self.spill, &self.label)?;
                 }
@@ -612,7 +606,7 @@ impl JoinSide {
         out.append(
             &bk.marked
                 .gather(&bk.marked.in_bucket(self.num_buckets, 0, b)),
-        );
+        )?;
         Ok(out)
     }
 
@@ -707,7 +701,7 @@ mod tests {
     use tukwila_storage::{InMemorySpillStore, MemoryManager};
 
     fn keyed(rows: &[Tuple]) -> Keyed {
-        Keyed::of(ColumnarBatch::from_rows(rows), 0)
+        Keyed::of(tukwila_common::testing::columns(rows), 0)
     }
 
     fn side(budget: usize) -> (JoinSide, MemoryReservation, Arc<InMemorySpillStore>) {
@@ -744,7 +738,7 @@ mod tests {
     fn null_keys_are_never_kept() {
         let k = keyed(&[Tuple::new(vec![Value::Null, Value::Int(1)]), tuple![2, 2]]);
         assert_eq!(k.len(), 1);
-        assert_eq!(k.rows.row_values(0), vec![Value::Int(2), Value::Int(2)]);
+        assert_eq!(k.rows.to_rows(), vec![tuple![2, 2]]);
     }
 
     #[test]
@@ -810,7 +804,7 @@ mod tests {
         assert_eq!((stats.tuples_written(), side.paged_rows()), (40, 3));
         assert_eq!(r.usage().used, 0, "pages are not charged");
         let new = side.new_rows(b).unwrap();
-        let arrived = (0..43).map(|i| new.rows.row_values(i)[1].clone());
+        let arrived = (0..43).map(|i| new.rows.col(1).value_at(i));
         assert!(arrived.eq((0..43i64).map(Value::Int)), "in arrival order");
         assert_eq!(stats.tuples_written(), 43);
         assert_eq!(stats.tuples_read(), 43);
@@ -877,7 +871,9 @@ mod tests {
             };
             let mut out = OutputQueue::new();
             join.run(build.clone(), &probe, 0, &mut out).unwrap();
-            let rows: Vec<Tuple> = std::iter::from_fn(|| out.pop_block()).flatten().collect();
+            let rows: Vec<Tuple> = std::iter::from_fn(|| out.pop_block())
+                .flat_map(|b| b.to_rows())
+                .collect();
             rows
         };
         let in_memory = run(None);

@@ -16,8 +16,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use tukwila_common::{
-    ColumnarBatch, DataType, JoinKey, KeyVector, OutputQueue, PrehashMap, Relation, Schema, Tuple,
-    Value,
+    DataType, JoinKey, KeyVector, OutputQueue, PrehashMap, Relation, Schema, Tuple, Value,
 };
 use tukwila_plan::{JoinKind, OperatorNode, OverflowMethod, PlanBuilder, QueryPlan};
 use tukwila_source::{LinkModel, SimulatedSource, SourceRegistry};
@@ -39,7 +38,7 @@ fn multiset(tuples: &[Tuple]) -> HashMap<Tuple, usize> {
 /// SQL NULL.
 fn rel_of(name: &str, rows: &[(Option<i64>, i64)]) -> Relation {
     let schema = Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
-    let mut r = Relation::empty(schema);
+    let mut r = Vec::new();
     for (k, v) in rows {
         let key = match k {
             Some(k) => Value::Int(*k),
@@ -47,7 +46,7 @@ fn rel_of(name: &str, rows: &[(Option<i64>, i64)]) -> Relation {
         };
         r.push(Tuple::new(vec![key, Value::Int(*v)]));
     }
-    r
+    Relation::new(schema, r).unwrap()
 }
 
 fn plan_of(build: impl FnOnce(&mut PlanBuilder) -> OperatorNode) -> QueryPlan {
@@ -94,7 +93,7 @@ proptest! {
     ) {
         let l = rel_of("l", &l_rows);
         let r = rel_of("r", &r_rows);
-        let gold = multiset(l.nested_join(&r, 0, 0).tuples());
+        let gold = multiset(&l.nested_join(&r, 0, 0).to_rows());
 
         for kind in [JoinKind::HybridHash, JoinKind::GraceHash, JoinKind::DoublePipelined] {
             let plan = plan_of(|b| {
@@ -132,7 +131,7 @@ proptest! {
     ) {
         let l = rel_of("l", &l_rows);
         let r = rel_of("r", &r_rows);
-        let gold = multiset(l.nested_join(&r, 0, 0).tuples());
+        let gold = multiset(&l.nested_join(&r, 0, 0).to_rows());
         let plan = plan_of(|b| {
             let ls = b.wrapper_scan("L");
             b.dependent_join(ls, "R", "k", "k")
@@ -151,7 +150,7 @@ proptest! {
     ) {
         use tukwila_storage::{InMemorySpillStore, SpillStore};
         let keyed = |name, rows: &[(Option<i64>, i64)]| {
-            Keyed::of(ColumnarBatch::from_rows(rel_of(name, rows).tuples()), 0)
+            Keyed::of((**rel_of(name, rows).columnar()).clone(), 0)
         };
         let (build, probe) = (keyed("b", &build_rows), keyed("p", &probe_rows));
         let spill = InMemorySpillStore::new();
@@ -159,7 +158,7 @@ proptest! {
             let join = BucketJoin { build_key: 0, probe_key: 0, budget, spill: &spill, block: 7 };
             let mut out = OutputQueue::new();
             join.run(build.clone(), &probe, 0, &mut out).unwrap();
-            std::iter::from_fn(|| out.pop_block()).flatten().collect::<Vec<Tuple>>()
+            std::iter::from_fn(|| out.pop_block()).flat_map(|b| b.to_rows()).collect::<Vec<Tuple>>()
         };
         let in_mem = run(None);
         prop_assert_eq!(spill.stats().total_tuple_io(), 0);
@@ -238,7 +237,7 @@ fn four_joins_with_null_keys_match_reference() {
         .collect();
     let l = rel_of("l", &rows_l);
     let r = rel_of("r", &rows_r);
-    let gold = multiset(l.nested_join(&r, 0, 0).tuples());
+    let gold = multiset(&l.nested_join(&r, 0, 0).to_rows());
 
     let plans: Vec<(&str, QueryPlan)> = vec![
         (

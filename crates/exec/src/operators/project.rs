@@ -1,6 +1,6 @@
 //! Projection operator.
 
-use tukwila_common::{BatchAssembler, Result, Schema, TukwilaError, TupleBatch};
+use tukwila_common::{Result, Schema, TukwilaError, TupleBatch};
 
 use crate::operator::{Operator, OperatorBox};
 use crate::runtime::OpHarness;
@@ -61,21 +61,9 @@ impl Operator for Project {
                     self.harness.produced(batch.len() as u64);
                     return Ok(Some(batch));
                 }
-                // Columnar batches project by sharing whole column buffers
-                // — O(columns) refcount bumps, zero per-row work.
-                if let Some(cols) = batch.columns() {
-                    let out = TupleBatch::from_columns(cols.project(&self.indices));
-                    self.harness.produced(out.len() as u64);
-                    return Ok(Some(out));
-                }
-                // Otherwise assemble all projected rows into one shared
-                // value block (one allocation per batch, not per row).
-                let mut asm = BatchAssembler::new(batch.len());
-                for t in batch.iter() {
-                    asm.push_project(t, &self.indices);
-                }
-                // An empty input batch seals to nothing: pass an empty one on.
-                let out = asm.seal().unwrap_or_default();
+                // Project by sharing whole column buffers — O(columns)
+                // refcount bumps, zero per-row work.
+                let out = TupleBatch::from_columns(batch.columns().project(&self.indices));
                 self.harness.produced(out.len() as u64);
                 Ok(Some(out))
             }

@@ -52,13 +52,7 @@ impl Operator for TableScan {
             return Ok(None);
         }
         let end = (self.pos + self.harness.batch_size()).min(rel.len());
-        // Fragment results assembled column-wise carry a cached columnar
-        // form: slice it (typed buffer copies, no row views). Row-only
-        // relations clone the tuple span as before.
-        let batch = match rel.columnar_cached() {
-            Some(cols) => TupleBatch::from_columns(cols.slice(self.pos, end)),
-            None => TupleBatch::from_tuples(rel.tuples()[self.pos..end].to_vec()),
-        };
+        let batch = TupleBatch::from_columns(rel.columnar().slice(self.pos, end));
         self.pos = end;
         self.harness.produced(batch.len() as u64);
         Ok(Some(batch))
@@ -97,11 +91,11 @@ mod tests {
         let plan = b.build(f);
         let env = ExecEnv::new(SourceRegistry::new()).with_batch_size(batch_size);
         let schema = Schema::of("t", &[("a", DataType::Int)]);
-        let mut rel = Relation::empty(schema);
+        let mut rel = Vec::new();
         for i in 0..rows {
             rel.push(tuple![i]);
         }
-        env.local.put("t", rel);
+        env.local.put("t", Relation::new(schema, rel).unwrap());
         let rt = PlanRuntime::for_plan(&plan, env);
         (OpHarness::new(rt, SubjectRef::Op(id)), id)
     }

@@ -294,11 +294,11 @@ mod tests {
 
     fn rel(n: i64) -> Relation {
         let schema = Schema::of("s", &[("a", DataType::Int)]);
-        let mut r = Relation::empty(schema);
+        let mut r = Vec::new();
         for i in 0..n {
             r.push(tuple![i]);
         }
-        r
+        Relation::new(schema, r).unwrap()
     }
 
     fn setup(

@@ -12,11 +12,8 @@ use crate::runtime::{ExecEnv, OpHarness, PlanRuntime};
 /// `n` tuples `(i % dup, i)` under schema `name(k, v)`.
 pub fn keyed_relation(name: &str, n: i64, dup: i64) -> Relation {
     let schema = Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
-    let mut r = Relation::empty(schema);
-    for i in 0..n {
-        r.push(tuple![i % dup.max(1), i]);
-    }
-    r
+    let rows = (0..n).map(|i| tuple![i % dup.max(1), i]).collect();
+    Relation::new(schema, rows).expect("integer rows fit the schema")
 }
 
 /// A two-source join fixture: registers `L`/`R`, builds a one-fragment plan

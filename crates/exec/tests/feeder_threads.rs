@@ -57,10 +57,11 @@ fn settled_feeder_threads(none: bool) -> Vec<String> {
 
 fn registry() -> SourceRegistry {
     let schema = Schema::of("t", &[("k", DataType::Int), ("v", DataType::Int)]);
-    let mut rel = Relation::empty(schema);
+    let mut rows = Vec::new();
     for i in 0..200 {
-        rel.push(Tuple::new(vec![Value::Int(i % 10), Value::Int(i)]));
+        rows.push(Tuple::new(vec![Value::Int(i % 10), Value::Int(i)]));
     }
+    let rel = Relation::new(schema, rows).unwrap();
     let reg = SourceRegistry::new();
     for (name, link) in [
         ("fast", LinkModel::instant()),

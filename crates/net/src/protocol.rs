@@ -1,11 +1,11 @@
 //! The coordinator/worker wire protocol (DESIGN.md §12).
 //!
 //! Every message is one length-prefixed frame — `[kind: u8][len: u32 LE]
-//! [payload]` — whose payload reuses the spill codec's encodings wherever
-//! tuples cross the wire: batch frames travel as
-//! [`tukwila_storage::codec::encode_batch_frame`] bytes (bitmap-packed
-//! columnar frames for columnar batches), so a batch that was encoded for
-//! spilling and one encoded for the network are byte-identical.
+//! [payload]` — whose payload reuses the spill codec's column frame
+//! wherever rows cross the wire: batches and dispatch tables travel as
+//! [`tukwila_storage::codec::encode_columns`] bytes (bitmap-packed typed
+//! columns), so a batch that was encoded for spilling and one encoded for
+//! the network are byte-identical.
 //!
 //! Conversation, coordinator side first:
 //!
@@ -49,7 +49,7 @@ use tukwila_storage::codec;
 /// worker port fails the handshake instead of confusing the framer.
 pub const NET_MAGIC: u32 = 0x54_4B_57_4C; // "TKWL"
 /// Protocol version; bumped on any frame-layout change.
-pub const NET_VERSION: u32 = 2;
+pub const NET_VERSION: u32 = 3;
 /// Upper bound on a single frame's payload, mirroring the spill codec's
 /// implausible-count guards.
 pub const MAX_FRAME_LEN: usize = 1 << 30;
@@ -228,20 +228,19 @@ fn decode_schema(buf: &[u8], pos: &mut usize) -> Result<Schema> {
     Ok(Schema::new(fields))
 }
 
-/// Tuples per batch frame when a whole relation ships in a dispatch.
+/// Rows per batch frame when a whole relation ships in a dispatch.
 const TABLE_CHUNK: usize = 4096;
 
+/// A relation as its schema, a frame count and that many column frames
+/// (one frame of no rows for an empty relation).
 fn encode_relation(rel: &Relation, out: &mut Vec<u8>) {
     encode_schema(rel.schema(), out);
-    let tuples = rel.tuples();
-    let chunks = tuples.len().div_ceil(TABLE_CHUNK).max(1);
+    let cols = rel.columnar();
+    let chunks = cols.len().div_ceil(TABLE_CHUNK).max(1);
     out.extend_from_slice(&(chunks as u32).to_le_bytes());
-    if tuples.is_empty() {
-        codec::encode_batch(&[], out);
-        return;
-    }
-    for chunk in tuples.chunks(TABLE_CHUNK) {
-        codec::encode_batch(chunk, out);
+    for c in 0..chunks {
+        let end = (c * TABLE_CHUNK + TABLE_CHUNK).min(cols.len());
+        codec::encode_columns(&cols.slice(c * TABLE_CHUNK, end), out);
     }
 }
 
@@ -258,7 +257,9 @@ fn decode_relation(buf: &[u8], pos: &mut usize) -> Result<Relation> {
     for _ in 0..chunks {
         batches.push(codec::decode_batch(buf, pos)?);
     }
+    // Frames that do not fit the shipped schema are a corrupt table.
     Relation::from_batches(schema, batches)
+        .map_err(|e| TukwilaError::Io(format!("net codec: dispatch table: {e}")))
 }
 
 // ---- writer --------------------------------------------------------------
@@ -648,7 +649,7 @@ pub fn error_from_wire(worker: &str, e: TukwilaError) -> TukwilaError {
 mod tests {
     use super::*;
     use std::io::Cursor;
-    use tukwila_common::{Tuple, Value};
+    use tukwila_common::{ColumnarBatch, Tuple, Value};
 
     fn field(q: &str, n: &str, t: DataType) -> Field {
         Field::new(q, n, t)
@@ -780,7 +781,7 @@ mod tests {
     #[test]
     fn started_and_batch_round_trip() {
         let schema = sample_schema();
-        let batch = TupleBatch::from_tuples(vec![
+        let rows = [
             Tuple::new(vec![
                 Value::Int(1),
                 Value::Str("a".into()),
@@ -793,7 +794,9 @@ mod tests {
                 Value::Null,
                 Value::Date(0),
             ]),
-        ]);
+        ];
+        let batch =
+            TupleBatch::from_columns(ColumnarBatch::from_rows(&schema, &rows).expect("typed rows"));
         let msgs = roundtrip(|w| {
             w.send_started(&schema).expect("started");
             w.send_batch(&batch).expect("batch");
@@ -803,7 +806,7 @@ mod tests {
             other => panic!("expected Started, got {other:?}"),
         }
         match &msgs[1] {
-            Msg::Batch(b) => assert_eq!(b.tuples(), batch.tuples()),
+            Msg::Batch(b) => assert_eq!(b.to_rows(), rows),
             other => panic!("expected Batch, got {other:?}"),
         }
     }
@@ -845,7 +848,7 @@ mod tests {
                 assert_eq!(back.plan_text, d.plan_text);
                 assert_eq!(back.tables.len(), 1);
                 assert_eq!(back.tables[0].0, "t");
-                assert_eq!(back.tables[0].1.tuples(), rel.tuples());
+                assert_eq!(back.tables[0].1.to_rows(), rel.to_rows());
             }
             other => panic!("expected Dispatch, got {other:?}"),
         }
@@ -934,12 +937,45 @@ mod tests {
         (wire[0], wire[5..].to_vec())
     }
 
-    /// Every truncation and every byte flip of valid row, columnar and
-    /// shared-segment string frames, and of control frames, decodes to `Ok` or `Err`: no panic, and
-    /// no allocation sized from a corrupted header.
+    /// A dispatch table in a row frame, in a column tagged 4 (the dynamic
+    /// `Values` column of earlier versions), or in columns of other types
+    /// than its schema's is a typed `Io` error, never a panic.
+    #[test]
+    fn dispatch_tables_in_row_frames_or_other_types_are_io_errors() {
+        let schema = Schema::new(vec![field("L", "k", DataType::Int)]);
+        let with_frame = |frame: &[u8]| {
+            let mut buf = Vec::new();
+            encode_schema(&schema, &mut buf);
+            buf.extend_from_slice(&1u32.to_le_bytes());
+            buf.extend_from_slice(frame);
+            buf
+        };
+        let mut row_frame = 1u32.to_le_bytes().to_vec();
+        row_frame.extend_from_slice(&1u32.to_le_bytes());
+        row_frame.push(0);
+        row_frame.extend_from_slice(&7i64.to_le_bytes());
+        let mut values_column = ((1u32 << 31) | 1).to_le_bytes().to_vec();
+        values_column.extend_from_slice(&1u32.to_le_bytes());
+        values_column.extend_from_slice(&[4, 0]);
+        values_column.extend_from_slice(&7i64.to_le_bytes());
+        let mut str_column = Vec::new();
+        let strs = Schema::new(vec![field("L", "k", DataType::Str)]);
+        let rows = [Tuple::new(vec![Value::str("seven")])];
+        codec::encode_columns(
+            &ColumnarBatch::from_rows(&strs, &rows).expect("typed rows"),
+            &mut str_column,
+        );
+        for frame in [row_frame, values_column, str_column] {
+            let err = decode_relation(&with_frame(&frame), &mut 0).unwrap_err();
+            assert!(matches!(err, TukwilaError::Io(_)), "{err:?}");
+        }
+    }
+
+    /// Every truncation and every byte flip of valid columnar and
+    /// shared-segment string frames, and of control frames, decodes to `Ok`
+    /// or `Err`: no panic, and no allocation sized from a corrupted header.
     #[test]
     fn truncated_and_flipped_frames_never_panic() {
-        use tukwila_common::ColumnarBatch;
         let rows: Vec<Tuple> = (0..5)
             .map(|i| {
                 Tuple::new(vec![
@@ -950,13 +986,13 @@ mod tests {
                 ])
             })
             .collect();
-        let columnar = ColumnarBatch::from_rows(&rows);
+        let columnar = ColumnarBatch::from_rows(&sample_schema(), &rows).expect("typed rows");
         let shared = ColumnarBatch::concat(
             [&columnar.gather(&[4, 0, 4]), &columnar.slice(1, 3)].into_iter(),
         )
-        .expect("same layout");
+        .expect("same layout")
+        .expect("two batches");
         let frames = [
-            TupleBatch::from_tuples(rows.clone()),
             TupleBatch::from_columns(columnar),
             TupleBatch::from_columns(shared),
         ]
@@ -983,7 +1019,7 @@ mod tests {
         });
         let check = |kind: u8, bytes: &[u8]| {
             if let Ok(b) = codec::decode_batch(bytes, &mut 0) {
-                assert_eq!(b.tuples().len(), b.len());
+                assert_eq!(b.to_rows().len(), b.len());
             }
             let _ = decode_msg(kind, bytes);
         };

@@ -108,7 +108,7 @@ impl Held {
 
     fn multiset(&self) -> HashMap<Tuple, usize> {
         let mut m = HashMap::new();
-        for t in self.0.iter().flat_map(|b| b.tuples()) {
+        for t in self.0.iter().flat_map(|b| b.to_rows()) {
             *m.entry(t.clone()).or_insert(0) += 1;
         }
         m
@@ -119,14 +119,14 @@ type Rows = Vec<(Option<i64>, i64)>;
 
 fn rel_of(name: &str, rows: &[(Option<i64>, i64)]) -> Relation {
     let schema = Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
-    let mut r = Relation::empty(schema);
+    let mut r = Vec::new();
     for (k, v) in rows {
         r.push(Tuple::new(vec![
             k.map_or(Value::Null, Value::Int),
             Value::Int(*v),
         ]));
     }
-    r
+    Relation::new(schema, r).unwrap()
 }
 
 fn keyed_rows(n: i64, dup: i64, null_every: Option<i64>) -> Rows {
@@ -182,7 +182,7 @@ fn join_plan(kind: JoinKind, budget: Option<usize>, partitions: usize) -> (Query
 /// The reference answer `L ⋈ R on k` over the same rows, as a multiset.
 fn reference(l: &[(Option<i64>, i64)], r: &[(Option<i64>, i64)]) -> HashMap<Tuple, usize> {
     let mut m = HashMap::new();
-    for t in rel_of("l", l).nested_join(&rel_of("r", r), 0, 0).tuples() {
+    for t in rel_of("l", l).nested_join(&rel_of("r", r), 0, 0).to_rows() {
         *m.entry(t.clone()).or_insert(0) += 1;
     }
     m

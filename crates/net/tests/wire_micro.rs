@@ -23,11 +23,10 @@ const FRAMES: usize = 20_000;
 const ROUNDS: usize = 7;
 
 fn payload_batch() -> TupleBatch {
-    let mut batch = TupleBatch::with_capacity(1024);
-    for i in 0..1024i64 {
-        batch.push(tuple![i, i * 7, format!("payload-{i:04}")]);
-    }
-    batch
+    let rows: Vec<_> = (0..1024i64)
+        .map(|i| tuple![i, i * 7, format!("payload-{i:04}")])
+        .collect();
+    tukwila_common::testing::batch(&rows)
 }
 
 /// The pre-reuse write path: a fresh unreserved encode buffer per frame,

@@ -30,11 +30,15 @@ fn worker_threads() -> Vec<String> {
 
 fn source(name: &str, rows: i64) -> SimulatedSource {
     let schema = Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
-    let mut rel = Relation::empty(schema);
+    let mut rel = Vec::new();
     for i in 0..rows {
         rel.push(Tuple::new(vec![Value::Int(i % 10), Value::Int(i)]));
     }
-    SimulatedSource::new(name, rel, LinkModel::instant())
+    SimulatedSource::new(
+        name,
+        Relation::new(schema, rel).unwrap(),
+        LinkModel::instant(),
+    )
 }
 
 #[test]

@@ -209,6 +209,33 @@ enum ActionAst {
     AlterMemory(String, usize),
 }
 
+/// Deepest parenthesis nesting a plan text may have. Every level of node,
+/// predicate, condition or quantity nesting opens a parenthesis, and the
+/// parser recurses once per level, so checking the token stream first
+/// keeps a hostile plan text — a worker parses the coordinator's
+/// `Dispatch` — from overflowing the parsing thread's stack; the
+/// analyzer, the printer and `Drop` then never see a deeper tree.
+pub const MAX_PLAN_NESTING: usize = 256;
+
+/// A `Plan` error if `tokens` nest parentheses deeper than
+/// [`MAX_PLAN_NESTING`]; checked without recursing.
+fn check_nesting(tokens: &[Token]) -> Result<()> {
+    let mut depth = 0usize;
+    for t in tokens {
+        match t {
+            Token::Open if depth == MAX_PLAN_NESTING => {
+                return Err(err(format!(
+                    "plan nests deeper than {MAX_PLAN_NESTING} levels"
+                )))
+            }
+            Token::Open => depth += 1,
+            Token::Close => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
@@ -786,6 +813,7 @@ fn resolve_rule(ast: &RuleAst, names: &[(String, FragmentId)]) -> Result<Rule> {
 
 fn parse_plan_impl(input: &str) -> Result<QueryPlan> {
     let tokens = tokenize(input)?;
+    check_nesting(&tokens)?;
     let mut p = Parser {
         tokens: &tokens,
         pos: 0,
@@ -1175,6 +1203,50 @@ mod tests {
             let e = e.to_string();
             assert!(e.contains(needle), "input `{input}`: {e}");
         }
+    }
+
+    /// 10 000 levels of nested `select`, of `(not …)` and of rule-condition
+    /// nesting each parse to a `Plan` error on a thread with a 2 MiB stack
+    /// (a worker's `net-serve` thread), where unbounded recursion would
+    /// overflow it. The bound is on parenthesis depth: 256 levels pass the
+    /// check, 257 do not, and a 64-level plan parses.
+    #[test]
+    fn deep_nesting_is_a_plan_error_not_a_stack_overflow() {
+        let deep = 10_000;
+        let nested = |open: &str, inner: &str, n: usize| {
+            format!("{}{inner}{}", open.repeat(n), ")".repeat(n))
+        };
+        let selects = format!(
+            "(fragment f {})\n(output f)",
+            nested("(select true ", "(wrapper X)", deep)
+        );
+        let nots = format!(
+            "(fragment f (select {} (wrapper X)))\n(output f)",
+            nested("(not ", "(lit a = 1)", deep)
+        );
+        let conds = format!(
+            "(fragment f (wrapper X))\n(rule \"r\" :owner f :when closed f :if {} :do replan)\n(output f)",
+            nested("(not ", "true", deep)
+        );
+        let outcomes = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || [selects, nots, conds].map(|text| parse_plan_unchecked(&text)))
+            .unwrap()
+            .join()
+            .unwrap();
+        for out in outcomes {
+            let e = out.unwrap_err();
+            assert!(matches!(e, TukwilaError::Plan(_)), "{e:?}");
+        }
+        let depth = |n| tokenize(&nested("(select true ", "(wrapper X)", n)).unwrap();
+        // n selects around a wrapper nest n + 1 parentheses deep.
+        assert!(check_nesting(&depth(MAX_PLAN_NESTING - 1)).is_ok());
+        assert!(check_nesting(&depth(MAX_PLAN_NESTING)).is_err());
+        let plan = format!(
+            "(fragment f {})\n(output f)",
+            nested("(select true ", "(wrapper X)", 64)
+        );
+        assert!(parse_plan_unchecked(&plan).is_ok());
     }
 
     #[test]

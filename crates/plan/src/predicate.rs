@@ -239,22 +239,20 @@ impl CompiledPredicate {
     /// comparison loop per leaf, Kleene-combined as bitmaps, yielding the
     /// [`Selection`] of rows that evaluate to **true** (WHERE semantics).
     ///
-    /// Returns `None` when any leaf touches a [`Column::Values`] fallback
-    /// column (per-row dynamic types can't be vectorized) — the caller
-    /// falls back to the per-tuple path. Statically incomparable typed
-    /// combinations (e.g. a `Str` column against an `Int` literal) *are*
-    /// handled: every row is unknown, exactly as `sql_cmp` reports per row.
-    pub fn eval_batch(&self, batch: &ColumnarBatch) -> Option<Selection> {
-        self.eval_mask(batch).map(|m| Selection::from_bitmap(m.t))
+    /// Statically incomparable combinations (e.g. a `Str` column against
+    /// an `Int` literal) make every row unknown, exactly as `sql_cmp`
+    /// reports per row.
+    pub fn eval_batch(&self, batch: &ColumnarBatch) -> Selection {
+        Selection::from_bitmap(self.eval_mask(batch).t)
     }
 
-    fn eval_mask(&self, batch: &ColumnarBatch) -> Option<TriMask> {
+    fn eval_mask(&self, batch: &ColumnarBatch) -> TriMask {
         let n = batch.len();
         match self {
-            CompiledPredicate::True => Some(TriMask {
+            CompiledPredicate::True => TriMask {
                 t: Bitmap::all_set(n),
                 u: Bitmap::all_clear(n),
-            }),
+            },
             CompiledPredicate::ColLit(i, op, v) => col_lit_mask(batch.col(*i), *op, v),
             CompiledPredicate::ColCol(i, op, j) => col_col_mask(batch.col(*i), *op, batch.col(*j)),
             CompiledPredicate::And(ps) => {
@@ -263,9 +261,9 @@ impl CompiledPredicate {
                     u: Bitmap::all_clear(n),
                 };
                 for p in ps {
-                    acc = acc.and(&p.eval_mask(batch)?);
+                    acc = acc.and(&p.eval_mask(batch));
                 }
-                Some(acc)
+                acc
             }
             CompiledPredicate::Or(ps) => {
                 let mut acc = TriMask {
@@ -273,11 +271,11 @@ impl CompiledPredicate {
                     u: Bitmap::all_clear(n),
                 };
                 for p in ps {
-                    acc = acc.or(&p.eval_mask(batch)?);
+                    acc = acc.or(&p.eval_mask(batch));
                 }
-                Some(acc)
+                acc
             }
-            CompiledPredicate::Not(p) => Some(p.eval_mask(batch)?.not()),
+            CompiledPredicate::Not(p) => p.eval_mask(batch).not(),
         }
     }
 }
@@ -355,15 +353,15 @@ fn leaf_mask(mut t: Bitmap, validity: Option<&Bitmap>) -> TriMask {
     }
 }
 
-/// Typed `column ⋄ literal` kernel. `None` = not vectorizable (fallback).
-fn col_lit_mask(col: &Column, op: CmpOp, lit: &Value) -> Option<TriMask> {
+/// Typed `column ⋄ literal` kernel.
+fn col_lit_mask(col: &Column, op: CmpOp, lit: &Value) -> TriMask {
     let n = col.len();
     if lit.is_null() {
-        return Some(TriMask::all_unknown(n));
+        return TriMask::all_unknown(n);
     }
     // Each arm replicates `Value::sql_cmp` for its statically-known type
     // pair; combinations sql_cmp rejects are all-unknown for every row.
-    Some(match (col, lit) {
+    match (col, lit) {
         (Column::Int64(vals, validity), Value::Int(x)) => {
             let mut t = Bitmap::all_clear(n);
             for (i, v) in vals.iter().enumerate() {
@@ -420,13 +418,12 @@ fn col_lit_mask(col: &Column, op: CmpOp, lit: &Value) -> Option<TriMask> {
             }
             leaf_mask(t, validity.as_ref())
         }
-        (Column::Values(_), _) => return None, // dynamic types: row fallback
-        _ => TriMask::all_unknown(n),          // statically incomparable
-    })
+        _ => TriMask::all_unknown(n), // statically incomparable
+    }
 }
 
-/// Typed `column ⋄ column` kernel. `None` = not vectorizable (fallback).
-fn col_col_mask(left: &Column, op: CmpOp, right: &Column) -> Option<TriMask> {
+/// Typed `column ⋄ column` kernel.
+fn col_col_mask(left: &Column, op: CmpOp, right: &Column) -> TriMask {
     let n = left.len();
     debug_assert_eq!(n, right.len());
     fn both_validity(a: Option<&Bitmap>, b: Option<&Bitmap>) -> Option<Bitmap> {
@@ -452,7 +449,7 @@ fn col_col_mask(left: &Column, op: CmpOp, right: &Column) -> Option<TriMask> {
             leaf_mask(t, v.as_ref())
         }};
     }
-    Some(match (left, right) {
+    match (left, right) {
         (Column::Int64(lv, lb), Column::Int64(rv, rb)) => {
             cmp_cols!(lv, lb, rv, rb, |a: &i64, b: &i64| a.cmp(b))
         }
@@ -477,9 +474,8 @@ fn col_col_mask(left: &Column, op: CmpOp, right: &Column) -> Option<TriMask> {
         (Column::Date(lv, lb), Column::Date(rv, rb)) => {
             cmp_cols!(lv, lb, rv, rb, |a: &i32, b: &i32| a.cmp(b))
         }
-        (Column::Values(_), _) | (_, Column::Values(_)) => return None,
         _ => TriMask::all_unknown(n), // statically incomparable
-    })
+    }
 }
 
 #[cfg(test)]
@@ -615,7 +611,7 @@ mod tests {
             let dt = Value::Date((i % 4) as i32);
             rows.push(Tuple::new(vec![a, b, d, st, dt]));
         }
-        let batch = ColumnarBatch::from_rows(&rows);
+        let batch = ColumnarBatch::from_rows(&s, &rows).unwrap();
         let preds = vec![
             Predicate::True,
             Predicate::eq_lit("a", 3i64),
@@ -682,9 +678,7 @@ mod tests {
         ];
         for p in preds {
             let c = p.compile(&s).unwrap();
-            let sel = c
-                .eval_batch(&batch)
-                .unwrap_or_else(|| panic!("{p:?} should vectorize"));
+            let sel = c.eval_batch(&batch);
             for (i, t) in rows.iter().enumerate() {
                 assert_eq!(
                     sel.get(i),
@@ -693,20 +687,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn eval_batch_bails_on_values_column() {
-        use tukwila_common::ColumnarBatch;
-        let s = Schema::of("r", &[("a", DataType::Int)]);
-        // mixed types force the Values fallback column
-        let rows = vec![tuple![1], tuple!["x"]];
-        let batch = ColumnarBatch::from_rows(&rows);
-        let c = Predicate::eq_lit("a", 1i64).compile(&s).unwrap();
-        assert!(
-            c.eval_batch(&batch).is_none(),
-            "dynamic column: row fallback"
-        );
     }
 
     #[test]

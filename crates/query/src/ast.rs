@@ -35,11 +35,6 @@ impl MediatedSchema {
     pub fn contains(&self, name: &str) -> bool {
         self.relations.contains_key(name)
     }
-
-    /// All relation names (sorted).
-    pub fn relation_names(&self) -> Vec<&str> {
-        self.relations.keys().map(String::as_str).collect()
-    }
 }
 
 /// An equi-join predicate between two (qualified) mediated columns.

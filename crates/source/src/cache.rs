@@ -421,11 +421,11 @@ mod tests {
 
     fn rel(n: i64) -> Arc<Relation> {
         let schema = Schema::of("s", &[("a", DataType::Int)]);
-        let mut r = Relation::empty(schema);
+        let mut r = Vec::new();
         for i in 0..n {
             r.push(tuple![i]);
         }
-        Arc::new(r)
+        Arc::new(Relation::new(schema, r).unwrap())
     }
 
     fn fulfill(cache: &SourceResultCache, key: &SourceQueryKey, r: Arc<Relation>) {

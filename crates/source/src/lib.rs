@@ -72,7 +72,7 @@ mod tests {
         let mut out = Vec::new();
         loop {
             match next(64) {
-                SourceBatchEvent::Batch(b) => out.extend(b.into_tuples()),
+                SourceBatchEvent::Batch(b) => out.extend(b.to_rows()),
                 SourceBatchEvent::End => return Ok(out),
                 SourceBatchEvent::Error(e) => return Err(e),
                 SourceBatchEvent::Cancelled => return Err("cancelled".into()),

@@ -97,9 +97,7 @@ mod tests {
 
     fn rel() -> Relation {
         let schema = Schema::of("s", &[("a", DataType::Int)]);
-        let mut r = Relation::empty(schema);
-        r.push(tuple![1]);
-        r
+        Relation::new(schema, vec![tuple![1]]).unwrap()
     }
 
     #[test]

@@ -41,19 +41,12 @@ pub struct SimulatedSource {
 }
 
 impl SimulatedSource {
-    /// Create a source named `name` serving `relation` through `link`.
-    ///
-    /// The relation's columnar representation is forced **here** — at
-    /// registry-setup time, outside any timed query window — so every
-    /// connection serves typed columnar slices and downstream kernels never
-    /// pay a conversion. Only the columnar form is retained: a relation
-    /// built row-by-row would otherwise pin one allocation per tuple, and
-    /// freeing those when the registry drops lands inside the query's timed
-    /// window.
+    /// Create a source named `name` serving `relation` through `link`:
+    /// every connection serves slices of the relation's columns.
     pub fn new(name: impl Into<String>, relation: Relation, link: LinkModel) -> Self {
         SimulatedSource {
             name: name.into(),
-            relation: Arc::new(relation.columnar_only()),
+            relation: Arc::new(relation),
             link,
             seed: 0x7u64,
         }
@@ -243,11 +236,11 @@ mod tests {
 
     fn rel(n: i64) -> Relation {
         let schema = Schema::of("s", &[("a", DataType::Int)]);
-        let mut r = Relation::empty(schema);
+        let mut r = Vec::new();
         for i in 0..n {
             r.push(tuple![i]);
         }
-        r
+        Relation::new(schema, r).unwrap()
     }
 
     #[test]
@@ -426,7 +419,7 @@ mod tests {
         let mut all = Vec::new();
         loop {
             match conn.next_batch_event(7) {
-                SourceBatchEvent::Batch(b) => all.extend(b.into_tuples()),
+                SourceBatchEvent::Batch(b) => all.extend(b.to_rows()),
                 SourceBatchEvent::End => break,
                 other => panic!("unexpected {other:?}"),
             }

@@ -270,11 +270,11 @@ mod tests {
 
     fn rel(n: i64) -> Relation {
         let schema = Schema::of("s", &[("a", DataType::Int)]);
-        let mut r = Relation::empty(schema);
+        let mut r = Vec::new();
         for i in 0..n {
             r.push(tuple![i]);
         }
-        r
+        Relation::new(schema, r).unwrap()
     }
 
     /// Fetch through `cache` as flight 1.
@@ -352,7 +352,6 @@ mod tests {
         assert_eq!(via, FetchVia::Hit);
         let mut total = 0;
         while let SourceBatchEvent::Batch(b) = s.next_batch_event(32) {
-            assert!(b.columns().is_some(), "a cache hit serves row batches");
             total += b.len();
         }
         assert_eq!(total, 100);

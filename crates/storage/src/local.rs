@@ -77,11 +77,7 @@ mod tests {
 
     fn rel(n: i64) -> Relation {
         let schema = Schema::of("t", &[("a", DataType::Int)]);
-        let mut r = Relation::empty(schema);
-        for i in 0..n {
-            r.push(tuple![i]);
-        }
-        r
+        Relation::new(schema, (0..n).map(|i| tuple![i]).collect()).unwrap()
     }
 
     #[test]

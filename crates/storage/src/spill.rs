@@ -465,14 +465,11 @@ mod tests {
     use tukwila_common::{tuple, Tuple};
 
     fn batch(rows: &[Tuple]) -> ColumnarBatch {
-        ColumnarBatch::from_rows(rows)
+        tukwila_common::testing::columns(rows)
     }
 
     fn rows_of(batches: &[ColumnarBatch]) -> Vec<Tuple> {
-        batches
-            .iter()
-            .flat_map(ColumnarBatch::materialize_rows)
-            .collect()
+        batches.iter().flat_map(ColumnarBatch::to_rows).collect()
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tukwila_common::{DataType, Relation, Schema, Tuple, Value};
+use tukwila_common::{ColumnBuilder, ColumnarBatch, DataType, Relation, Schema, Value};
 
 use crate::text;
 
@@ -191,6 +191,45 @@ pub struct TpchGenerator {
     seed: u64,
 }
 
+/// One table's typed columns, filled a row at a time in generation order.
+struct TableBuilder {
+    schema: Schema,
+    cols: Vec<ColumnBuilder>,
+    rows: usize,
+}
+
+impl TableBuilder {
+    fn new(table: TpchTable) -> Self {
+        let schema = table_schema(table);
+        let cols = (schema.fields().iter())
+            .map(|f| ColumnBuilder::for_type(f.data_type))
+            .collect();
+        TableBuilder {
+            schema,
+            cols,
+            rows: 0,
+        }
+    }
+
+    fn row<const N: usize>(&mut self, values: [Value; N]) {
+        debug_assert_eq!(N, self.cols.len(), "row arity matches table_schema");
+        for (col, v) in self.cols.iter_mut().zip(&values) {
+            if let Err(e) = col.push(v) {
+                panic!("generated value does not match table_schema: {e}");
+            }
+        }
+        self.rows += 1;
+    }
+
+    fn finish(self) -> Relation {
+        let cols = self.cols.into_iter().map(ColumnBuilder::finish).collect();
+        match Relation::from_columnar(self.schema, ColumnarBatch::new(self.rows, cols)) {
+            Ok(rel) => rel,
+            Err(e) => panic!("generated columns do not match table_schema: {e}"),
+        }
+    }
+}
+
 impl TpchGenerator {
     /// A generator for scale factor `scale` with RNG seed `seed`.
     pub fn new(scale: f64, seed: u64) -> Self {
@@ -224,99 +263,99 @@ impl TpchGenerator {
 
     fn gen_region(&self) -> Relation {
         let mut rng = self.rng_for(TpchTable::Region);
-        let mut rel = Relation::empty(table_schema(TpchTable::Region));
+        let mut rel = TableBuilder::new(TpchTable::Region);
         for k in 0..text::REGION_COUNT {
-            rel.push(Tuple::new(vec![
+            rel.row([
                 Value::Int(k as i64),
                 Value::str(text::region_name(k)),
                 Value::str(text::sentence(&mut rng, 30)),
-            ]));
+            ]);
         }
-        rel
+        rel.finish()
     }
 
     fn gen_nation(&self) -> Relation {
         let mut rng = self.rng_for(TpchTable::Nation);
-        let mut rel = Relation::empty(table_schema(TpchTable::Nation));
+        let mut rel = TableBuilder::new(TpchTable::Nation);
         for k in 0..text::NATION_COUNT {
-            rel.push(Tuple::new(vec![
+            rel.row([
                 Value::Int(k as i64),
                 Value::str(text::nation_name(k)),
                 Value::Int((k % text::REGION_COUNT) as i64),
                 Value::str(text::sentence(&mut rng, 40)),
-            ]));
+            ]);
         }
-        rel
+        rel.finish()
     }
 
     fn gen_supplier(&self) -> Relation {
         let mut rng = self.rng_for(TpchTable::Supplier);
         let n = TpchTable::Supplier.cardinality(self.scale);
-        let mut rel = Relation::empty(table_schema(TpchTable::Supplier));
+        let mut rel = TableBuilder::new(TpchTable::Supplier);
         for k in 1..=n {
-            rel.push(Tuple::new(vec![
+            rel.row([
                 Value::Int(k as i64),
                 Value::str(format!("Supplier#{k:09}")),
                 Value::Int(rng.gen_range(0..text::NATION_COUNT) as i64),
                 Value::Double((rng.gen_range(-99_999..999_999) as f64) / 100.0),
                 Value::str(text::sentence(&mut rng, 35)),
-            ]));
+            ]);
         }
-        rel
+        rel.finish()
     }
 
     fn gen_customer(&self) -> Relation {
         let mut rng = self.rng_for(TpchTable::Customer);
         let n = TpchTable::Customer.cardinality(self.scale);
-        let mut rel = Relation::empty(table_schema(TpchTable::Customer));
+        let mut rel = TableBuilder::new(TpchTable::Customer);
         for k in 1..=n {
-            rel.push(Tuple::new(vec![
+            rel.row([
                 Value::Int(k as i64),
                 Value::str(format!("Customer#{k:09}")),
                 Value::Int(rng.gen_range(0..text::NATION_COUNT) as i64),
                 Value::Double((rng.gen_range(-99_999..999_999) as f64) / 100.0),
                 Value::str(text::market_segment(&mut rng)),
-            ]));
+            ]);
         }
-        rel
+        rel.finish()
     }
 
     fn gen_part(&self) -> Relation {
         let mut rng = self.rng_for(TpchTable::Part);
         let n = TpchTable::Part.cardinality(self.scale);
-        let mut rel = Relation::empty(table_schema(TpchTable::Part));
+        let mut rel = TableBuilder::new(TpchTable::Part);
         for k in 1..=n {
-            rel.push(Tuple::new(vec![
+            rel.row([
                 Value::Int(k as i64),
                 Value::str(text::word(&mut rng, 4)),
                 Value::str(text::brand(&mut rng)),
                 Value::Int(rng.gen_range(1..=50)),
                 Value::Double(900.0 + (k % 1000) as f64 / 10.0),
-            ]));
+            ]);
         }
-        rel
+        rel.finish()
     }
 
     fn gen_partsupp(&self) -> Relation {
         let mut rng = self.rng_for(TpchTable::Partsupp);
         let parts = TpchTable::Part.cardinality(self.scale);
         let suppliers = TpchTable::Supplier.cardinality(self.scale) as i64;
-        let mut rel = Relation::empty(table_schema(TpchTable::Partsupp));
+        let mut rel = TableBuilder::new(TpchTable::Partsupp);
         // TPC convention: each part supplied by 4 suppliers, spread across
         // the supplier table so every supplier supplies ~4 × parts/suppliers
         // parts.
         for p in 1..=parts as i64 {
             for i in 0..4i64 {
                 let s = (p + i * (suppliers / 4).max(1)) % suppliers + 1;
-                rel.push(Tuple::new(vec![
+                rel.row([
                     Value::Int(p),
                     Value::Int(s),
                     Value::Int(rng.gen_range(1..10_000)),
                     Value::Double((rng.gen_range(100..100_000) as f64) / 100.0),
-                ]));
+                ]);
             }
         }
-        rel
+        rel.finish()
     }
 
     fn gen_orders(&self) -> Relation {
@@ -326,18 +365,18 @@ impl TpchGenerator {
         // One third of customers never appear (TPC rule): draw custkeys from
         // the first 2/3 of the key space, remapped to even coverage.
         let active_customers = (customers * 2 / 3).max(1);
-        let mut rel = Relation::empty(table_schema(TpchTable::Orders));
+        let mut rel = TableBuilder::new(TpchTable::Orders);
         for k in 1..=n as i64 {
             let cust = rng.gen_range(0..active_customers) * 3 / 2 + 1;
-            rel.push(Tuple::new(vec![
+            rel.row([
                 Value::Int(k),
                 Value::Int(cust.min(customers)),
                 Value::str(if rng.gen_bool(0.5) { "F" } else { "O" }),
                 Value::Double((rng.gen_range(1_000..500_000) as f64) / 100.0),
                 Value::Date(rng.gen_range(8_400..10_957)), // 1993..1999
-            ]));
+            ]);
         }
-        rel
+        rel.finish()
     }
 
     fn gen_lineitem(&self) -> Relation {
@@ -345,7 +384,7 @@ impl TpchGenerator {
         let orders = TpchTable::Orders.cardinality(self.scale) as i64;
         let parts = TpchTable::Part.cardinality(self.scale) as i64;
         let suppliers = TpchTable::Supplier.cardinality(self.scale) as i64;
-        let mut rel = Relation::empty(table_schema(TpchTable::Lineitem));
+        let mut rel = TableBuilder::new(TpchTable::Lineitem);
         for o in 1..=orders {
             let lines = rng.gen_range(1..=7);
             for ln in 1..=lines {
@@ -356,7 +395,7 @@ impl TpchGenerator {
                 let i = rng.gen_range(0..4i64);
                 let supp = (part + i * (suppliers / 4).max(1)) % suppliers + 1;
                 let qty = rng.gen_range(1..=50);
-                rel.push(Tuple::new(vec![
+                rel.row([
                     Value::Int(o),
                     Value::Int(part),
                     Value::Int(supp),
@@ -364,10 +403,10 @@ impl TpchGenerator {
                     Value::Int(qty),
                     Value::Double(qty as f64 * (900.0 + (part % 1000) as f64 / 10.0)),
                     Value::Date(rng.gen_range(8_400..11_100)),
-                ]));
+                ]);
             }
         }
-        rel
+        rel.finish()
     }
 }
 
@@ -417,7 +456,7 @@ mod tests {
         assert_eq!(ps.len(), parts * 4);
         // the (partkey, suppkey) pairs are unique
         let mut seen = HashSet::new();
-        for t in ps.tuples() {
+        for t in ps.to_rows() {
             assert!(seen.insert((t.value(0).clone(), t.value(1).clone())));
         }
     }
@@ -426,7 +465,7 @@ mod tests {
     fn primary_keys_dense_and_unique() {
         let sup = small().generate(TpchTable::Supplier);
         let keys: HashSet<i64> = sup
-            .tuples()
+            .to_rows()
             .iter()
             .map(|t| t.value(0).as_int().unwrap())
             .collect();
@@ -441,11 +480,11 @@ mod tests {
         let nat = g.generate(TpchTable::Nation);
         let sup = g.generate(TpchTable::Supplier);
         let nkeys: HashSet<i64> = nat
-            .tuples()
+            .to_rows()
             .iter()
             .map(|t| t.value(0).as_int().unwrap())
             .collect();
-        for s in sup.tuples() {
+        for s in sup.to_rows() {
             assert!(nkeys.contains(&s.value(2).as_int().unwrap()));
         }
     }
@@ -456,7 +495,7 @@ mod tests {
         let orders = g.generate(TpchTable::Orders);
         let customers = TpchTable::Customer.cardinality(0.01);
         let with_orders: HashSet<i64> = orders
-            .tuples()
+            .to_rows()
             .iter()
             .map(|t| t.value(1).as_int().unwrap())
             .collect();
@@ -474,11 +513,11 @@ mod tests {
         let li = g.generate(TpchTable::Lineitem);
         let ps = g.generate(TpchTable::Partsupp);
         let pairs: HashSet<(i64, i64)> = ps
-            .tuples()
+            .to_rows()
             .iter()
             .map(|t| (t.value(0).as_int().unwrap(), t.value(1).as_int().unwrap()))
             .collect();
-        for l in li.tuples().iter().take(500) {
+        for l in li.to_rows().iter().take(500) {
             let pair = (l.value(1).as_int().unwrap(), l.value(2).as_int().unwrap());
             assert!(pairs.contains(&pair), "lineitem FK pair {pair:?} missing");
         }
@@ -488,7 +527,7 @@ mod tests {
     fn lineitem_lines_per_order_in_range() {
         let li = small().generate(TpchTable::Lineitem);
         let mut per_order: std::collections::HashMap<i64, usize> = Default::default();
-        for t in li.tuples() {
+        for t in li.to_rows() {
             *per_order.entry(t.value(0).as_int().unwrap()).or_default() += 1;
         }
         for (&o, &n) in &per_order {

@@ -48,16 +48,6 @@ impl JsonValue {
         }
     }
 
-    /// As f64 for any numeric value.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::UInt(n) => Some(*n as f64),
-            JsonValue::Int(n) => Some(*n as f64),
-            JsonValue::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// As a borrowed string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

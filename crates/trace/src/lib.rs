@@ -603,14 +603,6 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// Count of recorded events per kind, for rollups.
-    pub fn count_kind(&self, kind: &str) -> usize {
-        self.events
-            .iter()
-            .filter(|r| r.event.kind() == kind)
-            .count()
-    }
-
     /// First recorded event matching `pred`, if any.
     pub fn find<F: Fn(&TraceEvent) -> bool>(&self, pred: F) -> Option<&TraceRecord> {
         self.events.iter().find(|r| pred(&r.event))

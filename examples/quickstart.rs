@@ -55,7 +55,7 @@ fn main() {
     );
 
     // First few rows.
-    for t in result.relation.tuples().iter().take(5) {
+    for t in result.relation.to_rows().iter().take(5) {
         println!("  {t}");
     }
 

@@ -12,11 +12,11 @@ use tukwila::prelude::*;
 
 fn keyed(name: &str, n: i64) -> Relation {
     let schema = Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
-    let mut r = Relation::empty(schema);
+    let mut r = Vec::new();
     for i in 0..n {
         r.push(Tuple::new(vec![Value::Int(i % 10), Value::Int(i)]));
     }
-    r
+    Relation::new(schema, r).unwrap()
 }
 
 /// The paper's §1.3 "rescheduling" narrative: if source A times out, the

@@ -141,7 +141,7 @@ fn filters_and_projection_apply() {
     let system = deployment.system(OptimizerConfig::default());
     let result = system.execute(&query).expect("filtered query");
     assert_eq!(result.relation.schema().arity(), 2);
-    for t in result.relation.tuples() {
+    for t in result.relation.to_rows() {
         assert_eq!(t.value(1), &Value::str("FRANCE"));
     }
     // cross-check cardinality against gold + manual filter
@@ -150,7 +150,7 @@ fn filters_and_projection_apply() {
         .unwrap();
     let idx = gold.schema().index_of("nation.n_name").unwrap();
     let expected = gold
-        .tuples()
+        .to_rows()
         .iter()
         .filter(|t| t.value(idx) == &Value::str("FRANCE"))
         .count();

@@ -28,14 +28,14 @@ use tukwila::prelude::*;
 /// Relation of `n` tuples with unique keys 0..n and a fixed-width payload.
 fn uniform_relation(name: &str, n: usize) -> Relation {
     let schema = Schema::of(name, &[("k", DataType::Int), ("pay", DataType::Int)]);
-    let mut r = Relation::empty(schema);
+    let mut r = Vec::new();
     for i in 0..n {
         r.push(Tuple::new(vec![
             Value::Int(i as i64),
             Value::Int((i * 7) as i64),
         ]));
     }
-    r
+    Relation::new(schema, r).unwrap()
 }
 
 /// Execute `A ⋈ B` with the double pipelined join under `method` and a
@@ -55,7 +55,7 @@ fn run_dpj_with(
 ) -> (usize, usize, usize) {
     let a = uniform_relation("a", n);
     let b = uniform_relation("b", n);
-    let tuple_bytes = a.tuples()[0].mem_size();
+    let tuple_bytes = a.to_rows()[0].mem_size();
     let budget = m_tuples * tuple_bytes;
 
     let link = if paced {

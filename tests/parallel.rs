@@ -105,11 +105,11 @@ fn independent_fragments_overlap_and_cut_latency() {
         let reg = SourceRegistry::new();
         let mk = |name: &str, n: i64| {
             let schema = Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
-            let mut r = Relation::empty(schema);
+            let mut r = Vec::new();
             for i in 0..n {
                 r.push(Tuple::new(vec![Value::Int(i), Value::Int(i)]));
             }
-            r
+            Relation::new(schema, r).unwrap()
         };
         for src in ["A", "B", "C", "D"] {
             reg.register(SimulatedSource::new(src, mk(src, 150), paced.clone()));
@@ -260,7 +260,7 @@ fn all_join_kinds_parallel_equals_sequential() {
 
     let mk = |name: &str, n: i64, nulls: bool| {
         let schema = Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
-        let mut r = Relation::empty(schema);
+        let mut r = Vec::new();
         for i in 0..n {
             let k = if nulls && i % 11 == 0 {
                 Value::Null
@@ -269,7 +269,7 @@ fn all_join_kinds_parallel_equals_sequential() {
             };
             r.push(Tuple::new(vec![k, Value::Int(i)]));
         }
-        r
+        Relation::new(schema, r).unwrap()
     };
     let l = mk("l", 180, true);
     let r = mk("r", 150, true);
@@ -281,7 +281,7 @@ fn all_join_kinds_parallel_equals_sequential() {
         m
     };
 
-    let gold = multiset(l.nested_join(&r, 0, 0).tuples());
+    let gold = multiset(&l.nested_join(&r, 0, 0).to_rows());
     for kind in [
         JoinKind::DoublePipelined,
         JoinKind::HybridHash,

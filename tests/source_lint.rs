@@ -1,9 +1,10 @@
 //! Repo-invariant source lints, enforced as a test so they run in the
 //! normal `cargo test` matrix with no extra tooling:
 //!
-//! 1. **No `.unwrap()` / `.expect(` in operator hot paths or the storage
-//!    layer** — `crates/exec/src/operators/*.rs` and `crates/storage/src/*.rs`
-//!    outside test code: a failure there is a typed error.
+//! 1. **No `.unwrap()` / `.expect(` in operator hot paths, the storage
+//!    layer or the wire** — `crates/exec/src/operators/*.rs`,
+//!    `crates/storage/src/*.rs` and `crates/net/src/*.rs` outside test
+//!    code: a failure there is a typed error.
 //! 2. **No std `Mutex`, `Condvar` or `mpsc` in non-test code** — named by
 //!    path or in a `use std::sync::{…}` list — and no lock guard held
 //!    across a channel `send`/`recv`: the workspace standardizes on the
@@ -39,9 +40,15 @@
 //!    by a connection, a frame or a notify. (Left: the coordinator's
 //!    `STREAM_TICK` read timeout, and a bare `WorkerServer::run`'s stop
 //!    watcher, which no query waits on.)
+//! 10. **One batch representation** (rule 6 widened). No non-test file
+//!     under `crates/storage/src` or `crates/net/src` names the row type
+//!     `Tuple`, and no non-test file under `crates/` names `Repr::`,
+//!     `BatchAssembler`, `from_tuples`, `materialize_rows` or
+//!     `Column::Values`: a batch is typed columns from source to sink, on
+//!     the wire and in spill files (DESIGN.md §11).
 //!
-//! All checks are text-based (no extra dependencies); 1–3, 5, 6, 8 and 9
-//! skip `*_tests.rs` files, `tests/` directories, and everything at or
+//! All checks are text-based (no extra dependencies); 1–3, 5, 6, 8, 9 and
+//! 10 skip `*_tests.rs` files, `tests/` directories, and everything at or
 //! below the first `#[cfg(test)]` line of a file (test modules sit at
 //! file end by convention here).
 
@@ -115,7 +122,11 @@ fn code_only(line: &str) -> String {
 fn no_new_unwraps_in_operator_hot_paths() {
     let root = repo_root();
     let mut files = Vec::new();
-    for dir in ["crates/exec/src/operators", "crates/storage/src"] {
+    for dir in [
+        "crates/exec/src/operators",
+        "crates/storage/src",
+        "crates/net/src",
+    ] {
         rust_sources(&root.join(dir), false, &mut files);
     }
     let mut hits = Vec::new();
@@ -130,7 +141,7 @@ fn no_new_unwraps_in_operator_hot_paths() {
     }
     assert!(
         hits.is_empty(),
-        "operator and storage code returns a typed error instead of panicking:\n{}",
+        "operator, storage and wire code returns a typed error instead of panicking:\n{}",
         hits.join("\n")
     );
 }
@@ -531,6 +542,58 @@ fn overflow_stays_columnar() {
         hits.is_empty(),
         "the join side is columnar from arrival through flush and cleanup \
          (DESIGN.md §11):\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn one_batch_representation() {
+    let root = repo_root();
+    let mut hits = Vec::new();
+    let rel = |file: &Path| file.strip_prefix(&root).unwrap().display().to_string();
+    let mut wire = Vec::new();
+    for dir in ["crates/storage/src", "crates/net/src"] {
+        rust_sources(&root.join(dir), false, &mut wire);
+    }
+    assert!(wire.len() > 5, "storage and net sources not found");
+    for file in &wire {
+        for (i, line) in non_test_lines(file).iter().enumerate() {
+            if has_word(line, "Tuple") {
+                hits.push(format!(
+                    "{}:{}: names `Tuple`: {}",
+                    rel(file),
+                    i + 1,
+                    line.trim()
+                ));
+            }
+        }
+    }
+    let mut engine = Vec::new();
+    rust_sources(&root.join("crates"), false, &mut engine);
+    for file in &engine {
+        for (i, line) in non_test_lines(file).iter().enumerate() {
+            for needle in [
+                "Repr::",
+                "BatchAssembler",
+                "from_tuples",
+                "materialize_rows",
+                "Column::Values",
+            ] {
+                if line.contains(needle) {
+                    hits.push(format!(
+                        "{}:{}: names `{needle}`: {}",
+                        rel(file),
+                        i + 1,
+                        line.trim()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "batches are typed columns from source to sink, on the wire and in \
+         spill files (DESIGN.md §11):\n{}",
         hits.join("\n")
     );
 }
