@@ -560,7 +560,7 @@ mod tests {
         );
         assert_eq!(codes_of(&d), vec!["TA022"]);
 
-        let d = diags_for(r#"(fragment f (select cust = 42 (wrapper orders))) (output f)"#);
+        let d = diags_for(r#"(fragment f (select (lit cust = 42) (wrapper orders))) (output f)"#);
         assert_eq!(codes_of(&d), vec!["TA023"]);
 
         let d =

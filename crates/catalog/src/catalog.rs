@@ -2,14 +2,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use tukwila_common::{Result, Schema, TukwilaError};
 
 use crate::stats::{AccessCost, TableStats};
 
 /// Description of one registered data source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceDesc {
     /// Source name (matches the source registry).
     pub name: String,
@@ -56,7 +54,7 @@ impl SourceDesc {
 
 /// Pairwise overlap: `p_b_given_a` = probability a value in source A also
 /// appears in source B (as in Florescu/Koller/Levy, cited in §2/§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapInfo {
     /// P(value ∈ B | value ∈ A).
     pub p_b_given_a: f64,
@@ -80,7 +78,7 @@ impl OverlapInfo {
 }
 
 /// The data source catalog (§2).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     sources: BTreeMap<String, SourceDesc>,
     /// mediated relation → source names (insertion order preserved via sort

@@ -1,11 +1,9 @@
 //! Statistics records: table stats and access costs.
 
-use serde::{Deserialize, Serialize};
-
 /// What the catalog believes about a source's relation. All fields optional
 /// — data integration systems operate with "an absence of quality
 /// statistics" (§1.1).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableStats {
     /// Estimated cardinality, if known.
     pub cardinality: Option<usize>,
@@ -49,7 +47,7 @@ impl TableStats {
 }
 
 /// Cost of accessing a source (the catalog's model of its link).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessCost {
     /// Expected delay before the first tuple, milliseconds.
     pub initial_latency_ms: f64,

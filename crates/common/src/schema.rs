@@ -9,13 +9,11 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, TukwilaError};
 use crate::value::DataType;
 
 /// A single column: `qualifier.name : data_type`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Originating relation (e.g. `"lineitem"`); empty for computed columns.
     pub qualifier: String,
@@ -67,7 +65,7 @@ impl fmt::Display for Field {
 
 /// An ordered list of [`Field`]s describing a tuple stream. Cheap to clone
 /// (shared buffer).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     fields: Arc<Vec<Field>>,
 }

@@ -11,10 +11,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// The type of a column in a [`crate::Schema`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer (keys, counts, quantities).
     Int,
@@ -45,7 +43,7 @@ impl fmt::Display for DataType {
 ///
 /// Strings are reference-counted so that cloning a tuple (which join
 /// operators do constantly) never copies string payloads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),

@@ -225,8 +225,8 @@ impl Span {
         Span::Op { fragment, op }
     }
 
-    /// Render the span against the plan, using the same operator labels as
-    /// [`crate::text::render_plan`] so the arrow line matches a listing.
+    /// Render the span against the plan, naming an operator by its
+    /// [`crate::ops::OperatorNode::label`].
     pub fn render(&self, plan: &QueryPlan) -> String {
         match self {
             Span::Plan => format!("plan(output={})", plan.output),
@@ -375,8 +375,8 @@ impl Report {
         out
     }
 
-    /// Machine-readable JSON form (hand-rolled; the in-tree serde shim does
-    /// not provide a JSON serializer). Shape:
+    /// Machine-readable JSON form (hand-rolled; the workspace has no JSON
+    /// library). Shape:
     /// `{"errors":N,"warnings":N,"infos":N,"diagnostics":[{...}]}` with each
     /// diagnostic carrying `code`, `severity`, `pass`, `message`,
     /// `fragment`/`op`/`rule` span fields (null when absent), and `notes`.

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a physical operator node within one query plan. Stable across
 /// re-optimization *of the same node* is not required — the optimizer remaps
 /// ids when it replans — but ids are unique within a plan and the event
 /// system routes by them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId(pub u32);
 
 impl fmt::Display for OpId {
@@ -18,7 +16,7 @@ impl fmt::Display for OpId {
 }
 
 /// Identifies a fragment within one query plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FragmentId(pub u32);
 
 impl fmt::Display for FragmentId {

@@ -16,6 +16,10 @@
 //!   rule with an active owner; firing once deactivates the rule; all of a
 //!   rule's actions execute before the next event is processed.
 //!
+//! Plans have one text form, the human-writable plan language of §5:
+//! [`parse::parse_plan`] reads it and [`text::print_plan`] writes it, from
+//! the same keyword tables, so a printed plan reparses to an equal plan.
+//!
 //! The crate also provides the static rule-conflict check the paper requires
 //! ("no two rules may ever be active such that one rule negates the effect
 //! of the other and both can be fired simultaneously") in

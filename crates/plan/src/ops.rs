@@ -5,13 +5,11 @@
 //! children (inside the spec), the memory allocated to the operator, and an
 //! estimate of result cardinality.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::OpId;
 use crate::predicate::Predicate;
 
 /// Physical join algorithm choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     /// Hybrid hash join (§4.2.1): builds a table from the *right* (inner)
     /// child, lazily spilling buckets on overflow; probes with the left
@@ -26,9 +24,18 @@ pub enum JoinKind {
     DoublePipelined,
 }
 
+impl JoinKind {
+    /// Plan-text keyword of each kind, read by the parser and the printer.
+    pub const KEYWORDS: &[(&str, JoinKind)] = &[
+        ("dpj", JoinKind::DoublePipelined),
+        ("hybrid", JoinKind::HybridHash),
+        ("grace", JoinKind::GraceHash),
+    ];
+}
+
 /// Memory-overflow resolution strategy for the double pipelined join
 /// (§4.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverflowMethod {
     /// No strategy: raise `out_of_memory` and fail if no rule resolves it.
     /// (The optimizer normally never emits this; it exists so tests can
@@ -47,9 +54,19 @@ pub enum OverflowMethod {
     FlushAllLeft,
 }
 
+impl OverflowMethod {
+    /// Plan-text keyword of each method, read by the parser and the printer.
+    pub const KEYWORDS: &[(&str, OverflowMethod)] = &[
+        ("left", OverflowMethod::IncrementalLeftFlush),
+        ("symmetric", OverflowMethod::IncrementalSymmetricFlush),
+        ("flushall", OverflowMethod::FlushAllLeft),
+        ("fail", OverflowMethod::Fail),
+    ];
+}
+
 /// One child of a dynamic collector: a wrapper call with its own [`OpId`]
 /// so policy rules can activate/deactivate it individually (§4.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectorChildSpec {
     /// The child's operator id (rule subject).
     pub id: OpId,
@@ -61,7 +78,7 @@ pub struct CollectorChildSpec {
 
 /// The physical operator algebra (standard operators of §4 plus the two
 /// adaptive ones).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OperatorSpec {
     /// Scan a materialized table in the local store (fragment results,
     /// cached data).
@@ -146,7 +163,7 @@ pub enum OperatorSpec {
 }
 
 /// A node in a fragment's operator tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorNode {
     /// Unique id within the plan.
     pub id: OpId,

@@ -9,7 +9,8 @@
 //! ECA rules. [`crate::text::print_plan`] emits the same grammar, so plans
 //! round-trip (parse → print → parse is a fixpoint).
 //!
-//! Grammar (whitespace-insensitive; `;` comments to end of line):
+//! Grammar (whitespace-insensitive; `;` comments to end of line; the
+//! keyword sets are the `KEYWORDS` tables the printer reads too):
 //!
 //! ```text
 //! plan      := (fragment | after | rule)* "(output" IDENT ")"
@@ -19,16 +20,19 @@
 //! scan      := "(scan" IDENT ")"                       ; local table
 //! wrapper   := "(wrapper" IDENT [timeout] [":prefetch" INT] ")"
 //! timeout   := ":timeout" INT                          ; milliseconds
-//! join      := "(join" KIND key "=" key [":mem" INT] [":overflow" METHOD]
+//! join      := "(join" KIND key '=' key [":mem" INT] [":overflow" METHOD]
 //!              node node ")"
-//! KIND      := "dpj" | "hybrid" | "grace"
-//! METHOD    := "left" | "symmetric" | "flushall" | "fail"
-//! depjoin   := "(depjoin" IDENT column "=" column node ")"
+//! KIND      := JoinKind::KEYWORDS                      ; dpj hybrid grace
+//! METHOD    := OverflowMethod::KEYWORDS  ; left symmetric flushall fail
+//! depjoin   := "(depjoin" IDENT column '=' column node ")"
 //!              ; sugar for a build-first join over `(wrapper IDENT)`:
 //!              ; (join hybrid column = column node (wrapper IDENT))
-//! select    := "(select" (column OP literal | pred) node ")"
+//! select    := "(select" pred node ")"
 //! pred      := "true" | "(lit" column OP literal ")" | "(cols" column OP column ")"
 //!            | "(and" pred+ ")" | "(or" pred+ ")" | "(not" pred ")"
+//! OP        := CmpOp::KEYWORDS                   ; = <> < <= > >=
+//! literal   := INT | NUMBER | STRING | "null" | "date:" INT
+//! STRING    := '"' (char | '\"' | '\\')* '"'  ; a `\` before any other char is literal
 //! project   := "(project" "[" column ("," column)* "]" node ")"
 //! union     := "(union" node node+ ")"
 //! exchange  := "(exchange" INT node ")"
@@ -37,12 +41,13 @@
 //! after     := "(after" IDENT IDENT ")"                ; frag1 before frag2
 //! rule      := "(rule" NAME ":owner" SUBJ ":when" EVENT SUBJ [INT]
 //!              [":if" cond] [":do" action*] ")"
-//! EVENT     := "opened" | "closed" | "error" | "timeout" | "oom" | "threshold"
+//! NAME      := IDENT | STRING
+//! EVENT     := EventKind::KEYWORDS ; opened closed error timeout oom threshold
 //! SUBJ      := "op" INT | IDENT        ; `opN` wins over a fragment named opN
 //! cond      := "true" | "false" | "(state" SUBJ STATE ")"
 //!            | "(cmp" qty OP qty ")" | "(and" cond+ ")" | "(or" cond+ ")"
 //!            | "(not" cond ")"
-//! STATE     := "notstarted" | "open" | "closed" | "failed" | "deactivated"
+//! STATE     := OpState::KEYWORDS ; notstarted open closed failed deactivated
 //! qty       := NUMBER | "(card" SUBJ ")" | "(est" SUBJ ")" | "(wait" SUBJ ")"
 //!            | "(mem" SUBJ ")" | "(budget" SUBJ ")" | "(scale" NUMBER qty ")"
 //! action    := "replan" | "reschedule" | "(activate" SUBJ ")"
@@ -51,10 +56,11 @@
 //!            | "(alter-memory" "op" INT INT ")"
 //! ```
 //!
-//! Rule subjects may reference fragments by name (forward references are
-//! fine — resolution happens after the whole input is read) and operators
-//! as `opN` using the ids the parser assigns: operators number from 0 in
-//! post-order within each fragment, fragments in order of appearance.
+//! Rule subjects may reference fragments by name, forward references
+//! included: one flat pass over the tokens collects the top-level fragment
+//! names before parsing, and operators are written `opN` with the ids the
+//! parser assigns: operators number from 0 in post-order within each
+//! fragment, fragments in order of appearance.
 //!
 //! Example:
 //!
@@ -89,6 +95,8 @@ enum Token {
     Comma,
     Eq,
     Word(String),
+    /// A quoted string, escapes resolved.
+    Str(String),
 }
 
 fn err(msg: impl Into<String>) -> TukwilaError {
@@ -99,114 +107,49 @@ fn tokenize(input: &str) -> Result<Vec<Token>> {
     let mut out = Vec::new();
     let mut chars = input.chars().peekable();
     while let Some(&c) = chars.peek() {
-        match c {
-            ';' => {
-                for c in chars.by_ref() {
-                    if c == '\n' {
-                        break;
+        let single = match c {
+            '(' => Some(Token::Open),
+            ')' => Some(Token::Close),
+            '[' => Some(Token::OpenBracket),
+            ']' => Some(Token::CloseBracket),
+            ',' => Some(Token::Comma),
+            '=' => Some(Token::Eq),
+            _ => None,
+        };
+        if let Some(t) = single {
+            chars.next();
+            out.push(t);
+        } else if c == ';' {
+            chars.by_ref().find(|&c| c == '\n');
+        } else if c.is_whitespace() {
+            chars.next();
+        } else if c == '"' {
+            chars.next();
+            let mut s = String::new();
+            loop {
+                match chars.next() {
+                    Some('"') => break,
+                    Some('\\') if matches!(chars.peek(), Some('"' | '\\')) => {
+                        s.extend(chars.next())
                     }
+                    Some(c) => s.push(c),
+                    None => return Err(err("unterminated string literal")),
                 }
             }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '(' => {
-                chars.next();
-                out.push(Token::Open);
-            }
-            ')' => {
-                chars.next();
-                out.push(Token::Close);
-            }
-            '[' => {
-                chars.next();
-                out.push(Token::OpenBracket);
-            }
-            ']' => {
-                chars.next();
-                out.push(Token::CloseBracket);
-            }
-            ',' => {
-                chars.next();
-                out.push(Token::Comma);
-            }
-            '=' => {
-                chars.next();
-                out.push(Token::Eq);
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some(c) => s.push(c),
-                        None => return Err(err("unterminated string literal")),
-                    }
+            out.push(Token::Str(s));
+        } else {
+            let mut w = String::new();
+            while let Some(&c) = chars.peek() {
+                if c.is_whitespace() || "()[],=;\"".contains(c) {
+                    break;
                 }
-                out.push(Token::Word(format!("\"{s}")));
+                w.push(c);
+                chars.next();
             }
-            _ => {
-                let mut w = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_whitespace() || "()[],=;\"".contains(c) {
-                        break;
-                    }
-                    w.push(c);
-                    chars.next();
-                }
-                out.push(Token::Word(w));
-            }
+            out.push(Token::Word(w));
         }
     }
     Ok(out)
-}
-
-// ---- rule clause AST (subjects are unresolved words until the whole ----
-// ---- input is read, so forward fragment references work)            ----
-
-#[derive(Debug)]
-struct RuleAst {
-    name: String,
-    owner: String,
-    kind: EventKind,
-    subject: String,
-    value: Option<u64>,
-    condition: CondAst,
-    actions: Vec<ActionAst>,
-}
-
-#[derive(Debug)]
-enum CondAst {
-    True,
-    False,
-    State(String, OpState),
-    Cmp(QtyAst, CmpOp, QtyAst),
-    And(Vec<CondAst>),
-    Or(Vec<CondAst>),
-    Not(Box<CondAst>),
-}
-
-#[derive(Debug)]
-enum QtyAst {
-    Const(f64),
-    Card(String),
-    Est(String),
-    Wait(String),
-    Mem(String),
-    Budget(String),
-    Scale(f64, Box<QtyAst>),
-}
-
-#[derive(Debug)]
-enum ActionAst {
-    Replan,
-    Reschedule,
-    Activate(String),
-    Deactivate(String),
-    Error(String),
-    SetOverflow(String, OverflowMethod),
-    AlterMemory(String, usize),
 }
 
 /// Deepest parenthesis nesting a plan text may have. Every level of node,
@@ -214,35 +157,71 @@ enum ActionAst {
 /// parser recurses once per level, so checking the token stream first
 /// keeps a hostile plan text — a worker parses the coordinator's
 /// `Dispatch` — from overflowing the parsing thread's stack; the
-/// analyzer, the printer and `Drop` then never see a deeper tree.
+/// analyzer, the printer and `Drop` then never see a deeper tree. Each
+/// operator form parses in its own function, so a level costs a small
+/// frame and the bound holds on a 2 MiB stack in a debug build too.
 pub const MAX_PLAN_NESTING: usize = 256;
 
-/// A `Plan` error if `tokens` nest parentheses deeper than
-/// [`MAX_PLAN_NESTING`]; checked without recursing.
-fn check_nesting(tokens: &[Token]) -> Result<()> {
+/// One flat pass over the tokens, before anything recurses: a `Plan`
+/// error if they nest parentheses deeper than [`MAX_PLAN_NESTING`], else
+/// the names of the top-level `(fragment NAME …)` forms in order of
+/// appearance, so index `i` is the `FragmentId(i)` the builder assigns.
+fn prescan(tokens: &[Token]) -> Result<Vec<String>> {
+    let mut names: Vec<String> = Vec::new();
     let mut depth = 0usize;
-    for t in tokens {
+    for (i, t) in tokens.iter().enumerate() {
         match t {
             Token::Open if depth == MAX_PLAN_NESTING => {
                 return Err(err(format!(
                     "plan nests deeper than {MAX_PLAN_NESTING} levels"
                 )))
             }
-            Token::Open => depth += 1,
+            Token::Open => {
+                if let (0, [Token::Word(head), Token::Word(name), ..]) = (depth, &tokens[i + 1..]) {
+                    if head == "fragment" {
+                        if names.contains(name) {
+                            return Err(err(format!("duplicate fragment name `{name}`")));
+                        }
+                        names.push(name.clone());
+                    }
+                }
+                depth += 1;
+            }
             Token::Close => depth = depth.saturating_sub(1),
             _ => {}
         }
     }
-    Ok(())
+    Ok(names)
+}
+
+/// The entry of a keyword `table` named `word`; otherwise an error that
+/// lists the table.
+fn lookup<T: Copy>(table: &[(&str, T)], word: &str, what: &str) -> Result<T> {
+    if let Some(&(_, v)) = table.iter().find(|(k, _)| *k == word) {
+        return Ok(v);
+    }
+    let keywords: Vec<&str> = table.iter().map(|&(k, _)| k).collect();
+    let (last, rest) = keywords.split_last().expect("keyword tables are not empty");
+    Err(err(format!(
+        "unknown {what} `{word}` (expected {} or {last})",
+        rest.join(", ")
+    )))
+}
+
+/// `opN` as an operator id.
+fn op_ref(word: &str) -> Option<OpId> {
+    word.strip_prefix("op")?.parse().ok().map(OpId)
 }
 
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
     builder: PlanBuilder,
+    /// Fragment names by id, from [`prescan`].
+    names: Vec<String>,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -272,10 +251,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// A word with an optional surrounding-quote marker stripped.
-    fn name_word(&mut self) -> Result<String> {
-        let w = self.word()?;
-        Ok(w.strip_prefix('"').map(str::to_string).unwrap_or(w))
+    /// A rule name or error message: a string or a bare word.
+    fn name(&mut self) -> Result<String> {
+        match self.next()? {
+            Token::Word(w) | Token::Str(w) => Ok(w.clone()),
+            other => Err(err(format!("expected a name, got {other:?}"))),
+        }
     }
 
     fn int(&mut self) -> Result<u64> {
@@ -290,7 +271,7 @@ impl<'a> Parser<'a> {
             .map_err(|_| err(format!("expected number, got `{w}`")))
     }
 
-    /// Optional `:key value` option; returns true if consumed.
+    /// Optional `:key` (or flag) word; returns true if consumed.
     fn try_option(&mut self, key: &str) -> bool {
         if let Some(Token::Word(w)) = self.peek() {
             if w == key {
@@ -301,6 +282,15 @@ impl<'a> Parser<'a> {
         false
     }
 
+    /// Optional `:key INT` option.
+    fn opt_int(&mut self, key: &str) -> Result<Option<u64>> {
+        Ok(if self.try_option(key) {
+            Some(self.int()?)
+        } else {
+            None
+        })
+    }
+
     fn expect_keyword(&mut self, key: &str) -> Result<()> {
         if self.try_option(key) {
             Ok(())
@@ -309,35 +299,47 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// `item`s up to the next `)`, which is left for the caller.
+    fn until_close<T>(&mut self, item: fn(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let mut items = Vec::new();
+        while self.peek() != Some(&Token::Close) {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// The next word, looked up in a keyword `table`.
+    fn keyword<T: Copy>(&mut self, table: &[(&str, T)], what: &str) -> Result<T> {
+        let w = self.word()?;
+        lookup(table, &w, what)
+    }
+
     /// Comparator: `=` is its own token, so `<=` / `>=` arrive as a word
     /// followed by an Eq token.
     fn comparator(&mut self) -> Result<CmpOp> {
-        match self.next()?.clone() {
-            Token::Eq => Ok(CmpOp::Eq),
-            Token::Word(w) => match w.as_str() {
-                "<" | ">" => {
-                    let gt = w == ">";
-                    if self.peek() == Some(&Token::Eq) {
-                        self.pos += 1;
-                        Ok(if gt { CmpOp::Ge } else { CmpOp::Le })
-                    } else if gt {
-                        Ok(CmpOp::Gt)
-                    } else {
-                        Ok(CmpOp::Lt)
-                    }
-                }
-                "<>" => Ok(CmpOp::Ne),
-                other => Err(err(format!("unknown comparator `{other}`"))),
-            },
-            other => Err(err(format!("expected comparator, got {other:?}"))),
+        let mut sym = match self.peek() {
+            Some(Token::Word(w)) => w.clone(),
+            _ => String::new(),
+        };
+        if !sym.is_empty() {
+            self.pos += 1;
         }
+        let glued = format!("{sym}=");
+        if self.peek() == Some(&Token::Eq) && CmpOp::KEYWORDS.iter().any(|(k, _)| *k == glued) {
+            self.pos += 1;
+            sym = glued;
+        }
+        lookup(CmpOp::KEYWORDS, &sym, "comparator")
     }
 
     fn literal(&mut self) -> Result<Value> {
+        if let Some(Token::Str(s)) = self.peek() {
+            let v = Value::str(s);
+            self.pos += 1;
+            return Ok(v);
+        }
         let w = self.word()?;
-        Ok(if let Some(stripped) = w.strip_prefix('"') {
-            Value::str(stripped)
-        } else if w == "null" {
+        Ok(if w == "null" {
             Value::Null
         } else if let Some(d) = w.strip_prefix("date:") {
             Value::Date(
@@ -353,21 +355,45 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn overflow_method(&mut self) -> Result<OverflowMethod> {
-        Ok(match self.word()?.as_str() {
-            "left" => OverflowMethod::IncrementalLeftFlush,
-            "symmetric" => OverflowMethod::IncrementalSymmetricFlush,
-            "flushall" => OverflowMethod::FlushAllLeft,
-            "fail" => OverflowMethod::Fail,
-            other => return Err(err(format!("unknown overflow method `{other}`"))),
-        })
+    /// The fragment named `name`; `what` names the reference in the error.
+    fn fragment_named(&self, name: &str, what: &str) -> Result<FragmentId> {
+        let i = self.names.iter().position(|n| n == name);
+        i.map(|i| FragmentId(i as u32))
+            .ok_or_else(|| err(format!("unknown {what} `{name}`")))
     }
 
-    /// Parenthesized predicate form (`(and …)`, `(lit …)`, `(cols …)`).
-    fn pred_sexpr(&mut self) -> Result<Predicate> {
+    /// A fragment by name, for `after` and `output`.
+    fn fragment_ref(&mut self) -> Result<FragmentId> {
+        let w = self.word()?;
+        self.fragment_named(&w, "fragment")
+    }
+
+    /// A fragment (by name) or an operator (`opN`, which wins).
+    fn subject(&mut self) -> Result<SubjectRef> {
+        let w = self.word()?;
+        match op_ref(&w) {
+            Some(op) => Ok(SubjectRef::Op(op)),
+            None => self
+                .fragment_named(&w, "rule subject")
+                .map(SubjectRef::Fragment),
+        }
+    }
+
+    /// An operator subject, `opN`.
+    fn op(&mut self) -> Result<OpId> {
+        let w = self.word()?;
+        op_ref(&w).ok_or_else(|| err(format!("expected an operator `opN`, got `{w}`")))
+    }
+
+    fn pred(&mut self) -> Result<Predicate> {
+        if self.peek() != Some(&Token::Open) {
+            return match self.word()?.as_str() {
+                "true" => Ok(Predicate::True),
+                other => Err(err(format!("unknown predicate `{other}`"))),
+            };
+        }
         self.expect(Token::Open)?;
-        let head = self.word()?;
-        let p = match head.as_str() {
+        let p = match self.word()?.as_str() {
             "lit" => {
                 let col = self.word()?;
                 let op = self.comparator()?;
@@ -380,17 +406,8 @@ impl<'a> Parser<'a> {
                 let right = self.word()?;
                 Predicate::ColCol { left, op, right }
             }
-            "and" | "or" => {
-                let mut ps = Vec::new();
-                while self.peek() != Some(&Token::Close) {
-                    ps.push(self.pred()?);
-                }
-                if head == "and" {
-                    Predicate::And(ps)
-                } else {
-                    Predicate::Or(ps)
-                }
-            }
+            "and" => Predicate::And(self.until_close(Self::pred)?),
+            "or" => Predicate::Or(self.until_close(Self::pred)?),
             "not" => Predicate::Not(Box::new(self.pred()?)),
             other => return Err(err(format!("unknown predicate form `{other}`"))),
         };
@@ -398,197 +415,145 @@ impl<'a> Parser<'a> {
         Ok(p)
     }
 
-    fn pred(&mut self) -> Result<Predicate> {
-        if self.peek() == Some(&Token::Open) {
-            self.pred_sexpr()
-        } else {
-            match self.word()?.as_str() {
-                "true" => Ok(Predicate::True),
-                other => Err(err(format!("unknown predicate `{other}`"))),
-            }
-        }
-    }
-
+    /// One operator form. Each form parses in a function of its own so a
+    /// level of nesting costs only this dispatch and that form's frame.
     fn node(&mut self) -> Result<OperatorNode> {
         self.expect(Token::Open)?;
-        let head = self.word()?;
-        let node = match head.as_str() {
-            "scan" => {
-                let table = self.word()?;
-                self.builder.table_scan(&table)
-            }
-            "wrapper" => {
-                let source = self.word()?;
-                let timeout = if self.try_option(":timeout") {
-                    Some(self.int()?)
-                } else {
-                    None
-                };
-                let prefetch = if self.try_option(":prefetch") {
-                    Some(self.int()? as usize)
-                } else {
-                    None
-                };
-                self.builder.wrapper_scan_opts(&source, timeout, prefetch)
-            }
-            "join" => {
-                let kind = match self.word()?.as_str() {
-                    "dpj" => JoinKind::DoublePipelined,
-                    "hybrid" => JoinKind::HybridHash,
-                    "grace" => JoinKind::GraceHash,
-                    other => {
-                        return Err(err(format!(
-                            "unknown join kind `{other}` (expected dpj, hybrid or grace)"
-                        )))
-                    }
-                };
-                let lk = self.word()?;
-                self.expect(Token::Eq)?;
-                let rk = self.word()?;
-                let mem = if self.try_option(":mem") {
-                    Some(self.int()? as usize)
-                } else {
-                    None
-                };
-                let overflow = if self.try_option(":overflow") {
-                    Some(self.overflow_method()?)
-                } else {
-                    None
-                };
-                let left = self.node()?;
-                let right = self.node()?;
-                let mut n = match overflow {
-                    Some(m) if kind == JoinKind::DoublePipelined => {
-                        self.builder.dpj(left, right, &lk, &rk, m)
-                    }
-                    _ => self.builder.join(kind, left, right, &lk, &rk),
-                };
-                if let Some(m) = mem {
-                    n.memory_budget = Some(m);
-                }
-                n
-            }
-            "depjoin" => {
-                let source = self.word()?;
-                let bind = self.word()?;
-                self.expect(Token::Eq)?;
-                let probe = self.word()?;
-                let left = self.node()?;
-                self.builder.dependent_join(left, &source, &bind, &probe)
-            }
-            "select" => {
-                // New-style parenthesized predicate, bare `true`, or the
-                // legacy `column OP literal` shorthand.
-                let predicate = if self.peek() == Some(&Token::Open) {
-                    self.pred_sexpr()?
-                } else {
-                    let col = self.word()?;
-                    if col == "true" && self.peek() == Some(&Token::Open) {
-                        Predicate::True
-                    } else {
-                        let op = self.comparator()?;
-                        let value = self.literal()?;
-                        Predicate::ColLit { col, op, value }
-                    }
-                };
-                let input = self.node()?;
-                self.builder.select(input, predicate)
-            }
-            "project" => {
-                self.expect(Token::OpenBracket)?;
-                let mut cols = vec![self.word()?];
-                while self.peek() == Some(&Token::Comma) {
-                    self.pos += 1;
-                    cols.push(self.word()?);
-                }
-                self.expect(Token::CloseBracket)?;
-                let input = self.node()?;
-                let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-                self.builder.project(input, &refs)
-            }
-            "union" => {
-                let mut inputs = Vec::new();
-                while self.peek() == Some(&Token::Open) {
-                    inputs.push(self.node()?);
-                }
-                if inputs.len() < 2 {
-                    return Err(err("union needs at least two inputs"));
-                }
-                self.builder.union(inputs)
-            }
-            "exchange" => {
-                let partitions = self.int()? as usize;
-                if partitions == 0 {
-                    return Err(err("exchange needs at least one partition"));
-                }
-                let input = self.node()?;
-                self.builder.exchange(input, partitions)
-            }
-            "collector" => {
-                let quota = if self.try_option(":quota") {
-                    Some(self.int()? as usize)
-                } else {
-                    None
-                };
-                let timeout = if self.try_option(":timeout") {
-                    Some(self.int()?)
-                } else {
-                    None
-                };
-                let mut children = Vec::new();
-                while self.peek() == Some(&Token::Open) {
-                    self.expect(Token::Open)?;
-                    let kw = self.word()?;
-                    if kw != "child" {
-                        return Err(err(format!("expected (child …), got `{kw}`")));
-                    }
-                    let source = self.word()?;
-                    let standby = if let Some(Token::Word(w)) = self.peek() {
-                        if w == "standby" {
-                            self.pos += 1;
-                            true
-                        } else {
-                            false
-                        }
-                    } else {
-                        false
-                    };
-                    self.expect(Token::Close)?;
-                    children.push((source, !standby));
-                }
-                if children.is_empty() {
-                    return Err(err("collector needs at least one child"));
-                }
-                let specs: Vec<(&str, bool)> =
-                    children.iter().map(|(s, a)| (s.as_str(), *a)).collect();
-                let (node, _) = self.builder.collector_with_timeout(&specs, quota, timeout);
-                node
-            }
-            other => return Err(err(format!("unknown operator `{other}`"))),
-        };
+        let node = match self.word()?.as_str() {
+            "scan" => self.scan(),
+            "wrapper" => self.wrapper(),
+            "join" => self.join(),
+            "depjoin" => self.depjoin(),
+            "select" => self.select(),
+            "project" => self.project(),
+            "union" => self.union(),
+            "exchange" => self.exchange(),
+            "collector" => self.collector(),
+            other => Err(err(format!("unknown operator `{other}`"))),
+        }?;
         self.expect(Token::Close)?;
         Ok(node)
+    }
+
+    fn scan(&mut self) -> Result<OperatorNode> {
+        let table = self.word()?;
+        Ok(self.builder.table_scan(&table))
+    }
+
+    fn wrapper(&mut self) -> Result<OperatorNode> {
+        let source = self.word()?;
+        let timeout = self.opt_int(":timeout")?;
+        let prefetch = self.opt_int(":prefetch")?.map(|p| p as usize);
+        Ok(self.builder.wrapper_scan_opts(&source, timeout, prefetch))
+    }
+
+    fn join(&mut self) -> Result<OperatorNode> {
+        let kind = self.keyword(JoinKind::KEYWORDS, "join kind")?;
+        let lk = self.word()?;
+        self.expect(Token::Eq)?;
+        let rk = self.word()?;
+        let mem = self.opt_int(":mem")?;
+        let overflow = if self.try_option(":overflow") {
+            Some(self.keyword(OverflowMethod::KEYWORDS, "overflow method")?)
+        } else {
+            None
+        };
+        let left = self.node()?;
+        let right = self.node()?;
+        let mut n = match overflow {
+            Some(m) if kind == JoinKind::DoublePipelined => {
+                self.builder.dpj(left, right, &lk, &rk, m)
+            }
+            _ => self.builder.join(kind, left, right, &lk, &rk),
+        };
+        n.memory_budget = mem.map(|m| m as usize);
+        Ok(n)
+    }
+
+    fn depjoin(&mut self) -> Result<OperatorNode> {
+        let source = self.word()?;
+        let bind = self.word()?;
+        self.expect(Token::Eq)?;
+        let probe = self.word()?;
+        let left = self.node()?;
+        Ok(self.builder.dependent_join(left, &source, &bind, &probe))
+    }
+
+    fn select(&mut self) -> Result<OperatorNode> {
+        let predicate = self.pred()?;
+        let input = self.node()?;
+        Ok(self.builder.select(input, predicate))
+    }
+
+    fn project(&mut self) -> Result<OperatorNode> {
+        self.expect(Token::OpenBracket)?;
+        let mut cols = vec![self.word()?];
+        while self.peek() == Some(&Token::Comma) {
+            self.pos += 1;
+            cols.push(self.word()?);
+        }
+        self.expect(Token::CloseBracket)?;
+        let input = self.node()?;
+        let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
+        Ok(self.builder.project(input, &refs))
+    }
+
+    fn union(&mut self) -> Result<OperatorNode> {
+        let mut inputs = Vec::new();
+        while self.peek() == Some(&Token::Open) {
+            inputs.push(self.node()?);
+        }
+        if inputs.len() < 2 {
+            return Err(err("union needs at least two inputs"));
+        }
+        Ok(self.builder.union(inputs))
+    }
+
+    fn exchange(&mut self) -> Result<OperatorNode> {
+        let partitions = self.int()? as usize;
+        if partitions == 0 {
+            return Err(err("exchange needs at least one partition"));
+        }
+        let input = self.node()?;
+        Ok(self.builder.exchange(input, partitions))
+    }
+
+    fn collector(&mut self) -> Result<OperatorNode> {
+        let quota = self.opt_int(":quota")?.map(|q| q as usize);
+        let timeout = self.opt_int(":timeout")?;
+        let mut children = Vec::new();
+        while self.peek() == Some(&Token::Open) {
+            self.expect(Token::Open)?;
+            let kw = self.word()?;
+            if kw != "child" {
+                return Err(err(format!("expected (child …), got `{kw}`")));
+            }
+            let source = self.word()?;
+            let active = !self.try_option("standby");
+            self.expect(Token::Close)?;
+            children.push((source, active));
+        }
+        if children.is_empty() {
+            return Err(err("collector needs at least one child"));
+        }
+        let specs: Vec<(&str, bool)> = children.iter().map(|(s, a)| (s.as_str(), *a)).collect();
+        Ok(self
+            .builder
+            .collector_with_timeout(&specs, quota, timeout)
+            .0)
     }
 
     // ---- rule clauses ----
 
     /// Body of a `(rule …)` form; the opening paren and `rule` head are
     /// already consumed, the closing paren is left for the caller.
-    fn rule_body(&mut self) -> Result<RuleAst> {
-        let name = self.name_word()?;
+    fn rule(&mut self) -> Result<Rule> {
+        let name = self.name()?;
         self.expect_keyword(":owner")?;
-        let owner = self.word()?;
+        let owner = self.subject()?;
         self.expect_keyword(":when")?;
-        let kind = match self.word()?.as_str() {
-            "opened" => EventKind::Opened,
-            "closed" => EventKind::Closed,
-            "error" => EventKind::Error,
-            "timeout" => EventKind::Timeout,
-            "oom" => EventKind::OutOfMemory,
-            "threshold" => EventKind::Threshold,
-            other => return Err(err(format!("unknown event kind `{other}`"))),
-        };
-        let subject = self.word()?;
+        let kind = self.keyword(EventKind::KEYWORDS, "event kind")?;
+        let subject = self.subject()?;
         let value = match self.peek() {
             Some(Token::Word(w)) => w.parse::<u64>().ok(),
             _ => None,
@@ -596,90 +561,68 @@ impl<'a> Parser<'a> {
         if value.is_some() {
             self.pos += 1;
         }
-        let condition = if self.try_option(":if") {
-            self.cond()?
-        } else {
-            CondAst::True
-        };
-        let mut actions = Vec::new();
-        if self.try_option(":do") {
-            while self.peek() != Some(&Token::Close) {
-                actions.push(self.action()?);
-            }
-        }
-        Ok(RuleAst {
-            name,
-            owner,
+        let event = EventPattern {
             kind,
             subject,
             value,
-            condition,
-            actions,
-        })
+        };
+        let condition = if self.try_option(":if") {
+            self.cond()?
+        } else {
+            Condition::True
+        };
+        let actions = if self.try_option(":do") {
+            self.until_close(Self::action)?
+        } else {
+            Vec::new()
+        };
+        Ok(Rule::new(name, owner, event, condition, actions))
     }
 
-    fn cond(&mut self) -> Result<CondAst> {
+    fn cond(&mut self) -> Result<Condition> {
         if self.peek() != Some(&Token::Open) {
             return match self.word()?.as_str() {
-                "true" => Ok(CondAst::True),
-                "false" => Ok(CondAst::False),
+                "true" => Ok(Condition::True),
+                "false" => Ok(Condition::False),
                 other => Err(err(format!("unknown condition `{other}`"))),
             };
         }
         self.expect(Token::Open)?;
-        let head = self.word()?;
-        let c = match head.as_str() {
+        let c = match self.word()?.as_str() {
             "state" => {
-                let subj = self.word()?;
-                let state = match self.word()?.as_str() {
-                    "notstarted" => OpState::NotStarted,
-                    "open" => OpState::Open,
-                    "closed" => OpState::Closed,
-                    "failed" => OpState::Failed,
-                    "deactivated" => OpState::Deactivated,
-                    other => return Err(err(format!("unknown state `{other}`"))),
-                };
-                CondAst::State(subj, state)
+                let subject = self.subject()?;
+                let state = self.keyword(OpState::KEYWORDS, "state")?;
+                Condition::StateIs { subject, state }
             }
             "cmp" => {
                 let lhs = self.qty()?;
                 let op = self.comparator()?;
                 let rhs = self.qty()?;
-                CondAst::Cmp(lhs, op, rhs)
+                Condition::Cmp { lhs, op, rhs }
             }
-            "and" | "or" => {
-                let mut cs = Vec::new();
-                while self.peek() != Some(&Token::Close) {
-                    cs.push(self.cond()?);
-                }
-                if head == "and" {
-                    CondAst::And(cs)
-                } else {
-                    CondAst::Or(cs)
-                }
-            }
-            "not" => CondAst::Not(Box::new(self.cond()?)),
+            "and" => Condition::And(self.until_close(Self::cond)?),
+            "or" => Condition::Or(self.until_close(Self::cond)?),
+            "not" => Condition::Not(Box::new(self.cond()?)),
             other => return Err(err(format!("unknown condition form `{other}`"))),
         };
         self.expect(Token::Close)?;
         Ok(c)
     }
 
-    fn qty(&mut self) -> Result<QtyAst> {
+    fn qty(&mut self) -> Result<Quantity> {
         if self.peek() != Some(&Token::Open) {
-            return Ok(QtyAst::Const(self.number()?));
+            return Ok(Quantity::Const(self.number()?));
         }
         self.expect(Token::Open)?;
-        let head = self.word()?;
-        let q = match head.as_str() {
-            "card" => QtyAst::Card(self.word()?),
-            "est" => QtyAst::Est(self.word()?),
-            "wait" => QtyAst::Wait(self.word()?),
-            "mem" => QtyAst::Mem(self.word()?),
-            "budget" => QtyAst::Budget(self.word()?),
+        let q = match self.word()?.as_str() {
+            "card" => Quantity::Card(self.subject()?),
+            "est" => Quantity::EstCard(self.subject()?),
+            "wait" => Quantity::TimeWaitingMs(self.subject()?),
+            "mem" => Quantity::MemoryUsed(self.subject()?),
+            "budget" => Quantity::MemoryBudget(self.subject()?),
             "scale" => {
                 let f = self.number()?;
-                QtyAst::Scale(f, Box::new(self.qty()?))
+                Quantity::Scaled(f, Box::new(self.qty()?))
             }
             other => return Err(err(format!("unknown quantity form `{other}`"))),
         };
@@ -687,30 +630,27 @@ impl<'a> Parser<'a> {
         Ok(q)
     }
 
-    fn action(&mut self) -> Result<ActionAst> {
+    fn action(&mut self) -> Result<Action> {
         if self.peek() != Some(&Token::Open) {
             return match self.word()?.as_str() {
-                "replan" => Ok(ActionAst::Replan),
-                "reschedule" => Ok(ActionAst::Reschedule),
+                "replan" => Ok(Action::Replan),
+                "reschedule" => Ok(Action::Reschedule),
                 other => Err(err(format!("unknown action `{other}`"))),
             };
         }
         self.expect(Token::Open)?;
-        let head = self.word()?;
-        let a = match head.as_str() {
-            "activate" => ActionAst::Activate(self.word()?),
-            "deactivate" => ActionAst::Deactivate(self.word()?),
-            "error" => ActionAst::Error(self.name_word()?),
-            "set-overflow" => {
-                let op = self.word()?;
-                let method = self.overflow_method()?;
-                ActionAst::SetOverflow(op, method)
-            }
-            "alter-memory" => {
-                let op = self.word()?;
-                let bytes = self.int()? as usize;
-                ActionAst::AlterMemory(op, bytes)
-            }
+        let a = match self.word()?.as_str() {
+            "activate" => Action::Activate(self.subject()?),
+            "deactivate" => Action::Deactivate(self.subject()?),
+            "error" => Action::ReturnError(self.name()?),
+            "set-overflow" => Action::SetOverflowMethod {
+                op: self.op()?,
+                method: self.keyword(OverflowMethod::KEYWORDS, "overflow method")?,
+            },
+            "alter-memory" => Action::AlterMemory {
+                op: self.op()?,
+                bytes: self.int()? as usize,
+            },
             other => return Err(err(format!("unknown action form `{other}`"))),
         };
         self.expect(Token::Close)?;
@@ -718,204 +658,57 @@ impl<'a> Parser<'a> {
     }
 }
 
-// ---- subject / rule resolution ----
-
-fn resolve_subject(word: &str, names: &[(String, FragmentId)]) -> Result<SubjectRef> {
-    if let Some(rest) = word.strip_prefix("op") {
-        if let Ok(n) = rest.parse::<u32>() {
-            return Ok(SubjectRef::Op(OpId(n)));
-        }
-    }
-    names
-        .iter()
-        .find(|(n, _)| n == word)
-        .map(|(_, id)| SubjectRef::Fragment(*id))
-        .ok_or_else(|| err(format!("unknown rule subject `{word}`")))
-}
-
-fn resolve_op(word: &str) -> Result<OpId> {
-    match resolve_subject(word, &[])? {
-        SubjectRef::Op(id) => Ok(id),
-        SubjectRef::Fragment(_) => unreachable!("empty name table"),
-    }
-}
-
-fn resolve_qty(q: &QtyAst, names: &[(String, FragmentId)]) -> Result<Quantity> {
-    Ok(match q {
-        QtyAst::Const(c) => Quantity::Const(*c),
-        QtyAst::Card(s) => Quantity::Card(resolve_subject(s, names)?),
-        QtyAst::Est(s) => Quantity::EstCard(resolve_subject(s, names)?),
-        QtyAst::Wait(s) => Quantity::TimeWaitingMs(resolve_subject(s, names)?),
-        QtyAst::Mem(s) => Quantity::MemoryUsed(resolve_subject(s, names)?),
-        QtyAst::Budget(s) => Quantity::MemoryBudget(resolve_subject(s, names)?),
-        QtyAst::Scale(f, inner) => Quantity::Scaled(*f, Box::new(resolve_qty(inner, names)?)),
-    })
-}
-
-fn resolve_cond(c: &CondAst, names: &[(String, FragmentId)]) -> Result<Condition> {
-    Ok(match c {
-        CondAst::True => Condition::True,
-        CondAst::False => Condition::False,
-        CondAst::State(s, state) => Condition::StateIs {
-            subject: resolve_subject(s, names)?,
-            state: *state,
-        },
-        CondAst::Cmp(lhs, op, rhs) => Condition::Cmp {
-            lhs: resolve_qty(lhs, names)?,
-            op: *op,
-            rhs: resolve_qty(rhs, names)?,
-        },
-        CondAst::And(cs) => Condition::And(
-            cs.iter()
-                .map(|c| resolve_cond(c, names))
-                .collect::<Result<_>>()?,
-        ),
-        CondAst::Or(cs) => Condition::Or(
-            cs.iter()
-                .map(|c| resolve_cond(c, names))
-                .collect::<Result<_>>()?,
-        ),
-        CondAst::Not(inner) => Condition::Not(Box::new(resolve_cond(inner, names)?)),
-    })
-}
-
-fn resolve_rule(ast: &RuleAst, names: &[(String, FragmentId)]) -> Result<Rule> {
-    let owner = resolve_subject(&ast.owner, names)?;
-    let subject = resolve_subject(&ast.subject, names)?;
-    let event = match ast.value {
-        Some(v) => EventPattern::with_value(ast.kind, subject, v),
-        None => EventPattern::new(ast.kind, subject),
-    };
-    let condition = resolve_cond(&ast.condition, names)?;
-    let actions = ast
-        .actions
-        .iter()
-        .map(|a| {
-            Ok(match a {
-                ActionAst::Replan => Action::Replan,
-                ActionAst::Reschedule => Action::Reschedule,
-                ActionAst::Activate(s) => Action::Activate(resolve_subject(s, names)?),
-                ActionAst::Deactivate(s) => Action::Deactivate(resolve_subject(s, names)?),
-                ActionAst::Error(m) => Action::ReturnError(m.clone()),
-                ActionAst::SetOverflow(op, method) => Action::SetOverflowMethod {
-                    op: resolve_op(op)?,
-                    method: *method,
-                },
-                ActionAst::AlterMemory(op, bytes) => Action::AlterMemory {
-                    op: resolve_op(op)?,
-                    bytes: *bytes,
-                },
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(Rule::new(&ast.name, owner, event, condition, actions))
-}
-
 fn parse_plan_impl(input: &str) -> Result<QueryPlan> {
     let tokens = tokenize(input)?;
-    check_nesting(&tokens)?;
     let mut p = Parser {
+        names: prescan(&tokens)?,
         tokens: &tokens,
         pos: 0,
         builder: PlanBuilder::new(),
     };
-    let mut names: Vec<(String, FragmentId)> = Vec::new();
-    let mut contingent: Vec<FragmentId> = Vec::new();
-    let mut deps: Vec<(String, String)> = Vec::new();
-    let mut output: Option<String> = None;
-    // (owning fragment, rule) — None = global rule
-    let mut rules: Vec<(Option<FragmentId>, RuleAst)> = Vec::new();
-
+    let mut output = None;
+    let mut global_rules = Vec::new();
     while p.peek().is_some() {
         p.expect(Token::Open)?;
         match p.word()?.as_str() {
             "fragment" => {
                 let name = p.word()?;
-                let is_contingent = if let Some(Token::Word(w)) = p.peek() {
-                    if w == "contingent" {
-                        p.pos += 1;
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    false
-                };
+                let contingent = p.try_option("contingent");
                 let node = p.node()?;
                 let mat_name = format!("mat_{name}");
-                let id = p.builder.fragment(node, &mat_name);
-                // trailing local rule clauses
+                let id = if contingent {
+                    p.builder.contingent_fragment(node, &mat_name)
+                } else {
+                    p.builder.fragment(node, &mat_name)
+                };
                 while p.peek() == Some(&Token::Open) {
                     p.expect(Token::Open)?;
                     let kw = p.word()?;
                     if kw != "rule" {
                         return Err(err(format!("expected (rule …) in fragment, got `{kw}`")));
                     }
-                    let ast = p.rule_body()?;
+                    let rule = p.rule()?;
+                    p.builder.add_local_rule(id, rule);
                     p.expect(Token::Close)?;
-                    rules.push((Some(id), ast));
                 }
-                if is_contingent {
-                    contingent.push(id);
-                }
-                if names.iter().any(|(n, _)| n == &name) {
-                    return Err(err(format!("duplicate fragment name `{name}`")));
-                }
-                names.push((name, id));
             }
             "after" => {
-                let before = p.word()?;
-                let after = p.word()?;
-                deps.push((before, after));
+                let before = p.fragment_ref()?;
+                let after = p.fragment_ref()?;
+                p.builder.depends(before, after);
             }
-            "rule" => {
-                let ast = p.rule_body()?;
-                rules.push((None, ast));
-            }
-            "output" => {
-                output = Some(p.word()?);
-            }
+            "rule" => global_rules.push(p.rule()?),
+            "output" => output = Some(p.fragment_ref()?),
             other => return Err(err(format!("unknown top-level form `{other}`"))),
         }
         p.expect(Token::Close)?;
     }
-
-    let lookup = |name: &str, names: &[(String, FragmentId)]| {
-        names
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, id)| *id)
-            .ok_or_else(|| err(format!("unknown fragment `{name}`")))
-    };
-    for (before, after) in &deps {
-        let b = lookup(before, &names)?;
-        let a = lookup(after, &names)?;
-        p.builder.depends(b, a);
-    }
-    let output_name = output.ok_or_else(|| err("missing (output <fragment>)"))?;
-    let out_id = lookup(&output_name, &names)?;
-    let mut local_rules: Vec<(FragmentId, Rule)> = Vec::new();
-    let mut global_rules: Vec<Rule> = Vec::new();
-    for (frag, ast) in &rules {
-        let rule = resolve_rule(ast, &names)?;
-        match frag {
-            Some(id) => local_rules.push((*id, rule)),
-            None => global_rules.push(rule),
-        }
-    }
-    for (id, rule) in local_rules {
-        p.builder.add_local_rule(id, rule);
-    }
+    let out_id = output.ok_or_else(|| err("missing (output <fragment>)"))?;
     let mut plan = p.builder.build(out_id);
     plan.global_rules = global_rules;
     // rename the output fragment's materialization to the conventional name
     if let Some(f) = plan.fragments.iter_mut().find(|f| f.id == out_id) {
         f.materialize_as = "result".into();
-    }
-    for id in contingent {
-        if let Some(f) = plan.fragments.iter_mut().find(|f| f.id == id) {
-            f.initially_active = false;
-        }
     }
     Ok(plan)
 }
@@ -939,8 +732,11 @@ pub fn parse_plan_unchecked(input: &str) -> Result<QueryPlan> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::ops::OperatorSpec;
+    use crate::text::tests::ArbPlan;
 
     #[test]
     fn parses_two_fragment_plan_with_dependency() {
@@ -999,7 +795,7 @@ mod tests {
         let plan = parse_plan(
             r#"
             (fragment f (project [a, b]
-                (select a >= 10
+                (select (lit a >= 10)
                     (union (wrapper X) (wrapper Y)))))
             (output f)
             "#,
@@ -1153,9 +949,10 @@ mod tests {
 
     #[test]
     fn select_string_literal() {
-        let plan =
-            parse_plan(r#"(fragment f (select name = "FRANCE" (wrapper nation))) (output f)"#)
-                .unwrap();
+        let plan = parse_plan(
+            r#"(fragment f (select (lit name = "FRANCE") (wrapper nation))) (output f)"#,
+        )
+        .unwrap();
         match &plan.fragments[0].root.spec {
             OperatorSpec::Select { predicate, .. } => match predicate {
                 Predicate::ColLit { value, .. } => {
@@ -1205,62 +1002,199 @@ mod tests {
         }
     }
 
-    /// 10 000 levels of nested `select`, of `(not …)` and of rule-condition
-    /// nesting each parse to a `Plan` error on a thread with a 2 MiB stack
-    /// (a worker's `net-serve` thread), where unbounded recursion would
-    /// overflow it. The bound is on parenthesis depth: 256 levels pass the
-    /// check, 257 do not, and a 64-level plan parses.
-    #[test]
-    fn deep_nesting_is_a_plan_error_not_a_stack_overflow() {
-        let deep = 10_000;
+    /// The three ways to nest: `levels` selects around a wrapper, `(not …)`
+    /// predicates in a select, and `(not …)` rule conditions. Their texts
+    /// nest `levels + 2`, `levels + 3` and `levels + 1` parentheses deep.
+    fn nested_plans(selects: usize, nots: usize, conds: usize) -> [String; 3] {
         let nested = |open: &str, inner: &str, n: usize| {
             format!("{}{inner}{}", open.repeat(n), ")".repeat(n))
         };
-        let selects = format!(
-            "(fragment f {})\n(output f)",
-            nested("(select true ", "(wrapper X)", deep)
-        );
-        let nots = format!(
-            "(fragment f (select {} (wrapper X)))\n(output f)",
-            nested("(not ", "(lit a = 1)", deep)
-        );
-        let conds = format!(
-            "(fragment f (wrapper X))\n(rule \"r\" :owner f :when closed f :if {} :do replan)\n(output f)",
-            nested("(not ", "true", deep)
-        );
-        let outcomes = std::thread::Builder::new()
+        [
+            format!(
+                "(fragment f {})\n(output f)",
+                nested("(select true ", "(wrapper X)", selects)
+            ),
+            format!(
+                "(fragment f (select {} (wrapper X)))\n(output f)",
+                nested("(not ", "(lit a = 1)", nots)
+            ),
+            format!(
+                "(fragment f (wrapper X))\n(rule \"r\" :owner f :when closed f :if {} :do replan)\n(output f)",
+                nested("(not ", "true", conds)
+            ),
+        ]
+    }
+
+    /// Parse, print and reparse each text on a thread with a 2 MiB stack (a
+    /// worker's `net-serve` thread): the reparsed plan and its text must
+    /// equal the first.
+    fn round_trip_on_small_stack(texts: [String; 3]) -> [Result<()>; 3] {
+        std::thread::Builder::new()
             .stack_size(2 << 20)
-            .spawn(move || [selects, nots, conds].map(|text| parse_plan_unchecked(&text)))
+            .spawn(move || {
+                texts.map(|text| {
+                    let plan = parse_plan(&text)?;
+                    let printed = crate::text::print_plan(&plan);
+                    let again = parse_plan(&printed)?;
+                    assert_eq!(plan, again);
+                    assert_eq!(printed, crate::text::print_plan(&again));
+                    Ok(())
+                })
+            })
             .unwrap()
             .join()
-            .unwrap();
-        for out in outcomes {
-            let e = out.unwrap_err();
-            assert!(matches!(e, TukwilaError::Plan(_)), "{e:?}");
+            .unwrap()
+    }
+
+    /// The deepest texts the bound admits ([`MAX_PLAN_NESTING`] levels of
+    /// nested selects, `(not …)` predicates and `(not …)` rule conditions)
+    /// parse, print and reparse on a 2 MiB stack, in a debug build too; one
+    /// level more, and 10 000 levels, are a `Plan` error, not a stack
+    /// overflow.
+    #[test]
+    fn deep_nesting_is_a_plan_error_not_a_stack_overflow() {
+        let max = MAX_PLAN_NESTING;
+        let deepest = nested_plans(max - 2, max - 3, max - 1);
+        for text in &deepest {
+            assert!(prescan(&tokenize(text).unwrap()).is_ok());
         }
-        let depth = |n| tokenize(&nested("(select true ", "(wrapper X)", n)).unwrap();
-        // n selects around a wrapper nest n + 1 parentheses deep.
-        assert!(check_nesting(&depth(MAX_PLAN_NESTING - 1)).is_ok());
-        assert!(check_nesting(&depth(MAX_PLAN_NESTING)).is_err());
-        let plan = format!(
-            "(fragment f {})\n(output f)",
-            nested("(select true ", "(wrapper X)", 64)
-        );
-        assert!(parse_plan_unchecked(&plan).is_ok());
+        for out in round_trip_on_small_stack(deepest) {
+            out.unwrap();
+        }
+        for texts in [
+            nested_plans(max - 1, max - 2, max),
+            nested_plans(10_000, 10_000, 10_000),
+        ] {
+            for out in round_trip_on_small_stack(texts) {
+                let e = out.unwrap_err();
+                assert!(matches!(e, TukwilaError::Plan(_)), "{e:?}");
+            }
+        }
     }
 
     #[test]
-    fn round_trip_with_renderer() {
-        // parse → render → contains the key structure
+    fn strings_read_two_escapes_and_keep_other_backslashes() {
         let plan = parse_plan(
-            r#"
-            (fragment f0 (join dpj k = k (wrapper A) (wrapper B)))
-            (output f0)
-            "#,
+            r#"(fragment f (select (lit a = "C:\temp \"x\" \\") (wrapper A))
+               (rule "r\\1" :owner f :when error op0 :do (error "no \"A\"")))
+               (output f)"#,
         )
         .unwrap();
-        let text = crate::text::render_plan(&plan);
-        assert!(text.contains("wrapper(A)"));
-        assert!(text.contains("DoublePipelined"));
+        let f = &plan.fragments[0];
+        match &f.root.spec {
+            OperatorSpec::Select {
+                predicate: Predicate::ColLit { value, .. },
+                ..
+            } => assert_eq!(value, &Value::str(r#"C:\temp "x" \"#)),
+            other => panic!("expected a select, got {other:?}"),
+        }
+        assert_eq!(f.local_rules[0].name, r"r\1");
+        assert_eq!(
+            f.local_rules[0].actions,
+            vec![Action::ReturnError(r#"no "A""#.into())]
+        );
+        assert!(parse_plan(
+            r#"(fragment f (wrapper A)) (rule "r\" :owner f :when closed f) (output f)"#
+        )
+        .is_err());
+    }
+
+    /// A printed plan with one to three mutations: flipped or replaced
+    /// bytes, a truncation, a deleted range, or a range spliced in from a
+    /// second printed plan. Half start from a generated plan, half from a
+    /// valid fixture. Invalid UTF-8 is replaced: the wire carries a `str`.
+    #[derive(Debug, Clone, Copy)]
+    struct Mutated;
+
+    const FIXTURES: [&str; 3] = [
+        include_str!("../../../plans/ok/collector_fallback.plan"),
+        include_str!("../../../plans/ok/parallel.plan"),
+        include_str!("../../../plans/ok/pipeline.plan"),
+    ];
+
+    impl Strategy for Mutated {
+        type Value = String;
+
+        fn sample(&self, gen: &mut Gen) -> String {
+            let text = |gen: &mut Gen| match gen.next_u64() % 6 {
+                n @ 0..=2 => FIXTURES[n as usize].as_bytes().to_vec(),
+                _ => crate::text::print_plan(&ArbPlan.sample(gen)).into_bytes(),
+            };
+            let at = |gen: &mut Gen, len: usize| (gen.next_u64() % (len as u64 + 1)) as usize;
+            let mut bytes = text(gen);
+            for _ in 0..1 + gen.next_u64() % 3 {
+                let len = bytes.len();
+                match gen.next_u64() % 5 {
+                    0 | 1 if len > 0 => {
+                        let i = at(gen, len - 1);
+                        let grammar = b"()[],=;\"\\ 0123456789-:";
+                        bytes[i] = if gen.next_u64().is_multiple_of(2) {
+                            bytes[i] ^ (1 << (gen.next_u64() % 8))
+                        } else {
+                            grammar[(gen.next_u64() % grammar.len() as u64) as usize]
+                        };
+                    }
+                    2 => bytes.truncate(at(gen, len)),
+                    3 => {
+                        let (a, b) = (at(gen, len), at(gen, len));
+                        bytes.drain(a.min(b)..a.max(b));
+                    }
+                    _ => {
+                        let other = text(gen);
+                        let (a, b) = (at(gen, other.len()), at(gen, other.len()));
+                        let i = at(gen, len);
+                        bytes.splice(i..i, other[a.min(b)..a.max(b)].iter().copied());
+                    }
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+    }
+
+    /// What a mutated text does: `None` if it does not parse, else whether
+    /// it also validates, after checking that its printed form reparses and
+    /// prints the same (NaN quantities compare by text).
+    fn parse_mutated(text: &str) -> Option<bool> {
+        let plan = parse_plan_unchecked(text).ok()?;
+        let printed = crate::text::print_plan(&plan);
+        let again = parse_plan_unchecked(&printed)
+            .unwrap_or_else(|e| panic!("{e}: printed form of an accepted text\n{printed}"));
+        assert_eq!(printed, crate::text::print_plan(&again));
+        Some(parse_plan(text).is_ok())
+    }
+
+    /// A sample of mutated texts has all three outcomes.
+    #[test]
+    fn mutations_reach_every_outcome() {
+        let outcomes: Vec<Option<bool>> = (0..256)
+            .map(|case| parse_mutated(&Mutated.sample(&mut Gen::for_case(case))))
+            .collect();
+        for outcome in [None, Some(false), Some(true)] {
+            assert!(
+                outcomes.contains(&outcome),
+                "no mutated text gives {outcome:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `parse_plan` of a mutated plan on a 2 MiB stack returns `Ok` or
+        /// `Err`: it does not panic, overflow the stack or hang, and what
+        /// it accepts prints to a fixpoint.
+        #[test]
+        fn prop_mutated_plans_parse_or_fail_cleanly(text in Mutated) {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let input = text.clone();
+            let parser = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || tx.send(parse_mutated(&input)))
+                .unwrap();
+            // A panic drops the sender; a hang times out.
+            let outcome = rx.recv_timeout(std::time::Duration::from_secs(30));
+            prop_assert!(outcome.is_ok(), "parse_plan panicked or hung: {:?}", outcome);
+            prop_assert!(parser.join().is_ok());
+        }
     }
 }

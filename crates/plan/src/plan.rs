@@ -2,8 +2,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{FragmentId, OpId};
 use crate::ops::OperatorNode;
 use crate::rules::Rule;
@@ -11,7 +9,7 @@ use crate::rules::Rule;
 /// A fully pipelined unit of execution: an operator tree plus local rules.
 /// At the end of a fragment, pipelines terminate and the result is
 /// materialized under [`Fragment::materialize_as`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fragment {
     /// Fragment id (rule subject).
     pub id: FragmentId,
@@ -65,7 +63,7 @@ impl Fragment {
 /// A plan may be **partial** (§3): `complete == false` means the optimizer
 /// deliberately planned only the first steps and must be re-invoked when the
 /// planned fragments finish.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
     /// The fragments, in creation order.
     pub fragments: Vec<Fragment>,

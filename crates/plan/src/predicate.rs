@@ -6,12 +6,10 @@
 //! the input schema at operator-open time; evaluation uses SQL three-valued
 //! logic (NULL comparisons are unknown, and unknown rows are filtered out).
 
-use serde::{Deserialize, Serialize};
-
 use tukwila_common::{Bitmap, Column, ColumnarBatch, Result, Schema, Selection, Tuple, Value};
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -28,6 +26,16 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// Plan-text symbol of each operator, read by the parser and the printer.
+    pub const KEYWORDS: &[(&str, CmpOp)] = &[
+        ("=", CmpOp::Eq),
+        ("<>", CmpOp::Ne),
+        ("<", CmpOp::Lt),
+        ("<=", CmpOp::Le),
+        (">", CmpOp::Gt),
+        (">=", CmpOp::Ge),
+    ];
+
     fn eval(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;
         match self {
@@ -39,22 +47,10 @@ impl CmpOp {
             CmpOp::Ge => ord != Less,
         }
     }
-
-    /// Display symbol.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "<>",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
 }
 
 /// A predicate over named columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true.
     True,

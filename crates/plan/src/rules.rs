@@ -18,14 +18,12 @@
 //! [`QuantityProvider`], which the engine implements over its live operator
 //! statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{FragmentId, OpId};
 use crate::ops::OverflowMethod;
 use crate::predicate::CmpOp;
 
 /// What a rule or event refers to: an operator or a fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubjectRef {
     /// A physical operator (including collector children).
     Op(OpId),
@@ -43,7 +41,7 @@ impl std::fmt::Display for SubjectRef {
 }
 
 /// Kinds of engine events (§3.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Fragment/operator started.
     Opened,
@@ -59,8 +57,20 @@ pub enum EventKind {
     Threshold,
 }
 
+impl EventKind {
+    /// Plan-text keyword of each kind, read by the parser and the printer.
+    pub const KEYWORDS: &[(&str, EventKind)] = &[
+        ("opened", EventKind::Opened),
+        ("closed", EventKind::Closed),
+        ("error", EventKind::Error),
+        ("timeout", EventKind::Timeout),
+        ("oom", EventKind::OutOfMemory),
+        ("threshold", EventKind::Threshold),
+    ];
+}
+
 /// A runtime event instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Event kind.
     pub kind: EventKind,
@@ -92,7 +102,7 @@ impl Event {
 }
 
 /// Pattern a rule listens for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventPattern {
     /// Kind to match.
     pub kind: EventKind,
@@ -131,7 +141,7 @@ impl EventPattern {
 }
 
 /// Operator/fragment lifecycle state (comparable in conditions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpState {
     /// Not yet opened.
     NotStarted,
@@ -145,8 +155,19 @@ pub enum OpState {
     Deactivated,
 }
 
+impl OpState {
+    /// Plan-text keyword of each state, read by the parser and the printer.
+    pub const KEYWORDS: &[(&str, OpState)] = &[
+        ("notstarted", OpState::NotStarted),
+        ("open", OpState::Open),
+        ("closed", OpState::Closed),
+        ("failed", OpState::Failed),
+        ("deactivated", OpState::Deactivated),
+    ];
+}
+
 /// Runtime quantities conditions may compare (§3.1.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Quantity {
     /// A constant.
     Const(f64),
@@ -192,7 +213,7 @@ pub trait QuantityProvider {
 }
 
 /// Propositional conditions over quantities and states.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Condition {
     /// Always true.
     True,
@@ -269,7 +290,7 @@ impl Condition {
 }
 
 /// Rule actions (§3.1.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Set the overflow method for a double pipelined join.
     SetOverflowMethod {
@@ -312,7 +333,7 @@ impl Action {
 }
 
 /// A complete event-condition-action rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Diagnostic name.
     pub name: String,

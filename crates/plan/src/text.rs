@@ -1,10 +1,18 @@
-//! Human-readable plan rendering.
+//! The plan printer.
 //!
-//! The paper's engine "accepts plans which are specified in an XML-based
-//! query plan language which is human-writable" (§5). We provide the
-//! rendering half here — a stable, indented textual form used by plan
-//! debugging, golden tests, and EXPERIMENTS.md listings. (Plans are also
-//! serde-serializable for machine round-trips.)
+//! [`print_plan`] writes a plan in the s-expression grammar that
+//! [`crate::parse::parse_plan`] reads, so a plan the parser produced
+//! prints and reparses to an equal plan, and printing a reparsed plan
+//! gives the same text. It is the plan's one text form: `plan-lint` and
+//! `query-profile` read it, and a shard dispatch carries it (a worker
+//! parses the subtree the coordinator prints).
+//!
+//! Keywords come from the `KEYWORDS` tables of [`JoinKind`],
+//! [`OverflowMethod`], [`EventKind`], [`OpState`] and [`CmpOp`], the same
+//! tables the parser reads. Strings (literals, rule names, error messages)
+//! are quoted with `"` and `\` escaped. Annotations the grammar cannot
+//! express (estimated cardinalities, memory budgets on non-join nodes,
+//! non-default overflow methods on non-DPJ joins) are dropped.
 
 use std::fmt::Write as _;
 
@@ -13,125 +21,46 @@ use tukwila_common::Value;
 use crate::ids::FragmentId;
 use crate::ops::{JoinKind, OperatorNode, OperatorSpec, OverflowMethod};
 use crate::plan::{Fragment, QueryPlan};
-use crate::predicate::Predicate;
+use crate::predicate::{CmpOp, Predicate};
 use crate::rules::{Action, Condition, EventKind, OpState, Quantity, Rule, SubjectRef};
 
-/// Render a whole plan.
-pub fn render_plan(plan: &QueryPlan) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "plan(output={}, complete={})",
-        plan.output, plan.complete
-    );
-    for (before, after) in &plan.dependencies {
-        let _ = writeln!(out, "  after({before} -> {after})");
-    }
-    for rule in &plan.global_rules {
-        let _ = writeln!(out, "  {}", render_rule(rule));
-    }
-    for f in &plan.fragments {
-        out.push_str(&render_fragment(f));
-    }
-    out
+/// The keyword `table` gives `v`, or `?` (which never parses) if it has none.
+fn keyword<T: Copy + PartialEq>(table: &[(&'static str, T)], v: T) -> &'static str {
+    table.iter().find(|(_, t)| *t == v).map_or("?", |&(k, _)| k)
 }
 
-/// Render one fragment.
-pub fn render_fragment(f: &Fragment) -> String {
-    let mut out = String::new();
-    let active = if f.initially_active {
-        ""
-    } else {
-        " [contingent]"
-    };
-    let _ = writeln!(
-        out,
-        "  fragment {} -> `{}`{}",
-        f.id, f.materialize_as, active
-    );
-    for rule in &f.local_rules {
-        let _ = writeln!(out, "    {}", render_rule(rule));
-    }
-    render_node(&f.root, 2, &mut out);
-    out
+/// `s` as a string token: quoted, with `"` and `\` escaped.
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', r"\\").replace('"', r#"\""#))
 }
 
-fn render_node(node: &OperatorNode, depth: usize, out: &mut String) {
-    let indent = "  ".repeat(depth);
-    let mut annotations = Vec::new();
-    if let Some(m) = node.memory_budget {
-        annotations.push(format!("mem={m}"));
+/// `(head item item …)`.
+fn form(head: &str, items: impl Iterator<Item = String>) -> String {
+    format!("({head} {})", items.collect::<Vec<_>>().join(" "))
+}
+
+/// The name `print_plan` gives each fragment: `<name>` when it
+/// materializes as `mat_<name>` (the parser's convention), otherwise
+/// `f<id>`, with `_` appended until no other fragment has that name.
+fn frag_names(plan: &QueryPlan) -> Vec<(FragmentId, String)> {
+    fn mat(f: &Fragment) -> Option<&str> {
+        f.materialize_as
+            .strip_prefix("mat_")
+            .filter(|n| !n.is_empty())
     }
-    if let Some(c) = node.est_cardinality {
-        annotations.push(format!("est={c:.0}"));
-    }
-    let ann = if annotations.is_empty() {
-        String::new()
-    } else {
-        format!(" [{}]", annotations.join(", "))
-    };
-    let _ = writeln!(out, "{indent}{} {}{}", node.id, node.label(), ann);
-    if let OperatorSpec::Collector { children, .. } = &node.spec {
-        for c in children {
-            let act = if c.initially_active {
-                "active"
-            } else {
-                "standby"
-            };
-            let _ = writeln!(out, "{indent}  {} child({}) [{act}]", c.id, c.source);
+    let mut names: Vec<(FragmentId, String)> = plan
+        .fragments
+        .iter()
+        .filter_map(|f| Some((f.id, mat(f)?.to_string())))
+        .collect();
+    for f in plan.fragments.iter().filter(|f| mat(f).is_none()) {
+        let mut name = format!("f{}", f.id.0);
+        while names.iter().any(|(_, n)| *n == name) {
+            name.push('_');
         }
+        names.push((f.id, name));
     }
-    for c in node.children() {
-        render_node(c, depth + 1, out);
-    }
-}
-
-/// Render one rule in the paper's `when … if … then …` form.
-pub fn render_rule(rule: &Rule) -> String {
-    let actions: Vec<String> = rule.actions.iter().map(render_action).collect();
-    format!(
-        "rule `{}` (owner {}): when {:?}({}{}) if {:?} then [{}]",
-        rule.name,
-        rule.owner,
-        rule.event.kind,
-        rule.event.subject,
-        rule.event
-            .value
-            .map(|v| format!(", {v}"))
-            .unwrap_or_default(),
-        rule.condition,
-        actions.join("; ")
-    )
-}
-
-fn render_action(a: &Action) -> String {
-    match a {
-        Action::SetOverflowMethod { op, method } => format!("set_overflow({op}, {method:?})"),
-        Action::AlterMemory { op, bytes } => format!("alter_memory({op}, {bytes})"),
-        Action::Activate(s) => format!("activate({s})"),
-        Action::Deactivate(s) => format!("deactivate({s})"),
-        Action::Reschedule => "reschedule".to_string(),
-        Action::Replan => "replan".to_string(),
-        Action::ReturnError(m) => format!("error({m})"),
-    }
-}
-
-// ---- parseable s-expression printer ----
-//
-// `print_plan` is the inverse of `crate::parse::parse_plan`: it emits the
-// grammar documented there, so `parse(print(parse(text)))` is a fixpoint
-// for any text the parser accepts. Annotations the grammar cannot express
-// (estimated cardinalities, memory budgets on non-join nodes, non-default
-// overflow methods on non-DPJ joins) are dropped.
-
-/// The fragment name `print_plan` uses for a fragment: derived from its
-/// materialization name when it follows the parser's `mat_<name>`
-/// convention, otherwise `f<id>`.
-fn frag_name(f: &Fragment) -> String {
-    match f.materialize_as.strip_prefix("mat_") {
-        Some(rest) if !rest.is_empty() => rest.to_string(),
-        _ => format!("f{}", f.id.0),
-    }
+    names
 }
 
 fn print_subject(s: SubjectRef, names: &[(FragmentId, String)]) -> String {
@@ -145,20 +74,11 @@ fn print_subject(s: SubjectRef, names: &[(FragmentId, String)]) -> String {
     }
 }
 
-fn print_overflow(m: OverflowMethod) -> &'static str {
-    match m {
-        OverflowMethod::IncrementalLeftFlush => "left",
-        OverflowMethod::IncrementalSymmetricFlush => "symmetric",
-        OverflowMethod::FlushAllLeft => "flushall",
-        OverflowMethod::Fail => "fail",
-    }
-}
-
 fn print_literal(v: &Value) -> String {
     match v {
         Value::Int(i) => format!("{i}"),
         Value::Double(f) => format!("{f:?}"),
-        Value::Str(s) => format!("\"{s}\""),
+        Value::Str(s) => quoted(s),
         Value::Date(d) => format!("date:{d}"),
         Value::Null => "null".to_string(),
     }
@@ -168,19 +88,14 @@ fn print_pred(p: &Predicate) -> String {
     match p {
         Predicate::True => "true".to_string(),
         Predicate::ColLit { col, op, value } => {
-            format!("(lit {col} {} {})", op.symbol(), print_literal(value))
+            let op = keyword(CmpOp::KEYWORDS, *op);
+            format!("(lit {col} {op} {})", print_literal(value))
         }
         Predicate::ColCol { left, op, right } => {
-            format!("(cols {left} {} {right})", op.symbol())
+            format!("(cols {left} {} {right})", keyword(CmpOp::KEYWORDS, *op))
         }
-        Predicate::And(ps) => {
-            let inner: Vec<String> = ps.iter().map(print_pred).collect();
-            format!("(and {})", inner.join(" "))
-        }
-        Predicate::Or(ps) => {
-            let inner: Vec<String> = ps.iter().map(print_pred).collect();
-            format!("(or {})", inner.join(" "))
-        }
+        Predicate::And(ps) => form("and", ps.iter().map(print_pred)),
+        Predicate::Or(ps) => form("or", ps.iter().map(print_pred)),
         Predicate::Not(inner) => format!("(not {})", print_pred(inner)),
     }
 }
@@ -223,17 +138,14 @@ fn print_node(node: &OperatorNode, depth: usize, out: &mut String) {
             kind,
             overflow,
         } => {
-            let kw = match kind {
-                JoinKind::DoublePipelined => "dpj",
-                JoinKind::HybridHash => "hybrid",
-                JoinKind::GraceHash => "grace",
-            };
+            let kw = keyword(JoinKind::KEYWORDS, *kind);
             let _ = write!(out, "{indent}(join {kw} {left_key} = {right_key}");
             if let Some(m) = node.memory_budget {
                 let _ = write!(out, " :mem {m}");
             }
             if *kind == JoinKind::DoublePipelined {
-                let _ = write!(out, " :overflow {}", print_overflow(*overflow));
+                let method = keyword(OverflowMethod::KEYWORDS, *overflow);
+                let _ = write!(out, " :overflow {method}");
             }
             out.push('\n');
             print_node(left, depth + 1, out);
@@ -291,30 +203,19 @@ fn print_cond(c: &Condition, names: &[(FragmentId, String)]) -> String {
     match c {
         Condition::True => "true".to_string(),
         Condition::False => "false".to_string(),
-        Condition::StateIs { subject, state } => {
-            let sw = match state {
-                OpState::NotStarted => "notstarted",
-                OpState::Open => "open",
-                OpState::Closed => "closed",
-                OpState::Failed => "failed",
-                OpState::Deactivated => "deactivated",
-            };
-            format!("(state {} {sw})", print_subject(*subject, names))
-        }
+        Condition::StateIs { subject, state } => format!(
+            "(state {} {})",
+            print_subject(*subject, names),
+            keyword(OpState::KEYWORDS, *state)
+        ),
         Condition::Cmp { lhs, op, rhs } => format!(
             "(cmp {} {} {})",
             print_qty(lhs, names),
-            op.symbol(),
+            keyword(CmpOp::KEYWORDS, *op),
             print_qty(rhs, names)
         ),
-        Condition::And(cs) => {
-            let inner: Vec<String> = cs.iter().map(|c| print_cond(c, names)).collect();
-            format!("(and {})", inner.join(" "))
-        }
-        Condition::Or(cs) => {
-            let inner: Vec<String> = cs.iter().map(|c| print_cond(c, names)).collect();
-            format!("(or {})", inner.join(" "))
-        }
+        Condition::And(cs) => form("and", cs.iter().map(|c| print_cond(c, names))),
+        Condition::Or(cs) => form("or", cs.iter().map(|c| print_cond(c, names))),
         Condition::Not(inner) => format!("(not {})", print_cond(inner, names)),
     }
 }
@@ -325,28 +226,23 @@ fn print_action(a: &Action, names: &[(FragmentId, String)]) -> String {
         Action::Reschedule => "reschedule".to_string(),
         Action::Activate(s) => format!("(activate {})", print_subject(*s, names)),
         Action::Deactivate(s) => format!("(deactivate {})", print_subject(*s, names)),
-        Action::ReturnError(m) => format!("(error \"{m}\")"),
-        Action::SetOverflowMethod { op, method } => {
-            format!("(set-overflow op{} {})", op.0, print_overflow(*method))
-        }
+        Action::ReturnError(m) => format!("(error {})", quoted(m)),
+        Action::SetOverflowMethod { op, method } => format!(
+            "(set-overflow op{} {})",
+            op.0,
+            keyword(OverflowMethod::KEYWORDS, *method)
+        ),
         Action::AlterMemory { op, bytes } => format!("(alter-memory op{} {bytes})", op.0),
     }
 }
 
 fn print_rule(rule: &Rule, names: &[(FragmentId, String)], indent: &str, out: &mut String) {
-    let kw = match rule.event.kind {
-        EventKind::Opened => "opened",
-        EventKind::Closed => "closed",
-        EventKind::Error => "error",
-        EventKind::Timeout => "timeout",
-        EventKind::OutOfMemory => "oom",
-        EventKind::Threshold => "threshold",
-    };
     let _ = write!(
         out,
-        "{indent}(rule \"{}\" :owner {} :when {kw} {}",
-        rule.name,
+        "{indent}(rule {} :owner {} :when {} {}",
+        quoted(&rule.name),
         print_subject(rule.owner, names),
+        keyword(EventKind::KEYWORDS, rule.event.kind),
         print_subject(rule.event.subject, names)
     );
     if let Some(v) = rule.event.value {
@@ -364,14 +260,9 @@ fn print_rule(rule: &Rule, names: &[(FragmentId, String)], indent: &str, out: &m
     out.push(')');
 }
 
-/// Print a plan in the parseable s-expression grammar of [`crate::parse`].
-/// Inverse of [`crate::parse::parse_plan`] — see the grammar note there.
+/// Print a plan in the s-expression grammar of [`crate::parse`].
 pub fn print_plan(plan: &QueryPlan) -> String {
-    let names: Vec<(FragmentId, String)> = plan
-        .fragments
-        .iter()
-        .map(|f| (f.id, frag_name(f)))
-        .collect();
+    let names = frag_names(plan);
     let mut out = String::new();
     for f in &plan.fragments {
         let name = print_subject(SubjectRef::Fragment(f.id), &names);
@@ -409,110 +300,466 @@ pub fn print_plan(plan: &QueryPlan) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::builder::PlanBuilder;
     use crate::ids::OpId;
-    use crate::ops::JoinKind;
-    use crate::rules::Rule;
+    use crate::parse::parse_plan_unchecked;
+    use crate::rules::EventPattern;
 
-    #[test]
-    fn renders_tree_with_annotations() {
-        let mut b = PlanBuilder::new();
-        let s1 = b.wrapper_scan("A").with_est_cardinality(100.0);
-        let s2 = b.wrapper_scan("B");
-        let j = b
-            .join(JoinKind::DoublePipelined, s1, s2, "k", "k")
-            .with_memory(4096);
-        let f = b.fragment(j, "out");
-        let plan = b.build(f);
-        let text = render_plan(&plan);
-        assert!(text.contains("wrapper(A)"));
-        assert!(text.contains("est=100"));
-        assert!(text.contains("mem=4096"));
-        assert!(text.contains("fragment frag0 -> `out`"));
+    /// The variants of a keyword enum. One list makes both the vector and an
+    /// exhaustive `match`, so a variant missing here does not compile; the
+    /// generator draws from these lists, so a variant its `KEYWORDS` table
+    /// lacks prints as `?` and fails the round trip.
+    macro_rules! every {
+        ($t:ident: $($v:ident),+) => {{
+            let exhaustive = |v: $t| match v {
+                $($t::$v)|+ => v,
+            };
+            vec![$(exhaustive($t::$v)),+]
+        }};
     }
 
-    #[test]
-    fn renders_rules_in_when_if_then_form() {
-        let rule = Rule::replan_on_misestimate(crate::ids::FragmentId(1), OpId(7), 2.0);
-        let s = render_rule(&rule);
-        assert!(s.contains("when Closed"));
-        assert!(s.contains("then [replan]"));
+    fn join_kinds() -> Vec<JoinKind> {
+        every!(JoinKind: HybridHash, GraceHash, DoublePipelined)
     }
 
-    /// parse → print → parse must be the identity on parsed plans.
-    fn assert_fixpoint(text: &str) {
-        let plan = crate::parse::parse_plan(text).expect("fixture parses");
+    fn overflow_methods() -> Vec<OverflowMethod> {
+        every!(OverflowMethod: Fail, IncrementalLeftFlush, IncrementalSymmetricFlush, FlushAllLeft)
+    }
+
+    fn event_kinds() -> Vec<EventKind> {
+        every!(EventKind: Opened, Closed, Error, Timeout, OutOfMemory, Threshold)
+    }
+
+    fn op_states() -> Vec<OpState> {
+        every!(OpState: NotStarted, Open, Closed, Failed, Deactivated)
+    }
+
+    fn cmp_ops() -> Vec<CmpOp> {
+        every!(CmpOp: Eq, Ne, Lt, Le, Gt, Ge)
+    }
+
+    /// Fragment names, none of the `f<N>` form the printer gives the output
+    /// fragment nor the `op<N>` form that names an operator; some are
+    /// keywords of the grammar.
+    const FRAGMENT_NAMES: [&str; 9] = [
+        "main",
+        "alt",
+        "stage_2",
+        "contingent",
+        "rule",
+        "fragment",
+        "op",
+        "opx",
+        "é.b",
+    ];
+
+    /// The choices of one generated plan, drawn from the proptest shim's
+    /// per-case stream, with the builder that numbers its operators.
+    struct Draw<'a> {
+        gen: &'a mut Gen,
+        b: PlanBuilder,
+        fragments: u64,
+    }
+
+    impl Draw<'_> {
+        fn below(&mut self, n: u64) -> u64 {
+            self.gen.next_u64() % n
+        }
+
+        fn coin(&mut self) -> bool {
+            self.below(2) == 0
+        }
+
+        fn one<T: Clone>(&mut self, of: &[T]) -> T {
+            of[self.below(of.len() as u64) as usize].clone()
+        }
+
+        fn maybe<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> Option<T> {
+            if self.coin() {
+                Some(f(self))
+            } else {
+                None
+            }
+        }
+
+        fn list<T>(&mut self, max: u64, mut f: impl FnMut(&mut Self) -> T) -> Vec<T> {
+            (0..self.below(max + 1)).map(|_| f(self)).collect()
+        }
+
+        /// A name the printer writes bare (column, table, source).
+        fn ident(&mut self) -> String {
+            self.one(&["a", "b.k", "l_suppkey", "K9", "x-y", "null", "true", "λ"])
+                .to_string()
+        }
+
+        /// A string with the characters that need care inside quotes.
+        fn string(&mut self) -> String {
+            let chars = [
+                '"', '\\', '(', ')', ';', ' ', '\n', 'a', 'Z', '9', 'é', '🦀',
+            ];
+            (0..self.below(9)).map(|_| self.one(&chars)).collect()
+        }
+
+        /// Any double but NaN: small values, and every bit pattern
+        /// (infinities, subnormals, `-0.0`).
+        fn float(&mut self) -> f64 {
+            loop {
+                let f = if self.coin() {
+                    self.below(2000) as f64 / 8.0 - 100.0
+                } else {
+                    f64::from_bits(self.gen.next_u64())
+                };
+                if !f.is_nan() {
+                    return f;
+                }
+            }
+        }
+
+        fn big(&mut self) -> u64 {
+            self.gen.next_u64() >> self.below(64)
+        }
+
+        fn literal(&mut self) -> Value {
+            match self.below(5) {
+                0 => Value::Int(self.gen.next_u64() as i64),
+                1 => Value::Double(self.float()),
+                2 => Value::str(self.string()),
+                3 => Value::Date(self.gen.next_u64() as i32),
+                _ => Value::Null,
+            }
+        }
+
+        fn pred(&mut self, depth: u32) -> Predicate {
+            match self.below(if depth == 0 { 3 } else { 6 }) {
+                0 => Predicate::True,
+                1 => Predicate::ColLit {
+                    col: self.ident(),
+                    op: self.one(&cmp_ops()),
+                    value: self.literal(),
+                },
+                2 => Predicate::ColCol {
+                    left: self.ident(),
+                    op: self.one(&cmp_ops()),
+                    right: self.ident(),
+                },
+                3 => Predicate::And(self.list(3, |d| d.pred(depth - 1))),
+                4 => Predicate::Or(self.list(3, |d| d.pred(depth - 1))),
+                _ => Predicate::Not(Box::new(self.pred(depth - 1))),
+            }
+        }
+
+        /// An operator tree, children drawn before their parent so ids come
+        /// out in the parser's post-order.
+        fn node(&mut self, depth: u32) -> OperatorNode {
+            match self.below(if depth == 0 { 3 } else { 9 }) {
+                0 => {
+                    let table = self.ident();
+                    self.b.table_scan(&table)
+                }
+                1 => {
+                    let source = self.ident();
+                    let timeout = self.maybe(Self::big);
+                    let prefetch = self.maybe(|d| d.big() as usize);
+                    self.b.wrapper_scan_opts(&source, timeout, prefetch)
+                }
+                2 => {
+                    let quota = self.maybe(|d| d.big() as usize);
+                    let timeout = self.maybe(Self::big);
+                    let children: Vec<(String, bool)> = (0..1 + self.below(3))
+                        .map(|_| (self.ident(), self.coin()))
+                        .collect();
+                    let specs: Vec<(&str, bool)> =
+                        children.iter().map(|(s, a)| (s.as_str(), *a)).collect();
+                    self.b.collector_with_timeout(&specs, quota, timeout).0
+                }
+                3 => {
+                    let kind = self.one(&join_kinds());
+                    let (lk, rk) = (self.ident(), self.ident());
+                    let left = self.node(depth - 1);
+                    let right = self.node(depth - 1);
+                    let mut join = if kind == JoinKind::DoublePipelined && self.coin() {
+                        let method = self.one(&overflow_methods());
+                        self.b.dpj(left, right, &lk, &rk, method)
+                    } else {
+                        self.b.join(kind, left, right, &lk, &rk)
+                    };
+                    join.memory_budget = self.maybe(|d| d.big() as usize);
+                    join
+                }
+                4 => {
+                    let (source, bind, probe) = (self.ident(), self.ident(), self.ident());
+                    let left = self.node(depth - 1);
+                    self.b.dependent_join(left, &source, &bind, &probe)
+                }
+                5 => {
+                    let predicate = self.pred(3);
+                    let input = self.node(depth - 1);
+                    self.b.select(input, predicate)
+                }
+                6 => {
+                    let columns: Vec<String> =
+                        (0..1 + self.below(3)).map(|_| self.ident()).collect();
+                    let refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+                    let input = self.node(depth - 1);
+                    self.b.project(input, &refs)
+                }
+                7 => {
+                    let inputs = (0..2 + self.below(2))
+                        .map(|_| self.node(depth - 1))
+                        .collect();
+                    self.b.union(inputs)
+                }
+                _ => {
+                    let partitions = 1 + self.below(64) as usize;
+                    let input = self.node(depth - 1);
+                    self.b.exchange(input, partitions)
+                }
+            }
+        }
+
+        fn fragment(&mut self) -> FragmentId {
+            FragmentId(self.below(self.fragments) as u32)
+        }
+
+        fn subject(&mut self) -> SubjectRef {
+            if self.coin() {
+                SubjectRef::Op(OpId(self.below(64) as u32))
+            } else {
+                SubjectRef::Fragment(self.fragment())
+            }
+        }
+
+        fn qty(&mut self, depth: u32) -> Quantity {
+            match self.below(if depth == 0 { 6 } else { 7 }) {
+                0 => Quantity::Const(self.float()),
+                1 => Quantity::Card(self.subject()),
+                2 => Quantity::EstCard(self.subject()),
+                3 => Quantity::TimeWaitingMs(self.subject()),
+                4 => Quantity::MemoryUsed(self.subject()),
+                5 => Quantity::MemoryBudget(self.subject()),
+                _ => Quantity::Scaled(self.float(), Box::new(self.qty(depth - 1))),
+            }
+        }
+
+        fn cond(&mut self, depth: u32) -> Condition {
+            match self.below(if depth == 0 { 4 } else { 7 }) {
+                0 => Condition::True,
+                1 => Condition::False,
+                2 => Condition::StateIs {
+                    subject: self.subject(),
+                    state: self.one(&op_states()),
+                },
+                3 => Condition::Cmp {
+                    lhs: self.qty(2),
+                    op: self.one(&cmp_ops()),
+                    rhs: self.qty(2),
+                },
+                4 => Condition::And(self.list(3, |d| d.cond(depth - 1))),
+                5 => Condition::Or(self.list(3, |d| d.cond(depth - 1))),
+                _ => Condition::Not(Box::new(self.cond(depth - 1))),
+            }
+        }
+
+        fn action(&mut self) -> Action {
+            match self.below(7) {
+                0 => Action::Replan,
+                1 => Action::Reschedule,
+                2 => Action::Activate(self.subject()),
+                3 => Action::Deactivate(self.subject()),
+                4 => Action::ReturnError(self.string()),
+                5 => Action::SetOverflowMethod {
+                    op: OpId(self.below(64) as u32),
+                    method: self.one(&overflow_methods()),
+                },
+                _ => Action::AlterMemory {
+                    op: OpId(self.below(64) as u32),
+                    bytes: self.big() as usize,
+                },
+            }
+        }
+
+        fn rule(&mut self) -> Rule {
+            let name = self.string();
+            let owner = self.subject();
+            let event = EventPattern {
+                kind: self.one(&event_kinds()),
+                subject: self.subject(),
+                value: self.maybe(Self::big),
+            };
+            Rule::new(name, owner, event, self.cond(3), self.list(3, Self::action))
+        }
+    }
+
+    /// Random plans built through [`PlanBuilder`] in the form the parser
+    /// produces: fragment `n` materializes as `mat_<n>`, the output as
+    /// `result`, and only join nodes carry a memory budget.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct ArbPlan;
+
+    impl Strategy for ArbPlan {
+        type Value = QueryPlan;
+
+        fn sample(&self, gen: &mut Gen) -> QueryPlan {
+            let fragments = 1 + gen.next_u64() % 4;
+            let mut d = Draw {
+                gen,
+                b: PlanBuilder::new(),
+                fragments,
+            };
+            let first = d.below(FRAGMENT_NAMES.len() as u64) as usize;
+            for i in 0..fragments as usize {
+                let name = FRAGMENT_NAMES[(first + i) % FRAGMENT_NAMES.len()];
+                let root = d.node(3);
+                let mat = format!("mat_{name}");
+                let id = if d.coin() {
+                    d.b.contingent_fragment(root, &mat)
+                } else {
+                    d.b.fragment(root, &mat)
+                };
+                for rule in d.list(2, Draw::rule) {
+                    d.b.add_local_rule(id, rule);
+                }
+            }
+            for _ in 0..d.below(3) {
+                let (before, after) = (d.fragment(), d.fragment());
+                d.b.depends(before, after);
+            }
+            let global_rules = d.list(3, Draw::rule);
+            let output = d.fragment();
+            let mut plan = d.b.build(output);
+            plan.global_rules = global_rules;
+            plan.fragments[output.0 as usize].materialize_as = "result".into();
+            plan
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `parse(print(p)) == p`, and printing the reparsed plan gives the
+        /// same text.
+        #[test]
+        fn prop_print_parse_round_trip(plan in ArbPlan) {
+            let text = print_plan(&plan);
+            let reparsed = parse_plan_unchecked(&text)
+                .map_err(|e| TestCaseError(format!("{e}\n{text}")))?;
+            prop_assert_eq!(&reparsed, &plan);
+            prop_assert_eq!(print_plan(&reparsed), text);
+        }
+    }
+
+    /// The round trip's 256 cases draw every form of the grammar, every
+    /// keyword and every literal type.
+    #[test]
+    fn generated_plans_cover_every_form() {
+        let (mut texts, mut debug) = (String::new(), String::new());
+        for case in 0..256 {
+            let plan = ArbPlan.sample(&mut Gen::for_case(case));
+            texts.push_str(&print_plan(&plan));
+            debug.push_str(&format!("{plan:?}"));
+        }
+        let mut needles: Vec<String> = [
+            "TableScan",
+            "WrapperScan",
+            "timeout_ms: Some",
+            "prefetch: Some",
+            "Select",
+            "Project",
+            "Union",
+            "Exchange",
+            "Collector",
+            "quota: Some",
+            "child_timeout_ms: Some",
+            "memory_budget: Some",
+            "True",
+            "ColLit",
+            "ColCol",
+            "And([",
+            "Or([",
+            "Not(",
+            "Int(",
+            "Double(",
+            "Str(",
+            "Date(",
+            "Null",
+            "False",
+            "StateIs",
+            "Cmp {",
+            "Const(",
+            "Card(",
+            "EstCard(",
+            "TimeWaitingMs(",
+            "MemoryUsed(",
+            "MemoryBudget(",
+            "Scaled(",
+            "Replan",
+            "Reschedule",
+            "Activate(",
+            "Deactivate(",
+            "ReturnError(",
+            "SetOverflowMethod",
+            "AlterMemory",
+            "Op(OpId",
+            "Fragment(FragmentId",
+            "value: Some",
+            "local_rules: [Rule",
+            "global_rules: [Rule",
+            "dependencies: [(",
+        ]
+        .map(String::from)
+        .into();
+        needles.extend(join_kinds().iter().map(|k| format!("kind: {k:?}")));
+        needles.extend(
+            overflow_methods()
+                .iter()
+                .map(|m| format!("overflow: {m:?}")),
+        );
+        needles.extend(overflow_methods().iter().map(|m| format!("method: {m:?}")));
+        needles.extend(event_kinds().iter().map(|k| format!("kind: {k:?}")));
+        needles.extend(op_states().iter().map(|s| format!("state: {s:?}")));
+        needles.extend(cmp_ops().iter().map(|o| format!("op: {o:?}")));
+        for needle in &needles {
+            assert!(
+                debug.contains(needle.as_str()),
+                "no generated plan has `{needle}`"
+            );
+        }
+        for needle in [" contingent\n", " standby)", "(after ", r#"\""#, r"\\"] {
+            assert!(texts.contains(needle), "no printed plan has `{needle}`");
+        }
+    }
+
+    /// Each keyword table names every variant once, with distinct words.
+    #[test]
+    fn tables_name_every_variant_once() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(table: &[(&str, T)], all: Vec<T>) {
+            assert_eq!(table.len(), all.len(), "{table:?}");
+            for v in all {
+                assert_eq!(table.iter().filter(|(_, t)| *t == v).count(), 1, "{v:?}");
+            }
+            for (k, _) in table {
+                assert_eq!(table.iter().filter(|(w, _)| w == k).count(), 1, "{k}");
+            }
+        }
+        check(JoinKind::KEYWORDS, join_kinds());
+        check(OverflowMethod::KEYWORDS, overflow_methods());
+        check(EventKind::KEYWORDS, event_kinds());
+        check(OpState::KEYWORDS, op_states());
+        check(CmpOp::KEYWORDS, cmp_ops());
+    }
+
+    /// The output fragment prints as `f<id>`; when another fragment has
+    /// that name, `_` keeps the two apart.
+    #[test]
+    fn output_name_never_collides() {
+        let text = "(fragment a (wrapper A)) (fragment f0 (wrapper B)) (after a f0) (output a)";
+        let plan = parse_plan_unchecked(text).unwrap();
         let printed = print_plan(&plan);
-        let reparsed = crate::parse::parse_plan(&printed)
-            .unwrap_or_else(|e| panic!("printed form must reparse: {e}\n{printed}"));
-        assert_eq!(plan, reparsed, "print/parse fixpoint broke:\n{printed}");
-        assert_eq!(printed, print_plan(&reparsed));
-    }
-
-    #[test]
-    fn print_parse_fixpoint_exchange() {
-        assert_fixpoint(
-            r#"
-            (fragment f0 (exchange 4 (join dpj k = k :mem 65536 :overflow symmetric
-                (wrapper A :timeout 100 :prefetch 64)
-                (wrapper B))))
-            (fragment f1 (join hybrid a.k = c.k :mem 8192
-                (scan mat_f0)
-                (wrapper C)))
-            (after f0 f1)
-            (output f1)
-            "#,
-        );
-    }
-
-    #[test]
-    fn print_parse_fixpoint_rules_and_collector() {
-        assert_fixpoint(
-            r#"
-            (fragment main
-                (collector :quota 500 :timeout 80
-                    (child mirror1)
-                    (child mirror2 standby))
-                (rule "failover" :owner main :when timeout op0
-                    :do (activate op1) (deactivate op0)))
-            (fragment alt contingent (wrapper backup))
-            (rule "replan-big" :owner main :when closed main
-                :if (and (cmp (card op2) > (scale 2.5 (est op2)))
-                         (not (state alt open)))
-                :do replan)
-            (rule "spill" :owner main :when oom op2
-                :do (set-overflow op2 left) (alter-memory op2 1024))
-            (rule "bail" :owner main :when error op2 42
-                :if (or false (cmp (wait op2) >= 100))
-                :do (error "gave up"))
-            (output main)
-            "#,
-        );
-    }
-
-    #[test]
-    fn print_parse_fixpoint_predicates_and_misc_nodes() {
-        assert_fixpoint(
-            r#"
-            (fragment f0 (project [a, b]
-                (select (and (lit a >= 10) (or (cols a <> b) (not (lit b = "x"))))
-                    (union (wrapper X) (wrapper Y)
-                        (depjoin books isbn = isbn (select true (scan inv)))))))
-            (output f0)
-            "#,
-        );
-    }
-
-    #[test]
-    fn renders_collector_children() {
-        let mut b = PlanBuilder::new();
-        let (c, _) = b.collector(&[("m1", true), ("m2", false)], None);
-        let f = b.fragment(c, "out");
-        let plan = b.build(f);
-        let text = render_plan(&plan);
-        assert!(text.contains("child(m1) [active]"));
-        assert!(text.contains("child(m2) [standby]"));
+        assert!(printed.contains("(after f0_ f0)"), "{printed}");
+        assert_eq!(parse_plan_unchecked(&printed).unwrap(), plan);
     }
 }

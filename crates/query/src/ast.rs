@@ -2,13 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use tukwila_common::{Result, Schema, TukwilaError};
 use tukwila_plan::Predicate;
 
 /// The mediated (virtual) schema users query against (§2).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MediatedSchema {
     relations: BTreeMap<String, Schema>,
 }
@@ -38,7 +36,7 @@ impl MediatedSchema {
 }
 
 /// An equi-join predicate between two (qualified) mediated columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinPredicate {
     /// Left column, qualified (`relation.column`).
     pub left: String,
@@ -67,7 +65,7 @@ impl JoinPredicate {
 }
 
 /// A conjunctive (select-project-join) query over the mediated schema.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConjunctiveQuery {
     /// Query name (diagnostics, bench labels).
     pub name: String,

@@ -7,15 +7,13 @@
 //! wrapper scan; a leaf with several lowers to a dynamic collector whose
 //! policy the optimizer generates from the overlap data (§4.1).
 
-use serde::{Deserialize, Serialize};
-
 use tukwila_catalog::Catalog;
 use tukwila_common::{Result, TukwilaError};
 
 use crate::ast::{ConjunctiveQuery, MediatedSchema};
 
 /// The disjunction of sources serving one mediated relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafAlternatives {
     /// The mediated relation this leaf instantiates.
     pub mediated_relation: String,
@@ -35,7 +33,7 @@ impl LeafAlternatives {
 
 /// A reformulated query: the original conjunctive structure with each
 /// relation bound to its source alternatives.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReformulatedQuery {
     /// The original user query.
     pub query: ConjunctiveQuery,

@@ -1,8 +1,7 @@
 //! Self-contained JSON support for trace export.
 //!
-//! The workspace's serde shim is deliberately minimal, so the trace
-//! exporter hand-writes its JSON (like `tukwila-plan`'s diagnostics) and
-//! carries a small recursive-descent parser so a snapshot can be read
+//! The workspace has no JSON library, so the trace exporter hand-writes
+//! its JSON (like `tukwila-plan`'s diagnostics) and carries a small recursive-descent parser so a snapshot can be read
 //! back — the round-trip the proptest in `tests/` pins down.
 
 use std::fmt::Write as _;
