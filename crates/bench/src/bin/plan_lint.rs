@@ -23,7 +23,7 @@
 use std::process::ExitCode;
 
 use tukwila_analyze::Analyzer;
-use tukwila_plan::diag::codes;
+use tukwila_plan::diag::{codes, json_str};
 use tukwila_plan::parse_plan_unchecked;
 
 fn usage() -> ExitCode {
@@ -94,8 +94,11 @@ fn main() -> ExitCode {
         any_error |= report.error_count() > 0;
         if json {
             // `{"file": ..., "report": <Report::to_json shape>}`
-            let name: String = file.chars().flat_map(char::escape_default).collect();
-            println!("{{\"file\":\"{}\",\"report\":{}}}", name, report.to_json());
+            println!(
+                "{{\"file\":{},\"report\":{}}}",
+                json_str(file),
+                report.to_json()
+            );
         } else if report.diagnostics.is_empty() {
             println!("{file}: clean");
         } else {

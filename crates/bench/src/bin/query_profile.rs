@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use tukwila_common::{tuple, DataType, Relation, Schema};
-use tukwila_core::execute_plan_traced;
+use tukwila_core::execute_plan;
 use tukwila_exec::ExecEnv;
 use tukwila_plan::{parse_plan, JoinKind, PlanBuilder, QueryPlan};
 use tukwila_source::{LinkModel, SimulatedSource, SourceRegistry};
@@ -143,7 +143,7 @@ fn main() -> ExitCode {
 
     let env = ExecEnv::new(reg).with_trace_level(level);
     let start = std::time::Instant::now();
-    let (rel, _stats, trace) = match execute_plan_traced(&plan, env) {
+    let result = match execute_plan(&plan, env) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("query-profile: execution failed: {e}");
@@ -152,11 +152,11 @@ fn main() -> ExitCode {
     };
     eprintln!(
         "query-profile: {} rows in {:.3} ms (level {})",
-        rel.len(),
+        result.relation.len(),
         start.elapsed().as_secs_f64() * 1e3,
         level.as_str()
     );
-    let Some(trace) = trace else {
+    let Some(trace) = result.trace else {
         // Off: nothing recorded; the run itself is the measurement.
         return ExitCode::SUCCESS;
     };

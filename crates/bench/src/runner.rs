@@ -5,8 +5,9 @@
 use std::fmt;
 use std::time::Duration;
 
-use tukwila_exec::{run_fragment_observed, ExecEnv, FragmentOutcome, PlanRuntime};
-use tukwila_plan::{FragmentId, QueryPlan};
+use tukwila_core::execute_plan;
+use tukwila_exec::ExecEnv;
+use tukwila_plan::QueryPlan;
 use tukwila_source::SourceRegistry;
 
 /// One measured execution of a join pipeline.
@@ -44,31 +45,28 @@ impl JoinRunResult {
 }
 
 /// Execute one single-fragment plan against `registry`, recording the
-/// output series.
+/// output series. Time to first and total come from the fragment's own
+/// report.
 pub fn run_single_fragment(
     label: &str,
     registry: &SourceRegistry,
     plan: &QueryPlan,
-    frag: FragmentId,
 ) -> JoinRunResult {
-    let env = ExecEnv::new(registry.clone());
-    let rt = PlanRuntime::for_plan(plan, env.clone());
-    let mut series = Vec::new();
-    let report = run_fragment_observed(plan, frag, &rt, &mut |n, d| series.push((n, d)))
-        .unwrap_or_else(|e| panic!("{label}: fragment failed: {e}"));
-    match report.outcome {
-        FragmentOutcome::Completed { .. } => {}
-        other => panic!("{label}: unexpected outcome {other:?}"),
-    }
-    let stats = env.spill.stats();
+    let result = execute_plan(plan, ExecEnv::new(registry.clone()))
+        .unwrap_or_else(|e| panic!("{label}: plan failed: {e}"));
+    let report = result
+        .stats
+        .fragment_reports
+        .last()
+        .unwrap_or_else(|| panic!("{label}: no fragment report"));
     JoinRunResult {
         label: label.to_string(),
         time_to_first: report.time_to_first.unwrap_or(report.duration),
         total: report.duration,
         tuples: report.produced,
-        series,
-        spill_tuple_io: stats.tuples_written() + stats.tuples_read(),
-        peak_memory: env.memory.peak_used(),
+        spill_tuple_io: result.stats.spill_tuple_io(),
+        peak_memory: result.stats.peak_memory,
+        series: result.series,
     }
 }
 

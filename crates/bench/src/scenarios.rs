@@ -902,5 +902,5 @@ fn run_config(
     let mut b = PlanBuilder::new();
     let frag = build(&mut b);
     let plan = b.build(frag);
-    run_single_fragment(label, registry, &plan, frag)
+    run_single_fragment(label, registry, &plan)
 }

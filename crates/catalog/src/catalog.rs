@@ -92,8 +92,6 @@ pub struct Catalog {
     /// Cardinalities observed at runtime (fragment materializations, full
     /// source reads) — authoritative, overriding `stats`.
     observed: HashMap<String, usize>,
-    /// Fallback join selectivity when no estimate exists.
-    default_selectivity: Option<f64>,
 }
 
 impl Catalog {
@@ -159,17 +157,6 @@ impl Catalog {
     /// Join selectivity estimate for a column pair, if present.
     pub fn join_selectivity(&self, col_a: &str, col_b: &str) -> Option<f64> {
         self.selectivities.get(&normalize(col_a, col_b)).copied()
-    }
-
-    /// Set the fallback selectivity used when no per-pair estimate exists.
-    pub fn set_default_selectivity(&mut self, s: f64) {
-        self.default_selectivity = Some(s);
-    }
-
-    /// The fallback selectivity (None = optimizer must treat the join as
-    /// unknown, a trigger for partial planning).
-    pub fn default_selectivity(&self) -> Option<f64> {
-        self.default_selectivity
     }
 
     /// Record a cardinality observed at runtime (authoritative).
@@ -262,8 +249,6 @@ mod tests {
         c.set_join_selectivity("l.k", "o.k", 0.001);
         assert_eq!(c.join_selectivity("o.k", "l.k"), Some(0.001));
         assert_eq!(c.join_selectivity("o.k", "x.k"), None);
-        c.set_default_selectivity(0.1);
-        assert_eq!(c.default_selectivity(), Some(0.1));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod stats;
 pub mod system;
 pub mod tpch;
 
-pub use scheduler::{execute_plan, execute_plan_traced, SchedOutcome};
+pub use scheduler::SchedOutcome;
 pub use stats::{ExecutionStats, QueryResult};
-pub use system::{PreparedQuery, TukwilaSystem};
+pub use system::{execute_plan, PreparedQuery, TukwilaSystem};
 pub use tpch::{StatsQuality, TpchDeployment, TpchDeploymentBuilder};

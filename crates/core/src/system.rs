@@ -28,24 +28,32 @@
 //! [`TukwilaSystem::run_prepared`] (the fragment/replan loop) — which
 //! `execute` merely composes.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard};
 
 use tukwila_common::{Relation, Result, TukwilaError};
 use tukwila_exec::{CancelKind, ExecEnv, PlanRuntime, QueryControl};
 use tukwila_opt::{Observation, Optimizer, PlannedQuery};
-use tukwila_plan::{FragmentId, OpState, OperatorSpec, QuantityProvider, QueryPlan, SubjectRef};
+use tukwila_plan::{OpState, OperatorSpec, QuantityProvider, QueryPlan, SubjectRef};
 use tukwila_query::{ConjunctiveQuery, ReformulatedQuery, Reformulator};
 use tukwila_trace::TraceEvent;
 
+use crate::scheduler::{run_fragments, SchedOutcome};
 use crate::stats::{ExecutionStats, QueryResult};
 
+/// Maximum optimizer re-invocations per query.
+const MAX_REPLANS: usize = 16;
+/// Default maximum runs of a single fragment (rescheduling retries).
+const MAX_FRAGMENT_RETRIES: usize = 3;
+
+/// How one run of a plan ended.
 enum PlanRun {
-    Finished { result_name: String },
-    Replan { observations: Vec<Observation> },
+    /// The output fragment's materialization.
+    Finished(Arc<Relation>),
+    /// Re-optimize with these observations.
+    Replan(Vec<Observation>),
 }
 
 /// A query after the reformulation and initial optimization stages: ready
@@ -67,8 +75,6 @@ pub struct TukwilaSystem {
     reformulator: Reformulator,
     optimizer: Mutex<Optimizer>,
     env: ExecEnv,
-    /// Maximum optimizer re-invocations per query.
-    pub max_replans: usize,
     /// Maximum runs of a single fragment (rescheduling retries).
     pub max_fragment_retries: usize,
 }
@@ -80,8 +86,7 @@ impl TukwilaSystem {
             reformulator,
             optimizer: Mutex::new(optimizer),
             env,
-            max_replans: 16,
-            max_fragment_retries: 3,
+            max_fragment_retries: MAX_FRAGMENT_RETRIES,
         }
     }
 
@@ -141,73 +146,11 @@ impl TukwilaSystem {
         env: ExecEnv,
         stats: &mut ExecutionStats,
     ) -> Result<QueryResult> {
-        let started = Instant::now();
-        let spill_base = env.spill.stats().snapshot();
-        let mut series: Vec<(u64, std::time::Duration)> = Vec::new();
-
-        let outcome = (|| -> Result<Arc<Relation>> {
+        run_query(control, &env, stats, |stats, series| {
             control.check()?;
             let mut prepared = self.prepare(query)?;
-            self.run_prepared(&mut prepared, control, &env, stats, &mut series)
-        })();
-
-        // A per-query env's spill store is scoped (counts only this
-        // query's traffic); the snapshot delta additionally covers callers
-        // passing a raw shared env. Memory peak is the env pool's.
-        let io = env.spill.stats().snapshot().since(&spill_base);
-        stats.spill_tuples_written = io.tuples_written;
-        stats.spill_tuples_read = io.tuples_read;
-        stats.spill_bytes_written = io.bytes_written;
-        stats.spill_bytes_read = io.bytes_read;
-        stats.peak_memory = env.memory.peak_used();
-        stats.duration = started.elapsed();
-        stats.time_to_first = stats.fragment_reports.last().and_then(|r| r.time_to_first);
-
-        let trace = control.trace();
-        match outcome {
-            Ok(relation) => {
-                if trace.events_enabled() {
-                    trace.emit(TraceEvent::QueryCompleted {
-                        outcome: "ok".into(),
-                    });
-                }
-                let snapshot =
-                    (trace.events_enabled() || trace.metrics_enabled()).then(|| trace.snapshot());
-                Ok(QueryResult {
-                    relation,
-                    stats: stats.clone(),
-                    series,
-                    trace: snapshot,
-                })
-            }
-            Err(e) => {
-                match (&e, control.cancelled()) {
-                    (TukwilaError::DeadlineExceeded { .. }, _) => {
-                        stats.deadline_exceeded = true;
-                    }
-                    // A client/shutdown cancellation — distinct from a
-                    // rule-driven abort, which also surfaces as
-                    // `Cancelled` but without a tripped control.
-                    (TukwilaError::Cancelled(_), Some(kind)) if kind != CancelKind::Deadline => {
-                        stats.cancelled = true;
-                    }
-                    _ => {}
-                }
-                if trace.events_enabled() {
-                    let outcome = if stats.deadline_exceeded {
-                        "deadline"
-                    } else if stats.cancelled {
-                        "cancelled"
-                    } else {
-                        "error"
-                    };
-                    trace.emit(TraceEvent::QueryCompleted {
-                        outcome: outcome.into(),
-                    });
-                }
-                Err(e)
-            }
-        }
+            self.run_prepared(&mut prepared, control, &env, stats, series)
+        })
     }
 
     /// Stage 1 of the lifecycle: reformulate the mediated-schema query and
@@ -230,24 +173,22 @@ impl TukwilaSystem {
         control: &Arc<QueryControl>,
         env: &ExecEnv,
         stats: &mut ExecutionStats,
-        series: &mut Vec<(u64, std::time::Duration)>,
+        series: &mut Vec<(u64, Duration)>,
     ) -> Result<Arc<Relation>> {
         loop {
             series.clear();
             let analysis = &prepared.planned.lowered.analysis;
             stats.plan_diag_warnings += analysis.warn_count();
             stats.plan_diag_infos += analysis.count(tukwila_plan::diag::Severity::Info);
-            let run = self.run_plan(&prepared.planned, control, env, stats, series)?;
+            let plan = &prepared.planned.lowered.plan;
+            let run = run_plan(plan, control, env, self.max_fragment_retries, stats, series)?;
             match run {
-                PlanRun::Finished { result_name } => {
-                    return env.local.get(&result_name);
-                }
-                PlanRun::Replan { observations } => {
+                PlanRun::Finished(relation) => return Ok(relation),
+                PlanRun::Replan(observations) => {
                     control.check()?;
-                    if stats.replans >= self.max_replans {
+                    if stats.replans >= MAX_REPLANS {
                         return Err(TukwilaError::Optimizer(format!(
-                            "replan budget ({}) exhausted",
-                            self.max_replans
+                            "replan budget ({MAX_REPLANS}) exhausted"
                         )));
                     }
                     stats.replans += 1;
@@ -267,70 +208,138 @@ impl TukwilaSystem {
             }
         }
     }
+}
 
-    /// Run one plan to completion or to a replan request. Fragment
-    /// execution is delegated to the DAG scheduler
-    /// ([`crate::scheduler::run_fragments`]): sequential under a thread
-    /// budget of one, concurrent over independent fragments otherwise.
-    fn run_plan(
-        &self,
-        planned: &PlannedQuery,
-        control: &Arc<QueryControl>,
-        env: &ExecEnv,
-        stats: &mut ExecutionStats,
-        series: &mut Vec<(u64, std::time::Duration)>,
-    ) -> Result<PlanRun> {
-        let plan = &planned.lowered.plan;
-        let rt = PlanRuntime::for_plan_controlled(plan, env.clone(), control.clone());
-        let outcome = crate::scheduler::run_fragments(
-            plan,
-            &rt,
-            env.intra_query_threads,
-            self.max_fragment_retries,
-            stats,
-            series,
-        )?;
+/// Execute a standalone, complete [`QueryPlan`] (no reformulation or
+/// optimizer involvement) under `env`: the plan's dependency DAG runs on
+/// the environment's intra-query thread budget, with the same stats, series
+/// and trace as a query through [`TukwilaSystem`]. A plan whose rules
+/// request re-optimization is a `Plan` error — there is no optimizer to
+/// return to.
+pub fn execute_plan(plan: &QueryPlan, env: ExecEnv) -> Result<QueryResult> {
+    let control = QueryControl::unbounded_traced(env.trace_level);
+    let mut stats = ExecutionStats::default();
+    run_query(&control, &env, &mut stats, |stats, series| match run_plan(
+        plan,
+        &control,
+        &env,
+        MAX_FRAGMENT_RETRIES,
+        stats,
+        series,
+    )? {
+        PlanRun::Finished(relation) => Ok(relation),
+        PlanRun::Replan(_) => Err(TukwilaError::Plan(
+            "standalone plan requested re-optimization".into(),
+        )),
+    })
+}
 
-        match outcome {
-            crate::scheduler::SchedOutcome::Finished if plan.complete => {
-                let result_name = plan
-                    .fragment(plan.output)
-                    .map(|f| f.materialize_as.clone())
-                    .unwrap_or_else(|| "result".to_string());
-                Ok(PlanRun::Finished { result_name })
+/// Run `body` as one query under `control` in `env`, then close its books:
+/// spill I/O (as a delta, so a shared store counts only this query's
+/// traffic), peak memory, duration, time to first, the cancellation flags,
+/// the `query-completed` event and the trace snapshot.
+fn run_query(
+    control: &Arc<QueryControl>,
+    env: &ExecEnv,
+    stats: &mut ExecutionStats,
+    body: impl FnOnce(&mut ExecutionStats, &mut Vec<(u64, Duration)>) -> Result<Arc<Relation>>,
+) -> Result<QueryResult> {
+    let started = Instant::now();
+    let spill_base = env.spill.stats().snapshot();
+    let mut series = Vec::new();
+    let outcome = body(stats, &mut series);
+
+    let io = env.spill.stats().snapshot().since(&spill_base);
+    stats.spill_tuples_written = io.tuples_written;
+    stats.spill_tuples_read = io.tuples_read;
+    stats.spill_bytes_written = io.bytes_written;
+    stats.spill_bytes_read = io.bytes_read;
+    stats.peak_memory = env.memory.peak_used();
+    stats.duration = started.elapsed();
+    stats.time_to_first = stats.fragment_reports.last().and_then(|r| r.time_to_first);
+
+    let trace = control.trace();
+    match outcome {
+        Ok(relation) => {
+            if trace.events_enabled() {
+                trace.emit(TraceEvent::QueryCompleted {
+                    outcome: "ok".into(),
+                });
             }
-            // A mid-plan replan request, or a partial plan that ran out of
-            // planned work: hand observations back to the optimizer for
-            // the next planning step (§3).
-            _ => Ok(PlanRun::Replan {
-                observations: gather_observations(plan, &rt, &completed_fragments(plan, &rt), env),
-            }),
+            let snapshot =
+                (trace.events_enabled() || trace.metrics_enabled()).then(|| trace.snapshot());
+            Ok(QueryResult {
+                relation,
+                stats: stats.clone(),
+                series,
+                trace: snapshot,
+            })
+        }
+        Err(e) => {
+            match (&e, control.cancelled()) {
+                (TukwilaError::DeadlineExceeded { .. }, _) => {
+                    stats.deadline_exceeded = true;
+                }
+                // A client/shutdown cancellation — distinct from a
+                // rule-driven abort, which also surfaces as `Cancelled` but
+                // without a tripped control.
+                (TukwilaError::Cancelled(_), Some(kind)) if kind != CancelKind::Deadline => {
+                    stats.cancelled = true;
+                }
+                _ => {}
+            }
+            if trace.events_enabled() {
+                let outcome = if stats.deadline_exceeded {
+                    "deadline"
+                } else if stats.cancelled {
+                    "cancelled"
+                } else {
+                    "error"
+                };
+                trace.emit(TraceEvent::QueryCompleted {
+                    outcome: outcome.into(),
+                });
+            }
+            Err(e)
         }
     }
 }
 
-/// Fragments whose state reached `Closed` — the completion set the
-/// observation gatherer works from after the scheduler returns.
-fn completed_fragments(plan: &QueryPlan, rt: &PlanRuntime) -> BTreeSet<FragmentId> {
-    plan.fragments
-        .iter()
-        .filter(|f| rt.state(SubjectRef::Fragment(f.id)) == OpState::Closed)
-        .map(|f| f.id)
-        .collect()
+/// Run one plan on the [`crate::scheduler`] to its output relation or to a
+/// replan request.
+fn run_plan(
+    plan: &QueryPlan,
+    control: &Arc<QueryControl>,
+    env: &ExecEnv,
+    max_retries: usize,
+    stats: &mut ExecutionStats,
+    series: &mut Vec<(u64, Duration)>,
+) -> Result<PlanRun> {
+    let rt = PlanRuntime::for_plan_controlled(plan, env.clone(), control.clone());
+    let threads = env.intra_query_threads;
+    match run_fragments(plan, &rt, threads, max_retries, stats, series)? {
+        SchedOutcome::Finished if plan.complete => {
+            let name = plan
+                .fragment(plan.output)
+                .map(|f| f.materialize_as.as_str())
+                .ok_or_else(|| TukwilaError::Plan("plan has no output fragment".into()))?;
+            Ok(PlanRun::Finished(env.local.get(name)?))
+        }
+        // A mid-plan replan request, or a partial plan that ran out of
+        // planned work: hand observations back to the optimizer for the
+        // next planning step (§3).
+        _ => Ok(PlanRun::Replan(gather_observations(plan, &rt, env))),
+    }
 }
 
 /// Collect the statistics the engine ships back to the optimizer (§3.2):
 /// cardinalities of materialized fragments and of every source that was
 /// read to completion.
-fn gather_observations(
-    plan: &QueryPlan,
-    rt: &PlanRuntime,
-    completed: &BTreeSet<FragmentId>,
-    env: &ExecEnv,
-) -> Vec<Observation> {
+fn gather_observations(plan: &QueryPlan, rt: &PlanRuntime, env: &ExecEnv) -> Vec<Observation> {
     let mut out = Vec::new();
     for f in &plan.fragments {
-        if completed.contains(&f.id) && f.materialize_as.starts_with("mat_") {
+        let closed = rt.state(SubjectRef::Fragment(f.id)) == OpState::Closed;
+        if closed && f.materialize_as.starts_with("mat_") {
             if let Some(card) = env.local.cardinality(&f.materialize_as) {
                 out.push(Observation {
                     name: f.materialize_as.clone(),

@@ -55,7 +55,7 @@ pub struct FragmentReport {
 /// elapsed)` per output **batch** — the probe used to regenerate the
 /// paper's tuples-vs-time figures (with batched execution one sample
 /// covers one arrival burst; slow sources still sample near-per-tuple).
-pub fn run_fragment_observed(
+pub fn run_fragment(
     plan: &QueryPlan,
     frag_id: tukwila_plan::FragmentId,
     rt: &std::sync::Arc<PlanRuntime>,
@@ -163,15 +163,6 @@ pub fn run_fragment_observed(
     finish(outcome, produced, time_to_first)
 }
 
-/// Execute one fragment without observation.
-pub fn run_fragment(
-    plan: &QueryPlan,
-    frag_id: tukwila_plan::FragmentId,
-    rt: &std::sync::Arc<PlanRuntime>,
-) -> Result<FragmentReport> {
-    run_fragment_observed(plan, frag_id, rt, &mut |_, _| {})
-}
-
 fn peek_interrupting_signal(
     rt: &PlanRuntime,
     frag_id: tukwila_plan::FragmentId,
@@ -242,7 +233,7 @@ mod tests {
         let f = b.fragment(j, "result");
         let plan = b.build(f);
         let rt = crate::runtime::PlanRuntime::for_plan(&plan, ExecEnv::new(registry(100)));
-        let report = run_fragment(&plan, f, &rt).unwrap();
+        let report = run_fragment(&plan, f, &rt, &mut |_, _| {}).unwrap();
         match report.outcome {
             FragmentOutcome::Completed {
                 cardinality,
@@ -272,7 +263,7 @@ mod tests {
         b.add_local_rule(f, Rule::replan_on_misestimate(f, jid, 2.0));
         let plan = b.build(f);
         let rt = crate::runtime::PlanRuntime::for_plan(&plan, ExecEnv::new(registry(100)));
-        let report = run_fragment(&plan, f, &rt).unwrap();
+        let report = run_fragment(&plan, f, &rt, &mut |_, _| {}).unwrap();
         match report.outcome {
             FragmentOutcome::Completed {
                 replan_requested, ..
@@ -294,7 +285,7 @@ mod tests {
         b.add_local_rule(f, Rule::replan_on_misestimate(f, jid, 2.0));
         let plan = b.build(f);
         let rt = crate::runtime::PlanRuntime::for_plan(&plan, ExecEnv::new(registry(100)));
-        let report = run_fragment(&plan, f, &rt).unwrap();
+        let report = run_fragment(&plan, f, &rt, &mut |_, _| {}).unwrap();
         match report.outcome {
             FragmentOutcome::Completed {
                 replan_requested, ..
@@ -318,7 +309,7 @@ mod tests {
         b.add_local_rule(f, Rule::reschedule_on_timeout(f, sid));
         let plan = b.build(f);
         let rt = crate::runtime::PlanRuntime::for_plan(&plan, ExecEnv::new(reg));
-        let report = run_fragment(&plan, f, &rt).unwrap();
+        let report = run_fragment(&plan, f, &rt, &mut |_, _| {}).unwrap();
         assert_eq!(report.outcome, FragmentOutcome::Rescheduled);
         assert_eq!(report.produced, 5);
     }
@@ -336,7 +327,7 @@ mod tests {
         let f = b.fragment(s, "out");
         let plan = b.build(f);
         let rt = crate::runtime::PlanRuntime::for_plan(&plan, ExecEnv::new(reg));
-        let report = run_fragment(&plan, f, &rt).unwrap();
+        let report = run_fragment(&plan, f, &rt, &mut |_, _| {}).unwrap();
         match report.outcome {
             FragmentOutcome::Failed(e) => assert_eq!(e.kind(), "source_unavailable"),
             other => panic!("unexpected outcome {other:?}"),
@@ -353,7 +344,7 @@ mod tests {
         let env = ExecEnv::new(registry(50)).with_batch_size(10);
         let rt = crate::runtime::PlanRuntime::for_plan(&plan, env);
         let mut series = Vec::new();
-        run_fragment_observed(&plan, f, &rt, &mut |n, d| series.push((n, d))).unwrap();
+        run_fragment(&plan, f, &rt, &mut |n, d| series.push((n, d))).unwrap();
         assert_eq!(series.len(), 5);
         assert_eq!(series.last().unwrap().0, 50);
         assert!(series

@@ -41,7 +41,7 @@ pub(crate) mod test_support;
 pub use build::build_operator;
 pub use control::{CancelKind, QueryControl};
 pub use feeder::Feeders;
-pub use fragment::{run_fragment, run_fragment_observed, FragmentOutcome, FragmentReport};
+pub use fragment::{run_fragment, FragmentOutcome, FragmentReport};
 pub use operator::{drain, drain_batches, drain_tuples, Operator, OperatorBox, TupleCursor};
 pub use operators::{PartitionStream, PartitionTransport};
 pub use runtime::{

@@ -697,25 +697,8 @@ impl PlanRuntime {
         }
     }
 
-    /// Take the highest-priority pending engine signal, clearing it.
-    /// Priority: abort > replan > reschedule. Reschedule requests for
-    /// *any* fragment qualify — the single-fragment-at-a-time view.
-    pub fn take_signal(&self) -> Option<EngineSignal> {
-        if let Some(m) = self.signals.abort.lock().take() {
-            return Some(EngineSignal::Abort(m));
-        }
-        if self.signals.replan.swap(false, Ordering::Relaxed) {
-            return Some(EngineSignal::Replan);
-        }
-        let mut resched = self.signals.reschedule.lock();
-        if let Some(first) = resched.iter().next().copied() {
-            resched.remove(&first);
-            return Some(EngineSignal::Reschedule);
-        }
-        None
-    }
-
-    /// [`PlanRuntime::take_signal`] scoped to one running fragment: abort
+    /// Take the highest-priority engine signal pending for one running
+    /// fragment, clearing it. Priority: abort > replan > reschedule. Abort
     /// and replan are plan-global, but a reschedule request is delivered
     /// only to the fragment whose rule raised it (un-attributed requests go
     /// to whichever fragment asks first). With concurrent fragments this
@@ -790,16 +773,12 @@ impl PlanRuntime {
 }
 
 /// Render an engine event for the `trigger` field of a rule-fired trace
-/// record, e.g. `timeout(op0, 50)`.
+/// record with the plan text's keyword, e.g. `timeout(op0, 50)`.
 fn describe_event(e: &Event) -> String {
-    let kind = match e.kind {
-        EventKind::Opened => "opened",
-        EventKind::Closed => "closed",
-        EventKind::Error => "error",
-        EventKind::Timeout => "timeout",
-        EventKind::OutOfMemory => "out_of_memory",
-        EventKind::Threshold => "threshold",
-    };
+    let kind = EventKind::KEYWORDS
+        .iter()
+        .find(|(_, k)| *k == e.kind)
+        .map_or("?", |&(word, _)| word);
     match e.value {
         Some(v) => format!("{kind}({}, {v})", e.subject),
         None => format!("{kind}({})", e.subject),
@@ -1097,7 +1076,20 @@ mod tests {
         let rt = runtime(&plan);
         rt.deactivate(scan_b);
         rt.set_state(frag, OpState::Closed);
-        assert_eq!(rt.take_signal(), None);
+        assert_eq!(rt.take_signal_for(tukwila_plan::FragmentId(0)), None);
+    }
+
+    #[test]
+    fn rule_fired_trigger_reads_as_plan_text() {
+        use tukwila_plan::OpId;
+        let oom = Event::new(EventKind::OutOfMemory, SubjectRef::Op(OpId(3)));
+        assert_eq!(describe_event(&oom), "oom(op3)");
+        let timeout = Event::with_value(EventKind::Timeout, SubjectRef::Op(OpId(0)), 50);
+        assert_eq!(describe_event(&timeout), "timeout(op0, 50)");
+        for &(word, kind) in EventKind::KEYWORDS {
+            let e = Event::new(kind, SubjectRef::Op(OpId(1)));
+            assert_eq!(describe_event(&e), format!("{word}(op1)"));
+        }
     }
 
     #[test]
@@ -1106,9 +1098,10 @@ mod tests {
         let rt = runtime(&plan);
         rt.apply_action(&Action::Reschedule);
         rt.apply_action(&Action::Replan);
-        assert_eq!(rt.take_signal(), Some(EngineSignal::Replan));
-        assert_eq!(rt.take_signal(), Some(EngineSignal::Reschedule));
-        assert_eq!(rt.take_signal(), None);
+        let f0 = tukwila_plan::FragmentId(0);
+        assert_eq!(rt.take_signal_for(f0), Some(EngineSignal::Replan));
+        assert_eq!(rt.take_signal_for(f0), Some(EngineSignal::Reschedule));
+        assert_eq!(rt.take_signal_for(f0), None);
     }
 
     #[test]
@@ -1145,7 +1138,10 @@ mod tests {
         let rt = runtime(&plan);
         rt.apply_action(&Action::ReturnError("boom".into()));
         assert!(rt.signal_pending());
-        assert_eq!(rt.take_signal(), Some(EngineSignal::Abort("boom".into())));
+        assert_eq!(
+            rt.take_signal_for(tukwila_plan::FragmentId(0)),
+            Some(EngineSignal::Abort("boom".into()))
+        );
     }
 
     #[test]

@@ -51,8 +51,12 @@ pub const NET_MAGIC: u32 = 0x54_4B_57_4C; // "TKWL"
 /// Protocol version; bumped on any frame-layout change.
 pub const NET_VERSION: u32 = 3;
 /// Upper bound on a single frame's payload, mirroring the spill codec's
-/// implausible-count guards.
+/// implausible-count guards. Only `Dispatch` and `Batch` frames may be this
+/// large; every other kind is held to [`MAX_CONTROL_FRAME_LEN`].
 pub const MAX_FRAME_LEN: usize = 1 << 30;
+/// Upper bound on the payload of a frame that carries no rows. It is also
+/// the most a [`FrameReader`] allocates ahead of the bytes that arrived.
+pub const MAX_CONTROL_FRAME_LEN: usize = 1 << 20;
 /// Initial credit window granted in `Dispatch`: how many batches a worker
 /// may send before the first `Credit` arrives back.
 pub const CREDIT_WINDOW: u32 = 8;
@@ -432,12 +436,15 @@ impl<W: Write> FrameWriter<W> {
 /// Resumable frame reader: a read timeout mid-frame parks the partial
 /// header/payload and [`FrameReader::read_frame`] returns `Ok(None)`; the
 /// next call resumes exactly where the socket ran dry. EOF and transport
-/// errors surface as [`TukwilaError::Io`].
+/// errors surface as [`TukwilaError::Io`]. The payload buffer grows with the
+/// bytes that arrive (at most [`MAX_CONTROL_FRAME_LEN`] ahead of them), so a
+/// header alone cannot make the reader allocate what it claims.
 pub struct FrameReader<R: Read> {
     r: R,
     header: [u8; 5],
     header_filled: usize,
     payload: Vec<u8>,
+    payload_len: usize,
     payload_filled: usize,
     in_payload: bool,
     bytes_received: u64,
@@ -451,6 +458,7 @@ impl<R: Read> FrameReader<R> {
             header: [0; 5],
             header_filled: 0,
             payload: Vec::new(),
+            payload_len: 0,
             payload_filled: 0,
             in_payload: false,
             bytes_received: 0,
@@ -482,17 +490,29 @@ impl<R: Read> FrameReader<R> {
                 self.header[3],
                 self.header[4],
             ]) as usize;
-            if len > MAX_FRAME_LEN {
+            let limit = match self.header[0] {
+                K_DISPATCH | K_BATCH => MAX_FRAME_LEN,
+                _ => MAX_CONTROL_FRAME_LEN,
+            };
+            if len > limit {
                 return Err(TukwilaError::Io(format!(
-                    "net: implausible frame length {len}"
+                    "net: implausible length {len} for a frame of kind {}",
+                    self.header[0]
                 )));
             }
             self.payload.clear();
-            self.payload.resize(len, 0);
+            self.payload_len = len;
             self.payload_filled = 0;
             self.in_payload = true;
         }
-        while self.payload_filled < self.payload.len() {
+        while self.payload_filled < self.payload_len {
+            if self.payload_filled == self.payload.len() {
+                // Room for the next bytes only: a frame up to the control
+                // ceiling in one step, a larger one doubling as it arrives.
+                let step = self.payload.len().max(MAX_CONTROL_FRAME_LEN);
+                let grown = self.payload_len.min(self.payload.len() + step);
+                self.payload.resize(grown, 0);
+            }
             let fill = &mut self.payload[self.payload_filled..];
             match self.r.read(fill) {
                 Ok(0) => return Err(closed("reading frame payload")),
@@ -682,6 +702,41 @@ mod tests {
         }
         assert_eq!(r.bytes_received(), sent);
         out
+    }
+
+    #[test]
+    fn a_frame_header_cannot_make_the_reader_allocate_its_claim() {
+        // A batch header claiming the maximum, 16 payload bytes, then EOF.
+        let mut wire = vec![K_BATCH];
+        wire.extend_from_slice(&(MAX_FRAME_LEN as u32).to_le_bytes());
+        wire.extend_from_slice(&[7; 16]);
+        let mut r = FrameReader::new(Cursor::new(wire));
+        assert!(r.read_frame().is_err(), "a truncated frame is an error");
+        assert!(
+            r.payload.capacity() <= MAX_CONTROL_FRAME_LEN,
+            "allocated {} bytes for 16 that arrived",
+            r.payload.capacity()
+        );
+
+        // A control frame over its ceiling is refused at the header.
+        let mut wire = vec![K_CREDIT];
+        wire.extend_from_slice(&(MAX_CONTROL_FRAME_LEN as u32 + 1).to_le_bytes());
+        let mut r = FrameReader::new(Cursor::new(wire));
+        let err = r.read_frame().expect_err("oversized control frame");
+        assert_eq!(err.kind(), "io");
+        assert_eq!(r.payload.capacity(), 0);
+
+        // A frame larger than the ceiling still reads back whole.
+        let big: Vec<u8> = (0..(5 * MAX_CONTROL_FRAME_LEN / 2))
+            .map(|i| i as u8)
+            .collect();
+        let mut wire = vec![K_BATCH];
+        wire.extend_from_slice(&(big.len() as u32).to_le_bytes());
+        wire.extend_from_slice(&big);
+        let mut r = FrameReader::new(Cursor::new(wire));
+        let (kind, payload) = r.read_frame().expect("read").expect("no timeout");
+        assert_eq!(kind, K_BATCH);
+        assert!(payload == big.as_slice());
     }
 
     #[test]

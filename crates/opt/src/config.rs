@@ -21,30 +21,20 @@ pub enum PipelinePolicy {
     Adaptive,
 }
 
-/// Strategy for re-optimization after a fragment completes (§6.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReoptStrategy {
-    /// Discard the memo and replan from scratch over the reduced query.
-    Scratch,
-    /// Reuse the saved dynamic program, following usage pointers to
-    /// recompute only the entries affected by the new information.
-    SavedWithPointers,
-    /// Reuse the saved dynamic program but without usage pointers: every
-    /// entry must be revisited and revalidated (the paper measured this as
-    /// slower than scratch).
-    SavedNoPointers,
-}
+/// Replan when a join's actual cardinality differs from its estimate by
+/// this factor (the paper's rule uses 2).
+pub const REPLAN_FACTOR: f64 = 2.0;
+/// Selectivity assumed for a join column pair the catalog has no estimate
+/// for.
+pub const FALLBACK_SELECTIVITY: f64 = 0.01;
+/// Assumed tuple width (bytes) when the catalog lacks one.
+pub const DEFAULT_TUPLE_BYTES: usize = 96;
 
 /// Optimizer knobs.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     /// Fragmentation / pipelining policy.
     pub policy: PipelinePolicy,
-    /// Re-optimization strategy.
-    pub reopt: ReoptStrategy,
-    /// Replan when actual cardinality differs from the estimate by this
-    /// factor (the paper's rule uses 2).
-    pub replan_factor: f64,
     /// Memory cap per join operator, bytes. With
     /// [`OptimizerConfig::estimate_driven_memory`] the actual allocation is
     /// `min(cap, 1.3 × estimated input bytes)` — so joins whose inputs were
@@ -63,11 +53,6 @@ pub struct OptimizerConfig {
     pub source_timeout_ms: Option<u64>,
     /// Attach reschedule-on-timeout rules (query scrambling).
     pub reschedule_on_timeout: bool,
-    /// Fallback selectivity when the catalog has no estimate for a join
-    /// column pair. `None` means unknown joins force a partial plan.
-    pub fallback_selectivity: Option<f64>,
-    /// Assumed tuple width (bytes) when the catalog lacks one.
-    pub default_tuple_bytes: usize,
     /// Upper bound on the partition degree of exchange operators (1 =
     /// never emit an exchange; sequential joins). Defaults to the
     /// `TUKWILA_THREADS` environment variable, matching the engine's
@@ -84,15 +69,11 @@ impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             policy: PipelinePolicy::Adaptive,
-            reopt: ReoptStrategy::SavedWithPointers,
-            replan_factor: 2.0,
             join_memory_budget: 8 << 20,
             estimate_driven_memory: true,
             dpj_max_input_bytes: 6 << 20,
             source_timeout_ms: None,
             reschedule_on_timeout: false,
-            fallback_selectivity: Some(0.01),
-            default_tuple_bytes: 96,
             max_parallelism: tukwila_common::env_parallelism(),
             parallel_min_rows: 1_000,
         }
@@ -107,7 +88,6 @@ mod tests {
     fn default_is_adaptive_with_replan_factor_two() {
         let c = OptimizerConfig::default();
         assert_eq!(c.policy, PipelinePolicy::Adaptive);
-        assert_eq!(c.replan_factor, 2.0);
-        assert_eq!(c.reopt, ReoptStrategy::SavedWithPointers);
+        assert_eq!(REPLAN_FACTOR, 2.0);
     }
 }

@@ -18,7 +18,7 @@
 
 use tukwila_catalog::Catalog;
 
-use crate::config::OptimizerConfig;
+use crate::config::{OptimizerConfig, DEFAULT_TUPLE_BYTES};
 
 /// An estimated (cost, cardinality, width) triple for a subplan.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,17 +65,12 @@ impl CostModel {
 
     /// Estimate for scanning one source (or a collector over sources —
     /// costed as its cheapest member, since policies stop early).
-    pub fn source_scan(
-        &self,
-        catalog: &Catalog,
-        sources: &[String],
-        default_tuple_bytes: usize,
-    ) -> Option<Estimate> {
+    pub fn source_scan(&self, catalog: &Catalog, sources: &[String]) -> Option<Estimate> {
         let mut best: Option<Estimate> = None;
         for name in sources {
             let desc = catalog.source(name).ok()?;
             let card = catalog.cardinality(name)? as f64;
-            let width = desc.stats.avg_tuple_bytes.unwrap_or(default_tuple_bytes) as f64;
+            let width = desc.stats.avg_tuple_bytes.unwrap_or(DEFAULT_TUPLE_BYTES) as f64;
             let cost = desc.cost.transfer_ms(card as usize);
             let est = Estimate {
                 cost_ms: cost,
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn source_scan_costs_transfer() {
         let m = model();
-        let est = m.source_scan(&catalog(), &["small".into()], 96).unwrap();
+        let est = m.source_scan(&catalog(), &["small".into()]).unwrap();
         assert_eq!(est.card, 100.0);
         assert_eq!(est.cost_ms, 5.0 + 0.1 * 100.0);
         assert_eq!(est.tuple_bytes, 50.0);
@@ -183,10 +178,10 @@ mod tests {
     #[test]
     fn unknown_source_yields_none() {
         let m = model();
-        assert!(m.source_scan(&catalog(), &["unknown".into()], 96).is_none());
+        assert!(m.source_scan(&catalog(), &["unknown".into()]).is_none());
         // a collector with one known member costs as the known one
         assert!(m
-            .source_scan(&catalog(), &["small".into(), "big".into()], 96)
+            .source_scan(&catalog(), &["small".into(), "big".into()])
             .is_some());
     }
 
@@ -194,7 +189,7 @@ mod tests {
     fn collector_costed_as_cheapest_member() {
         let m = model();
         let est = m
-            .source_scan(&catalog(), &["big".into(), "small".into()], 96)
+            .source_scan(&catalog(), &["big".into(), "small".into()])
             .unwrap();
         assert_eq!(est.card, 100.0, "cheapest member is the small mirror");
     }

@@ -16,9 +16,9 @@
 //!   survives across re-optimizations, augmented with **usage pointers**
 //!   from each subquery to the larger subqueries that use it, so corrected
 //!   cardinalities invalidate only the affected part of the search space.
-//!   All three strategies the paper compares are implemented:
-//!   [`ReoptStrategy::Scratch`], [`ReoptStrategy::SavedWithPointers`], and
-//!   [`ReoptStrategy::SavedNoPointers`].
+//!   [`Optimizer::replan`] follows the usage pointers; the [`Memo`] also
+//!   keeps the other two strategies the paper compares (replanning from
+//!   scratch, and revisiting every entry without pointers) for exp65.
 
 pub mod config;
 pub mod cost;
@@ -26,7 +26,7 @@ pub mod lower;
 pub mod memo;
 pub mod optimizer;
 
-pub use config::{OptimizerConfig, PipelinePolicy, ReoptStrategy};
+pub use config::{OptimizerConfig, PipelinePolicy};
 pub use cost::{CostModel, Estimate};
 pub use memo::{JoinTree, Memo, RelMask};
 pub use optimizer::{Observation, Optimizer, PlannedQuery};

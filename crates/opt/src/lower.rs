@@ -24,7 +24,7 @@ use tukwila_plan::{
 };
 use tukwila_query::ReformulatedQuery;
 
-use crate::config::{OptimizerConfig, PipelinePolicy};
+use crate::config::{OptimizerConfig, PipelinePolicy, REPLAN_FACTOR};
 use crate::memo::{JoinTree, Memo, RelMask};
 
 /// Canonical local-store name for the materialization of a subquery.
@@ -399,7 +399,7 @@ impl<'a> Lowerer<'a> {
         if replan {
             self.builder.add_local_rule(
                 frag,
-                Rule::replan_on_misestimate(frag, join_id, self.config.replan_factor),
+                Rule::replan_on_misestimate(frag, join_id, REPLAN_FACTOR),
             );
         }
     }

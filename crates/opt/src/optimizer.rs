@@ -9,8 +9,9 @@
 //! 2. execute fragments, collecting [`Observation`]s (true cardinalities of
 //!    fully-read sources and of materialized fragment results);
 //! 3. [`Optimizer::replan`] — fold the observations into the catalog and
-//!    the saved memo (per the configured [`crate::ReoptStrategy`]) and emit
-//!    a corrected plan for the remaining work.
+//!    the saved memo (recomputing, through its usage pointers, only the
+//!    entries the observations affect) and emit a corrected plan for the
+//!    remaining work.
 
 use std::collections::HashMap;
 
@@ -18,7 +19,7 @@ use tukwila_catalog::Catalog;
 use tukwila_common::{Result, TukwilaError};
 use tukwila_query::ReformulatedQuery;
 
-use crate::config::{OptimizerConfig, ReoptStrategy};
+use crate::config::{OptimizerConfig, DEFAULT_TUPLE_BYTES, FALLBACK_SELECTIVITY};
 use crate::cost::{CostModel, Estimate};
 use crate::lower::{LoweredPlan, Lowerer};
 use crate::memo::{EdgeSpec, JoinTree, Memo, RelMask};
@@ -80,19 +81,12 @@ impl Optimizer {
     fn leaf_estimates(&self, rq: &ReformulatedQuery) -> Vec<Option<Estimate>> {
         rq.leaves
             .iter()
-            .map(|leaf| {
-                self.model.source_scan(
-                    &self.catalog,
-                    &leaf.sources,
-                    self.config.default_tuple_bytes,
-                )
-            })
+            .map(|leaf| self.model.source_scan(&self.catalog, &leaf.sources))
             .collect()
     }
 
     /// Join edges with selectivity estimates. Edges whose selectivity is
-    /// unknown get the configured fallback (or `None`, forcing a partial
-    /// plan).
+    /// unknown get [`FALLBACK_SELECTIVITY`].
     fn edges(&self, rq: &ReformulatedQuery) -> Result<Vec<EdgeSpec>> {
         let rel_index = |name: &str| {
             rq.query
@@ -112,14 +106,7 @@ impl Optimizer {
                 let sel = self
                     .catalog
                     .join_selectivity(&j.left, &j.right)
-                    .or(self.config.fallback_selectivity)
-                    .or(self.catalog.default_selectivity())
-                    .ok_or_else(|| {
-                        TukwilaError::Optimizer(format!(
-                            "no selectivity estimate for {} = {}",
-                            j.left, j.right
-                        ))
-                    })?;
+                    .unwrap_or(FALLBACK_SELECTIVITY);
                 Ok(EdgeSpec {
                     a,
                     b,
@@ -231,7 +218,7 @@ impl Optimizer {
         let placeholder = Estimate {
             cost_ms: 1.0,
             card: 0.0,
-            tuple_bytes: self.config.default_tuple_bytes as f64,
+            tuple_bytes: DEFAULT_TUPLE_BYTES as f64,
         };
         let ests: Vec<Estimate> = leaves.iter().map(|l| l.unwrap_or(placeholder)).collect();
         let coster = self.step_coster();
@@ -265,7 +252,9 @@ impl Optimizer {
 
     /// Fold observations into catalog and memo, then emit a corrected plan
     /// for the remaining work. `prior_memo` is the saved state from the
-    /// previous `plan`/`replan` call (ignored by the Scratch strategy).
+    /// previous `plan`/`replan` call; the observed materializations are
+    /// pinned into it and only the entries that use them are recomputed.
+    /// Without a saved memo the search runs from scratch.
     pub fn replan(
         &mut self,
         rq: &ReformulatedQuery,
@@ -279,7 +268,7 @@ impl Optimizer {
                     .as_ref()
                     .and_then(|m| m.estimate(mask))
                     .map(|e| e.tuple_bytes)
-                    .unwrap_or(self.config.default_tuple_bytes as f64);
+                    .unwrap_or(DEFAULT_TUPLE_BYTES as f64);
                 let est = Estimate {
                     // local scan of a materialized table: CPU only
                     cost_ms: obs.cardinality as f64 * 0.0005,
@@ -302,26 +291,19 @@ impl Optimizer {
         let ests: Vec<Estimate> = leaves.into_iter().map(Option::unwrap).collect();
         let coster = self.step_coster();
 
-        let memo = match (self.config.reopt, prior_memo) {
-            (ReoptStrategy::Scratch, _) | (_, None) => {
+        let memo = match prior_memo {
+            None => {
                 let pins: Vec<(RelMask, Estimate)> =
                     self.pins.iter().map(|(&m, &e)| (m, e)).collect();
                 Memo::build_with_pins(ests, edges, pins, &coster)
             }
-            (ReoptStrategy::SavedWithPointers, Some(mut memo)) => {
+            Some(mut memo) => {
                 for &mask in &pinned_masks {
                     memo.pin_materialized(mask, self.pins[&mask]);
                 }
                 for &mask in &pinned_masks {
                     memo.update_with_pointers(mask, &coster);
                 }
-                memo
-            }
-            (ReoptStrategy::SavedNoPointers, Some(mut memo)) => {
-                for &mask in &pinned_masks {
-                    memo.pin_materialized(mask, self.pins[&mask]);
-                }
-                memo.update_without_pointers(&coster);
                 memo
             }
         };

@@ -422,7 +422,10 @@ impl Report {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// `s` as a JSON string literal, quotes included: `"` and `\` escaped,
+/// control characters written as `\n`, `\r`, `\t` or `\u00XX`,
+/// everything else (non-ASCII included) as is.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

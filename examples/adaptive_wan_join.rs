@@ -11,13 +11,14 @@
 //! cargo run --release --example adaptive_wan_join
 //! ```
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use tukwila::exec::{build_operator, run_fragment_observed, ExecEnv, PlanRuntime};
+use tukwila::core::execute_plan;
 use tukwila::plan::{JoinKind, PlanBuilder};
 use tukwila::prelude::*;
 
+/// Run the join once; returns (first tuple, completion, tuples) from the
+/// fragment's report.
 fn run(kind: JoinKind, deployment: &TpchDeployment) -> (Duration, Duration, u64) {
     let mut b = PlanBuilder::new();
     let ps = b.wrapper_scan("partsupp");
@@ -26,26 +27,14 @@ fn run(kind: JoinKind, deployment: &TpchDeployment) -> (Duration, Duration, u64)
     let frag = b.fragment(join, "result");
     let plan = b.build(frag);
 
-    let env = ExecEnv::new(deployment.registry.clone());
-    let rt = PlanRuntime::for_plan(&plan, env);
-    let mut first = None;
-    let mut last = Duration::ZERO;
-    let mut count = 0;
-    let report = run_fragment_observed(&plan, frag, &rt, &mut |n, at| {
-        if n == 1 {
-            first = Some(at);
-        }
-        last = at;
-        count = n;
-    })
-    .expect("fragment run");
-    let _ = build_operator; // (re-exported entry point; see docs)
-    let _ = Arc::strong_count(&rt);
-    match report.outcome {
-        tukwila::exec::FragmentOutcome::Completed { .. } => {}
-        other => panic!("unexpected outcome {other:?}"),
-    }
-    (first.unwrap_or(last), report.duration, count)
+    let result = execute_plan(&plan, ExecEnv::new(deployment.registry.clone())).expect("plan run");
+    let report = result
+        .stats
+        .fragment_reports
+        .last()
+        .expect("one fragment report");
+    let first = report.time_to_first.unwrap_or(report.duration);
+    (first, report.duration, report.produced)
 }
 
 fn main() {

@@ -74,7 +74,7 @@ pub mod prelude {
     };
     pub use tukwila_exec::{CancelKind, ExecEnv, QueryControl};
     pub use tukwila_net::{Cluster, WorkerServer};
-    pub use tukwila_opt::{Optimizer, OptimizerConfig, PipelinePolicy, ReoptStrategy};
+    pub use tukwila_opt::{Optimizer, OptimizerConfig, PipelinePolicy};
     pub use tukwila_plan::{JoinKind, OverflowMethod, Predicate};
     pub use tukwila_query::{ConjunctiveQuery, MediatedSchema, Reformulator};
     pub use tukwila_service::{

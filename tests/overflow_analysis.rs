@@ -81,7 +81,7 @@ fn run_dpj_with(
 
     let env = ExecEnv::new(registry);
     let rt = PlanRuntime::for_plan(&plan, env.clone());
-    let report = run_fragment(&plan, frag, &rt).expect("fragment");
+    let report = run_fragment(&plan, frag, &rt, &mut |_, _| {}).expect("fragment");
     let card = match report.outcome {
         FragmentOutcome::Completed { cardinality, .. } => cardinality,
         other => panic!("unexpected outcome {other:?}"),

@@ -132,8 +132,8 @@ fn independent_fragments_overlap_and_cut_latency() {
         let plan = b.build(f2);
         let env = ExecEnv::new(reg).with_threads(threads);
         let start = Instant::now();
-        let (rel, stats) = execute_plan(&plan, env).unwrap();
-        (rel, stats, start.elapsed())
+        let result = execute_plan(&plan, env).unwrap();
+        (result.relation, result.stats, start.elapsed())
     };
 
     let (seq_rel, seq_stats, seq_time) = run(1);
@@ -249,6 +249,60 @@ fn transient_stall_recovers_under_parallel_scheduler() {
         "the stalled fragment must have been rescheduled"
     );
     assert!(result.relation.bag_eq_unordered(&gold));
+}
+
+/// The output fragment emits rows, then its source stalls: a timeout rule
+/// reschedules it and the retry completes. Under every thread budget the
+/// answer is the gold one and the series is the completing attempt's, so
+/// it never goes back in tuples or in time.
+#[test]
+fn rescheduled_output_fragment_keeps_the_completing_attempts_series() {
+    // One supplier row per millisecond, then a 300 ms stall after five.
+    // (Burst gaps, unlike per-tuple time, leave the optimizer's cost and so
+    // its plan alone: supplier stays in the output fragment.)
+    let stalling = LinkModel {
+        burst_size: 1,
+        burst_gap: Duration::from_millis(1),
+        stall_after: Some(5),
+        stall_duration: Duration::from_millis(300),
+        ..LinkModel::instant()
+    };
+    let tables = [TpchTable::Region, TpchTable::Nation, TpchTable::Supplier];
+    let d = TpchDeployment::builder(SF, 13)
+        .tables(&tables)
+        .link(TpchTable::Supplier, stalling)
+        .build();
+    let q = d.query_for("q-stall-output", &tables);
+    let gold = d.gold(&q).unwrap();
+    for threads in [1, 4] {
+        let mut cfg = config(threads);
+        cfg.policy = PipelinePolicy::MaterializeEachJoin;
+        cfg.source_timeout_ms = Some(50);
+        cfg.reschedule_on_timeout = true;
+        let mut sys = d.system_threads(cfg, threads);
+        sys.max_fragment_retries = 5;
+        let result = sys.execute(&q).unwrap();
+        assert!(
+            result.relation.bag_eq_unordered(&gold),
+            "threads {threads}: wrong answer"
+        );
+        assert!(
+            result.stats.reschedules >= 1,
+            "threads {threads}: the stalled output fragment must have been rescheduled"
+        );
+        if threads == 1 {
+            assert_eq!(result.stats.fragments_overlapped, 0);
+        }
+        assert!(!result.series.is_empty());
+        for w in result.series.windows(2) {
+            assert!(
+                w[0].0 <= w[1].0 && w[0].1 <= w[1].1,
+                "threads {threads}: series goes back from {:?} to {:?}",
+                w[0],
+                w[1]
+            );
+        }
+    }
 }
 
 /// Every join kind agrees between sequential and parallel execution, and
