@@ -25,12 +25,14 @@
 //! channel and is handled by the same code.
 
 use std::collections::{BTreeSet, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
 use tukwila_common::{Result, TukwilaError};
-use tukwila_exec::{run_fragment, FragmentOutcome, FragmentReport, PlanRuntime};
+use tukwila_exec::{
+    build_operator, catch_panic, run_fragment, FragmentOutcome, FragmentReport, Materialize,
+    PlanRuntime,
+};
 use tukwila_plan::{FragmentId, QueryPlan, SubjectRef};
 use tukwila_trace::TraceEvent;
 
@@ -168,9 +170,8 @@ pub fn run_fragments(
             let produced = report.produced;
             stats.fragment_reports.push(report);
 
-            // A reschedule or a recoverable failure spends one retry; this
-            // is the error to surface once the budget is spent.
-            let retry = match outcome {
+            // A reschedule or a recoverable failure spends one retry.
+            let retry = match &outcome {
                 FragmentOutcome::Completed {
                     replan_requested, ..
                 } => {
@@ -184,13 +185,13 @@ pub fn run_fragments(
                     // Conditions changed: blocked work may run again.
                     deferred.clear();
                     // A replan request counts while work remains.
-                    replan_pending |= replan_requested
+                    replan_pending |= *replan_requested
                         && (!plan.complete
                             || plan
                                 .fragments
                                 .iter()
                                 .any(|f| !completed.contains(&f.id) && active(f.id)));
-                    None
+                    false
                 }
                 FragmentOutcome::Rescheduled => {
                     if rt.trace().events_enabled() {
@@ -198,32 +199,24 @@ pub fn run_fragments(
                             .emit(TraceEvent::FragmentRescheduled { fragment: frag.0 });
                     }
                     stats.reschedules += 1;
-                    Some(TukwilaError::Plan(format!(
-                        "fragment {frag} exceeded its retry budget"
-                    )))
+                    true
                 }
-                FragmentOutcome::Failed(e) if e.is_recoverable() => Some(e),
-                FragmentOutcome::Failed(e) => {
-                    pending_error.get_or_insert(e);
-                    None
-                }
-                FragmentOutcome::Aborted(m) => {
-                    pending_error.get_or_insert(TukwilaError::Cancelled(m));
-                    None
-                }
+                FragmentOutcome::Failed(e) => e.is_recoverable(),
+                FragmentOutcome::Aborted(_) => false,
             };
-            if let Some(e) = retry {
+            // The error to surface once no retry is left.
+            if let Some(e) = outcome.into_error(frag) {
                 let r = retries.entry(frag).or_insert(0);
-                *r += 1;
-                if *r > max_retries {
-                    pending_error.get_or_insert(e);
-                } else {
+                if retry && *r < max_retries {
+                    *r += 1;
                     if let Some(f) = plan.fragment(frag) {
                         rt.reset_fragment(f);
                     }
                     // Deferral is only a preference: with nothing else
                     // runnable the fragment is retried at once.
                     deferred.insert(frag);
+                } else {
+                    pending_error.get_or_insert(e);
                 }
             }
         }
@@ -255,28 +248,19 @@ pub fn run_fragments(
     outcome
 }
 
-/// Run one fragment for the dispatcher. A panic becomes a typed `Internal`
-/// error: the dispatcher holds its own sender, so a fragment that never
-/// reported back would leave it waiting forever with the slot in flight.
+/// Build one fragment and materialize it for the dispatcher. A panic in
+/// the build or the run becomes a typed `Internal` error: the dispatcher
+/// holds its own sender, so a fragment that never reported back would
+/// leave it waiting forever with the slot in flight.
 fn run_one(plan: &QueryPlan, frag: FragmentId, rt: &Arc<PlanRuntime>) -> Finished {
-    let is_output = frag == plan.output;
-    let mut samples = Vec::new();
-    let report = catch_unwind(AssertUnwindSafe(|| {
-        run_fragment(plan, frag, rt, &mut |n, d| {
-            if is_output {
-                samples.push((n, d));
-            }
-        })
-    }))
-    .unwrap_or_else(|payload| {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "unknown panic".to_string());
-        Err(TukwilaError::Internal(format!(
-            "fragment {frag} panicked: {msg}"
-        )))
-    });
-    (frag, report, samples)
+    let Some(fragment) = plan.fragment(frag) else {
+        let e = TukwilaError::Plan(format!("unknown fragment {frag}"));
+        return (frag, Err(e), Vec::new());
+    };
+    let mut sink = Materialize::new(&fragment.materialize_as);
+    let report = catch_panic(format_args!("fragment {frag}"), || {
+        build_operator(&fragment.root, rt)
+    })
+    .map(|root| run_fragment(frag, root, rt, &mut sink));
+    (frag, report, sink.into_series())
 }

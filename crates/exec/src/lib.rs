@@ -22,9 +22,10 @@
 //!   dependent join), union, the **dynamic collector**, and the
 //!   **partitioned exchange** that runs N parallel instances of the join
 //!   over key-partitioned inputs (DESIGN.md §8).
-//! * [`fragment`] — executes one pipelined fragment to completion,
-//!   materializing its result and reporting statistics; interleaved
-//!   planning/execution (crate `tukwila-core`) loops over this.
+//! * [`fragment`] — executes one pipelined fragment to completion into a
+//!   sink (the local store at the coordinator, the wire at a worker) and
+//!   reports statistics; interleaved planning/execution (crate
+//!   `tukwila-core`) loops over this.
 
 pub mod build;
 pub mod control;
@@ -41,10 +42,12 @@ pub(crate) mod test_support;
 pub use build::build_operator;
 pub use control::{CancelKind, QueryControl};
 pub use feeder::Feeders;
-pub use fragment::{run_fragment, FragmentOutcome, FragmentReport};
+pub use fragment::{
+    catch_panic, run_fragment, FragmentOutcome, FragmentReport, FragmentSink, Materialize,
+};
 pub use operator::{drain, drain_batches, drain_tuples, Operator, OperatorBox, TupleCursor};
 pub use operators::{PartitionStream, PartitionTransport};
 pub use runtime::{
     CacheCounts, EngineSignal, ExchangeSpill, ExecEnv, OpHarness, ParallelStats, PlanRuntime,
 };
-pub use shard::{build_shard_root, ShardFilter, ShardLease, ShardSpec, ShardStats};
+pub use shard::{ShardFilter, ShardLease, ShardSpec, ShardStats};

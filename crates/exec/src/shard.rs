@@ -4,16 +4,15 @@
 //! itself (`tukwila_net::Cluster`) lives in `tukwila-net`; this module is
 //! the part that must agree with the in-process transport on semantics:
 //!
-//! * [`ShardSpec::for_join`] — the coordinator's dispatch: the join as plan
-//!   text, the local-store tables it scans, the per-shard budget (the same
-//!   budget/N split as in-process partitions) and the remaining deadline;
+//! * [`ShardSpec`] — the one shard description: made by the coordinator
+//!   ([`ShardSpec::for_join`], with the same budget/N split as in-process
+//!   partitions), carried whole in the wire's `Dispatch`, and read back by
+//!   the worker ([`ShardSpec::control`], [`ShardSpec::build`]);
 //! * [`ShardLease`] — a shard's slice of the join's memory reservation,
 //!   charged at the coordinator while the shard runs elsewhere;
 //! * [`ShardFilter`] keeps exactly the rows the in-process repartition
 //!   feeders would route to one partition — same prehash, same
 //!   [`fold_hash`] fold, same salt, same "NULL keys are dropped" rule;
-//! * [`build_shard_root`] builds a worker's operator tree for one shard:
-//!   the dispatched join with both inputs wrapped in shard filters.
 //!
 //! Each worker recomputes the join's input subtrees from its own sources
 //! and keeps only its shard (shared-nothing scatter; inputs are never
@@ -26,20 +25,22 @@ use std::time::{Duration, Instant};
 
 use tukwila_common::{fold_hash, KeyVector, Relation, Result, Schema, TukwilaError, TupleBatch};
 use tukwila_plan::{
-    print_plan, Fragment, FragmentId, OperatorNode, OperatorSpec, QueryPlan, SubjectRef,
+    parse_plan, print_plan, Fragment, FragmentId, OperatorNode, OperatorSpec, QueryPlan, SubjectRef,
 };
-use tukwila_storage::MemoryReservation;
+use tukwila_source::SourceRegistry;
+use tukwila_storage::{MemoryManager, MemoryReservation};
 
 use crate::build::{build_join, build_operator, join_descendants};
+use crate::control::QueryControl;
 use crate::operator::{Operator, OperatorBox};
 use crate::operators::exchange::{
     partition_budget, partition_reservation, take_rows, EXCHANGE_SALT,
 };
-use crate::runtime::{OpHarness, PlanRuntime};
+use crate::runtime::{ExecEnv, OpHarness, PlanRuntime};
 
 /// Everything a worker needs to run one shard of a scattered exchange.
 /// The same spec is dispatched to every shard; only the shard index
-/// differs.
+/// differs. A valid spec has `shard_count >= 1`.
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
     /// The dispatched fragment as parseable plan text: a single fragment
@@ -80,6 +81,39 @@ impl ShardSpec {
             deadline: (rt.control().deadline())
                 .map(|d| d.saturating_duration_since(Instant::now())),
         })
+    }
+
+    /// The query control a worker runs its shard under: the forwarded
+    /// deadline, counted from when the dispatch arrived.
+    pub fn control(&self) -> Arc<QueryControl> {
+        match self.deadline {
+            Some(budget) => QueryControl::with_deadline(budget),
+            None => QueryControl::unbounded(),
+        }
+    }
+
+    /// The worker's half of [`ShardSpec::for_join`]: shard `shard_index`'s
+    /// runtime (batch size, budget slice, shipped tables, `control`),
+    /// fragment and root, ready for [`run_fragment`](crate::run_fragment).
+    pub fn build(
+        &self,
+        shard_index: usize,
+        sources: SourceRegistry,
+        control: Arc<QueryControl>,
+    ) -> Result<(Arc<PlanRuntime>, FragmentId, OperatorBox)> {
+        let plan = parse_plan(&self.plan_text)?;
+        let frag = (plan.fragment(plan.output))
+            .ok_or_else(|| TukwilaError::Plan("shard: dispatched plan has no output".into()))?;
+        let mut env = ExecEnv::new(sources).with_batch_size(self.batch_size.max(1));
+        if self.shard_budget > 0 {
+            env.memory = MemoryManager::new().with_budget(self.shard_budget);
+        }
+        for (name, rel) in &self.tables {
+            env.local.put(name.clone(), (**rel).clone());
+        }
+        let rt = PlanRuntime::for_plan_controlled(&plan, env, control);
+        let root = shard_root(&frag.root, &rt, shard_index, self.shard_count)?;
+        Ok((rt, plan.output, root))
     }
 }
 
@@ -239,12 +273,12 @@ impl Operator for ShardFilter {
     }
 }
 
-/// Build a worker's operator tree for one shard of a dispatched fragment:
-/// the root join with both inputs wrapped in [`ShardFilter`]s. With a
-/// single shard there is nothing to filter and the tree builds as-is.
-/// Any equi-join kind: hash partitioning by the join key is correct for
-/// all of them.
-pub fn build_shard_root(
+/// A worker's operator tree for one shard of a dispatched fragment: the
+/// root join with both inputs wrapped in [`ShardFilter`]s. With a single
+/// shard there is nothing to filter and the tree builds as-is. Any
+/// equi-join kind: hash partitioning by the join key is correct for all of
+/// them.
+fn shard_root(
     node: &OperatorNode,
     rt: &Arc<PlanRuntime>,
     shard_index: usize,

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -39,12 +39,10 @@ use tukwila_plan::OperatorNode;
 use tukwila_trace::{QueryTrace, TraceEvent};
 
 use crate::protocol::{
-    decode_msg, error_from_wire, Dispatch, FrameReader, FrameWriter, Msg, CREDIT_WINDOW,
-    NET_VERSION,
+    decode_msg, error_from_wire, offer_hello, Dispatch, FrameReader, FrameWriter, Msg,
+    CREDIT_WINDOW,
 };
 
-/// Handshake must complete within this long.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Steady-state read tick: how long a blocked batch read waits before
 /// re-checking abort/cancel flags.
 const STREAM_TICK: Duration = Duration::from_millis(50);
@@ -122,34 +120,9 @@ fn dial(addr: &str) -> Result<Conn> {
     let conn = TcpStream::connect(addr)
         .map_err(|e| TukwilaError::Io(format!("net: connect {addr}: {e}")))?;
     conn.set_nodelay(true)?;
-    conn.set_read_timeout(Some(STREAM_TICK))?;
     let mut reader = FrameReader::new(conn.try_clone()?);
     let mut writer = FrameWriter::new(conn);
-    writer.send_hello()?;
-    let started = Instant::now();
-    loop {
-        if let Some((kind, payload)) = reader.read_frame()? {
-            match decode_msg(kind, payload)? {
-                Msg::HelloAck { version } if version == NET_VERSION => break,
-                Msg::HelloAck { version } => {
-                    return Err(TukwilaError::Io(format!(
-                        "net: worker {addr} speaks protocol v{version}, expected v{NET_VERSION}"
-                    )))
-                }
-                Msg::Error(e) => return Err(error_from_wire(addr, e)),
-                other => {
-                    return Err(TukwilaError::Io(format!(
-                        "net: worker {addr}: expected HelloAck, got {other:?}"
-                    )))
-                }
-            }
-        }
-        if started.elapsed() > HANDSHAKE_TIMEOUT {
-            return Err(TukwilaError::Io(format!(
-                "net: worker {addr}: handshake timed out"
-            )));
-        }
-    }
+    offer_hello(&mut reader, &mut writer, addr, STREAM_TICK)?;
     Ok(Conn { reader, writer })
 }
 
@@ -187,13 +160,8 @@ impl PartitionTransport for Cluster {
             let addr = &self.addrs[shard % self.addrs.len()];
             let dispatch = Dispatch {
                 shard_index: shard as u32,
-                shard_count: shards as u32,
-                batch_size: spec.batch_size as u32,
-                shard_budget: spec.shard_budget as u64,
-                deadline: spec.deadline,
                 initial_credits: CREDIT_WINDOW,
-                plan_text: spec.plan_text.clone(),
-                tables: spec.tables.clone(),
+                spec: spec.clone(),
             };
             // An idle connection whose write fails is stale; one whose
             // worker closed it unseen fails at the first read instead, and

@@ -12,8 +12,9 @@
 //! ```text
 //! -> Hello{magic, version}            handshake
 //! <- HelloAck{version}
-//! -> Dispatch{shard, plan, tables,    one shard of one query
-//!             budget, deadline, credits}
+//! -> Dispatch{shard, plan, tables,    one shard of one query (a shard
+//!             budget, deadline,       index at or past the count fails
+//!             credits}                to decode)
 //! <- Started{schema}                  fragment opened
 //! <- Batch* / -> Credit*              credit-windowed batch stream
 //! <- Done{stats} | Error{kind, ..}   terminal
@@ -38,11 +39,12 @@
 //! cancellation flags without corrupting frame alignment.
 
 use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tukwila_common::{DataType, Field, Relation, Result, Schema, TukwilaError, TupleBatch};
-use tukwila_exec::ShardStats;
+use tukwila_exec::{ShardSpec, ShardStats};
 use tukwila_storage::codec;
 
 /// Sanity word opening every `Hello`, so a stray client talking to a
@@ -60,6 +62,9 @@ pub const MAX_CONTROL_FRAME_LEN: usize = 1 << 20;
 /// Initial credit window granted in `Dispatch`: how many batches a worker
 /// may send before the first `Credit` arrives back.
 pub const CREDIT_WINDOW: u32 = 8;
+/// How long either end waits for the other's handshake frame: the
+/// coordinator for `HelloAck`, the worker for `Hello`.
+pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 const K_HELLO: u8 = 1;
 const K_HELLO_ACK: u8 = 2;
@@ -74,26 +79,17 @@ const K_CANCEL: u8 = 9;
 /// Deadline sentinel in `Dispatch` for "no deadline".
 const NO_DEADLINE: u64 = u64::MAX;
 
-/// One shard-dispatch payload: everything a worker needs to execute one
-/// shard of a scattered exchange.
+/// One shard-dispatch payload: the exchange's shard description and which
+/// shard of it this worker runs. A decoded dispatch names a shard that
+/// exists: `shard_index < spec.shard_count`.
 #[derive(Debug, Clone)]
 pub struct Dispatch {
-    /// Which shard of `shard_count` this worker runs.
+    /// Which shard of `spec.shard_count` this worker runs.
     pub shard_index: u32,
-    /// The exchange's partition degree.
-    pub shard_count: u32,
-    /// Operator batch size for the worker's engine.
-    pub batch_size: u32,
-    /// Per-shard memory budget in bytes (0 = unbounded).
-    pub shard_budget: u64,
-    /// Remaining query deadline, forwarded from the coordinator.
-    pub deadline: Option<Duration>,
     /// Initial send-credit window.
     pub initial_credits: u32,
-    /// The fragment as parseable plan text.
-    pub plan_text: String,
-    /// Coordinator-local tables the fragment scans.
-    pub tables: Vec<(String, Arc<Relation>)>,
+    /// What every shard of the exchange runs.
+    pub spec: ShardSpec,
 }
 
 /// A decoded inbound message.
@@ -335,23 +331,22 @@ impl<W: Write> FrameWriter<W> {
 
     /// Shard dispatch.
     pub fn send_dispatch(&mut self, d: &Dispatch) -> Result<u64> {
-        self.buf.clear();
-        self.buf.extend_from_slice(&d.shard_index.to_le_bytes());
-        self.buf.extend_from_slice(&d.shard_count.to_le_bytes());
-        self.buf.extend_from_slice(&d.batch_size.to_le_bytes());
-        self.buf.extend_from_slice(&d.shard_budget.to_le_bytes());
-        let deadline_ms = d
-            .deadline
+        let (spec, buf) = (&d.spec, &mut self.buf);
+        buf.clear();
+        buf.extend_from_slice(&d.shard_index.to_le_bytes());
+        buf.extend_from_slice(&(spec.shard_count as u32).to_le_bytes());
+        buf.extend_from_slice(&(spec.batch_size as u32).to_le_bytes());
+        buf.extend_from_slice(&(spec.shard_budget as u64).to_le_bytes());
+        let deadline_ms = (spec.deadline)
             .map(|t| (t.as_millis() as u64).min(NO_DEADLINE - 1))
             .unwrap_or(NO_DEADLINE);
-        self.buf.extend_from_slice(&deadline_ms.to_le_bytes());
-        self.buf.extend_from_slice(&d.initial_credits.to_le_bytes());
-        put_str(&d.plan_text, &mut self.buf);
-        self.buf
-            .extend_from_slice(&(d.tables.len() as u32).to_le_bytes());
-        for (name, rel) in &d.tables {
-            put_str(name, &mut self.buf);
-            encode_relation(rel, &mut self.buf);
+        buf.extend_from_slice(&deadline_ms.to_le_bytes());
+        buf.extend_from_slice(&d.initial_credits.to_le_bytes());
+        put_str(&spec.plan_text, buf);
+        buf.extend_from_slice(&(spec.tables.len() as u32).to_le_bytes());
+        for (name, rel) in &spec.tables {
+            put_str(name, buf);
+            encode_relation(rel, buf);
         }
         self.send_frame(K_DISPATCH)
     }
@@ -529,6 +524,80 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
+/// The coordinator's half of the handshake on a fresh connection to
+/// `worker`: `Hello`, then the worker's `HelloAck` within
+/// [`HANDSHAKE_TIMEOUT`]. Leaves the socket's read timeout at `tick`.
+pub(crate) fn offer_hello(
+    reader: &mut FrameReader<TcpStream>,
+    writer: &mut FrameWriter<TcpStream>,
+    worker: &str,
+    tick: Duration,
+) -> Result<()> {
+    writer.send_hello()?;
+    let peer = format!("worker {worker}");
+    match read_handshake(reader, &peer, HANDSHAKE_TIMEOUT, Some(tick))? {
+        Msg::HelloAck { version } if version == NET_VERSION => Ok(()),
+        Msg::HelloAck { version } => Err(TukwilaError::Io(format!(
+            "net: worker {worker} speaks protocol v{version}, expected v{NET_VERSION}"
+        ))),
+        Msg::Error(e) => Err(error_from_wire(worker, e)),
+        other => Err(TukwilaError::Io(format!(
+            "net: worker {worker}: expected HelloAck, got {other:?}"
+        ))),
+    }
+}
+
+/// The worker's half: the coordinator's `Hello` within `timeout`, answered
+/// with `HelloAck` — or, from another protocol version, with an `Error`.
+/// Leaves the socket without a read timeout.
+pub(crate) fn accept_hello(
+    reader: &mut FrameReader<TcpStream>,
+    writer: &mut FrameWriter<TcpStream>,
+    timeout: Duration,
+) -> Result<()> {
+    let e = match read_handshake(reader, "coordinator", timeout, None)? {
+        Msg::Hello { version } if version == NET_VERSION => {
+            return writer.send_hello_ack().map(drop)
+        }
+        Msg::Hello { version } => TukwilaError::Io(format!(
+            "net: protocol version mismatch (worker {NET_VERSION}, coordinator {version})"
+        )),
+        other => {
+            return Err(TukwilaError::Io(format!(
+                "net: expected Hello, got {other:?}"
+            )))
+        }
+    };
+    let _ = writer.send_error(&e);
+    Err(e)
+}
+
+/// Read the handshake frame `peer` sends first, waiting at most `timeout`;
+/// a peer silent that long is an `Io` error. The socket's read timeout is
+/// left at `then`.
+fn read_handshake(
+    reader: &mut FrameReader<TcpStream>,
+    peer: &str,
+    timeout: Duration,
+    then: Option<Duration>,
+) -> Result<Msg> {
+    let until = Instant::now() + timeout;
+    loop {
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(TukwilaError::Io(format!(
+                "net: {peer}: no handshake within {timeout:?}"
+            )));
+        }
+        reader.r.set_read_timeout(Some(left))?;
+        if let Some((kind, payload)) = reader.read_frame()? {
+            let msg = decode_msg(kind, payload);
+            reader.r.set_read_timeout(then)?;
+            return msg;
+        }
+    }
+}
+
 /// Decode a frame into a [`Msg`]. `Hello` frames also validate the magic
 /// word.
 pub fn decode_msg(kind: u8, payload: &[u8]) -> Result<Msg> {
@@ -552,6 +621,11 @@ pub fn decode_msg(kind: u8, payload: &[u8]) -> Result<Msg> {
         K_DISPATCH => {
             let shard_index = get_u32(buf, &mut pos)?;
             let shard_count = get_u32(buf, &mut pos)?;
+            if shard_index >= shard_count {
+                return Err(TukwilaError::Io(format!(
+                    "net: dispatch of shard {shard_index} of {shard_count}"
+                )));
+            }
             let batch_size = get_u32(buf, &mut pos)?;
             let shard_budget = get_u64(buf, &mut pos)?;
             let deadline_ms = get_u64(buf, &mut pos)?;
@@ -573,13 +647,16 @@ pub fn decode_msg(kind: u8, payload: &[u8]) -> Result<Msg> {
             }
             Msg::Dispatch(Box::new(Dispatch {
                 shard_index,
-                shard_count,
-                batch_size,
-                shard_budget,
-                deadline: (deadline_ms != NO_DEADLINE).then(|| Duration::from_millis(deadline_ms)),
                 initial_credits,
-                plan_text,
-                tables,
+                spec: ShardSpec {
+                    plan_text,
+                    tables,
+                    shard_count: shard_count as usize,
+                    batch_size: batch_size as usize,
+                    shard_budget: shard_budget as usize,
+                    deadline: (deadline_ms != NO_DEADLINE)
+                        .then(|| Duration::from_millis(deadline_ms)),
+                },
             }))
         }
         K_STARTED => Msg::Started {
@@ -881,32 +958,93 @@ mod tests {
         .expect("relation");
         let d = Dispatch {
             shard_index: 1,
-            shard_count: 4,
-            batch_size: 512,
-            shard_budget: 1 << 20,
-            deadline: Some(Duration::from_millis(1_500)),
             initial_credits: CREDIT_WINDOW,
-            plan_text: "(fragment f0 (wrapper L))\n(output f0)".into(),
-            tables: vec![("t".into(), Arc::new(rel.clone()))],
+            spec: ShardSpec {
+                plan_text: "(fragment f0 (wrapper L))\n(output f0)".into(),
+                tables: vec![("t".into(), Arc::new(rel.clone()))],
+                shard_count: 4,
+                batch_size: 512,
+                shard_budget: 1 << 20,
+                deadline: Some(Duration::from_millis(1_500)),
+            },
         };
         let msgs = roundtrip(|w| {
             w.send_dispatch(&d).expect("dispatch");
         });
         match &msgs[0] {
             Msg::Dispatch(back) => {
+                let (spec, sent) = (&back.spec, &d.spec);
                 assert_eq!(back.shard_index, d.shard_index);
-                assert_eq!(back.shard_count, d.shard_count);
-                assert_eq!(back.batch_size, d.batch_size);
-                assert_eq!(back.shard_budget, d.shard_budget);
-                assert_eq!(back.deadline, d.deadline);
+                assert_eq!(spec.shard_count, sent.shard_count);
+                assert_eq!(spec.batch_size, sent.batch_size);
+                assert_eq!(spec.shard_budget, sent.shard_budget);
+                assert_eq!(spec.deadline, sent.deadline);
                 assert_eq!(back.initial_credits, d.initial_credits);
-                assert_eq!(back.plan_text, d.plan_text);
-                assert_eq!(back.tables.len(), 1);
-                assert_eq!(back.tables[0].0, "t");
-                assert_eq!(back.tables[0].1.to_rows(), rel.to_rows());
+                assert_eq!(spec.plan_text, sent.plan_text);
+                assert_eq!(spec.tables.len(), 1);
+                assert_eq!(spec.tables[0].0, "t");
+                assert_eq!(spec.tables[0].1.to_rows(), rel.to_rows());
             }
             other => panic!("expected Dispatch, got {other:?}"),
         }
+    }
+
+    /// A fixed dispatch, as one shard description carries it. The same
+    /// inputs encoded to these bytes when the shard fields sat flat in
+    /// `Dispatch`, so nesting them changed nothing on the wire.
+    fn fixed_dispatch() -> Dispatch {
+        let schema = Schema::new(vec![
+            field("T", "k", DataType::Int),
+            field("T", "s", DataType::Str),
+        ]);
+        let rel = Relation::new(
+            schema,
+            vec![
+                Tuple::new(vec![Value::Int(5), Value::Str("ab".into())]),
+                Tuple::new(vec![Value::Null, Value::Str("c".into())]),
+            ],
+        )
+        .expect("relation");
+        Dispatch {
+            shard_index: 1,
+            initial_credits: 8,
+            spec: ShardSpec {
+                plan_text: "(fragment f0 (wrapper L))\n(output f0)".into(),
+                tables: vec![("t".into(), Arc::new(rel))],
+                shard_count: 3,
+                batch_size: 256,
+                shard_budget: 1 << 20,
+                deadline: Some(Duration::from_millis(2_500)),
+            },
+        }
+    }
+
+    #[test]
+    fn dispatch_bytes_are_pinned() {
+        const PINNED: &str = "\
+            03980000000100000003000000000100000000100000000000c40900000000\
+            0000080000002500000028667261676d656e74206630202877726170706572\
+            204c29290a286f757470757420663029010000000100000074020000000100\
+            000054010000006b0001000000540100000073020100000002000080020000\
+            000001010500000000000000000000000000000002000200000061620100000063";
+        let mut wire = Vec::new();
+        (FrameWriter::new(&mut wire).send_dispatch(&fixed_dispatch())).expect("dispatch");
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED);
+    }
+
+    #[test]
+    fn a_dispatch_of_a_shard_that_does_not_exist_is_refused() {
+        for (index, count) in [(0, 0), (3, 3), (7, 2)] {
+            let mut d = fixed_dispatch();
+            d.shard_index = index;
+            d.spec.shard_count = count as usize;
+            let (kind, payload) = payload_of(|w| drop(w.send_dispatch(&d)));
+            let err = decode_msg(kind, &payload).expect_err("impossible shard");
+            assert_eq!(err.kind(), "io", "{err}");
+        }
+        let (kind, payload) = payload_of(|w| drop(w.send_dispatch(&fixed_dispatch())));
+        assert!(matches!(decode_msg(kind, &payload), Ok(Msg::Dispatch(_))));
     }
 
     #[test]
@@ -914,21 +1052,23 @@ mod tests {
         let rel = Relation::empty(sample_schema());
         let d = Dispatch {
             shard_index: 0,
-            shard_count: 1,
-            batch_size: 64,
-            shard_budget: 0,
-            deadline: None,
             initial_credits: 1,
-            plan_text: String::new(),
-            tables: vec![("empty".into(), Arc::new(rel))],
+            spec: ShardSpec {
+                plan_text: String::new(),
+                tables: vec![("empty".into(), Arc::new(rel))],
+                shard_count: 1,
+                batch_size: 64,
+                shard_budget: 0,
+                deadline: None,
+            },
         };
         let msgs = roundtrip(|w| {
             w.send_dispatch(&d).expect("dispatch");
         });
         match &msgs[0] {
             Msg::Dispatch(back) => {
-                assert!(back.deadline.is_none());
-                assert!(back.tables[0].1.is_empty());
+                assert!(back.spec.deadline.is_none());
+                assert!(back.spec.tables[0].1.is_empty());
             }
             other => panic!("expected Dispatch, got {other:?}"),
         }
@@ -1056,13 +1196,15 @@ mod tests {
             let rel = Relation::new(sample_schema(), rows).expect("relation");
             drop(w.send_dispatch(&Dispatch {
                 shard_index: 0,
-                shard_count: 2,
-                batch_size: 2,
-                shard_budget: 0,
-                deadline: None,
                 initial_credits: 1,
-                plan_text: "p".into(),
-                tables: vec![("t".into(), Arc::new(rel))],
+                spec: ShardSpec {
+                    plan_text: "p".into(),
+                    tables: vec![("t".into(), Arc::new(rel))],
+                    shard_count: 2,
+                    batch_size: 2,
+                    shard_budget: 0,
+                    deadline: None,
+                },
             }))
         });
         let started = payload_of(|w| drop(w.send_started(&sample_schema())));

@@ -9,14 +9,23 @@
 //! [`tukwila_exec::ShardFilter`] — input tuples never transit the
 //! coordinator.
 //!
-//! Concurrency per connection: after the handshake, a serving thread runs
-//! one dispatch at a time and writes its frames; a reader thread, alive as
-//! long as the connection, hands each `Dispatch` to the serving thread,
-//! applies `Credit` frames to the running dispatch, and turns `Cancel` or
-//! the coordinator's EOF into a cancel — so backpressure refills and
+//! A dispatch is a fragment like any other: its [`tukwila_exec::ShardSpec`]
+//! builds the shard's root, [`tukwila_exec::run_fragment`] drives it into
+//! the wire (one send credit and one `Batch` frame per batch), and the
+//! outcome goes back as `Done` or as the typed error the coordinator's
+//! scheduler raises for it — a panic included, as `Internal`.
+//!
+//! Concurrency per connection: a peer has [`HANDSHAKE_TIMEOUT`] to say
+//! `Hello`. After the handshake, a serving thread runs one dispatch at a
+//! time and writes its frames; a reader thread, alive as long as the
+//! connection, hands each `Dispatch` to the serving thread, applies
+//! `Credit` frames to the running dispatch, and turns `Cancel` or the
+//! coordinator's EOF into a cancel — so backpressure refills and
 //! cancellation land even while the serving thread is deep inside a join
 //! build. Both threads block: in `accept`, in a socket read, or on the
-//! running dispatch's credit condvar. Nothing polls on a timer.
+//! running dispatch's credit condvar. Nothing polls on a timer. However the
+//! serving thread ends, it shuts the socket down, which ends the reader
+//! too.
 
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -28,14 +37,13 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{bounded, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use tukwila_common::{Result, TukwilaError};
-use tukwila_exec::runtime::{ExecEnv, PlanRuntime};
-use tukwila_exec::{build_shard_root, CancelKind, QueryControl, ShardStats};
-use tukwila_plan::parse_plan;
+use tukwila_common::{Result, Schema, TupleBatch};
+use tukwila_exec::{catch_panic, run_fragment, CancelKind, FragmentSink, QueryControl, ShardStats};
 use tukwila_source::SourceRegistry;
-use tukwila_storage::MemoryManager;
 
-use crate::protocol::{decode_msg, Dispatch, FrameReader, FrameWriter, Msg, NET_VERSION};
+use crate::protocol::{
+    accept_hello, decode_msg, Dispatch, FrameReader, FrameWriter, Msg, HANDSHAKE_TIMEOUT,
+};
 
 /// Name prefix of every thread a worker server starts: `net-accept` (a
 /// spawned server's accept loop), `net-serve` and `net-read` (one pair per
@@ -111,7 +119,7 @@ impl WorkerServer {
             // worker just serves the next one.
             let serving = thread::Builder::new()
                 .name(format!("{THREAD_PREFIX}serve"))
-                .spawn(move || drop(serve_conn(conn, sources)));
+                .spawn(move || drop(serve_conn(conn, sources, HANDSHAKE_TIMEOUT)));
             if let Ok(serving) = serving {
                 conns.push((handle, serving));
             }
@@ -214,10 +222,7 @@ struct Flight {
 impl Flight {
     fn new(d: &Dispatch) -> Arc<Flight> {
         Arc::new(Flight {
-            control: match d.deadline {
-                Some(budget) => QueryControl::with_deadline(budget),
-                None => QueryControl::unbounded(),
-            },
+            control: d.spec.control(),
             credits: Mutex::new(u64::from(d.initial_credits.max(1))),
             changed: Condvar::new(),
             finished: AtomicBool::new(false),
@@ -258,55 +263,53 @@ impl Flight {
     }
 }
 
-/// Serve one connection: handshake, then dispatches one after another
-/// until the coordinator hangs up.
-fn serve_conn(conn: TcpStream, sources: SourceRegistry) -> Result<()> {
+/// Serve one connection: handshake within `handshake_timeout`, then
+/// dispatches one after another until the coordinator hangs up.
+fn serve_conn(conn: TcpStream, sources: SourceRegistry, handshake_timeout: Duration) -> Result<()> {
     conn.set_nodelay(true)?;
     let mut reader = FrameReader::new(conn.try_clone()?);
     let mut writer = FrameWriter::new(conn);
-
-    match read_msg(&mut reader)? {
-        Msg::Hello { version } if version == NET_VERSION => {
-            writer.send_hello_ack()?;
-        }
-        Msg::Hello { version } => {
-            let e = TukwilaError::Io(format!(
-                "net: protocol version mismatch (worker {NET_VERSION}, coordinator {version})"
-            ));
-            let _ = writer.send_error(&e);
-            return Err(e);
-        }
-        other => {
-            return Err(TukwilaError::Io(format!(
-                "net: expected Hello, got {other:?}"
-            )))
-        }
-    }
+    accept_hello(&mut reader, &mut writer, handshake_timeout)?;
 
     let (dispatches, next) = bounded(1);
-    let reader_thread = thread::Builder::new()
-        .name(format!("{THREAD_PREFIX}read"))
-        .spawn(move || read_conn(reader, dispatches))?;
-
-    let mut outcome = Ok(());
+    let _hangup = Hangup {
+        socket: writer.get_ref().try_clone()?,
+        reader: Some(
+            thread::Builder::new()
+                .name(format!("{THREAD_PREFIX}read"))
+                .spawn(move || read_conn(reader, dispatches))?,
+        ),
+    };
     while let Ok((dispatch, flight)) = next.recv() {
         let result = run_dispatch(&dispatch, sources.clone(), &mut writer, &flight);
         flight.finished.store(true, Ordering::Release);
-        let sent = match &result {
+        match &result {
             Ok(stats) => writer.send_done(stats),
             Err(e) => writer.send_error(e),
-        };
-        if let Err(e) = sent {
-            outcome = Err(e);
-            break;
-        }
+        }?;
     }
     // The reader saw the coordinator's EOF, so nothing it sent is left
     // unread — or the coordinator can no longer be written to. Either way
-    // the connection is over; shutting it down also ends the reader.
-    let _ = writer.get_ref().shutdown(Shutdown::Both);
-    let _ = reader_thread.join();
-    outcome
+    // the connection is over.
+    Ok(())
+}
+
+/// Shuts a connection down however its serving thread leaves
+/// `serve_conn` after the handshake, then joins the reader the shutdown
+/// ends: a reader left holding the socket would keep the coordinator
+/// waiting for its EOF.
+struct Hangup {
+    socket: TcpStream,
+    reader: Option<thread::JoinHandle<()>>,
+}
+
+impl Drop for Hangup {
+    fn drop(&mut self) {
+        let _ = self.socket.shutdown(Shutdown::Both);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
 }
 
 /// The connection's reader: hands each `Dispatch` to the serving thread
@@ -349,62 +352,79 @@ fn read_conn(mut reader: FrameReader<TcpStream>, dispatches: Sender<(Box<Dispatc
     }
 }
 
-/// Execute one shard dispatch and stream its batches.
+/// Execute one shard dispatch: build the shard's root under the same
+/// panic guard the run has, run it into the wire, and turn the fragment's
+/// outcome into the shard's completion statistics or its error.
 fn run_dispatch<W: Write>(
     d: &Dispatch,
     sources: SourceRegistry,
     writer: &mut FrameWriter<W>,
     flight: &Flight,
 ) -> Result<ShardStats> {
-    let control = &flight.control;
-    let mut env = ExecEnv::new(sources).with_batch_size(d.batch_size.max(1) as usize);
-    if d.shard_budget > 0 {
-        env.memory = MemoryManager::new().with_budget(d.shard_budget as usize);
-    }
-    for (name, rel) in &d.tables {
-        env.local.put(name.clone(), (**rel).clone());
-    }
-
-    let plan = parse_plan(&d.plan_text)?;
-    let rt = PlanRuntime::for_plan_controlled(&plan, env, control.clone());
-    let frag = plan
-        .fragment(plan.output)
-        .ok_or_else(|| TukwilaError::Plan("net: dispatched plan has no output fragment".into()))?;
-    let mut op = build_shard_root(
-        &frag.root,
-        &rt,
-        d.shard_index as usize,
-        d.shard_count as usize,
-    )?;
-
-    op.open()?;
-    writer.send_started(op.schema())?;
-
-    let mut stats = ShardStats::default();
-    let result = loop {
-        if let Err(e) = control.check() {
-            break Err(e);
-        }
-        let batch = match op.next_batch() {
-            Ok(Some(b)) => b,
-            Ok(None) => break Ok(()),
-            Err(e) => break Err(e),
-        };
-        if batch.is_empty() {
-            continue;
-        }
-        if let Err(e) = flight.acquire(&mut stats.backpressure_stalls) {
-            break Err(e);
-        }
-        stats.rows += batch.len() as u64;
-        stats.batches += 1;
-        if let Err(e) = writer.send_batch(&batch) {
-            break Err(e);
-        }
+    let shard = d.shard_index as usize;
+    let (rt, frag, root) = catch_panic(format_args!("shard {shard}"), || {
+        d.spec.build(shard, sources, flight.control.clone())
+    })?;
+    let mut wire = Wire {
+        writer,
+        flight,
+        stats: ShardStats::default(),
     };
-    let closed = op.close();
-    result?;
-    closed?;
-    stats.spill_tuples = rt.env().spill.stats().tuples_written() as u64;
-    Ok(stats)
+    let report = run_fragment(frag, root, &rt, &mut wire);
+    match report.outcome.into_error(frag) {
+        Some(e) => Err(e),
+        None => Ok(ShardStats {
+            rows: report.produced,
+            spill_tuples: rt.env().spill.stats().tuples_written() as u64,
+            ..wire.stats
+        }),
+    }
+}
+
+/// The worker's fragment sink: `Started` once the shard's root opened,
+/// then one send credit and one `Batch` frame per batch.
+struct Wire<'a, W: Write> {
+    writer: &'a mut FrameWriter<W>,
+    flight: &'a Flight,
+    /// Batches sent and credit stalls.
+    stats: ShardStats,
+}
+
+impl<W: Write> FragmentSink for Wire<'_, W> {
+    fn open(&mut self, schema: &Schema) -> Result<()> {
+        self.writer.send_started(schema).map(drop)
+    }
+
+    fn batch(&mut self, batch: TupleBatch, _rows: u64, _elapsed: Duration) -> Result<()> {
+        self.flight.acquire(&mut self.stats.backpressure_stalls)?;
+        self.stats.batches += 1;
+        self.writer.send_batch(&batch).map(drop)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    /// A peer that connects and never says `Hello` is hung up on once the
+    /// handshake deadline passes, instead of holding a serving thread.
+    #[test]
+    fn a_silent_peer_is_hung_up_on_at_the_handshake_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (conn, _) = listener.accept().expect("accept");
+        let started = Instant::now();
+        let err = serve_conn(conn, SourceRegistry::new(), Duration::from_millis(50))
+            .expect_err("no Hello");
+        assert_eq!(err.kind(), "io", "{err}");
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "waited past the deadline"
+        );
+        peer.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let n = peer.read(&mut [0u8; 16]).expect("EOF, not a timeout");
+        assert_eq!(n, 0, "the worker closed the connection");
+    }
 }

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use tukwila_common::{DataType, Relation, Result, Schema, Tuple, TupleBatch, Value};
 use tukwila_exec::runtime::{ExecEnv, PlanRuntime};
-use tukwila_exec::{build_operator, drain_batches, CancelKind};
+use tukwila_exec::{build_operator, drain_batches, CancelKind, ShardSpec};
 use tukwila_net::{Cluster, Dispatch, FrameReader, FrameWriter, Msg, WorkerHandle, WorkerServer};
 use tukwila_plan::{
     print_plan, JoinKind, OpId, OverflowMethod, PlanBuilder, QueryPlan, SubjectRef,
@@ -542,25 +542,32 @@ fn a_restarted_worker_is_reached_through_a_fresh_dial() {
     assert_eq!(dials(&rt), 0, "the fresh connections went back to the pool");
 }
 
-/// A raw coordinator on one connection: handshake once, then `Dispatch`es
-/// the join `L ⋈ R` in one shard with a credit window of one and batches
-/// of one row, crediting each batch as it arrives. Returns each answer's
-/// multiset and the worker's stall count.
-fn dispatch_raw(addr: &str, times: usize) -> Vec<(HashMap<Tuple, usize>, u64)> {
+/// The join `L ⋈ R` in one shard with a credit window of one and batches
+/// of one row.
+fn join_dispatch() -> Dispatch {
     let mut b = PlanBuilder::new();
     let (ls, rs) = (b.wrapper_scan("L"), b.wrapper_scan("R"));
     let j = b.join(JoinKind::HybridHash, ls, rs, "k", "k");
     let f = b.fragment(j, "out");
-    let dispatch = Dispatch {
+    Dispatch {
         shard_index: 0,
-        shard_count: 1,
-        batch_size: 1,
-        shard_budget: 0,
-        deadline: None,
         initial_credits: 1,
-        plan_text: print_plan(&b.build(f)),
-        tables: Vec::new(),
-    };
+        spec: ShardSpec {
+            plan_text: print_plan(&b.build(f)),
+            tables: Vec::new(),
+            shard_count: 1,
+            batch_size: 1,
+            shard_budget: 0,
+            deadline: None,
+        },
+    }
+}
+
+/// A raw coordinator on one connection: handshake once, then `Dispatch`es
+/// [`join_dispatch`], crediting each batch as it arrives. Returns each
+/// answer's multiset and the worker's stall count.
+fn dispatch_raw(addr: &str, times: usize) -> Vec<(HashMap<Tuple, usize>, u64)> {
+    let dispatch = join_dispatch();
     let conn = std::net::TcpStream::connect(addr).expect("connect");
     conn.set_nodelay(true).expect("nodelay");
     let mut reader = FrameReader::new(conn.try_clone().expect("clone"));
@@ -609,6 +616,42 @@ fn a_one_credit_window_stalls_and_stays_exact() {
         assert_eq!(out, gold);
         assert!(stalls > 0, "a one-credit window never ran dry");
     }
+}
+
+/// A dispatch of a shard that does not exist — of no shards at all, or at
+/// or past the shard count — is refused when the worker decodes it: the
+/// worker hangs up instead of answering for a wrong shard.
+#[test]
+fn a_dispatch_of_a_shard_that_does_not_exist_is_refused() {
+    let (l, r) = (keyed_rows(40, 4, None), keyed_rows(30, 4, None));
+    let worker = WorkerServer::bind("127.0.0.1:0", registry(&l, &r))
+        .expect("bind worker")
+        .spawn()
+        .expect("spawn worker");
+    let addr = worker.addr();
+    within(60, "impossible dispatches", move || {
+        for (index, count) in [(0, 0), (2, 2)] {
+            let mut dispatch = join_dispatch();
+            dispatch.shard_index = index;
+            dispatch.spec.shard_count = count;
+            let conn = std::net::TcpStream::connect(&addr).expect("connect");
+            conn.set_nodelay(true).expect("nodelay");
+            let mut reader = FrameReader::new(conn.try_clone().expect("clone"));
+            let mut writer = FrameWriter::new(conn);
+            let mut next = move || loop {
+                if let Some((kind, payload)) = reader.read_frame()? {
+                    break tukwila_net::decode_msg(kind, payload);
+                }
+            };
+            writer.send_hello().expect("hello");
+            assert!(matches!(next(), Ok(Msg::HelloAck { .. })));
+            writer.send_dispatch(&dispatch).expect("dispatch");
+            match next() {
+                Err(e) => assert_eq!(e.kind(), "io", "{e}"),
+                Ok(msg) => panic!("shard {index} of {count} answered {msg:?}"),
+            }
+        }
+    });
 }
 
 /// A query cancelled while its worker waits for credit (the consumer

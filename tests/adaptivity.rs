@@ -4,11 +4,22 @@
 
 use std::time::Duration;
 
-use tukwila::exec::{run_fragment, ExecEnv, FragmentOutcome, PlanRuntime};
+use tukwila::exec::{
+    build_operator, run_fragment, ExecEnv, FragmentOutcome, FragmentReport, Materialize,
+    PlanRuntime,
+};
 use tukwila::plan::{
-    Action, Condition, EventKind, EventPattern, JoinKind, PlanBuilder, Rule, SubjectRef,
+    Action, Condition, EventKind, EventPattern, FragmentId, JoinKind, PlanBuilder, QueryPlan, Rule,
+    SubjectRef,
 };
 use tukwila::prelude::*;
+
+/// Build fragment `f` of `plan` and run it into the local store.
+fn run(plan: &QueryPlan, f: FragmentId, rt: &std::sync::Arc<PlanRuntime>) -> FragmentReport {
+    let frag = plan.fragment(f).unwrap();
+    let root = build_operator(&frag.root, rt).unwrap();
+    run_fragment(f, root, rt, &mut Materialize::new(&frag.materialize_as))
+}
 
 fn keyed(name: &str, n: i64) -> Relation {
     let schema = Schema::of(name, &[("k", DataType::Int), ("v", DataType::Int)]);
@@ -72,24 +83,24 @@ fn query_scrambling_runs_independent_fragment_first() {
     let rt = PlanRuntime::for_plan(&plan, env.clone());
 
     // First attempt at AB stalls and is rescheduled by its rule.
-    let r1 = run_fragment(&plan, f_ab, &rt, &mut |_, _| {}).unwrap();
+    let r1 = run(&plan, f_ab, &rt);
     assert_eq!(r1.outcome, FragmentOutcome::Rescheduled);
 
     // Scrambling: run the independent DE fragment while A recovers.
-    let r2 = run_fragment(&plan, f_de, &rt, &mut |_, _| {}).unwrap();
+    let r2 = run(&plan, f_de, &rt);
     assert!(matches!(r2.outcome, FragmentOutcome::Completed { .. }));
 
     // Retry AB — the stall has passed. (Reset restores plan-default
     // activation undone by the aborted run's cancellation.)
     rt.reset_fragment(plan.fragment(f_ab).unwrap());
-    let r3 = run_fragment(&plan, f_ab, &rt, &mut |_, _| {}).unwrap();
+    let r3 = run(&plan, f_ab, &rt);
     assert!(
         matches!(r3.outcome, FragmentOutcome::Completed { .. }),
         "retry after scrambling should succeed: {:?}",
         r3.outcome
     );
 
-    let r4 = run_fragment(&plan, f_top, &rt, &mut |_, _| {}).unwrap();
+    let r4 = run(&plan, f_top, &rt);
     assert!(matches!(r4.outcome, FragmentOutcome::Completed { .. }));
     assert!(env.local.cardinality("result").unwrap() > 0);
 }
@@ -160,13 +171,13 @@ fn choose_node_selects_fragment_by_observed_cardinality() {
     assert!(!rt.is_active(SubjectRef::Fragment(f1)));
     assert!(!rt.is_active(SubjectRef::Fragment(f2)));
 
-    let r = run_fragment(&plan, f0, &rt, &mut |_, _| {}).unwrap();
+    let r = run(&plan, f0, &rt);
     assert!(matches!(r.outcome, FragmentOutcome::Completed { .. }));
     // 50 tuples ≥ 30 → the "big" branch activates
     assert!(rt.is_active(SubjectRef::Fragment(f1)));
     assert!(!rt.is_active(SubjectRef::Fragment(f2)));
 
-    let r = run_fragment(&plan, f1, &rt, &mut |_, _| {}).unwrap();
+    let r = run(&plan, f1, &rt);
     assert!(matches!(r.outcome, FragmentOutcome::Completed { .. }));
     assert_eq!(env.local.cardinality("result"), Some(5));
 }
@@ -251,7 +262,7 @@ fn paper_collector_policy_timeout_path() {
 
     let env = ExecEnv::new(registry);
     let rt = PlanRuntime::for_plan(&plan, env.clone());
-    let r = run_fragment(&plan, f, &rt, &mut |_, _| {}).unwrap();
+    let r = run(&plan, f, &rt);
     assert!(matches!(r.outcome, FragmentOutcome::Completed { .. }));
     let result = env.local.get("result").unwrap();
     // C delivered everything; A was stuck at 0; B was killed before 10.

@@ -21,7 +21,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use tukwila::exec::{build_operator, run_fragment, ExecEnv, FragmentOutcome, PlanRuntime};
+use tukwila::exec::{
+    build_operator, run_fragment, ExecEnv, FragmentOutcome, Materialize, PlanRuntime,
+};
 use tukwila::plan::{OverflowMethod, PlanBuilder};
 use tukwila::prelude::*;
 
@@ -81,14 +83,13 @@ fn run_dpj_with(
 
     let env = ExecEnv::new(registry);
     let rt = PlanRuntime::for_plan(&plan, env.clone());
-    let report = run_fragment(&plan, frag, &rt, &mut |_, _| {}).expect("fragment");
+    let root = build_operator(&plan.fragments[0].root, &rt).expect("build");
+    let report = run_fragment(frag, root, &rt, &mut Materialize::new("out"));
     let card = match report.outcome {
         FragmentOutcome::Completed { cardinality, .. } => cardinality,
         other => panic!("unexpected outcome {other:?}"),
     };
     let stats = env.spill.stats();
-    let _ = build_operator;
-    let _ = Duration::ZERO;
     (stats.tuples_written(), stats.tuples_read(), card)
 }
 

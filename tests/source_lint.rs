@@ -46,9 +46,13 @@
 //!     `BatchAssembler`, `from_tuples`, `materialize_rows` or
 //!     `Column::Values`: a batch is typed columns from source to sink, on
 //!     the wire and in spill files (DESIGN.md §11).
+//! 11. **One fragment runner.** No non-test file under `crates/net/src` or
+//!     `crates/core/src` calls `.next_batch()`: a fragment's root, at the
+//!     coordinator or in a worker, is driven only by `run_fragment` in
+//!     `crates/exec/src/fragment.rs`, into a sink (DESIGN.md §8, §12).
 //!
-//! All checks are text-based (no extra dependencies); 1–3, 5, 6, 8, 9 and
-//! 10 skip `*_tests.rs` files, `tests/` directories, and everything at or
+//! All checks are text-based (no extra dependencies); 1–3, 5, 6 and 8–11
+//! skip `*_tests.rs` files, `tests/` directories, and everything at or
 //! below the first `#[cfg(test)]` line of a file (test modules sit at
 //! file end by convention here).
 
@@ -594,6 +598,31 @@ fn one_batch_representation() {
         hits.is_empty(),
         "batches are typed columns from source to sink, on the wire and in \
          spill files (DESIGN.md §11):\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn one_fragment_runner() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates/net/src", "crates/core/src"] {
+        rust_sources(&root.join(dir), false, &mut files);
+    }
+    assert!(files.len() > 5, "net and core sources not found");
+    let mut hits = Vec::new();
+    for file in &files {
+        for (i, line) in non_test_lines(file).iter().enumerate() {
+            if code_only(line).contains(".next_batch()") {
+                let rel = file.strip_prefix(&root).unwrap().display();
+                hits.push(format!("{rel}:{}: {}", i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "fragment roots are driven only by run_fragment in \
+         crates/exec/src/fragment.rs (DESIGN.md §8, §12):\n{}",
         hits.join("\n")
     );
 }
