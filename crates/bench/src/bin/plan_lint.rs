@@ -12,7 +12,7 @@
 //! ```
 //!
 //! * `--json` — one machine-readable report object per file (the
-//!   [`tukwila_plan::diag::Report::to_json`] shape, wrapped with the file
+//!   [`tukwila_plan::diag::Report::json`] shape, wrapped with the file
 //!   name) instead of rustc-style rendered diagnostics;
 //! * `--max-parallelism N` — enable the TA031 partition-count bound;
 //! * `--codes` — print the diagnostic code registry and exit.
@@ -23,7 +23,8 @@
 use std::process::ExitCode;
 
 use tukwila_analyze::Analyzer;
-use tukwila_plan::diag::{codes, json_str};
+use tukwila_common::JsonValue;
+use tukwila_plan::diag::codes;
 use tukwila_plan::parse_plan_unchecked;
 
 fn usage() -> ExitCode {
@@ -93,12 +94,12 @@ fn main() -> ExitCode {
         let report = analyzer.analyze(&plan);
         any_error |= report.error_count() > 0;
         if json {
-            // `{"file": ..., "report": <Report::to_json shape>}`
-            println!(
-                "{{\"file\":{},\"report\":{}}}",
-                json_str(file),
-                report.to_json()
-            );
+            // `{"file": ..., "report": <Report::json shape>}`
+            let line = JsonValue::Obj(vec![
+                ("file".into(), JsonValue::Str(file.clone())),
+                ("report".into(), report.json()),
+            ]);
+            println!("{}", line.to_json());
         } else if report.diagnostics.is_empty() {
             println!("{file}: clean");
         } else {

@@ -11,10 +11,10 @@
 //!   coordinator — not a hang — and the dead shard's lease on the
 //!   coordinator's memory governor is released.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tukwila_common::testing::multiset;
 use tukwila_common::{tuple, DataType, Relation, Result, Schema, Tuple};
 use tukwila_exec::runtime::PlanRuntime;
 use tukwila_exec::{build_operator, drain, ExecEnv};
@@ -89,14 +89,6 @@ fn run_plan(env: ExecEnv, plan: &QueryPlan) -> Result<Vec<Tuple>> {
     let rt = PlanRuntime::for_plan(plan, env);
     let mut op = build_operator(&plan.fragments[0].root, &rt)?;
     drain(op.as_mut())
-}
-
-fn multiset(tuples: &[Tuple]) -> HashMap<Tuple, usize> {
-    let mut m = HashMap::new();
-    for t in tuples {
-        *m.entry(t.clone()).or_insert(0) += 1;
-    }
-    m
 }
 
 #[test]

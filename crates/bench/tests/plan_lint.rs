@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use tukwila_trace::JsonValue;
+use tukwila_common::JsonValue;
 
 #[test]
 fn json_output_escapes_any_file_name() {

@@ -17,7 +17,7 @@
 //! * **key prehashing** ([`Column::hash_append`]) produces the per-row hash
 //!   vector the joins, exchange routing, and bucketed tables consume,
 //!   replicating `Value::hash`'s byte sequence exactly, so a key hashes
-//!   alike from a column and from an owned [`crate::JoinKey`];
+//!   alike from a column and from its `Value`;
 //! * **gather** ([`Column::gather`]) applies a selection by index — late
 //!   materialization instead of row-wise rebuilds.
 //!
@@ -255,10 +255,9 @@ impl Selection {
 //
 // Each kernel replicates `Value::hash` through `FxHasher` *by construction*:
 // it performs the identical `Hash` calls (type-tag byte, then payload), so
-// hash(column kernel) ≡ hash(per-tuple `JoinKey`) for every type — bucket
-// and partition routing are byte-stable across the row/columnar refactor.
-// Pinned by `hash_kernel_matches_value_hash` below and the exec-side
-// equivalence suite.
+// hash(column kernel) ≡ hash(`Value`) for every type — bucket and
+// partition routing are byte-stable across the row/columnar refactor.
+// Pinned by `hash_kernel_matches_value_hash` below.
 
 #[inline]
 fn hash_int_into(h: &mut FxHasher, v: i64) {
@@ -851,48 +850,6 @@ impl Column {
             },
         }
     }
-
-    /// Composite-key kernel step: fold this column's values into the per-row
-    /// hasher states (`None` = a NULL component was seen; the row's key
-    /// never joins). Feeding the columns of a composite key left-to-right
-    /// reproduces `KeyVector::hash_tuple_key` exactly.
-    pub fn hash_fold(&self, acc: &mut [Option<FxHasher>]) {
-        debug_assert_eq!(acc.len(), self.len());
-        match self {
-            Column::Int64(v, b) => {
-                for (i, &x) in v.iter().enumerate() {
-                    match &mut acc[i] {
-                        Some(h) if Self::valid(b, i) => hash_int_into(h, x),
-                        slot => *slot = if Self::valid(b, i) { slot.take() } else { None },
-                    }
-                }
-            }
-            Column::Float64(v, b) => {
-                for (i, &x) in v.iter().enumerate() {
-                    match &mut acc[i] {
-                        Some(h) if Self::valid(b, i) => hash_double_into(h, x),
-                        slot => *slot = if Self::valid(b, i) { slot.take() } else { None },
-                    }
-                }
-            }
-            Column::Str(v, b) => {
-                for (i, x) in v.iter().enumerate() {
-                    match &mut acc[i] {
-                        Some(h) if Self::valid(b, i) => hash_str_into(h, x),
-                        slot => *slot = if Self::valid(b, i) { slot.take() } else { None },
-                    }
-                }
-            }
-            Column::Date(v, b) => {
-                for (i, &x) in v.iter().enumerate() {
-                    match &mut acc[i] {
-                        Some(h) if Self::valid(b, i) => hash_date_into(h, x),
-                        slot => *slot = if Self::valid(b, i) { slot.take() } else { None },
-                    }
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1477,24 +1434,6 @@ mod tests {
     }
 
     #[test]
-    fn composite_hash_fold_matches_row_path() {
-        let rows = vec![
-            tuple![1, "a", 2.5],
-            Tuple::new(vec![Value::Int(2), Value::Null, Value::Double(0.5)]),
-        ];
-        let cb = columns(&rows);
-        let cols = [0usize, 1, 2];
-        let mut acc: Vec<Option<FxHasher>> = vec![Some(FxHasher::new()); rows.len()];
-        for &c in &cols {
-            cb.col(c).hash_fold(&mut acc);
-        }
-        for (i, t) in rows.iter().enumerate() {
-            let want = crate::KeyVector::hash_tuple_key(t, &cols);
-            assert_eq!(acc[i].map(|h| h.finish()), want, "row {i}");
-        }
-    }
-
-    #[test]
     fn payload_bytes_counts_strings() {
         let cb = columns(&[tuple![1, "abcd"], tuple![2, "ef"]]);
         assert_eq!(cb.payload_bytes(), 6);
@@ -1624,14 +1563,6 @@ mod tests {
             col.hash_append(&mut got);
             plain.hash_append(&mut want);
             prop_assert_eq!(got, want);
-            let fold = |c: &Column| {
-                let mut acc = vec![Some(FxHasher::new()); c.len()];
-                c.hash_fold(&mut acc);
-                acc.into_iter()
-                    .map(|h| h.map(|h| h.finish()))
-                    .collect::<Vec<_>>()
-            };
-            prop_assert_eq!(fold(col), fold(&plain));
             // write_strided, through the row materialization it serves.
             let rows = |c: &Column| ColumnarBatch::new(c.len(), vec![c.clone()]).to_rows();
             prop_assert_eq!(rows(col), rows(&plain));

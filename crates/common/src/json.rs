@@ -1,8 +1,10 @@
-//! Self-contained JSON support for trace export.
+//! The workspace's one JSON writer and reader.
 //!
-//! The workspace has no JSON library, so the trace exporter hand-writes
-//! its JSON (like `tukwila-plan`'s diagnostics) and carries a small recursive-descent parser so a snapshot can be read
-//! back — the round-trip the proptest in `tests/` pins down.
+//! The workspace has no JSON library. Every JSON document it writes — a
+//! trace snapshot, a `plan-lint --json` report — is a [`JsonValue`]
+//! serialized by [`JsonValue::to_json`], and [`JsonValue::parse`], a small
+//! recursive-descent parser, reads one back (the trace round-trip test
+//! pins the pair down).
 
 use std::fmt::Write as _;
 
@@ -138,7 +140,7 @@ impl JsonValue {
 }
 
 /// Escape and quote `s` as a JSON string.
-pub(crate) fn write_escaped(out: &mut String, s: &str) {
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -25,6 +25,7 @@ pub mod batch;
 pub mod column;
 pub mod error;
 pub mod hash;
+pub mod json;
 pub mod key;
 pub mod relation;
 pub mod schema;
@@ -64,7 +65,8 @@ pub use error::{Result, TukwilaError};
 pub use hash::{
     fold_hash, fx_hash, mix, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, PrehashMap,
 };
-pub use key::{JoinKey, KeyVector};
+pub use json::JsonValue;
+pub use key::KeyVector;
 pub use relation::Relation;
 pub use schema::{Field, Schema};
 pub use tuple::Tuple;

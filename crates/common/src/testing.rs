@@ -1,10 +1,16 @@
-//! Literal rows for tests and examples.
+//! Literal rows and answer bags for tests and examples.
 //!
 //! Engine code takes a column's type from the schema. A test that writes
 //! its data as `tuple![…]` rows has no schema at hand, so these helpers
 //! name one: each column's type is that of its first non-NULL value (`INT`
 //! when there is none). A later value of another type panics, as a test
 //! that mixes types in one column is wrong.
+//!
+//! Every test that compares an answer irrespective of order compares
+//! [`multiset`]s.
+
+use std::borrow::Borrow;
+use std::collections::HashMap;
 
 use crate::column::ColumnarBatch;
 use crate::schema::{Field, Schema};
@@ -39,4 +45,13 @@ pub fn columns(rows: &[Tuple]) -> ColumnarBatch {
 /// `rows` as one batch of typed columns (see [`columns`]).
 pub fn batch(rows: &[Tuple]) -> TupleBatch {
     TupleBatch::from_columns(columns(rows))
+}
+
+/// `rows` as a bag: each distinct row with its multiplicity.
+pub fn multiset<T: Borrow<Tuple>>(rows: impl IntoIterator<Item = T>) -> HashMap<Tuple, usize> {
+    let mut bag = HashMap::new();
+    for t in rows {
+        *bag.entry(t.borrow().clone()).or_insert(0) += 1;
+    }
+    bag
 }

@@ -108,12 +108,6 @@ impl Tuple {
         Tuple::new(out)
     }
 
-    /// Extract the join key for `key_cols` as an owned [`crate::JoinKey`]
-    /// (inline for one- and two-column keys — no `Vec` allocation).
-    pub fn key(&self, key_cols: &[usize]) -> crate::JoinKey {
-        crate::JoinKey::from_tuple(self, key_cols)
-    }
-
     /// Return a tuple owning exactly its own values. A no-op for tuples
     /// that already own their whole block; a partial view into a shared
     /// batch block is copied out. Long-term retainers whose memory
@@ -225,16 +219,6 @@ mod tests {
         let t = tuple![10, 20, 30];
         let p = t.project(&[2, 0]);
         assert_eq!(p, tuple![30, 10]);
-    }
-
-    #[test]
-    fn key_extraction() {
-        let t = tuple![10, "k", 30];
-        assert_eq!(t.key(&[1]), crate::JoinKey::One(Value::str("k")));
-        assert_eq!(
-            t.key(&[0, 2]),
-            crate::JoinKey::Pair(Value::Int(10), Value::Int(30))
-        );
     }
 
     #[test]

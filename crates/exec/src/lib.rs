@@ -26,6 +26,8 @@
 //!   sink (the local store at the coordinator, the wire at a worker) and
 //!   reports statistics; interleaved planning/execution (crate
 //!   `tukwila-core`) loops over this.
+//! * [`testing`] — scripted join inputs with a chosen arrival order, for
+//!   tests of the overflow counts here and in the root crate.
 
 pub mod build;
 pub mod control;
@@ -35,6 +37,7 @@ pub mod operator;
 pub mod operators;
 pub mod runtime;
 pub mod shard;
+pub mod testing;
 
 #[cfg(test)]
 pub(crate) mod test_support;
@@ -45,7 +48,7 @@ pub use feeder::Feeders;
 pub use fragment::{
     catch_panic, run_fragment, FragmentOutcome, FragmentReport, FragmentSink, Materialize,
 };
-pub use operator::{drain, drain_batches, drain_tuples, Operator, OperatorBox, TupleCursor};
+pub use operator::{drain, drain_batches, Operator, OperatorBox};
 pub use operators::{PartitionStream, PartitionTransport};
 pub use runtime::{
     CacheCounts, EngineSignal, ExchangeSpill, ExecEnv, OpHarness, ParallelStats, PlanRuntime,

@@ -12,8 +12,7 @@
 //! statistics updates over whole blocks while keeping the paper's
 //! adaptivity — a batch is handed downstream as soon as it exists, never
 //! held back to fill, so time-to-first-output matches the tuple-at-a-time
-//! engine. Consumers that genuinely need single tuples (tests comparing
-//! the per-tuple view with the batched one) pull through a [`TupleCursor`].
+//! engine.
 //!
 //! Contract:
 //! * `next_batch` returns `Ok(Some(batch))` with a **non-empty** batch, or
@@ -45,34 +44,6 @@ pub trait Operator: Send {
 /// Boxed operator (the tree edge type).
 pub type OperatorBox = Box<dyn Operator>;
 
-/// Single-tuple adapter over a batched operator: holds the current batch's
-/// rows and yields one tuple per call, for tests that need tuple
-/// granularity; the operators themselves are all natively batched.
-#[derive(Default)]
-pub struct TupleCursor {
-    rows: std::vec::IntoIter<Tuple>,
-}
-
-impl TupleCursor {
-    /// Fresh cursor with no buffered batch.
-    pub fn new() -> Self {
-        TupleCursor::default()
-    }
-
-    /// Next tuple from `op`, pulling a new batch when the buffer runs dry.
-    pub fn next(&mut self, op: &mut dyn Operator) -> Result<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.rows.next() {
-                return Ok(Some(t));
-            }
-            match op.next_batch()? {
-                Some(batch) => self.rows = batch.to_rows().into_iter(),
-                None => return Ok(None),
-            }
-        }
-    }
-}
-
 /// Drain an operator to completion (open → next_batch* → close),
 /// collecting output tuples. Test/bench helper — goes through the batch
 /// path, so every drain-based test exercises the batched contract.
@@ -95,20 +66,6 @@ pub fn drain_batches(op: &mut dyn Operator) -> Result<Vec<TupleBatch>> {
     while let Some(batch) = op.next_batch()? {
         debug_assert!(!batch.is_empty(), "operators must not emit empty batches");
         out.push(batch);
-    }
-    op.close()?;
-    Ok(out)
-}
-
-/// Drain an operator through the single-tuple adapter (open → cursor pulls
-/// → close). Used by equivalence tests to compare the per-tuple view with
-/// the batched view of the same stream.
-pub fn drain_tuples(op: &mut dyn Operator) -> Result<Vec<Tuple>> {
-    op.open()?;
-    let mut cursor = TupleCursor::new();
-    let mut out = Vec::new();
-    while let Some(t) = cursor.next(op)? {
-        out.push(t);
     }
     op.close()?;
     Ok(out)

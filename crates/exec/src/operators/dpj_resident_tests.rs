@@ -1,90 +1,31 @@
-//! The columnar-resident hash join against the nested-loop reference, in
-//! memory and through overflow.
+//! The columnar-resident hash join through overflow, beyond its answers
+//! (which `tests/oracle.rs` checks against the one reference): typed
+//! errors, what is charged, what is copied, and — in one pinned run with a
+//! fully ordered arrival — every spill counter and the peak against fixed
+//! numbers.
 //!
-//! Inputs are scripted batches rather than sources, so a test chooses the
-//! key type, the batch size and roughly who arrives first. The matrix checks answers and that the governor ends
-//! at zero; one pinned run with a fully ordered arrival checks every spill
-//! counter and the peak against fixed numbers.
+//! Inputs are scripted batches ([`crate::testing::Scripted`]) rather than
+//! sources, so a test chooses the key type, the batch size and who arrives
+//! first.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use tukwila_common::{ColumnarBatch, DataType, Relation, Result, Schema, Tuple, TupleBatch, Value};
+use tukwila_common::{DataType, Relation, Schema, Tuple, TupleBatch, Value};
 use tukwila_plan::{JoinKind, OverflowMethod, SubjectRef};
 use tukwila_source::LinkModel;
-use tukwila_trace::{OpMetrics, TraceLevel};
+use tukwila_trace::TraceLevel;
 
 use crate::operator::{drain, Operator};
 use crate::operators::HashJoin;
 use crate::runtime::{ExecEnv, PlanRuntime};
 use crate::test_support::JoinFixture;
-
-/// When a scripted input hands over its next batch.
-enum Pace {
-    /// Sleep once before the first batch (the other input goes first).
-    After(Duration),
-    /// Hand over batch `i` once the join has received `at[i]` rows in
-    /// total, and end once it has received `at[len]`: with at most one
-    /// message in flight the join sees exactly the scripted order.
-    Ordered(Arc<OpMetrics>, Vec<u64>),
-}
-
-/// An operator that plays back prepared batches.
-struct Scripted {
-    schema: Schema,
-    batches: VecDeque<TupleBatch>,
-    pace: Pace,
-    served: usize,
-}
-
-impl Operator for Scripted {
-    fn open(&mut self) -> Result<()> {
-        Ok(())
-    }
-
-    fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
-        match &self.pace {
-            Pace::After(delay) if self.served == 0 => std::thread::sleep(*delay),
-            Pace::After(_) => {}
-            Pace::Ordered(received, at) => {
-                while received.snapshot().rows_in < at[self.served] {
-                    std::thread::yield_now();
-                }
-            }
-        }
-        self.served += 1;
-        Ok(self.batches.pop_front())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        Ok(())
-    }
-
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn name(&self) -> &'static str {
-        "scripted"
-    }
-}
-
-/// Cut `rel` into batches of `size` rows, each built from rows with its
-/// own string segment (what another join, a builder or the wire hands
-/// over).
-fn batches_of(rel: &Relation, size: usize) -> VecDeque<TupleBatch> {
-    rel.to_rows()
-        .chunks(size)
-        .map(|rows| TupleBatch::from_columns(ColumnarBatch::from_rows(rel.schema(), rows).unwrap()))
-        .collect()
-}
+use crate::testing::{ordered_arrival, Pace, Scripted};
 
 #[derive(Clone, Copy, Debug)]
 enum KeyKind {
     Int,
     Str,
-    Double,
 }
 
 /// `n` rows `(key(i % distinct), i, "payload-i")`; with `nulls`, every
@@ -93,7 +34,6 @@ fn keyed(name: &str, kind: KeyKind, n: i64, distinct: i64, nulls: bool) -> Relat
     let key_type = match kind {
         KeyKind::Int => DataType::Int,
         KeyKind::Str => DataType::Str,
-        KeyKind::Double => DataType::Double,
     };
     let schema = Schema::of(
         name,
@@ -108,8 +48,6 @@ fn keyed(name: &str, kind: KeyKind, n: i64, distinct: i64, nulls: bool) -> Relat
             match kind {
                 KeyKind::Int => Value::Int(k),
                 KeyKind::Str => Value::str(format!("key-{k}")),
-                // -0.0 and 0.0 are different keys, as in `Value` equality.
-                KeyKind::Double => Value::Double(if k == 0 { -0.0 } else { k as f64 / 2.0 }),
             }
         };
         r.push(Tuple::new(vec![
@@ -167,104 +105,6 @@ fn run_of(
     Run { fx, join }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Arrival {
-    LeftFirst,
-    RightFirst,
-    Interleaved,
-}
-
-/// {Int, Str, Double keys} × {duplicate keys, NULL keys, one empty side} ×
-/// {batch 1, 7, 256} × {no budget, a budget that overflows mid-stream
-/// under every overflow method} × {left-first, right-first, interleaved}:
-/// the answer is the nested-loop reference's and the governor ends at 0.
-#[test]
-fn resident_join_matches_reference_across_the_matrix() {
-    let head_start = Duration::from_millis(5);
-    for kind in [KeyKind::Int, KeyKind::Str, KeyKind::Double] {
-        let shapes = [
-            (
-                "duplicates",
-                keyed("l", kind, 90, 9, false),
-                keyed("r", kind, 60, 12, false),
-            ),
-            (
-                "null keys",
-                keyed("l", kind, 90, 9, true),
-                keyed("r", kind, 60, 12, true),
-            ),
-            (
-                "empty side",
-                keyed("l", kind, 90, 9, false),
-                keyed("r", kind, 0, 1, false),
-            ),
-        ];
-        for (shape, l, r) in &shapes {
-            let tight = (l.mem_size() + r.mem_size()) / 4;
-            let budgets = [
-                (OverflowMethod::IncrementalLeftFlush, None),
-                (OverflowMethod::IncrementalLeftFlush, Some(tight)),
-                (OverflowMethod::IncrementalSymmetricFlush, Some(tight)),
-                (OverflowMethod::FlushAllLeft, Some(tight)),
-                (OverflowMethod::Fail, Some(tight)),
-            ];
-            for batch_size in [1usize, 7, 256] {
-                for (method, budget) in budgets {
-                    for arrival in [
-                        Arrival::LeftFirst,
-                        Arrival::RightFirst,
-                        Arrival::Interleaved,
-                    ] {
-                        let case = format!(
-                            "{kind:?} keys, {shape}, batch {batch_size}, {method:?} budget {budget:?}, {arrival:?}"
-                        );
-                        let (wait_l, wait_r) = match arrival {
-                            Arrival::LeftFirst => (Duration::ZERO, head_start),
-                            Arrival::RightFirst => (head_start, Duration::ZERO),
-                            Arrival::Interleaved => (Duration::ZERO, Duration::ZERO),
-                        };
-                        let mut run =
-                            run_of(l, r, method, budget, batch_size, TraceLevel::Off, |_| {
-                                [(l, wait_l), (r, wait_r)].map(|(rel, wait)| Scripted {
-                                    schema: rel.schema().clone(),
-                                    batches: batches_of(rel, batch_size),
-                                    pace: Pace::After(wait),
-                                    served: 0,
-                                })
-                            });
-                        let out = drain(&mut run.join);
-                        if out.is_err() {
-                            run.join.close().expect("close after a failed pull");
-                        }
-                        let memory = &run.fx.rt.env().memory;
-                        assert_eq!(memory.total_used(), 0, "{case}: governor not back at 0");
-                        // With both inputs non-empty the budget is exceeded
-                        // whatever the arrival order; with one side empty it
-                        // depends on whether that side's end came first.
-                        let must_overflow = budget.is_some() && !r.is_empty();
-                        let spilled = run.fx.rt.env().spill.stats().tuples_written();
-                        match out {
-                            Err(e) => {
-                                assert_eq!(method, OverflowMethod::Fail, "{case}: {e}");
-                                assert_eq!(e.kind(), "out_of_memory", "{case}");
-                            }
-                            Ok(rows) => {
-                                run.fx.assert_gold(rows);
-                                if method == OverflowMethod::Fail || budget.is_none() {
-                                    assert!(!must_overflow, "{case}: Fail must fail");
-                                    assert_eq!(spilled, 0, "{case}");
-                                } else if must_overflow {
-                                    assert!(spilled > 0, "{case}: the budget must overflow");
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// A block of NULLs only is a typed column with a clear validity bitmap,
 /// so it joins like any other block; a block whose column holds another
 /// type than the earlier blocks' is a typed `Schema` error, and closing
@@ -288,17 +128,12 @@ fn a_block_of_another_column_type_is_a_typed_error() {
             TraceLevel::Off,
             |_| {
                 [(&l, Duration::ZERO), (&r, Duration::from_millis(5))].map(|(rel, wait)| {
-                    let mut batches = batches_of(rel, 3);
+                    let mut script = Scripted::new(rel, 3, Pace::After(wait));
                     if strings && rel.schema() == l.schema() {
                         let rows = [row(0, Value::str("x")), row(1, Value::Null)];
-                        batches[1] = tukwila_common::testing::batch(&rows);
+                        script.batches[1] = tukwila_common::testing::batch(&rows);
                     }
-                    Scripted {
-                        schema: rel.schema().clone(),
-                        batches,
-                        pace: Pace::After(wait),
-                        served: 0,
-                    }
+                    script
                 })
             },
         );
@@ -341,18 +176,8 @@ fn spill_bucket_creation_failure_is_a_typed_error() {
     fx.rt = PlanRuntime::for_plan(&fx.plan, env);
     let mut join = HashJoin::new(
         JoinKind::DoublePipelined,
-        Box::new(Scripted {
-            schema: l.schema().clone(),
-            batches: batches_of(&l, 16),
-            pace: Pace::After(Duration::ZERO),
-            served: 0,
-        }),
-        Box::new(Scripted {
-            schema: r.schema().clone(),
-            batches: batches_of(&r, 16),
-            pace: Pace::After(Duration::ZERO),
-            served: 0,
-        }),
+        Box::new(Scripted::new(&l, 16, Pace::After(Duration::ZERO))),
+        Box::new(Scripted::new(&r, 16, Pace::After(Duration::ZERO))),
         "k".into(),
         "k".into(),
         fx.harness(fx.join_id),
@@ -377,12 +202,8 @@ fn nothing_is_charged_once_the_opposite_input_is_complete() {
         16,
         TraceLevel::Off,
         |_| {
-            [(&l, Duration::from_millis(20)), (&r, Duration::ZERO)].map(|(rel, wait)| Scripted {
-                schema: rel.schema().clone(),
-                batches: batches_of(rel, 16),
-                pace: Pace::After(wait),
-                served: 0,
-            })
+            [(&l, Duration::from_millis(20)), (&r, Duration::ZERO)]
+                .map(|(rel, wait)| Scripted::new(rel, 16, Pace::After(wait)))
         },
     );
     assert!(drain(&mut run.join).unwrap().is_empty());
@@ -465,36 +286,6 @@ fn spill_counters_are_pinned() {
     };
     let (ls, rs) = (sizes(&l), sizes(&r));
 
-    // `at` vectors of the ordered arrival (see `Pace::Ordered`): batches
-    // alternate and both inputs end last, or (`lead`) that many left
-    // batches come first, then the whole right input and its end, then
-    // the rest of the left.
-    let schedule = |lead: Option<usize>| -> [Vec<u64>; 2] {
-        let order: Vec<usize> = match lead {
-            Some(n) => std::iter::repeat_n(0, n)
-                .chain(std::iter::repeat_n(1, rs.len()))
-                .chain(std::iter::repeat_n(0, ls.len() - n))
-                .collect(),
-            None => (0..ls.len().max(rs.len()))
-                .flat_map(|i| [(i < ls.len()).then_some(0), (i < rs.len()).then_some(1)])
-                .flatten()
-                .collect(),
-        };
-        let (mut at, mut next, mut sent) = ([Vec::new(), Vec::new()], [0, 0], 0u64);
-        for side in order {
-            at[side].push(sent);
-            sent += [&ls, &rs][side][next[side]];
-            next[side] += 1;
-            if lead.is_some() && side == 1 && next[1] == rs.len() {
-                at[1].push(sent);
-            }
-        }
-        at[0].push(sent);
-        if lead.is_none() {
-            at[1].push(sent);
-        }
-        at
-    };
     let measure = |join: Pinned, budget: usize, file: bool| -> Counters {
         let (kind, method) = match join {
             Pinned::Dpj(m) => (JoinKind::DoublePipelined, m),
@@ -520,12 +311,7 @@ fn spill_counters_are_pinned() {
             .with_trace_level(TraceLevel::Metrics)
             .with_spill(spill);
         fx.rt = PlanRuntime::for_plan(&fx.plan, env);
-        let script = |rel: &Relation, pace| Scripted {
-            schema: rel.schema().clone(),
-            batches: batches_of(rel, batch),
-            pace,
-            served: 0,
-        };
+        let script = |rel: &Relation, pace| Scripted::new(rel, batch, pace);
         // The double pipelined join sees the ordered arrival; the build-first
         // joins drain the right input, then the left.
         let [pace_l, pace_r] = match join {
@@ -535,7 +321,7 @@ fn spill_counters_are_pinned() {
                     .metrics("dpj")
                     .expect("metrics are on");
                 let left_flush = method == OverflowMethod::IncrementalLeftFlush;
-                let [at_l, at_r] = schedule(left_flush.then_some(ls.len() / 2));
+                let [at_l, at_r] = ordered_arrival(&ls, &rs, left_flush.then_some(ls.len() / 2));
                 [
                     Pace::Ordered(received.clone(), at_l),
                     Pace::Ordered(received, at_r),
@@ -654,14 +440,7 @@ fn held_outputs_of_own_segment_inputs_copy_no_strings() {
         None,
         64,
         TraceLevel::Off,
-        |_| {
-            [&l, &r].map(|rel| Scripted {
-                schema: rel.schema().clone(),
-                batches: batches_of(rel, 64),
-                pace: Pace::After(Duration::ZERO),
-                served: 0,
-            })
-        },
+        |_| [&l, &r].map(|rel| Scripted::new(rel, 64, Pace::After(Duration::ZERO))),
     );
     // The scripted batches hold each string once more, in their own segment.
     let staged: Vec<usize> = holders();

@@ -7,11 +7,7 @@
 //! equi-join is the one hash join; a dependent join is a build-first one
 //! over the probed source's wrapper scan, built as such by the plan.
 
-#[cfg(test)]
-mod batch_tests;
 pub mod collector;
-#[cfg(test)]
-mod columnar_equiv_tests;
 #[cfg(test)]
 mod dpj_resident_tests;
 pub mod exchange;
@@ -20,8 +16,6 @@ pub mod join;
 mod join_side;
 #[cfg(test)]
 mod op_tests;
-#[cfg(test)]
-mod prehash_tests;
 pub mod project;
 pub mod scan;
 pub mod union_op;

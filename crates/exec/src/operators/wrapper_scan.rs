@@ -285,7 +285,7 @@ impl Operator for WrapperScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{drain, TupleCursor};
+    use crate::operator::drain;
     use crate::runtime::{ExecEnv, PlanRuntime};
     use std::sync::Arc;
     use tukwila_common::{tuple, DataType, Relation};
@@ -336,6 +336,20 @@ mod tests {
         )
     }
 
+    /// Open `op` and pull it to its end or its first error: the rows it
+    /// gave on the way, and how it ended.
+    fn rows_then(op: &mut WrapperScan) -> (usize, Result<()>) {
+        let mut rows = 0;
+        let end = op.open().and_then(|()| loop {
+            match op.next_batch() {
+                Ok(Some(batch)) => rows += batch.len(),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        });
+        (rows, end)
+    }
+
     /// A scan of `rows` rows over `link` reading `prefetch` tuples ahead.
     fn prefetching(rows: i64, link: LinkModel, prefetch: Option<usize>) -> WrapperScan {
         setup_opts(rows, link, None, prefetch, None).0
@@ -352,16 +366,8 @@ mod tests {
     #[test]
     fn source_error_fails_scan_and_emits_event() {
         let (mut op, rt, id) = setup(LinkModel::failing(3), None, None);
-        op.open().unwrap();
-        let mut cursor = TupleCursor::new();
-        let mut n = 0;
-        let err = loop {
-            match cursor.next(&mut op) {
-                Ok(Some(_)) => n += 1,
-                Ok(None) => panic!("expected error"),
-                Err(e) => break e,
-            }
-        };
+        let (n, end) = rows_then(&mut op);
+        let err = end.unwrap_err();
         assert_eq!(n, 3);
         assert_eq!(err.kind(), "source_unavailable");
         assert!(rt
@@ -375,13 +381,11 @@ mod tests {
         let rule_frag = tukwila_plan::FragmentId(0);
         let rule = Rule::reschedule_on_timeout(rule_frag, tukwila_plan::OpId(0));
         let (mut op, rt, id) = setup(LinkModel::stalling(2), Some(30), Some(rule));
-        op.open().unwrap();
-        let mut cursor = TupleCursor::new();
-        assert!(cursor.next(&mut op).unwrap().is_some());
-        assert!(cursor.next(&mut op).unwrap().is_some());
-        // Third tuple stalls forever; after ~30ms the timeout fires, the
+        // Two tuples, then a stall: after ~30ms the timeout fires, the
         // reschedule rule raises the signal, and the scan errors out.
-        let err = cursor.next(&mut op).unwrap_err();
+        let (n, end) = rows_then(&mut op);
+        let err = end.unwrap_err();
+        assert_eq!(n, 2);
         assert_eq!(err.kind(), "source_timeout");
         assert!(rt
             .event_log()
@@ -401,11 +405,8 @@ mod tests {
             vec![Action::Deactivate(SubjectRef::Op(id))],
         );
         let (mut op, rt, _) = setup(LinkModel::stalling(1), Some(25), Some(rule));
-        op.open().unwrap();
-        let mut cursor = TupleCursor::new();
-        assert!(cursor.next(&mut op).unwrap().is_some());
-        // stall → timeout → deactivate → scan ends with None, no error
-        assert!(cursor.next(&mut op).unwrap().is_none());
+        // stall → timeout → deactivate → scan ends after one tuple, no error
+        assert_eq!(drain(&mut op).unwrap().len(), 1);
         assert!(!rt.signal_pending());
     }
 

@@ -15,6 +15,9 @@
 //! outcome goes back as `Done` or as the typed error the coordinator's
 //! scheduler raises for it — a panic included, as `Internal`.
 //!
+//! A worker serves at most `MAX_CONNECTIONS` (64) connections at once; one
+//! over the cap is closed at accept, before any thread starts for it.
+//!
 //! Concurrency per connection: a peer has [`HANDSHAKE_TIMEOUT`] to say
 //! `Hello`. After the handshake, a serving thread runs one dispatch at a
 //! time and writes its frames; a reader thread, alive as long as the
@@ -54,6 +57,11 @@ pub const THREAD_PREFIX: &str = "net-";
 /// off the accept path: no query waits on it.
 const STOP_TICK: Duration = Duration::from_millis(50);
 
+/// The most connections a worker serves at once. One accepted over it is
+/// closed at once and starts no thread; its coordinator's handshake fails
+/// with a typed `Io` error.
+const MAX_CONNECTIONS: usize = 64;
+
 /// A worker process's server: binds a listener and serves shard dispatches
 /// until stopped. Each accepted connection handshakes once and then serves
 /// dispatches until the coordinator hangs up.
@@ -91,15 +99,16 @@ impl WorkerServer {
                 }
                 wake(addr);
             });
-            self.serve(stop);
+            self.serve(stop, MAX_CONNECTIONS);
         });
     }
 
-    /// The accept loop: blocks in `accept`, and leaves it at the first
-    /// connection after `stop` is set (the wake-up). Then it shuts every
-    /// connection down — an idle one closes at once, a running shard sees
-    /// its coordinator's EOF and cancels — and joins their threads.
-    fn serve(&self, stop: &AtomicBool) {
+    /// The accept loop: blocks in `accept`, closes a connection beyond the
+    /// `max_conns` still open, and leaves at the first connection after
+    /// `stop` is set (the wake-up). Then it shuts every connection down —
+    /// an idle one closes at once, a running shard sees its coordinator's
+    /// EOF and cancels — and joins their threads.
+    fn serve(&self, stop: &AtomicBool, max_conns: usize) {
         let mut conns: Vec<(TcpStream, thread::JoinHandle<()>)> = Vec::new();
         loop {
             let accepted = self.listener.accept();
@@ -110,6 +119,9 @@ impl WorkerServer {
                 continue;
             };
             conns.retain(|(_, serving)| !serving.is_finished());
+            if conns.len() >= max_conns {
+                continue; // dropped: closed, and no thread started
+            }
             let Ok(handle) = conn.try_clone() else {
                 continue;
             };
@@ -141,7 +153,7 @@ impl WorkerServer {
         let stop2 = stop.clone();
         let thread = thread::Builder::new()
             .name(format!("{THREAD_PREFIX}accept"))
-            .spawn(move || self.serve(&stop2))?;
+            .spawn(move || self.serve(&stop2, MAX_CONNECTIONS))?;
         Ok(WorkerHandle {
             addr,
             stop,
@@ -406,6 +418,7 @@ impl<W: Write> FragmentSink for Wire<'_, W> {
 mod tests {
     use super::*;
     use std::io::Read;
+    use tukwila_common::TukwilaError;
 
     /// A peer that connects and never says `Hello` is hung up on once the
     /// handshake deadline passes, instead of holding a serving thread.
@@ -426,5 +439,64 @@ mod tests {
             .expect("timeout");
         let n = peer.read(&mut [0u8; 16]).expect("EOF, not a timeout");
         assert_eq!(n, 0, "the worker closed the connection");
+    }
+
+    /// How many of this process's live threads carry worker role `role`.
+    /// (A new thread carries its creator's name until it names itself, so
+    /// a `net-read` thread may briefly count as `net-serve`.)
+    #[cfg(target_os = "linux")]
+    fn threads(role: &str) -> usize {
+        let name = format!("{THREAD_PREFIX}{role}");
+        let tasks = std::fs::read_dir("/proc/self/task").expect("list /proc/self/task");
+        (tasks.filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok()))
+            .filter(|comm| comm.trim() == name)
+            .count()
+    }
+
+    /// Over the cap, a connection is closed at accept and starts no
+    /// thread: with room for two, four dials admit two, which settle at
+    /// one serving and one reading thread each, and the other two fail
+    /// their handshake with a typed `Io` error. (No other test in this
+    /// binary starts worker threads.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn connections_over_the_cap_are_closed_at_accept() {
+        let server = WorkerServer::bind("127.0.0.1:0", SourceRegistry::new()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let stop = AtomicBool::new(false);
+        let (handshakes, settled) = thread::scope(|s| {
+            s.spawn(|| server.serve(&stop, 2));
+            let mut conns = Vec::new();
+            let handshakes: Vec<Result<()>> = (0..4)
+                .map(|_| {
+                    let conn = TcpStream::connect(addr)?;
+                    let mut reader = FrameReader::new(conn.try_clone()?);
+                    let mut writer = FrameWriter::new(conn);
+                    let tick = Duration::from_secs(5);
+                    crate::protocol::offer_hello(&mut reader, &mut writer, "w", tick)?;
+                    conns.push((reader, writer));
+                    Ok(())
+                })
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut settled = (threads("serve"), threads("read"));
+            while settled != (2, 2) && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(5));
+                settled = (threads("serve"), threads("read"));
+            }
+            stop.store(true, Ordering::Release);
+            wake(addr);
+            (handshakes, settled)
+        });
+        let kinds: Vec<&str> = (handshakes.iter())
+            .map(|h| h.as_ref().map_or_else(TukwilaError::kind, |_| "ok"))
+            .collect();
+        assert_eq!(kinds, ["ok", "ok", "io", "io"], "{handshakes:?}");
+        assert_eq!(settled, (2, 2), "(serving, reading) threads of two dials");
+        assert_eq!(
+            threads("serve") + threads("read"),
+            0,
+            "the server joined its threads"
+        );
     }
 }

@@ -1,13 +1,15 @@
-//! One differential suite for the exchange operator over its transports.
+//! The exchange operator over its transports.
 //!
 //! `Exchange` is one operator; where its partition pipelines run is the
-//! `PartitionTransport` installed on the environment. Every case here runs
-//! over both — threads of this process, and loopback TCP workers that
-//! share the coordinator's `SourceRegistry` (so the whole cluster runs
-//! deterministically inside one test process while exercising the real
-//! wire protocol) — and is compared with the reference join
+//! `PartitionTransport` installed on the environment: threads of this
+//! process, or loopback TCP workers that share the coordinator's
+//! `SourceRegistry` (so the whole cluster runs deterministically inside one
+//! test process while exercising the real wire protocol). In-process
+//! answers are the generated plans' business (`tests/oracle.rs`); here the
+//! TCP answers are compared with the reference join
 //! (`Relation::nested_join`), holding every output batch until the
-//! comparison.
+//! comparison, and both transports are checked for what they split,
+//! account and tear down.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,6 +17,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
+use tukwila_common::testing::multiset;
 use tukwila_common::{DataType, Relation, Result, Schema, Tuple, TupleBatch, Value};
 use tukwila_exec::runtime::{ExecEnv, PlanRuntime};
 use tukwila_exec::{build_operator, drain_batches, CancelKind, ShardSpec};
@@ -106,12 +109,8 @@ impl Held {
         self.0.iter().map(|b| b.len()).sum()
     }
 
-    fn multiset(&self) -> HashMap<Tuple, usize> {
-        let mut m = HashMap::new();
-        for t in self.0.iter().flat_map(|b| b.to_rows()) {
-            *m.entry(t.clone()).or_insert(0) += 1;
-        }
-        m
+    fn bag(&self) -> HashMap<Tuple, usize> {
+        multiset(self.0.iter().flat_map(|b| b.to_rows()))
     }
 }
 
@@ -181,11 +180,7 @@ fn join_plan(kind: JoinKind, budget: Option<usize>, partitions: usize) -> (Query
 
 /// The reference answer `L ⋈ R on k` over the same rows, as a multiset.
 fn reference(l: &[(Option<i64>, i64)], r: &[(Option<i64>, i64)]) -> HashMap<Tuple, usize> {
-    let mut m = HashMap::new();
-    for t in rel_of("l", l).nested_join(&rel_of("r", r), 0, 0).to_rows() {
-        *m.entry(t.clone()).or_insert(0) += 1;
-    }
-    m
+    multiset(rel_of("l", l).nested_join(&rel_of("r", r), 0, 0).to_rows())
 }
 
 /// Fail instead of hanging: run `f` on a thread and give it `secs`.
@@ -204,45 +199,43 @@ fn within<T: Send + 'static>(secs: u64, what: &str, f: impl FnOnce() -> T + Send
 
 // ---- equivalence ------------------------------------------------------------
 
-/// {transport} × {every join kind} × {no budget, spilling budget} × batch
+/// Over TCP, {every join kind} × {no budget, spilling budget} × batch
 /// {1, 64, 256}: multiset-equal to the reference join, NULL keys included,
-/// three partitions (more shards than workers on the loopback side).
+/// three partitions (more shards than workers).
 #[test]
-fn every_transport_kind_budget_and_batch_size_equals_the_reference_join() {
+fn every_kind_budget_and_batch_size_over_tcp_equals_the_reference_join() {
     let (l, r) = (keyed_rows(300, 20, Some(13)), keyed_rows(200, 20, Some(7)));
     let reg = registry(&l, &r);
     let gold = reference(&l, &r);
-    for transport in BOTH {
-        let bed = Bed::new(transport, &reg);
-        for kind in KINDS {
-            for budget in [None, Some(3_000)] {
-                for batch_size in [1usize, 64, 256] {
-                    let (plan, _) = join_plan(kind, budget, 3);
-                    let (out, rt) = bed.run(&plan, batch_size).unwrap_or_else(|e| {
-                        panic!("{transport:?} {kind:?} {budget:?} batch {batch_size}: {e}")
-                    });
-                    assert_eq!(
-                        out.multiset(),
-                        gold,
-                        "{transport:?} {kind:?} budget {budget:?} batch {batch_size}: {} rows",
-                        out.rows()
-                    );
-                    assert_eq!(rt.parallel_stats().max_partitions, 3);
-                    assert_eq!(bed.env.memory.total_used(), 0, "reservation leaked");
-                }
+    let transport = Transport::Loopback(2);
+    let bed = Bed::new(transport, &reg);
+    for kind in KINDS {
+        for budget in [None, Some(3_000)] {
+            for batch_size in [1usize, 64, 256] {
+                let (plan, _) = join_plan(kind, budget, 3);
+                let (out, rt) = bed.run(&plan, batch_size).unwrap_or_else(|e| {
+                    panic!("{transport:?} {kind:?} {budget:?} batch {batch_size}: {e}")
+                });
+                assert_eq!(
+                    out.bag(),
+                    gold,
+                    "{transport:?} {kind:?} budget {budget:?} batch {batch_size}: {} rows",
+                    out.rows()
+                );
+                assert_eq!(rt.parallel_stats().max_partitions, 3);
+                assert_eq!(bed.env.memory.total_used(), 0, "reservation leaked");
             }
         }
     }
 }
 
 #[test]
-fn empty_input_produces_nothing() {
+fn empty_input_produces_nothing_over_tcp() {
     let reg = registry(&[], &keyed_rows(20, 2, None));
-    for transport in BOTH {
-        let (plan, _) = join_plan(JoinKind::HybridHash, None, 3);
-        let (out, _) = Bed::new(transport, &reg).run(&plan, 64).expect("run");
-        assert_eq!(out.rows(), 0, "{transport:?}");
-    }
+    let transport = Transport::Loopback(2);
+    let (plan, _) = join_plan(JoinKind::HybridHash, None, 3);
+    let (out, _) = Bed::new(transport, &reg).run(&plan, 64).expect("run");
+    assert_eq!(out.rows(), 0, "{transport:?}");
 }
 
 fn arb_rows(max: usize) -> impl Strategy<Value = Rows> {
@@ -260,10 +253,9 @@ proptest! {
 
     /// Random inputs with NULL keys, any join kind, degree {1, 2, 4} (as
     /// many loopback workers), overflow-forcing budgets, varying batch
-    /// sizes: both transports equal the reference join. A degree a
-    /// transport does not split runs as its passthrough.
+    /// sizes: the TCP transport equals the reference join.
     #[test]
-    fn prop_exchange_equals_the_reference_on_both_transports(
+    fn prop_exchange_over_tcp_equals_the_reference(
         l in arb_rows(80),
         r in arb_rows(80),
         kind_ix in 0usize..KINDS.len(),
@@ -276,17 +268,16 @@ proptest! {
         let reg = registry(&l, &r);
         let gold = reference(&l, &r);
         let (plan, _) = join_plan(kind, budget, degree);
-        for transport in [Transport::InProcess, Transport::Loopback(degree)] {
-            let (out, _) = Bed::new(transport, &reg)
-                .run(&plan, batch_size)
-                .map_err(|e| TestCaseError(format!("{transport:?} run failed: {e}")))?;
-            prop_assert!(
-                out.multiset() == gold,
-                "{transport:?}: {} rows, reference {}",
-                out.rows(),
-                gold.values().sum::<usize>()
-            );
-        }
+        let transport = Transport::Loopback(degree);
+        let (out, _) = Bed::new(transport, &reg)
+            .run(&plan, batch_size)
+            .map_err(|e| TestCaseError(format!("{transport:?} run failed: {e}")))?;
+        prop_assert!(
+            out.bag() == gold,
+            "{transport:?}: {} rows, reference {}",
+            out.rows(),
+            gold.values().sum::<usize>()
+        );
     }
 }
 
@@ -302,7 +293,7 @@ fn in_process_single_partition_and_non_join_input_are_passthroughs() {
     let bed = Bed::new(Transport::InProcess, &reg);
     let (plan, _) = join_plan(JoinKind::DoublePipelined, None, 1);
     let (out, rt) = bed.run(&plan, 32).expect("run");
-    assert_eq!(out.multiset(), reference(&l, &r));
+    assert_eq!(out.bag(), reference(&l, &r));
     assert_eq!(rt.parallel_stats().max_partitions, 0, "no exchange ran");
 
     let mut b = PlanBuilder::new();
@@ -343,7 +334,7 @@ fn remote_shards_and_a_single_shard() {
     for (kind, shards) in [(JoinKind::GraceHash, 2), (JoinKind::HybridHash, 1)] {
         let (plan, [ls, ..]) = join_plan(kind, None, shards);
         let (out, rt) = bed.run(&plan, 64).expect("run");
-        assert_eq!(out.multiset(), reference(&l, &r), "{kind:?}");
+        assert_eq!(out.bag(), reference(&l, &r), "{kind:?}");
         assert_eq!(rt.parallel_stats().max_partitions, shards, "{kind:?}");
         assert_eq!(rt.produced(SubjectRef::Op(ls)), 0, "{kind:?} ran remotely");
     }
@@ -358,7 +349,7 @@ fn more_shards_than_workers_multiplexes() {
     let (out, rt) = Bed::new(Transport::Loopback(2), &reg)
         .run(&plan, 64)
         .expect("run");
-    assert_eq!(out.multiset(), reference(&l, &r));
+    assert_eq!(out.bag(), reference(&l, &r));
     assert_eq!(rt.parallel_stats().max_partitions, 4);
 }
 
@@ -380,7 +371,7 @@ fn spill_skew_and_budget_are_attributed_per_partition() {
             let bed = Bed::new(transport, &reg);
             let (plan, [_, _, join]) = join_plan(kind, Some(3_000), 4);
             let (out, rt) = bed.run(&plan, 64).expect("run");
-            assert_eq!(out.multiset(), reference(&rows, &rows), "{what}");
+            assert_eq!(out.bag(), reference(&rows, &rows), "{what}");
 
             let ps = rt.parallel_stats();
             assert_eq!(ps.max_partitions, 4, "{what}");
@@ -480,7 +471,7 @@ fn a_shard_that_opens_late_does_not_stall_the_ones_already_streaming() {
         let bed = Bed::new(Transport::Loopback(1), &reg);
         bed.run(&plan, 16).expect("run").0
     });
-    assert_eq!(out.multiset(), gold);
+    assert_eq!(out.bag(), gold);
 }
 
 #[test]
@@ -505,10 +496,10 @@ fn back_to_back_queries_reuse_the_workers_connections() {
     let bed = Bed::new(Transport::Loopback(1), &reg);
     let (plan, _) = join_plan(JoinKind::HybridHash, None, 2);
     let (first, rt) = bed.run(&plan, 16).expect("first query");
-    assert_eq!(first.multiset(), reference(&l, &r));
+    assert_eq!(first.bag(), reference(&l, &r));
     assert!(dials(&rt) <= 2, "first query dialled {} times", dials(&rt));
     let (second, rt) = bed.run(&plan, 16).expect("second query");
-    assert_eq!(second.multiset(), reference(&l, &r));
+    assert_eq!(second.bag(), reference(&l, &r));
     assert_eq!(dials(&rt), 0, "the second query dialled");
 }
 
@@ -528,7 +519,7 @@ fn a_restarted_worker_is_reached_through_a_fresh_dial() {
     let bed = Bed::on(Cluster::connect(&[&addr]).expect("dial"), &reg);
     let (plan, _) = join_plan(JoinKind::GraceHash, None, 2);
     let (out, _) = bed.run(&plan, 16).expect("before the restart");
-    assert_eq!(out.multiset(), gold);
+    assert_eq!(out.bag(), gold);
 
     worker.shutdown();
     let _worker = WorkerServer::bind(&addr, reg.clone())
@@ -536,7 +527,7 @@ fn a_restarted_worker_is_reached_through_a_fresh_dial() {
         .spawn()
         .expect("respawn worker");
     let (out, rt) = bed.run(&plan, 16).expect("after the restart");
-    assert_eq!(out.multiset(), gold);
+    assert_eq!(out.bag(), gold);
     assert_eq!(dials(&rt), 2, "both shards redialled");
     let (_, rt) = bed.run(&plan, 16).expect("after the redial");
     assert_eq!(dials(&rt), 0, "the fresh connections went back to the pool");
@@ -590,7 +581,7 @@ fn dispatch_raw(addr: &str, times: usize) -> Vec<(HashMap<Tuple, usize>, u64)> {
                         out.0.push(batch);
                         writer.send_credit(1).expect("credit");
                     }
-                    Msg::Done(stats) => break (out.multiset(), stats.backpressure_stalls),
+                    Msg::Done(stats) => break (out.bag(), stats.backpressure_stalls),
                     other => panic!("unexpected frame {other:?}"),
                 }
             }
@@ -780,6 +771,6 @@ fn stream_end_race_input_passes_500_times() {
         let (out, _) = bed
             .run(&plan, 1)
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
-        assert_eq!(out.multiset(), gold, "round {round}");
+        assert_eq!(out.bag(), gold, "round {round}");
     }
 }

@@ -13,6 +13,8 @@
 
 use std::fmt;
 
+use tukwila_common::JsonValue;
+
 use crate::ids::{FragmentId, OpId};
 use crate::plan::QueryPlan;
 use crate::rules::SubjectRef;
@@ -375,78 +377,45 @@ impl Report {
         out
     }
 
-    /// Machine-readable JSON form (hand-rolled; the workspace has no JSON
-    /// library). Shape:
+    /// Machine-readable form:
     /// `{"errors":N,"warnings":N,"infos":N,"diagnostics":[{...}]}` with each
     /// diagnostic carrying `code`, `severity`, `pass`, `message`,
     /// `fragment`/`op`/`rule` span fields (null when absent), and `notes`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"errors\":{},\"warnings\":{},\"infos\":{},\"diagnostics\":[",
-            self.error_count(),
-            self.warn_count(),
-            self.count(Severity::Info)
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            out.push_str(&format!("\"code\":{},", json_str(d.code)));
-            out.push_str(&format!("\"severity\":{},", json_str(d.severity.label())));
-            out.push_str(&format!("\"pass\":{},", json_str(d.pass.label())));
-            out.push_str(&format!("\"message\":{},", json_str(&d.message)));
-            let (frag, op, rule) = match &d.span {
-                Span::Plan => (None, None, None),
-                Span::Fragment(f) => (Some(f.to_string()), None, None),
-                Span::Op { fragment, op } => {
-                    (fragment.map(|f| f.to_string()), Some(op.to_string()), None)
-                }
-                Span::Rule { name, .. } => (None, None, Some(name.clone())),
-            };
-            out.push_str(&format!("\"fragment\":{},", json_opt(frag.as_deref())));
-            out.push_str(&format!("\"op\":{},", json_opt(op.as_deref())));
-            out.push_str(&format!("\"rule\":{},", json_opt(rule.as_deref())));
-            out.push_str("\"notes\":[");
-            for (j, n) in d.notes.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_str(n));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// `s` as a JSON string literal, quotes included: `"` and `\` escaped,
-/// control characters written as `\n`, `\r`, `\t` or `\u00XX`,
-/// everything else (non-ASCII included) as is.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_opt(s: Option<&str>) -> String {
-    match s {
-        Some(s) => json_str(s),
-        None => "null".to_string(),
+    pub fn json(&self) -> JsonValue {
+        let text = |s: &str| JsonValue::Str(s.to_string());
+        let opt = |s: Option<String>| s.map_or(JsonValue::Null, JsonValue::Str);
+        let diagnostics = (self.diagnostics.iter())
+            .map(|d| {
+                let (frag, op, rule) = match &d.span {
+                    Span::Plan => (None, None, None),
+                    Span::Fragment(f) => (Some(f.to_string()), None, None),
+                    Span::Op { fragment, op } => {
+                        (fragment.map(|f| f.to_string()), Some(op.to_string()), None)
+                    }
+                    Span::Rule { name, .. } => (None, None, Some(name.clone())),
+                };
+                JsonValue::Obj(vec![
+                    ("code".into(), text(d.code)),
+                    ("severity".into(), text(d.severity.label())),
+                    ("pass".into(), text(d.pass.label())),
+                    ("message".into(), text(&d.message)),
+                    ("fragment".into(), opt(frag)),
+                    ("op".into(), opt(op)),
+                    ("rule".into(), opt(rule)),
+                    (
+                        "notes".into(),
+                        JsonValue::Arr(d.notes.iter().map(|n| text(n)).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        let count = |sev| JsonValue::UInt(self.count(sev) as u64);
+        JsonValue::Obj(vec![
+            ("errors".into(), count(Severity::Error)),
+            ("warnings".into(), count(Severity::Warn)),
+            ("infos".into(), count(Severity::Info)),
+            ("diagnostics".into(), JsonValue::Arr(diagnostics)),
+        ])
     }
 }
 
@@ -520,7 +489,7 @@ mod tests {
             "msg with \\ backslash",
         )
         .with_note("a note")]);
-        let j = r.to_json();
+        let j = r.json().to_json();
         assert!(j.contains(r#""code":"TA020""#), "{j}");
         assert!(j.contains(r#""rule":"has \"quotes\"\n""#), "{j}");
         assert!(j.contains(r#""message":"msg with \\ backslash""#), "{j}");

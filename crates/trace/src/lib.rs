@@ -21,12 +21,11 @@
 //! taken at query completion travels with the result and renders as JSON,
 //! CSV, or a human-readable timeline (see `render`).
 
-mod json;
 mod metrics;
 mod render;
 
-pub use json::JsonValue;
 pub use metrics::{MetricsRegistry, OpMetrics, OpMetricsSnapshot};
+use tukwila_common::JsonValue;
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};

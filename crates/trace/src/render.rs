@@ -3,8 +3,8 @@
 
 use std::fmt::Write as _;
 
-use crate::json::{write_escaped, JsonValue};
 use crate::{OpMetricsSnapshot, TraceEvent, TraceLevel, TraceRecord, TraceSnapshot};
+use tukwila_common::json::{write_escaped, JsonValue};
 
 impl TraceSnapshot {
     /// Serialize the full snapshot as one JSON document:

@@ -16,16 +16,24 @@
 //!   4. both strategies' I/O grows with N and shrinks with M;
 //!   5. results stay exactly correct under every strategy (checked by bag
 //!      equality against the gold join).
-
-use std::time::Duration;
+//!
+//! The I/O checks run over scripted inputs in the analysis' arrival order
+//! (see `run_dpj`), so their counts are exact and pinned; the exactness
+//! properties keep racing sources, where the race is coverage.
 
 use proptest::prelude::*;
 
+use tukwila::exec::operators::HashJoin;
+use tukwila::exec::testing::{ordered_arrival, Pace, Scripted};
 use tukwila::exec::{
-    build_operator, run_fragment, ExecEnv, FragmentOutcome, Materialize, PlanRuntime,
+    build_operator, run_fragment, ExecEnv, FragmentOutcome, FragmentReport, Materialize, OpHarness,
+    PlanRuntime,
 };
-use tukwila::plan::{OverflowMethod, PlanBuilder};
+use tukwila::plan::{OverflowMethod, PlanBuilder, QueryPlan, SubjectRef};
 use tukwila::prelude::*;
+
+/// Rows per batch of the scripted inputs (and the spill page size).
+const BATCH: usize = 32;
 
 /// Relation of `n` tuples with unique keys 0..n and a fixed-width payload.
 fn uniform_relation(name: &str, n: usize) -> Relation {
@@ -40,38 +48,13 @@ fn uniform_relation(name: &str, n: usize) -> Relation {
     Relation::new(schema, r).unwrap()
 }
 
-/// Execute `A ⋈ B` with the double pipelined join under `method` and a
-/// budget of `m_tuples` tuples; returns (written, read, result_card).
-///
-/// The paper's analysis assumes the two inputs arrive at *equal transfer
-/// rates* ("of equal tuple size and data transfer rate"); `paced` gives
-/// both sources the same per-tuple delay so arrivals interleave evenly.
-/// Unpaced (instant) links let one side race ahead, where footnote 3's
-/// skip-storage optimization changes the memory profile — fine for
-/// correctness checks, wrong for the I/O-formula checks.
-fn run_dpj_with(
-    n: usize,
-    m_tuples: usize,
-    method: OverflowMethod,
-    paced: bool,
-) -> (usize, usize, usize) {
+/// `A ⋈ B` over sources `A` and `B` with the double pipelined join under
+/// `method` and a budget of `m_tuples` tuples: the two inputs and the
+/// one-fragment plan whose root is the join.
+fn dpj_plan(n: usize, m_tuples: usize, method: OverflowMethod) -> (Relation, Relation, QueryPlan) {
     let a = uniform_relation("a", n);
     let b = uniform_relation("b", n);
-    let tuple_bytes = a.to_rows()[0].mem_size();
-    let budget = m_tuples * tuple_bytes;
-
-    let link = if paced {
-        LinkModel {
-            per_tuple: Duration::from_micros(80),
-            ..LinkModel::instant()
-        }
-    } else {
-        LinkModel::instant()
-    };
-    let registry = SourceRegistry::new();
-    registry.register(SimulatedSource::new("A", a, link.clone()));
-    registry.register(SimulatedSource::new("B", b, link));
-
+    let budget = m_tuples * a.to_rows()[0].mem_size();
     let mut builder = PlanBuilder::new();
     let left = builder.wrapper_scan("A");
     let right = builder.wrapper_scan("B");
@@ -79,12 +62,11 @@ fn run_dpj_with(
         .dpj(left, right, "k", "k", method)
         .with_memory(budget);
     let frag = builder.fragment(join, "out");
-    let plan = builder.build(frag);
+    (a, b, builder.build(frag))
+}
 
-    let env = ExecEnv::new(registry);
-    let rt = PlanRuntime::for_plan(&plan, env.clone());
-    let root = build_operator(&plan.fragments[0].root, &rt).expect("build");
-    let report = run_fragment(frag, root, &rt, &mut Materialize::new("out"));
+/// (written, read, result_card) of a fragment run.
+fn counts(env: &ExecEnv, report: FragmentReport) -> (usize, usize, usize) {
     let card = match report.outcome {
         FragmentOutcome::Completed { cardinality, .. } => cardinality,
         other => panic!("unexpected outcome {other:?}"),
@@ -93,9 +75,62 @@ fn run_dpj_with(
     (stats.tuples_written(), stats.tuples_read(), card)
 }
 
-/// Paced variant used by the analytical checks.
+/// Execute `A ⋈ B` (N tuples each) with the double pipelined join under
+/// `method` and a budget of `m_tuples` tuples; returns (written, read,
+/// result_card).
+///
+/// The paper's analysis assumes the two inputs arrive at *equal transfer
+/// rates* ("of equal tuple size and data transfer rate"). The inputs are
+/// scripted so the join sees exactly that: equal-size batches alternating
+/// left, right, left, … whatever the scheduler does. Under Incremental
+/// Left Flush the right input streams alone from the first flush on, as
+/// the paused left waits — the analysis' own order.
 fn run_dpj(n: usize, m_tuples: usize, method: OverflowMethod) -> (usize, usize, usize) {
-    run_dpj_with(n, m_tuples, method, true)
+    let (a, b, plan) = dpj_plan(n, m_tuples, method);
+    let frag = &plan.fragments[0];
+    let env = ExecEnv::new(SourceRegistry::new())
+        .with_batch_size(BATCH)
+        .with_trace_level(TraceLevel::Metrics);
+    let rt = PlanRuntime::for_plan(&plan, env.clone());
+    let harness = OpHarness::new(rt.clone(), SubjectRef::Op(frag.root.id));
+    let received = harness.metrics("dpj").expect("metrics are on");
+    let sizes: Vec<u64> = (0..n)
+        .step_by(BATCH)
+        .map(|i| (n - i).min(BATCH) as u64)
+        .collect();
+    let [at_a, at_b] = ordered_arrival(&sizes, &sizes, None);
+    let pace_b = match method {
+        OverflowMethod::IncrementalLeftFlush => {
+            Pace::OrderedUntilFlush(received.clone(), at_b, env.spill.clone())
+        }
+        _ => Pace::Ordered(received.clone(), at_b),
+    };
+    let join = HashJoin::new(
+        JoinKind::DoublePipelined,
+        Box::new(Scripted::new(&a, BATCH, Pace::Ordered(received, at_a))),
+        Box::new(Scripted::new(&b, BATCH, pace_b)),
+        "k".into(),
+        "k".into(),
+        harness,
+    );
+    let report = run_fragment(frag.id, Box::new(join), &rt, &mut Materialize::new("out"));
+    counts(&env, report)
+}
+
+/// [`run_dpj`] over sources on instant links, which let one side race
+/// ahead (footnote 3's skip-storage optimization then changes the memory
+/// profile): fine for the correctness checks, where the race is coverage.
+fn run_racing(n: usize, m_tuples: usize, method: OverflowMethod) -> (usize, usize, usize) {
+    let (a, b, plan) = dpj_plan(n, m_tuples, method);
+    let registry = SourceRegistry::new();
+    registry.register(SimulatedSource::new("A", a, LinkModel::instant()));
+    registry.register(SimulatedSource::new("B", b, LinkModel::instant()));
+    let env = ExecEnv::new(registry);
+    let rt = PlanRuntime::for_plan(&plan, env.clone());
+    let frag = &plan.fragments[0];
+    let root = build_operator(&frag.root, &rt).expect("build");
+    let report = run_fragment(frag.id, root, &rt, &mut Materialize::new("out"));
+    counts(&env, report)
 }
 
 #[test]
@@ -192,6 +227,43 @@ fn flush_all_left_is_never_cheaper_than_incremental() {
     );
 }
 
+/// Every scripted run the checks above make writes exactly this many
+/// tuples, and reads each back once: the scripted order makes the counts
+/// exact, so a change to the victim choice or the page flush shows here.
+#[test]
+fn scripted_runs_spill_pinned_counts() {
+    use OverflowMethod::*;
+    let pinned = [
+        (300, 1000, IncrementalLeftFlush, 0),
+        (600, 800, IncrementalLeftFlush, 301),
+        (600, 800, IncrementalSymmetricFlush, 444),
+        (700, 600, IncrementalLeftFlush, 808),
+        (700, 600, IncrementalSymmetricFlush, 862),
+        (700, 1100, IncrementalLeftFlush, 250),
+        (700, 1100, FlushAllLeft, 700),
+        (800, 800, IncrementalLeftFlush, 800),
+        (800, 800, IncrementalSymmetricFlush, 872),
+        (1000, 400, IncrementalLeftFlush, 1609),
+        (1000, 400, IncrementalSymmetricFlush, 1686),
+        (1000, 800, IncrementalLeftFlush, 1224),
+        (1000, 800, IncrementalSymmetricFlush, 1218),
+        (1000, 1200, IncrementalLeftFlush, 668),
+        (1000, 1200, IncrementalSymmetricFlush, 858),
+        (1400, 600, IncrementalLeftFlush, 2253),
+        (1400, 600, IncrementalSymmetricFlush, 2364),
+        (1500, 800, IncrementalLeftFlush, 2220),
+        (1500, 800, IncrementalSymmetricFlush, 2370),
+    ];
+    let wrong: Vec<String> = (pinned.into_iter())
+        .filter_map(|(n, m, method, writes)| {
+            let got = run_dpj(n, m, method);
+            (got != (writes, writes, n))
+                .then(|| format!("N={n}, M={m}, {method:?}: got {got:?}, want {writes} each way"))
+        })
+        .collect();
+    assert!(wrong.is_empty(), "\n{}", wrong.join("\n"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -209,7 +281,7 @@ proptest! {
             OverflowMethod::IncrementalSymmetricFlush,
             OverflowMethod::FlushAllLeft,
         ][method_idx];
-        let (_, _, card) = run_dpj_with(n, m, method, false);
+        let (_, _, card) = run_racing(n, m, method);
         prop_assert_eq!(card, n);
     }
 
@@ -221,7 +293,7 @@ proptest! {
         m_frac in 0.3f64..0.9,
     ) {
         let m = ((n as f64) * m_frac) as usize + 16;
-        let (w, r, _) = run_dpj_with(n, m, OverflowMethod::IncrementalLeftFlush, false);
+        let (w, r, _) = run_racing(n, m, OverflowMethod::IncrementalLeftFlush);
         prop_assert_eq!(w, r);
     }
 }

@@ -50,6 +50,13 @@
 //!     `crates/core/src` calls `.next_batch()`: a fragment's root, at the
 //!     coordinator or in a worker, is driven only by `run_fragment` in
 //!     `crates/exec/src/fragment.rs`, into a sink (DESIGN.md §8, §12).
+//! 12. **One oracle.** Answers are compared as bags by
+//!     `tukwila_common::testing::multiset` alone: no other file under
+//!     `crates/`, `src/`, `tests/` or `examples/` (tests included) defines
+//!     a `multiset` function, and none names the deleted row-key API (the
+//!     owned join key, the single-tuple cursor and its drain, the
+//!     composite key prehash) — generated plans against one reference
+//!     interpreter (`tests/oracle.rs`) replaced the suites that kept it.
 //!
 //! All checks are text-based (no extra dependencies); 1–3, 5, 6 and 8–11
 //! skip `*_tests.rs` files, `tests/` directories, and everything at or
@@ -623,6 +630,41 @@ fn one_fragment_runner() {
         hits.is_empty(),
         "fragment roots are driven only by run_fragment in \
          crates/exec/src/fragment.rs (DESIGN.md §8, §12):\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn one_oracle() {
+    // Spelled in halves so this file passes its own check.
+    let definition = ["fn mult", "iset"].concat();
+    let deleted = [
+        ["Join", "Key"].concat(),
+        ["Tuple", "Cursor"].concat(),
+        ["drain", "_tuples"].concat(),
+        ["compute", "_composite"].concat(),
+    ];
+    let root = repo_root();
+    let shared = root.join("crates/common/src/testing.rs");
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_sources(&root.join(dir), true, &mut files);
+    }
+    assert!(files.contains(&shared), "the shared multiset is gone");
+    let mut hits = Vec::new();
+    for file in files.iter().filter(|f| **f != shared) {
+        let text = std::fs::read_to_string(file).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            if line.contains(definition.as_str()) || deleted.iter().any(|w| has_word(line, w)) {
+                let rel = file.strip_prefix(&root).unwrap().display();
+                hits.push(format!("{rel}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "answers are compared by tukwila_common::testing::multiset against \
+         one reference (tests/oracle.rs), and the row-key API stays gone:\n{}",
         hits.join("\n")
     );
 }
